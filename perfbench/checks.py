@@ -151,8 +151,10 @@ def check_command(item, data, diagram, h1, oracles, pinned):
     argv = item["argv"]
     key = item["name"]
     if item["origin"] == "fixed":
+        # null: the command did not finish where the digests were pinned,
+        # so only the independent checks below apply to it
         _require(key in pinned, f"no pinned digest for {key!r}")
-        _require(digest(argv, data) == pinned[key],
+        _require(pinned[key] is None or digest(argv, data) == pinned[key],
                  f"output of {key!r} differs from its pinned digest")
     if diagram is not None:
         if h1 is None:

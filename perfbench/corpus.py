@@ -56,11 +56,14 @@ def _realize(rng):
         _item("invariants nested-link", ["invariants"], NESTED_LINK),
     ]
     # Seeded fronts come in groups of one shape each (events, right cusps),
-    # so that every seed draws commands of about the same cost.  The eight
-    # 10-event fronts hold the median command, with as many commands below
-    # them as above, and the eight 14-event fronts hold the tail percentile;
-    # both statistics are then taken over many similar commands.
-    groups = [(10, 6, 2), (8, 10, 2), (8, 14, 3)]
+    # so that every seed draws commands of about the same cost.  The twelve
+    # 10-event fronts hold the median command, with about as many commands
+    # below them (fourteen 6-event fronts and four small fixed ones) as
+    # above, and the twelve 14-event fronts hold the tail percentile (the
+    # 11th largest of 48 commands, below only the three largest torus knots
+    # and eight of the twelve); both statistics are then taken over many
+    # similar commands.
+    groups = [(14, 6, 2), (12, 10, 2), (12, 14, 3)]
     k = 0
     for count, events, right in groups:
         for front in random_fronts(rng, count, events, events, 3, right):
@@ -71,23 +74,16 @@ def _realize(rng):
 
 
 def _orbit_tables(rng):
-    items = [_item(f"chain trefoil+1 len{k}", chain(max_len=k),
-                   TREFOIL + " / surgery {0:+1}") for k in (3, 4, 5)]
+    trefoil = TREFOIL + " / surgery {0:+1}"
+    items = [_item(f"chain trefoil+1 len{k}", chain(max_len=k), trefoil)
+             for k in (3, 4, 5)]
     items += [
-        _item("chain trefoil+1 action200", chain(max_action=200),
-              TREFOIL + " / surgery {0:+1}"),
+        _item("chain trefoil+1 action200", chain(max_action=200), trefoil),
         _item("chain trefoil-1 len1", chain(max_len=1),
               TREFOIL + " / surgery {0:-1}"),
     ]
-    # The Hopf links beyond ++, --, +- and 0+ put the median inside the
-    # group of small chains instead of between it and the larger commands.
-    for tag in ("++", "--", "+-", "0+", "-+", "+0"):
-        items.append(_item(f"chain hopf{tag} len4", chain(max_len=4),
-                           hopf(tag)))
-    for tag in ("++", "--", "+-"):
-        items.append(_item(f"chain hopf{tag} reversed len4",
-                           chain(max_len=4),
-                           hopf(tag) + " / orientations {1:-}"))
+    items += [_item(f"chain hopf{tag} len4", chain(max_len=4), hopf(tag))
+              for tag in ("++", "--", "+-", "0+")]
     items += [
         _item("chain stab-unknot len4", chain(max_len=4), STAB_UNKNOT),
         _item("chain nested-link len4", chain(max_len=4), NESTED_LINK),
@@ -95,12 +91,36 @@ def _orbit_tables(rng):
               torus(5)),
         _item("grading T(2,9) len3", ["grading", "--max-len", "3"],
               torus(9)),
-        # not in the design either: with it, the tail percentile falls
-        # among the five largest commands instead of just below them
-        _item("grading trefoil+1 len4", ["grading", "--max-len", "4"],
-              TREFOIL + " / surgery {0:+1}"),
         _item("chords hopf0+ len3", ["chords", "--max-len", "3"],
               hopf("0+")),
+    ]
+    # The commands above take 0.9-10 s (six of them), 0.55 s (one) and
+    # 0.1-0.35 s (seven) at the commit that defined the benchmark.  The
+    # median and the tail percentile (the 11th largest of 31) would fall in
+    # the gaps between them and jump with every reordering of two commands.
+    # The seventeen below are of the same kind, two-component or stabilized
+    # diagrams at longer word or action bounds: thirteen of 0.3-0.5 s that
+    # hold both statistics, and four small action-bounded or (0,+1)
+    # queries.
+    for n in (5, 6):
+        items += [_item(f"chain hopf{tag} len{n}", chain(max_len=n),
+                        hopf(tag)) for tag in ("++", "+-", "-+")]
+    items += [
+        _item("chain hopf-- len5", chain(max_len=5), hopf("--")),
+        _item("chain hopf++ reversed len6", chain(max_len=6),
+              hopf("++") + " / orientations {1:-}"),
+        _item("chain hopf+- reversed len6", chain(max_len=6),
+              hopf("+-") + " / orientations {1:-}"),
+        _item("chain stab-unknot len6", chain(max_len=6), STAB_UNKNOT),
+        _item("chain trefoil+1 action100", chain(max_action=100), trefoil),
+        _item("grading hopf++ len6", ["grading", "--max-len", "6"],
+              hopf("++")),
+        _item("grading hopf+- len6", ["grading", "--max-len", "6"],
+              hopf("+-")),
+        _item("chain hopf0+ len6", chain(max_len=6), hopf("0+")),
+        _item("chain hopf+0 len6", chain(max_len=6), hopf("+0")),
+        _item("chain hopf++ action200", chain(max_action=200), hopf("++")),
+        _item("chain hopf-- action300", chain(max_action=300), hopf("--")),
     ]
     return items
 
@@ -110,28 +130,13 @@ def _search(rng):
         # where candidate search takes most of the time and completes
         _item("chain trefoil+1 len3", chain(max_len=3),
               TREFOIL + " / surgery {0:+1}"),
+        _item("chain hopf-- len4", chain(max_len=4), hopf("--")),
         # known not to finish at the commit that defined the benchmark
         _item("chain trefoil-1 len2", chain(max_len=2),
               TREFOIL + " / surgery {0:-1}"),
         _item("chain T(2,5)+1 len2", chain(max_len=2), torus(5)),
         _item("chain T(2,5)-1 len3", chain(max_len=3), ITEM4),
-        # small searches, more than half of all commands: the median is one
-        # of them, whatever the others do
-        _item("chain trefoil-1 len1", chain(max_len=1),
-              TREFOIL + " / surgery {0:-1}"),
-        _item("chain trefoil+1 len1", chain(max_len=1),
-              TREFOIL + " / surgery {0:+1}"),
-        _item("chain stab-unknot+1 len5", chain(max_len=5), STAB_UNKNOT),
-        _item("chain stab-unknot-1 len5", chain(max_len=5),
-              STAB_UNKNOT.replace("{0:+1}", "{0:-1}")),
     ]
-    for tag in ("++", "--", "+-", "-+", "0+", "+0"):
-        items.append(_item(f"chain hopf{tag} len4", chain(max_len=4),
-                           hopf(tag)))
-    for tag in ("++", "--", "+-"):
-        items.append(_item(f"chain hopf{tag} reversed len4",
-                           chain(max_len=4),
-                           hopf(tag) + " / orientations {1:-}"))
     # Random 13-15-event fronts from a fixed seed, not from --seed: whether
     # such a front times out is a coin toss per front, and drawing new ones
     # per seed made the failed count, and with it every timing, differ by

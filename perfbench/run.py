@@ -6,17 +6,29 @@ Runs from the root of a source checkout and imports ``reebchords`` from its
 ``src/``.  One process, one thread, one command at a time: each command is
 ``reebchords.cli.main(argv + ["--input", "-"])`` with the front text on
 standard input and standard output captured, and the next starts when it
-returns.  Times are CPU seconds of this one thread: the program never
-waits, and in a shared virtual machine the wall time also counts the
-moments the host runs something else.  A command that uses more CPU time
-than its deadline is stopped by ``SIGPROF`` and counted as failed; the time
-it used is charged to every timing, so a later fix that lets it finish can
-only lower them.  A command that timed out is not run again in later
-passes: each later pass charges it the same time.
+returns.  Times are CPU seconds of this one thread, scaled to a reference
+speed (below): the program never waits, and in a shared virtual machine
+the wall time also counts the moments the host runs something else.  A
+command that runs longer than its deadline is stopped by ``SIGPROF`` and
+counted as failed; the time it used is charged to every timing, so a later
+fix that lets it finish can only lower them.  A command that timed out is
+not run again in later passes: each later pass charges it the same time.
+A command that exits non-zero aborts the run like a failed check, unless
+it is one that did not finish where ``digests.json`` was pinned; then it
+is counted as failed.
 
 The number of passes is ``round(seconds / PASS_S[workload])``, a function
 of ``--seconds`` alone, so every commit is measured on the same number of
 commands and the tail percentile stays the same percentile.
+
+Every timing is reported in seconds at a fixed reference speed: right
+before and right after each command the benchmark times ``reference()``, a
+fixed piece of pure-Python work of the program's kind, and scales the
+command's CPU seconds by ``REF_S`` over the mean of the two.  A shared
+virtual machine can take 70 % more CPU time for the same work in some
+seconds or minutes than in others; the reference, timed next to the
+command, moves with it.  Deadlines are in the same reference seconds.  The
+unscaled CPU seconds are kept in the record.
 
 ``--trace 0`` prints the end-to-end metrics.  ``--trace 1`` runs one
 untraced pass, then one pass with every public ``reebchords`` function
@@ -40,6 +52,7 @@ import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -52,13 +65,19 @@ import checks  # noqa: E402
 import corpus  # noqa: E402
 from spans import Tracer  # noqa: E402
 
-# CPU seconds a command may run; only search is meant to reach it, the
-# others only guard against a hang
+# seconds at the reference speed a command may run; only search is meant
+# to reach it, the others only guard against a hang
 DEADLINE_S = {"realize": 60.0, "orbit_tables": 60.0, "search": 4.0}
-# --seconds per pass: realize has enough commands for its tail percentile
-# in one pass, the others need two
-PASS_S = {"realize": 40.0, "orbit_tables": 20.0, "search": 20.0}
+# --seconds per pass: realize and orbit_tables have enough commands for
+# their tail percentiles in one pass; search has eight commands, five of
+# which time out and are charged, not rerun, in later passes, and needs
+# three passes for a tail percentile above its median
+PASS_S = {"realize": 40.0, "orbit_tables": 40.0, "search": 13.0}
 SETUP_SPAWNS = 7
+# CPU seconds that reference() takes at the reference speed: a unit, close
+# to what it takes on the 2-vCPU Intel Xeon virtual machine the bounds were
+# set on in its slower phases
+REF_S = 0.02
 
 # per-layer metrics: self seconds (".s") and call counts (".calls") of
 # spans, and counters kept by the wrappers
@@ -100,6 +119,32 @@ REQUIRED = {
 }
 
 
+def reference():
+    """CPU seconds of a fixed piece of work like the program's own: exact
+    fractions, dictionary updates, list growth and a sort."""
+    start = time.thread_time()
+    total, buckets, pairs = Fraction(0), {}, []
+    for i in range(1, 2500):
+        total += Fraction(i % 97, i)
+        buckets[i % 31] = buckets.get(i % 31, 0) + i
+        pairs.append((i, i * i))
+    pairs.sort(key=lambda p: -p[1])
+    return time.thread_time() - start
+
+
+def at_reference_speed(cpu, ref_before, ref_after):
+    """``cpu`` seconds scaled by REF_S over the mean of the reference()
+    times taken right before and right after them."""
+    return cpu * 2 * REF_S / (ref_before + ref_after)
+
+
+def scale_ratio(records):
+    """Reference-speed seconds over CPU seconds of the commands run."""
+    executed = [r for r in records if not r["replayed"]]
+    return (sum(r["seconds"] for r in executed)
+            / sum(r["cpu_s"] for r in executed))
+
+
 class Deadline(BaseException):
     """Raised by SIGPROF inside a command; not an ``Exception`` so that the
     CLI's own handlers cannot swallow it."""
@@ -139,8 +184,10 @@ class Harness(object):
         raise Deadline()
 
     def run(self, item, deadline):
-        """(status, CPU s, wall s, stdout text, diagram, h1) of a command."""
+        """(status, seconds, CPU s, wall s, stdout text, diagram, h1) of a
+        command; seconds and the deadline are at the reference speed."""
         self.captured.clear()
+        ref_before = reference()
         out, err = io.StringIO(), io.StringIO()
         argv = item["argv"] + ["--input", "-"]
         stdin = sys.stdin
@@ -150,7 +197,8 @@ class Harness(object):
         try:
             with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err):
-                signal.setitimer(signal.ITIMER_PROF, deadline)
+                signal.setitimer(signal.ITIMER_PROF,
+                                 deadline * ref_before / REF_S)
                 try:
                     code = self.cli.main(argv)
                 finally:
@@ -166,7 +214,8 @@ class Harness(object):
             cpu = time.thread_time() - cpu_start
             wall = time.perf_counter() - start
             sys.stdin = stdin
-        return (status, cpu, wall, out.getvalue(),
+        seconds = at_reference_speed(cpu, ref_before, reference())
+        return (status, seconds, cpu, wall, out.getvalue(),
                 self.captured.get("resolve"),
                 self.captured.get("h1_presentation"))
 
@@ -175,16 +224,18 @@ class SetupProbe(object):
     """CPU seconds from a fresh interpreter to ``reebchords.cli`` being ready.
 
     One spawn runs before each of the first commands of a run, so that the
-    median samples the machine at as many moments as possible.
+    median samples the machine at as many moments as possible.  Like command
+    times, ``times`` are scaled to the reference speed; ``cpu`` are not.
     """
 
     def __init__(self):
         self.env = dict(os.environ, PYTHONPATH=SRC)
-        self.times, self.wall = [], []
+        self.times, self.cpu, self.wall = [], [], []
         self._spawn()           # the first spawn may compile bytecode
-        self.times, self.wall = [], []
+        self.times, self.cpu, self.wall = [], [], []
 
     def _spawn(self):
+        ref_before = reference()
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
         start = time.perf_counter()
         subprocess.run([sys.executable, "-c", "import reebchords.cli"],
@@ -192,8 +243,10 @@ class SetupProbe(object):
                        stdout=subprocess.DEVNULL, timeout=60)
         self.wall.append(time.perf_counter() - start)
         after = resource.getrusage(resource.RUSAGE_CHILDREN)
-        self.times.append(after.ru_utime + after.ru_stime
-                          - before.ru_utime - before.ru_stime)
+        cpu = (after.ru_utime + after.ru_stime
+               - before.ru_utime - before.ru_stime)
+        self.cpu.append(cpu)
+        self.times.append(at_reference_speed(cpu, ref_before, reference()))
 
     def __call__(self):
         if len(self.times) < SETUP_SPAWNS:
@@ -203,6 +256,13 @@ class SetupProbe(object):
         while len(self.times) < SETUP_SPAWNS:
             self._spawn()
         return statistics.median(self.times)
+
+
+def may_fail(item, pinned):
+    """Whether a non-zero exit of ``item`` counts as a failure instead of
+    aborting the run: only for commands that did not finish where the
+    digests were pinned (a null digest)."""
+    return item["name"] in pinned and pinned[item["name"]] is None
 
 
 def run_pass(harness, items, deadline, records, pass_no, state, oracles,
@@ -222,9 +282,13 @@ def run_pass(harness, items, deadline, records, pass_no, state, oracles,
             continue
         if harness.tracer is not None:
             harness.tracer.command = idx
-        status, secs, wall, text, diagram, h1 = harness.run(item, deadline)
+        status, secs, cpu, wall, text, diagram, h1 = harness.run(item,
+                                                                 deadline)
+        if status.startswith("exit") and not may_fail(item, pinned):
+            raise checks.CheckFailed(f"{item['name']!r}: {status}")
         rec = {"item": idx, "pass_no": pass_no, "status": status,
-               "seconds": secs, "wall_s": wall, "replayed": False}
+               "seconds": secs, "cpu_s": cpu, "wall_s": wall,
+               "replayed": False}
         if status == "ok":
             data = json.loads(text)
             rec["counts"] = checks.work_counts(item["front"], item["argv"],
@@ -257,8 +321,8 @@ def tail(values):
     return ordered[n - 11], 100.0 * (n - 10) / n
 
 
-def end_to_end(records):
-    times = [r["seconds"] for r in records]
+def end_to_end(records, key="seconds"):
+    times = [r[key] for r in records]
     done = sum(1 for r in records if r["status"] == "ok")
     value, pct = tail(times)
     return {
@@ -271,6 +335,9 @@ def end_to_end(records):
 
 
 def per_layer(workload, tracer, traced, untraced, deadline_hits):
+    """Per-layer metrics.  Span times are CPU seconds; they are scaled by
+    the traced pass's ratio of reference-speed seconds to CPU seconds."""
+    scale = scale_ratio(traced)
     summary = tracer.summary()
     counts = tracer.counts
 
@@ -286,7 +353,8 @@ def per_layer(workload, tracer, traced, untraced, deadline_hits):
             f"wrappers no longer reach these layers")
     metrics = {}
     for name in SPAN_S:
-        metrics[name + ".s"] = (summary.get(name, {}).get("self_s", 0.0), "s")
+        metrics[name + ".s"] = (
+            summary.get(name, {}).get("self_s", 0.0) * scale, "s")
     for name in SPAN_CALLS:
         metrics[name + ".calls"] = (calls(name), "count")
     for name in COUNTERS:
@@ -299,15 +367,15 @@ def per_layer(workload, tracer, traced, untraced, deadline_hits):
     events = metrics["diagram.events"][0]
     resolve_total = summary.get("diagram.resolve", {}).get("total_s", 0.0)
     metrics["diagram.resolve.s_per_event"] = (
-        resolve_total / events if events else 0.0, "s/event")
+        resolve_total * scale / events if events else 0.0, "s/event")
     metrics["report.deadline_hits"] = (deadline_hits, "count")
     top = {}
     for cmd, _name, _start, dur, _self, depth in tracer.spans:
         if depth == 0:
             top[cmd] = top.get(cmd, 0.0) + dur
     metrics["cli.other_s"] = (
-        sum(r["seconds"] - top.get(r["item"], 0.0) for r in traced
-            if not r["replayed"]), "s")
+        scale * sum(r["cpu_s"] - top.get(r["item"], 0.0) for r in traced
+                    if not r["replayed"]), "s")
     both = [(t["seconds"], u["seconds"]) for t, u in zip(traced, untraced)
             if t["status"] == "ok" and u["status"] == "ok"]
     metrics["trace.overhead_ratio"] = (
@@ -323,7 +391,7 @@ def design_shares(tracer, traced):
     the work it calls.
     """
     done = {r["item"] for r in traced if r["status"] == "ok"}
-    total = sum(r["seconds"] for r in traced if r["item"] in done)
+    total = sum(r["cpu_s"] for r in traced if r["item"] in done)
     if not total:
         return {}
     layers, top = {}, {}
@@ -413,6 +481,10 @@ def main(argv=None):
                          oracles, pinned, between=setup)
             setup_s = setup.median()
             e2e = end_to_end(records)
+            unscaled = end_to_end(records, "cpu_s")
+            out["unscaled"] = {k: unscaled[k] for k in
+                               ("fronts_per_s", "op_s_p50", "op_s_tail")}
+            out["unscaled"]["setup_s"] = statistics.median(setup.cpu)
             rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
             metrics = {"fronts_per_s": (e2e["fronts_per_s"], "1/s"),
                        "op_s_p50": (e2e["op_s_p50"], "s"),
@@ -420,6 +492,7 @@ def main(argv=None):
                        "peak_rss_mb": (rss_mb, "MB"),
                        "setup_s": (setup_s, "s")}
             out["setup_s_all"] = setup.times
+            out["setup_cpu_s_all"] = setup.cpu
             out["setup_wall_s_all"] = setup.wall
             out["tail"] = {"percentile": e2e["tail_percentile"],
                            "samples": e2e["samples"]}
@@ -432,6 +505,7 @@ def main(argv=None):
     out["records"] = [dict(r, name=items[r["item"]]["name"])
                       for r in records]
     out["attempted"], out["failed"] = attempted, failed
+    out["scale"] = scale_ratio(records)
     out["failed_ratio"] = failed / attempted
     out["metrics"] = {k: {"value": v, "unit": u}
                       for k, (v, u) in metrics.items()}
@@ -449,6 +523,8 @@ def main(argv=None):
           f"record in {os.path.relpath(path, ROOT)}")
     if timed_out:
         print("timed out: " + "; ".join(timed_out))
+    print(f"times at the reference speed ({REF_S * 1e3:.0f} ms per "
+          f"reference()) are {out['scale']:.3f} times the CPU times")
     if "tail" in out:
         print(f"op_s_tail is p{out['tail']['percentile']:.1f} of "
               f"{out['tail']['samples']} samples")
