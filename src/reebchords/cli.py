@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from .diagram import DiagramError, FrontError, parse_front, resolve
-from .dynamics import embed_orbit, hyperbolic_type, orbit_action, return_map
+from .dynamics import hyperbolic_type, orbit_action, return_map
 from .homology import h1_presentation, orbit_class_monomial
 from .indices import c1_class, cz_integral
 from .quiver import build_quiver, i_grading
@@ -217,12 +217,10 @@ def cmd_chain(args):
         if g.igrading is not None:
             row["igrading"] = list(g.igrading.values)
         if g.good:
-            emb_ok = True
             try:
-                embed_orbit(d, g.word, eps)
                 row["orbit_action"] = frac_str(orbit_action(d, g.word, eps))
-            except (ValueError, DiagramError):
-                emb_ok = False
+            except (ValueError, DiagramError) as exc:
+                row["orbit_action_error"] = str(exc)
             if g.degree == 1:
                 rep = differential_candidates(g, d, h1, eps,
                                               max_pool_len=args.max_len)

@@ -15,10 +15,17 @@ Template conventions:
 * a right cusp realizes the felled pair as a loop with a single double point
   whose horizontal stretch is a free rational parameter, solved per component
   so that the closed line integral of y dx vanishes identically.
+
+The template is laid out once, with every x-coordinate an exact affine form
+in the loop stretches and event spacings; the sizing LP's rows are read off
+that layout and the diagram is the same layout evaluated at the LP's
+solution.  One x-sorted sweep finds the double points, and each face's
+basepoint sits a small exact step inside one of its corner wedges.
 """
 
 import json
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -26,12 +33,10 @@ from .geometry import (
     OCTANT_VECTORS,
     Point,
     Segment,
-    boxes_overlap,
     cross,
     merge_collinear,
     point_segment_distance_sq,
     polygon_signed_area,
-    polyline_integral_y_dx,
     segment_intersection,
     sub,
     turn_octants,
@@ -174,11 +179,12 @@ class FrontCode(object):
         }
 
 
-def _parse_assoc(body: str, what: str) -> Dict[int, int]:
+def _parse_assoc(body: str, what: str) -> Dict[int, str]:
+    """``{comp: value, ...}`` with the values left raw for ``_coeff_value``."""
     body = body.strip()
     if not (body.startswith("{") and body.endswith("}")):
         raise FrontError(f"bad {what} block: {body!r}")
-    out: Dict[int, int] = {}
+    out: Dict[int, str] = {}
     inner = body[1:-1].strip()
     if not inner:
         return out
@@ -187,19 +193,9 @@ def _parse_assoc(body: str, what: str) -> Dict[int, int]:
             raise FrontError(f"bad {what} entry {item!r}")
         key, val = item.split(":", 1)
         key = key.strip()
-        val = val.strip()
         if not key.lstrip("-").isdigit():
             raise FrontError(f"bad component id {key!r}")
-        if val == "+":
-            ival = 1
-        elif val == "-":
-            ival = -1
-        else:
-            try:
-                ival = int(val)
-            except ValueError:
-                raise FrontError(f"bad {what} value {val!r}")
-        out[int(key)] = ival
+        out[int(key)] = val.strip()
     return out
 
 
@@ -260,37 +256,81 @@ def parse_front(text) -> FrontCode:
 # geometric realization
 
 
+class _Affine(object):
+    """Exact affine form ``const + sum(coef[k] * theta[k])`` in the template
+    sizes theta, with the arithmetic the layout needs: sums, differences
+    and rational multiples."""
+
+    __slots__ = ("const", "coef")
+
+    def __init__(self, const, coef=None):
+        self.const = const
+        self.coef = coef or {}          # variable index -> nonzero rational
+
+    def __add__(self, other):
+        if not isinstance(other, _Affine):
+            return _Affine(self.const + other, self.coef)
+        coef = dict(self.coef)
+        for k, v in other.coef.items():
+            v += coef.get(k, 0)
+            if v:
+                coef[k] = v
+            else:
+                del coef[k]
+        return _Affine(self.const + other.const, coef)
+
+    __radd__ = __add__
+
+    def __mul__(self, c):
+        if not c:
+            return _Affine(self.const * c)
+        return _Affine(self.const * c,
+                       {k: v * c for k, v in self.coef.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c):
+        return self * (1 / Fraction(c))
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __eq__(self, other):
+        return (isinstance(other, _Affine) and self.const == other.const
+                and self.coef == other.coef)
+
+    def at(self, theta) -> Fraction:
+        return self.const + sum(v * theta[k] for k, v in self.coef.items()
+                                if theta[k])
+
+
 class _Wire(object):
     def __init__(self, wid):
         self.wid = wid
         self.points: List[Point] = []
         self.level = None
-        self.cur_x = None
 
     def extend_to(self, x):
-        if x > self.cur_x:
-            self.points.append((Fraction(x), Fraction(self.level)))
-            self.cur_x = Fraction(x)
+        self.points.append((x, self.level))
 
     def append(self, x, y):
-        self.points.append((Fraction(x), Fraction(y)))
-        self.cur_x = Fraction(x)
         self.level = Fraction(y)
+        self.points.append((x, self.level))
 
 
-def _build_wires(front: FrontCode, stretches: Dict[int, Fraction],
-                 spacings: Optional[Dict[int, Fraction]] = None):
+def _build_wires(front: FrontCode, stretches, spacings):
     """Lay out all wires; returns (wires, slab x-range per event).
 
-    ``stretches`` widens the loop of a right-cusp event; ``spacings`` adds
-    extra horizontal room after an event.  Both leave all strand levels
-    fixed, so every closure integral and crossing z-gap is affine in them.
+    ``stretches`` widens the loop of each right-cusp event and ``spacings``
+    adds horizontal room after each event.  Every x-coordinate is an
+    ``_Affine`` form in them: constant for rational sizes, symbolic for
+    symbolic ones.  Strand levels never depend on the sizes, so every
+    closure integral and crossing z-gap is affine in them.
     """
-    spacings = spacings or {}
     wires: Dict[int, _Wire] = {}
     stack: List[_Wire] = []
-    slabs: List[Tuple[Fraction, Fraction]] = []
-    x = Fraction(0)
+    slabs = []
+    x = _Affine(Fraction(0))
     next_wid = 0
     for idx, (kind, pos) in enumerate(front.events):
         sx = x
@@ -307,10 +347,10 @@ def _build_wires(front: FrontCode, stretches: Dict[int, Fraction],
             dn = _Wire(next_wid + 1)
             next_wid += 2
             cusp = (sx + 10, Fraction(lu - 2))
-            u.points.append((Fraction(cusp[0]), Fraction(cusp[1])))
+            u.points.append(cusp)
             u.append(sx + 12, lu)
             u.extend_to(sx + 16)
-            dn.points.append((Fraction(cusp[0]), Fraction(cusp[1])))
+            dn.points.append(cusp)
             dn.append(sx + 12, lu - 4)
             dn.extend_to(sx + 16)
             wires[u.wid] = u
@@ -320,7 +360,6 @@ def _build_wires(front: FrontCode, stretches: Dict[int, Fraction],
             width = Fraction(8)
             w1, w2 = stack[pos - 1], stack[pos]
             a = w1.level
-            w1.extend_to(sx)
             w1.append(sx + 2, a)
             w1.append(sx + 6, a - 4)
             w1.extend_to(sx + 8)
@@ -329,14 +368,13 @@ def _build_wires(front: FrontCode, stretches: Dict[int, Fraction],
             w2.extend_to(sx + 8)
             stack[pos - 1], stack[pos] = w2, w1
         else:  # R
-            wst = stretches.get(idx, Fraction(2))
-            width = Fraction(20) + wst
+            wst = stretches[idx]
+            width = 20 + wst
             w1, w2 = stack[pos - 1], stack[pos]
             a = w1.level
             w1.append(sx + 6, a)
             w1.append(sx + 9, a - 3)
-            if wst > 0:
-                w1.append(sx + 9 + wst, a - 3)
+            w1.append(sx + 9 + wst, a - 3)
             w1.append(sx + 10 + wst, a - 2)
             w1.append(sx + 10 + wst, a)
             w1.append(sx + 10, a)
@@ -348,11 +386,12 @@ def _build_wires(front: FrontCode, stretches: Dict[int, Fraction],
                 w.append(sx + 20 + wst, w.level + 8)
             del stack[pos - 1:pos + 1]
         slabs.append((sx, sx + width))
-        x = sx + width + 4 + spacings.get(idx, Fraction(0))
+        x = sx + width + 4 + spacings[idx]
     return wires, slabs
 
 
 def _assemble_components(front: FrontCode, wires) -> List[List[Point]]:
+    """Closed point cycles of the components, joined from their wires."""
     cycles: List[List[Point]] = []
     seen = set()
     order = []
@@ -378,12 +417,140 @@ def _assemble_components(front: FrontCode, wires) -> List[List[Point]]:
                 break
         if pts[0] == pts[-1]:
             pts.pop()
-        cycles.append(merge_collinear(pts))
+        cycles.append(pts)
         order.append(front.component_of_wire[start])
     # births are sorted, so cycles already come out in component order
     if order != sorted(order):
         raise DiagramError("component assembly out of order")
     return cycles
+
+
+def _template(front: FrontCode):
+    """The template laid out once with symbolic sizes: (cycles, slabs).
+
+    The sizes theta are one loop stretch per right cusp (``2 + theta``),
+    then one spacing per event.  Each cycle is a component's merged,
+    oriented polyline with x-coordinates as ``_Affine`` forms in theta.
+    The template has the same combinatorics at every theta >= 0, so which
+    vertices the collinear merge keeps is decided at theta = 0.
+    """
+    r_events = [i for i, (k, _) in enumerate(front.events) if k == "R"]
+    stretches = {ev: 2 + _Affine(Fraction(0), {i: 1})
+                 for i, ev in enumerate(r_events)}
+    spacings = {ev: _Affine(Fraction(0), {len(r_events) + ev: 1})
+                for ev in range(len(front.events))}
+    wires, slabs = _build_wires(front, stretches, spacings)
+    cycles = []
+    for i, cyc in enumerate(_assemble_components(front, wires)):
+        # merge_collinear reads only the first two coordinates, so the
+        # form rides along as a third
+        merged = merge_collinear([(x.const, y, x) for x, y in cyc])
+        cyc = [(x, y) for _, y, x in merged]
+        # default traversal: the lower branch of the component's first
+        # left cusp runs eastward (the assembly walk is the opposite)
+        if front.orientations.get(i, 1) == 1:
+            cyc = cyc[::-1]
+        cycles.append(cyc)
+    return cycles, slabs
+
+
+def _evaluate(cycles, slabs, theta):
+    """The template's cycles and slabs at the concrete sizes theta."""
+    return ([[(x.at(theta), y) for x, y in cyc] for cyc in cycles],
+            [(a.at(theta), b.at(theta)) for a, b in slabs])
+
+
+def _segments(cycle) -> List[Segment]:
+    return [Segment(cycle[i], cycle[(i + 1) % len(cycle)])
+            for i in range(len(cycle))]
+
+
+def _heights(cycle):
+    """Height z = integral of y dx at each vertex of a closed polyline from
+    z = 0 at vertex 0, then once more after the closing segment."""
+    zs = [Fraction(0)]
+    for i, a in enumerate(cycle):
+        b = cycle[(i + 1) % len(cycle)]
+        zs.append(zs[-1] + (a[1] + b[1]) * (b[0] - a[0]) / 2)
+    return zs
+
+
+def _height_at(z_start, s: Segment, p: Point):
+    """Height at p on segment s, given the height z_start at s.a."""
+    return z_start + (s.a[1] + p[1]) * (p[0] - s.a[0]) / 2
+
+
+def _double_points(segments: List[List[Segment]]):
+    """Double points of closed polylines, one segment list per component.
+
+    An x-sorted interval sweep tests each segment only against the segments
+    whose x-range overlaps its own, about segments x strands pairs.
+    Returns [(point, over, under)]: the (component, segment index) of the
+    slope -1 branch and of the slope +1 branch.  Raises DiagramError on a
+    non-transverse contact, a triple point or a crossing out of good
+    position.
+    """
+    boxes = sorted(((min(s.a[0], s.b[0]), max(s.a[0], s.b[0]),
+                     min(s.a[1], s.b[1]), max(s.a[1], s.b[1]), ci, si, s)
+                    for ci, segs in enumerate(segments)
+                    for si, s in enumerate(segs)), key=lambda box: box[0])
+    hits: Dict[Point, List[Tuple[int, int]]] = {}
+    active = []
+    for box in boxes:
+        x_lo, _, y_lo, y_hi, ci, si, s = box
+        n = len(segments[ci])
+        active = [b for b in active if b[1] >= x_lo]
+        for _, _, by_lo, by_hi, cj, sj, t in active:
+            if ci == cj and (si - sj) % n in (1, n - 1):
+                continue
+            if by_hi < y_lo or y_hi < by_lo:
+                continue
+            p = segment_intersection(t, s)
+            if p is None:
+                continue
+            for c, seg in ((cj, t), (ci, s)):
+                if not 0 < seg.param_of(p) < 1:
+                    raise DiagramError(
+                        f"non-transverse contact at {p} on component {c}")
+            hits.setdefault(p, []).extend([(cj, sj), (ci, si)])
+        active.append(box)
+    found = []
+    for p, branches in hits.items():
+        if len(branches) != 2:
+            raise DiagramError(f"triple point at {p}")
+        (c1, s1), (c2, s2) = branches
+        o1 = segments[c1][s1].octant
+        o2 = segments[c2][s2].octant
+        up = {1, 5}      # slope +1 travel octants
+        down = {3, 7}    # slope -1
+        if o1 in down and o2 in up:
+            found.append((p, (c1, s1), (c2, s2)))
+        elif o2 in down and o1 in up:
+            found.append((p, (c2, s2), (c1, s1)))
+        else:
+            raise DiagramError(
+                f"crossing at {p} violates good position "
+                f"(octants {o1}, {o2})")
+    return found
+
+
+def _crossings_by_event(front: FrontCode, segments, slabs):
+    """{event index: (point, over, under)}: exactly one double point inside
+    the slab of each crossing and right-cusp event, and no other."""
+    found = {}
+    for p, over, under in _double_points(segments):
+        ev = next((idx for idx, (sx, ex) in enumerate(slabs)
+                   if sx < p[0] < ex), None)
+        if ev is None:
+            raise DiagramError(f"crossing at {p} outside every event slab")
+        if ev in found:
+            raise DiagramError(f"two crossings inside event slab {ev}")
+        found[ev] = (p, over, under)
+    expected = [i for i, (k, _) in enumerate(front.events) if k in ("X", "R")]
+    if sorted(found) != expected:
+        raise DiagramError(
+            f"chord/event mismatch: {sorted(found)} vs {expected}")
+    return found
 
 
 class ChordRecord(object):
@@ -428,6 +595,12 @@ class Face(object):
 
 
 QUADRANT_NAMES = {(1, 0): "E", (0, 1): "N", (-1, 0): "W", (0, -1): "S"}
+QUADRANT_VECTORS = {name: vec for vec, name in QUADRANT_NAMES.items()}
+
+
+def _unit(v):
+    """Componentwise sign of a vector, e.g. (1, -1) for (3, -3)."""
+    return ((v[0] > 0) - (v[0] < 0), (v[1] > 0) - (v[1] < 0))
 
 
 class ResolvedDiagram(object):
@@ -447,43 +620,34 @@ class ResolvedDiagram(object):
     # -- construction ------------------------------------------------------
 
     def _analyze(self):
-        self._check_closure()
         self._component_segments()
         self._find_chords()
         self._classical()
         self._build_faces()
         self._pick_basepoints()
 
-    def _check_closure(self):
-        for i, cyc in enumerate(self.components):
-            res = polyline_integral_y_dx(cyc, closed=True)
-            if res != 0:
-                raise DiagramError(
-                    f"component {i} closure defect: integral y dx = {res}")
-
     def _component_segments(self):
         self.segments: List[List[Segment]] = []
         self.z_at_vertex: List[List[Fraction]] = []
         self.cheb_len: List[List[Fraction]] = []   # cumulative per vertex
-        for cyc in self.components:
-            segs = [Segment(cyc[i], cyc[(i + 1) % len(cyc)])
-                    for i in range(len(cyc))]
+        for i, cyc in enumerate(self.components):
+            segs = _segments(cyc)
             self.segments.append(segs)
-            zs = [Fraction(0)]
+            zs = _heights(cyc)
+            if zs[-1] != 0:
+                raise DiagramError(
+                    f"component {i} closure defect: integral y dx = {zs[-1]}")
             cl = [Fraction(0)]
             for s in segs:
-                zs.append(zs[-1] + (s.a[1] + s.b[1]) * (s.b[0] - s.a[0]) / 2)
                 cl.append(cl[-1] + max(abs(s.b[0] - s.a[0]),
                                        abs(s.b[1] - s.a[1])))
-            if zs[-1] != 0:
-                raise DiagramError("z does not close up along component")
             self.z_at_vertex.append(zs[:-1])
             self.cheb_len.append(cl)
 
     def _z_at(self, comp, seg_idx, point) -> Fraction:
-        s = self.segments[comp][seg_idx]
-        z0 = self.z_shifts[comp] + self.z_at_vertex[comp][seg_idx]
-        return z0 + (s.a[1] + point[1]) * (point[0] - s.a[0]) / 2
+        return self.z_shifts[comp] + _height_at(
+            self.z_at_vertex[comp][seg_idx], self.segments[comp][seg_idx],
+            point)
 
     def _param_at(self, comp, seg_idx, point) -> Fraction:
         s = self.segments[comp][seg_idx]
@@ -492,81 +656,25 @@ class ResolvedDiagram(object):
         return self.cheb_len[comp][seg_idx] + t * step
 
     def _find_chords(self):
-        hits: Dict[Point, List[Tuple[int, int]]] = {}
-        all_segs = [(ci, si, s)
-                    for ci, segs in enumerate(self.segments)
-                    for si, s in enumerate(segs)]
-        for a in range(len(all_segs)):
-            ci1, si1, s1 = all_segs[a]
-            for b in range(a + 1, len(all_segs)):
-                ci2, si2, s2 = all_segs[b]
-                if ci1 == ci2 and (si1 == si2 or (si1 - si2) % len(
-                        self.segments[ci1]) in (1, len(self.segments[ci1]) - 1)):
-                    continue
-                if not boxes_overlap(s1, s2):
-                    continue
-                p = segment_intersection(s1, s2)
-                if p is None:
-                    continue
-                for (ci, si, s) in ((ci1, si1, s1), (ci2, si2, s2)):
-                    t = s.param_of(p)
-                    if not 0 < t < 1:
-                        raise DiagramError(
-                            f"non-transverse contact at {p} on component {ci}")
-                hits.setdefault(p, []).append((ci1, si1))
-                hits.setdefault(p, []).append((ci2, si2))
         chords = []
-        for p, branches in hits.items():
-            if len(branches) != 2:
-                raise DiagramError(f"triple point at {p}")
-            (c1, s1), (c2, s2) = branches
-            o1 = self.segments[c1][s1].octant
-            o2 = self.segments[c2][s2].octant
-            up = {1, 5}      # slope +1 travel octants
-            down = {3, 7}    # slope -1
-            if o1 in down and o2 in up:
-                over, under = (c1, s1), (c2, s2)
-            elif o2 in down and o1 in up:
-                over, under = (c2, s2), (c1, s1)
-            else:
-                raise DiagramError(
-                    f"crossing at {p} violates good position "
-                    f"(octants {o1}, {o2})")
-            z_over = self._z_at(over[0], over[1], p)
-            z_under = self._z_at(under[0], under[1], p)
-            action = z_over - z_under
+        found = _crossings_by_event(self.front, self.segments, self._slabs)
+        for ev, (p, over, under) in sorted(found.items()):
+            action = self._z_at(*over, p) - self._z_at(*under, p)
             if action <= 0:
                 raise DiagramError(
                     f"over/under assignment inconsistent with z at {p} "
                     f"(action {action})")
-            ov = OCTANT_VECTORS[self.segments[over[0]][over[1]].octant]
-            uv = OCTANT_VECTORS[self.segments[under[0]][under[1]].octant]
-            sign = 1 if cross(ov, uv) > 0 else -1
-            ev = self._event_of(p)
+            over_dir = self.segments[over[0]][over[1]].octant
+            under_dir = self.segments[under[0]][under[1]].octant
+            sign = 1 if cross(OCTANT_VECTORS[over_dir],
+                              OCTANT_VECTORS[under_dir]) > 0 else -1
             chords.append(ChordRecord(
-                None, p, sign,
+                len(chords) + 1, p, sign,
                 tail_comp=under[0], tip_comp=over[0], action=action,
                 tail_loc=(under[1], self._param_at(under[0], under[1], p)),
                 tip_loc=(over[1], self._param_at(over[0], over[1], p)),
-                over_dir=self.segments[over[0]][over[1]].octant,
-                under_dir=self.segments[under[0]][under[1]].octant,
-                event_index=ev))
-        chords.sort(key=lambda c: c.event_index)
-        expected = [i for i, (k, _) in enumerate(self.front.events)
-                    if k in ("X", "R")]
-        if [c.event_index for c in chords] != expected:
-            raise DiagramError(
-                f"chord/event mismatch: {[c.event_index for c in chords]} "
-                f"vs {expected}")
-        for i, c in enumerate(chords):
-            c.id = i + 1
+                over_dir=over_dir, under_dir=under_dir, event_index=ev))
         self.chords = chords
-
-    def _event_of(self, p: Point) -> int:
-        for idx, (sx, ex) in enumerate(self._slabs):
-            if sx < p[0] < ex:
-                return idx
-        raise DiagramError(f"crossing at {p} outside every event slab")
 
     def _classical(self):
         n = len(self.components)
@@ -627,23 +735,11 @@ class ResolvedDiagram(object):
 
     def _seg_of_param(self, comp, par):
         cl = self.cheb_len[comp]
-        par = par % cl[-1]
-        lo, hi = 0, len(cl) - 1
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if cl[mid] <= par:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return bisect_right(cl, par % cl[-1]) - 1
 
     def _trace_faces(self, arcs):
         # half edges: (arc index, +1/-1)
         departs: Dict[Point, List[Tuple[int, Tuple[int, int]]]] = {}
-
-        def ends(arc):
-            pts = arc[0]
-            return pts[0], pts[-1]
 
         half_edges = []
         for ai, arc in enumerate(arcs):
@@ -655,11 +751,6 @@ class ResolvedDiagram(object):
             departs.setdefault(pts[0], []).append((len(half_edges) - 2, d_fwd))
             departs.setdefault(pts[-1], []).append((len(half_edges) - 1, d_bwd))
 
-        def octant_of(v):
-            sx = (v[0] > 0) - (v[0] < 0)
-            sy = (v[1] > 0) - (v[1] < 0)
-            return OCTANT_VECTORS.index((sx, sy))
-
         def he_points(he):
             ai, d = half_edges[he]
             pts = arcs[ai][0]
@@ -669,10 +760,10 @@ class ResolvedDiagram(object):
         for he in range(len(half_edges)):
             pts = he_points(he)
             node = pts[-1]
-            back = octant_of(sub(pts[-2], pts[-1]))
+            back = OCTANT_VECTORS.index(_unit(sub(pts[-2], pts[-1])))
             best = None
             for cand, vec in departs[node]:
-                o = octant_of(vec)
+                o = OCTANT_VECTORS.index(_unit(vec))
                 delta = (back - o) % 8     # clockwise distance from back
                 if delta == 0:
                     continue
@@ -717,7 +808,7 @@ class ResolvedDiagram(object):
                 raise DiagramError("degenerate face of zero area")
             corner_data = []
             for cid, node, d_in, d_out in corners:
-                sign = self._corner_sign(cid, d_in, d_out)
+                sign = self._corner_sign(d_in, d_out)
                 quad = self._quadrant(d_in, d_out)
                 corner_data.append((cid, quad, sign))
             faces.append(Face(None, corner_data, area, boundary))
@@ -734,17 +825,10 @@ class ResolvedDiagram(object):
                 return c.id
         raise DiagramError(f"no chord at node {node}")
 
-    def _corner_sign(self, cid, d_in, d_out):
-        c = self.chords[cid - 1]
-        over_line = {3, 7}
-
-        def is_over(v):
-            sx = (v[0] > 0) - (v[0] < 0)
-            sy = (v[1] > 0) - (v[1] < 0)
-            return OCTANT_VECTORS.index((sx, sy)) in over_line
-
-        in_over = is_over(d_in)
-        out_over = is_over(d_out)
+    def _corner_sign(self, d_in, d_out):
+        # the high strand runs along the slope -1 line
+        in_over = _unit(d_in) in ((-1, 1), (1, -1))
+        out_over = _unit(d_out) in ((-1, 1), (1, -1))
         if in_over == out_over:
             raise DiagramError("face corner does not switch strands")
         # positive when ccw traversal jumps from the low strand to the high one
@@ -752,18 +836,9 @@ class ResolvedDiagram(object):
 
     def _quadrant(self, d_in, d_out):
         # wedge between the two boundary rays: reverse of incoming, outgoing
-        def unit(v):
-            sx = (v[0] > 0) - (v[0] < 0)
-            sy = (v[1] > 0) - (v[1] < 0)
-            return (sx, sy)
-
-        r1 = unit((-d_in[0], -d_in[1]))
-        r2 = unit(d_out)
-        bx = (r1[0] + r2[0])
-        by = (r1[1] + r2[1])
-        sx = (bx > 0) - (bx < 0)
-        sy = (by > 0) - (by < 0)
-        name = QUADRANT_NAMES.get((sx, sy))
+        r1 = _unit((-d_in[0], -d_in[1]))
+        r2 = _unit(d_out)
+        name = QUADRANT_NAMES.get(_unit((r1[0] + r2[0], r1[1] + r2[1])))
         if name is None:
             raise DiagramError("face corner rays do not span a quadrant")
         return name
@@ -775,21 +850,18 @@ class ResolvedDiagram(object):
             f.basepoint = self._basepoint_for(f, all_segs, crossings)
 
     def _basepoint_for(self, face, all_segs, crossings):
-        xs = [p[0] for p in face.boundary]
-        ys = [p[1] for p in face.boundary]
-        scale = Fraction(1)
-        while scale >= Fraction(1, 256):
-            clear = min(Fraction(1, 2), scale / 2)
-            y = _ceil_to(min(ys), scale)
-            while y <= max(ys):
-                x = _ceil_to(min(xs), scale)
-                while x <= max(xs):
-                    p = (x, y)
-                    if self._good_basepoint(p, face, all_segs, crossings, clear):
-                        return p
-                    x += scale
-                y += scale
-            scale /= 2
+        # every corner's wedge opens along the axis its quadrant names; step
+        # into it from the double point, by a shorter offset each round
+        offset = Fraction(1)
+        while offset >= Fraction(1, 256):
+            for cid, quad, _sign in face.corners:
+                q = self.chords[cid - 1].point
+                dx, dy = QUADRANT_VECTORS[quad]
+                p = (q[0] + offset * dx, q[1] + offset * dy)
+                if self._good_basepoint(p, face, all_segs, crossings,
+                                        offset / 2):
+                    return p
+            offset /= 2
         raise DiagramError(f"no basepoint found for face {face.id}")
 
     def _good_basepoint(self, p, face, all_segs, crossings, clear):
@@ -957,60 +1029,42 @@ class CappingPath(object):
         return self.turn_eighths // 2
 
 
-def _crossing_z_gaps(components, slabs):
-    """Per-event (z-gap, high comp, low comp) at each crossing.
+def _sizing_rows(front: FrontCode, cycles, slabs, action_margin):
+    """The template LP as (number of variables, eq rows, ge rows).
 
-    The gap is z of the slope -1 branch minus z of the slope +1 branch with
-    every component's height normalized to start at 0; the per-component
-    height constants are solved separately.  Positivity is not enforced
-    here.
+    The variables are the template sizes theta, then a height shift
+    s+ - s- per component after the first.  Every closure integral must
+    vanish and every crossing must keep a z-gap (high strand minus low
+    strand) of at least ``action_margin``.  Both are affine in theta and
+    are read off the symbolic template in one pass; the double points are
+    found on its theta = 0 instance.
     """
-    seglists = []
-    zlists = []
-    for cyc in components:
-        segs = [Segment(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
-        zs = [Fraction(0)]
-        for s in segs:
-            zs.append(zs[-1] + (s.a[1] + s.b[1]) * (s.b[0] - s.a[0]) / 2)
-        seglists.append(segs)
-        zlists.append(zs)
-    flat = [(ci, si, s) for ci, segs in enumerate(seglists)
-            for si, s in enumerate(segs)]
-    gaps: Dict[int, Tuple[Fraction, int, int]] = {}
-    for a in range(len(flat)):
-        ci1, si1, s1 = flat[a]
-        for b in range(a + 1, len(flat)):
-            ci2, si2, s2 = flat[b]
-            if ci1 == ci2:
-                n = len(seglists[ci1])
-                if si1 == si2 or (si1 - si2) % n in (1, n - 1):
-                    continue
-            if not boxes_overlap(s1, s2):
-                continue
-            p = segment_intersection(s1, s2)
-            if p is None:
-                continue
-            down = {3, 7}
-            if s1.octant in down:
-                over, under = (ci1, si1, s1), (ci2, si2, s2)
-            else:
-                over, under = (ci2, si2, s2), (ci1, si1, s1)
+    n_comp = front.n_components
+    n_geom = len(front.events) + sum(1 for k, _ in front.events if k == "R")
+    n_shift = 2 * (n_comp - 1)
+    base, base_slabs = _evaluate(cycles, slabs, [Fraction(0)] * n_geom)
+    segments = [_segments(cyc) for cyc in base]
+    heights = [_heights(cyc) for cyc in cycles]
 
-            def z_at(ci, si, s):
-                return zlists[ci][si] + (s.a[1] + p[1]) * (p[0] - s.a[0]) / 2
+    def row(form):
+        return [form.coef.get(k, Fraction(0)) for k in range(n_geom)]
 
-            gap = z_at(*over) - z_at(*under)
-            ev = None
-            for idx, (sx, ex) in enumerate(slabs):
-                if sx < p[0] < ex:
-                    ev = idx
-                    break
-            if ev is None:
-                raise DiagramError(f"crossing at {p} outside event slabs")
-            if ev in gaps:
-                raise DiagramError(f"two crossings inside event slab {ev}")
-            gaps[ev] = (gap, over[0], under[0])
-    return gaps
+    eq = [(row(zs[-1]) + [Fraction(0)] * n_shift, -zs[-1].const)
+          for zs in heights]
+    ge = []
+    found = _crossings_by_event(front, segments, base_slabs)
+    for _ev, (p, over, under) in sorted(found.items()):
+        gap = (_height_at(heights[over[0]][over[1]],
+                          segments[over[0]][over[1]], p)
+               - _height_at(heights[under[0]][under[1]],
+                            segments[under[0]][under[1]], p))
+        shift = [Fraction(0)] * n_shift
+        for comp, sgn in ((over[0], 1), (under[0], -1)):
+            if comp > 0:
+                shift[2 * (comp - 1)] += sgn
+                shift[2 * (comp - 1) + 1] -= sgn
+        ge.append((row(gap) + shift, action_margin - gap.const))
+    return n_geom + n_shift, eq, ge
 
 
 def resolve(front: FrontCode, action_margin: Fraction = Fraction(32)
@@ -1021,74 +1075,29 @@ def resolve(front: FrontCode, action_margin: Fraction = Fraction(32)
     per-component height constants) are the unknowns of a small exact linear
     program: the closed integral of y dx must vanish on every component
     while every crossing keeps a z-gap of at least ``action_margin`` between
-    its high and low strands.
+    its high and low strands.  The template is laid out once with symbolic
+    sizes, the LP rows are read off it, and the diagram is that layout at
+    the LP's solution.  A ValueError of a geometry helper on the way is an
+    internal fault and is raised as DiagramError.
     """
     from .lp import solve_lp
 
-    r_events = [i for i, (k, _) in enumerate(front.events) if k == "R"]
-    x_events = [i for i, (k, _) in enumerate(front.events) if k in ("X", "R")]
-    n_comp = front.n_components
-    n_geom = len(r_events) + len(front.events)
-    # components beyond the first get a height shift s+ - s-
-    n_var = n_geom + 2 * (n_comp - 1)
-
-    def build(theta):
-        stretches = {ev: Fraction(2) + theta[i]
-                     for i, ev in enumerate(r_events)}
-        spacings = {ev: theta[len(r_events) + ev]
-                    for ev in range(len(front.events))}
-        wires, slabs = _build_wires(front, stretches, spacings)
-        comps = _assemble_components(front, wires)
-        oriented = []
-        for i, cyc in enumerate(comps):
-            # default traversal: the lower branch of the component's first
-            # left cusp runs eastward (the assembly walk is the opposite)
-            if front.orientations.get(i, 1) == 1:
-                cyc = cyc[::-1]
-            oriented.append(cyc)
-        return oriented, slabs
-
-    def measure(theta):
-        comps, slabs = build(theta)
-        vals = [polyline_integral_y_dx(c, closed=True) for c in comps]
-        gaps = _crossing_z_gaps(comps, slabs)
-        if sorted(gaps) != x_events:
-            raise DiagramError("unexpected crossing pattern while sizing")
-        return vals, [gaps[ev] for ev in x_events]
-
-    zero = [Fraction(0)] * n_geom
-    base_close, base_gaps = measure(zero)
-    cols = []
-    for k in range(n_geom):
-        unit = list(zero)
-        unit[k] = Fraction(1)
-        mk_close, mk_gaps = measure(unit)
-        cols.append([v - b for v, b in zip(mk_close, base_close)]
-                    + [g - b for (g, _, _), (b, _, _) in
-                       zip(mk_gaps, base_gaps)])
-    eq = []
-    for c in range(n_comp):
-        eq.append(([cols[k][c] for k in range(n_geom)]
-                   + [Fraction(0)] * (2 * (n_comp - 1)), -base_close[c]))
-    ge = []
-    for j, (gap, hi, lo) in enumerate(base_gaps):
-        row = [cols[k][n_comp + j] for k in range(n_geom)]
-        shift = [Fraction(0)] * (2 * (n_comp - 1))
-        for comp, sgn in ((hi, 1), (lo, -1)):
-            if comp > 0:
-                shift[2 * (comp - 1)] += sgn
-                shift[2 * (comp - 1) + 1] -= sgn
-        ge.append((row + shift, action_margin - gap))
-    theta = solve_lp(n_var, eq, ge, minimize=[Fraction(1)] * n_var)
-    if theta is None:
-        raise DiagramError(
-            "no template sizing realizes this front in good position")
-    comps, slabs = build(theta)
-    shifts = [Fraction(0)]
-    for i in range(1, n_comp):
-        shifts.append(theta[n_geom + 2 * (i - 1)]
-                      - theta[n_geom + 2 * (i - 1) + 1])
-    return ResolvedDiagram(front, comps, slabs, shifts)
+    try:
+        cycles, slabs = _template(front)
+        n_var, eq, ge = _sizing_rows(front, cycles, slabs, action_margin)
+        theta = solve_lp(n_var, eq, ge, minimize=[Fraction(1)] * n_var)
+        if theta is None:
+            raise DiagramError(
+                "no template sizing realizes this front in good position")
+        comps, slabs = _evaluate(cycles, slabs, theta)
+        n_geom = n_var - 2 * (front.n_components - 1)
+        shifts = [Fraction(0)] + [theta[k] - theta[k + 1]
+                                  for k in range(n_geom, n_var, 2)]
+        return ResolvedDiagram(front, comps, slabs, shifts)
+    except FrontError:
+        raise
+    except ValueError as exc:
+        raise DiagramError(f"realization fault: {exc}") from exc
 
 
 def classical_invariants(d: ResolvedDiagram):
@@ -1106,11 +1115,3 @@ def faces(d: ResolvedDiagram) -> List[Face]:
 
 def point_basis(d: ResolvedDiagram) -> List[Point]:
     return [f.basepoint for f in d.faces_list]
-
-
-def _ceil_to(v: Fraction, scale: Fraction) -> Fraction:
-    q = v / scale
-    n = q.numerator // q.denominator
-    if n * q.denominator < q.numerator:
-        n += 1
-    return n * scale

@@ -17,10 +17,6 @@ OCTANT_VECTORS = (
 )
 
 
-def frac_point(x, y) -> Point:
-    return (Fraction(x), Fraction(y))
-
-
 def sub(a: Point, b: Point) -> Point:
     return (a[0] - b[0], a[1] - b[1])
 
@@ -91,13 +87,6 @@ class Segment(object):
         if closed:
             return 0 <= t <= 1
         return 0 < t < 1
-
-
-def boxes_overlap(s1: Segment, s2: Segment) -> bool:
-    return not (max(s1.a[0], s1.b[0]) < min(s2.a[0], s2.b[0])
-                or max(s2.a[0], s2.b[0]) < min(s1.a[0], s1.b[0])
-                or max(s1.a[1], s1.b[1]) < min(s2.a[1], s2.b[1])
-                or max(s2.a[1], s2.b[1]) < min(s1.a[1], s1.b[1]))
 
 
 def segment_intersection(s1: Segment, s2: Segment) -> Optional[Point]:

@@ -1,8 +1,9 @@
 """Tiny exact-rational linear programming (simplex with Bland's rule).
 
 Used by the diagram builder to size its templates: closure integrals must
-vanish exactly while every crossing keeps a positive z-gap.  Problems here
-have a handful of variables, so no attention is paid to performance.
+vanish exactly while every crossing keeps a positive z-gap.  The builder
+reads all rows off one symbolic layout; a front of n events gives about n
+variables and n rows, and the pivots skip the tableau's many zeros.
 """
 
 from fractions import Fraction
@@ -11,11 +12,13 @@ from typing import List, Optional, Sequence, Tuple
 
 def _pivot(tab, basis, row, col):
     piv = tab[row][col]
-    tab[row] = [v / piv for v in tab[row]]
+    # tableaux are mostly zeros (slack and artificial columns): skip them
+    tab[row] = [v / piv if v else v for v in tab[row]]
     for r in range(len(tab)):
         if r != row and tab[r][col] != 0:
             factor = tab[r][col]
-            tab[r] = [a - factor * b for a, b in zip(tab[r], tab[row])]
+            tab[r] = [a - factor * b if b else a
+                      for a, b in zip(tab[r], tab[row])]
     basis[row] = col
 
 

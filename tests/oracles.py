@@ -300,3 +300,123 @@ def divisors_2x2(m):
     if det == 0:
         return (g, 0)
     return (g, abs(det) // g)
+
+
+# -- template realization by brute force --------------------------------------
+
+def boxes_overlap(s1, s2):
+    return not (max(s1.a[0], s1.b[0]) < min(s2.a[0], s2.b[0])
+                or max(s2.a[0], s2.b[0]) < min(s1.a[0], s1.b[0])
+                or max(s1.a[1], s1.b[1]) < min(s2.a[1], s2.b[1])
+                or max(s2.a[1], s2.b[1]) < min(s1.a[1], s1.b[1]))
+
+
+def all_pairs_double_points(segments):
+    """{point: [(comp, seg), (comp, seg)]} over closed polylines, one segment
+    list per component, by testing every pair of non-adjacent segments."""
+    from reebchords.geometry import segment_intersection
+
+    flat = [(ci, si, s) for ci, segs in enumerate(segments)
+            for si, s in enumerate(segs)]
+    hits = {}
+    for a, (ci1, si1, s1) in enumerate(flat):
+        for ci2, si2, s2 in flat[a + 1:]:
+            n = len(segments[ci1])
+            if ci1 == ci2 and (si1 - si2) % n in (1, n - 1):
+                continue
+            if not boxes_overlap(s1, s2):
+                continue
+            p = segment_intersection(s1, s2)
+            if p is not None:
+                hits.setdefault(p, []).extend([(ci1, si1), (ci2, si2)])
+    return hits
+
+
+def crossing_z_gaps(components, slabs):
+    """{event: (z-gap, high comp, low comp)} of concrete oriented cycles.
+
+    The gap is z of the slope -1 branch minus z of the other one, with each
+    component's z starting at 0 on its first vertex."""
+    from reebchords.geometry import Segment
+
+    segments = [[Segment(cyc[i], cyc[(i + 1) % len(cyc)])
+                 for i in range(len(cyc))] for cyc in components]
+    zlists = []
+    for segs in segments:
+        zs = [Fraction(0)]
+        for s in segs:
+            zs.append(zs[-1] + (s.a[1] + s.b[1]) * (s.b[0] - s.a[0]) / 2)
+        zlists.append(zs)
+    gaps = {}
+    for p, branches in all_pairs_double_points(segments).items():
+        assert len(branches) == 2, f"triple point at {p}"
+
+        def z_at(ci, si):
+            s = segments[ci][si]
+            return zlists[ci][si] + (s.a[1] + p[1]) * (p[0] - s.a[0]) / 2
+
+        over, under = sorted(
+            branches, key=lambda b: segments[b[0]][b[1]].octant not in (3, 7))
+        ev = next(i for i, (sx, ex) in enumerate(slabs) if sx < p[0] < ex)
+        assert ev not in gaps, f"two crossings inside event slab {ev}"
+        gaps[ev] = (z_at(*over) - z_at(*under), over[0], under[0])
+    return gaps
+
+
+def fd_sizing_rows(front, action_margin):
+    """The template LP (number of variables, eq rows, ge rows) by finite
+    differences.
+
+    The template is rebuilt with rational sizes at theta = 0 and at every
+    unit vector; each rebuild measures its closure integrals and, by an
+    all-pairs scan, its crossing z-gaps.  Rational sizes make every
+    x-coordinate a constant form.
+    """
+    from reebchords.diagram import _assemble_components, _build_wires
+    from reebchords.geometry import merge_collinear, polyline_integral_y_dx
+
+    r_events = [i for i, (k, _) in enumerate(front.events) if k == "R"]
+    x_events = [i for i, (k, _) in enumerate(front.events)
+                if k in ("X", "R")]
+    n_comp = front.n_components
+    n_geom = len(r_events) + len(front.events)
+    n_shift = 2 * (n_comp - 1)
+
+    def measure(theta):
+        stretches = {ev: 2 + theta[i] for i, ev in enumerate(r_events)}
+        spacings = {ev: theta[len(r_events) + ev]
+                    for ev in range(len(front.events))}
+        wires, slabs = _build_wires(front, stretches, spacings)
+        comps = []
+        for i, cyc in enumerate(_assemble_components(front, wires)):
+            assert all(not x.coef for x, _ in cyc)
+            cyc = merge_collinear([(x.const, y) for x, y in cyc])
+            if front.orientations.get(i, 1) == 1:
+                cyc = cyc[::-1]
+            comps.append(cyc)
+        gaps = crossing_z_gaps(comps, [(a.const, b.const) for a, b in slabs])
+        assert sorted(gaps) == x_events
+        return ([polyline_integral_y_dx(c) for c in comps],
+                [gaps[ev] for ev in x_events])
+
+    zero = [Fraction(0)] * n_geom
+    base_close, base_gaps = measure(zero)
+    cols = []
+    for k in range(n_geom):
+        unit = list(zero)
+        unit[k] = Fraction(1)
+        close, gaps = measure(unit)
+        cols.append([v - b for v, b in zip(close, base_close)]
+                    + [g - b for (g, _, _), (b, _, _) in zip(gaps, base_gaps)])
+    eq = [([cols[k][c] for k in range(n_geom)] + [Fraction(0)] * n_shift,
+           -base_close[c]) for c in range(n_comp)]
+    ge = []
+    for j, (gap, hi, lo) in enumerate(base_gaps):
+        shift = [Fraction(0)] * n_shift
+        for comp, sgn in ((hi, 1), (lo, -1)):
+            if comp > 0:
+                shift[2 * (comp - 1)] += sgn
+                shift[2 * (comp - 1) + 1] -= sgn
+        ge.append(([cols[k][n_comp + j] for k in range(n_geom)] + shift,
+                   action_margin - gap))
+    return n_geom + n_shift, eq, ge

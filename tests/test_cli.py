@@ -136,3 +136,37 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, ["parse", "--input", "-"])
     assert code == 0
     assert json.loads(out)["components"] == 1
+
+
+def test_exit_code_3_on_realization_fault(tmp_path, capsys, monkeypatch):
+    def overlap(s1, s2):
+        raise ValueError(f"collinear overlap between {s1} and {s2}")
+
+    monkeypatch.setattr("reebchords.diagram.segment_intersection", overlap)
+    path = write(tmp_path, "L1,L3,X2,X2,X2,R1,R1")
+    code, _out, err = run(capsys, ["invariants", "--input", path])
+    assert code == 3 and "collinear overlap" in err
+
+
+def test_bad_coefficient_values_exit_2(tmp_path, capsys):
+    for text in ("L1,R1 / surgery {0:x}", "L1,R1 / orientations {0:++}",
+                 "L1,R1 / surgery {0:}"):
+        code, _out, err = run(capsys, ["parse", "--input", write(tmp_path,
+                                                                 text)])
+        assert code == 2 and "input error" in err
+
+
+def test_chain_reports_why_orbit_action_is_missing(tmp_path, capsys):
+    # at epsilon 1/2 the fixed-point system of (r4) and (r5) is singular
+    path = write(tmp_path, "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")
+    code, out, _ = run(capsys, ["chain", "--input", path, "--max-len", "1",
+                                "--epsilon", "1/2"])
+    assert code == 0
+    rows = {row["word"]: row for row in json.loads(out)}
+    for word in ("(r4)", "(r5)"):
+        assert "orbit_action" not in rows[word]
+        assert rows[word]["orbit_action_error"] == \
+            f"I - A singular for {word} at epsilon 1/2"
+    for word in ("(r1)", "(r2)", "(r3)"):
+        assert "orbit_action" in rows[word]
+        assert "orbit_action_error" not in rows[word]

@@ -1,10 +1,16 @@
 """Realization robustness over a battery of structured and random fronts."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
-from oracles import front_writhe_and_cusp_counts
-from reebchords.diagram import FrontCode, parse_front, resolve
+import pytest
+
+from oracles import (all_pairs_double_points, fd_sizing_rows,
+                     front_writhe_and_cusp_counts)
+from reebchords import diagram
+from reebchords.diagram import (FrontCode, _sizing_rows, _template,
+                                parse_front, resolve)
 from reebchords.geometry import polyline_integral_y_dx
 from reebchords.homology import (h1_presentation, orbit_class_monomial,
                                  orbit_class_pushout)
@@ -76,7 +82,8 @@ def check_classes(d):
             assert orbit_class_pushout(d, h1, push_out(d, w, s)) == target
 
 
-def test_seeded_random_fronts():
+def seeded_fronts():
+    """Ten random fronts with random surgery coefficients and orientations."""
     rng = random.Random(18251)
     done = 0
     while done < 10:
@@ -91,10 +98,65 @@ def test_seeded_random_fronts():
             surgery[0] = 1
         orientations = {i: rng.choice([1, -1])
                         for i in range(front.n_components)}
-        d = resolve(FrontCode(events, orientations, surgery))
+        yield FrontCode(events, orientations, surgery)
+        done += 1
+
+
+def torus(n):
+    return parse_front("L1,L3," + ",".join(["X2"] * n)
+                       + ",R1,R1 / surgery {0:+1}")
+
+
+def test_seeded_random_fronts():
+    for front in seeded_fronts():
+        d = resolve(front)
         check_realization(d)
         check_classes(d)
-        done += 1
+
+
+def check_against_oracles(d, margin=Fraction(32)):
+    """The one-pass LP rows equal the finite-difference rows, and the
+    sweep's chords are exactly the all-pairs double points."""
+    cycles, slabs = _template(d.front)
+    assert _sizing_rows(d.front, cycles, slabs, margin) == \
+        fd_sizing_rows(d.front, margin)
+    chords = {c.point: {(c.tail_comp, c.tail_loc[0]),
+                        (c.tip_comp, c.tip_loc[0])} for c in d.chords}
+    assert chords == {p: set(branches) for p, branches in
+                      all_pairs_double_points(d.segments).items()}
+
+
+@pytest.mark.parametrize("name", [
+    "trefoil_plus", "trefoil_minus", "unknot_plus", "unknot_minus",
+    "stab_plus", "hopf_plus", "hopf_mixed"])
+def test_fixtures_match_oracles(name, request):
+    check_against_oracles(request.getfixturevalue(name))
+
+
+def test_seeded_fronts_match_oracles():
+    for front in seeded_fronts():
+        check_against_oracles(resolve(front))
+
+
+@pytest.mark.parametrize("n", [3, 9, 21])
+def test_torus_knots_match_oracles(n):
+    check_against_oracles(resolve(torus(n)))
+
+
+def test_resolve_work_counts(monkeypatch):
+    # counts, not clock time: the sweep, one winding test per face in the
+    # usual case, and one symbolic layout
+    counts = Counter()
+    for name in ("segment_intersection", "winding_number", "_build_wires"):
+        def counted(*args, _fn=getattr(diagram, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(diagram, name, counted)
+    d = resolve(torus(31))
+    n_segments = sum(len(segs) for segs in d.segments)
+    assert counts["segment_intersection"] <= 8 * n_segments
+    assert counts["winding_number"] <= 4 * len(d.faces_list)
+    assert counts["_build_wires"] <= 2
 
 
 def test_cinquefoil():
