@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from .diagram import DiagramError, FrontError, parse_front, resolve
-from .dynamics import hyperbolic_type, orbit_action, return_map
+from .dynamics import hyperbolic_from_trace, orbit_action, return_map
 from .homology import h1_presentation, orbit_class_monomial
 from .indices import c1_class, cz_integral
 from .quiver import build_quiver, i_grading
@@ -109,8 +109,13 @@ def cmd_invariants(args):
 def _bounds(args):
     if args.max_len is None and args.max_action is None:
         raise FrontError("need --max-len or --max-action")
+    if args.max_len is not None and args.max_len < 1:
+        raise FrontError(f"--max-len must be at least 1, not {args.max_len}")
     max_action = parse_frac(args.max_action) if args.max_action else None
     eps = parse_frac(args.epsilon) if args.epsilon else None
+    for name, value in (("--max-action", max_action), ("--epsilon", eps)):
+        if value is not None and value <= 0:
+            raise FrontError(f"{name} must be positive")
     return args.max_len, max_action, eps
 
 
@@ -141,13 +146,15 @@ def cmd_cz(args):
     max_len, max_action, eps = _bounds(args)
     rows = []
     for w in enumerate_orbit_words(d, max_len, max_action, eps):
-        kind, threshold = hyperbolic_type(d, w)
+        cz = cz_integral(d, w)
+        trace = return_map(d, w).trace()
+        kind, threshold = hyperbolic_from_trace(cz % 2, trace)
         rows.append({"word": word_name(w.chords),
-                     "cz": cz_integral(d, w),
-                     "cz_mod2": cz_integral(d, w) % 2,
+                     "cz": cz,
+                     "cz_mod2": cz % 2,
                      "hyperbolic": kind,
                      "threshold": frac_str(threshold),
-                     "trace": list(return_map(d, w).trace())})
+                     "trace": list(trace)})
     emit(rows, args.format)
 
 

@@ -615,6 +615,9 @@ class ResolvedDiagram(object):
         # the height function of each component is defined up to a constant;
         # these are the constants the template solver chose
         self.z_shifts = z_shifts or [Fraction(0)] * len(components)
+        # tables that later layers derive from this diagram, built on first
+        # use; keys are tuples led by the table's name
+        self.memo: Dict[tuple, object] = {}
         self._analyze()
 
     # -- construction ------------------------------------------------------
@@ -910,12 +913,9 @@ class ResolvedDiagram(object):
         """
         if side not in ("eta", "etabar"):
             raise ValueError(f"bad capping side {side!r}")
-        cache = getattr(self, "_capping_cache", None)
-        if cache is None:
-            cache = self._capping_cache = {}
-        key = (j1, j2, side)
-        if key in cache:
-            return cache[key]
+        key = ("capping", j1, j2, side)
+        if key in self.memo:
+            return self.memo[key]
         c1, c2 = self.chord(j1), self.chord(j2)
         comp = c1.tip_comp
         if c2.tail_comp != comp:
@@ -935,7 +935,7 @@ class ResolvedDiagram(object):
         interior = self._endpoints_between(comp, start, length)
         cap = CappingPath(j1, j2, side, comp, pts, turns,
                           abs(length) / total, interior)
-        cache[key] = cap
+        self.memo[key] = cap
         return cap
 
     def _walk(self, comp, start, length):

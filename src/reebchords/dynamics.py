@@ -136,9 +136,14 @@ def hyperbolic_type(d: ResolvedDiagram, w: CyclicWord
     For every rational 0 < epsilon < eps_w the return map has |trace| > 2,
     via a conservative bound from the trace coefficients.
     """
-    kind = "positive" if cz_mod2(d, w) == 0 else "negative"
-    tr = return_map(d, w).trace()
-    lower = sum(abs(c) for c in tr[:-1])
+    return hyperbolic_from_trace(cz_mod2(d, w), return_map(d, w).trace())
+
+
+def hyperbolic_from_trace(cz_parity: int, trace: Poly
+                          ) -> Tuple[str, Fraction]:
+    """``hyperbolic_type`` from the CZ parity and the return map's trace."""
+    kind = "positive" if cz_parity == 0 else "negative"
+    lower = sum(abs(c) for c in trace[:-1])
     eps_w = min(Fraction(1, 2), Fraction(1, 2 + lower))
     return kind, eps_w
 

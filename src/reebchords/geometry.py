@@ -133,15 +133,19 @@ def polygon_signed_area(points: Sequence[Point]) -> Fraction:
     return total / 2
 
 
-def winding_number(points: Sequence[Point], p: Point) -> int:
+def winding_number(points: Sequence[Point], p: Point,
+                   closed: bool = True) -> int:
     """Winding of the closed polyline around p (p must avoid the curve).
 
     Counts signed crossings of the leftward horizontal ray from p with the
-    half-open convention on y so vertices are never double counted.
+    half-open convention on y so vertices are never double counted.  The
+    count is a sum over edges, so with ``closed=False`` it is an open
+    piece's share of the winding of any closed curve the piece is part of.
+    It never divides, so it is exact on integer coordinates too.
     """
     n = len(points)
     w = 0
-    for i in range(n):
+    for i in range(n if closed else n - 1):
         a = points[i]
         b = points[(i + 1) % n]
         if a[1] == b[1]:
@@ -158,11 +162,16 @@ def winding_number(points: Sequence[Point], p: Point) -> int:
             sign = 1
         if not hit:
             continue
-        t = (p[1] - a[1]) / (b[1] - a[1])
-        x_at = a[0] + t * (b[0] - a[0])
-        if x_at == p[0]:
+        if a[0] < p[0] and b[0] < p[0]:     # wholly left of p: crosses
+            w += sign
+            continue
+        if a[0] > p[0] and b[0] > p[0]:
+            continue
+        # (x of the edge at height p[1]) - p[0], times the edge's dy
+        side = (a[0] - p[0]) * (b[1] - a[1]) + (p[1] - a[1]) * (b[0] - a[0])
+        if side == 0:
             raise ValueError("winding test point lies on the curve")
-        if x_at < p[0]:
+        if (side < 0) == (sign < 0):
             w += sign
     return w
 

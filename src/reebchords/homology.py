@@ -199,9 +199,8 @@ def crossing_monomials(d: ResolvedDiagram):
     general and exactly integral on the surgered sublink.  Memoized per
     diagram.
     """
-    cached = getattr(d, "_crossing_monomials", None)
-    if cached is not None:
-        return cached
+    if ("crossing_monomials",) in d.memo:
+        return d.memo[("crossing_monomials",)]
     n = len(d.components)
     singles: Dict[int, List[Fraction]] = {}
     for c in d.chords:
@@ -223,7 +222,7 @@ def crossing_monomials(d: ResolvedDiagram):
                 else:
                     vec[ch.tail_comp] += ch.sign
             pairs[(c1.id, c2.id)] = vec
-    d._crossing_monomials = (singles, pairs)
+    d.memo[("crossing_monomials",)] = (singles, pairs)
     return singles, pairs
 
 

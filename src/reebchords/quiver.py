@@ -5,7 +5,9 @@ chord; its cycles index closed-orbit words, which gives a cheap cross-check
 of enumeration and a home for the positivity/cyclic-equivalence algebra.
 The intersection grading assigns to each null-homologous orbit collection
 an integer per bounded face, computed from push-out winding numbers plus a
-meridian-disk correction solved against the surgery relation matrix.
+meridian-disk correction solved against the surgery relation matrix.  The
+winding numbers are the push-out's sums of per-piece tables (see
+``words``); no curve is wound here except each component, once per diagram.
 """
 
 from fractions import Fraction
@@ -147,42 +149,11 @@ class IGradingVector(object):
 
 def _component_windings(d: ResolvedDiagram) -> List[List[int]]:
     """windings[i][k]: winding of component i around basepoint k."""
-    cached = getattr(d, "_component_windings", None)
-    if cached is not None:
-        return cached
-    out = []
-    for cyc in d.components:
-        out.append([winding_number(cyc, f.basepoint) for f in d.faces_list])
-    d._component_windings = out
-    return out
-
-
-def _pushout_data(d: ResolvedDiagram, w: CyclicWord,
-                  s: Optional[OrbitString]):
-    """(winding vector over basepoints, linking vector) of a push-out, cached.
-
-    A degenerate tangency with a basepoint fiber regenerates the push-out
-    at a smaller offset.
-    """
-    cache = getattr(d, "_pushout_cache", None)
-    if cache is None:
-        cache = d._pushout_cache = {}
-    key = (w.chords, s.sides if s is not None else None)
-    if key not in cache:
-        offset = Fraction(1, 8)
-        for _attempt in range(8):
-            curve = push_out(d, w, s, offset=offset)
-            try:
-                windings = tuple(curve.winding(f.basepoint)
-                                 for f in d.faces_list)
-            except ValueError:
-                offset /= 2
-                continue
-            cache[key] = (windings, dict(curve.linking))
-            break
-        else:
-            raise DiagramError("push-out keeps hitting a basepoint fiber")
-    return cache[key]
+    key = ("component_windings",)
+    if key not in d.memo:
+        d.memo[key] = [[winding_number(cyc, f.basepoint)
+                        for f in d.faces_list] for cyc in d.components]
+    return d.memo[key]
 
 
 def effective_fiber_vector(d: ResolvedDiagram, h1: H1Presentation,
@@ -193,29 +164,36 @@ def effective_fiber_vector(d: ResolvedDiagram, h1: H1Presentation,
     The push-out's winding numbers plus the (here possibly fractional)
     meridian-cap correction solved against the relation matrix; the total
     over a null-homologous collection is integral and is its grading.
+    Memoized per diagram.
     """
-    cache = getattr(d, "_fiber_cache", None)
-    if cache is None:
-        cache = d._fiber_cache = {}
-    key = (w.chords, s.sides if s is not None else None)
-    if key in cache:
-        return cache[key]
-    windings, linking = _pushout_data(d, w, s)
+    key = ("fiber", w.chords, s.sides if s is not None else None)
+    if key in d.memo:
+        return d.memo[key]
+    # a degenerate tangency with a basepoint fiber regenerates the push-out
+    # at a smaller offset
+    offset = Fraction(1, 8)
+    for _attempt in range(8):
+        curve = push_out(d, w, s, offset=offset)
+        if curve.windings is not None:
+            break
+        offset /= 2
+    else:
+        raise DiagramError("push-out keeps hitting a basepoint fiber")
     n = len(h1.surgered)
     mat = [[Fraction(h1.matrix[j][i]) for j in range(n)] for i in range(n)]
-    rhs = [-Fraction(linking[i]) for i in h1.surgered]
+    rhs = [-Fraction(curve.linking[i]) for i in h1.surgered]
     sol = _solve_square(mat, rhs)
     comp_w = _component_windings(d)
     vec = []
     for k in range(len(d.faces_list)):
-        total = Fraction(windings[k])
+        total = Fraction(curve.windings[k])
         # each cap through handle j trades a meridian for a framed push-off,
         # whose spanning surface meets the fiber in the component's winding
         for idx, j in enumerate(h1.surgered):
             total += sol[idx] * comp_w[j][k]
         vec.append(total)
-    cache[key] = tuple(vec)
-    return cache[key]
+    d.memo[key] = tuple(vec)
+    return d.memo[key]
 
 
 def i_grading(d: ResolvedDiagram, h1: H1Presentation,

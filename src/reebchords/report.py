@@ -135,14 +135,12 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
                                                              max_pool_len)
     pool_words = enumerate_orbit_words(d, max_len=pool_len,
                                        max_action=budget, epsilon=epsilon)
-    cache = getattr(h1, "_record_cache", None)
-    if cache is None:
-        cache = h1._record_cache = {}
     pool = []
     for w in pool_words:
-        if w.chords not in cache:
-            cache[w.chords] = GeneratorRecord(d, h1, w)
-        pool.append(cache[w.chords])
+        key = ("record", w.chords)
+        if key not in d.memo:
+            d.memo[key] = GeneratorRecord(d, h1, w)
+        pool.append(d.memo[key])
     pool = [r for r in pool if r.good]
     if z_graded:
         pool = [r for r in pool if r.degree <= target_degree]
@@ -152,11 +150,7 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     found: List[Candidate] = []
     chosen: List[GeneratorRecord] = []
 
-    def effective(r: GeneratorRecord) -> Fraction:
-        return r.action - slack * len(r.word.chords)
-
-    def consider():
-        degree = sum(r.degree for r in chosen)
+    def consider(degree: int):
         if z_graded:
             if degree != target_degree:
                 return
@@ -164,13 +158,7 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
             if (degree - target_degree) % 2 != 0:
                 return
         cls = g.orbit_class
-        total = None
-        for r in chosen:
-            total = r.orbit_class if total is None else total + r.orbit_class
-        if total is None:
-            if not cls.is_zero():
-                return
-        elif total != cls:
+        if h1.reduce(acc_cls) != cls.reduced:
             return
         odd_seen = set()
         for r in chosen:
@@ -178,16 +166,17 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
                 if r.word.chords in odd_seen:
                     return          # odd generators square to zero
                 odd_seen.add(r.word.chords)
-        trail = {"degree": degree, "class": tuple(cls.reduced),
-                 "action": sum((r.action for r in chosen), Fraction(0))}
         if use_igrading:
             delta = [Fraction(v) - a for v, a in
                      zip(g.igrading.values, acc_i)]
             if any(v.denominator != 1 for v in delta):
                 return          # fractional: the candidate is not class-zero
-            trail["delta_i"] = tuple(int(v) for v in delta)
             if any(v < 0 for v in delta):
                 return
+        trail = {"degree": degree, "class": tuple(cls.reduced),
+                 "action": sum((r.action for r in chosen), Fraction(0))}
+        if use_igrading:
+            trail["delta_i"] = tuple(int(v) for v in delta)
         if chosen:
             found.append(Candidate(
                 tuple(r.word for r in chosen),
@@ -204,28 +193,32 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
                                    trail=trail))
 
     min_pool_degree = min((r.degree for r in pool), default=0)
+    costs = [r.action - slack * len(r.word.chords) for r in pool]
     n_faces = len(d.faces_list)
     acc_i = [Fraction(0)] * n_faces
+    acc_cls = [0] * len(h1.surgered)      # meridian vector of the product
     fiber = {}
     if use_igrading:
         for r in pool:
             fiber[r.word.chords] = effective_fiber_vector(d, h1, r.word)
 
     def search(start: int, budget_left: Fraction, degree_sum: int):
-        consider()
+        consider(degree_sum)
         if z_graded and min_pool_degree >= 0 and degree_sum >= target_degree:
             extendable = degree_sum == target_degree and min_pool_degree == 0
             if not extendable:
                 return
         for i in range(start, len(pool)):
             r = pool[i]
-            cost = effective(r)
+            cost = costs[i]
             if cost >= budget_left:
                 continue
             if z_graded and min_pool_degree >= 0 and \
                     degree_sum + r.degree > target_degree:
                 continue
             chosen.append(r)
+            for k, v in enumerate(r.orbit_class.vector):
+                acc_cls[k] += v
             if use_igrading:
                 vec = fiber[r.word.chords]
                 for k in range(n_faces):
@@ -235,6 +228,8 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
                 vec = fiber[r.word.chords]
                 for k in range(n_faces):
                     acc_i[k] -= vec[k]
+            for k, v in enumerate(r.orbit_class.vector):
+                acc_cls[k] -= v
             chosen.pop()
 
     search(0, budget, 0)

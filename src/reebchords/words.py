@@ -5,10 +5,16 @@ of composable chords on the surgered sublink, and the surviving chords of a
 zero-coefficient sublink by open words.  This module enumerates both within
 length/action bounds, canonicalizes cyclic rotation, and builds the planar
 push-out curves used for homology classes and intersection gradings.
+
+A push-out is made of pieces, one offset arc per (j1, j2, side) and one
+jump per (chord, side in, side out), each built once per diagram and offset
+with its ray crossings at every face basepoint and its linking counts; a
+word's winding and linking numbers are exact sums over its pieces.
 """
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .diagram import DiagramError, ResolvedDiagram
 from .geometry import offset_polyline, winding_number
@@ -254,17 +260,94 @@ class PushOutCurve(object):
 
     ``points`` is the closed polyline (offset capping arcs joined by short
     jumps at the chords); ``linking`` maps each component to the exact
-    linking number of the pushed-out orbit with it.
+    linking number of the pushed-out orbit with it.  ``windings`` holds the
+    curve's winding numbers around the face basepoints, in ``faces_list``
+    order, summed from the piece tables; it is None when the curve passes
+    through a basepoint.
     """
 
-    def __init__(self, points, linking: Dict[int, Fraction], word, string):
+    def __init__(self, points, linking: Dict[int, Fraction], word, string,
+                 windings: Optional[Tuple[int, ...]]):
         self.points = points
         self.linking = linking
         self.word = word
         self.string = string
+        self.windings = windings
 
     def winding(self, point) -> int:
         return winding_number(self.points, point)
+
+
+class _Piece(NamedTuple):
+    """An open piece of push-out curves with its share of their data.
+
+    ``crossings`` are its signed crossings of the leftward ray from each
+    face basepoint, None when it touches one; ``counts`` are its signed
+    crossing counts per component, twice its share of the linking numbers.
+    """
+    points: List
+    crossings: Optional[Tuple[int, ...]]
+    counts: List[int]
+
+
+def _piece(d: ResolvedDiagram, points, counts) -> _Piece:
+    try:
+        crossings = tuple(winding_number(points, f.basepoint, closed=False)
+                          for f in d.faces_list)
+    except ValueError:
+        crossings = None
+    return _Piece(points, crossings, counts)
+
+
+def _arc(d: ResolvedDiagram, j1: int, j2: int, side: str, offset: Fraction):
+    """The push-out piece along capping arc (j1, j2, side), memoized."""
+    key = ("arc", j1, j2, side, offset)
+    if key not in d.memo:
+        cap = d.capping_path(j1, j2, side)
+        coeff = d.surgery[cap.component]
+        if coeff == 0:
+            raise ValueError(f"capping path of r{j1}r{j2} rides an "
+                             f"unsurgered component")
+        ride_side = "left" if coeff == 1 else "right"
+        arc = offset_polyline(cap.points, ride_side, offset)
+        points = [arc[0]] + [q for p, q in zip(arc, arc[1:]) if q != p]
+        counts = [0] * len(d.components)
+        ride_sign = 1 if side == "eta" else -1
+        for cid, role in cap.interior:
+            ch = d.chord(cid)
+            comp = ch.tip_comp if role == "tail" else ch.tail_comp
+            counts[comp] += ride_sign * ch.sign
+        d.memo[key] = _piece(d, points, counts)
+    return d.memo[key]
+
+
+def _jump(d: ResolvedDiagram, j: int, side_in: str, side_out: str,
+          offset: Fraction, a, b):
+    """The push-out piece at chord j from arc end a to arc start b, memoized.
+
+    a and b depend only on j, the arcs' sides and the offset (an arc's end
+    segment is the one through the chord), so they are not in the key.
+    """
+    key = ("jump", j, side_in, side_out, offset)
+    if key not in d.memo:
+        ch = d.chord(j)
+        c_tail = d.surgery[ch.tail_comp]
+        c_tip = d.surgery[ch.tip_comp]
+        if c_tail == 0 or c_tip == 0:
+            raise ValueError(f"chord r{j} touches an unsurgered component")
+        counts = [0] * len(d.components)
+        counts[ch.tail_comp] += (c_tail + ch.sign) // 2
+        counts[ch.tip_comp] += (c_tip + ch.sign) // 2
+        # side-dependent local terms: an opposite-side ride reaches the chord
+        # across the other strand, trading one crossing with each component
+        if side_in == "etabar":                   # ride into the tail
+            counts[ch.tail_comp] -= c_tail
+            counts[ch.tip_comp] -= ch.sign
+        if side_out == "etabar":                  # ride out of the tip
+            counts[ch.tip_comp] -= c_tip
+            counts[ch.tail_comp] -= ch.sign
+        d.memo[key] = _piece(d, [a, b] if a != b else [a], counts)
+    return d.memo[key]
 
 
 def push_out(d: ResolvedDiagram, w: CyclicWord,
@@ -276,54 +359,33 @@ def push_out(d: ResolvedDiagram, w: CyclicWord,
     of the component when its coefficient is +1, on the right when -1 (sides
     taken relative to the direction of travel).  Linking numbers combine the
     arc passes past chord endpoints with the standard local count at each
-    chord of the word.
+    chord of the word.  The curve is assembled from the memoized arc and
+    jump pieces, and its winding and linking data are the sums of theirs.
     """
     if s is None:
         s = OrbitString(w, ["eta"] * len(w.chords))
+    arcs = [_arc(d, j1, j2, s.sides[k], offset)
+            for k, (j1, j2) in enumerate(w.pairs())]
+    pieces = list(arcs)
+    for k, j in enumerate(w.chords):
+        pieces.append(_jump(d, j, s.sides[k - 1], s.sides[k], offset,
+                            arcs[k - 1].points[-1], arcs[k].points[0]))
     pts: List = []
-    counts: Dict[int, int] = {i: 0 for i in d.surgery}
-    for k, (j1, j2) in enumerate(w.pairs()):
-        side = s.sides[k]
-        cap = d.capping_path(j1, j2, side)
-        coeff = d.surgery[cap.component]
-        if coeff == 0:
-            raise ValueError(f"capping path of r{j1}r{j2} rides an "
-                             f"unsurgered component")
-        ride_side = "left" if coeff == 1 else "right"
-        arc = offset_polyline(cap.points, ride_side, offset)
-        for p in arc:
+    for arc in arcs:
+        for p in arc.points:
             if not pts or pts[-1] != p:
                 pts.append(p)
-        ride_sign = 1 if side == "eta" else -1
-        for cid, role in cap.interior:
-            ch = d.chord(cid)
-            if role == "tail":
-                counts[ch.tip_comp] += ride_sign * ch.sign
-            else:
-                counts[ch.tail_comp] += ride_sign * ch.sign
-    n = len(w.chords)
-    for k, j in enumerate(w.chords):
-        ch = d.chord(j)
-        c_tail = d.surgery[ch.tail_comp]
-        c_tip = d.surgery[ch.tip_comp]
-        if c_tail == 0 or c_tip == 0:
-            raise ValueError(f"chord r{j} touches an unsurgered component")
-        counts[ch.tail_comp] += (c_tail + ch.sign) // 2
-        counts[ch.tip_comp] += (c_tip + ch.sign) // 2
-        # side-dependent local terms: an opposite-side ride reaches the chord
-        # across the other strand, trading one crossing with each component
-        if s.sides[(k - 1) % n] == "etabar":      # ride into the tail
-            counts[ch.tail_comp] -= c_tail
-            counts[ch.tip_comp] -= ch.sign
-        if s.sides[k] == "etabar":                # ride out of the tip
-            counts[ch.tip_comp] -= c_tip
-            counts[ch.tail_comp] -= ch.sign
     if pts[0] == pts[-1]:
         pts.pop()
+    windings: Optional[Tuple[int, ...]] = None
+    if all(piece.crossings is not None for piece in pieces):
+        windings = tuple(map(sum, zip(*(piece.crossings
+                                        for piece in pieces))))
     linking = {}
-    for comp, tot in counts.items():
+    for comp in d.surgery:
+        tot = sum(piece.counts[comp] for piece in pieces)
         if tot % 2 != 0:
             raise DiagramError(
                 f"odd signed crossing count {tot} with component {comp}")
         linking[comp] = Fraction(tot, 2)
-    return PushOutCurve(pts, linking, w, s)
+    return PushOutCurve(pts, linking, w, s, windings)

@@ -7,7 +7,7 @@ formulas for small integer matrices.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 # -- tiny polynomial/matrix arithmetic (dict-based, unlike the library) ------
@@ -420,3 +420,129 @@ def fd_sizing_rows(front, action_margin):
         ge.append(([cols[k][n_comp + j] for k in range(n_geom)] + shift,
                    action_margin - gap))
     return n_geom + n_shift, eq, ge
+
+
+# -- push-outs as whole curves ------------------------------------------------
+
+def full_curve_pushout(d, w, s, arcs):
+    """(offset, points, windings, linking) of a push-out built word by word.
+
+    The curve is the whole closed polyline of offset capping arcs at the
+    first offset in 1/8, 1/16, ... (8 tries) where it avoids every face
+    basepoint, wound around each basepoint in one piece.  Linking counts
+    sum the arc passes past chord endpoints and the local terms at each
+    chord of the word.  ``arcs`` is a dict the caller keeps per diagram; it
+    holds each offset capping arc once computed."""
+    from reebchords.geometry import offset_polyline, winding_number
+
+    n = len(w.chords)
+    offset = Fraction(1, 8)
+    for _attempt in range(8):
+        pts = []
+        for k, (j1, j2) in enumerate(w.pairs()):
+            key = (j1, j2, s.sides[k], offset)
+            if key not in arcs:
+                cap = d.capping_path(j1, j2, s.sides[k])
+                ride = "left" if d.surgery[cap.component] == 1 else "right"
+                arcs[key] = offset_polyline(cap.points, ride, offset)
+            for p in arcs[key]:
+                if not pts or pts[-1] != p:
+                    pts.append(p)
+        if pts[0] == pts[-1]:
+            pts.pop()
+        # winding_number never divides, so it is exact on the curve scaled
+        # to integer coordinates, where it runs far faster than on fractions
+        bps = [f.basepoint for f in d.faces_list]
+        scale = lcm(*(x.denominator for q in pts + bps for x in q))
+
+        def scaled(q):
+            return tuple(x.numerator * (scale // x.denominator) for x in q)
+
+        curve = [scaled(q) for q in pts]
+        try:
+            windings = tuple(winding_number(curve, scaled(bp)) for bp in bps)
+            break
+        except ValueError:
+            offset /= 2
+    else:
+        raise AssertionError(f"push-out of {w} keeps hitting a basepoint")
+    counts = {i: 0 for i in d.surgery}
+    for k, (j1, j2) in enumerate(w.pairs()):
+        ride_sign = 1 if s.sides[k] == "eta" else -1
+        for cid, role in d.capping_path(j1, j2, s.sides[k]).interior:
+            ch = d.chord(cid)
+            comp = ch.tip_comp if role == "tail" else ch.tail_comp
+            counts[comp] += ride_sign * ch.sign
+    for k, j in enumerate(w.chords):
+        ch = d.chord(j)
+        c_tail, c_tip = d.surgery[ch.tail_comp], d.surgery[ch.tip_comp]
+        counts[ch.tail_comp] += (c_tail + ch.sign) // 2
+        counts[ch.tip_comp] += (c_tip + ch.sign) // 2
+        if s.sides[(k - 1) % n] == "etabar":
+            counts[ch.tail_comp] -= c_tail
+            counts[ch.tip_comp] -= ch.sign
+        if s.sides[k] == "etabar":
+            counts[ch.tip_comp] -= c_tip
+            counts[ch.tail_comp] -= ch.sign
+    linking = {i: Fraction(t, 2) for i, t in counts.items()}
+    return offset, pts, windings, linking
+
+
+# -- differential candidates by exhaustive search -----------------------------
+
+def brute_force_candidates(d, h1, g, epsilon, z_graded, max_len):
+    """[(factor words, trail)] of g's differential candidates, in order.
+
+    Visits every multiset of good generators of length at most ``max_len``
+    under g's action budget in the library's order (pool sorted by action,
+    factors in non-decreasing pool position, depth first), and recomputes
+    each filter from scratch at every node: degree, summed homology class,
+    odd squares and the i-grading difference.  The only pruning is the
+    plainly sound one: with no negative degrees in the pool, a product
+    whose degree is already above the target is not extended."""
+    from reebchords.homology import OrbitClass
+    from reebchords.quiver import effective_fiber_vector
+    from reebchords.report import GeneratorRecord
+    from reebchords.words import enumerate_orbit_words
+
+    slack = 3 * Fraction(epsilon)
+    budget = g.action + slack * len(g.word.chords)
+    target = g.degree - 1
+    pool = [GeneratorRecord(d, h1, w) for w in
+            enumerate_orbit_words(d, max_len=max_len, max_action=budget,
+                                  epsilon=epsilon)]
+    pool = sorted((r for r in pool if r.good
+                   and (not z_graded or r.degree <= target)),
+                  key=lambda r: (r.action, r.word.chords))
+    use_igrading = h1.finite and g.orbit_class.is_zero()
+    found = []
+
+    def visit(start, chosen, left):
+        degree = sum(r.degree for r in chosen)
+        cls = OrbitClass(h1, [0] * len(h1.surgered))
+        for r in chosen:
+            cls = cls + r.orbit_class
+        odd = [r.word.chords for r in chosen if r.degree % 2 != 0]
+        trail = {"degree": degree, "class": g.orbit_class.reduced,
+                 "action": sum((r.action for r in chosen), Fraction(0))}
+        delta = []
+        if use_igrading:
+            delta = list(g.igrading.values)
+            for r in chosen:
+                delta = [a - b for a, b in
+                         zip(delta, effective_fiber_vector(d, h1, r.word))]
+            trail["delta_i"] = tuple(delta)
+        if ((degree == target) if z_graded else (degree - target) % 2 == 0) \
+                and cls == g.orbit_class and len(odd) == len(set(odd)) \
+                and all(v >= 0 and v.denominator == 1 for v in delta):
+            found.append((tuple(r.word.chords for r in chosen), trail))
+        if z_graded and degree > target and \
+                all(r.degree >= 0 for r in pool):
+            return
+        for i in range(start, len(pool)):
+            cost = pool[i].action - slack * len(pool[i].word.chords)
+            if cost < left:
+                visit(i, chosen + [pool[i]], left - cost)
+
+    visit(0, [], budget)
+    return found

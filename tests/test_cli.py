@@ -117,6 +117,39 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     assert code == 2      # missing bounds
 
 
+def test_out_of_range_bounds_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")
+    for argv in (["chain", "--max-len", "2", "--epsilon", "0"],
+                 ["chain", "--max-len", "2", "--epsilon=-1/100"],
+                 ["orbits", "--max-len", "-1"],
+                 ["orbits", "--max-action", "0"]):
+        code, out, err = run(capsys, argv + ["--input", path])
+        assert (code, out) == (2, "") and "input error" in err, argv
+
+
+def test_cz_builds_each_index_and_return_map_once(tmp_path, capsys,
+                                                   monkeypatch):
+    from reebchords import cli, dynamics
+
+    calls = {"cz": 0, "return_map": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "cz_integral", counted("cz", cli.cz_integral))
+    return_map = counted("return_map", dynamics.return_map)
+    monkeypatch.setattr(cli, "return_map", return_map)
+    monkeypatch.setattr(dynamics, "return_map", return_map)
+    path = write(tmp_path, "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")
+    code, out, _ = run(capsys, ["cz", "--max-len", "3", "--input", path])
+    assert code == 0
+    n_words = len(json.loads(out))
+    assert calls == {"cz": n_words, "return_map": n_words}
+
+
 def test_exit_code_3_on_internal_violation(tmp_path, capsys, monkeypatch):
     from reebchords import cli
     from reebchords.diagram import DiagramError

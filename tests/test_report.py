@@ -1,9 +1,13 @@
 from fractions import Fraction
 
+import pytest
+
+from oracles import brute_force_candidates
+from reebchords.diagram import parse_front, resolve
 from reebchords.homology import h1_presentation
 from reebchords.quiver import i_grading
-from reebchords.report import (GeneratorRecord, differential_candidates,
-                               generators)
+from reebchords.report import (GeneratorRecord, _pool_length_cap,
+                               differential_candidates, generators)
 from reebchords.words import CyclicWord
 
 F = Fraction
@@ -133,3 +137,26 @@ def test_degraded_grading_warns(stab_plus):
     rep = differential_candidates(low, stab_plus, h1, EPS)
     assert not rep.z_graded
     assert rep.warning and "mod 2" in rep.warning
+
+
+@pytest.mark.parametrize("text", [
+    "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}",
+    "L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:+1}",
+    "L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:-1}",
+    "L1,L2,R1,R1 / orientations {0:-} / surgery {0:+1}",
+    "L1,L2,L2,X3,X2,R3,R2,R1 / surgery {0:+1, 1:-1, 2:0}"])
+def test_candidates_match_exhaustive_search(text):
+    d = resolve(parse_front(text))
+    h1 = h1_presentation(d)
+    checked = 0
+    for g in generators(d, h1, max_len=3):
+        if not g.good or g.degree != 1:
+            continue
+        rep = differential_candidates(g, d, h1, EPS)
+        got = [(tuple(w.chords for w in c.factors), c.trail)
+               for c in rep.survivors]
+        cap = _pool_length_cap(d, g.degree - 1) if rep.z_graded else None
+        assert got == brute_force_candidates(d, h1, g, EPS, rep.z_graded,
+                                             cap)
+        checked += len(got)
+    assert checked > 0

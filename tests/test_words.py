@@ -2,7 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import full_curve_pushout
+from reebchords import words
 from reebchords.diagram import parse_front, resolve
+from reebchords.geometry import offset_polyline
+from reebchords.homology import h1_presentation
+from reebchords.report import generators
 from reebchords.words import (CyclicWord, OrbitString, Word,
                               all_orbit_strings, canonical_cyclic,
                               enumerate_chord_words, enumerate_orbit_words,
@@ -138,6 +143,77 @@ def test_push_out_basic(unknot_minus):
         po = push_out(unknot_minus, w, s)
         assert len(po.points) >= 4
         assert all(Fraction(v).denominator == 1 for v in po.linking.values())
+
+
+def check_pushouts_against_full_curves(d):
+    """Table sums equal the whole curve's windings, at the same offset."""
+    arcs = {}
+    for w in enumerate_orbit_words(d, max_len=4):
+        for s in all_orbit_strings(w):
+            offset, pts, windings, linking = full_curve_pushout(d, w, s, arcs)
+            earlier = F(1, 8)
+            while earlier > offset:
+                assert push_out(d, w, s, earlier).windings is None
+                earlier /= 2
+            po = push_out(d, w, s, offset)
+            assert po.points == pts
+            assert po.windings == windings
+            assert po.linking == linking
+
+
+@pytest.mark.parametrize("name", [
+    "trefoil_plus", "trefoil_minus", "unknot_plus", "unknot_minus",
+    "stab_plus", "hopf_plus", "hopf_mixed"])
+def test_pushout_tables_match_full_curves(name, request):
+    check_pushouts_against_full_curves(request.getfixturevalue(name))
+
+
+@pytest.mark.parametrize("text", [
+    "L1,L3,X2,X2,X2,X2,X2,R1,R1 / surgery {0:+1}",
+    "L1,L3,X2,X2,X2,X2,X2,R1,R1 / surgery {0:-1}",
+    "L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:-1}",
+    "L1,L3,X2,X2,R1,R1 / surgery {0:-1, 1:-1}"],
+    ids=["T(2,5)+1", "T(2,5)-1", "hopf+-", "hopf--"])
+def test_pushout_tables_match_full_curves_on_more_fronts(text):
+    check_pushouts_against_full_curves(resolve(parse_front(text)))
+
+
+@pytest.mark.parametrize("piece", ["arc", "jump"])
+def test_pushout_retries_at_a_smaller_offset_per_word(piece):
+    """A basepoint moved onto an arc or the jump of the push-out of (r_j) at
+    offset 1/8: the words whose pieces touch it, and only they, retry."""
+    d = resolve(parse_front("L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}"))
+    j = d.chords[0].id
+    arc = offset_polyline(d.capping_path(j, j, "eta").points, "left", F(1, 8))
+    a, b = arc[:2] if piece == "arc" else (arc[-1], arc[0])
+    d.faces_list[0].basepoint = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+    check_pushouts_against_full_curves(d)
+    retried = {(w.chords, s.sides) for w in enumerate_orbit_words(d, max_len=4)
+               for s in all_orbit_strings(w)
+               if push_out(d, w, s).windings is None}
+    assert ((j,), ("eta",)) in retried
+    assert len(retried) < 3070          # of 3,070 (word, sides) pairs
+
+
+def test_offset_polylines_are_per_arc_not_per_word(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return offset_polyline(*args, **kwargs)
+
+    monkeypatch.setattr(words, "offset_polyline", counting)
+    counts = {}
+    for max_len in (3, 5):
+        d = resolve(parse_front("L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}"))
+        del calls[:]
+        generators(d, h1_presentation(d), max_len=max_len)
+        counts[max_len] = len(calls)
+    # every chord of the trefoil lies on the surgered component
+    pairs = [(a, b) for a in d.chords for b in d.chords
+             if d.composable(a.id, b.id)]
+    assert 2 * len(pairs) == 50
+    assert counts[3] == counts[5] <= 2 * len(pairs)
 
 
 def test_cyclic_words_live_on_the_surgered_sublink(hopf_mixed):
