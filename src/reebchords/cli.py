@@ -170,11 +170,12 @@ def cmd_homology(args):
     }
     if args.max_len or args.max_action:
         max_len, max_action, eps = _bounds(args)
-        data["classes"] = [
-            {"word": word_name(w.chords),
-             "vector": list(orbit_class_monomial(d, h1, w).vector),
-             "reduced": list(orbit_class_monomial(d, h1, w).reduced)}
-            for w in enumerate_orbit_words(d, max_len, max_action, eps)]
+        classes = [(w, orbit_class_monomial(d, h1, w)) for w in
+                   enumerate_orbit_words(d, max_len, max_action, eps)]
+        data["classes"] = [{"word": word_name(w.chords),
+                            "vector": list(cls.vector),
+                            "reduced": list(cls.reduced)}
+                           for w, cls in classes]
     emit(data, args.format)
 
 

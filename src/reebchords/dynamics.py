@@ -3,12 +3,14 @@
 The return map of the orbit named by a cyclic word is a product of one
 integer-polynomial matrix per letter in the variable u = 1/epsilon, carrying
 a global sign determined by the capping-path rotation numbers.  Everything
-here is exact: polynomials over the integers, affine fixed points over the
-rationals, and the piecewise-linear twist profile for actions.
+here is exact: polynomials over the integers, affine fixed points and
+actions over integers with a common denominator, divided once at the end,
+and the piecewise-linear twist profile for actions.
 """
 
 from fractions import Fraction
-from typing import Tuple
+from math import lcm
+from typing import List, Tuple
 
 from .diagram import DiagramError, ResolvedDiagram
 from .words import CyclicWord, primitive_decomposition
@@ -17,12 +19,15 @@ Poly = Tuple[int, ...]       # coefficients, ascending degree
 
 
 def poly_add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return tuple((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                 for i in range(n))
+    if len(p) < len(q):
+        p, q = q, p
+    return tuple(a + b for a, b in zip(p, q)) + p[len(q):]
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
+    if len(p) == 1:
+        a = p[0]
+        return poly_trim(tuple(a * b for b in q))
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
@@ -95,10 +100,24 @@ class ReturnMapPoly(object):
 
 
 J0 = ((0,), (-1,), (1,), (0,))
+# J0 * [[1, -c u], [0, 1]], the step matrix of a letter with coefficient c
+_STEP = {c: mat_mul(J0, ((1,), (0, -c), (0,), (1,))) for c in (-1, 0, 1)}
 
 
-def _rot(d: ResolvedDiagram, j1: int, j2: int) -> int:
-    return d.capping_path(j1, j2, "eta").theta_half_pi // 2
+def _letter(d: ResolvedDiagram, j1: int, j2: int) -> Tuple[int, int, Fraction]:
+    """(sign, c, h) of the letter r_j1 -> r_j2, memoized per diagram.
+
+    sign is -1 when the capping arc's rotation number is odd, c is the
+    coefficient of the component holding r_j1's tip, and h is 1/2 minus the
+    capping arc's length normalized by its component's total length.
+    """
+    key = ("letter", j1, j2)
+    if key not in d.memo:
+        cap = d.capping_path(j1, j2, "eta")
+        sign = -1 if (cap.theta_half_pi // 2) % 2 == 1 else 1
+        d.memo[key] = (sign, d.surgery[d.chord(j1).tip_comp],
+                       Fraction(1, 2) - cap.norm_length)
+    return d.memo[key]
 
 
 def return_map(d: ResolvedDiagram, w: CyclicWord) -> ReturnMapPoly:
@@ -111,11 +130,9 @@ def return_map(d: ResolvedDiagram, w: CyclicWord) -> ReturnMapPoly:
     sign = 1
     prod = ((1,), (0,), (0,), (1,))
     for j1, j2 in w.pairs():
-        c = d.surgery[d.chord(j1).tip_comp]
-        step = mat_mul(J0, ((1,), (0, -c), (0,), (1,)))
-        prod = mat_mul(step, prod)
-        if _rot(d, j1, j2) % 2 == 1:
-            sign = -sign
+        s, c, _h = _letter(d, j1, j2)
+        prod = mat_mul(_STEP[c], prod)
+        sign *= s
     return ReturnMapPoly(sign, prod, w)
 
 
@@ -123,9 +140,8 @@ def cz_mod2(d: ResolvedDiagram, w: CyclicWord) -> int:
     """Parity of the Conley-Zehnder index of the orbit of w."""
     total = 0
     for j1, j2 in w.pairs():
-        total += _rot(d, j1, j2)
-        if d.surgery[d.chord(j1).tip_comp] == 1:
-            total += 1
+        s, c, _h = _letter(d, j1, j2)
+        total += (s == -1) + (c == 1)
     return total % 2
 
 
@@ -149,25 +165,42 @@ def hyperbolic_from_trace(cz_parity: int, trace: Poly
 
 
 def is_bad(d: ResolvedDiagram, w: CyclicWord) -> bool:
-    """True for even covers of negative hyperbolic orbits."""
+    """True for even covers of negative hyperbolic orbits.
+
+    ``hyperbolic_type`` reads the kind off the CZ parity alone, so the
+    primitive word's parity decides without building its return map.
+    """
     prim, mult = primitive_decomposition(w)
     if mult % 2 != 0:
         return False
-    return hyperbolic_type(d, prim)[0] == "negative"
+    return cz_mod2(d, prim) == 1
 
 
 class EmbeddingSolution(object):
-    """Exact fixed-point data of the affine model of an orbit."""
+    """Exact fixed-point data of the affine model of an orbit.
 
-    def __init__(self, word, epsilon, points, steps):
+    ``hpoints`` are the points as homogeneous integer triples (x, y, z),
+    standing for (x/z, y/z); ``steps`` are the letters' affine maps as
+    integer triples (r, m, t) taking (x, y, z) to
+    (-r y, r x + m y + t z, scale z).
+    """
+
+    def __init__(self, word, epsilon, hpoints, steps, scale):
         self.word = word
         self.epsilon = epsilon
-        self.points = points          # [(P_k, Q_k)] per letter
-        self.steps = steps            # [(A_k 2x2, b_k)] affine maps
+        self.hpoints = hpoints
+        self.steps = steps
+        self.scale = scale
+
+    @property
+    def points(self) -> List[Tuple[Fraction, Fraction]]:
+        """[(P_k, Q_k)] per letter."""
+        return [(Fraction(x, z), Fraction(y, z)) for x, y, z in self.hpoints]
 
     def apply_step(self, k: int, u: Tuple[Fraction, Fraction]):
-        (a, b, c, dd), off = self.steps[k]
-        return (a * u[0] + b * u[1] + off[0], c * u[0] + dd * u[1] + off[1])
+        r, m, t = self.steps[k]
+        return (Fraction(-r, self.scale) * u[1],
+                (r * u[0] + m * u[1] + t) / Fraction(self.scale))
 
     def apply_all(self, u: Tuple[Fraction, Fraction]):
         for k in range(len(self.steps)):
@@ -175,56 +208,47 @@ class EmbeddingSolution(object):
         return u
 
 
-def step_maps(d: ResolvedDiagram, w: CyclicWord, epsilon: Fraction):
-    """Affine maps (A_k, b_k) of the model flow, one per letter of w.
-
-    Offsets use the capping-arc length normalized by the component's total
-    length, so the model is the unit-circumference one and stays rational.
-    """
-    epsilon = Fraction(epsilon)
-    maps = []
-    for j1, j2 in w.pairs():
-        cap = d.capping_path(j1, j2, "eta")
-        c = d.surgery[d.chord(j1).tip_comp]
-        rot_sign = -1 if (cap.theta_half_pi // 2) % 2 == 1 else 1
-        # (p, q) -> sign * (-q, p + 1/2 - dist - (c/eps) q)
-        mat = (Fraction(0), Fraction(-rot_sign),
-               Fraction(rot_sign), -rot_sign * Fraction(c) / epsilon)
-        off = (Fraction(0), rot_sign * (Fraction(1, 2) - cap.norm_length))
-        maps.append((mat, off))
-    return maps
-
-
 def embed_orbit(d: ResolvedDiagram, w: CyclicWord,
                 epsilon: Fraction) -> EmbeddingSolution:
-    """Solve the orbit of w as the fixed point of its composed affine map."""
+    """Solve the orbit of w as the fixed point of its composed affine map.
+
+    Letter k maps (p, q) to s (-q, p + h - (c/eps) q), with (s, c, h) from
+    ``_letter``, so the model is the unit-circumference one.  Over a common
+    denominator g of 1/eps and every h the letters are homogeneous integer
+    maps; the fixed point of their composite comes from Cramer's rule and
+    the points are walked as integer triples, so nothing is reduced.
+    """
     epsilon = Fraction(epsilon)
-    steps = step_maps(d, w, epsilon)
-    A = (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
-    b = (Fraction(0), Fraction(0))
-    for mat, off in steps:
-        a2, b2, c2, d2 = mat
-        a1, b1, c1, d1 = A
-        A = (a2 * a1 + b2 * c1, a2 * b1 + b2 * d1,
-             c2 * a1 + d2 * c1, c2 * b1 + d2 * d1)
-        b = (a2 * b[0] + b2 * b[1] + off[0], c2 * b[0] + d2 * b[1] + off[1])
-    ia, ib, ic, id_ = 1 - A[0], -A[1], -A[2], 1 - A[3]
-    det = ia * id_ - ib * ic
+    e_num, e_den = epsilon.numerator, epsilon.denominator
+    letters = [_letter(d, j1, j2) for j1, j2 in w.pairs()]
+    g = lcm(e_num, *(h.denominator for _s, _c, h in letters))
+    steps = [(s * g, -s * c * e_den * (g // e_num),
+              s * h.numerator * (g // h.denominator))
+             for s, c, h in letters]
+    # composite [[a, b, e], [c, dd, f], [0, 0, z]] of the homogeneous maps
+    a, b, c, dd, e, f, z = 1, 0, 0, 1, 0, 0, 1
+    for r, m, t in steps:
+        a, b, c, dd = -r * c, -r * dd, r * a + m * c, r * b + m * dd
+        e, f = -r * f, r * e + m * f + t * z
+        z *= g
+    det = (z - a) * (z - dd) - b * c
     if det == 0:
         raise DiagramError(f"I - A singular for {w} at epsilon {epsilon}")
-    u1 = ((id_ * b[0] - ib * b[1]) / det, (-ic * b[0] + ia * b[1]) / det)
-    pts = [u1]
-    sol = EmbeddingSolution(w, epsilon, pts, steps)
-    for k in range(len(steps) - 1):
-        pts.append(sol.apply_step(k, pts[-1]))
-    if sol.apply_all(u1) != u1:
+    pt = ((z - dd) * e + b * f, c * e + (z - a) * f, det)
+    hpoints = []
+    for r, m, t in steps:
+        hpoints.append(pt)
+        x, y, zz = pt
+        pt = (-r * y, r * x + m * y + t * zz, g * zz)
+    x0, y0, z0 = hpoints[0]
+    if pt[0] * z0 != x0 * pt[2] or pt[1] * z0 != y0 * pt[2]:
         raise DiagramError(f"fixed point of {w} does not close up")
-    for p, _q in pts:
-        if abs(p) >= epsilon:
+    for x, _y, zz in hpoints:
+        if abs(x) * e_den >= e_num * abs(zz):
             raise ValueError(
                 f"orbit of {w} escapes the handle at epsilon {epsilon}: "
-                f"|P| = {abs(p)}")
-    return sol
+                f"|P| = {Fraction(abs(x), abs(zz))}")
+    return EmbeddingSolution(w, epsilon, hpoints, steps, g)
 
 
 def twist_height(epsilon: Fraction, p: Fraction) -> Fraction:
@@ -238,13 +262,24 @@ def twist_height(epsilon: Fraction, p: Fraction) -> Fraction:
 
 def orbit_action(d: ResolvedDiagram, w: CyclicWord,
                  epsilon: Fraction) -> Fraction:
-    """Exact action of the orbit of w under the piecewise-linear model."""
+    """Exact action of the orbit of w under the piecewise-linear model.
+
+    The sum over letters of action(r_k) - P_k Q_k + c_k twist_height(P_k),
+    with c_k the coefficient at the chord's tail.  All but the chord actions
+    are summed over one integer denominator: point k has z_k = z_0 g^k, so
+    every P_k Q_k and P_k^2 is a numerator over z_(n-1)^2 once scaled by
+    g^(2(n-1-k)).
+    """
     epsilon = Fraction(epsilon)
+    e_num, e_den = epsilon.numerator, epsilon.denominator
     emb = embed_orbit(d, w, epsilon)
-    total = Fraction(0)
-    for k, j in enumerate(w.chords):
-        ch = d.chord(j)
-        p, q = emb.points[k]
-        c_exit = d.surgery[ch.tail_comp]
-        total += ch.action - p * q + c_exit * twist_height(epsilon, p)
-    return total
+    g2 = emb.scale ** 2
+    twist = 0          # sum of c_k, the coefficients of the -eps/8 terms
+    quad = 0           # sum of c_k e_den x^2 - 2 e_num x y, scaled as above
+    for j, (x, y, _z) in zip(w.chords, emb.hpoints):
+        c_exit = d.surgery[d.chord(j).tail_comp]
+        twist += c_exit
+        quad = quad * g2 + c_exit * e_den * x * x - 2 * e_num * x * y
+    z2 = emb.hpoints[-1][2] ** 2
+    return w.action() + Fraction(
+        4 * e_den * quad - e_num * e_num * twist * z2, 8 * e_den * e_num * z2)

@@ -170,6 +170,8 @@ def h1_presentation(d: ResolvedDiagram) -> H1Presentation:
 class OrbitClass(object):
     """Meridian vector of an orbit with its cokernel normal form."""
 
+    __slots__ = ("vector", "reduced", "h1")
+
     def __init__(self, h1: H1Presentation, vector: Sequence[int]):
         self.vector = tuple(int(v) for v in vector)
         self.reduced = h1.reduce(self.vector)

@@ -125,6 +125,8 @@ def exposed_required(d: ResolvedDiagram,
 class IGradingVector(object):
     """Integer vector over the bounded faces, additive under unions."""
 
+    __slots__ = ("values",)
+
     def __init__(self, values: Sequence[int]):
         self.values = tuple(int(v) for v in values)
 

@@ -8,6 +8,7 @@ bubbling face forces them; all other survivors stay "count unknown".
 """
 
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Tuple
 
 from .diagram import ResolvedDiagram
@@ -21,6 +22,9 @@ from .words import CyclicWord, enumerate_orbit_words
 
 class GeneratorRecord(object):
     """One orbit word with its chain-level invariants."""
+
+    __slots__ = ("word", "cz", "degree", "orbit_class", "action",
+                 "hyperbolic", "threshold", "bad", "good", "igrading")
 
     def __init__(self, d: ResolvedDiagram, h1: H1Presentation, w: CyclicWord):
         self.word = w
@@ -40,6 +44,15 @@ class GeneratorRecord(object):
         return f"<{self.word} cz={self.cz} {flag}>"
 
 
+def generator_record(d: ResolvedDiagram, h1: H1Presentation,
+                     w: CyclicWord) -> GeneratorRecord:
+    """The one GeneratorRecord of w, memoized per diagram."""
+    key = ("record", w.chords)
+    if key not in d.memo:
+        d.memo[key] = GeneratorRecord(d, h1, w)
+    return d.memo[key]
+
+
 def generators(d: ResolvedDiagram, h1: H1Presentation,
                max_len: Optional[int] = None,
                max_action: Optional[Fraction] = None,
@@ -47,7 +60,7 @@ def generators(d: ResolvedDiagram, h1: H1Presentation,
     """All orbit words within bounds, bad ones included and flagged."""
     words = enumerate_orbit_words(d, max_len=max_len, max_action=max_action,
                                   epsilon=epsilon)
-    return [GeneratorRecord(d, h1, w) for w in words]
+    return [generator_record(d, h1, w) for w in words]
 
 
 class Candidate(object):
@@ -135,18 +148,34 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
                                                              max_pool_len)
     pool_words = enumerate_orbit_words(d, max_len=pool_len,
                                        max_action=budget, epsilon=epsilon)
-    pool = []
-    for w in pool_words:
-        key = ("record", w.chords)
-        if key not in d.memo:
-            d.memo[key] = GeneratorRecord(d, h1, w)
-        pool.append(d.memo[key])
-    pool = [r for r in pool if r.good]
+    pool = [r for r in (generator_record(d, h1, w) for w in pool_words)
+            if r.good]
     if z_graded:
         pool = [r for r in pool if r.degree <= target_degree]
     pool.sort(key=lambda r: (r.action, r.word.chords))
     use_igrading = h1.finite and g.orbit_class.is_zero()
 
+    # the search runs over integers: costs and the budget share one
+    # denominator, fiber vectors another, and a difference of fiber sums is
+    # integral exactly when its scaled value is divisible by theirs
+    costs = [r.action - slack * len(r.word.chords) for r in pool]
+    cost_den = lcm(budget.denominator, *(c.denominator for c in costs))
+    costs = [c.numerator * (cost_den // c.denominator) for c in costs]
+    # suffix_min[i] = min(costs[i:]); once it reaches the remaining budget
+    # no later child fits, so the child loop stops there
+    suffix_min = costs[:]
+    for i in range(len(pool) - 2, -1, -1):
+        suffix_min[i] = min(suffix_min[i], suffix_min[i + 1])
+    n_faces = len(d.faces_list)
+    acc_i = [0] * n_faces
+    acc_cls = [0] * len(h1.surgered)      # meridian vector of the product
+    if use_igrading:
+        vectors = [effective_fiber_vector(d, h1, r.word) for r in pool]
+        fiber_den = lcm(1, *(v.denominator for vec in vectors for v in vec))
+        fiber = [[v.numerator * (fiber_den // v.denominator) for v in vec]
+                 for vec in vectors]
+        target_i = [v * fiber_den for v in g.igrading.values]
+    min_pool_degree = min((r.degree for r in pool), default=0)
     found: List[Candidate] = []
     chosen: List[GeneratorRecord] = []
 
@@ -167,16 +196,15 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
                     return          # odd generators square to zero
                 odd_seen.add(r.word.chords)
         if use_igrading:
-            delta = [Fraction(v) - a for v, a in
-                     zip(g.igrading.values, acc_i)]
-            if any(v.denominator != 1 for v in delta):
+            delta = [t - a for t, a in zip(target_i, acc_i)]
+            if any(v % fiber_den for v in delta):
                 return          # fractional: the candidate is not class-zero
             if any(v < 0 for v in delta):
                 return
         trail = {"degree": degree, "class": tuple(cls.reduced),
                  "action": sum((r.action for r in chosen), Fraction(0))}
         if use_igrading:
-            trail["delta_i"] = tuple(int(v) for v in delta)
+            trail["delta_i"] = tuple(v // fiber_den for v in delta)
         if chosen:
             found.append(Candidate(
                 tuple(r.word for r in chosen),
@@ -192,23 +220,15 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
                                    sign_ambiguous=len(faces) > 1,
                                    trail=trail))
 
-    min_pool_degree = min((r.degree for r in pool), default=0)
-    costs = [r.action - slack * len(r.word.chords) for r in pool]
-    n_faces = len(d.faces_list)
-    acc_i = [Fraction(0)] * n_faces
-    acc_cls = [0] * len(h1.surgered)      # meridian vector of the product
-    fiber = {}
-    if use_igrading:
-        for r in pool:
-            fiber[r.word.chords] = effective_fiber_vector(d, h1, r.word)
-
-    def search(start: int, budget_left: Fraction, degree_sum: int):
+    def search(start: int, budget_left: int, degree_sum: int):
         consider(degree_sum)
         if z_graded and min_pool_degree >= 0 and degree_sum >= target_degree:
             extendable = degree_sum == target_degree and min_pool_degree == 0
             if not extendable:
                 return
         for i in range(start, len(pool)):
+            if suffix_min[i] >= budget_left:
+                break
             r = pool[i]
             cost = costs[i]
             if cost >= budget_left:
@@ -220,17 +240,17 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
             for k, v in enumerate(r.orbit_class.vector):
                 acc_cls[k] += v
             if use_igrading:
-                vec = fiber[r.word.chords]
+                vec = fiber[i]
                 for k in range(n_faces):
                     acc_i[k] += vec[k]
             search(i, budget_left - cost, degree_sum + r.degree)
             if use_igrading:
-                vec = fiber[r.word.chords]
+                vec = fiber[i]
                 for k in range(n_faces):
                     acc_i[k] -= vec[k]
             for k, v in enumerate(r.orbit_class.vector):
                 acc_cls[k] -= v
             chosen.pop()
 
-    search(0, budget, 0)
+    search(0, budget.numerator * (cost_den // budget.denominator), 0)
     return CandidateReport(g, found, z_graded, warning)

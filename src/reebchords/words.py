@@ -23,6 +23,8 @@ from .geometry import offset_polyline, winding_number
 class Word(object):
     """Composable (non-cyclic) sequence of chord ids."""
 
+    __slots__ = ("diagram", "chords")
+
     def __init__(self, diagram: ResolvedDiagram, chords: Sequence[int]):
         if not chords:
             raise ValueError("empty word")
@@ -59,6 +61,8 @@ class CyclicWord(Word):
     Cyclic words name closed trajectories, so they may only use chords of
     the surgered sublink.
     """
+
+    __slots__ = ()
 
     def __init__(self, diagram: ResolvedDiagram, chords: Sequence[int]):
         seq = canonical_rotation(chords)

@@ -72,6 +72,87 @@ def peval(p, u):
     return sum(Fraction(v) * u ** k for k, v in p.items())
 
 
+# -- the affine orbit model composed in Fraction arithmetic -------------------
+
+def step_maps(d, w, epsilon):
+    """Affine maps (A_k, b_k) of the model flow, one per letter of w.
+
+    Offsets use the capping-arc length normalized by the component's total
+    length, so the model is the unit-circumference one and stays rational.
+    """
+    epsilon = Fraction(epsilon)
+    maps = []
+    for j1, j2 in w.pairs():
+        cap = d.capping_path(j1, j2, "eta")
+        c = d.surgery[d.chord(j1).tip_comp]
+        rot_sign = -1 if (cap.theta_half_pi // 2) % 2 == 1 else 1
+        # (p, q) -> sign * (-q, p + 1/2 - dist - (c/eps) q)
+        mat = (Fraction(0), Fraction(-rot_sign),
+               Fraction(rot_sign), -rot_sign * Fraction(c) / epsilon)
+        off = (Fraction(0), rot_sign * (Fraction(1, 2) - cap.norm_length))
+        maps.append((mat, off))
+    return maps
+
+
+def fraction_composite(steps):
+    """(A, b) of the composite of affine maps (A_k, b_k), in Fractions."""
+    A = (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+    b = (Fraction(0), Fraction(0))
+    for mat, off in steps:
+        a2, b2, c2, d2 = mat
+        a1, b1, c1, d1 = A
+        A = (a2 * a1 + b2 * c1, a2 * b1 + b2 * d1,
+             c2 * a1 + d2 * c1, c2 * b1 + d2 * d1)
+        b = (a2 * b[0] + b2 * b[1] + off[0], c2 * b[0] + d2 * b[1] + off[1])
+    return A, b
+
+
+def fraction_embedding(d, w, epsilon):
+    """Points [(P_k, Q_k)] of the orbit of w, in Fractions.
+
+    Solves the 2x2 fixed point of ``fraction_composite`` by elimination,
+    walks the points and checks closure and the handle, raising the
+    library's exception classes with its messages."""
+    from reebchords.diagram import DiagramError
+
+    epsilon = Fraction(epsilon)
+    steps = step_maps(d, w, epsilon)
+    A, b = fraction_composite(steps)
+    ia, ib, ic, id_ = 1 - A[0], -A[1], -A[2], 1 - A[3]
+    det = ia * id_ - ib * ic
+    if det == 0:
+        raise DiagramError(f"I - A singular for {w} at epsilon {epsilon}")
+
+    def apply(k, u):
+        (a, bb, c, dd), off = steps[k]
+        return (a * u[0] + bb * u[1] + off[0], c * u[0] + dd * u[1] + off[1])
+
+    u1 = ((id_ * b[0] - ib * b[1]) / det, (-ic * b[0] + ia * b[1]) / det)
+    pts = [u1]
+    for k in range(len(steps) - 1):
+        pts.append(apply(k, pts[-1]))
+    if apply(len(steps) - 1, pts[-1]) != u1:
+        raise DiagramError(f"fixed point of {w} does not close up")
+    for p, _q in pts:
+        if abs(p) >= epsilon:
+            raise ValueError(
+                f"orbit of {w} escapes the handle at epsilon {epsilon}: "
+                f"|P| = {abs(p)}")
+    return pts
+
+
+def fraction_orbit_action(d, w, epsilon, pts):
+    """Sum of action - P Q + c (-eps/8 + P^2 / (2 eps)) over the letters."""
+    epsilon = Fraction(epsilon)
+    total = Fraction(0)
+    for k, j in enumerate(w.chords):
+        ch = d.chord(j)
+        p, q = pts[k]
+        total += ch.action - p * q + d.surgery[ch.tail_comp] * (
+            -epsilon / 8 + p * p / (2 * epsilon))
+    return total
+
+
 # -- convex polygon clipping for the trimmed affine dynamics -----------------
 
 def clip_halfplane(poly, a, b, c):
@@ -490,6 +571,22 @@ def full_curve_pushout(d, w, s, arcs):
 
 # -- differential candidates by exhaustive search -----------------------------
 
+def candidate_pool(d, h1, g, epsilon, z_graded, max_len):
+    """Good generators of length at most ``max_len`` under g's action
+    budget, of degree at most g's minus one when ``z_graded``, sorted by
+    (action, word) as the search visits them."""
+    from reebchords.report import GeneratorRecord
+    from reebchords.words import enumerate_orbit_words
+
+    budget = g.action + 3 * Fraction(epsilon) * len(g.word.chords)
+    pool = [GeneratorRecord(d, h1, w) for w in
+            enumerate_orbit_words(d, max_len=max_len, max_action=budget,
+                                  epsilon=epsilon)]
+    return sorted((r for r in pool if r.good
+                   and (not z_graded or r.degree <= g.degree - 1)),
+                  key=lambda r: (r.action, r.word.chords))
+
+
 def brute_force_candidates(d, h1, g, epsilon, z_graded, max_len):
     """[(factor words, trail)] of g's differential candidates, in order.
 
@@ -502,18 +599,11 @@ def brute_force_candidates(d, h1, g, epsilon, z_graded, max_len):
     whose degree is already above the target is not extended."""
     from reebchords.homology import OrbitClass
     from reebchords.quiver import effective_fiber_vector
-    from reebchords.report import GeneratorRecord
-    from reebchords.words import enumerate_orbit_words
 
     slack = 3 * Fraction(epsilon)
     budget = g.action + slack * len(g.word.chords)
     target = g.degree - 1
-    pool = [GeneratorRecord(d, h1, w) for w in
-            enumerate_orbit_words(d, max_len=max_len, max_action=budget,
-                                  epsilon=epsilon)]
-    pool = sorted((r for r in pool if r.good
-                   and (not z_graded or r.degree <= target)),
-                  key=lambda r: (r.action, r.word.chords))
+    pool = candidate_pool(d, h1, g, epsilon, z_graded, max_len)
     use_igrading = h1.finite and g.orbit_class.is_zero()
     found = []
 

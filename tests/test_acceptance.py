@@ -9,10 +9,10 @@ import itertools
 import sys
 from fractions import Fraction
 
-from oracles import (point_in_convex, poly_diameter_sq,
+from oracles import (point_in_convex, poly_diameter_sq, step_maps,
                      trimmed_flow_polygon, divisors_2x2)
 from reebchords.dynamics import (cz_mod2, embed_orbit, is_bad, mat_det,
-                                 orbit_action, return_map, step_maps)
+                                 orbit_action, return_map)
 from reebchords.homology import (crossing_monomials, h1_presentation,
                                  orbit_class_monomial, orbit_class_pushout,
                                  smith_normal_form)

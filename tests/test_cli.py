@@ -150,6 +150,59 @@ def test_cz_builds_each_index_and_return_map_once(tmp_path, capsys,
     assert calls == {"cz": n_words, "return_map": n_words}
 
 
+def test_homology_computes_each_class_once(tmp_path, capsys, monkeypatch):
+    from reebchords import cli
+
+    calls = []
+    original = cli.orbit_class_monomial
+
+    def counted(d, h1, w):
+        calls.append(w.chords)
+        return original(d, h1, w)
+
+    monkeypatch.setattr(cli, "orbit_class_monomial", counted)
+    path = write(tmp_path, "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")
+    code, out, _ = run(capsys, ["homology", "--max-len", "3",
+                                "--input", path])
+    assert code == 0
+    classes = json.loads(out)["classes"]
+    assert len(classes) > 0
+    assert len(calls) == len(set(calls)) == len(classes)
+
+
+def test_chain_builds_one_record_and_return_map_per_word(tmp_path, capsys,
+                                                          monkeypatch):
+    from reebchords import dynamics, report
+
+    built, maps = [], []
+
+    class Counted(report.GeneratorRecord):
+        __slots__ = ()
+
+        def __init__(self, d, h1, w):
+            built.append(w.chords)
+            super().__init__(d, h1, w)
+
+    def counted(d, w):
+        maps.append(w.chords)
+        return return_map(d, w)
+
+    return_map = dynamics.return_map
+    monkeypatch.setattr(report, "GeneratorRecord", Counted)
+    monkeypatch.setattr(dynamics, "return_map", counted)
+    path = write(tmp_path, "L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:-1}")
+    code, out, _ = run(capsys, ["chain", "--max-len", "3", "--epsilon",
+                                "1/100", "--input", path])
+    assert code == 0
+    rows = json.loads(out)
+    # even covers ask is_bad about their primitive word, and degree-1
+    # generators search a pool of records
+    assert any(not row["good"] for row in rows)
+    assert any("candidates" in row for row in rows)
+    assert len(built) == len(set(built)) >= len(rows)
+    assert sorted(maps) == sorted(built)
+
+
 def test_exit_code_3_on_internal_violation(tmp_path, capsys, monkeypatch):
     from reebchords import cli
     from reebchords.diagram import DiagramError

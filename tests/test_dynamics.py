@@ -1,12 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import (peval, point_in_convex, poly_diameter_sq,
-                     reference_return_map, trimmed_flow_polygon)
+from oracles import (fraction_composite, fraction_embedding,
+                     fraction_orbit_action, padd, peval, point_in_convex,
+                     poly_diameter_sq, pscale, reference_return_map,
+                     step_maps, trimmed_flow_polygon)
+from reebchords.diagram import DiagramError
 from reebchords.dynamics import (cz_mod2, embed_orbit, hyperbolic_type,
                                  is_bad, orbit_action, poly_eval, return_map,
-                                 step_maps, twist_height)
+                                 twist_height)
 from reebchords.indices import rot_number
 from reebchords.words import CyclicWord, enumerate_orbit_words
 
@@ -160,3 +164,76 @@ def test_orbit_action_bound(trefoil_plus, unknot_minus):
         for w in all_words(d, 3):
             act = orbit_action(d, w, EPS)
             assert abs(act - w.action()) < 3 * EPS * len(w.chords)
+
+
+# every fixture; 1/2 is singular for many words, and the larger values make
+# many orbits escape the handle
+FIXTURES = ["trefoil_plus", "trefoil_minus", "unknot_plus", "unknot_minus",
+            "stab_plus", "hopf_plus", "hopf_mixed"]
+ORACLE_EPS = [F(1, 100), F(1, 3), F(3, 7), F(49, 100), F(1, 2)]
+
+
+def outcome(fn, *args):
+    """(result, None) or (None, (exception class, message))."""
+    try:
+        return fn(*args), None
+    except (ValueError, DiagramError) as exc:
+        return None, (type(exc), str(exc))
+
+
+def exact(x):
+    # Fraction(1, 2) == 0.5 holds, so equality alone misses a stray float
+    return type(x) in (Fraction, int)
+
+
+def check_against_fraction_model(d, w, eps):
+    """embed_orbit, orbit_action and return_map against the oracle's
+    Fraction composition; returns the outcome's kind."""
+    got, got_err = outcome(embed_orbit, d, w, eps)
+    want, want_err = outcome(fraction_embedding, d, w, eps)
+    assert got_err == want_err, (w, eps)
+    act, act_err = outcome(orbit_action, d, w, eps)
+    assert act_err == want_err, (w, eps)
+    rm = return_map(d, w)
+    lin, _off = fraction_composite(step_maps(d, w, eps))
+    at_eps = rm.matrix_at(eps)
+    assert at_eps == lin and rm.trace_at(eps) == lin[0] + lin[3]
+    assert all(exact(v) for v in at_eps + (rm.trace_at(eps),))
+    if want_err is not None:
+        return want_err[0].__name__
+    assert got.points == want
+    assert all(exact(v) for pt in got.points for v in pt)
+    assert got.apply_all(got.points[0]) == got.points[0]
+    assert act == fraction_orbit_action(d, w, eps, want) and exact(act)
+    return "ok"
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_embedding_and_return_map_match_fraction_model(fixture, request):
+    d = request.getfixturevalue(fixture)
+    kinds = set()
+    for w in all_words(d, 4):
+        sign, ref = reference_return_map(d, w.chords)
+        want = pscale(padd(ref[0][0], ref[1][1]), sign)
+        assert {k: c for k, c in enumerate(return_map(d, w).trace())
+                if c != 0} == want
+        for eps in ORACLE_EPS:
+            kinds.add(check_against_fraction_model(d, w, eps))
+    assert "ok" in kinds
+
+
+def test_fraction_model_cases_all_reached(trefoil_plus, unknot_plus):
+    kinds = {check_against_fraction_model(d, w, eps)
+             for d in (trefoil_plus, unknot_plus)
+             for w in all_words(d, 2) for eps in ORACLE_EPS}
+    assert kinds == {"ok", "ValueError", "DiagramError"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(min_value=F(1, 10 ** 4), max_value=F(1),
+                    max_denominator=10 ** 4))
+def test_embedding_matches_fraction_model_at_random_epsilon(
+        trefoil_plus, hopf_plus, eps):
+    for d in (trefoil_plus, hopf_plus):
+        for w in all_words(d, 3):
+            check_against_fraction_model(d, w, eps)

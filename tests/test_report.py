@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_force_candidates
+from oracles import brute_force_candidates, candidate_pool
 from reebchords.diagram import parse_front, resolve
 from reebchords.homology import h1_presentation
-from reebchords.quiver import i_grading
+from reebchords.quiver import effective_fiber_vector, i_grading
 from reebchords.report import (GeneratorRecord, _pool_length_cap,
                                differential_candidates, generators)
 from reebchords.words import CyclicWord
@@ -139,24 +139,76 @@ def test_degraded_grading_warns(stab_plus):
     assert rep.warning and "mod 2" in rep.warning
 
 
-@pytest.mark.parametrize("text", [
+SEARCH_FRONTS = [
     "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}",
     "L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:+1}",
     "L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:-1}",
     "L1,L2,R1,R1 / orientations {0:-} / surgery {0:+1}",
-    "L1,L2,L2,X3,X2,R3,R2,R1 / surgery {0:+1, 1:-1, 2:0}"])
-def test_candidates_match_exhaustive_search(text):
+    "L1,L2,L2,X3,X2,R3,R2,R1 / surgery {0:+1, 1:-1, 2:0}"]
+# chord r7 has the action of the word (r10r11), so a pool holding both lists
+# a dearer cost before a cheaper one; longer pools here grow to 10^5
+# survivors, so only these generators and factors of length <= 2
+TIED_FRONT = ("L1,X1,X1,X1,X1,L1,X3,X2,L2,R2,X3,X1,R3,R1 / "
+              "orientations {0:+, 1:-} / surgery {0:-1, 1:-1}")
+TIED_WORDS = [(1, 3), (1, 5), (3, 5)]
+
+
+def searches(text, words=None, max_pool_len=None):
+    """(d, h1, g, report, pool length cap) of each good degree-1 generator
+    of length at most 3 on the front, or of the given words."""
     d = resolve(parse_front(text))
     h1 = h1_presentation(d)
+    if words is None:
+        gens = [g for g in generators(d, h1, max_len=3)
+                if g.good and g.degree == 1]
+    else:
+        gens = [GeneratorRecord(d, h1, CyclicWord(d, w)) for w in words]
+    for g in gens:
+        rep = differential_candidates(g, d, h1, EPS,
+                                      max_pool_len=max_pool_len)
+        cap = _pool_length_cap(d, g.degree - 1) if rep.z_graded else None
+        if max_pool_len is not None:
+            cap = max_pool_len if cap is None else min(cap, max_pool_len)
+        yield d, h1, g, rep, cap
+
+
+def assert_match_exhaustive_search(cases):
     checked = 0
-    for g in generators(d, h1, max_len=3):
-        if not g.good or g.degree != 1:
-            continue
-        rep = differential_candidates(g, d, h1, EPS)
+    for d, h1, g, rep, cap in cases:
+        assert g.good and g.degree == 1
         got = [(tuple(w.chords for w in c.factors), c.trail)
                for c in rep.survivors]
-        cap = _pool_length_cap(d, g.degree - 1) if rep.z_graded else None
         assert got == brute_force_candidates(d, h1, g, EPS, rep.z_graded,
                                              cap)
         checked += len(got)
     assert checked > 0
+
+
+@pytest.mark.parametrize("text", SEARCH_FRONTS)
+def test_candidates_match_exhaustive_search(text):
+    assert_match_exhaustive_search(searches(text))
+
+
+def test_candidates_match_exhaustive_search_with_tied_actions():
+    assert_match_exhaustive_search(searches(TIED_FRONT, TIED_WORDS, 2))
+
+
+def test_exhaustive_search_cases_reach_cutoff_and_divisibility():
+    """The searches above meet a pool whose costs are out of pool order,
+    where the child loop's suffix-minimum cutoff differs from stopping at
+    the first child over budget, and pools with fractional fiber vectors
+    under the i-grading filter, which its divisibility test decides."""
+    cases = [case for text in SEARCH_FRONTS for case in searches(text)]
+    cases += searches(TIED_FRONT, TIED_WORDS, 2)
+    unordered = fractional = 0
+    for d, h1, g, rep, cap in cases:
+        pool = candidate_pool(d, h1, g, EPS, rep.z_graded, cap)
+        costs = [r.action - 3 * EPS * len(r.word.chords) for r in pool]
+        unordered += any(a > b for a, b in zip(costs, costs[1:]))
+        if h1.finite and g.orbit_class.is_zero():
+            fractional += sum(
+                any(v.denominator != 1
+                    for v in effective_fiber_vector(d, h1, r.word))
+                for r in pool)
+    assert unordered > 0
+    assert fractional > 0
