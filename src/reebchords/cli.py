@@ -7,6 +7,7 @@ failure of the realization.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -79,13 +80,30 @@ def load_diagram(args):
     return front
 
 
+def on_diagram(cmd):
+    """The command run on the resolved diagram of ``args``' front.
+
+    The diagram's memo is cleared when the command returns: its records
+    refer back to the diagram, so the memo would otherwise keep the diagram
+    alive until a full garbage collection.
+    """
+    @functools.wraps(cmd)
+    def run(args):
+        d = resolve(load_diagram(args))
+        try:
+            cmd(args, d)
+        finally:
+            d.memo.clear()
+    return run
+
+
 def cmd_parse(args):
     front = load_diagram(args)
     emit(front.summary(), args.format)
 
 
-def cmd_invariants(args):
-    d = resolve(load_diagram(args))
+@on_diagram
+def cmd_invariants(args, d):
     data = {
         "tb": d.tb,
         "rot": d.rot,
@@ -119,8 +137,8 @@ def _bounds(args):
     return args.max_len, max_action, eps
 
 
-def cmd_orbits(args):
-    d = resolve(load_diagram(args))
+@on_diagram
+def cmd_orbits(args, d):
     max_len, max_action, eps = _bounds(args)
     rows = []
     for w in enumerate_orbit_words(d, max_len, max_action, eps):
@@ -130,8 +148,8 @@ def cmd_orbits(args):
     emit(rows, args.format)
 
 
-def cmd_chords(args):
-    d = resolve(load_diagram(args))
+@on_diagram
+def cmd_chords(args, d):
     max_len, max_action, eps = _bounds(args)
     rows = []
     for w in enumerate_chord_words(d, None, max_len, max_action, eps):
@@ -141,8 +159,8 @@ def cmd_chords(args):
     emit(rows, args.format)
 
 
-def cmd_cz(args):
-    d = resolve(load_diagram(args))
+@on_diagram
+def cmd_cz(args, d):
     max_len, max_action, eps = _bounds(args)
     rows = []
     for w in enumerate_orbit_words(d, max_len, max_action, eps):
@@ -158,8 +176,8 @@ def cmd_cz(args):
     emit(rows, args.format)
 
 
-def cmd_homology(args):
-    d = resolve(load_diagram(args))
+@on_diagram
+def cmd_homology(args, d):
     h1 = h1_presentation(d)
     data = {
         "generators": [f"mu_{i}" for i in h1.surgered],
@@ -179,8 +197,8 @@ def cmd_homology(args):
     emit(data, args.format)
 
 
-def cmd_quiver(args):
-    d = resolve(load_diagram(args))
+@on_diagram
+def cmd_quiver(args, d):
     q = build_quiver(d)
     emit({"vertices": q.vertices,
           "edges": [{"chord": e, "tail": a, "tip": b} for e, a, b in q.edges],
@@ -188,8 +206,8 @@ def cmd_quiver(args):
           "collapsed_h1_rank": q.collapsed_h1_rank()}, args.format)
 
 
-def cmd_grading(args):
-    d = resolve(load_diagram(args))
+@on_diagram
+def cmd_grading(args, d):
     h1 = h1_presentation(d)
     if not h1.finite:
         raise FrontError("intersection grading needs finite first homology")
@@ -205,8 +223,8 @@ def cmd_grading(args):
     emit(rows, args.format)
 
 
-def cmd_chain(args):
-    d = resolve(load_diagram(args))
+@on_diagram
+def cmd_chain(args, d):
     h1 = h1_presentation(d)
     max_len, max_action, eps = _bounds(args)
     if eps is None:
@@ -244,6 +262,8 @@ def cmd_chain(args):
                      "count": "+-1" if c.faces else None,
                      "sign_ambiguous": c.sign_ambiguous}
                     for c in rep.survivors]
+                if rep.truncated:
+                    row["truncated"] = rep.truncated
                 if rep.warning:
                     row["warning"] = rep.warning
         rows.append(row)

@@ -230,7 +230,13 @@ def crossing_monomials(d: ResolvedDiagram):
 
 def orbit_class_monomial(d: ResolvedDiagram, h1: H1Presentation,
                          w: CyclicWord) -> OrbitClass:
-    """Homology class of the orbit of w from its crossing monomials."""
+    """Homology class of the orbit of w from its crossing monomials.
+
+    Memoized per diagram.
+    """
+    key = ("class", w.chords)
+    if key in d.memo:
+        return d.memo[key]
     n = len(d.components)
     total = [Fraction(0)] * n
     singles, pairs = crossing_monomials(d)
@@ -246,7 +252,8 @@ def orbit_class_monomial(d: ResolvedDiagram, h1: H1Presentation,
             vec.append(int(half))
         # meridians of unsurgered components still bound their disks, so
         # their coefficients are null-homologous and drop out
-    return OrbitClass(h1, vec)
+    d.memo[key] = OrbitClass(h1, vec)
+    return d.memo[key]
 
 
 def orbit_class_pushout(d: ResolvedDiagram, h1: H1Presentation,

@@ -58,6 +58,7 @@ class Quiver(object):
         for e, a, b in self.edges:
             seq = [e]
             extend(b)
+        del extend          # the closure refers to itself; this frees it
         return len(seen)
 
     def count_paths(self, start: int, end: int, length: int) -> int:
@@ -76,6 +77,7 @@ class Quiver(object):
                 seq.pop()
 
         extend(start)
+        del extend          # the closure refers to itself; this frees it
         return total
 
 

@@ -11,13 +11,21 @@ from fractions import Fraction
 from math import lcm
 from typing import List, Optional, Tuple
 
-from .diagram import ResolvedDiagram
+from .diagram import DiagramError, ResolvedDiagram
 from .dynamics import hyperbolic_type, is_bad
 from .homology import H1Presentation, orbit_class_monomial
 from .indices import c1_class, cz_integral
 from .quiver import (IGradingVector, bubbling_faces,
                      effective_fiber_vector, i_grading)
 from .words import CyclicWord, enumerate_orbit_words
+
+# The work bound of one generator's candidate search: it stops after
+# examining MAX_NODES products under the action budget (each one visited or
+# cut by a prune), or at the first survivor beyond MAX_SURVIVORS, and its
+# report names the reason.  The survivors it keeps are then the first
+# entries of the full list, in order.
+MAX_NODES = 100_000
+MAX_SURVIVORS = 48
 
 
 class GeneratorRecord(object):
@@ -85,11 +93,14 @@ class Candidate(object):
 
 class CandidateReport(object):
     def __init__(self, source: GeneratorRecord, survivors: List[Candidate],
-                 z_graded: bool, warning: Optional[str] = None):
+                 z_graded: bool, warning: Optional[str] = None,
+                 truncated: Optional[str] = None, nodes: int = 0):
         self.source = source
         self.survivors = survivors
         self.z_graded = z_graded
         self.warning = warning
+        self.truncated = truncated      # None, "nodes" or "survivors"
+        self.nodes = nodes              # products the search examined
 
 
 def _pool_length_cap(d: ResolvedDiagram, target_degree: int) -> Optional[int]:
@@ -128,7 +139,10 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     homology class, and word action under g's with the 3*eps*wordlength
     safety slack, then drops anything whose intersection-grading difference
     has a negative entry.  Constant terms get annotated with the bubbling
-    faces whose corner word is g's word.
+    faces whose corner word is g's word.  The search skips every subtree
+    that degree, the action budget, odd squares or the intersection
+    grading rule out, and stops at the work bound of MAX_NODES and
+    MAX_SURVIVORS, which the report's ``truncated`` names.
     """
     epsilon = Fraction(epsilon)
     slack = 3 * epsilon
@@ -140,8 +154,8 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
         warning = ("degree grading is only mod 2 here; filtering by parity")
     target_degree = g.degree - 1
     budget = g.action + slack * len(g.word.chords)
-    # without a positive per-letter index step the search is action-bounded
-    # only, which stays finite but can be slow on large-budget inputs
+    # without a positive per-letter index step the pool's word length is
+    # bounded by the CLI's --max-len only
     pool_len = _pool_length_cap(d, target_degree) if z_graded else None
     if max_pool_len is not None:
         pool_len = max_pool_len if pool_len is None else min(pool_len,
@@ -158,14 +172,11 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     # the search runs over integers: costs and the budget share one
     # denominator, fiber vectors another, and a difference of fiber sums is
     # integral exactly when its scaled value is divisible by theirs
+    n = len(pool)
     costs = [r.action - slack * len(r.word.chords) for r in pool]
     cost_den = lcm(budget.denominator, *(c.denominator for c in costs))
     costs = [c.numerator * (cost_den // c.denominator) for c in costs]
-    # suffix_min[i] = min(costs[i:]); once it reaches the remaining budget
-    # no later child fits, so the child loop stops there
-    suffix_min = costs[:]
-    for i in range(len(pool) - 2, -1, -1):
-        suffix_min[i] = min(suffix_min[i], suffix_min[i + 1])
+    top = budget.numerator * (cost_den // budget.denominator)
     n_faces = len(d.faces_list)
     acc_i = [0] * n_faces
     acc_cls = [0] * len(h1.surgered)      # meridian vector of the product
@@ -175,32 +186,54 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
         fiber = [[v.numerator * (fiber_den // v.denominator) for v in vec]
                  for vec in vectors]
         target_i = [v * fiber_den for v in g.igrading.values]
-    min_pool_degree = min((r.degree for r in pool), default=0)
+    # Suffix tables over pool[i:], with a row for i = n: the least cost, the
+    # least and greatest degree and, per face, the least scaled fiber count,
+    # the last three capped at 0.  Every cost is positive (the enumeration
+    # rejects a slack of a chord's action), so a node with budget_left whose
+    # children start at i has at most k = (budget_left - 1) // suffix_min[i]
+    # more factors, which add between k * deg_lo[i] and k * deg_hi[i] to its
+    # degree and at least k * fiber_lo[i][c] to its fiber count at face c.
+    # Once suffix_min[i] reaches the budget left no later child fits, so the
+    # child loop stops there.
+    suffix_min = costs + [top]
+    deg_lo = [0] * (n + 1)
+    deg_hi = [0] * (n + 1)
+    fiber_lo = [[0] * n_faces for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        suffix_min[i] = min(costs[i], suffix_min[i + 1])
+        deg_lo[i] = min(pool[i].degree, deg_lo[i + 1])
+        deg_hi[i] = max(pool[i].degree, deg_hi[i + 1])
+        if use_igrading:
+            fiber_lo[i] = [min(v, m) for v, m in zip(fiber[i],
+                                                     fiber_lo[i + 1])]
     found: List[Candidate] = []
     chosen: List[GeneratorRecord] = []
+    nodes = 1                           # the empty product
+    truncated = None
 
-    def consider(degree: int):
+    def consider(degree: int) -> bool:
+        """Keep the product in ``chosen`` if no filter excludes it; True when
+        it is a survivor beyond MAX_SURVIVORS, which ends the search."""
+        nonlocal truncated
         if z_graded:
             if degree != target_degree:
-                return
+                return False
         else:
             if (degree - target_degree) % 2 != 0:
-                return
+                return False
         cls = g.orbit_class
         if h1.reduce(acc_cls) != cls.reduced:
-            return
-        odd_seen = set()
-        for r in chosen:
-            if r.degree % 2 != 0:
-                if r.word.chords in odd_seen:
-                    return          # odd generators square to zero
-                odd_seen.add(r.word.chords)
+            return False
         if use_igrading:
             delta = [t - a for t, a in zip(target_i, acc_i)]
             if any(v % fiber_den for v in delta):
-                return          # fractional: the candidate is not class-zero
+                raise DiagramError("fractional fiber count on a "
+                                   "null-homologous collection")
             if any(v < 0 for v in delta):
-                return
+                return False
+        if len(found) == MAX_SURVIVORS:
+            truncated = "survivors"
+            return True
         trail = {"degree": degree, "class": tuple(cls.reduced),
                  "action": sum((r.action for r in chosen), Fraction(0))}
         if use_igrading:
@@ -219,38 +252,58 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
             found.append(Candidate((), label, faces=faces,
                                    sign_ambiguous=len(faces) > 1,
                                    trail=trail))
+        return False
 
-    def search(start: int, budget_left: int, degree_sum: int):
-        consider(degree_sum)
-        if z_graded and min_pool_degree >= 0 and degree_sum >= target_degree:
-            extendable = degree_sum == target_degree and min_pool_degree == 0
-            if not extendable:
-                return
-        for i in range(start, len(pool)):
+    def search(start: int, budget_left: int, degree_sum: int) -> bool:
+        """Visit the product in ``chosen`` and its extensions by pool[start:]
+        that cost less than budget_left; True once the work bound ends the
+        search."""
+        nonlocal nodes, truncated
+        if consider(degree_sum):
+            return True
+        for i in range(start, n):
             if suffix_min[i] >= budget_left:
                 break
+            left = budget_left - costs[i]
+            if left <= 0:
+                continue
+            # every product under the budget counts, whether a prune cuts
+            # it or not, so the bound covers the prunes' work too
+            if nodes == MAX_NODES:
+                truncated = "nodes"
+                return True
+            nodes += 1
             r = pool[i]
-            cost = costs[i]
-            if cost >= budget_left:
+            degree = degree_sum + r.degree
+            # odd generators square to zero: after one, the next factor is
+            # a later word
+            nxt = i + r.degree % 2
+            k = (left - 1) // suffix_min[nxt]
+            if z_graded and not (k * deg_lo[nxt] <= target_degree - degree
+                                 <= k * deg_hi[nxt]):
                 continue
-            if z_graded and min_pool_degree >= 0 and \
-                    degree_sum + r.degree > target_degree:
-                continue
+            if use_igrading:
+                vec = fiber[i]
+                if any(a + v + k * m > t for a, v, m, t in
+                       zip(acc_i, vec, fiber_lo[nxt], target_i)):
+                    continue
             chosen.append(r)
-            for k, v in enumerate(r.orbit_class.vector):
-                acc_cls[k] += v
+            for c, v in enumerate(r.orbit_class.vector):
+                acc_cls[c] += v
             if use_igrading:
-                vec = fiber[i]
-                for k in range(n_faces):
-                    acc_i[k] += vec[k]
-            search(i, budget_left - cost, degree_sum + r.degree)
+                for c in range(n_faces):
+                    acc_i[c] += vec[c]
+            if search(nxt, left, degree):
+                return True
             if use_igrading:
-                vec = fiber[i]
-                for k in range(n_faces):
-                    acc_i[k] -= vec[k]
-            for k, v in enumerate(r.orbit_class.vector):
-                acc_cls[k] -= v
+                for c in range(n_faces):
+                    acc_i[c] -= vec[c]
+            for c, v in enumerate(r.orbit_class.vector):
+                acc_cls[c] -= v
             chosen.pop()
+        return False
 
-    search(0, budget.numerator * (cost_den // budget.denominator), 0)
-    return CandidateReport(g, found, z_graded, warning)
+    search(0, top, 0)
+    del search          # the closure refers to itself; this frees it
+    return CandidateReport(g, found, z_graded, warning, truncated,
+                           nodes)

@@ -173,6 +173,7 @@ def enumerate_orbit_words(d: ResolvedDiagram,
             seq.pop()
 
     extend(Fraction(0))
+    del extend          # the closure refers to itself; this frees it
     out.sort(key=lambda w: (len(w.chords), w.chords))
     return out
 
@@ -230,6 +231,7 @@ def enumerate_chord_words(d: ResolvedDiagram,
             seq.pop()
 
     extend(Fraction(0))
+    del extend          # the closure refers to itself; this frees it
     out.sort(key=lambda w: (len(w.chords), w.chords))
     return out
 

@@ -636,3 +636,67 @@ def brute_force_candidates(d, h1, g, epsilon, z_graded, max_len):
 
     visit(0, [], budget)
     return found
+
+
+def pruned_search(d, h1, g, epsilon, z_graded, max_len):
+    """(nodes, cuts) of g's candidate search under the library's prunes.
+
+    Walks the tree of ``brute_force_candidates``, but does not enter a
+    child under which no survivor can lie, and counts the children cut for
+    each reason: "odd" (a second copy of an odd-degree word), "degree" (the
+    target degree is out of reach) and "igrading" (some face's fiber count
+    stays above the target's).  With m the least cost among the factors
+    that may still follow the child, at most k = ceil(rest / m) - 1 of them
+    fit the budget ``rest`` left after it, so its subtree adds between k
+    times the least and k times the greatest of their degrees (each capped
+    at 0), and at least k times their least fiber count at each face
+    (capped at 0).  Sums are recomputed in fractions at every child.
+    ``nodes`` counts the products the library examines: the root, every
+    product entered and every child cut by degree or i-grading (a repeated
+    odd word is never examined there)."""
+    from reebchords.quiver import effective_fiber_vector
+
+    slack = 3 * Fraction(epsilon)
+    budget = g.action + slack * len(g.word.chords)
+    target = g.degree - 1
+    pool = candidate_pool(d, h1, g, epsilon, z_graded, max_len)
+    use_igrading = h1.finite and g.orbit_class.is_zero()
+    costs = [r.action - slack * len(r.word.chords) for r in pool]
+    fibers = [effective_fiber_vector(d, h1, r.word) for r in pool] \
+        if use_igrading else []
+    cuts = {"odd": 0, "degree": 0, "igrading": 0}
+    nodes = 0
+
+    def visit(start, chosen, left):
+        nonlocal nodes
+        nodes += 1
+        for i in range(start, len(pool)):
+            r = pool[i]
+            if costs[i] >= left:
+                continue
+            if chosen and chosen[-1] is r and r.degree % 2 != 0:
+                cuts["odd"] += 1
+                continue
+            rest = left - costs[i]
+            later = range(i + r.degree % 2, len(pool))
+            k = 0
+            if later:
+                k = -(-rest // min(costs[j] for j in later)) - 1
+            degree = sum(x.degree for x in chosen) + r.degree
+            degrees = [pool[j].degree for j in later] + [0]
+            if z_graded and not (k * min(degrees) <= target - degree
+                                 <= k * max(degrees)):
+                cuts["degree"] += 1
+                continue
+            if use_igrading:
+                picked = [pool.index(x) for x in chosen] + [i]
+                if any(sum(fibers[j][c] for j in picked)
+                       + k * min([fibers[j][c] for j in later] + [0])
+                       > g.igrading.values[c]
+                       for c in range(len(g.igrading.values))):
+                    cuts["igrading"] += 1
+                    continue
+            visit(i, chosen + [r], rest)
+
+    visit(0, [], budget)
+    return nodes + cuts["degree"] + cuts["igrading"], cuts

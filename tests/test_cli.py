@@ -1,4 +1,7 @@
 import json
+from fractions import Fraction as F
+
+import pytest
 
 from reebchords.cli import main
 
@@ -256,3 +259,123 @@ def test_chain_reports_why_orbit_action_is_missing(tmp_path, capsys):
     for word in ("(r1)", "(r2)", "(r3)"):
         assert "orbit_action" in rows[word]
         assert "orbit_action_error" not in rows[word]
+
+
+def test_grading_and_chain_compute_each_class_once(tmp_path, capsys,
+                                                   monkeypatch):
+    from reebchords import homology, report
+
+    classes, records = [], []
+
+    class CountedClass(homology.OrbitClass):
+        __slots__ = ()
+
+        def __init__(self, h1, vector):
+            classes.append(tuple(vector))
+            super().__init__(h1, vector)
+
+    class CountedRecord(report.GeneratorRecord):
+        __slots__ = ()
+
+        def __init__(self, d, h1, w):
+            records.append(w.chords)
+            super().__init__(d, h1, w)
+
+    monkeypatch.setattr(homology, "OrbitClass", CountedClass)
+    monkeypatch.setattr(report, "GeneratorRecord", CountedRecord)
+    path = write(tmp_path, "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")
+    bounds = ["--max-len", "3", "--input", path]
+    code, out, _ = run(capsys, ["orbits"] + bounds)
+    n_words = len(json.loads(out))
+    code, out, _ = run(capsys, ["grading"] + bounds)
+    assert code == 0
+    # class-zero words have a grading row, and their class is not computed
+    # again for it
+    assert 0 < len(json.loads(out)) < n_words == len(classes)
+    classes.clear()
+    code, out, _ = run(capsys, ["chain", "--epsilon", "1/100"] + bounds)
+    assert code == 0
+    assert any("igrading" in row for row in json.loads(out))
+    assert len(classes) == len(records) == len(set(records))
+
+
+def test_chain_fractional_fiber_difference_exit_3(tmp_path, capsys,
+                                                  monkeypatch):
+    # the class filter admits only null-homologous products, whose fiber
+    # sums are integral; a fractional difference is an internal fault
+    from reebchords import report
+
+    original = report.effective_fiber_vector
+
+    def skewed(d, h1, w, s=None):
+        vec = original(d, h1, w, s)
+        if w.chords == (1,):
+            vec = (vec[0] - F(1, 2),) + vec[1:]
+        return vec
+
+    path = write(tmp_path, "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")
+    argv = ["chain", "--max-len", "2", "--epsilon", "1/100", "--input", path]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert "(r1)(r2)" in out
+    monkeypatch.setattr(report, "effective_fiber_vector", skewed)
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert "fractional fiber count on a null-homologous collection" in err
+
+
+def test_chain_on_item4_input_completes_with_bounded_work(tmp_path, capsys,
+                                                          monkeypatch):
+    # T(2,5) with -1 surgery: the pool holds words of degree -1, and some
+    # generators have 10^4-10^5 survivors, so their searches stop at the
+    # survivor bound and say so
+    from reebchords import cli, report
+
+    reports = []
+
+    def kept(*args, **kwargs):
+        rep = report.differential_candidates(*args, **kwargs)
+        reports.append(rep)
+        return rep
+
+    monkeypatch.setattr(cli, "differential_candidates", kept)
+    path = write(tmp_path, "L1,L3,X2,X2,X2,X2,X2,R1,R1 / surgery {0:-1}")
+    code, out, _ = run(capsys, ["chain", "--max-len", "3", "--epsilon",
+                                "1/100", "--input", path])
+    assert code == 0
+    rows = [row for row in json.loads(out) if "candidates" in row]
+    assert len(rows) == len(reports) > 0
+    truncated = [row for row in rows if "truncated" in row]
+    assert 0 < len(truncated) < len(rows)
+    for row, rep in zip(rows, reports):
+        assert row.get("truncated") == rep.truncated
+    for row in truncated:
+        assert row["truncated"] == "survivors"
+        assert len(row["candidates"]) == report.MAX_SURVIVORS
+    # 10,308 products examined in all when written; without the
+    # degree-reachability prune each of the 21 searches stops at MAX_NODES
+    assert sum(rep.nodes for rep in reports) < 25_000
+
+
+@pytest.mark.parametrize("command", ["chain", "grading"])
+def test_command_leaves_no_cyclic_garbage(tmp_path, capsys, command):
+    # with the cycle collector off, everything the command built must
+    # already be freed by reference counting
+    import gc
+
+    path = write(tmp_path, "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")
+    argv = [command, "--max-len", "2", "--epsilon", "1/100", "--input", path]
+    gc.collect()
+    gc.disable()
+    try:
+        code, _out, _err = run(capsys, argv)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        left = {type(obj).__name__ for obj in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert code == 0
+    assert not left & {"ResolvedDiagram", "CyclicWord", "GeneratorRecord",
+                       "Candidate"}

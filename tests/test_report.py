@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_force_candidates, candidate_pool
+from oracles import brute_force_candidates, candidate_pool, pruned_search
+from reebchords import report
 from reebchords.diagram import parse_front, resolve
 from reebchords.homology import h1_presentation
 from reebchords.quiver import effective_fiber_vector, i_grading
@@ -151,15 +152,28 @@ SEARCH_FRONTS = [
 TIED_FRONT = ("L1,X1,X1,X1,X1,L1,X3,X2,L2,R2,X3,X1,R3,R1 / "
               "orientations {0:+, 1:-} / surgery {0:-1, 1:-1}")
 TIED_WORDS = [(1, 3), (1, 5), (3, 5)]
+# the degree-1 words of length 4 on the Hopf link with -1 surgeries, whose
+# pools hold words of negative degree
+HOPF_MINUS = "L1,L3,X2,X2,R1,R1 / surgery {0:-1, 1:-1}"
+HOPF_MINUS_WORDS = [(1, 2, 4, 4), (1, 3, 2, 4), (1, 3, 3, 2)]
+# c1 is nonzero here, so its searches filter by parity
+PARITY_FRONT = ("L1,X1,X1,L3,X1,X3,R1,L2,X1,X1,X3,R2,R1,L1,R1 / "
+                "orientations {0:+, 1:+, 2:+} / surgery {0:+1, 1:0, 2:-1}")
+# (front, words, max_pool_len) of every search checked against the oracle
+ORACLE_SEARCHES = [(text, None, None) for text in SEARCH_FRONTS] + [
+    (TIED_FRONT, TIED_WORDS, 2),
+    (HOPF_MINUS, HOPF_MINUS_WORDS, 4),
+    (PARITY_FRONT, None, 2)]
 
 
 def searches(text, words=None, max_pool_len=None):
     """(d, h1, g, report, pool length cap) of each good degree-1 generator
-    of length at most 3 on the front, or of the given words."""
+    of length at most max_pool_len (default 3) on the front, or of the
+    given words."""
     d = resolve(parse_front(text))
     h1 = h1_presentation(d)
     if words is None:
-        gens = [g for g in generators(d, h1, max_len=3)
+        gens = [g for g in generators(d, h1, max_len=max_pool_len or 3)
                 if g.good and g.degree == 1]
     else:
         gens = [GeneratorRecord(d, h1, CyclicWord(d, w)) for w in words]
@@ -172,10 +186,16 @@ def searches(text, words=None, max_pool_len=None):
         yield d, h1, g, rep, cap
 
 
+def oracle_cases():
+    for args in ORACLE_SEARCHES:
+        yield from searches(*args)
+
+
 def assert_match_exhaustive_search(cases):
     checked = 0
     for d, h1, g, rep, cap in cases:
         assert g.good and g.degree == 1
+        assert rep.truncated is None
         got = [(tuple(w.chords for w in c.factors), c.trail)
                for c in rep.survivors]
         assert got == brute_force_candidates(d, h1, g, EPS, rep.z_graded,
@@ -193,15 +213,23 @@ def test_candidates_match_exhaustive_search_with_tied_actions():
     assert_match_exhaustive_search(searches(TIED_FRONT, TIED_WORDS, 2))
 
 
+def test_candidates_match_exhaustive_search_with_negative_degrees():
+    assert_match_exhaustive_search(searches(HOPF_MINUS, HOPF_MINUS_WORDS, 4))
+
+
+def test_candidates_match_exhaustive_search_in_parity_mode():
+    cases = list(searches(PARITY_FRONT, max_pool_len=2))
+    assert not any(rep.z_graded for _d, _h1, _g, rep, _cap in cases)
+    assert_match_exhaustive_search(cases)
+
+
 def test_exhaustive_search_cases_reach_cutoff_and_divisibility():
     """The searches above meet a pool whose costs are out of pool order,
     where the child loop's suffix-minimum cutoff differs from stopping at
     the first child over budget, and pools with fractional fiber vectors
     under the i-grading filter, which its divisibility test decides."""
-    cases = [case for text in SEARCH_FRONTS for case in searches(text)]
-    cases += searches(TIED_FRONT, TIED_WORDS, 2)
     unordered = fractional = 0
-    for d, h1, g, rep, cap in cases:
+    for d, h1, g, rep, cap in oracle_cases():
         pool = candidate_pool(d, h1, g, EPS, rep.z_graded, cap)
         costs = [r.action - 3 * EPS * len(r.word.chords) for r in pool]
         unordered += any(a > b for a, b in zip(costs, costs[1:]))
@@ -212,3 +240,46 @@ def test_exhaustive_search_cases_reach_cutoff_and_divisibility():
                 for r in pool)
     assert unordered > 0
     assert fractional > 0
+
+
+def test_exhaustive_search_cases_reach_every_prune():
+    """The searches above visit the products that the oracle's walk under
+    the same prunes enters, and each prune cuts there at least once: odd
+    squares, degree reachability with words of negative degree in the
+    pool, and the intersection-grading bound."""
+    cuts = {"odd": 0, "degree": 0, "igrading": 0}
+    for d, h1, g, rep, cap in oracle_cases():
+        nodes, case_cuts = pruned_search(d, h1, g, EPS, rep.z_graded, cap)
+        assert rep.nodes == nodes
+        pool = candidate_pool(d, h1, g, EPS, rep.z_graded, cap)
+        if not any(r.degree < 0 for r in pool):
+            case_cuts["degree"] = 0
+        for reason, count in case_cuts.items():
+            cuts[reason] += count
+    assert all(count > 0 for count in cuts.values()), cuts
+
+
+def test_truncated_search_keeps_the_first_survivors(monkeypatch):
+    d, h1, g, rep, cap = next(searches(TIED_FRONT, [(1, 5)], 2))
+    full = brute_force_candidates(d, h1, g, EPS, rep.z_graded, cap)
+    assert rep.truncated is None and len(full) == 43
+    for name, value, reason in (
+            ("MAX_SURVIVORS", 10, "survivors"),
+            ("MAX_SURVIVORS", len(full) - 1, "survivors"),
+            ("MAX_SURVIVORS", len(full), None),
+            ("MAX_NODES", 100, "nodes"),
+            ("MAX_NODES", rep.nodes - 1, "nodes"),
+            ("MAX_NODES", rep.nodes, None)):
+        with monkeypatch.context() as m:
+            m.setattr(report, name, value)
+            cut = differential_candidates(g, d, h1, EPS, max_pool_len=cap)
+        got = [(tuple(w.chords for w in c.factors), c.trail)
+               for c in cut.survivors]
+        assert cut.truncated == reason, (name, value)
+        assert got == full[:len(got)]
+        if reason == "survivors":
+            assert len(got) == value
+        elif reason == "nodes":
+            assert cut.nodes == value
+        else:
+            assert len(got) == len(full)
