@@ -13,6 +13,7 @@ from math import lcm
 from typing import List, Tuple
 
 from .diagram import DiagramError, ResolvedDiagram
+from .indices import cz_integral
 from .words import CyclicWord, primitive_decomposition
 
 Poly = Tuple[int, ...]       # coefficients, ascending degree
@@ -138,11 +139,7 @@ def return_map(d: ResolvedDiagram, w: CyclicWord) -> ReturnMapPoly:
 
 def cz_mod2(d: ResolvedDiagram, w: CyclicWord) -> int:
     """Parity of the Conley-Zehnder index of the orbit of w."""
-    total = 0
-    for j1, j2 in w.pairs():
-        s, c, _h = _letter(d, j1, j2)
-        total += (s == -1) + (c == 1)
-    return total % 2
+    return cz_integral(d, w) % 2
 
 
 def hyperbolic_type(d: ResolvedDiagram, w: CyclicWord

@@ -2,16 +2,16 @@
 
 The presentation matrix has the framing coefficients tb + c on the diagonal
 and linking numbers off it, over the surgered components.  Orbit classes
-come both from the crossing-monomial formula and from exact linking numbers
-of push-out curves; both are reduced to a normal form in the cokernel via
-Smith normal form with unimodular transforms.
+come from the crossing-monomial formula, or from the linking numbers of
+push-out curves, which sum the same counts; both are reduced to a normal
+form in the cokernel via Smith normal form with unimodular transforms.
 """
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .diagram import DiagramError, ResolvedDiagram
-from .words import CyclicWord, PushOutCurve
+from .words import CyclicWord, PushOutCurve, chord_counts, pass_counts
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]):
@@ -155,6 +155,18 @@ class H1Presentation(object):
             coords.append(int(s) % dgl if dgl != 0 else int(s))
         return tuple(coords)
 
+    def solve(self, rhs: Sequence[Fraction]) -> List[Fraction]:
+        """The rational x with matrix^T x = rhs, as U^T D^-1 V^T rhs.
+
+        Raises DiagramError when an elementary divisor is zero.
+        """
+        if not self.finite:
+            raise DiagramError("singular relation matrix in grading solve")
+        n = len(self.surgered)
+        y = [Fraction(sum(self.v[j][i] * rhs[j] for j in range(n)),
+                      self.diagonal[i]) for i in range(n)]
+        return [sum(self.u[j][i] * y[j] for j in range(n)) for i in range(n)]
+
     def is_zero(self, vector: Sequence) -> bool:
         return all(c == 0 for c in self.reduce(vector))
 
@@ -197,35 +209,29 @@ class OrbitClass(object):
 def crossing_monomials(d: ResolvedDiagram):
     """(cross_j per chord, cross_{j1,j2} per composable pair), mu coefficients.
 
-    Vectors live over all components.  Chord monomials are half-integral in
-    general and exactly integral on the surgered sublink.  Memoized per
-    diagram.
+    Vectors live over all components, tabulated from ``words.chord_counts``
+    and ``words.pass_counts``; chord monomials are integral on the surgered
+    sublink.  Memoized per diagram.
     """
     if ("crossing_monomials",) in d.memo:
         return d.memo[("crossing_monomials",)]
-    n = len(d.components)
-    singles: Dict[int, List[Fraction]] = {}
-    for c in d.chords:
-        vec = [Fraction(0)] * n
-        vec[c.tail_comp] += Fraction(d.surgery[c.tail_comp] + c.sign, 2)
-        vec[c.tip_comp] += Fraction(d.surgery[c.tip_comp] + c.sign, 2)
-        singles[c.id] = vec
-    pairs: Dict[Tuple[int, int], List[int]] = {}
-    for c1 in d.chords:
-        for c2 in d.chords:
-            if not d.composable(c1.id, c2.id):
-                continue
-            cap = d.capping_path(c1.id, c2.id, "eta")
-            vec = [0] * n
-            for cid, role in cap.interior:
-                ch = d.chord(cid)
-                if role == "tail":
-                    vec[ch.tip_comp] += ch.sign
-                else:
-                    vec[ch.tail_comp] += ch.sign
-            pairs[(c1.id, c2.id)] = vec
+    singles = {c.id: chord_counts(d, c.id) for c in d.chords}
+    pairs = {(c1.id, c2.id): pass_counts(d, c1.id, c2.id, "eta")
+             for c1 in d.chords for c2 in d.chords
+             if d.composable(c1.id, c2.id)}
     d.memo[("crossing_monomials",)] = (singles, pairs)
     return singles, pairs
+
+
+def _half_counts(d: ResolvedDiagram, chords: Sequence[int],
+                 pairs: Sequence[Tuple[int, int]]) -> List[Fraction]:
+    """Half the monomial sum of a word, per component: its linking vector."""
+    singles, cross = crossing_monomials(d)
+    total = [Fraction(0)] * len(d.components)
+    for vec in [singles[j] for j in chords] + [cross[p] for p in pairs]:
+        for i, v in enumerate(vec):
+            total[i] += v
+    return [t / 2 for t in total]
 
 
 def orbit_class_monomial(d: ResolvedDiagram, h1: H1Presentation,
@@ -237,22 +243,12 @@ def orbit_class_monomial(d: ResolvedDiagram, h1: H1Presentation,
     key = ("class", w.chords)
     if key in d.memo:
         return d.memo[key]
-    n = len(d.components)
-    total = [Fraction(0)] * n
-    singles, pairs = crossing_monomials(d)
-    for j1, j2 in w.pairs():
-        for i in range(n):
-            total[i] += singles[j1][i] + pairs[(j1, j2)][i]
-    vec = []
-    for i in range(n):
-        half = total[i] / 2
-        if half.denominator != 1:
-            raise DiagramError(f"non-integral class for {w}: {total}")
-        if i in h1.surgered:
-            vec.append(int(half))
-        # meridians of unsurgered components still bound their disks, so
-        # their coefficients are null-homologous and drop out
-    d.memo[key] = OrbitClass(h1, vec)
+    half = _half_counts(d, w.chords, w.pairs())
+    if any(v.denominator != 1 for v in half):
+        raise DiagramError(f"non-integral class for {w}: {half}")
+    # meridians of unsurgered components still bound their disks, so
+    # their coefficients are null-homologous and drop out
+    d.memo[key] = OrbitClass(h1, [int(half[i]) for i in h1.surgered])
     return d.memo[key]
 
 
@@ -272,24 +268,10 @@ def chord_class_relative(d: ResolvedDiagram, h1: H1Presentation,
                          w) -> Tuple[Fraction, ...]:
     """Relative meridian class of a surviving zero-sublink chord word.
 
-    Computed as the linking vector of the open push-out rel its endpoints:
-    capping-arc passes between consecutive letters plus the standard local
-    count at each chord.  Entries can be half-integral, reflecting paths
-    that end on the zero sublink.
+    The crossing-monomial sum of the open word: capping-arc passes between
+    consecutive letters plus the local count at each chord, halved.  Entries
+    can be half-integral, reflecting paths that end on the zero sublink.
     """
     chords = w.chords
-    counts = {i: Fraction(0) for i in h1.surgered}
-    for a, b in zip(chords, chords[1:]):
-        cap = d.capping_path(a, b, "eta")
-        for cid, role in cap.interior:
-            ch = d.chord(cid)
-            comp = ch.tip_comp if role == "tail" else ch.tail_comp
-            if comp in counts:
-                counts[comp] += ch.sign
-    for j in chords:
-        ch = d.chord(j)
-        for comp, coeff in ((ch.tail_comp, d.surgery[ch.tail_comp]),
-                            (ch.tip_comp, d.surgery[ch.tip_comp])):
-            if comp in counts:
-                counts[comp] += Fraction(coeff + ch.sign, 2)
-    return tuple(counts[i] / 2 for i in h1.surgered)
+    half = _half_counts(d, chords, list(zip(chords, chords[1:])))
+    return tuple(half[i] for i in h1.surgered)

@@ -39,25 +39,28 @@ def rot_number(d: ResolvedDiagram, j1: int, j2: int) -> int:
     return capping_angle(d, j1, j2, "eta").rot
 
 
+def letter_index(d: ResolvedDiagram, j1: int, j2: int) -> int:
+    """The index term rot + [c = +1] of the letter r_j1 -> r_j2, memoized.
+
+    rot is the rotation number of the capping arc and c the coefficient of
+    the component holding r_j1's tip.
+    """
+    key = ("letter_index", j1, j2)
+    if key not in d.memo:
+        d.memo[key] = rot_number(d, j1, j2) + \
+            (d.surgery[d.chord(j1).tip_comp] == 1)
+    return d.memo[key]
+
+
 def cz_integral(d: ResolvedDiagram, w: CyclicWord) -> int:
     """Conley-Zehnder index of the orbit of w in the diagram framing."""
-    total = 0
-    for j1, j2 in w.pairs():
-        total += rot_number(d, j1, j2)
-        if d.surgery[d.chord(j1).tip_comp] == 1:
-            total += 1
-    return total
+    return sum(letter_index(d, j1, j2) for j1, j2 in w.pairs())
 
 
 def chord_grading(d: ResolvedDiagram, w: Word) -> int:
     """The open-word analogue of the index sum, over consecutive pairs only."""
-    total = 0
-    chords = w.chords
-    for k in range(len(chords) - 1):
-        total += rot_number(d, chords[k], chords[k + 1])
-        if d.surgery[d.chord(chords[k]).tip_comp] == 1:
-            total += 1
-    return total
+    return sum(letter_index(d, j1, j2)
+               for j1, j2 in zip(w.chords, w.chords[1:]))
 
 
 def meridian_twist(cz: int, n: int, k: int = 1) -> int:

@@ -5,9 +5,10 @@ chord; its cycles index closed-orbit words, which gives a cheap cross-check
 of enumeration and a home for the positivity/cyclic-equivalence algebra.
 The intersection grading assigns to each null-homologous orbit collection
 an integer per bounded face, computed from push-out winding numbers plus a
-meridian-disk correction solved against the surgery relation matrix.  The
-winding numbers are the push-out's sums of per-piece tables (see
-``words``); no curve is wound here except each component, once per diagram.
+meridian-disk correction solved through the Smith form of the surgery
+relation matrix.  The winding numbers are the push-out's sums of per-piece
+tables (see ``words``); no curve is wound here except each component, once
+per diagram.
 """
 
 from fractions import Fraction
@@ -183,10 +184,7 @@ def effective_fiber_vector(d: ResolvedDiagram, h1: H1Presentation,
         offset /= 2
     else:
         raise DiagramError("push-out keeps hitting a basepoint fiber")
-    n = len(h1.surgered)
-    mat = [[Fraction(h1.matrix[j][i]) for j in range(n)] for i in range(n)]
-    rhs = [-Fraction(curve.linking[i]) for i in h1.surgered]
-    sol = _solve_square(mat, rhs)
+    sol = h1.solve([-curve.linking[i] for i in h1.surgered])
     comp_w = _component_windings(d)
     vec = []
     for k in range(len(d.faces_list)):
@@ -231,27 +229,6 @@ def i_grading(d: ResolvedDiagram, h1: H1Presentation,
                                "collection")
         values.append(int(v))
     return IGradingVector(values)
-
-
-def _solve_square(mat: List[List[Fraction]], rhs: List[Fraction]
-                  ) -> List[Fraction]:
-    n = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise DiagramError("singular relation matrix in grading solve")
-        a[col], a[piv] = a[piv], a[col]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col] / a[col][col]
-                for cc in range(col, n + 1):
-                    a[r][cc] -= f * a[col][cc]
-    return [a[i][n] / a[i][i] for i in range(n)]
 
 
 def delta_i_obstruction(i_plus: IGradingVector,

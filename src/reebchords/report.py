@@ -14,10 +14,10 @@ from typing import List, Optional, Tuple
 from .diagram import DiagramError, ResolvedDiagram
 from .dynamics import hyperbolic_type, is_bad
 from .homology import H1Presentation, orbit_class_monomial
-from .indices import c1_class, cz_integral
+from .indices import c1_class, cz_integral, letter_index
 from .quiver import (IGradingVector, bubbling_faces,
                      effective_fiber_vector, i_grading)
-from .words import CyclicWord, enumerate_orbit_words
+from .words import CyclicWord, enumerate_orbit_words, surgered_chords
 
 # The work bound of one generator's candidate search: it stops after
 # examining MAX_NODES products under the action budget (each one visited or
@@ -107,25 +107,15 @@ def _pool_length_cap(d: ResolvedDiagram, target_degree: int) -> Optional[int]:
     """Largest word length a degree <= target generator can have, if bounded.
 
     Every letter of a word adds at least min_step to its index, where
-    min_step ranges over rot + [c=+1] of the composable pairs; a positive
-    min_step caps the length of candidate factors.
+    min_step ranges over the letter indices of the composable pairs; a
+    positive min_step caps the length of candidate factors.
     """
-    min_step = None
-    for c1 in d.chords:
-        for c2 in d.chords:
-            if d.surgery[c1.tail_comp] == 0 or d.surgery[c1.tip_comp] == 0:
-                continue
-            if d.surgery[c2.tail_comp] == 0 or d.surgery[c2.tip_comp] == 0:
-                continue
-            if not d.composable(c1.id, c2.id):
-                continue
-            r = d.capping_path(c1.id, c2.id, "eta").theta_half_pi // 2
-            if d.surgery[c1.tip_comp] == 1:
-                r += 1
-            min_step = r if min_step is None else min(min_step, r)
-    if min_step is None or min_step <= 0:
+    chords = surgered_chords(d)
+    steps = [letter_index(d, a, b) for a in chords for b in chords
+             if d.composable(a, b)]
+    if not steps or min(steps) <= 0:
         return None
-    return max(1, (target_degree + 1) // min_step)
+    return max(1, (target_degree + 1) // min(steps))
 
 
 def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,

@@ -8,8 +8,9 @@ push-out curves used for homology classes and intersection gradings.
 
 A push-out is made of pieces, one offset arc per (j1, j2, side) and one
 jump per (chord, side in, side out), each built once per diagram and offset
-with its ray crossings at every face basepoint and its linking counts; a
-word's winding and linking numbers are exact sums over its pieces.
+with its end points, ray crossings at every face basepoint and linking
+counts; a word's winding and linking numbers are exact sums over its
+pieces.  ``pass_counts`` and ``chord_counts`` are the one linking rule.
 """
 
 from fractions import Fraction
@@ -114,12 +115,34 @@ def primitive_decomposition(w: CyclicWord) -> Tuple[CyclicWord, int]:
     raise AssertionError("unreachable")
 
 
-def _surgered_chords(d: ResolvedDiagram) -> List[int]:
-    out = []
-    for c in d.chords:
-        if d.surgery[c.tail_comp] != 0 and d.surgery[c.tip_comp] != 0:
-            out.append(c.id)
-    return out
+def surgered_chords(d: ResolvedDiagram) -> List[int]:
+    """Ids of the chords with both ends on the surgered sublink."""
+    return [c.id for c in d.chords
+            if d.surgery[c.tail_comp] != 0 and d.surgery[c.tip_comp] != 0]
+
+
+def _bounds(d: ResolvedDiagram, chords: Iterable[int],
+            max_len: Optional[int], max_action: Optional[Fraction],
+            epsilon: Optional[Fraction]):
+    """The test ``within(action, length)`` of an enumerator's bounds.
+
+    The action bound is relaxed by the slack 3*eps per letter.  A slack of
+    half the least action of a usable chord or more is rejected: below it
+    every letter adds more than half its action, so the slack at most
+    doubles the word length that the action bound allows.
+    """
+    if max_len is None and max_action is None:
+        raise ValueError("need a length or action bound")
+    slack = 3 * epsilon if epsilon is not None else Fraction(0)
+    least = min((d.chord(c).action for c in chords), default=None)
+    if max_action is not None and least is not None and 2 * slack >= least:
+        raise ValueError(f"epsilon too large for the action bound: 6*eps "
+                         f"must stay below the least chord action {least}")
+
+    def within(action: Fraction, length: int) -> bool:
+        return (max_len is None or length <= max_len) and \
+            (max_action is None or action <= max_action + slack * length)
+    return within
 
 
 def enumerate_orbit_words(d: ResolvedDiagram,
@@ -136,22 +159,8 @@ def enumerate_orbit_words(d: ResolvedDiagram,
     """
     if not any(v != 0 for v in d.surgery.values()):
         raise ValueError("empty surgery locus: no orbits exist")
-    if max_len is None and max_action is None:
-        raise ValueError("need a length or action bound")
-    chords = _surgered_chords(d)
-    slack = 3 * epsilon if epsilon is not None else Fraction(0)
-    if max_action is not None and slack > 0:
-        min_act = min(d.chord(c).action for c in chords) if chords else None
-        if min_act is not None and slack >= min_act:
-            raise ValueError("epsilon too large for the action bound")
-
-    def within(action: Fraction, length: int) -> bool:
-        if max_len is not None and length > max_len:
-            return False
-        if max_action is not None and action > max_action + slack * length:
-            return False
-        return True
-
+    chords = surgered_chords(d)
+    within = _bounds(d, chords, max_len, max_action, epsilon)
     out: List[CyclicWord] = []
     seq: List[int] = []
 
@@ -197,17 +206,8 @@ def enumerate_chord_words(d: ResolvedDiagram,
         raise ValueError("empty zero-coefficient sublink")
     if any(d.surgery[i] != 0 for i in lambda0):
         raise ValueError("lambda0 must consist of coefficient-0 components")
-    if max_len is None and max_action is None:
-        raise ValueError("need a length or action bound")
-    slack = 3 * epsilon if epsilon is not None else Fraction(0)
-
-    def within(action, length):
-        if max_len is not None and length > max_len:
-            return False
-        if max_action is not None and action > max_action + slack * length:
-            return False
-        return True
-
+    within = _bounds(d, [c.id for c in d.chords], max_len, max_action,
+                     epsilon)
     out: List[Word] = []
     seq: List[int] = []
 
@@ -264,34 +264,60 @@ def all_orbit_strings(word: CyclicWord) -> List[OrbitString]:
 class PushOutCurve(object):
     """Closed planar curve tracking an orbit pushed off the surgery handles.
 
-    ``points`` is the closed polyline (offset capping arcs joined by short
-    jumps at the chords); ``linking`` maps each component to the exact
-    linking number of the pushed-out orbit with it.  ``windings`` holds the
-    curve's winding numbers around the face basepoints, in ``faces_list``
-    order, summed from the piece tables; it is None when the curve passes
-    through a basepoint.
+    Only the curve's sums are kept: ``linking`` maps each component to the
+    exact linking number of the pushed-out orbit with it, and ``windings``
+    holds the curve's winding numbers around the face basepoints, in
+    ``faces_list`` order; it is None when the curve passes through a
+    basepoint.
     """
 
-    def __init__(self, points, linking: Dict[int, Fraction], word, string,
+    def __init__(self, linking: Dict[int, Fraction], word, string,
                  windings: Optional[Tuple[int, ...]]):
-        self.points = points
         self.linking = linking
         self.word = word
         self.string = string
         self.windings = windings
 
-    def winding(self, point) -> int:
-        return winding_number(self.points, point)
+
+def pass_counts(d: ResolvedDiagram, j1: int, j2: int, side: str
+                ) -> List[int]:
+    """Signed crossing counts per component of a pushed-off capping arc.
+
+    Passing chord c's tail counts c's sign against its tip's component, and
+    the reverse; ``etabar`` arcs count with the sign reversed.
+    """
+    counts = [0] * len(d.components)
+    ride_sign = 1 if side == "eta" else -1
+    for cid, role in d.capping_path(j1, j2, side).interior:
+        ch = d.chord(cid)
+        comp = ch.tip_comp if role == "tail" else ch.tail_comp
+        counts[comp] += ride_sign * ch.sign
+    return counts
+
+
+def chord_counts(d: ResolvedDiagram, j: int) -> List[Fraction]:
+    """The local count at chord j per component: (c + sign)/2 at each end.
+
+    c is the coefficient of the end's component, so the count is integral
+    on the surgered sublink and half-integral elsewhere.
+    """
+    ch = d.chord(j)
+    counts = [Fraction(0)] * len(d.components)
+    for comp in (ch.tail_comp, ch.tip_comp):
+        counts[comp] += Fraction(d.surgery[comp] + ch.sign, 2)
+    return counts
 
 
 class _Piece(NamedTuple):
     """An open piece of push-out curves with its share of their data.
 
-    ``crossings`` are its signed crossings of the leftward ray from each
-    face basepoint, None when it touches one; ``counts`` are its signed
-    crossing counts per component, twice its share of the linking numbers.
+    ``start`` and ``end`` are its end points; ``crossings`` are its signed
+    crossings of the leftward ray from each face basepoint, None when it
+    touches one; ``counts`` are its signed crossing counts per component,
+    twice its share of the linking numbers.
     """
-    points: List
+    start: Tuple
+    end: Tuple
     crossings: Optional[Tuple[int, ...]]
     counts: List[int]
 
@@ -302,7 +328,7 @@ def _piece(d: ResolvedDiagram, points, counts) -> _Piece:
                           for f in d.faces_list)
     except ValueError:
         crossings = None
-    return _Piece(points, crossings, counts)
+    return _Piece(points[0], points[-1], crossings, counts)
 
 
 def _arc(d: ResolvedDiagram, j1: int, j2: int, side: str, offset: Fraction):
@@ -317,13 +343,7 @@ def _arc(d: ResolvedDiagram, j1: int, j2: int, side: str, offset: Fraction):
         ride_side = "left" if coeff == 1 else "right"
         arc = offset_polyline(cap.points, ride_side, offset)
         points = [arc[0]] + [q for p, q in zip(arc, arc[1:]) if q != p]
-        counts = [0] * len(d.components)
-        ride_sign = 1 if side == "eta" else -1
-        for cid, role in cap.interior:
-            ch = d.chord(cid)
-            comp = ch.tip_comp if role == "tail" else ch.tail_comp
-            counts[comp] += ride_sign * ch.sign
-        d.memo[key] = _piece(d, points, counts)
+        d.memo[key] = _piece(d, points, pass_counts(d, j1, j2, side))
     return d.memo[key]
 
 
@@ -341,9 +361,7 @@ def _jump(d: ResolvedDiagram, j: int, side_in: str, side_out: str,
         c_tip = d.surgery[ch.tip_comp]
         if c_tail == 0 or c_tip == 0:
             raise ValueError(f"chord r{j} touches an unsurgered component")
-        counts = [0] * len(d.components)
-        counts[ch.tail_comp] += (c_tail + ch.sign) // 2
-        counts[ch.tip_comp] += (c_tip + ch.sign) // 2
+        counts = [int(x) for x in chord_counts(d, j)]
         # side-dependent local terms: an opposite-side ride reaches the chord
         # across the other strand, trading one crossing with each component
         if side_in == "etabar":                   # ride into the tail
@@ -363,10 +381,9 @@ def push_out(d: ResolvedDiagram, w: CyclicWord,
 
     The curve follows each chosen capping arc at a small offset: on the left
     of the component when its coefficient is +1, on the right when -1 (sides
-    taken relative to the direction of travel).  Linking numbers combine the
-    arc passes past chord endpoints with the standard local count at each
-    chord of the word.  The curve is assembled from the memoized arc and
-    jump pieces, and its winding and linking data are the sums of theirs.
+    taken relative to the direction of travel), and jumps across each chord
+    of the word.  Its winding and linking data are the sums of those of the
+    memoized arc and jump pieces; the curve itself is never assembled.
     """
     if s is None:
         s = OrbitString(w, ["eta"] * len(w.chords))
@@ -375,14 +392,7 @@ def push_out(d: ResolvedDiagram, w: CyclicWord,
     pieces = list(arcs)
     for k, j in enumerate(w.chords):
         pieces.append(_jump(d, j, s.sides[k - 1], s.sides[k], offset,
-                            arcs[k - 1].points[-1], arcs[k].points[0]))
-    pts: List = []
-    for arc in arcs:
-        for p in arc.points:
-            if not pts or pts[-1] != p:
-                pts.append(p)
-    if pts[0] == pts[-1]:
-        pts.pop()
+                            arcs[k - 1].end, arcs[k].start))
     windings: Optional[Tuple[int, ...]] = None
     if all(piece.crossings is not None for piece in pieces):
         windings = tuple(map(sum, zip(*(piece.crossings
@@ -394,4 +404,4 @@ def push_out(d: ResolvedDiagram, w: CyclicWord,
             raise DiagramError(
                 f"odd signed crossing count {tot} with component {comp}")
         linking[comp] = Fraction(tot, 2)
-    return PushOutCurve(pts, linking, w, s, windings)
+    return PushOutCurve(linking, w, s, windings)

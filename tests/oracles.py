@@ -3,7 +3,7 @@
 Everything here deliberately avoids the library's own code paths: polynomial
 arithmetic on dicts, convex polygon clipping for the trimmed affine flow,
 strand-stack simulation for front combinatorics, and the elementary-divisor
-formulas for small integer matrices.
+formulas and a Gauss-Jordan solve for small integer matrices.
 """
 
 from fractions import Fraction
@@ -367,7 +367,7 @@ def front_writhe_and_cusp_counts(front):
     return writhe, linking, down, up
 
 
-# -- elementary divisors of small integer matrices ----------------------------
+# -- elementary divisors and solves of small integer matrices -----------------
 
 def divisors_2x2(m):
     (a, b), (c, d) = m
@@ -381,6 +381,24 @@ def divisors_2x2(m):
     if det == 0:
         return (g, 0)
     return (g, abs(det) // g)
+
+
+def gauss_jordan_solve(mat, rhs):
+    """x with mat x = rhs by Gauss-Jordan elimination over the rationals;
+    AssertionError when mat is singular."""
+    n = len(mat)
+    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])]
+         for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        assert piv is not None, "singular matrix"
+        a[col], a[piv] = a[piv], a[col]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col] / a[col][col]
+                for cc in range(col, n + 1):
+                    a[r][cc] -= f * a[col][cc]
+    return [a[i][n] / a[i][i] for i in range(n)]
 
 
 # -- template realization by brute force --------------------------------------

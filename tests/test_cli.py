@@ -130,6 +130,40 @@ def test_out_of_range_bounds_exit_2(tmp_path, capsys):
         assert (code, out) == (2, "") and "input error" in err, argv
 
 
+# the least action of a usable chord is 32 on both fronts: the surgered
+# chords of the trefoil +1, and every chord of the Hopf link (0, +1)
+SLACK_FRONTS = {"orbits": "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}",
+                "chords": "L1,L3,X2,X2,R1,R1 / surgery {0:0, 1:+1}"}
+
+
+@pytest.mark.parametrize("command, action, eps", [
+    ("orbits", "50", "10"), ("chords", "10", "300"),
+    ("orbits", "50", "16/3"), ("chords", "100", "16/3")])
+def test_slack_of_half_the_least_action_exits_2(tmp_path, capsys, command,
+                                                action, eps):
+    # the first two once ran away: no answer, or a RecursionError
+    path = write(tmp_path, SLACK_FRONTS[command])
+    code, out, err = run(capsys, [command, "--input", path, "--max-action",
+                                  action, "--epsilon", eps])
+    assert (code, out) == (2, "") and "epsilon too large" in err
+
+
+@pytest.mark.parametrize("command, action, words", [
+    ("orbits", "50", 20), ("chords", "100", 1)])
+def test_slack_just_under_the_limit_enumerates(tmp_path, capsys, command,
+                                               action, words):
+    # 6 * 31/6 = 31 < 32; each letter adds more than 32 - 31/2 to the
+    # action, so the orbits stop at length 3
+    path = write(tmp_path, SLACK_FRONTS[command])
+    code, out, _ = run(capsys, [command, "--input", path, "--max-action",
+                                action, "--epsilon", "31/6"])
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == words
+    assert max(row["length"] for row in rows) == (3 if command == "orbits"
+                                                   else 2)
+
+
 def test_cz_builds_each_index_and_return_map_once(tmp_path, capsys,
                                                    monkeypatch):
     from reebchords import cli, dynamics

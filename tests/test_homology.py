@@ -1,12 +1,18 @@
 import itertools
+import random
 from fractions import Fraction
 
-from oracles import divisors_2x2
+import pytest
+
+from oracles import divisors_2x2, gauss_jordan_solve
+from reebchords.diagram import DiagramError, resolve
 from reebchords.homology import (crossing_monomials, h1_presentation,
                                  orbit_class_monomial, orbit_class_pushout,
                                  smith_normal_form)
+from reebchords.quiver import effective_fiber_vector
 from reebchords.words import (CyclicWord, all_orbit_strings,
                               enumerate_orbit_words, push_out)
+from test_realization import seeded_fronts
 
 F = Fraction
 
@@ -169,3 +175,38 @@ def test_relative_chord_class(hopf_mixed):
     # the surviving length-1 loop of the zero sublink links nothing
     short = next(w for w in words if len(w.chords) == 1)
     assert chord_class_relative(d, h1, short) == (F(0),)
+
+
+def check_smith_solve(h1, rng):
+    """The Smith-form solve of matrix^T x = rhs equals Gauss-Jordan's."""
+    n = len(h1.surgered)
+    transpose = [[h1.matrix[j][i] for j in range(n)] for i in range(n)]
+    for _ in range(5):
+        rhs = [F(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(n)]
+        assert h1.solve(rhs) == gauss_jordan_solve(transpose, rhs)
+
+
+@pytest.mark.parametrize("name", [
+    "trefoil_plus", "unknot_minus", "stab_plus", "hopf_plus"])
+def test_smith_solve_matches_gauss_jordan_on_fixtures(name, request):
+    h1 = h1_presentation(request.getfixturevalue(name))
+    assert h1.finite
+    check_smith_solve(h1, random.Random(name))
+
+
+def test_smith_solve_matches_gauss_jordan_on_seeded_fronts():
+    rng = random.Random(7)
+    finite = 0
+    for front in seeded_fronts():
+        h1 = h1_presentation(resolve(front))
+        if h1.finite:
+            check_smith_solve(h1, rng)
+            finite += 1
+    assert finite == 9          # of the ten fronts; one has H1 = Z/7 + Z
+
+
+def test_fiber_vector_needs_finite_h1(unknot_plus):
+    h1 = h1_presentation(unknot_plus)
+    assert not h1.finite
+    with pytest.raises(DiagramError):
+        effective_fiber_vector(unknot_plus, h1, CyclicWord(unknot_plus, [1]))

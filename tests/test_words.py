@@ -141,7 +141,7 @@ def test_push_out_basic(unknot_minus):
     w = CyclicWord(unknot_minus, [1])
     for s in all_orbit_strings(w):
         po = push_out(unknot_minus, w, s)
-        assert len(po.points) >= 4
+        assert po.windings is not None
         assert all(Fraction(v).denominator == 1 for v in po.linking.values())
 
 
@@ -150,13 +150,13 @@ def check_pushouts_against_full_curves(d):
     arcs = {}
     for w in enumerate_orbit_words(d, max_len=4):
         for s in all_orbit_strings(w):
-            offset, pts, windings, linking = full_curve_pushout(d, w, s, arcs)
+            offset, _pts, windings, linking = full_curve_pushout(d, w, s,
+                                                                 arcs)
             earlier = F(1, 8)
             while earlier > offset:
                 assert push_out(d, w, s, earlier).windings is None
                 earlier /= 2
             po = push_out(d, w, s, offset)
-            assert po.points == pts
             assert po.windings == windings
             assert po.linking == linking
 
