@@ -7,20 +7,19 @@ differential-candidate reports.
 """
 
 from .diagram import (DiagramError, FrontCode, FrontError, ResolvedDiagram,
-                      chord_actions, classical_invariants, faces, parse_front,
-                      point_basis, resolve)
+                      parse_front, resolve)
 from .dynamics import (cz_mod2, embed_orbit, hyperbolic_type, is_bad,
                        orbit_action, return_map)
 from .homology import (h1_presentation, crossing_monomials,
-                       orbit_class_monomial, orbit_class_pushout)
+                       orbit_class_monomial)
 from .indices import (capping_angle, c1_class, cz_integral, index_closed,
                       index_disk, index_general, maslov_bcs, meridian_twist)
-from .quiver import (build_quiver, bubbling_faces, cyclic_equivalence,
+from .quiver import (Quiver, bubbling_faces, cyclic_equivalence,
                      delta_i_obstruction, energy_lower_bound,
                      exposed_required, i_grading)
 from .report import differential_candidates, generators
 from .words import (CyclicWord, OrbitString, Word, all_orbit_strings,
-                    canonical_cyclic, enumerate_chord_words,
-                    enumerate_orbit_words, primitive_decomposition, push_out)
+                    enumerate_chord_words, enumerate_orbit_words,
+                    primitive_decomposition, push_out)
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from .diagram import DiagramError, FrontError, parse_front, resolve
 from .dynamics import hyperbolic_from_trace, orbit_action, return_map
 from .homology import h1_presentation, orbit_class_monomial
 from .indices import c1_class, cz_integral
-from .quiver import build_quiver, i_grading
+from .quiver import Quiver, i_grading
 from .report import differential_candidates, generators
 from .words import enumerate_chord_words, enumerate_orbit_words
 
@@ -76,8 +76,7 @@ def load_diagram(args):
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    front = parse_front(text)
-    return front
+    return parse_front(text)
 
 
 def on_diagram(cmd):
@@ -186,7 +185,7 @@ def cmd_homology(args, d):
         "group": h1.group_description(),
         "finite": h1.finite,
     }
-    if args.max_len or args.max_action:
+    if args.max_len is not None or args.max_action is not None:
         max_len, max_action, eps = _bounds(args)
         classes = [(w, orbit_class_monomial(d, h1, w)) for w in
                    enumerate_orbit_words(d, max_len, max_action, eps)]
@@ -199,7 +198,7 @@ def cmd_homology(args, d):
 
 @on_diagram
 def cmd_quiver(args, d):
-    q = build_quiver(d)
+    q = Quiver(d)
     emit({"vertices": q.vertices,
           "edges": [{"chord": e, "tail": a, "tip": b} for e, a, b in q.edges],
           "loops": {str(v): q.loops_at(v) for v in q.vertices},

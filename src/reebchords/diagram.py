@@ -703,37 +703,20 @@ class ResolvedDiagram(object):
 
     def _build_faces(self):
         # split each component cycle at its crossing passages into arcs
-        passages: Dict[int, List[Tuple[Fraction, Point, int]]] = {
+        passages: Dict[int, List[Tuple[Fraction, int, Point]]] = {
             i: [] for i in range(len(self.components))}
         for c in self.chords:
-            passages[c.tail_comp].append((c.tail_loc[1], c.point, c.id))
-            passages[c.tip_comp].append((c.tip_loc[1], c.point, c.id))
+            passages[c.tail_comp].append((c.tail_loc[1], c.id, c.point))
+            passages[c.tip_comp].append((c.tip_loc[1], c.id, c.point))
         arcs = []   # (points, start chord id, end chord id)
         for ci, plist in passages.items():
             plist.sort(key=lambda item: item[0])
-            if not plist:
-                continue
-            cl = self.cheb_len[ci]
-            for k in range(len(plist)):
-                p_from = plist[k]
-                p_to = plist[(k + 1) % len(plist)]
-                pts = [p_from[1]]
-                par = p_from[0]
-                end_par = p_to[0] if p_to[0] > par else p_to[0] + cl[-1]
-                nseg = len(self.segments[ci])
-                si = self._seg_of_param(ci, par)
-                while True:
-                    nxt = (si + 1) % nseg
-                    vpar = cl[si + 1]
-                    if vpar <= par:
-                        vpar += cl[-1]
-                    if vpar >= end_par:
-                        break
-                    pts.append(self.segments[ci][nxt].a)
-                    si = nxt
-                    par = vpar
-                pts.append(p_to[1])
-                arcs.append((pts, p_from[2], p_to[2]))
+            total = self.cheb_len[ci][-1]
+            for k, (par, cid, p) in enumerate(plist):
+                next_par, next_cid, q = plist[(k + 1) % len(plist)]
+                pts = self._walk(ci, par, (next_par - par) % total or total,
+                                 p, q)[0]
+                arcs.append((pts, cid, next_cid))
         self._trace_faces(arcs)
 
     def _seg_of_param(self, comp, par):
@@ -901,9 +884,6 @@ class ResolvedDiagram(object):
     def composable(self, j1: int, j2: int) -> bool:
         return self.chord(j1).tip_comp == self.chord(j2).tail_comp
 
-    def component_length(self, comp: int) -> Fraction:
-        return self.cheb_len[comp][-1]
-
     def capping_path(self, j1: int, j2: int, side: str = "eta"):
         """Capping arc from the tip of r_j1 to the tail of r_j2.
 
@@ -931,40 +911,43 @@ class ResolvedDiagram(object):
             length = -((start - end) % total)
             if length == 0:
                 length = -total
-        pts, turns = self._walk(comp, start, length)
+        pts, turns = self._walk(comp, start, length, c1.point, c2.point)
         interior = self._endpoints_between(comp, start, length)
         cap = CappingPath(j1, j2, side, comp, pts, turns,
                           abs(length) / total, interior)
         self.memo[key] = cap
         return cap
 
-    def _walk(self, comp, start, length):
-        """Sub-polyline from parameter start through signed Chebyshev length."""
+    def _walk(self, comp, start, length, a, b):
+        """Sub-polyline from point a, at parameter start, through signed
+        Chebyshev length to point b."""
         cl = self.cheb_len[comp]
         total = cl[-1]
         segs = self.segments[comp]
         forward = length > 0
         par = start % total
-        pts = [self._point_at_param(comp, par)]
+        # the end parameter, shifted by total at each wrap, so that each
+        # vertex costs one comparison with cl and no arithmetic
+        stop = par + length
+        pts = [a]
         turns = 0
-        remaining = abs(length)
         si = self._seg_of_param(comp, par)
         prev_oct = segs[si].octant if forward else (segs[si].octant + 4) % 8
         while True:
-            gap = (cl[si + 1] - par) if forward else (par - cl[si])
-            if gap >= remaining:
-                par2 = (par + remaining) if forward else (par - remaining)
-                pts.append(self._point_at_param(comp, par2 % total))
-                break
-            remaining -= gap
             if forward:
-                si = (si + 1) % len(segs)
-                par = cl[si]
+                if cl[si + 1] >= stop:
+                    break
+                si += 1
+                if si == len(segs):
+                    si, stop = 0, stop - total
                 oct_new = segs[si].octant
                 vertex = segs[si].a
             else:
-                si = (si - 1) % len(segs)
-                par = cl[si + 1]
+                if cl[si] <= stop:
+                    break
+                si -= 1
+                if si < 0:
+                    si, stop = len(segs) - 1, stop + total
                 oct_new = (segs[si].octant + 4) % 8
                 vertex = segs[si].b
             t = turn_octants(prev_oct, oct_new)
@@ -972,19 +955,11 @@ class ResolvedDiagram(object):
                 raise DiagramError("capping path reverses direction")
             turns += t
             prev_oct = oct_new
-            pts.append(vertex)
-        out = [pts[0]]
-        for p in pts[1:]:
-            if p != out[-1]:
-                out.append(p)
-        return out, turns
-
-    def _point_at_param(self, comp, par):
-        si = self._seg_of_param(comp, par)
-        s = self.segments[comp][si]
-        step = max(abs(s.b[0] - s.a[0]), abs(s.b[1] - s.a[1]))
-        t = (par - self.cheb_len[comp][si]) / step
-        return s.point_at(t)
+            if vertex != pts[-1]:
+                pts.append(vertex)
+        if b != pts[-1]:
+            pts.append(b)
+        return pts, turns
 
     def _endpoints_between(self, comp, start, length):
         """Chord endpoints in the open parameter interval of the walk."""
@@ -1098,20 +1073,3 @@ def resolve(front: FrontCode, action_margin: Fraction = Fraction(32)
         raise
     except ValueError as exc:
         raise DiagramError(f"realization fault: {exc}") from exc
-
-
-def classical_invariants(d: ResolvedDiagram):
-    """(tb per component, rot per component, linking matrix)."""
-    return dict(d.tb), dict(d.rot), [row[:] for row in d.linking]
-
-
-def chord_actions(d: ResolvedDiagram) -> Dict[int, Fraction]:
-    return {c.id: c.action for c in d.chords}
-
-
-def faces(d: ResolvedDiagram) -> List[Face]:
-    return list(d.faces_list)
-
-
-def point_basis(d: ResolvedDiagram) -> List[Point]:
-    return [f.basepoint for f in d.faces_list]

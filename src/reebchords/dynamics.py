@@ -43,13 +43,6 @@ def poly_trim(p: Poly) -> Poly:
     return tuple(p[:n])
 
 
-def poly_eval(p: Poly, u: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * u + c
-    return acc
-
-
 Mat = Tuple[Poly, Poly, Poly, Poly]    # entries a, b, c, d row-major
 
 
@@ -91,13 +84,6 @@ class ReturnMapPoly(object):
         """Trace of sign * entries as a polynomial in u = 1/epsilon."""
         raw = poly_add(self.entries[0], self.entries[3])
         return poly_trim(tuple(self.sign * c for c in raw))
-
-    def trace_at(self, epsilon: Fraction) -> Fraction:
-        return poly_eval(self.trace(), 1 / Fraction(epsilon))
-
-    def matrix_at(self, epsilon: Fraction) -> Tuple[Fraction, ...]:
-        u = 1 / Fraction(epsilon)
-        return tuple(self.sign * poly_eval(p, u) for p in self.entries)
 
 
 J0 = ((0,), (-1,), (1,), (0,))
@@ -193,16 +179,6 @@ class EmbeddingSolution(object):
     def points(self) -> List[Tuple[Fraction, Fraction]]:
         """[(P_k, Q_k)] per letter."""
         return [(Fraction(x, z), Fraction(y, z)) for x, y, z in self.hpoints]
-
-    def apply_step(self, k: int, u: Tuple[Fraction, Fraction]):
-        r, m, t = self.steps[k]
-        return (Fraction(-r, self.scale) * u[1],
-                (r * u[0] + m * u[1] + t) / Fraction(self.scale))
-
-    def apply_all(self, u: Tuple[Fraction, Fraction]):
-        for k in range(len(self.steps)):
-            u = self.apply_step(k, u)
-        return u
 
 
 def embed_orbit(d: ResolvedDiagram, w: CyclicWord,

@@ -2,16 +2,15 @@
 
 The presentation matrix has the framing coefficients tb + c on the diagonal
 and linking numbers off it, over the surgered components.  Orbit classes
-come from the crossing-monomial formula, or from the linking numbers of
-push-out curves, which sum the same counts; both are reduced to a normal
-form in the cokernel via Smith normal form with unimodular transforms.
+come from the crossing-monomial formula and are reduced to a normal form in
+the cokernel via Smith normal form with unimodular transforms.
 """
 
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .diagram import DiagramError, ResolvedDiagram
-from .words import CyclicWord, PushOutCurve, chord_counts, pass_counts
+from .words import CyclicWord, chord_counts, pass_counts
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]):
@@ -91,32 +90,6 @@ def smith_normal_form(m: Sequence[Sequence[int]]):
     return a, u, v
 
 
-def _det(m: Sequence[Sequence[int]]) -> int:
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for i in range(n):
-        piv = None
-        for r in range(i, n):
-            if a[r][i] != 0:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != i:
-            a[i], a[piv] = a[piv], a[i]
-            det = -det
-        det *= a[i][i]
-        for r in range(i + 1, n):
-            f = a[r][i] / a[i][i]
-            for c in range(i, n):
-                a[r][c] -= f * a[i][c]
-    assert det.denominator == 1
-    return int(det)
-
-
 class H1Presentation(object):
     """Meridian presentation of the first homology after surgery."""
 
@@ -133,7 +106,9 @@ class H1Presentation(object):
                 else:
                     self.matrix[a][b] = d.linking[i][j]
         self.snf, self.u, self.v = smith_normal_form(self.matrix)
-        if abs(_det(self.u)) != 1 or abs(_det(self.v)) != 1:
+        # a square integer matrix is unimodular when its Smith form is I
+        if any(row[k] != 1 for t in (self.u, self.v)
+               for k, row in enumerate(smith_normal_form(t)[0])):
             raise DiagramError("SNF transforms are not unimodular")
         self.diagonal = [self.snf[k][k] for k in range(n)]
         for x, y in zip(self.diagonal, self.diagonal[1:]):
@@ -166,9 +141,6 @@ class H1Presentation(object):
         y = [Fraction(sum(self.v[j][i] * rhs[j] for j in range(n)),
                       self.diagonal[i]) for i in range(n)]
         return [sum(self.u[j][i] * y[j] for j in range(n)) for i in range(n)]
-
-    def is_zero(self, vector: Sequence) -> bool:
-        return all(c == 0 for c in self.reduce(vector))
 
     def group_description(self) -> str:
         parts = [f"Z/{x}" for x in self.torsion] + ["Z"] * self.free_rank
@@ -250,18 +222,6 @@ def orbit_class_monomial(d: ResolvedDiagram, h1: H1Presentation,
     # their coefficients are null-homologous and drop out
     d.memo[key] = OrbitClass(h1, [int(half[i]) for i in h1.surgered])
     return d.memo[key]
-
-
-def orbit_class_pushout(d: ResolvedDiagram, h1: H1Presentation,
-                        p: PushOutCurve) -> OrbitClass:
-    """Homology class of a pushed-out orbit from exact linking numbers."""
-    vec = []
-    for i in h1.surgered:
-        lk = p.linking[i]
-        if Fraction(lk).denominator != 1:
-            raise DiagramError("half-integral linking number in push-out")
-        vec.append(int(lk))
-    return OrbitClass(h1, vec)
 
 
 def chord_class_relative(d: ResolvedDiagram, h1: H1Presentation,

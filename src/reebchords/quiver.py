@@ -1,8 +1,8 @@
 """The chord quiver, intersection gradings, and obstruction predicates.
 
 The quiver has one vertex per link component and one directed edge per
-chord; its cycles index closed-orbit words, which gives a cheap cross-check
-of enumeration and a home for the positivity/cyclic-equivalence algebra.
+chord; its cycles index closed-orbit words, and it is the home of the
+positivity/cyclic-equivalence algebra.
 The intersection grading assigns to each null-homologous orbit collection
 an integer per bounded face, computed from push-out winding numbers plus a
 meridian-disk correction solved through the Smith form of the surgery
@@ -12,7 +12,7 @@ per diagram.
 """
 
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .diagram import DiagramError, Face, ResolvedDiagram
 from .geometry import winding_number
@@ -27,63 +27,15 @@ class Quiver(object):
     def __init__(self, d: ResolvedDiagram):
         if not d.chords:
             raise ValueError("empty diagram has no quiver")
-        self.diagram = d
         self.vertices = list(range(len(d.components)))
         self.edges = [(c.id, c.tail_comp, c.tip_comp) for c in d.chords]
 
     def loops_at(self, vertex: int) -> List[int]:
         return [e for e, a, b in self.edges if a == b == vertex]
 
-    def edges_from(self, vertex: int) -> List[Tuple[int, int]]:
-        return [(e, b) for e, a, b in self.edges if a == vertex]
-
     def collapsed_h1_rank(self) -> int:
         """First Betti number of the one-vertex collapse: one per edge."""
         return len(self.edges)
-
-    def count_cycles(self, length: int) -> int:
-        """Number of cyclic edge words of exactly this length, up to rotation."""
-        seen = set()
-        seq: List[int] = []
-
-        def extend(at):
-            if len(seq) == length:
-                if self.diagram.composable(seq[-1], seq[0]):
-                    seen.add(canonical_rotation(seq))
-                return
-            for e, b in self.edges_from(at):
-                seq.append(e)
-                extend(b)
-                seq.pop()
-
-        for e, a, b in self.edges:
-            seq = [e]
-            extend(b)
-        del extend          # the closure refers to itself; this frees it
-        return len(seen)
-
-    def count_paths(self, start: int, end: int, length: int) -> int:
-        total = 0
-        seq: List[int] = []
-
-        def extend(at):
-            nonlocal total
-            if len(seq) == length:
-                if at == end:
-                    total += 1
-                return
-            for e, b in self.edges_from(at):
-                seq.append(e)
-                extend(b)
-                seq.pop()
-
-        extend(start)
-        del extend          # the closure refers to itself; this frees it
-        return total
-
-
-def build_quiver(d: ResolvedDiagram) -> Quiver:
-    return Quiver(d)
 
 
 def cyclic_equivalence(x: Sequence[int], y: Sequence[int]) -> bool:
@@ -103,14 +55,6 @@ def cyclic_equivalence(x: Sequence[int], y: Sequence[int]) -> bool:
     return canonical_rotation(x) == canonical_rotation(y)
 
 
-def chord_count_vector(words: Iterable, n_chords: int) -> Tuple[int, ...]:
-    counts = [0] * (n_chords + 1)
-    for w in words:
-        for c in w.chords:
-            counts[c] += 1
-    return tuple(counts[1:])
-
-
 def exposed_required(d: ResolvedDiagram,
                      positive: Sequence[CyclicWord],
                      negative: Sequence[CyclicWord]) -> bool:
@@ -121,8 +65,9 @@ def exposed_required(d: ResolvedDiagram,
     """
     if positive and not negative:
         return True
-    n = len(d.chords)
-    return chord_count_vector(positive, n) != chord_count_vector(negative, n)
+    # the collapse has first homology free on the chords: compare counts
+    return sorted(c for w in positive for c in w.chords) != \
+        sorted(c for w in negative for c in w.chords)
 
 
 class IGradingVector(object):

@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 from .diagram import DiagramError, ResolvedDiagram
 from .dynamics import hyperbolic_type, is_bad
 from .homology import H1Presentation, orbit_class_monomial
-from .indices import c1_class, cz_integral, letter_index
+from .indices import canonical_grading_valid, cz_integral, letter_index
 from .quiver import (IGradingVector, bubbling_faces,
                      effective_fiber_vector, i_grading)
 from .words import CyclicWord, enumerate_orbit_words, surgered_chords
@@ -136,12 +136,9 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     """
     epsilon = Fraction(epsilon)
     slack = 3 * epsilon
-    z_graded = True
-    warning = None
-    if any(v != 0 for v in c1_class(d)) or not (
-            h1.finite or g.orbit_class.is_zero()):
-        z_graded = False
-        warning = ("degree grading is only mod 2 here; filtering by parity")
+    z_graded = canonical_grading_valid(d, h1.finite, g.orbit_class.is_zero())
+    warning = None if z_graded else \
+        "degree grading is only mod 2 here; filtering by parity"
     target_degree = g.degree - 1
     budget = g.action + slack * len(g.word.chords)
     # without a positive per-letter index step the pool's word length is
@@ -157,7 +154,7 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     if z_graded:
         pool = [r for r in pool if r.degree <= target_degree]
     pool.sort(key=lambda r: (r.action, r.word.chords))
-    use_igrading = h1.finite and g.orbit_class.is_zero()
+    use_igrading = g.igrading is not None
 
     # the search runs over integers: costs and the budget share one
     # denominator, fiber vectors another, and a difference of fiber sums is

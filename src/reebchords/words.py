@@ -98,11 +98,6 @@ class CyclicWord(Word):
         return [self.chords[k:] + self.chords[:k] for k in range(n)]
 
 
-def canonical_cyclic(w: Word) -> CyclicWord:
-    """Canonical representative of the cyclic class of a composable word."""
-    return CyclicWord(w.diagram, w.chords)
-
-
 def primitive_decomposition(w: CyclicWord) -> Tuple[CyclicWord, int]:
     """Write w = v^k with v primitive and k maximal."""
     seq = w.chords

@@ -2,19 +2,19 @@
 
 Everything here deliberately avoids the library's own code paths: polynomial
 arithmetic on dicts, convex polygon clipping for the trimmed affine flow,
-strand-stack simulation for front combinatorics, and the elementary-divisor
-formulas and a Gauss-Jordan solve for small integer matrices.
+strand-stack simulation for front combinatorics, brute-force quiver counts,
+and the elementary-divisor formulas and a Gauss-Jordan solve for small
+integer matrices.  Second routes through library results that only the
+tests need live here too: return maps and embedding steps evaluated at an
+epsilon, and orbit classes read off push-out linking numbers.
 """
 
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
 
 # -- tiny polynomial/matrix arithmetic (dict-based, unlike the library) ------
-
-def pzero():
-    return {}
-
 
 def padd(p, q):
     out = dict(p)
@@ -70,6 +70,25 @@ def reference_return_map(d, word):
 
 def peval(p, u):
     return sum(Fraction(v) * u ** k for k, v in p.items())
+
+
+def poly_eval(p, u):
+    """A library polynomial (coefficient tuple, ascending) at u, by Horner."""
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * u + c
+    return acc
+
+
+def trace_at(rm, epsilon):
+    """Trace of a library ``ReturnMapPoly`` at this epsilon."""
+    return poly_eval(rm.trace(), 1 / Fraction(epsilon))
+
+
+def matrix_at(rm, epsilon):
+    """Entries (a, b, c, d) of a library ``ReturnMapPoly`` at this epsilon."""
+    u = 1 / Fraction(epsilon)
+    return tuple(rm.sign * poly_eval(p, u) for p in rm.entries)
 
 
 # -- the affine orbit model composed in Fraction arithmetic -------------------
@@ -139,6 +158,20 @@ def fraction_embedding(d, w, epsilon):
                 f"orbit of {w} escapes the handle at epsilon {epsilon}: "
                 f"|P| = {abs(p)}")
     return pts
+
+
+def apply_step(emb, k, u):
+    """Letter k's integer step of a library ``EmbeddingSolution`` applied
+    to the Fraction point u."""
+    r, m, t = emb.steps[k]
+    return (Fraction(-r, emb.scale) * u[1],
+            (r * u[0] + m * u[1] + t) / Fraction(emb.scale))
+
+
+def apply_all(emb, u):
+    for k in range(len(emb.steps)):
+        u = apply_step(emb, k, u)
+    return u
 
 
 def fraction_orbit_action(d, w, epsilon, pts):
@@ -367,6 +400,31 @@ def front_writhe_and_cusp_counts(front):
     return writhe, linking, down, up
 
 
+# -- the chord quiver by brute force -------------------------------------------
+
+def count_cycles(d, length):
+    """Cyclic words of composable chords of exactly this length, up to
+    rotation, over every letter sequence."""
+    seen = set()
+    for seq in itertools.product([c.id for c in d.chords], repeat=length):
+        if all(d.composable(seq[k - 1], seq[k]) for k in range(length)):
+            seen.add(min(seq[k:] + seq[:k] for k in range(length)))
+    return len(seen)
+
+
+def edges_from(d, vertex):
+    """(chord, tip component) of each chord leaving the component."""
+    return [(c.id, c.tip_comp) for c in d.chords if c.tail_comp == vertex]
+
+
+def count_paths(d, start, end, length):
+    """Chord paths of exactly this length from component start to end."""
+    ends = [start]
+    for _ in range(length):
+        ends = [b for a in ends for _e, b in edges_from(d, a)]
+    return ends.count(end)
+
+
 # -- elementary divisors and solves of small integer matrices -----------------
 
 def divisors_2x2(m):
@@ -585,6 +643,18 @@ def full_curve_pushout(d, w, s, arcs):
             counts[ch.tail_comp] -= ch.sign
     linking = {i: Fraction(t, 2) for i, t in counts.items()}
     return offset, pts, windings, linking
+
+
+def orbit_class_pushout(h1, p):
+    """Homology class of a pushed-out orbit from its linking numbers."""
+    from reebchords.homology import OrbitClass
+
+    vec = []
+    for i in h1.surgered:
+        assert Fraction(p.linking[i]).denominator == 1, \
+            "half-integral linking number in push-out"
+        vec.append(int(p.linking[i]))
+    return OrbitClass(h1, vec)
 
 
 # -- differential candidates by exhaustive search -----------------------------

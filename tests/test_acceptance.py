@@ -9,18 +9,19 @@ import itertools
 import sys
 from fractions import Fraction
 
-from oracles import (point_in_convex, poly_diameter_sq, step_maps,
-                     trimmed_flow_polygon, divisors_2x2)
+from oracles import (orbit_class_pushout, point_in_convex, poly_diameter_sq,
+                     step_maps, trimmed_flow_polygon, divisors_2x2)
 from reebchords.dynamics import (cz_mod2, embed_orbit, is_bad, mat_det,
                                  orbit_action, return_map)
 from reebchords.homology import (crossing_monomials, h1_presentation,
-                                 orbit_class_monomial, orbit_class_pushout,
+                                 orbit_class_monomial,
                                  smith_normal_form)
 from reebchords.indices import capping_angle, cz_integral, rot_number
-from reebchords.quiver import build_quiver, bubbling_faces, i_grading
+from reebchords.quiver import Quiver, bubbling_faces, i_grading
 from reebchords.report import GeneratorRecord, differential_candidates, generators
 from reebchords.words import (CyclicWord, all_orbit_strings,
                               enumerate_orbit_words, push_out)
+from test_quiver import TABLE as IGRADING_TABLE, paper_face_order
 
 F = Fraction
 EPS = F(1, 100)
@@ -105,29 +106,6 @@ def test_criterion_3(trefoil_plus, trefoil_minus, trefoil_plus_h1,
 
 # -- 4: intersection gradings --------------------------------------------------
 
-IGRADING_TABLE = {
-    ((4,),): (0, 0, 0, 0, 1, 0),
-    ((1,), (1,)): (-1, 0, -2, -1, 1, 1),
-    ((2,), (2,)): (1, 2, 2, 1, -1, -1),
-    ((3,), (3,)): (-1, -2, 0, -1, 1, 1),
-    ((1,), (2,)): (0, 1, 0, 0, 0, 0),
-    ((1,), (3,)): (-1, -1, -1, -1, 1, 1),
-    ((2,), (3,)): (0, 0, 1, 0, 0, 0),
-}
-
-
-def paper_face_order(d):
-    by_corners = {}
-    for f in d.faces_list:
-        by_corners[tuple(sorted(f.corner_chords()))] = f.id
-    top = next(f.id for f in d.faces_list
-               if len(f.corners) > 2 and 4 in f.corner_chords())
-    bottom = next(f.id for f in d.faces_list
-                  if len(f.corners) > 2 and 5 in f.corner_chords())
-    return [top, by_corners[(1, 2)], by_corners[(2, 3)], bottom,
-            by_corners[(4,)], by_corners[(5,)]]
-
-
 def test_criterion_4(trefoil_plus, trefoil_plus_h1):
     d, h1 = trefoil_plus, trefoil_plus_h1
     perm = paper_face_order(d)
@@ -199,7 +177,7 @@ def test_criterion_7(stab_plus):
 # -- 8: Hopf quiver ------------------------------------------------------------
 
 def test_criterion_8(hopf_plus):
-    q = build_quiver(hopf_plus)
+    q = Quiver(hopf_plus)
     ok = len(q.vertices) == 2 and len(q.edges) == 4
     ok &= len(q.loops_at(0)) == 1 and len(q.loops_at(1)) == 1
     across = sorted((a, b) for _e, a, b in q.edges if a != b)
@@ -265,7 +243,7 @@ def test_criterion_9e(trefoil_plus, trefoil_minus):
             target = orbit_class_monomial(d, h1, w)
             for s in all_orbit_strings(w):
                 po = push_out(d, w, s)
-                ok &= orbit_class_pushout(d, h1, po) == target
+                ok &= orbit_class_pushout(h1, po) == target
     report("9e", "push-out homology class equals the monomial class for "
                  "every capping-side choice, trefoil words length <= 3", ok)
 

@@ -130,6 +130,15 @@ def test_out_of_range_bounds_exit_2(tmp_path, capsys):
         assert (code, out) == (2, "") and "input error" in err, argv
 
 
+def test_homology_rejects_zero_bounds(tmp_path, capsys):
+    # a bound of 0 is given, not missing: it must not drop the classes
+    path = write(tmp_path, "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")
+    for argv, message in ((["--max-len", "0"], "--max-len must be at least 1"),
+                          (["--max-action", "0"], "must be positive")):
+        code, out, err = run(capsys, ["homology", "--input", path] + argv)
+        assert (code, out) == (2, "") and message in err, argv
+
+
 # the least action of a usable chord is 32 on both fronts: the surgered
 # chords of the trefoil +1, and every chord of the Hopf link (0, +1)
 SLACK_FRONTS = {"orbits": "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}",

@@ -3,9 +3,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import front_writhe_and_cusp_counts, trace_front
-from reebchords.diagram import (FrontError, chord_actions,
-                                classical_invariants, faces, parse_front,
-                                point_basis, resolve)
+from reebchords.diagram import FrontError, parse_front, resolve
 from reebchords.geometry import winding_number
 
 F = Fraction
@@ -131,7 +129,7 @@ def self_seg(d, c, which):
 
 def test_classical_invariants_against_front_oracle(any_diagram):
     d = any_diagram
-    tb, rot, lk = classical_invariants(d)
+    tb, rot, lk = d.tb, d.rot, d.linking
     writhe, linking, down, up = front_writhe_and_cusp_counts(d.front)
     n_right = {i: 0 for i in tb}
     for wid, (ev, _p) in d.front._deaths.items():
@@ -155,33 +153,32 @@ def test_examples_tb_rot(trefoil_plus, unknot_plus, stab_plus):
 
 
 def test_face_count_examples(trefoil_plus, unknot_plus, stab_plus):
-    assert len(faces(unknot_plus)) == 2
-    assert len(faces(trefoil_plus)) == 6
-    assert len(faces(stab_plus)) == 3
+    assert len(unknot_plus.faces_list) == 2
+    assert len(trefoil_plus.faces_list) == 6
+    assert len(stab_plus.faces_list) == 3
 
 
 def test_stokes_identity_per_face(any_diagram):
     d = any_diagram
-    actions = chord_actions(d)
-    for f in faces(d):
-        total = sum(sign * actions[cid] for cid, _q, sign in f.corners)
+    for f in d.faces_list:
+        total = sum(sign * d.chord(cid).action for cid, _q, sign in f.corners)
         assert total == f.area
 
 
 def test_total_area_identity(any_diagram):
     d = any_diagram
-    assert sum(f.area for f in faces(d)) == d.outer_area
+    assert sum(f.area for f in d.faces_list) == d.outer_area
 
 
 def test_basepoints_interior(any_diagram):
     d = any_diagram
-    for f, bp in zip(faces(d), point_basis(d)):
-        assert winding_number(f.boundary, bp) == 1
+    for f in d.faces_list:
+        assert winding_number(f.boundary, f.basepoint) == 1
 
 
 def test_unknot_lobe_areas_match_action(unknot_plus):
-    a1, a2 = [f.area for f in faces(unknot_plus)]
-    act = chord_actions(unknot_plus)[1]
+    a1, a2 = [f.area for f in unknot_plus.faces_list]
+    act = unknot_plus.chord(1).action
     assert a1 == a2 == act
 
 

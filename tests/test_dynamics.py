@@ -3,13 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (fraction_composite, fraction_embedding,
-                     fraction_orbit_action, padd, peval, point_in_convex,
-                     poly_diameter_sq, pscale, reference_return_map,
-                     step_maps, trimmed_flow_polygon)
+from oracles import (apply_all, fraction_composite, fraction_embedding,
+                     fraction_orbit_action, matrix_at, padd, peval,
+                     point_in_convex, poly_diameter_sq, poly_eval, pscale,
+                     reference_return_map, step_maps, trace_at,
+                     trimmed_flow_polygon)
 from reebchords.diagram import DiagramError
 from reebchords.dynamics import (cz_mod2, embed_orbit, hyperbolic_type,
-                                 is_bad, orbit_action, poly_eval, return_map,
+                                 is_bad, orbit_action, return_map,
                                  twist_height)
 from reebchords.indices import rot_number
 from reebchords.words import CyclicWord, enumerate_orbit_words
@@ -80,7 +81,7 @@ def test_power_trace_consistency(trefoil_plus):
     diag = trefoil_plus
     for base in ((1,), (4,), (1, 2)):
         prim = CyclicWord(diag, base)
-        m = return_map(diag, prim).matrix_at(EPS)
+        m = matrix_at(return_map(diag, prim), EPS)
         power = (F(1), F(0), F(0), F(1))
         for k in range(1, 4):
             p0, p1, p2, p3 = power
@@ -88,7 +89,7 @@ def test_power_trace_consistency(trefoil_plus):
             power = (p0 * m0 + p1 * m2, p0 * m1 + p1 * m3,
                      p2 * m0 + p3 * m2, p2 * m1 + p3 * m3)
             cover = CyclicWord(diag, base * k)
-            assert return_map(diag, cover).trace_at(EPS) == power[0] + power[3]
+            assert trace_at(return_map(diag, cover), EPS) == power[0] + power[3]
 
 
 def test_cz_mod2_examples(unknot_plus, unknot_minus, trefoil_minus):
@@ -101,7 +102,7 @@ def test_cz_mod2_against_trace_sign(trefoil_plus, trefoil_minus):
     """det(Ret - I) = 2 - tr has sign (-1)^(cz2 + 1) for small epsilon."""
     for d in (trefoil_plus, trefoil_minus):
         for w in all_words(d, 3):
-            tr = return_map(d, w).trace_at(EPS)
+            tr = trace_at(return_map(d, w), EPS)
             sign = 1 if 2 - tr > 0 else -1
             assert sign == (-1) ** (cz_mod2(d, w) + 1)
 
@@ -114,7 +115,7 @@ def test_hyperbolic_type(unknot_plus, unknot_minus, trefoil_plus):
     for w in all_words(trefoil_plus, 3):
         _, eps_w = hyperbolic_type(trefoil_plus, w)
         for eps in (EPS, eps_w / 2, eps_w * F(99, 100)):
-            assert abs(return_map(trefoil_plus, w).trace_at(eps)) > 2
+            assert abs(trace_at(return_map(trefoil_plus, w), eps)) > 2
 
 
 def test_is_bad(unknot_plus, unknot_minus):
@@ -130,7 +131,7 @@ def test_embed_orbit_fixed_point(trefoil_plus, unknot_minus):
                     (trefoil_plus, (1, 2))):
         w = CyclicWord(d, base)
         emb = embed_orbit(d, w, EPS)
-        assert emb.apply_all(emb.points[0]) == emb.points[0]
+        assert apply_all(emb, emb.points[0]) == emb.points[0]
         for p, _q in emb.points:
             assert abs(p) < EPS
 
@@ -196,14 +197,14 @@ def check_against_fraction_model(d, w, eps):
     assert act_err == want_err, (w, eps)
     rm = return_map(d, w)
     lin, _off = fraction_composite(step_maps(d, w, eps))
-    at_eps = rm.matrix_at(eps)
-    assert at_eps == lin and rm.trace_at(eps) == lin[0] + lin[3]
-    assert all(exact(v) for v in at_eps + (rm.trace_at(eps),))
+    at_eps = matrix_at(rm, eps)
+    assert at_eps == lin and trace_at(rm, eps) == lin[0] + lin[3]
+    assert all(exact(v) for v in at_eps + (trace_at(rm, eps),))
     if want_err is not None:
         return want_err[0].__name__
     assert got.points == want
     assert all(exact(v) for pt in got.points for v in pt)
-    assert got.apply_all(got.points[0]) == got.points[0]
+    assert apply_all(got, got.points[0]) == got.points[0]
     assert act == fraction_orbit_action(d, w, eps, want) and exact(act)
     return "ok"
 

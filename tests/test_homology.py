@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import divisors_2x2, gauss_jordan_solve
+from oracles import divisors_2x2, gauss_jordan_solve, orbit_class_pushout
+from reebchords import homology
 from reebchords.diagram import DiagramError, resolve
 from reebchords.homology import (crossing_monomials, h1_presentation,
-                                 orbit_class_monomial, orbit_class_pushout,
-                                 smith_normal_form)
+                                 orbit_class_monomial, smith_normal_form)
 from reebchords.quiver import effective_fiber_vector
 from reebchords.words import (CyclicWord, all_orbit_strings,
                               enumerate_orbit_words, push_out)
@@ -117,11 +117,11 @@ def test_pushout_class_examples(unknot_minus, trefoil_plus, trefoil_plus_h1):
     w = CyclicWord(unknot_minus, [1])
     po = push_out(unknot_minus, w)
     # the meridian class of the lens space
-    assert orbit_class_pushout(unknot_minus, h1u, po).reduced == (1,)
+    assert orbit_class_pushout(h1u, po).reduced == (1,)
     w4 = CyclicWord(trefoil_plus, [4])
     from reebchords.words import OrbitString
     po4 = push_out(trefoil_plus, w4, OrbitString(w4, ["etabar"]))
-    assert orbit_class_pushout(trefoil_plus, trefoil_plus_h1, po4).is_zero()
+    assert orbit_class_pushout(trefoil_plus_h1, po4).is_zero()
     assert po4.linking[0] == 0
 
 
@@ -133,7 +133,7 @@ def test_pushout_equals_monomial_everywhere(trefoil_plus, trefoil_minus,
             target = orbit_class_monomial(d, h1, w)
             for s in all_orbit_strings(w):
                 po = push_out(d, w, s)
-                assert orbit_class_pushout(d, h1, po) == target
+                assert orbit_class_pushout(h1, po) == target
 
 
 def test_class_additive_under_covers(trefoil_plus, trefoil_plus_h1):
@@ -203,6 +203,25 @@ def test_smith_solve_matches_gauss_jordan_on_seeded_fronts():
             check_smith_solve(h1, rng)
             finite += 1
     assert finite == 9          # of the ten fronts; one has H1 = Z/7 + Z
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_non_unimodular_snf_transform_raises(hopf_plus, monkeypatch, which):
+    """Doubling a row of U (which = 1) or V (which = 2) of the first Smith
+    form doubles its determinant, and the presentation must reject it."""
+    real = homology.smith_normal_form
+    calls = []
+
+    def doubled(m):
+        out = list(real(m))
+        if not calls:
+            out[which] = [[2 * x for x in out[which][0]]] + out[which][1:]
+        calls.append(m)
+        return tuple(out)
+
+    monkeypatch.setattr(homology, "smith_normal_form", doubled)
+    with pytest.raises(DiagramError, match="SNF transforms are not unimodular"):
+        homology.H1Presentation(hopf_plus)
 
 
 def test_fiber_vector_needs_finite_h1(unknot_plus):

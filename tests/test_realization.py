@@ -5,16 +5,17 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (all_pairs_double_points, fd_sizing_rows,
-                     front_writhe_and_cusp_counts)
+                     front_writhe_and_cusp_counts, orbit_class_pushout)
 from reebchords import diagram
 from reebchords.diagram import (FrontCode, _sizing_rows, _template,
                                 parse_front, resolve)
 from reebchords.geometry import polyline_integral_y_dx
-from reebchords.homology import (h1_presentation, orbit_class_monomial,
-                                 orbit_class_pushout)
+from reebchords.homology import h1_presentation, orbit_class_monomial
 from reebchords.indices import capping_angle
+from reebchords.report import GeneratorRecord
 from reebchords.words import all_orbit_strings, enumerate_orbit_words, push_out
 
 F = Fraction
@@ -79,14 +80,13 @@ def check_classes(d):
     for w in enumerate_orbit_words(d, max_len=2)[:4]:
         target = orbit_class_monomial(d, h1, w)
         for s in all_orbit_strings(w):
-            assert orbit_class_pushout(d, h1, push_out(d, w, s)) == target
+            assert orbit_class_pushout(h1, push_out(d, w, s)) == target
 
 
-def seeded_fronts():
-    """Ten random fronts with random surgery coefficients and orientations."""
-    rng = random.Random(18251)
-    done = 0
-    while done < 10:
+def surgered_front(rng):
+    """A random valid front with random surgery coefficients, not all 0,
+    and random orientations."""
+    while True:
         events = random_front(rng)
         try:
             front = FrontCode(events)
@@ -98,8 +98,39 @@ def seeded_fronts():
             surgery[0] = 1
         orientations = {i: rng.choice([1, -1])
                         for i in range(front.n_components)}
-        yield FrontCode(events, orientations, surgery)
-        done += 1
+        return FrontCode(events, orientations, surgery)
+
+
+def seeded_fronts():
+    """Ten random fronts with random surgery coefficients and orientations."""
+    rng = random.Random(18251)
+    for _ in range(10):
+        yield surgered_front(rng)
+
+
+def realization_data(d):
+    """tb, rot, H1 and, per orbit word of length <= 2, its CZ index,
+    reduced class, bad flag and i-grading, with each face named by its
+    corner word: data that must not depend on the realization."""
+    h1 = h1_presentation(d)
+    names = [min(f.corners[k:] + f.corners[:k] for k in range(len(f.corners)))
+             for f in d.faces_list]
+    words = {}
+    for w in enumerate_orbit_words(d, max_len=2):
+        r = GeneratorRecord(d, h1, w)
+        words[w.chords] = (r.cz, r.orbit_class.reduced, r.bad, None
+                           if r.igrading is None else
+                           sorted(zip(names, r.igrading.values)))
+    return d.tb, d.rot, h1.diagonal, words
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_invariants_do_not_depend_on_the_action_margin(seed):
+    front = surgered_front(random.Random(seed))
+    data = [realization_data(resolve(front, action_margin=F(m)))
+            for m in (7, 32, 101)]
+    assert data[0] == data[1] == data[2]
 
 
 def torus(n):

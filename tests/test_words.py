@@ -9,8 +9,8 @@ from reebchords.geometry import offset_polyline
 from reebchords.homology import h1_presentation
 from reebchords.report import generators
 from reebchords.words import (CyclicWord, OrbitString, Word,
-                              all_orbit_strings, canonical_cyclic,
-                              enumerate_chord_words, enumerate_orbit_words,
+                              all_orbit_strings, enumerate_chord_words,
+                              enumerate_orbit_words,
                               primitive_decomposition, push_out)
 
 F = Fraction
@@ -18,22 +18,22 @@ F = Fraction
 
 def test_canonical_cyclic_examples(trefoil_plus):
     d = trefoil_plus
-    assert canonical_cyclic(Word(d, [2, 3, 1])).chords == (1, 2, 3)
-    assert canonical_cyclic(Word(d, [1])).chords == (1,)
-    assert canonical_cyclic(Word(d, [5, 4])).chords == (4, 5)
+    assert CyclicWord(d, [2, 3, 1]).chords == (1, 2, 3)
+    assert CyclicWord(d, [1]).chords == (1,)
+    assert CyclicWord(d, [5, 4]).chords == (4, 5)
 
 
 def test_canonical_cyclic_rotation_invariant(trefoil_plus):
     d = trefoil_plus
     for w in enumerate_orbit_words(d, max_len=3):
         for rot in w.rotations():
-            assert canonical_cyclic(Word(d, rot)) == w
+            assert CyclicWord(d, rot) == w
 
 
 def test_canonical_cyclic_idempotent(trefoil_plus):
     d = trefoil_plus
-    w = canonical_cyclic(Word(d, [3, 1, 2]))
-    assert canonical_cyclic(w) == w
+    w = CyclicWord(d, [3, 1, 2])
+    assert CyclicWord(d, w.chords) == w
 
 
 def test_word_validation(hopf_mixed):
