@@ -151,7 +151,7 @@ def cmd_orbits(args, d):
 def cmd_chords(args, d):
     max_len, max_action, eps = _bounds(args)
     rows = []
-    for w in enumerate_chord_words(d, None, max_len, max_action, eps):
+    for w in enumerate_chord_words(d, max_len, max_action, eps):
         rows.append({"word": "".join(f"r{c}" for c in w.chords),
                      "length": len(w.chords),
                      "action": frac_str(w.action())})

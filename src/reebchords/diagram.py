@@ -143,7 +143,9 @@ class FrontCode(object):
         self._births = births
         self._deaths = deaths
         self._death_pairs = death_pairs
-        # trace components: alternate death-joins and birth-joins
+        # trace components: alternate death-joins and birth-joins, so each
+        # cycle's even entries run from birth to death and its odd entries
+        # from death to birth
         comp_of_wire: Dict[int, int] = {}
         comps: List[List[int]] = []
         for start in sorted(births):
@@ -161,6 +163,7 @@ class FrontCode(object):
                 wid = births[partner][1]
             comps.append(cycle)
         self.n_components = len(comps)
+        self.wire_cycles = comps
         self.component_of_wire = comp_of_wire
         self.n_cusps = n_cusps
         self.n_crossings = n_crossings
@@ -199,6 +202,20 @@ def _parse_assoc(body: str, what: str) -> Dict[int, str]:
     return out
 
 
+def _event(tok) -> Tuple[str, int]:
+    """One event from a token ``L<i>``, ``R<i>`` or ``X<i>``, or from a pair
+    ``[kind, position]`` with an integer position."""
+    if isinstance(tok, str):
+        m = EVENT_RE.match(tok.strip())
+        if m:
+            return m.group(1), int(m.group(2))
+    elif isinstance(tok, (list, tuple)) and len(tok) == 2 \
+            and tok[0] in ("L", "R", "X") and isinstance(tok[1], int) \
+            and not isinstance(tok[1], bool):
+        return tok[0], tok[1]
+    raise FrontError(f"bad event token {tok!r}")
+
+
 def parse_front(text) -> FrontCode:
     """Parse a front from grammar text or its JSON-style equivalent.
 
@@ -218,26 +235,19 @@ def parse_front(text) -> FrontCode:
         else:
             data = None
     if data is not None:
-        events = []
-        for tok in data.get("events", []):
-            if isinstance(tok, str):
-                m = EVENT_RE.match(tok.strip())
-                if not m:
-                    raise FrontError(f"bad event token {tok!r}")
-                events.append((m.group(1), int(m.group(2))))
-            else:
-                events.append((tok[0], int(tok[1])))
-        return FrontCode(events, data.get("orientations"), data.get("surgery"))
+        events = data.get("events")
+        if not isinstance(events, (list, tuple)) or not events:
+            raise FrontError("events must be a non-empty list")
+        for key in ("orientations", "surgery"):
+            if not isinstance(data.get(key, {}), dict):
+                raise FrontError(f"{key} must be an object")
+        return FrontCode([_event(tok) for tok in events],
+                         data.get("orientations"), data.get("surgery"))
 
     parts = [p.strip() for p in text.split("/")]
     if not parts or not parts[0]:
         raise FrontError("empty event list")
-    events = []
-    for tok in parts[0].split(","):
-        m = EVENT_RE.match(tok.strip())
-        if not m:
-            raise FrontError(f"bad event token {tok!r}")
-        events.append((m.group(1), int(m.group(2))))
+    events = [_event(tok) for tok in parts[0].split(",")]
     orientations = None
     surgery = None
     for part in parts[1:]:
@@ -393,35 +403,14 @@ def _build_wires(front: FrontCode, stretches, spacings):
 def _assemble_components(front: FrontCode, wires) -> List[List[Point]]:
     """Closed point cycles of the components, joined from their wires."""
     cycles: List[List[Point]] = []
-    seen = set()
-    order = []
-    for start in sorted(front._births):
-        if start in seen:
-            continue
+    for cycle in front.wire_cycles:
         pts: List[Point] = []
-        wid = start
-        forward = True
-        while True:
-            seen.add(wid)
-            chunk = wires[wid].points if forward else wires[wid].points[::-1]
-            if pts and pts[-1] == chunk[0]:
-                pts.extend(chunk[1:])
-            else:
-                pts.extend(chunk)
-            if forward:
-                wid = front._deaths[wid][1]
-            else:
-                wid = front._births[wid][1]
-            forward = not forward
-            if wid == start and forward:
-                break
+        for k, wid in enumerate(cycle):
+            chunk = wires[wid].points[::-1] if k % 2 else wires[wid].points
+            pts.extend(chunk[1:] if pts and pts[-1] == chunk[0] else chunk)
         if pts[0] == pts[-1]:
             pts.pop()
         cycles.append(pts)
-        order.append(front.component_of_wire[start])
-    # births are sorted, so cycles already come out in component order
-    if order != sorted(order):
-        raise DiagramError("component assembly out of order")
     return cycles
 
 

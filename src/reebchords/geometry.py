@@ -111,12 +111,11 @@ def segment_intersection(s1: Segment, s2: Segment) -> Optional[Point]:
     return None
 
 
-def polyline_integral_y_dx(points: Sequence[Point], closed: bool = True) -> Fraction:
-    """Exact integral of y dx along the polyline (trapezoid rule is exact)."""
+def polyline_integral_y_dx(points: Sequence[Point]) -> Fraction:
+    """Exact integral of y dx around the closed polyline (trapezoid rule)."""
     total = Fraction(0)
     n = len(points)
-    last = n if closed else n - 1
-    for i in range(last):
+    for i in range(n):
         a = points[i]
         b = points[(i + 1) % n]
         total += (a[1] + b[1]) * (b[0] - a[0]) / 2
@@ -222,9 +221,9 @@ def turning_number(points: Sequence[Point]) -> Fraction:
     return Fraction(total, 8)
 
 
-def offset_polyline(points: Sequence[Point], side: str, amount: Fraction,
-                    closed: bool = False) -> List[Point]:
-    """Push a polyline off to one side using rational per-octant normals.
+def offset_polyline(points: Sequence[Point], side: str,
+                    amount: Fraction) -> List[Point]:
+    """Push an open polyline off to one side using rational per-octant normals.
 
     ``side`` is 'left' or 'right' relative to the direction of travel.  The
     normal for a diagonal octant is scaled by 1/2 so every displacement has
@@ -233,15 +232,7 @@ def offset_polyline(points: Sequence[Point], side: str, amount: Fraction,
     """
     if side not in ("left", "right"):
         raise ValueError(f"bad side {side!r}")
-    segs = []
-    n = len(points)
-    last = n if closed else n - 1
-    for i in range(last):
-        a, b = points[i], points[(i + 1) % n]
-        if a == b:
-            continue
-        segs.append(Segment(a, b))
-    out: List[Point] = []
+    segs = [Segment(a, b) for a, b in zip(points, points[1:]) if a != b]
     shifted = []
     for s in segs:
         dx, dy = s.direction()
@@ -250,13 +241,8 @@ def offset_polyline(points: Sequence[Point], side: str, amount: Fraction,
         off = (nx * scale, ny * scale)
         shifted.append(((s.a[0] + off[0], s.a[1] + off[1]),
                         (s.b[0] + off[0], s.b[1] + off[1])))
-    m = len(shifted)
-    if not closed:
-        out.append(shifted[0][0])
-    rng = range(m) if closed else range(m - 1)
-    for i in rng:
-        a1, b1 = shifted[i]
-        a2, b2 = shifted[(i + 1) % m]
+    out: List[Point] = [shifted[0][0]]
+    for (a1, b1), (a2, b2) in zip(shifted, shifted[1:]):
         d1 = sub(b1, a1)
         d2 = sub(b2, a2)
         denom = cross(d1, d2)
@@ -265,6 +251,5 @@ def offset_polyline(points: Sequence[Point], side: str, amount: Fraction,
             continue
         t = cross(sub(a2, a1), d2) / denom
         out.append((a1[0] + t * d1[0], a1[1] + t * d1[1]))
-    if not closed:
-        out.append(shifted[-1][1])
+    out.append(shifted[-1][1])
     return out

@@ -50,13 +50,9 @@ def _simplex(tab, basis, n_cols):
 def solve_lp(n: int,
              eq: Sequence[Tuple[Sequence[Fraction], Fraction]],
              ge: Sequence[Tuple[Sequence[Fraction], Fraction]],
-             minimize: Optional[Sequence[Fraction]] = None
-             ) -> Optional[List[Fraction]]:
-    """Find x >= 0 with eq rows a.x == b and ge rows a.x >= b.
-
-    Returns None when infeasible.  With ``minimize`` given, a second phase
-    minimizes that linear objective over the feasible set.
-    """
+             minimize: Sequence[Fraction]) -> Optional[List[Fraction]]:
+    """Minimize the linear objective ``minimize`` over x >= 0 with eq rows
+    a.x == b and ge rows a.x >= b; None when infeasible."""
     rows = []
     for a, b in eq:
         rows.append(([Fraction(v) for v in a], Fraction(b), "eq"))
@@ -97,18 +93,17 @@ def solve_lp(n: int,
                     _pivot(tab, basis, r, j)
                     break
     tab.pop()
-    if minimize is not None:
-        obj = [Fraction(v) for v in minimize] + \
-            [Fraction(0)] * (n_slack + m) + [Fraction(0)]
-        # express objective in terms of the current basis
-        for r in range(m):
-            if basis[r] < n and obj[basis[r]] != 0:
-                factor = obj[basis[r]]
-                obj = [a - factor * b for a, b in zip(obj, tab[r])]
-        tab.append(obj)
-        if not _simplex(tab, basis, n + n_slack):
-            raise ValueError("unbounded objective")
-        tab.pop()
+    obj = [Fraction(v) for v in minimize] + \
+        [Fraction(0)] * (n_slack + m) + [Fraction(0)]
+    # express objective in terms of the current basis
+    for r in range(m):
+        if basis[r] < n and obj[basis[r]] != 0:
+            factor = obj[basis[r]]
+            obj = [a - factor * b for a, b in zip(obj, tab[r])]
+    tab.append(obj)
+    if not _simplex(tab, basis, n + n_slack):
+        raise ValueError("unbounded objective")
+    tab.pop()
     x = [Fraction(0)] * n
     for r in range(m):
         if basis[r] < n:

@@ -194,12 +194,12 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
             fiber_lo[i] = [min(v, m) for v, m in zip(fiber[i],
                                                      fiber_lo[i + 1])]
     found: List[Candidate] = []
-    chosen: List[GeneratorRecord] = []
+    chosen: List[int] = []              # pool indices of the product's factors
     nodes = 1                           # the empty product
     truncated = None
 
     def consider(degree: int) -> bool:
-        """Keep the product in ``chosen`` if no filter excludes it; True when
+        """Keep the product of ``chosen`` if no filter excludes it; True when
         it is a survivor beyond MAX_SURVIVORS, which ends the search."""
         nonlocal truncated
         if z_graded:
@@ -222,12 +222,12 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
             truncated = "survivors"
             return True
         trail = {"degree": degree, "class": tuple(cls.reduced),
-                 "action": sum((r.action for r in chosen), Fraction(0))}
+                 "action": sum((pool[j].action for j in chosen), Fraction(0))}
         if use_igrading:
             trail["delta_i"] = tuple(v // fiber_den for v in delta)
         if chosen:
             found.append(Candidate(
-                tuple(r.word for r in chosen),
+                tuple(pool[j].word for j in chosen),
                 "unobstructed, count unknown", trail=trail))
         else:
             faces = [f for f, word in bubbling_faces(d)
@@ -241,56 +241,55 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
                                    trail=trail))
         return False
 
-    def search(start: int, budget_left: int, degree_sum: int) -> bool:
-        """Visit the product in ``chosen`` and its extensions by pool[start:]
-        that cost less than budget_left; True once the work bound ends the
-        search."""
-        nonlocal nodes, truncated
-        if consider(degree_sum):
-            return True
-        for i in range(start, n):
-            if suffix_min[i] >= budget_left:
-                break
-            left = budget_left - costs[i]
-            if left <= 0:
+    # Depth first over the products, children in pool order: one frame
+    # [next child, budget left, degree sum] for the empty product and one
+    # for each factor in ``chosen``.  Popping a factor's frame takes its
+    # class and fiber vectors back off the sums.
+    stack = [] if consider(0) else [[0, top, 0]]
+    while stack:
+        frame = stack[-1]
+        i, budget_left, degree_sum = frame
+        if suffix_min[i] >= budget_left:
+            stack.pop()
+            if chosen:
+                j = chosen.pop()
+                for c, v in enumerate(pool[j].orbit_class.vector):
+                    acc_cls[c] -= v
+                if use_igrading:
+                    for c in range(n_faces):
+                        acc_i[c] -= fiber[j][c]
+            continue
+        frame[0] = i + 1
+        left = budget_left - costs[i]
+        if left <= 0:
+            continue
+        # every product under the budget counts, whether a prune cuts it or
+        # not, so the bound covers the prunes' work too
+        if nodes == MAX_NODES:
+            truncated = "nodes"
+            break
+        nodes += 1
+        r = pool[i]
+        degree = degree_sum + r.degree
+        # odd generators square to zero: after one, the next factor is a
+        # later word
+        nxt = i + r.degree % 2
+        k = (left - 1) // suffix_min[nxt]
+        if z_graded and not (k * deg_lo[nxt] <= target_degree - degree
+                             <= k * deg_hi[nxt]):
+            continue
+        if use_igrading:
+            vec = fiber[i]
+            if any(a + v + k * m > t for a, v, m, t in
+                   zip(acc_i, vec, fiber_lo[nxt], target_i)):
                 continue
-            # every product under the budget counts, whether a prune cuts
-            # it or not, so the bound covers the prunes' work too
-            if nodes == MAX_NODES:
-                truncated = "nodes"
-                return True
-            nodes += 1
-            r = pool[i]
-            degree = degree_sum + r.degree
-            # odd generators square to zero: after one, the next factor is
-            # a later word
-            nxt = i + r.degree % 2
-            k = (left - 1) // suffix_min[nxt]
-            if z_graded and not (k * deg_lo[nxt] <= target_degree - degree
-                                 <= k * deg_hi[nxt]):
-                continue
-            if use_igrading:
-                vec = fiber[i]
-                if any(a + v + k * m > t for a, v, m, t in
-                       zip(acc_i, vec, fiber_lo[nxt], target_i)):
-                    continue
-            chosen.append(r)
-            for c, v in enumerate(r.orbit_class.vector):
-                acc_cls[c] += v
-            if use_igrading:
-                for c in range(n_faces):
-                    acc_i[c] += vec[c]
-            if search(nxt, left, degree):
-                return True
-            if use_igrading:
-                for c in range(n_faces):
-                    acc_i[c] -= vec[c]
-            for c, v in enumerate(r.orbit_class.vector):
-                acc_cls[c] -= v
-            chosen.pop()
-        return False
-
-    search(0, top, 0)
-    del search          # the closure refers to itself; this frees it
+            for c in range(n_faces):
+                acc_i[c] += vec[c]
+        chosen.append(i)
+        for c, v in enumerate(r.orbit_class.vector):
+            acc_cls[c] += v
+        if consider(degree):
+            break
+        stack.append([nxt, left, degree])
     return CandidateReport(g, found, z_graded, warning, truncated,
                            nodes)

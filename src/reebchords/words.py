@@ -157,77 +157,59 @@ def enumerate_orbit_words(d: ResolvedDiagram,
     chords = surgered_chords(d)
     within = _bounds(d, chords, max_len, max_action, epsilon)
     out: List[CyclicWord] = []
-    seq: List[int] = []
-
-    def extend(action: Fraction):
-        if seq and d.composable(seq[-1], seq[0]):
-            if tuple(seq) == canonical_rotation(seq) and within(action, len(seq)):
-                out.append(CyclicWord(d, seq))
-        for c in chords:
-            nxt_action = action + d.chord(c).action
-            if not within(nxt_action, len(seq) + 1):
-                continue
-            if seq and not d.composable(seq[-1], c):
-                continue
-            # canonical words start with their minimal letter
-            if seq and c < seq[0]:
-                continue
-            seq.append(c)
-            extend(nxt_action)
-            seq.pop()
-
-    extend(Fraction(0))
-    del extend          # the closure refers to itself; this frees it
-    out.sort(key=lambda w: (len(w.chords), w.chords))
+    # one level per word length, each in lexicographic order: a level
+    # extends the previous one's words in order by each chord in id order
+    level: List[Tuple[Tuple[int, ...], Fraction]] = [((), Fraction(0))]
+    while level:
+        longer = []
+        for seq, action in level:
+            for c in chords:
+                # canonical words start with their minimal letter
+                if seq and (c < seq[0] or not d.composable(seq[-1], c)):
+                    continue
+                nxt_action = action + d.chord(c).action
+                if within(nxt_action, len(seq) + 1):
+                    longer.append((seq + (c,), nxt_action))
+        level = longer
+        out.extend(CyclicWord(d, seq) for seq, _ in level
+                   if d.composable(seq[-1], seq[0])
+                   and seq == canonical_rotation(seq))
     return out
 
 
 def enumerate_chord_words(d: ResolvedDiagram,
-                          lambda0: Optional[Iterable[int]] = None,
                           max_len: Optional[int] = None,
                           max_action: Optional[Fraction] = None,
                           epsilon: Optional[Fraction] = None) -> List[Word]:
     """Words naming chords of the coefficient-0 sublink after surgery.
 
-    The first chord starts on a component of ``lambda0`` (default: every
-    component with coefficient 0), the last ends there, and all intermediate
-    endpoints lie on the surgered sublink.
+    The first chord starts on a component with coefficient 0, the last ends
+    on one, and all intermediate endpoints lie on the surgered sublink.
     """
-    if lambda0 is None:
-        lambda0 = {i for i, v in d.surgery.items() if v == 0}
-    else:
-        lambda0 = set(lambda0)
+    lambda0 = {i for i, v in d.surgery.items() if v == 0}
     if not lambda0:
         raise ValueError("empty zero-coefficient sublink")
-    if any(d.surgery[i] != 0 for i in lambda0):
-        raise ValueError("lambda0 must consist of coefficient-0 components")
     within = _bounds(d, [c.id for c in d.chords], max_len, max_action,
                      epsilon)
     out: List[Word] = []
-    seq: List[int] = []
-
-    def extend(action):
-        if seq and d.chord(seq[-1]).tip_comp in lambda0:
-            out.append(Word(d, seq))
-        for c in d.chords:
-            if not seq:
-                if c.tail_comp not in lambda0:
+    # one level per word length, each in lexicographic order; a word that
+    # ends on the zero sublink is complete and is not extended
+    level: List[Tuple[Tuple[int, ...], Fraction]] = [((), Fraction(0))]
+    while level:
+        longer = []
+        for seq, action in level:
+            for c in d.chords:
+                if (not d.composable(seq[-1], c.id) if seq
+                        else c.tail_comp not in lambda0):
                     continue
-            else:
-                if not d.composable(seq[-1], c.id):
+                nxt_action = action + c.action
+                if not within(nxt_action, len(seq) + 1):
                     continue
-                if d.chord(seq[-1]).tip_comp in lambda0:
-                    continue        # interior endpoints stay on the handles
-            nxt = action + c.action
-            if not within(nxt, len(seq) + 1):
-                continue
-            seq.append(c.id)
-            extend(nxt)
-            seq.pop()
-
-    extend(Fraction(0))
-    del extend          # the closure refers to itself; this frees it
-    out.sort(key=lambda w: (len(w.chords), w.chords))
+                if c.tip_comp in lambda0:
+                    out.append(Word(d, seq + (c.id,)))
+                else:       # interior endpoints stay on the handles
+                    longer.append((seq + (c.id,), nxt_action))
+        level = longer
     return out
 
 

@@ -422,3 +422,51 @@ def test_command_leaves_no_cyclic_garbage(tmp_path, capsys, command):
     assert code == 0
     assert not left & {"ResolvedDiagram", "CyclicWord", "GeneratorRecord",
                        "Candidate"}
+
+
+@pytest.mark.parametrize("command", ["parse", "invariants"])
+@pytest.mark.parametrize("text", [
+    '{"events": [["L"]]}',
+    '{"events": [5]}',
+    '{"events": null}',
+    '{"events": ["L1", "L2", "R1", "R1"], "surgery": [1]}',
+    '{"events": ["L1", "R1"], "orientations": "+"}',
+    '{"events": []}',
+    '{"surgery": {"0": 1}}',
+    '{"events": [["L", 1.5], ["R", 1]]}',
+    '{"events": [["L", true], ["R", 1]]}',
+    '{"events": [["L", "1"], ["R", 1]]}',
+    '{"events": [["Q", 1], ["R", 1]]}',
+])
+def test_malformed_json_front_exits_2(tmp_path, capsys, command, text):
+    path = write(tmp_path, text)
+    code, out, err = run(capsys, [command, "--input", path])
+    assert (code, out) == (2, "") and err.startswith("input error:"), err
+
+
+# contact 1/3 surgery on the tb = 1 trefoil: +1 surgery on three Reeb
+# push-offs of it
+TREFOIL_3_COPY = ("L1,L1,L1,X2,X4,X3,L7,L7,L7,X8,X10,X9,X6,X5,X4,X7,X6,X5,"
+                  "X8,X7,X6,X6,X5,X4,X7,X6,X5,X8,X7,X6,X6,X5,X4,X7,X6,X5,"
+                  "X8,X7,X6,X3,X2,X4,R1,R1,R1,X3,X2,X4,R1,R1,R1 "
+                  "/ surgery {0:+1, 1:+1, 2:+1}")
+
+
+def test_chain_on_the_trefoil_3_copy_certifies_a_constant_term(tmp_path,
+                                                                capsys):
+    # products here can have more factors than Python's recursion limit
+    # has frames, so the candidate search must keep its own stack
+    path = write(tmp_path, TREFOIL_3_COPY)
+    code, out, _ = run(capsys, ["homology", "--input", path])
+    assert code == 0 and json.loads(out)["group"] == "Z/4"
+    code, out, err = run(capsys, ["chain", "--max-len", "1", "--epsilon",
+                                  "1/100", "--input", path])
+    assert code == 0, err
+    rows = {row["word"]: row for row in json.loads(out)}
+    assert all(row.get("truncated") in (None, "nodes", "survivors")
+               for row in rows.values())
+    r37 = rows["(r37)"]
+    assert "truncated" not in r37
+    [constant] = r37["candidates"]
+    assert (constant["monomial"], constant["count"]) == ("1", "+-1")
+    assert constant["faces"]

@@ -102,6 +102,23 @@ def test_enumeration_bound_modes(trefoil_plus):
     assert set(w.chords for w in words) <= set(w.chords for w in more)
 
 
+@pytest.mark.parametrize("text", [
+    "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}",
+    "L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:-1}",
+    "L1,L3,X2,X2,X2,X2,R1,R1 / surgery {0:0, 1:+1}",
+])
+def test_enumerators_emit_in_length_then_chord_order(text):
+    # the CLI prints words in the order the enumerators return them
+    d = resolve(parse_front(text))
+    enumerators = [enumerate_orbit_words]
+    if 0 in d.surgery.values():
+        enumerators.append(enumerate_chord_words)
+    for enumerate_words in enumerators:
+        keys = [(len(w.chords), w.chords)
+                for w in enumerate_words(d, max_len=4)]
+        assert keys == sorted(set(keys)) and len(keys) > 1
+
+
 def test_chord_word_examples(hopf_mixed):
     d = hopf_mixed
     words1 = enumerate_chord_words(d, max_len=1)
