@@ -19,14 +19,17 @@ Template conventions:
 The template is laid out once, with every x-coordinate an exact affine form
 in the loop stretches and event spacings; the sizing LP's rows are read off
 that layout and the diagram is the same layout evaluated at the LP's
-solution.  One x-sorted sweep finds the double points, and each face's
-basepoint sits a small exact step inside one of its corner wedges.
+solution.  One x-sorted sweep in integers (the coordinates over their least
+common denominator) finds the double points, and each face's basepoint sits
+a small exact step inside one of its corner wedges, tested against the
+integer boxes of the segments that can come near it.
 """
 
 import json
 import re
 from bisect import bisect_right
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .geometry import (
@@ -56,15 +59,20 @@ class DiagramError(RuntimeError):
 EVENT_RE = re.compile(r"^([LRX])(\d+)$")
 
 
-def _coeff_value(val, what):
-    if val == "+":
-        return 1
-    if val == "-":
-        return -1
-    try:
+def _integer(val, what):
+    """A string of an optional sign and decimal digits, or an int that is
+    not a bool."""
+    if isinstance(val, str) and re.fullmatch(r"[+-]?[0-9]+", val) or \
+            isinstance(val, int) and not isinstance(val, bool):
         return int(val)
-    except (TypeError, ValueError):
-        raise FrontError(f"bad {what} value {val!r}")
+    raise FrontError(f"bad {what} {val!r}")
+
+
+def _unique_keys(pairs):
+    """A JSON object; the same key twice is an input error."""
+    if len(dict(pairs)) != len(pairs):
+        raise FrontError(f"repeated key in JSON object {pairs!r}")
+    return dict(pairs)
 
 
 class FrontCode(object):
@@ -76,27 +84,29 @@ class FrontCode(object):
     """
 
     def __init__(self, events, orientations=None, surgery=None):
-        self.events: List[Tuple[str, int]] = [(k, int(p)) for k, p in events]
+        self.events: List[Tuple[str, int]] = [_event(e) for e in events]
         self._simulate()
         n = self.n_components
         self.orientations = {i: 1 for i in range(n)}
-        for key, val in (orientations or {}).items():
-            comp = int(key)
-            if comp not in self.orientations:
-                raise FrontError(f"orientation for unknown component {comp}")
-            val = _coeff_value(val, "orientation")
-            if val not in (1, -1):
-                raise FrontError(f"orientation must be +1 or -1, got {val!r}")
-            self.orientations[comp] = val
         self.surgery = {i: 0 for i in range(n)}
-        for key, val in (surgery or {}).items():
-            comp = int(key)
-            if comp not in self.surgery:
-                raise FrontError(f"surgery coefficient for unknown component {comp}")
-            val = _coeff_value(val, "surgery coefficient")
-            if val not in (1, -1, 0):
-                raise FrontError(f"surgery coefficient must be +1, -1 or 0, got {val!r}")
-            self.surgery[comp] = val
+        for table, given, what, allowed, words in (
+                (self.orientations, orientations, "orientation", (1, -1),
+                 "+1 or -1"),
+                (self.surgery, surgery, "surgery coefficient", (1, -1, 0),
+                 "+1, -1 or 0")):
+            seen = set()
+            for key, val in (given or {}).items():
+                comp = _integer(key, "component id")
+                if comp not in table:
+                    raise FrontError(f"{what} for unknown component {comp}")
+                if comp in seen:
+                    raise FrontError(f"{what} for component {comp} given twice")
+                seen.add(comp)
+                val = (1 if val == "+" else -1) if val in ("+", "-") \
+                    else _integer(val, f"{what} value")
+                if val not in allowed:
+                    raise FrontError(f"{what} must be {words}, got {val!r}")
+                table[comp] = val
 
     def _simulate(self):
         stack: List[int] = []           # wire ids by position, top first
@@ -183,7 +193,7 @@ class FrontCode(object):
 
 
 def _parse_assoc(body: str, what: str) -> Dict[int, str]:
-    """``{comp: value, ...}`` with the values left raw for ``_coeff_value``."""
+    """``{comp: value, ...}`` with the values left raw for ``FrontCode``."""
     body = body.strip()
     if not (body.startswith("{") and body.endswith("}")):
         raise FrontError(f"bad {what} block: {body!r}")
@@ -198,6 +208,8 @@ def _parse_assoc(body: str, what: str) -> Dict[int, str]:
         key = key.strip()
         if not key.lstrip("-").isdigit():
             raise FrontError(f"bad component id {key!r}")
+        if int(key) in out:
+            raise FrontError(f"component {key} given twice in {what} block")
         out[int(key)] = val.strip()
     return out
 
@@ -229,7 +241,7 @@ def parse_front(text) -> FrontCode:
         text = text.strip()
         if text.startswith("{"):
             try:
-                data = json.loads(text)
+                data = json.loads(text, object_pairs_hook=_unique_keys)
             except json.JSONDecodeError as exc:
                 raise FrontError(f"bad JSON front: {exc}")
         else:
@@ -241,8 +253,8 @@ def parse_front(text) -> FrontCode:
         for key in ("orientations", "surgery"):
             if not isinstance(data.get(key, {}), dict):
                 raise FrontError(f"{key} must be an object")
-        return FrontCode([_event(tok) for tok in events],
-                         data.get("orientations"), data.get("surgery"))
+        return FrontCode(events, data.get("orientations"),
+                         data.get("surgery"))
 
     parts = [p.strip() for p in text.split("/")]
     if not parts or not parts[0]:
@@ -469,6 +481,23 @@ def _height_at(z_start, s: Segment, p: Point):
     return z_start + (s.a[1] + p[1]) * (p[0] - s.a[0]) / 2
 
 
+def _integer_boxes(segments: List[List[Segment]]):
+    """(scale, boxes): the segments' coordinates as integers over their
+    least common denominator, and one box (x_lo, x_hi, y_lo, y_hi, comp,
+    index, ax, ay, dx, dy) per segment a -> a + d, sorted by x_lo."""
+    scale = lcm(*{v.denominator for segs in segments for s in segs
+                  for v in s.a + s.b})
+    boxes = []
+    for ci, segs in enumerate(segments):
+        for si, s in enumerate(segs):
+            ax, ay, bx, by = (v.numerator * (scale // v.denominator)
+                              for v in s.a + s.b)
+            boxes.append((min(ax, bx), max(ax, bx), min(ay, by), max(ay, by),
+                          ci, si, ax, ay, bx - ax, by - ay))
+    boxes.sort(key=lambda box: box[0])
+    return scale, boxes
+
+
 def _double_points(segments: List[List[Segment]]):
     """Double points of closed polylines, one segment list per component.
 
@@ -479,26 +508,33 @@ def _double_points(segments: List[List[Segment]]):
     non-transverse contact, a triple point or a crossing out of good
     position.
     """
-    boxes = sorted(((min(s.a[0], s.b[0]), max(s.a[0], s.b[0]),
-                     min(s.a[1], s.b[1]), max(s.a[1], s.b[1]), ci, si, s)
-                    for ci, segs in enumerate(segments)
-                    for si, s in enumerate(segs)), key=lambda box: box[0])
+    scale, boxes = _integer_boxes(segments)
     hits: Dict[Point, List[Tuple[int, int]]] = {}
     active = []
     for box in boxes:
-        x_lo, _, y_lo, y_hi, ci, si, s = box
+        x_lo, _, y_lo, y_hi, ci, si, ax, ay, dx, dy = box
         n = len(segments[ci])
         active = [b for b in active if b[1] >= x_lo]
-        for _, _, by_lo, by_hi, cj, sj, t in active:
+        for _, _, by_lo, by_hi, cj, sj, tx, ty, ex, ey in active:
             if ci == cj and (si - sj) % n in (1, n - 1):
                 continue
             if by_hi < y_lo or y_hi < by_lo:
                 continue
-            p = segment_intersection(t, s)
-            if p is None:
+            # as segment_intersection(t, s), which takes the parallel pairs
+            den = ex * dy - ey * dx
+            if den == 0:
+                segment_intersection(segments[cj][sj], segments[ci][si])
                 continue
-            for c, seg in ((cj, t), (ci, s)):
-                if not 0 < seg.param_of(p) < 1:
+            tn = (ax - tx) * dy - (ay - ty) * dx
+            un = (ax - tx) * ey - (ay - ty) * ex
+            if den < 0:
+                den, tn, un = -den, -tn, -un
+            if not (0 <= tn <= den and 0 <= un <= den):
+                continue
+            p = (Fraction(tx * den + tn * ex, scale * den),
+                 Fraction(ty * den + tn * ey, scale * den))
+            for c, k in ((cj, tn), (ci, un)):
+                if not 0 < k < den:
                     raise DiagramError(
                         f"non-transverse contact at {p} on component {c}")
             hits.setdefault(p, []).extend([(cj, sj), (ci, si)])
@@ -819,12 +855,13 @@ class ResolvedDiagram(object):
         return name
 
     def _pick_basepoints(self):
-        all_segs = [s for segs in self.segments for s in segs]
-        crossings = [c.point for c in self.chords]
+        # boxes by left x: a test reads only those that start left of its reach
+        scale, boxes = _integer_boxes(self.segments)
+        index = (scale, [box[0] for box in boxes], boxes)
         for f in self.faces_list:
-            f.basepoint = self._basepoint_for(f, all_segs, crossings)
+            f.basepoint = self._basepoint_for(f, index)
 
-    def _basepoint_for(self, face, all_segs, crossings):
+    def _basepoint_for(self, face, index):
         # every corner's wedge opens along the axis its quadrant names; step
         # into it from the double point, by a shorter offset each round
         offset = Fraction(1)
@@ -833,33 +870,26 @@ class ResolvedDiagram(object):
                 q = self.chords[cid - 1].point
                 dx, dy = QUADRANT_VECTORS[quad]
                 p = (q[0] + offset * dx, q[1] + offset * dy)
-                if self._good_basepoint(p, face, all_segs, crossings,
-                                        offset / 2):
+                if self._good_basepoint(p, face, index, offset / 2):
                     return p
             offset /= 2
         raise DiagramError(f"no basepoint found for face {face.id}")
 
-    def _good_basepoint(self, p, face, all_segs, crossings, clear):
-        clear_sq = clear * clear
+    def _good_basepoint(self, p, face, index, clear):
+        # a crossing lies on a segment: clearing the segments clears it too
         try:
             if winding_number(face.boundary, p) != 1:
                 return False
         except ValueError:
             return False
-        for q in crossings:
-            d = sub(p, q)
-            if d[0] * d[0] + d[1] * d[1] <= clear_sq:
-                return False
-        for s in all_segs:
-            # cheap box rejection before the exact distance
-            if p[0] < min(s.a[0], s.b[0]) - clear \
-                    or p[0] > max(s.a[0], s.b[0]) + clear \
-                    or p[1] < min(s.a[1], s.b[1]) - clear \
-                    or p[1] > max(s.a[1], s.b[1]) + clear:
-                continue
-            if point_segment_distance_sq(p, s) <= clear_sq:
-                return False
-        return True
+        scale, lefts, boxes = index
+        # integer box tests against the ceilings of x - clear, floors of x + clear
+        lo_x, lo_y = (-((clear - v) * scale // 1) for v in p)
+        hi_x, hi_y = ((v + clear) * scale // 1 for v in p)
+        return not any(
+            box[1] >= lo_x and box[2] <= hi_y and box[3] >= lo_y and
+            point_segment_distance_sq(p, self.segments[box[4]][box[5]])
+            <= clear * clear for box in boxes[:bisect_right(lefts, hi_x)])
 
     # -- public helpers ------------------------------------------------------
 

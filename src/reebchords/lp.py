@@ -4,47 +4,67 @@ Used by the diagram builder to size its templates: closure integrals must
 vanish exactly while every crossing keeps a positive z-gap.  The builder
 reads all rows off one symbolic layout; a front of n events gives about n
 variables and n rows, and the pivots skip the tableau's many zeros.
+
+The tableau is fraction-free: each row is integers over one positive
+denominator, reduced by the row's gcd after each update, and ratios are
+compared by cross-multiplying.  Only the solution becomes ``Fraction``s.
+The artificial columns are never read, so they are not stored.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 
-def _pivot(tab, basis, row, col):
+def _integers(values):
+    """Rationals (ints or Fractions) as (integers, positive denominator)."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _reduced(row, den):
+    g = gcd(den, *row)
+    if g > 1:
+        return [v // g for v in row], den // g
+    return row, den
+
+
+def _minus(row, den, prow, pden, col):
+    """row - row[col] * prow, for a pivot row with prow[col] == pden."""
+    f = row[col]
+    return _reduced([a * pden - f * b if b else a * pden
+                     for a, b in zip(row, prow)], den * pden)
+
+
+def _pivot(tab, dens, basis, row, col):
     piv = tab[row][col]
-    # tableaux are mostly zeros (slack and artificial columns): skip them
-    tab[row] = [v / piv if v else v for v in tab[row]]
+    prow = tab[row] if piv > 0 else [-v for v in tab[row]]
+    prow, pden = _reduced(prow, abs(piv))
+    tab[row], dens[row] = prow, pden
     for r in range(len(tab)):
-        if r != row and tab[r][col] != 0:
-            factor = tab[r][col]
-            tab[r] = [a - factor * b if b else a
-                      for a, b in zip(tab[r], tab[row])]
+        if r != row and tab[r][col]:
+            tab[r], dens[r] = _minus(tab[r], dens[r], prow, pden, col)
     basis[row] = col
 
 
-def _simplex(tab, basis, n_cols):
+def _simplex(tab, dens, basis, n_cols):
     """Minimize the objective in the last tableau row; returns False if unbounded."""
     while True:
         obj = tab[-1]
-        col = None
-        for j in range(n_cols):
-            if obj[j] < 0:
-                col = j
-                break
+        col = next((j for j in range(n_cols) if obj[j] < 0), None)
         if col is None:
             return True
         row = None
-        best = None
         for r in range(len(tab) - 1):
-            if tab[r][col] > 0:
-                ratio = tab[r][-1] / tab[r][col]
-                if best is None or ratio < best or (
-                        ratio == best and basis[r] < basis[row]):
-                    best = ratio
-                    row = r
+            c = tab[r][col]
+            # the least ratio rhs / c, cross-multiplied (a row's denominator
+            # cancels from its own ratio), then the least basis index
+            if c > 0 and (row is None or (tab[r][-1] * tab[row][col], basis[r])
+                          < (tab[row][-1] * c, basis[row])):
+                row = r
         if row is None:
             return False
-        _pivot(tab, basis, row, col)
+        _pivot(tab, dens, basis, row, col)
 
 
 def solve_lp(n: int,
@@ -53,59 +73,44 @@ def solve_lp(n: int,
              minimize: Sequence[Fraction]) -> Optional[List[Fraction]]:
     """Minimize the linear objective ``minimize`` over x >= 0 with eq rows
     a.x == b and ge rows a.x >= b; None when infeasible."""
-    rows = []
-    for a, b in eq:
-        rows.append(([Fraction(v) for v in a], Fraction(b), "eq"))
-    for a, b in ge:
-        rows.append(([Fraction(v) for v in a], Fraction(b), "ge"))
-    m = len(rows)
-    n_slack = sum(1 for r in rows if r[2] == "ge")
-    total = n + n_slack + m          # structural + slack + artificial
-    tab = []
-    basis = []
-    si = 0
-    for i, (a, b, kind) in enumerate(rows):
-        coeffs = list(a) + [Fraction(0)] * (n_slack + m) + [Fraction(0)]
-        if kind == "ge":
-            coeffs[n + si] = Fraction(-1)
-            si += 1
-        if b < 0:
-            coeffs = [-v for v in coeffs]
-            b = -b
-        coeffs[n + n_slack + i] = Fraction(1)
-        coeffs[-1] = b
-        tab.append(coeffs)
-        basis.append(n + n_slack + i)
+    n_slack = len(ge)
+    m = len(eq) + n_slack
+    n_cols = n + n_slack
+    tab, dens = [], []
+    for i, (a, b) in enumerate(list(eq) + list(ge)):
+        row, den = _integers(list(a) + [0] * n_slack + [b])
+        if i >= len(eq):
+            row[n + i - len(eq)] = -den
+        tab.append(row if row[-1] >= 0 else [-v for v in row])
+        dens.append(den)
+    basis = list(range(n_cols, n_cols + m))    # the artificials
     # phase 1 objective: sum of artificials
-    obj = [Fraction(0)] * (total + 1)
-    for i in range(m):
-        obj = [o - v for o, v in zip(obj, tab[i])]
+    ks = [lcm(*dens) // den for den in dens]
+    obj, oden = _reduced([-sum(k * row[j] for k, row in zip(ks, tab))
+                          for j in range(n_cols + 1)], lcm(*dens))
     tab.append(obj)
-    if not _simplex(tab, basis, n + n_slack):
+    dens.append(oden)
+    if not _simplex(tab, dens, basis, n_cols):
         return None
     if tab[-1][-1] != 0:
         return None
     # drive leftover artificials out of the basis where possible
     for r in range(m):
-        if basis[r] >= n + n_slack:
-            for j in range(n + n_slack):
+        if basis[r] >= n_cols:
+            for j in range(n_cols):
                 if tab[r][j] != 0:
-                    _pivot(tab, basis, r, j)
+                    _pivot(tab, dens, basis, r, j)
                     break
-    tab.pop()
-    obj = [Fraction(v) for v in minimize] + \
-        [Fraction(0)] * (n_slack + m) + [Fraction(0)]
+    obj, oden = _integers(list(minimize) + [0] * (n_slack + 1))
     # express objective in terms of the current basis
     for r in range(m):
         if basis[r] < n and obj[basis[r]] != 0:
-            factor = obj[basis[r]]
-            obj = [a - factor * b for a, b in zip(obj, tab[r])]
-    tab.append(obj)
-    if not _simplex(tab, basis, n + n_slack):
+            obj, oden = _minus(obj, oden, tab[r], dens[r], basis[r])
+    tab[-1], dens[-1] = obj, oden
+    if not _simplex(tab, dens, basis, n_cols):
         raise ValueError("unbounded objective")
-    tab.pop()
     x = [Fraction(0)] * n
     for r in range(m):
         if basis[r] < n:
-            x[basis[r]] = tab[r][-1]
+            x[basis[r]] = Fraction(tab[r][-1], dens[r])
     return x

@@ -579,6 +579,43 @@ def fd_sizing_rows(front, action_margin):
     return n_geom + n_shift, eq, ge
 
 
+def all_segments_basepoint(d, face):
+    """The basepoint of a face by the search that tests every segment and
+    every crossing: step into each corner's wedge from its double point by
+    1, 1/2, ..., 1/256, and take the first point inside the face whose
+    distance to every segment and crossing exceeds half the step."""
+    from reebchords.diagram import QUADRANT_VECTORS
+    from reebchords.geometry import (point_segment_distance_sq, sub,
+                                     winding_number)
+
+    all_segs = [s for segs in d.segments for s in segs]
+    crossings = [c.point for c in d.chords]
+
+    def good(p, clear):
+        clear_sq = clear * clear
+        try:
+            if winding_number(face.boundary, p) != 1:
+                return False
+        except ValueError:
+            return False
+        for q in crossings:
+            dq = sub(p, q)
+            if dq[0] * dq[0] + dq[1] * dq[1] <= clear_sq:
+                return False
+        return all(point_segment_distance_sq(p, s) > clear_sq
+                   for s in all_segs)
+
+    offset = Fraction(1)
+    while offset >= Fraction(1, 256):
+        for cid, quad, _sign in face.corners:
+            q = d.chord(cid).point
+            dx, dy = QUADRANT_VECTORS[quad]
+            p = (q[0] + offset * dx, q[1] + offset * dy)
+            if good(p, offset / 2):
+                return p
+        offset /= 2
+    return None
+
 # -- push-outs as whole curves ------------------------------------------------
 
 def full_curve_pushout(d, w, s, arcs):
@@ -788,3 +825,105 @@ def pruned_search(d, h1, g, epsilon, z_graded, max_len):
 
     visit(0, [], budget)
     return nodes + cuts["degree"] + cuts["igrading"], cuts
+
+
+# -- the simplex in Fraction arithmetic ---------------------------------------
+# The library's fraction-free simplex must make the same pivots and return
+# the same vertex as this one, a tableau of Fractions with Bland's rule.
+
+def _fraction_pivot(tab, basis, row, col):
+    piv = tab[row][col]
+    # tableaux are mostly zeros (slack and artificial columns): skip them
+    tab[row] = [v / piv if v else v for v in tab[row]]
+    for r in range(len(tab)):
+        if r != row and tab[r][col] != 0:
+            factor = tab[r][col]
+            tab[r] = [a - factor * b if b else a
+                      for a, b in zip(tab[r], tab[row])]
+    basis[row] = col
+
+
+def _fraction_simplex(tab, basis, n_cols):
+    """Minimize the objective in the last tableau row; returns False if unbounded."""
+    while True:
+        obj = tab[-1]
+        col = None
+        for j in range(n_cols):
+            if obj[j] < 0:
+                col = j
+                break
+        if col is None:
+            return True
+        row = None
+        best = None
+        for r in range(len(tab) - 1):
+            if tab[r][col] > 0:
+                ratio = tab[r][-1] / tab[r][col]
+                if best is None or ratio < best or (
+                        ratio == best and basis[r] < basis[row]):
+                    best = ratio
+                    row = r
+        if row is None:
+            return False
+        _fraction_pivot(tab, basis, row, col)
+
+
+def fraction_solve_lp(n, eq, ge, minimize):
+    """Minimize the linear objective ``minimize`` over x >= 0 with eq rows
+    a.x == b and ge rows a.x >= b; None when infeasible."""
+    rows = []
+    for a, b in eq:
+        rows.append(([Fraction(v) for v in a], Fraction(b), "eq"))
+    for a, b in ge:
+        rows.append(([Fraction(v) for v in a], Fraction(b), "ge"))
+    m = len(rows)
+    n_slack = sum(1 for r in rows if r[2] == "ge")
+    total = n + n_slack + m          # structural + slack + artificial
+    tab = []
+    basis = []
+    si = 0
+    for i, (a, b, kind) in enumerate(rows):
+        coeffs = list(a) + [Fraction(0)] * (n_slack + m) + [Fraction(0)]
+        if kind == "ge":
+            coeffs[n + si] = Fraction(-1)
+            si += 1
+        if b < 0:
+            coeffs = [-v for v in coeffs]
+            b = -b
+        coeffs[n + n_slack + i] = Fraction(1)
+        coeffs[-1] = b
+        tab.append(coeffs)
+        basis.append(n + n_slack + i)
+    # phase 1 objective: sum of artificials
+    obj = [Fraction(0)] * (total + 1)
+    for i in range(m):
+        obj = [o - v for o, v in zip(obj, tab[i])]
+    tab.append(obj)
+    if not _fraction_simplex(tab, basis, n + n_slack):
+        return None
+    if tab[-1][-1] != 0:
+        return None
+    # drive leftover artificials out of the basis where possible
+    for r in range(m):
+        if basis[r] >= n + n_slack:
+            for j in range(n + n_slack):
+                if tab[r][j] != 0:
+                    _fraction_pivot(tab, basis, r, j)
+                    break
+    tab.pop()
+    obj = [Fraction(v) for v in minimize] + \
+        [Fraction(0)] * (n_slack + m) + [Fraction(0)]
+    # express objective in terms of the current basis
+    for r in range(m):
+        if basis[r] < n and obj[basis[r]] != 0:
+            factor = obj[basis[r]]
+            obj = [a - factor * b for a, b in zip(obj, tab[r])]
+    tab.append(obj)
+    if not _fraction_simplex(tab, basis, n + n_slack):
+        raise ValueError("unbounded objective")
+    tab.pop()
+    x = [Fraction(0)] * n
+    for r in range(m):
+        if basis[r] < n:
+            x[basis[r]] = tab[r][-1]
+    return x

@@ -470,3 +470,22 @@ def test_chain_on_the_trefoil_3_copy_certifies_a_constant_term(tmp_path,
     [constant] = r37["candidates"]
     assert (constant["monomial"], constant["count"]) == ("1", "+-1")
     assert constant["faces"]
+
+
+@pytest.mark.parametrize("command", ["parse", "invariants"])
+@pytest.mark.parametrize("text", [
+    '{"events": ["L1", "R1"], "surgery": {"0": 1.5}, '
+    '"orientations": {"0": -1.9}}',
+    '{"events": ["L1", "R1"], "surgery": {"0": true}}',
+    '{"events": ["L1", "R1"], "orientations": {"0": true}}',
+    '{"events": ["L1", "R1"], "surgery": {"0": " 1"}}',
+    '{"events": ["L1", "R1"], "surgery": {"0": 1, "0": -1}}',
+    '{"events": ["L1", "R1"], "surgery": {"0": 1, "00": -1}}',
+    "L1,R1 / surgery {0:+1, 0:-1}",
+    "L1,R1 / orientations {0:+, 00:-}",
+])
+def test_loose_or_repeated_coefficients_exit_2(tmp_path, capsys, command,
+                                               text):
+    path = write(tmp_path, text)
+    code, out, err = run(capsys, [command, "--input", path])
+    assert (code, out) == (2, "") and err.startswith("input error:"), err

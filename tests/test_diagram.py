@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from oracles import front_writhe_and_cusp_counts, trace_front
-from reebchords.diagram import FrontError, parse_front, resolve
-from reebchords.geometry import winding_number
+from reebchords.diagram import (DiagramError, FrontCode, FrontError,
+                               _double_points, parse_front, resolve)
+from reebchords.geometry import Segment, winding_number
 
 F = Fraction
 
@@ -190,3 +191,58 @@ def test_capping_paths_partition(trefoil_plus):
             bar = d.capping_path(j, k, "etabar")
             assert 0 < eta.norm_length <= 1
             assert eta.norm_length + bar.norm_length == 1
+
+
+@pytest.mark.parametrize("events", [
+    [("L", 1.7), ("R", True)],
+    [("L", 1), ("R", True)],
+    [("L", "1"), ("R", 1)],
+])
+def test_front_code_rejects_positions_that_are_not_ints(events):
+    with pytest.raises(FrontError):
+        FrontCode(events)
+
+
+@pytest.mark.parametrize("surgery", [{0: 1, "0": -1}, {0: 1.0}, {0: "1.0"},
+                                     {False: 1}, {"0.0": 1}, {" 0": 1}])
+def test_front_code_rejects_loose_or_repeated_coefficients(surgery):
+    # keys are component ids, checked as strictly as the values
+    with pytest.raises(FrontError):
+        FrontCode([("L", 1), ("R", 1)], surgery=surgery)
+
+
+def test_front_code_keeps_exact_coefficient_forms():
+    front = FrontCode(["L1", ("R", 1)], {"0": "-"}, {0: "+1"})
+    assert front.events == [("L", 1), ("R", 1)]
+    assert (front.orientations, front.surgery) == ({0: -1}, {0: 1})
+
+
+# -- the integer sweep's fault paths ------------------------------------------
+# Each segment is its own component, so no pair counts as adjacent, and
+# every coordinate has denominator 3, so the sweep scales by 3.
+
+def thirds(*pts):
+    return [[Segment((F(a, 3), F(b, 3)), (F(c, 3), F(d, 3)))]
+            for a, b, c, d in pts]
+
+
+def test_sweep_finds_a_crossing_at_thirds():
+    [(p, over, under)] = _double_points(thirds((0, 0, 2, 2), (0, 2, 2, 0)))
+    assert p == (F(1, 3), F(1, 3)) and (over, under) == ((1, 0), (0, 0))
+
+
+@pytest.mark.parametrize("pts, message", [
+    # the slope -1 segment starts on the slope +1 one
+    ([(0, 0, 2, 2), (1, 1, 2, 0)], "non-transverse contact"),
+    ([(0, 0, 2, 2), (0, 2, 2, 0), (0, 1, 2, 1)], "triple point"),
+    ([(0, 1, 2, 1), (1, 0, 1, 2)], "violates good position"),
+])
+def test_sweep_raises_on_bad_contacts(pts, message):
+    with pytest.raises(DiagramError, match=message):
+        _double_points(thirds(*pts))
+
+
+def test_sweep_sends_parallel_pairs_to_segment_intersection():
+    with pytest.raises(ValueError, match="collinear overlap"):
+        _double_points(thirds((0, 0, 2, 2), (1, 1, 3, 3)))
+    assert _double_points(thirds((0, 0, 2, 2), (0, 1, 2, 3))) == []

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (all_pairs_double_points, fd_sizing_rows,
-                     front_writhe_and_cusp_counts, orbit_class_pushout)
+from oracles import (all_pairs_double_points, all_segments_basepoint,
+                     fd_sizing_rows, front_writhe_and_cusp_counts,
+                     orbit_class_pushout)
 from reebchords import diagram
 from reebchords.diagram import (FrontCode, _sizing_rows, _template,
                                 parse_front, resolve)
@@ -173,6 +174,24 @@ def test_seeded_fronts_match_oracles():
 def test_torus_knots_match_oracles(n):
     check_against_oracles(resolve(torus(n)))
 
+
+def check_basepoints(d):
+    """Each face's basepoint is the one the search over every segment and
+    every crossing picks."""
+    assert [f.basepoint for f in d.faces_list] == \
+        [all_segments_basepoint(d, f) for f in d.faces_list]
+
+
+@pytest.mark.parametrize("name", [
+    "trefoil_plus", "trefoil_minus", "unknot_plus", "unknot_minus",
+    "stab_plus", "hopf_plus", "hopf_mixed"])
+def test_fixture_basepoints_match_the_all_segments_search(name, request):
+    check_basepoints(request.getfixturevalue(name))
+
+
+def test_seeded_and_torus_basepoints_match_the_all_segments_search():
+    for front in list(seeded_fronts()) + [torus(21)]:
+        check_basepoints(resolve(front))
 
 def test_resolve_work_counts(monkeypatch):
     # counts, not clock time: the sweep, one winding test per face in the
