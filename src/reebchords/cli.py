@@ -136,26 +136,21 @@ def _bounds(args):
     return args.max_len, max_action, eps
 
 
+def _word_rows(args, d, enumerate_words, name):
+    emit([{"word": name(w.chords), "length": len(w.chords),
+           "action": frac_str(w.action())}
+          for w in enumerate_words(d, *_bounds(args))], args.format)
+
+
 @on_diagram
 def cmd_orbits(args, d):
-    max_len, max_action, eps = _bounds(args)
-    rows = []
-    for w in enumerate_orbit_words(d, max_len, max_action, eps):
-        rows.append({"word": word_name(w.chords),
-                     "length": len(w.chords),
-                     "action": frac_str(w.action())})
-    emit(rows, args.format)
+    _word_rows(args, d, enumerate_orbit_words, word_name)
 
 
 @on_diagram
 def cmd_chords(args, d):
-    max_len, max_action, eps = _bounds(args)
-    rows = []
-    for w in enumerate_chord_words(d, max_len, max_action, eps):
-        rows.append({"word": "".join(f"r{c}" for c in w.chords),
-                     "length": len(w.chords),
-                     "action": frac_str(w.action())})
-    emit(rows, args.format)
+    _word_rows(args, d, enumerate_chord_words,
+               lambda chords: "".join(f"r{c}" for c in chords))
 
 
 @on_diagram

@@ -27,7 +27,7 @@ integer boxes of the segments that can come near it.
 
 import json
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Tuple
@@ -114,40 +114,27 @@ class FrontCode(object):
         deaths: Dict[int, Tuple[int, int]] = {}        # wid -> (event, partner)
         death_pairs: Dict[int, Tuple[int, int]] = {}   # event -> (upper, lower)
         next_wid = 0
-        n_cusps = 0
-        n_crossings = 0
+        names = {"L": "left cusp", "X": "crossing", "R": "right cusp"}
         for idx, (kind, pos) in enumerate(self.events):
+            # a left cusp opens below the last strand at most, the others
+            # act on the strands at pos and pos + 1
+            if not 1 <= pos <= len(stack) + (1 if kind == "L" else -1):
+                raise FrontError(f"event {idx}: {names[kind]} at position "
+                                 f"{pos} with {len(stack)} strands")
             if kind == "L":
-                if not 1 <= pos <= len(stack) + 1:
-                    raise FrontError(
-                        f"event {idx}: left cusp at position {pos} with "
-                        f"{len(stack)} strands")
                 u, dn = next_wid, next_wid + 1
                 next_wid += 2
                 births[u] = (idx, dn, "u")
                 births[dn] = (idx, u, "d")
                 stack[pos - 1:pos - 1] = [u, dn]
-                n_cusps += 1
             elif kind == "X":
-                if not 1 <= pos <= len(stack) - 1:
-                    raise FrontError(
-                        f"event {idx}: crossing at position {pos} with "
-                        f"{len(stack)} strands")
                 stack[pos - 1], stack[pos] = stack[pos], stack[pos - 1]
-                n_crossings += 1
-            elif kind == "R":
-                if not 1 <= pos <= len(stack) - 1:
-                    raise FrontError(
-                        f"event {idx}: right cusp at position {pos} with "
-                        f"{len(stack)} strands")
+            else:  # R
                 w1, w2 = stack[pos - 1], stack[pos]
                 deaths[w1] = (idx, w2)
                 deaths[w2] = (idx, w1)
                 death_pairs[idx] = (w1, w2)
                 del stack[pos - 1:pos + 1]
-                n_cusps += 1
-            else:
-                raise FrontError(f"unknown event kind {kind!r}")
         if stack:
             raise FrontError(f"{len(stack)} strands still open after all events")
         self._births = births
@@ -175,10 +162,9 @@ class FrontCode(object):
         self.n_components = len(comps)
         self.wire_cycles = comps
         self.component_of_wire = comp_of_wire
-        self.n_cusps = n_cusps
-        self.n_crossings = n_crossings
-        self.n_left_cusps = sum(1 for k, _ in self.events if k == "L")
-        self.n_right_cusps = sum(1 for k, _ in self.events if k == "R")
+        self.n_left_cusps, self.n_crossings, self.n_right_cusps = (
+            sum(1 for k, _ in self.events if k == kind) for kind in "LXR")
+        self.n_cusps = self.n_left_cusps + self.n_right_cusps
 
     def summary(self):
         return {
@@ -629,7 +615,12 @@ def _unit(v):
 
 
 class ResolvedDiagram(object):
-    """Exact polyline realization of a front with all derived chord data."""
+    """Exact polyline realization of a front with all derived chord data.
+
+    A passage is one chord end on a component: ``passages[ci]`` lists those
+    of component ci as (parameter, chord id, 'tail'|'tip', point) in
+    parameter order, and ``passage_arcs[ci][k]`` walks from passage k to the
+    next, cyclically.  Faces are traced on them; push-outs offset them."""
 
     def __init__(self, front: FrontCode, components: List[List[Point]],
                  slabs, z_shifts: Optional[List[Fraction]] = None):
@@ -727,34 +718,33 @@ class ResolvedDiagram(object):
     # -- faces ---------------------------------------------------------------
 
     def _build_faces(self):
-        # split each component cycle at its crossing passages into arcs
-        passages: Dict[int, List[Tuple[Fraction, int, Point]]] = {
-            i: [] for i in range(len(self.components))}
+        # split each component cycle at its chord passages into arcs
+        self.passages = [[] for _ in self.components]
         for c in self.chords:
-            passages[c.tail_comp].append((c.tail_loc[1], c.id, c.point))
-            passages[c.tip_comp].append((c.tip_loc[1], c.id, c.point))
-        arcs = []   # (points, start chord id, end chord id)
-        for ci, plist in passages.items():
+            for role, ci, (_, par) in (("tail", c.tail_comp, c.tail_loc),
+                                       ("tip", c.tip_comp, c.tip_loc)):
+                self.passages[ci].append((par, c.id, role, c.point))
+        self.passage_arcs: List[List[List[Point]]] = []
+        for ci, plist in enumerate(self.passages):
             plist.sort(key=lambda item: item[0])
             total = self.cheb_len[ci][-1]
-            for k, (par, cid, p) in enumerate(plist):
-                next_par, next_cid, q = plist[(k + 1) % len(plist)]
-                pts = self._walk(ci, par, (next_par - par) % total or total,
-                                 p, q)[0]
-                arcs.append((pts, cid, next_cid))
-        self._trace_faces(arcs)
+            self.passage_arcs.append([])
+            for k, (par, _, _, p) in enumerate(plist):
+                next_par, _, _, q = plist[(k + 1) % len(plist)]
+                self.passage_arcs[ci].append(self._walk(
+                    ci, par, (next_par - par) % total or total, p, q)[0])
+        self._trace_faces([a for arcs in self.passage_arcs for a in arcs])
 
     def _seg_of_param(self, comp, par):
         cl = self.cheb_len[comp]
         return bisect_right(cl, par % cl[-1]) - 1
 
     def _trace_faces(self, arcs):
-        # half edges: (arc index, +1/-1)
+        # arcs are point lists; half edges: (arc index, +1/-1)
         departs: Dict[Point, List[Tuple[int, Tuple[int, int]]]] = {}
 
         half_edges = []
-        for ai, arc in enumerate(arcs):
-            pts = arc[0]
+        for ai, pts in enumerate(arcs):
             half_edges.append((ai, 1))
             half_edges.append((ai, -1))
             d_fwd = sub(pts[1], pts[0])
@@ -764,7 +754,7 @@ class ResolvedDiagram(object):
 
         def he_points(he):
             ai, d = half_edges[he]
-            pts = arcs[ai][0]
+            pts = arcs[ai]
             return pts if d == 1 else pts[::-1]
 
         next_he = {}
@@ -920,21 +910,15 @@ class ResolvedDiagram(object):
         if c2.tail_comp != comp:
             raise ValueError(f"chords r{j1}, r{j2} are not composable")
         total = self.cheb_len[comp][-1]
-        start = c1.tip_loc[1]
-        end = c2.tail_loc[1]
-        if side == "eta":
-            length = (end - start) % total
-            if length == 0:
-                length = total
-        else:
-            length = -((start - end) % total)
-            if length == 0:
-                length = -total
+        start, end = c1.tip_loc[1], c2.tail_loc[1]
+        # distinct passages have distinct parameters, so length is not 0
+        length = (end - start) % total if side == "eta" else \
+            -((start - end) % total)
         pts, turns = self._walk(comp, start, length, c1.point, c2.point)
-        interior = self._endpoints_between(comp, start, length)
-        cap = CappingPath(j1, j2, side, comp, pts, turns,
-                          abs(length) / total, interior)
-        self.memo[key] = cap
+        interior = [self.passages[comp][k][1:3]
+                    for k in self.passage_run(j1, j2, side)[1:-1]]
+        self.memo[key] = cap = CappingPath(j1, j2, side, comp, pts, turns,
+                                           abs(length) / total, interior)
         return cap
 
     def _walk(self, comp, start, length, a, b):
@@ -980,25 +964,16 @@ class ResolvedDiagram(object):
             pts.append(b)
         return pts, turns
 
-    def _endpoints_between(self, comp, start, length):
-        """Chord endpoints in the open parameter interval of the walk."""
-        total = self.cheb_len[comp][-1]
-        out = []
-        for c in self.chords:
-            for role, ccomp, loc in (("tail", c.tail_comp, c.tail_loc),
-                                     ("tip", c.tip_comp, c.tip_loc)):
-                if ccomp != comp:
-                    continue
-                if length > 0:
-                    off = (loc[1] - start) % total
-                else:
-                    off = -((start - loc[1]) % total)
-                if off == 0:
-                    continue
-                if 0 < off < length or length < off < 0:
-                    out.append((c.id, role, off))
-        out.sort(key=lambda e: abs(e[2]))
-        return [(cid, role) for cid, role, _ in out]
+    def passage_run(self, j1: int, j2: int, side: str) -> List[int]:
+        """Indices of the passages from r_j1's tip to r_j2's tail, both
+        included, in the travel order of capping side ``side``."""
+        c1, c2 = self.chord(j1), self.chord(j2)
+        plist = self.passages[c1.tip_comp]
+        k1, k2 = (bisect_left(plist, (par,))
+                  for par in (c1.tip_loc[1], c2.tail_loc[1]))
+        step = 1 if side == "eta" else -1
+        count = step * (k2 - k1) % len(plist)
+        return [(k1 + step * i) % len(plist) for i in range(count + 1)]
 
 
 class CappingPath(object):

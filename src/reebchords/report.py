@@ -118,6 +118,19 @@ def _pool_length_cap(d: ResolvedDiagram, target_degree: int) -> Optional[int]:
     return max(1, (target_degree + 1) // min(steps))
 
 
+def _pool_words(d: ResolvedDiagram, pool_len: Optional[int],
+                budget: Fraction, epsilon: Fraction) -> List[CyclicWord]:
+    """``enumerate_orbit_words`` at budget, filtered from one enumeration
+    per (pool_len, epsilon) at the largest budget so far: every chord costs
+    over 6*eps, so a word's prefixes pass the enumerator's test if it does."""
+    key = ("pool", pool_len, epsilon)
+    if key not in d.memo or d.memo[key][0] < budget:
+        words = enumerate_orbit_words(d, pool_len, budget, epsilon)
+        d.memo[key] = (budget, [(w, w.action() - 3 * epsilon * len(w))
+                                for w in words])
+    return [w for w, cost in d.memo[key][1] if cost <= budget]
+
+
 def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
                             h1: H1Presentation,
                             epsilon: Fraction,
@@ -144,13 +157,10 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     # without a positive per-letter index step the pool's word length is
     # bounded by the CLI's --max-len only
     pool_len = _pool_length_cap(d, target_degree) if z_graded else None
-    if max_pool_len is not None:
-        pool_len = max_pool_len if pool_len is None else min(pool_len,
-                                                             max_pool_len)
-    pool_words = enumerate_orbit_words(d, max_len=pool_len,
-                                       max_action=budget, epsilon=epsilon)
-    pool = [r for r in (generator_record(d, h1, w) for w in pool_words)
-            if r.good]
+    pool_len = min((n for n in (pool_len, max_pool_len) if n is not None),
+                   default=None)
+    pool = [r for r in (generator_record(d, h1, w) for w in
+                        _pool_words(d, pool_len, budget, epsilon)) if r.good]
     if z_graded:
         pool = [r for r in pool if r.degree <= target_degree]
     pool.sort(key=lambda r: (r.action, r.word.chords))

@@ -6,14 +6,18 @@ zero-coefficient sublink by open words.  This module enumerates both within
 length/action bounds, canonicalizes cyclic rotation, and builds the planar
 push-out curves used for homology classes and intersection gradings.
 
-A push-out is made of pieces, one offset arc per (j1, j2, side) and one
-jump per (chord, side in, side out), each built once per diagram and offset
-with its end points, ray crossings at every face basepoint and linking
-counts; a word's winding and linking numbers are exact sums over its
-pieces.  ``pass_counts`` and ``chord_counts`` are the one linking rule.
+A push-out is made of pieces, each built once per diagram and offset, with
+its end points, ray crossings at every face basepoint and linking counts;
+a word's winding and linking numbers are exact sums over its pieces.  Only
+the step pieces, one per passage interval (a component's stretch between
+consecutive chord passages) and direction, are offset and wound: a capping
+arc (j1, j2, side) is a run of steps, and a jump per (chord, side in, side
+out) closes the gaps.  ``pass_counts`` and ``chord_counts`` are the one
+linking rule.
 """
 
 from fractions import Fraction
+from itertools import product
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
@@ -230,12 +234,9 @@ class OrbitString(object):
 
 
 def all_orbit_strings(word: CyclicWord) -> List[OrbitString]:
-    n = len(word.chords)
-    out = []
-    for mask in range(1 << n):
-        sides = ["eta" if mask & (1 << k) == 0 else "etabar" for k in range(n)]
-        out.append(OrbitString(word, sides))
-    return out
+    """Every side choice, the first letter's side changing fastest."""
+    return [OrbitString(word, sides[::-1]) for sides in
+            product(("eta", "etabar"), repeat=len(word.chords))]
 
 
 class PushOutCurve(object):
@@ -308,19 +309,42 @@ def _piece(d: ResolvedDiagram, points, counts) -> _Piece:
     return _Piece(points[0], points[-1], crossings, counts)
 
 
+def _crossings(pieces) -> Optional[Tuple[int, ...]]:
+    """The entrywise sum of the pieces' crossings, None if one is None."""
+    if any(piece.crossings is None for piece in pieces):
+        return None
+    return tuple(map(sum, zip(*(piece.crossings for piece in pieces))))
+
+
+def _step(d: ResolvedDiagram, comp: int, k: int, side: str,
+          offset: Fraction) -> _Piece:
+    """The piece along passage arc k of comp (against it for etabar)."""
+    key = ("step", comp, k, side, offset)
+    if key not in d.memo:
+        arc = offset_polyline(
+            d.passage_arcs[comp][k][::1 if side == "eta" else -1],
+            "left" if d.surgery[comp] == 1 else "right", offset)
+        points = [arc[0]] + [q for p, q in zip(arc, arc[1:]) if q != p]
+        d.memo[key] = _piece(d, points, [])
+    return d.memo[key]
+
+
 def _arc(d: ResolvedDiagram, j1: int, j2: int, side: str, offset: Fraction):
-    """The push-out piece along capping arc (j1, j2, side), memoized."""
+    """The push-out piece along capping arc (j1, j2, side), memoized: the
+    run of steps from r_j1's tip passage to r_j2's tail passage.  Chord
+    points lie inside segments, so the whole arc's offset passes through
+    each shifted passage point, and its crossings are the steps' sums."""
     key = ("arc", j1, j2, side, offset)
     if key not in d.memo:
-        cap = d.capping_path(j1, j2, side)
-        coeff = d.surgery[cap.component]
-        if coeff == 0:
+        comp = d.capping_path(j1, j2, side).component
+        if d.surgery[comp] == 0:
             raise ValueError(f"capping path of r{j1}r{j2} rides an "
                              f"unsurgered component")
-        ride_side = "left" if coeff == 1 else "right"
-        arc = offset_polyline(cap.points, ride_side, offset)
-        points = [arc[0]] + [q for p, q in zip(arc, arc[1:]) if q != p]
-        d.memo[key] = _piece(d, points, pass_counts(d, j1, j2, side))
+        run = d.passage_run(j1, j2, side)
+        steps = [_step(d, comp, k, side, offset)
+                 for k in (run[:-1] if side == "eta" else run[1:])]
+        d.memo[key] = _Piece(steps[0].start, steps[-1].end,
+                             _crossings(steps), pass_counts(d, j1, j2, side))
     return d.memo[key]
 
 
@@ -370,10 +394,6 @@ def push_out(d: ResolvedDiagram, w: CyclicWord,
     for k, j in enumerate(w.chords):
         pieces.append(_jump(d, j, s.sides[k - 1], s.sides[k], offset,
                             arcs[k - 1].end, arcs[k].start))
-    windings: Optional[Tuple[int, ...]] = None
-    if all(piece.crossings is not None for piece in pieces):
-        windings = tuple(map(sum, zip(*(piece.crossings
-                                        for piece in pieces))))
     linking = {}
     for comp in d.surgery:
         tot = sum(piece.counts[comp] for piece in pieces)
@@ -381,4 +401,4 @@ def push_out(d: ResolvedDiagram, w: CyclicWord,
             raise DiagramError(
                 f"odd signed crossing count {tot} with component {comp}")
         linking[comp] = Fraction(tot, 2)
-    return PushOutCurve(linking, w, s, windings)
+    return PushOutCurve(linking, w, s, _crossings(pieces))

@@ -6,7 +6,8 @@ strand-stack simulation for front combinatorics, brute-force quiver counts,
 and the elementary-divisor formulas and a Gauss-Jordan solve for small
 integer matrices.  Second routes through library results that only the
 tests need live here too: return maps and embedding steps evaluated at an
-epsilon, and orbit classes read off push-out linking numbers.
+epsilon, orbit classes read off push-out linking numbers, and push-out
+pieces of whole capping arcs.
 """
 
 import itertools
@@ -618,6 +619,69 @@ def all_segments_basepoint(d, face):
 
 # -- push-outs as whole curves ------------------------------------------------
 
+def endpoints_between(d, j1, j2, side):
+    """The chord ends met strictly inside capping arc (j1, j2, side), in
+    travel order, as (chord id, 'tail'|'tip'): every chord end of the
+    component placed by its parameter offset from r_j1's tip."""
+    comp = d.chord(j1).tip_comp
+    total = d.cheb_len[comp][-1]
+    start, end = d.chord(j1).tip_loc[1], d.chord(j2).tail_loc[1]
+    if side == "eta":
+        length = (end - start) % total or total
+    else:
+        length = -((start - end) % total) or -total
+    out = []
+    for c in d.chords:
+        for role, ccomp, loc in (("tail", c.tail_comp, c.tail_loc),
+                                 ("tip", c.tip_comp, c.tip_loc)):
+            if ccomp != comp:
+                continue
+            if length > 0:
+                off = (loc[1] - start) % total
+            else:
+                off = -((start - loc[1]) % total)
+            if 0 < off < length or length < off < 0:
+                out.append((c.id, role, off))
+    out.sort(key=lambda e: abs(e[2]))
+    return [(cid, role) for cid, role, _ in out]
+
+
+def arc_pass_counts(d, j1, j2, side):
+    """Signed crossing counts per component of the pushed-off capping arc,
+    read off ``endpoints_between``."""
+    counts = [0] * len(d.components)
+    ride_sign = 1 if side == "eta" else -1
+    for cid, role in endpoints_between(d, j1, j2, side):
+        ch = d.chord(cid)
+        comp = ch.tip_comp if role == "tail" else ch.tail_comp
+        counts[comp] += ride_sign * ch.sign
+    return counts
+
+
+def whole_arc_piece(d, j1, j2, side, offset):
+    """(start, end, crossings, counts) of the push-out piece along capping
+    arc (j1, j2, side), built in one pass: the whole capping path offset
+    and wound around each face basepoint (crossings None when it touches
+    one).  The library sums the same crossings over passage intervals."""
+    from reebchords.geometry import offset_polyline, winding_number
+
+    cap = d.capping_path(j1, j2, side)
+    coeff = d.surgery[cap.component]
+    if coeff == 0:
+        raise ValueError(f"capping path of r{j1}r{j2} rides an "
+                         f"unsurgered component")
+    ride_side = "left" if coeff == 1 else "right"
+    arc = offset_polyline(cap.points, ride_side, offset)
+    points = [arc[0]] + [q for p, q in zip(arc, arc[1:]) if q != p]
+    try:
+        crossings = tuple(winding_number(points, f.basepoint, closed=False)
+                          for f in d.faces_list)
+    except ValueError:
+        crossings = None
+    return (points[0], points[-1], crossings,
+            arc_pass_counts(d, j1, j2, side))
+
+
 def full_curve_pushout(d, w, s, arcs):
     """(offset, points, windings, linking) of a push-out built word by word.
 
@@ -662,11 +726,8 @@ def full_curve_pushout(d, w, s, arcs):
         raise AssertionError(f"push-out of {w} keeps hitting a basepoint")
     counts = {i: 0 for i in d.surgery}
     for k, (j1, j2) in enumerate(w.pairs()):
-        ride_sign = 1 if s.sides[k] == "eta" else -1
-        for cid, role in d.capping_path(j1, j2, s.sides[k]).interior:
-            ch = d.chord(cid)
-            comp = ch.tip_comp if role == "tail" else ch.tail_comp
-            counts[comp] += ride_sign * ch.sign
+        for i, v in enumerate(arc_pass_counts(d, j1, j2, s.sides[k])):
+            counts[i] += v
     for k, j in enumerate(w.chords):
         ch = d.chord(j)
         c_tail, c_tip = d.surgery[ch.tail_comp], d.surgery[ch.tip_comp]

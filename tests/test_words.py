@@ -2,18 +2,24 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import full_curve_pushout
-from reebchords import words
+from oracles import endpoints_between, full_curve_pushout, whole_arc_piece
+from reebchords import report, words
 from reebchords.diagram import parse_front, resolve
 from reebchords.geometry import offset_polyline
 from reebchords.homology import h1_presentation
-from reebchords.report import generators
+from reebchords.report import differential_candidates, generators
 from reebchords.words import (CyclicWord, OrbitString, Word,
                               all_orbit_strings, enumerate_chord_words,
                               enumerate_orbit_words,
                               primitive_decomposition, push_out)
+from test_lp import TREFOIL_2_COPY
+from test_realization import seeded_fronts
 
 F = Fraction
+TREFOIL_PLUS = "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}"
+T25_PLUS = "L1,L3,X2,X2,X2,X2,X2,R1,R1 / surgery {0:+1}"
+T25_MINUS = "L1,L3,X2,X2,X2,X2,X2,R1,R1 / surgery {0:-1}"
+HOPF_PLUS_MINUS = "L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:-1}"
 
 
 def test_canonical_cyclic_examples(trefoil_plus):
@@ -231,6 +237,7 @@ def test_offset_polylines_are_per_arc_not_per_word(monkeypatch):
              if d.composable(a.id, b.id)]
     assert 2 * len(pairs) == 50
     assert counts[3] == counts[5] <= 2 * len(pairs)
+    assert counts[3] <= 2 * sum(map(len, d.passages)) == 20
 
 
 def test_cyclic_words_live_on_the_surgered_sublink(hopf_mixed):
@@ -239,3 +246,124 @@ def test_cyclic_words_live_on_the_surgered_sublink(hopf_mixed):
               if c.tail_comp == c.tip_comp and d.surgery[c.tail_comp] == 0]
     with pytest.raises(ValueError):
         CyclicWord(d, [loops0[0]])
+
+
+@pytest.mark.parametrize("text", [TREFOIL_PLUS, T25_PLUS, HOPF_PLUS_MINUS],
+                         ids=["trefoil+1", "T(2,5)+1", "hopf+-"])
+def test_offset_polylines_are_per_passage_interval(text, monkeypatch):
+    """Each stretch between consecutive chord passages is offset at most
+    once per direction and offset, however long the words get."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return offset_polyline(*args, **kwargs)
+
+    monkeypatch.setattr(words, "offset_polyline", counting)
+    counts, offsets = {}, set()
+    for max_len in (3, 5):
+        d = resolve(parse_front(text))
+        del calls[:]
+        generators(d, h1_presentation(d), max_len=max_len)
+        counts[max_len] = len(calls)
+        offsets |= {args[2] for args in calls}
+    passages = sum(map(len, d.passages))
+    assert 0 < counts[3] == counts[5] <= 2 * passages * len(offsets)
+
+
+def check_arcs_against_whole_arcs(d):
+    """Every capping arc's piece, at offsets 1/8 and 1/16 and on both
+    sides, equals the whole arc offset and wound in one pass, and its
+    passages are the chord ends inside it; returns the pieces."""
+    pieces = {}
+    for a in d.chords:
+        for b in d.chords:
+            if not d.composable(a.id, b.id):
+                continue
+            for side in ("eta", "etabar"):
+                assert d.capping_path(a.id, b.id, side).interior == \
+                    endpoints_between(d, a.id, b.id, side)
+                for offset in (F(1, 8), F(1, 16)):
+                    args = (d, a.id, b.id, side, offset)
+                    if d.surgery[a.tip_comp] == 0:
+                        with pytest.raises(ValueError):
+                            words._arc(*args)
+                        with pytest.raises(ValueError):
+                            whole_arc_piece(*args)
+                        continue
+                    pieces[args[1:]] = words._arc(*args)
+                    assert pieces[args[1:]] == whole_arc_piece(*args)
+    return pieces
+
+
+@pytest.mark.parametrize("name", [
+    "trefoil_plus", "trefoil_minus", "unknot_plus", "unknot_minus",
+    "stab_plus", "hopf_plus", "hopf_mixed"])
+def test_arc_pieces_match_whole_arcs(name, request):
+    assert check_arcs_against_whole_arcs(request.getfixturevalue(name))
+
+
+def test_arc_pieces_match_whole_arcs_on_seeded_fronts():
+    for front in seeded_fronts():
+        check_arcs_against_whole_arcs(resolve(front))
+
+
+@pytest.mark.parametrize("text", [T25_PLUS, T25_MINUS, TREFOIL_2_COPY],
+                         ids=["T(2,5)+1", "T(2,5)-1", "2-copy"])
+def test_arc_pieces_match_whole_arcs_on_more_fronts(text):
+    assert check_arcs_against_whole_arcs(resolve(parse_front(text)))
+
+
+@pytest.mark.parametrize("where", ["join", "inside"])
+def test_arc_pieces_touch_a_basepoint_where_whole_arcs_do(where):
+    """A basepoint moved onto the shifted passage point where two steps
+    join, or inside a step: exactly the arcs whose whole offset touches it
+    have no crossings."""
+    d = resolve(parse_front(TREFOIL_PLUS))
+    step = offset_polyline(d.passage_arcs[0][0], "left", F(1, 8))
+    a, b = step[:2]
+    d.faces_list[0].basepoint = step[-1] if where == "join" else \
+        ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+    pieces = check_arcs_against_whole_arcs(d)
+    # arcs that run through passage 1, or along passage arc 0, on the
+    # side the point was shifted to
+    runs = {(j1, j2): d.passage_run(j1, j2, "eta") for j1, j2, side, _ in
+            pieces if side == "eta"}
+    assert any(pieces[j1, j2, "eta", F(1, 8)].crossings is None
+               for (j1, j2), run in runs.items()
+               if (1 in run[1:-1] if where == "join" else 0 in run[:-1]))
+    assert any(piece.crossings is not None for piece in pieces.values())
+
+
+@pytest.mark.parametrize("text", [TREFOIL_PLUS, T25_MINUS],
+                         ids=["trefoil+1", "T(2,5)-1"])
+def test_candidate_pools_equal_the_enumeration_at_each_budget(text,
+                                                              monkeypatch):
+    """At --max-len 3, each degree-1 generator's pool, read off one
+    enumeration per pool length at the largest budget so far, is the
+    enumeration at its own budget."""
+    pools = []
+    pool_words = report._pool_words
+
+    class Stop(Exception):
+        pass
+
+    def recording(d, pool_len, budget, epsilon):
+        pools.append((pool_len, budget, pool_words(d, pool_len, budget,
+                                                   epsilon)))
+        raise Stop()    # the pool is all this test needs, not the search
+
+    monkeypatch.setattr(report, "_pool_words", recording)
+    d = resolve(parse_front(text))
+    h1 = h1_presentation(d)
+    eps = F(1, 100)
+    for g in generators(d, h1, max_len=3, epsilon=eps):
+        if g.good and g.degree == 1:
+            with pytest.raises(Stop):
+                differential_candidates(g, d, h1, eps, max_pool_len=3)
+    assert len(pools) >= 2
+    assert len({budget for _, budget, _ in pools}) >= 2
+    for pool_len, budget, got in pools:
+        want = enumerate_orbit_words(d, max_len=pool_len, max_action=budget,
+                                     epsilon=eps)
+        assert [w.chords for w in got] == [w.chords for w in want]

@@ -13,9 +13,12 @@ The commands, each run once:
 
 * every item of the perfbench corpora at seeds 1-3, read from
   ``perfbench/corpus.py`` of the checkout this file is in;
-* ``invariants`` and ``chain --max-len 1 --epsilon 1/100`` on the 2-copy of
-  the tb = 1 trefoil (+1 surgery on two Reeb push-offs of it);
-* ``invariants`` on its 3-copy.
+* ``invariants``, ``chain --max-len 1 --epsilon 1/100`` and
+  ``grading --max-len 2`` on the 2-copy of the tb = 1 trefoil (+1 surgery
+  on two Reeb push-offs of it);
+* ``invariants`` and ``grading --max-len 2`` on its 3-copy.  The two
+  ``grading`` commands push orbits out on diagrams of 24 and 51 events;
+  the corpora's fronts have at most 15.
 
 Each command runs as ``reebchords.cli.main(argv + ["--input", "-"])`` with
 the front on standard input.  A command that takes more than
@@ -64,7 +67,9 @@ def commands():
         ("2-copy invariants", ["invariants"], TREFOIL_2_COPY),
         ("2-copy chain", ["chain", "--max-len", "1", "--epsilon", "1/100"],
          TREFOIL_2_COPY),
+        ("2-copy grading", ["grading", "--max-len", "2"], TREFOIL_2_COPY),
         ("3-copy invariants", ["invariants"], TREFOIL_3_COPY),
+        ("3-copy grading", ["grading", "--max-len", "2"], TREFOIL_3_COPY),
     ]
     return out
 
