@@ -1,8 +1,8 @@
 """Combinatorial Reeb dynamics of contact surgeries on Legendrian fronts.
 
 Turn a front diagram with +-1 surgery coefficients into exact planar data:
-chords, closed-orbit words, linearized return maps, Conley-Zehnder and
-Maslov indices, homology classes, intersection gradings, and filtered
+chords, closed-orbit words, linearized return maps, Conley-Zehnder
+indices, homology classes, intersection gradings, and filtered
 differential-candidate reports.
 """
 
@@ -12,14 +12,11 @@ from .dynamics import (cz_mod2, embed_orbit, hyperbolic_type, is_bad,
                        orbit_action, return_map)
 from .homology import (h1_presentation, crossing_monomials,
                        orbit_class_monomial)
-from .indices import (capping_angle, c1_class, cz_integral, index_closed,
-                      index_disk, index_general, maslov_bcs, meridian_twist)
-from .quiver import (Quiver, bubbling_faces, cyclic_equivalence,
-                     delta_i_obstruction, energy_lower_bound,
-                     exposed_required, i_grading)
+from .indices import capping_angle, c1_class, cz_integral
+from .quiver import Quiver, bubbling_faces, i_grading
 from .report import differential_candidates, generators
-from .words import (CyclicWord, OrbitString, Word, all_orbit_strings,
-                    enumerate_chord_words, enumerate_orbit_words,
-                    primitive_decomposition, push_out)
+from .words import (CyclicWord, OrbitString, Word, enumerate_chord_words,
+                    enumerate_orbit_words, primitive_decomposition,
+                    push_out)
 
 __version__ = "0.1.0"

@@ -213,7 +213,7 @@ def cmd_grading(args, d):
             continue
         ig = i_grading(d, h1, [(w, None)])
         rows.append({"word": word_name(w.chords),
-                     "igrading": list(ig.values)})
+                     "igrading": list(ig)})
     emit(rows, args.format)
 
 
@@ -235,7 +235,7 @@ def cmd_chain(args, d):
                "hyperbolic": g.hyperbolic,
                "threshold": frac_str(g.threshold)}
         if g.igrading is not None:
-            row["igrading"] = list(g.igrading.values)
+            row["igrading"] = list(g.igrading)
         if g.good:
             try:
                 row["orbit_action"] = frac_str(orbit_action(d, g.word, eps))

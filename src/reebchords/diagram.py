@@ -620,7 +620,9 @@ class ResolvedDiagram(object):
     A passage is one chord end on a component: ``passages[ci]`` lists those
     of component ci as (parameter, chord id, 'tail'|'tip', point) in
     parameter order, and ``passage_arcs[ci][k]`` walks from passage k to the
-    next, cyclically.  Faces are traced on them; push-outs offset them."""
+    next, cyclically, turning by ``passage_turns[ci][k]`` pi/4 units.  Faces
+    are traced on them, capping paths are runs of them, and push-outs offset
+    them."""
 
     def __init__(self, front: FrontCode, components: List[List[Point]],
                  slabs, z_shifts: Optional[List[Fraction]] = None):
@@ -725,14 +727,18 @@ class ResolvedDiagram(object):
                                        ("tip", c.tip_comp, c.tip_loc)):
                 self.passages[ci].append((par, c.id, role, c.point))
         self.passage_arcs: List[List[List[Point]]] = []
+        self.passage_turns: List[List[int]] = []
         for ci, plist in enumerate(self.passages):
             plist.sort(key=lambda item: item[0])
             total = self.cheb_len[ci][-1]
             self.passage_arcs.append([])
+            self.passage_turns.append([])
             for k, (par, _, _, p) in enumerate(plist):
                 next_par, _, _, q = plist[(k + 1) % len(plist)]
-                self.passage_arcs[ci].append(self._walk(
-                    ci, par, (next_par - par) % total or total, p, q)[0])
+                pts, turns = self._walk(
+                    ci, par, (next_par - par) % total or total, p, q)
+                self.passage_arcs[ci].append(pts)
+                self.passage_turns[ci].append(turns)
         self._trace_faces([a for arcs in self.passage_arcs for a in arcs])
 
     def _seg_of_param(self, comp, par):
@@ -898,7 +904,8 @@ class ResolvedDiagram(object):
 
         side 'eta' follows the component orientation, 'etabar' opposes it.
         Returns a CappingPath with exact turning data and the chord endpoints
-        met along the interior.  Results are memoized per diagram.
+        met along the interior, read off the passage arcs it runs over.
+        Results are memoized per diagram.
         """
         if side not in ("eta", "etabar"):
             raise ValueError(f"bad capping side {side!r}")
@@ -909,25 +916,28 @@ class ResolvedDiagram(object):
         comp = c1.tip_comp
         if c2.tail_comp != comp:
             raise ValueError(f"chords r{j1}, r{j2} are not composable")
+        run = self.passage_run(j1, j2, side)
+        # passage arc k runs forward from passage k to k + 1; walking
+        # against the component turns each corner the other way
+        if side == "eta":
+            turns = sum(self.passage_turns[comp][k] for k in run[:-1])
+            length = c2.tail_loc[1] - c1.tip_loc[1]
+        else:
+            turns = -sum(self.passage_turns[comp][k] for k in run[1:])
+            length = c1.tip_loc[1] - c2.tail_loc[1]
         total = self.cheb_len[comp][-1]
-        start, end = c1.tip_loc[1], c2.tail_loc[1]
-        # distinct passages have distinct parameters, so length is not 0
-        length = (end - start) % total if side == "eta" else \
-            -((start - end) % total)
-        pts, turns = self._walk(comp, start, length, c1.point, c2.point)
-        interior = [self.passages[comp][k][1:3]
-                    for k in self.passage_run(j1, j2, side)[1:-1]]
-        self.memo[key] = cap = CappingPath(j1, j2, side, comp, pts, turns,
-                                           abs(length) / total, interior)
+        interior = [self.passages[comp][k][1:3] for k in run[1:-1]]
+        self.memo[key] = cap = CappingPath(j1, j2, side, comp, turns,
+                                           length % total / total, interior)
         return cap
 
     def _walk(self, comp, start, length, a, b):
-        """Sub-polyline from point a, at parameter start, through signed
-        Chebyshev length to point b."""
+        """Sub-polyline from point a, at parameter start, forward through
+        Chebyshev length > 0 to point b, with its total turning in pi/4
+        units."""
         cl = self.cheb_len[comp]
         total = cl[-1]
         segs = self.segments[comp]
-        forward = length > 0
         par = start % total
         # the end parameter, shifted by total at each wrap, so that each
         # vertex costs one comparison with cl and no arithmetic
@@ -935,31 +945,18 @@ class ResolvedDiagram(object):
         pts = [a]
         turns = 0
         si = self._seg_of_param(comp, par)
-        prev_oct = segs[si].octant if forward else (segs[si].octant + 4) % 8
-        while True:
-            if forward:
-                if cl[si + 1] >= stop:
-                    break
-                si += 1
-                if si == len(segs):
-                    si, stop = 0, stop - total
-                oct_new = segs[si].octant
-                vertex = segs[si].a
-            else:
-                if cl[si] <= stop:
-                    break
-                si -= 1
-                if si < 0:
-                    si, stop = len(segs) - 1, stop + total
-                oct_new = (segs[si].octant + 4) % 8
-                vertex = segs[si].b
-            t = turn_octants(prev_oct, oct_new)
+        prev_oct = segs[si].octant
+        while cl[si + 1] < stop:
+            si += 1
+            if si == len(segs):
+                si, stop = 0, stop - total
+            t = turn_octants(prev_oct, segs[si].octant)
             if abs(t) == 4:
                 raise DiagramError("capping path reverses direction")
             turns += t
-            prev_oct = oct_new
-            if vertex != pts[-1]:
-                pts.append(vertex)
+            prev_oct = segs[si].octant
+            if segs[si].a != pts[-1]:
+                pts.append(segs[si].a)
         if b != pts[-1]:
             pts.append(b)
         return pts, turns
@@ -979,13 +976,12 @@ class ResolvedDiagram(object):
 class CappingPath(object):
     """Oriented arc between chord endpoints with exact rotation data."""
 
-    def __init__(self, j1, j2, side, comp, points, turn_eighths,
-                 norm_length, interior):
+    def __init__(self, j1, j2, side, comp, turn_eighths, norm_length,
+                 interior):
         self.j1 = j1
         self.j2 = j2
         self.side = side
         self.component = comp
-        self.points = points
         self.turn_eighths = turn_eighths     # total turning in pi/4 units
         self.norm_length = norm_length       # in (0, 1], component scaled to 1
         self.interior = interior             # [(chord id, 'tail'|'tip')]

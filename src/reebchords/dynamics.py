@@ -224,24 +224,15 @@ def embed_orbit(d: ResolvedDiagram, w: CyclicWord,
     return EmbeddingSolution(w, epsilon, hpoints, steps, g)
 
 
-def twist_height(epsilon: Fraction, p: Fraction) -> Fraction:
-    """Height profile of the piecewise-linear twist in its affine zone.
-
-    The value at p = 0 is -epsilon/8; this single constant is the only
-    model-dependent quantity in the action formula.
-    """
-    return -Fraction(epsilon) / 8 + p * p / (2 * Fraction(epsilon))
-
-
 def orbit_action(d: ResolvedDiagram, w: CyclicWord,
                  epsilon: Fraction) -> Fraction:
     """Exact action of the orbit of w under the piecewise-linear model.
 
-    The sum over letters of action(r_k) - P_k Q_k + c_k twist_height(P_k),
-    with c_k the coefficient at the chord's tail.  All but the chord actions
-    are summed over one integer denominator: point k has z_k = z_0 g^k, so
-    every P_k Q_k and P_k^2 is a numerator over z_(n-1)^2 once scaled by
-    g^(2(n-1-k)).
+    The sum over letters of action(r_k) - P_k Q_k + c_k h(P_k), with c_k
+    the coefficient at the chord's tail and h(p) = -eps/8 + p^2 / (2 eps)
+    the twist's height profile.  All but the chord actions are summed over
+    one integer denominator: point k has z_k = z_0 g^k, so every P_k Q_k
+    and P_k^2 is a numerator over z_(n-1)^2 once scaled by g^(2(n-1-k)).
     """
     epsilon = Fraction(epsilon)
     e_num, e_den = epsilon.numerator, epsilon.denominator

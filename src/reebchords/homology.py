@@ -223,15 +223,3 @@ def orbit_class_monomial(d: ResolvedDiagram, h1: H1Presentation,
     d.memo[key] = OrbitClass(h1, [int(half[i]) for i in h1.surgered])
     return d.memo[key]
 
-
-def chord_class_relative(d: ResolvedDiagram, h1: H1Presentation,
-                         w) -> Tuple[Fraction, ...]:
-    """Relative meridian class of a surviving zero-sublink chord word.
-
-    The crossing-monomial sum of the open word: capping-arc passes between
-    consecutive letters plus the local count at each chord, halved.  Entries
-    can be half-integral, reflecting paths that end on the zero sublink.
-    """
-    chords = w.chords
-    half = _half_counts(d, chords, list(zip(chords, chords[1:])))
-    return tuple(half[i] for i in h1.surgered)

@@ -1,8 +1,7 @@
-"""The chord quiver, intersection gradings, and obstruction predicates.
+"""The chord quiver, intersection gradings, and bubbling faces.
 
 The quiver has one vertex per link component and one directed edge per
-chord; its cycles index closed-orbit words, and it is the home of the
-positivity/cyclic-equivalence algebra.
+chord; its cycles index closed-orbit words.
 The intersection grading assigns to each null-homologous orbit collection
 an integer per bounded face, computed from push-out winding numbers plus a
 meridian-disk correction solved through the Smith form of the surgery
@@ -36,65 +35,6 @@ class Quiver(object):
     def collapsed_h1_rank(self) -> int:
         """First Betti number of the one-vertex collapse: one per edge."""
         return len(self.edges)
-
-
-def cyclic_equivalence(x: Sequence[int], y: Sequence[int]) -> bool:
-    """Whether two positive chord words are rotations of one another.
-
-    For positive elements of the free group on chords this decides full
-    conjugacy.
-    """
-    x = tuple(x)
-    y = tuple(y)
-    if not x or not y:
-        raise ValueError("cyclic equivalence needs positive (nonempty) words")
-    if any(c <= 0 for c in x) or any(c <= 0 for c in y):
-        raise ValueError("words must consist of chord letters only")
-    if len(x) != len(y):
-        return False
-    return canonical_rotation(x) == canonical_rotation(y)
-
-
-def exposed_required(d: ResolvedDiagram,
-                     positive: Sequence[CyclicWord],
-                     negative: Sequence[CyclicWord]) -> bool:
-    """Whether any curve between these asymptotics must cross a face fiber.
-
-    True on homological mismatch in the collapsed quiver, and for filling
-    curves (nonempty positive asymptotics, empty negative ones).
-    """
-    if positive and not negative:
-        return True
-    # the collapse has first homology free on the chords: compare counts
-    return sorted(c for w in positive for c in w.chords) != \
-        sorted(c for w in negative for c in w.chords)
-
-
-class IGradingVector(object):
-    """Integer vector over the bounded faces, additive under unions."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Sequence[int]):
-        self.values = tuple(int(v) for v in values)
-
-    def __add__(self, other):
-        return IGradingVector([a + b for a, b in
-                               zip(self.values, other.values)])
-
-    def __sub__(self, other):
-        return IGradingVector([a - b for a, b in
-                               zip(self.values, other.values)])
-
-    def __eq__(self, other):
-        return isinstance(other, IGradingVector) and \
-            self.values == other.values
-
-    def __hash__(self):
-        return hash(self.values)
-
-    def __repr__(self):
-        return f"I{self.values}"
 
 
 def _component_windings(d: ResolvedDiagram) -> List[List[int]]:
@@ -145,14 +85,14 @@ def effective_fiber_vector(d: ResolvedDiagram, h1: H1Presentation,
 
 def i_grading(d: ResolvedDiagram, h1: H1Presentation,
               collection: Sequence[Tuple[CyclicWord, Optional[OrbitString]]]
-              ) -> IGradingVector:
+              ) -> Tuple[int, ...]:
     """Intersection grading of a null-homologous collection of orbits.
 
     Each entry counts intersections of a spanning surface with the vertical
     fiber over a face basepoint: the push-out's winding number plus the
     contribution of the meridian disks needed to cap its linking with the
-    surgered components.  The result does not depend on the capping-side
-    choices.
+    surgered components, one int per face in ``faces_list`` order.  The
+    result does not depend on the capping-side choices.
     """
     if not h1.finite:
         raise ValueError("intersection grading needs finite first homology")
@@ -167,29 +107,10 @@ def i_grading(d: ResolvedDiagram, h1: H1Presentation,
     if total_class is not None and not total_class.is_zero():
         raise ValueError("collection is not null-homologous; no spanning "
                          "surface exists")
-    values = []
-    for v in totals:
-        if v.denominator != 1:
-            raise DiagramError("fractional fiber count on a null-homologous "
-                               "collection")
-        values.append(int(v))
-    return IGradingVector(values)
-
-
-def delta_i_obstruction(i_plus: IGradingVector,
-                        i_minus: IGradingVector) -> bool:
-    """True when intersection positivity rules the differential term out."""
-    return any(v < 0 for v in (i_plus - i_minus).values)
-
-
-def energy_lower_bound(delta_i: IGradingVector,
-                       areas: Sequence[Fraction]) -> Fraction:
-    """Least energy any curve with these fiber intersections can carry."""
-    total = Fraction(0)
-    for v, area in zip(delta_i.values, areas):
-        if v > 0:
-            total += v * Fraction(area)
-    return total
+    if any(v.denominator != 1 for v in totals):
+        raise DiagramError("fractional fiber count on a null-homologous "
+                           "collection")
+    return tuple(int(v) for v in totals)
 
 
 def bubbling_faces(d: ResolvedDiagram) -> List[Tuple[Face, Tuple[int, ...]]]:

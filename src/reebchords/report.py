@@ -15,8 +15,7 @@ from .diagram import DiagramError, ResolvedDiagram
 from .dynamics import hyperbolic_type, is_bad
 from .homology import H1Presentation, orbit_class_monomial
 from .indices import canonical_grading_valid, cz_integral, letter_index
-from .quiver import (IGradingVector, bubbling_faces,
-                     effective_fiber_vector, i_grading)
+from .quiver import bubbling_faces, effective_fiber_vector, i_grading
 from .words import CyclicWord, enumerate_orbit_words, surgered_chords
 
 # The work bound of one generator's candidate search: it stops after
@@ -43,7 +42,7 @@ class GeneratorRecord(object):
         self.hyperbolic, self.threshold = hyperbolic_type(d, w)
         self.bad = is_bad(d, w)
         self.good = not self.bad
-        self.igrading: Optional[IGradingVector] = None
+        self.igrading: Optional[Tuple[int, ...]] = None
         if h1.finite and self.orbit_class.is_zero():
             self.igrading = i_grading(d, h1, [(w, None)])
 
@@ -182,7 +181,7 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
         fiber_den = lcm(1, *(v.denominator for vec in vectors for v in vec))
         fiber = [[v.numerator * (fiber_den // v.denominator) for v in vec]
                  for vec in vectors]
-        target_i = [v * fiber_den for v in g.igrading.values]
+        target_i = [v * fiber_den for v in g.igrading]
     # Suffix tables over pool[i:], with a row for i = n: the least cost, the
     # least and greatest degree and, per face, the least scaled fiber count,
     # the last three capped at 0.  Every cost is positive (the enumeration

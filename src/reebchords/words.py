@@ -17,7 +17,6 @@ linking rule.
 """
 
 from fractions import Fraction
-from itertools import product
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
@@ -231,12 +230,6 @@ class OrbitString(object):
 
     def __repr__(self):
         return "*".join(self.sides)
-
-
-def all_orbit_strings(word: CyclicWord) -> List[OrbitString]:
-    """Every side choice, the first letter's side changing fastest."""
-    return [OrbitString(word, sides[::-1]) for sides in
-            product(("eta", "etabar"), repeat=len(word.chords))]
 
 
 class PushOutCurve(object):

@@ -6,8 +6,10 @@ strand-stack simulation for front combinatorics, brute-force quiver counts,
 and the elementary-divisor formulas and a Gauss-Jordan solve for small
 integer matrices.  Second routes through library results that only the
 tests need live here too: return maps and embedding steps evaluated at an
-epsilon, orbit classes read off push-out linking numbers, and push-out
-pieces of whole capping arcs.
+epsilon, the twist's height profile, orbit classes read off push-out
+linking numbers, capping paths walked segment by segment, push-out pieces
+of whole capping arcs, and the closed-curve index formula that decides the
+exhaustive search's degree test.
 """
 
 import itertools
@@ -175,15 +177,20 @@ def apply_all(emb, u):
     return u
 
 
+def twist_height(epsilon, p):
+    """Height profile of the piecewise-linear twist in its affine zone; its
+    value -epsilon/8 at p = 0 is the action formula's one model constant."""
+    return -Fraction(epsilon) / 8 + p * p / (2 * Fraction(epsilon))
+
+
 def fraction_orbit_action(d, w, epsilon, pts):
-    """Sum of action - P Q + c (-eps/8 + P^2 / (2 eps)) over the letters."""
-    epsilon = Fraction(epsilon)
+    """Sum of action - P Q + c twist_height(P) over the letters."""
     total = Fraction(0)
     for k, j in enumerate(w.chords):
         ch = d.chord(j)
         p, q = pts[k]
-        total += ch.action - p * q + d.surgery[ch.tail_comp] * (
-            -epsilon / 8 + p * p / (2 * epsilon))
+        total += ch.action - p * q + \
+            d.surgery[ch.tail_comp] * twist_height(epsilon, p)
     return total
 
 
@@ -617,7 +624,53 @@ def all_segments_basepoint(d, face):
         offset /= 2
     return None
 
-# -- push-outs as whole curves ------------------------------------------------
+# -- capping paths and push-outs as whole curves -----------------------------
+
+def all_orbit_strings(word):
+    """Every side choice of a cyclic word, the first letter's side changing
+    fastest."""
+    from reebchords.words import OrbitString
+
+    return [OrbitString(word, sides[::-1]) for sides in
+            itertools.product(("eta", "etabar"), repeat=len(word.chords))]
+
+
+def capping_walk(d, j1, j2, side):
+    """(points, turn_eighths, norm_length) of capping arc (j1, j2, side),
+    walked segment by segment from r_j1's tip to r_j2's tail: forward along
+    the component for eta, backward for etabar.  The points are the two
+    chord points and every vertex between; the turning sums the octant
+    changes at those vertices, in pi/4 units; the length is the Chebyshev
+    length walked over the component's.  The library sums the same data
+    over the passage arcs it runs."""
+    from reebchords.geometry import turn_octants
+
+    c1, c2 = d.chord(j1), d.chord(j2)
+    segs = d.segments[c1.tip_comp]
+    (s1, t1), (s2, t2) = c1.tip_loc, c2.tail_loc
+    step = 1 if side == "eta" else -1
+    count = step * (s2 - s1) % len(segs)
+    if count == 0 and step * (t2 - t1) < 0:
+        count = len(segs)           # round the whole component
+    seg_ids = [(s1 + step * k) % len(segs) for k in range(count + 1)]
+    octants = [(segs[k].octant + (0 if step == 1 else 4)) % 8
+               for k in seg_ids]
+    turns = sum(turn_octants(a, b) for a, b in zip(octants, octants[1:]))
+    points = [c1.point]
+    for k in seg_ids[1:]:
+        vertex = segs[k].a if step == 1 else segs[k].b
+        if vertex != points[-1]:
+            points.append(vertex)
+    if c2.point != points[-1]:
+        points.append(c2.point)
+
+    def cheb(a, b):
+        return max(abs(b[0] - a[0]), abs(b[1] - a[1]))
+
+    walked = sum(cheb(a, b) for a, b in zip(points, points[1:]))
+    total = sum(cheb(s.a, s.b) for s in segs)
+    return points, turns, walked / total
+
 
 def endpoints_between(d, j1, j2, side):
     """The chord ends met strictly inside capping arc (j1, j2, side), in
@@ -665,13 +718,13 @@ def whole_arc_piece(d, j1, j2, side, offset):
     one).  The library sums the same crossings over passage intervals."""
     from reebchords.geometry import offset_polyline, winding_number
 
-    cap = d.capping_path(j1, j2, side)
-    coeff = d.surgery[cap.component]
+    coeff = d.surgery[d.chord(j1).tip_comp]
     if coeff == 0:
         raise ValueError(f"capping path of r{j1}r{j2} rides an "
                          f"unsurgered component")
     ride_side = "left" if coeff == 1 else "right"
-    arc = offset_polyline(cap.points, ride_side, offset)
+    arc = offset_polyline(capping_walk(d, j1, j2, side)[0], ride_side,
+                          offset)
     points = [arc[0]] + [q for p, q in zip(arc, arc[1:]) if q != p]
     try:
         crossings = tuple(winding_number(points, f.basepoint, closed=False)
@@ -700,9 +753,10 @@ def full_curve_pushout(d, w, s, arcs):
         for k, (j1, j2) in enumerate(w.pairs()):
             key = (j1, j2, s.sides[k], offset)
             if key not in arcs:
-                cap = d.capping_path(j1, j2, s.sides[k])
-                ride = "left" if d.surgery[cap.component] == 1 else "right"
-                arcs[key] = offset_polyline(cap.points, ride, offset)
+                ride = "left" if d.surgery[d.chord(j1).tip_comp] == 1 \
+                    else "right"
+                arcs[key] = offset_polyline(
+                    capping_walk(d, j1, j2, s.sides[k])[0], ride, offset)
             for p in arcs[key]:
                 if not pts or pts[-1] != p:
                     pts.append(p)
@@ -773,16 +827,27 @@ def candidate_pool(d, h1, g, epsilon, z_graded, max_len):
                   key=lambda r: (r.action, r.word.chords))
 
 
+def index_closed(positive, negative, chi):
+    """Expected dimension of a curve with Euler characteristic chi and
+    punctures at the orbits of the records ``positive`` and ``negative``,
+    none of it meeting the surgery push-offs: the CZ sums' difference
+    minus chi."""
+    return sum(r.cz for r in positive) - sum(r.cz for r in negative) - chi
+
+
 def brute_force_candidates(d, h1, g, epsilon, z_graded, max_len):
     """[(factor words, trail)] of g's differential candidates, in order.
 
     Visits every multiset of good generators of length at most ``max_len``
     under g's action budget in the library's order (pool sorted by action,
     factors in non-decreasing pool position, depth first), and recomputes
-    each filter from scratch at every node: degree, summed homology class,
-    odd squares and the i-grading difference.  The only pruning is the
-    plainly sound one: with no negative degrees in the pool, a product
-    whose degree is already above the target is not extended."""
+    each filter from scratch at every node: index, summed homology class,
+    odd squares and the i-grading difference.  A product of m factors is a
+    genus-0 curve with one positive and m negative punctures, so chi is
+    1 - m; it must have index 1 (odd index when not ``z_graded``).  The
+    only pruning is the plainly sound one: with no negative degrees in the
+    pool, a product whose degree is already above the target is not
+    extended."""
     from reebchords.homology import OrbitClass
     from reebchords.quiver import effective_fiber_vector
 
@@ -803,12 +868,13 @@ def brute_force_candidates(d, h1, g, epsilon, z_graded, max_len):
                  "action": sum((r.action for r in chosen), Fraction(0))}
         delta = []
         if use_igrading:
-            delta = list(g.igrading.values)
+            delta = list(g.igrading)
             for r in chosen:
                 delta = [a - b for a, b in
                          zip(delta, effective_fiber_vector(d, h1, r.word))]
             trail["delta_i"] = tuple(delta)
-        if ((degree == target) if z_graded else (degree - target) % 2 == 0) \
+        index = index_closed([g], chosen, 1 - len(chosen))
+        if ((index == 1) if z_graded else index % 2 == 1) \
                 and cls == g.orbit_class and len(odd) == len(set(odd)) \
                 and all(v >= 0 and v.denominator == 1 for v in delta):
             found.append((tuple(r.word.chords for r in chosen), trail))
@@ -878,8 +944,8 @@ def pruned_search(d, h1, g, epsilon, z_graded, max_len):
                 picked = [pool.index(x) for x in chosen] + [i]
                 if any(sum(fibers[j][c] for j in picked)
                        + k * min([fibers[j][c] for j in later] + [0])
-                       > g.igrading.values[c]
-                       for c in range(len(g.igrading.values))):
+                       > g.igrading[c]
+                       for c in range(len(g.igrading))):
                     cuts["igrading"] += 1
                     continue
             visit(i, chosen + [r], rest)

@@ -9,8 +9,9 @@ import itertools
 import sys
 from fractions import Fraction
 
-from oracles import (orbit_class_pushout, point_in_convex, poly_diameter_sq,
-                     step_maps, trimmed_flow_polygon, divisors_2x2)
+from oracles import (all_orbit_strings, orbit_class_pushout, point_in_convex,
+                     poly_diameter_sq, step_maps, trimmed_flow_polygon,
+                     divisors_2x2)
 from reebchords.dynamics import (cz_mod2, embed_orbit, is_bad, mat_det,
                                  orbit_action, return_map)
 from reebchords.homology import (crossing_monomials, h1_presentation,
@@ -19,8 +20,7 @@ from reebchords.homology import (crossing_monomials, h1_presentation,
 from reebchords.indices import capping_angle, cz_integral, rot_number
 from reebchords.quiver import Quiver, bubbling_faces, i_grading
 from reebchords.report import GeneratorRecord, differential_candidates, generators
-from reebchords.words import (CyclicWord, all_orbit_strings,
-                              enumerate_orbit_words, push_out)
+from reebchords.words import CyclicWord, enumerate_orbit_words, push_out
 from test_quiver import TABLE as IGRADING_TABLE, paper_face_order
 
 F = Fraction
@@ -115,7 +115,7 @@ def test_criterion_4(trefoil_plus, trefoil_plus_h1):
         for strings in itertools.product(
                 *[all_orbit_strings(w) for w in cws]):
             ig = i_grading(d, h1, list(zip(cws, strings)))
-            ok &= tuple(ig.values[p - 1] for p in perm) == expect
+            ok &= tuple(ig[p - 1] for p in perm) == expect
     report(4, "trefoil intersection-grading table, 7 x 6 exact, for every "
               "capping-side choice (two entries corrected to restore the "
               "published table's own additivity relations)", ok)

@@ -7,11 +7,10 @@ from oracles import (apply_all, fraction_composite, fraction_embedding,
                      fraction_orbit_action, matrix_at, padd, peval,
                      point_in_convex, poly_diameter_sq, poly_eval, pscale,
                      reference_return_map, step_maps, trace_at,
-                     trimmed_flow_polygon)
+                     trimmed_flow_polygon, twist_height)
 from reebchords.diagram import DiagramError
 from reebchords.dynamics import (cz_mod2, embed_orbit, hyperbolic_type,
-                                 is_bad, orbit_action, return_map,
-                                 twist_height)
+                                 is_bad, orbit_action, return_map)
 from reebchords.indices import rot_number
 from reebchords.words import CyclicWord, enumerate_orbit_words
 

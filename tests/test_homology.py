@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import divisors_2x2, gauss_jordan_solve, orbit_class_pushout
+from oracles import (all_orbit_strings, divisors_2x2, gauss_jordan_solve,
+                     orbit_class_pushout)
 from reebchords import homology
 from reebchords.diagram import DiagramError, resolve
 from reebchords.homology import (crossing_monomials, h1_presentation,
                                  orbit_class_monomial, smith_normal_form)
 from reebchords.quiver import effective_fiber_vector
-from reebchords.words import (CyclicWord, all_orbit_strings,
-                              enumerate_orbit_words, push_out)
+from reebchords.words import CyclicWord, enumerate_orbit_words, push_out
 from test_realization import seeded_fronts
 
 F = Fraction
@@ -159,22 +159,6 @@ def test_qhs_flag_matches_determinant(trefoil_plus, hopf_plus, unknot_plus):
             det = h1.matrix[0][0] * h1.matrix[1][1] \
                 - h1.matrix[0][1] * h1.matrix[1][0]
         assert h1.finite == (det != 0)
-
-
-def test_relative_chord_class(hopf_mixed):
-    from reebchords.homology import chord_class_relative
-    from reebchords.words import Word, enumerate_chord_words
-
-    d = hopf_mixed
-    h1 = h1_presentation(d)
-    words = enumerate_chord_words(d, max_len=2)
-    for w in words:
-        vec = chord_class_relative(d, h1, w)
-        assert len(vec) == len(h1.surgered)
-        assert all(2 * v == int(2 * v) for v in vec)
-    # the surviving length-1 loop of the zero sublink links nothing
-    short = next(w for w in words if len(w.chords) == 1)
-    assert chord_class_relative(d, h1, short) == (F(0),)
 
 
 def check_smith_solve(h1, rng):

@@ -2,13 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from reebchords.indices import (BrokenClosedString, CappingAngle, c1_class,
+from reebchords.indices import (CappingAngle, c1_class,
                                 canonical_grading_valid, capping_angle,
-                                cz_integral, index_closed, index_disk,
-                                index_general, maslov_bcs, meridian_twist,
-                                rot_number)
+                                cz_integral, rot_number)
 from reebchords.dynamics import cz_mod2
-from reebchords.words import CyclicWord, Word, enumerate_orbit_words
+from reebchords.words import CyclicWord, enumerate_orbit_words
 
 F = Fraction
 
@@ -80,67 +78,6 @@ def test_cz_mod2_cross_module(trefoil_plus, trefoil_minus):
     for d in (trefoil_plus, trefoil_minus):
         for w in enumerate_orbit_words(d, max_len=3):
             assert cz_integral(d, w) % 2 == cz_mod2(d, w)
-
-
-def test_meridian_twist_on_covers():
-    # twisting the framing by n meridians drops the index by 2nk
-    assert meridian_twist(7, 3, 2) == 7 - 12
-    assert meridian_twist(0, -1, 4) == 8
-
-
-def test_maslov_trivial_strip(hopf_mixed):
-    d = hopf_mixed
-    loop = next(c.id for c in d.chords
-                if c.tail_comp == c.tip_comp and d.surgery[c.tail_comp] == 0)
-    b = BrokenClosedString(d, [((loop,), 1, 0), ((loop,), -1, 0)])
-    assert maslov_bcs(d, b) == -1
-    assert index_disk(d, b, 2) == 0
-
-
-def test_maslov_winding_arc_formula(hopf_mixed):
-    d = hopf_mixed
-    loop = next(c.id for c in d.chords
-                if c.tail_comp == c.tip_comp and d.surgery[c.tail_comp] == 0)
-    # strip-shaped string whose two arcs wind by 2 pi rot in total; the
-    # length-1 word has m = 0, so Maslov = 2 rot - 1
-    for rot in (0, 1, 2, -1):
-        b = BrokenClosedString(d, [((loop,), 1, 4 * rot - 2),
-                                   ((loop,), -1, 2)])
-        assert maslov_bcs(d, b) == 2 * rot - 1
-        assert index_disk(d, b, 2) == 2 * rot
-    # odd arc angles keep one-puncture strings integral
-    b1 = BrokenClosedString(d, [((loop,), 1, 3)])
-    assert maslov_bcs(d, b1) == 1
-    assert index_disk(d, b1, 1) == 1
-
-
-def test_maslov_closure_validation(hopf_mixed):
-    d = hopf_mixed
-    through = next(c.id for c in d.chords
-                   if d.surgery[c.tail_comp] != 0
-                   and d.surgery[c.tip_comp] != 0)
-    with pytest.raises(ValueError):
-        BrokenClosedString(d, [((through,), 1, 0)])
-
-
-def test_index_formulas(trefoil_plus, stab_plus):
-    w4 = CyclicWord(trefoil_plus, [4])
-    assert index_closed(trefoil_plus, [w4], [], 1) == 2 - 0 - 1
-    assert index_closed(trefoil_plus, [w4], [w4], 0) == 0
-    w1 = CyclicWord(stab_plus, [1])
-    assert index_closed(stab_plus, [w1], [], 1) == 1
-    # intersections with the framing push-off shift by 2 c rot per hit
-    assert index_closed(stab_plus, [w1], [], 1, {0: 1}) == 1 - 2
-
-
-def test_index_general_degenerates_to_closed(trefoil_plus):
-    d = trefoil_plus
-    pos = [CyclicWord(d, [4, 5])]
-    neg = [CyclicWord(d, [1])]
-    chi_compact = 2
-    n_punct = 3
-    assert index_general(d, pos, neg, [], chi_compact, n_punct, 0) == \
-        index_closed(d, pos, neg, chi_compact - n_punct)
 
 
 def test_c1_class(trefoil_plus, stab_plus, hopf_plus):

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (all_pairs_double_points, all_segments_basepoint,
-                     fd_sizing_rows, front_writhe_and_cusp_counts,
-                     orbit_class_pushout)
+from oracles import (all_orbit_strings, all_pairs_double_points,
+                     all_segments_basepoint, fd_sizing_rows,
+                     front_writhe_and_cusp_counts, orbit_class_pushout)
 from reebchords import diagram
 from reebchords.diagram import (FrontCode, _sizing_rows, _template,
                                 parse_front, resolve)
@@ -17,7 +17,7 @@ from reebchords.geometry import polyline_integral_y_dx
 from reebchords.homology import h1_presentation, orbit_class_monomial
 from reebchords.indices import capping_angle
 from reebchords.report import GeneratorRecord
-from reebchords.words import all_orbit_strings, enumerate_orbit_words, push_out
+from reebchords.words import enumerate_orbit_words, push_out
 
 F = Fraction
 
@@ -121,7 +121,7 @@ def realization_data(d):
         r = GeneratorRecord(d, h1, w)
         words[w.chords] = (r.cz, r.orbit_class.reduced, r.bad, None
                            if r.igrading is None else
-                           sorted(zip(names, r.igrading.values)))
+                           sorted(zip(names, r.igrading)))
     return d.tb, d.rot, h1.diagonal, words
 
 

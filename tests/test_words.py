@@ -2,16 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import endpoints_between, full_curve_pushout, whole_arc_piece
+from oracles import (all_orbit_strings, capping_walk, endpoints_between,
+                     full_curve_pushout, whole_arc_piece)
 from reebchords import report, words
 from reebchords.diagram import parse_front, resolve
 from reebchords.geometry import offset_polyline
 from reebchords.homology import h1_presentation
 from reebchords.report import differential_candidates, generators
 from reebchords.words import (CyclicWord, OrbitString, Word,
-                              all_orbit_strings, enumerate_chord_words,
-                              enumerate_orbit_words,
+                              enumerate_chord_words, enumerate_orbit_words,
                               primitive_decomposition, push_out)
+from test_cli import TREFOIL_3_COPY
 from test_lp import TREFOIL_2_COPY
 from test_realization import seeded_fronts
 
@@ -207,7 +208,7 @@ def test_pushout_retries_at_a_smaller_offset_per_word(piece):
     offset 1/8: the words whose pieces touch it, and only they, retry."""
     d = resolve(parse_front("L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}"))
     j = d.chords[0].id
-    arc = offset_polyline(d.capping_path(j, j, "eta").points, "left", F(1, 8))
+    arc = offset_polyline(capping_walk(d, j, j, "eta")[0], "left", F(1, 8))
     a, b = arc[:2] if piece == "arc" else (arc[-1], arc[0])
     d.faces_list[0].basepoint = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
     check_pushouts_against_full_curves(d)
@@ -312,6 +313,36 @@ def test_arc_pieces_match_whole_arcs_on_seeded_fronts():
                          ids=["T(2,5)+1", "T(2,5)-1", "2-copy"])
 def test_arc_pieces_match_whole_arcs_on_more_fronts(text):
     assert check_arcs_against_whole_arcs(resolve(parse_front(text)))
+
+
+def check_capping_paths_against_walks(d):
+    """Every capping path's turning and normalized length, summed over the
+    passage arcs it runs, equal those of a segment-by-segment walk; returns
+    the number of paths checked."""
+    count = 0
+    for a in d.chords:
+        for b in d.chords:
+            if not d.composable(a.id, b.id):
+                continue
+            for side in ("eta", "etabar"):
+                cap = d.capping_path(a.id, b.id, side)
+                _points, turns, length = capping_walk(d, a.id, b.id, side)
+                assert (cap.turn_eighths, cap.norm_length) == (turns, length)
+                count += 1
+    return count
+
+
+@pytest.mark.parametrize("name", [
+    "trefoil_plus", "trefoil_minus", "unknot_plus", "unknot_minus",
+    "stab_plus", "hopf_plus", "hopf_mixed"])
+def test_capping_paths_match_walks(name, request):
+    assert check_capping_paths_against_walks(request.getfixturevalue(name))
+
+
+def test_capping_paths_match_walks_on_seeded_fronts_and_copies():
+    for front in list(seeded_fronts()) + [parse_front(TREFOIL_2_COPY),
+                                          parse_front(TREFOIL_3_COPY)]:
+        assert check_capping_paths_against_walks(resolve(front))
 
 
 @pytest.mark.parametrize("where", ["join", "inside"])
