@@ -105,8 +105,8 @@ def i_grading(d: ResolvedDiagram, h1: H1Presentation,
         vec = effective_fiber_vector(d, h1, w, s)
         totals = [a + b for a, b in zip(totals, vec)]
     if total_class is not None and not total_class.is_zero():
-        raise ValueError("collection is not null-homologous; no spanning "
-                         "surface exists")
+        raise DiagramError("collection is not null-homologous; no "
+                           "spanning surface exists")
     if any(v.denominator != 1 for v in totals):
         raise DiagramError("fractional fiber count on a null-homologous "
                            "collection")

@@ -15,6 +15,7 @@ from .diagram import DiagramError, ResolvedDiagram
 from .dynamics import hyperbolic_type, is_bad
 from .homology import H1Presentation, orbit_class_monomial
 from .indices import canonical_grading_valid, cz_integral, letter_index
+from .lp import solve_lp
 from .quiver import bubbling_faces, effective_fiber_vector, i_grading
 from .words import CyclicWord, enumerate_orbit_words, surgered_chords
 
@@ -130,6 +131,16 @@ def _pool_words(d: ResolvedDiagram, pool_len: Optional[int],
     return [w for w, cost in d.memo[key][1] if cost <= budget]
 
 
+def _no_product_passes(fiber, target_i, costs, top, eq):
+    """True when no real x >= 0 over the pool has sum(x) >= 1, fiber sums
+    at most target_i, cost at most top - 1 and the ``eq`` rows: this LP
+    relaxes the search's filters, so then no non-constant product passes."""
+    n = len(costs)
+    ge = [([-vec[c] for vec in fiber], -t) for c, t in enumerate(target_i)]
+    ge += [([-c for c in costs], 1 - top), ([1] * n, 1)]
+    return solve_lp(n, eq, ge, [0] * n) is None
+
+
 def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
                             h1: H1Presentation,
                             epsilon: Fraction,
@@ -144,7 +155,9 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     faces whose corner word is g's word.  The search skips every subtree
     that degree, the action budget, odd squares or the intersection
     grading rule out, and stops at the work bound of MAX_NODES and
-    MAX_SURVIVORS, which the report's ``truncated`` names.
+    MAX_SURVIVORS, which the report's ``truncated`` names.  Under the
+    i-grading filter it stops complete once ``_no_product_passes`` proves
+    that no non-constant product survives (the constant term may).
     """
     epsilon = Fraction(epsilon)
     slack = 3 * epsilon
@@ -202,6 +215,11 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
         if use_igrading:
             fiber_lo[i] = [min(v, m) for v, m in zip(fiber[i],
                                                      fiber_lo[i + 1])]
+    # the LP costs about its tableau, rows x (columns + rows), so it runs
+    # once the search has examined that many products: short ones skip it
+    lp_eq = [([r.degree for r in pool], target_degree)] if z_graded else []
+    rows = n_faces + 2 + len(lp_eq)
+    lp_at = rows * (n + rows) if use_igrading and pool else None
     found: List[Candidate] = []
     chosen: List[int] = []              # pool indices of the product's factors
     nodes = 1                           # the empty product
@@ -272,6 +290,9 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
         left = budget_left - costs[i]
         if left <= 0:
             continue
+        if nodes == lp_at and _no_product_passes(fiber, target_i, costs,
+                                                 top, lp_eq):
+            break
         # every product under the budget counts, whether a prune cuts it or
         # not, so the bound covers the prunes' work too
         if nodes == MAX_NODES:

@@ -8,8 +8,9 @@ integer matrices.  Second routes through library results that only the
 tests need live here too: return maps and embedding steps evaluated at an
 epsilon, the twist's height profile, orbit classes read off push-out
 linking numbers, capping paths walked segment by segment, push-out pieces
-of whole capping arcs, and the closed-curve index formula that decides the
-exhaustive search's degree test.
+of whole capping arcs, the closed-curve index formula that decides the
+exhaustive search's degree test, the candidate search's LP in integer rows,
+and the k-copy of a front, which no CLI command builds.
 """
 
 import itertools
@@ -406,6 +407,54 @@ def front_writhe_and_cusp_counts(front):
         else:
             del stack_ids[pos - 1:pos + 1]
     return writhe, linking, down, up
+
+
+def k_copy(front, k):
+    """The FrontCode of k Reeb push-offs of every component of ``front``.
+
+    Each strand at position p becomes k strands from b = (p - 1) k + 1 on.
+    A left cusp becomes k nested cusps, whose crossings at b - 1 + q for q
+    in 2j, 2j - 1, ..., j + 1 (j = 1 ... k - 1) sort them into an upper and
+    a lower half; a right cusp takes the same block turned by a half turn
+    (positions q -> 2k - q, in reverse order), then k cusps; a crossing
+    becomes the k^2 crossings at b + k - 1 + j - i (j, i = 0 ... k - 1)
+    that swap two blocks of k.  Copy j of component c is component
+    c k + j, with c's coefficient and orientation."""
+    from reebchords.diagram import FrontCode
+
+    sort = [q for j in range(1, k) for q in range(2 * j, j, -1)]
+    events = []
+    for kind, p in front.events:
+        b = (p - 1) * k + 1
+        if kind == "L":
+            events += [f"L{b}"] * k + [f"X{b - 1 + q}" for q in sort]
+        elif kind == "R":
+            events += [f"X{b - 1 + 2 * k - q}" for q in reversed(sort)]
+            events += [f"R{b}"] * k
+        else:
+            events += [f"X{b + k - 1 + j - i}"
+                       for j in range(k) for i in range(k)]
+    return FrontCode(events,
+                     {c * k + j: v for c, v in front.orientations.items()
+                      for j in range(k)},
+                     {c * k + j: v for c, v in front.surgery.items()
+                      for j in range(k)})
+
+
+def front_text(front):
+    """The grammar text of a FrontCode: events, an orientations block when
+    some component is reversed, and every surgery coefficient."""
+    events = ",".join(f"{kind}{p}" for kind, p in front.events)
+    n = front.n_components
+    parts = [events]
+    if any(v < 0 for v in front.orientations.values()):
+        parts.append("orientations {" + ", ".join(
+            f"{i}:{'+' if front.orientations[i] > 0 else '-'}"
+            for i in range(n)) + "}")
+    parts.append("surgery {" + ", ".join(
+        f"{i}:{front.surgery[i]:+d}" if front.surgery[i] else f"{i}:0"
+        for i in range(n)) + "}")
+    return " / ".join(parts)
 
 
 # -- the chord quiver by brute force -------------------------------------------
@@ -890,6 +939,38 @@ def brute_force_candidates(d, h1, g, epsilon, z_graded, max_len):
     return found
 
 
+def search_lp(d, h1, pool, g, epsilon, z_graded):
+    """(A, b), rows of integers, of the LP relaxation of g's search over
+    ``pool``: A x <= b over real multiplicities x >= 0 says that the
+    product's fiber count at each face is at most g's, that its cost
+    stays under the budget, that it has a factor, and (when
+    ``z_graded``) that its degree is g's minus one.  Costs are multiples
+    of 1/D, D the least common denominator of theirs and the budget's, so
+    "under the budget" is "at most the budget less 1/D".  Each row is
+    scaled by a positive integer."""
+    from reebchords.quiver import effective_fiber_vector
+
+    slack = 3 * Fraction(epsilon)
+    budget = g.action + slack * len(g.word.chords)
+    costs = [r.action - slack * len(r.word.chords) for r in pool]
+    den = lcm(budget.denominator, *(c.denominator for c in costs))
+    fibers = [effective_fiber_vector(d, h1, r.word) for r in pool]
+    rows = [([f[c] for f in fibers], g.igrading[c])
+            for c in range(len(g.igrading))]
+    rows += [(costs, budget - Fraction(1, den)),
+             ([-1] * len(pool), -1)]
+    if z_graded:
+        degrees = [r.degree for r in pool]
+        rows += [(degrees, g.degree - 1),
+                 ([-v for v in degrees], 1 - g.degree)]
+    out_a, out_b = [], []
+    for a, b in rows:
+        scale = lcm(*(Fraction(v).denominator for v in list(a) + [b]))
+        out_a.append([int(v * scale) for v in a])
+        out_b.append(int(b * scale))
+    return out_a, out_b
+
+
 def pruned_search(d, h1, g, epsilon, z_graded, max_len):
     """(nodes, cuts) of g's candidate search under the library's prunes.
 
@@ -903,9 +984,15 @@ def pruned_search(d, h1, g, epsilon, z_graded, max_len):
     times the least and k times the greatest of their degrees (each capped
     at 0), and at least k times their least fiber count at each face
     (capped at 0).  Sums are recomputed in fractions at every child.
-    ``nodes`` counts the products the library examines: the root, every
-    product entered and every child cut by degree or i-grading (a repeated
-    odd word is never examined there)."""
+    ``nodes`` counts the products the library examines, in its order: the
+    root, every product entered and every child cut by degree or
+    i-grading (a repeated odd word is never examined there).
+
+    Under the i-grading filter the walk also stops, with one "lp" cut,
+    where the library solves its LP: when it has examined r (p + r)
+    products, r = faces + 2 (+ 1 when ``z_graded``) the rows and p the
+    pool's size, and ``search_lp`` is infeasible under this module's
+    ``fraction_solve_lp``."""
     from reebchords.quiver import effective_fiber_vector
 
     slack = 3 * Fraction(epsilon)
@@ -916,12 +1003,21 @@ def pruned_search(d, h1, g, epsilon, z_graded, max_len):
     costs = [r.action - slack * len(r.word.chords) for r in pool]
     fibers = [effective_fiber_vector(d, h1, r.word) for r in pool] \
         if use_igrading else []
-    cuts = {"odd": 0, "degree": 0, "igrading": 0}
-    nodes = 0
+    lp_at = None
+    if use_igrading and pool:
+        rows = len(g.igrading) + 2 + z_graded
+        lp_at = rows * (len(pool) + rows)
+    cuts = {"odd": 0, "degree": 0, "igrading": 0, "lp": 0}
+    nodes = 1
+
+    def infeasible():
+        a, b = search_lp(d, h1, pool, g, epsilon, z_graded)
+        ge = [([-v for v in row], -v) for row, v in zip(a, b)]
+        return fraction_solve_lp(len(pool), [], ge, [0] * len(pool)) is None
 
     def visit(start, chosen, left):
+        """False once the LP stop has ended the walk."""
         nonlocal nodes
-        nodes += 1
         for i in range(start, len(pool)):
             r = pool[i]
             if costs[i] >= left:
@@ -929,6 +1025,10 @@ def pruned_search(d, h1, g, epsilon, z_graded, max_len):
             if chosen and chosen[-1] is r and r.degree % 2 != 0:
                 cuts["odd"] += 1
                 continue
+            if nodes == lp_at and infeasible():
+                cuts["lp"] += 1
+                return False
+            nodes += 1
             rest = left - costs[i]
             later = range(i + r.degree % 2, len(pool))
             k = 0
@@ -948,10 +1048,12 @@ def pruned_search(d, h1, g, epsilon, z_graded, max_len):
                        for c in range(len(g.igrading))):
                     cuts["igrading"] += 1
                     continue
-            visit(i, chosen + [r], rest)
+            if not visit(i, chosen + [r], rest):
+                return False
+        return True
 
     visit(0, [], budget)
-    return nodes + cuts["degree"] + cuts["igrading"], cuts
+    return nodes, cuts
 
 
 # -- the simplex in Fraction arithmetic ---------------------------------------

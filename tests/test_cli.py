@@ -1,9 +1,15 @@
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from oracles import front_text, k_copy
 from reebchords.cli import main
+from reebchords.diagram import parse_front
+from test_lp import TREFOIL_2_COPY
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
 def write(tmp_path, text, name="front.txt"):
@@ -280,6 +286,23 @@ def test_exit_code_3_on_realization_fault(tmp_path, capsys, monkeypatch):
     assert code == 3 and "collinear overlap" in err
 
 
+def test_exit_code_3_on_a_class_fault_in_the_grading(tmp_path, capsys,
+                                                     monkeypatch):
+    # grading keeps the null-homologous words only, so a class that is not
+    # zero inside i_grading is an internal fault
+    from reebchords import quiver
+    from reebchords.homology import OrbitClass
+
+    def skewed(d, h1, w):
+        return OrbitClass(h1, [1] * len(h1.surgered))
+
+    monkeypatch.setattr(quiver, "orbit_class_monomial", skewed)
+    path = write(tmp_path, "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")
+    code, out, err = run(capsys, ["grading", "--max-len", "1", "--input",
+                                  path])
+    assert (code, out) == (3, "") and "not null-homologous" in err, err
+
+
 def test_bad_coefficient_values_exit_2(tmp_path, capsys):
     for text in ("L1,R1 / surgery {0:x}", "L1,R1 / orientations {0:++}",
                  "L1,R1 / surgery {0:}"):
@@ -444,34 +467,6 @@ def test_malformed_json_front_exits_2(tmp_path, capsys, command, text):
     assert (code, out) == (2, "") and err.startswith("input error:"), err
 
 
-# contact 1/3 surgery on the tb = 1 trefoil: +1 surgery on three Reeb
-# push-offs of it
-TREFOIL_3_COPY = ("L1,L1,L1,X2,X4,X3,L7,L7,L7,X8,X10,X9,X6,X5,X4,X7,X6,X5,"
-                  "X8,X7,X6,X6,X5,X4,X7,X6,X5,X8,X7,X6,X6,X5,X4,X7,X6,X5,"
-                  "X8,X7,X6,X3,X2,X4,R1,R1,R1,X3,X2,X4,R1,R1,R1 "
-                  "/ surgery {0:+1, 1:+1, 2:+1}")
-
-
-def test_chain_on_the_trefoil_3_copy_certifies_a_constant_term(tmp_path,
-                                                                capsys):
-    # products here can have more factors than Python's recursion limit
-    # has frames, so the candidate search must keep its own stack
-    path = write(tmp_path, TREFOIL_3_COPY)
-    code, out, _ = run(capsys, ["homology", "--input", path])
-    assert code == 0 and json.loads(out)["group"] == "Z/4"
-    code, out, err = run(capsys, ["chain", "--max-len", "1", "--epsilon",
-                                  "1/100", "--input", path])
-    assert code == 0, err
-    rows = {row["word"]: row for row in json.loads(out)}
-    assert all(row.get("truncated") in (None, "nodes", "survivors")
-               for row in rows.values())
-    r37 = rows["(r37)"]
-    assert "truncated" not in r37
-    [constant] = r37["candidates"]
-    assert (constant["monomial"], constant["count"]) == ("1", "+-1")
-    assert constant["faces"]
-
-
 @pytest.mark.parametrize("command", ["parse", "invariants"])
 @pytest.mark.parametrize("text", [
     '{"events": ["L1", "R1"], "surgery": {"0": 1.5}, '
@@ -489,3 +484,45 @@ def test_loose_or_repeated_coefficients_exit_2(tmp_path, capsys, command,
     path = write(tmp_path, text)
     code, out, err = run(capsys, [command, "--input", path])
     assert (code, out) == (2, "") and err.startswith("input error:"), err
+
+
+TREFOIL_PLUS = "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}"
+# contact 1/3 surgery on the tb = 1 trefoil: +1 surgery on three Reeb
+# push-offs of it
+TREFOIL_3_COPY = ("L1,L1,L1,X2,X4,X3,L7,L7,L7,X8,X10,X9,X6,X5,X4,X7,X6,X5,"
+                  "X8,X7,X6,X6,X5,X4,X7,X6,X5,X8,X7,X6,X6,X5,X4,X7,X6,X5,"
+                  "X8,X7,X6,X3,X2,X4,R1,R1,R1,X3,X2,X4,R1,R1,R1 "
+                  "/ surgery {0:+1, 1:+1, 2:+1}")
+
+
+def test_k_copy_builder_gives_the_pinned_copies(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import cli_diff
+
+    trefoil = parse_front(TREFOIL_PLUS)
+    copies = {k: front_text(k_copy(trefoil, k)) for k in (1, 2, 3, 4)}
+    assert copies[1] == TREFOIL_PLUS
+    assert copies[2] == TREFOIL_2_COPY == cli_diff.TREFOIL_2_COPY
+    assert copies[3] == TREFOIL_3_COPY == cli_diff.TREFOIL_3_COPY
+    assert copies[4] == cli_diff.TREFOIL_4_COPY
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_chain_certifies_every_degree_one_row_of_the_trefoil_k_copy(
+        tmp_path, capsys, k):
+    # contact 1/k surgery on the tb = 1 trefoil: each good degree-1 row has
+    # the constant term as its complete candidate list, with one witness
+    path = write(tmp_path, front_text(k_copy(parse_front(TREFOIL_PLUS), k)))
+    code, out, _ = run(capsys, ["homology", "--input", path])
+    assert code == 0 and json.loads(out)["group"] == f"Z/{k + 1}"
+    code, out, err = run(capsys, ["chain", "--max-len", "1", "--epsilon",
+                                  "1/100", "--input", path])
+    assert code == 0, err
+    rows = [row for row in json.loads(out)
+            if row["good"] and row["degree"] == 1]
+    assert len(rows) == 2 * k
+    for row in rows:
+        assert "truncated" not in row, row["word"]
+        [constant] = row["candidates"]
+        assert (constant["monomial"], constant["count"]) == ("1", "+-1")
+        assert len(constant["faces"]) == 1

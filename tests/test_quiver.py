@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import all_orbit_strings, count_cycles, count_paths
-from reebchords.diagram import parse_front, resolve
+from reebchords.diagram import DiagramError, parse_front, resolve
 from reebchords.homology import h1_presentation, orbit_class_monomial
 from reebchords.quiver import Quiver, bubbling_faces, i_grading
 from reebchords.words import CyclicWord, enumerate_orbit_words
@@ -115,8 +115,10 @@ def test_igrading_preconditions(trefoil_minus, trefoil_plus, trefoil_plus_h1):
     w = CyclicWord(trefoil_minus, [4])
     with pytest.raises(ValueError):
         i_grading(trefoil_minus, h1m, [(w, None)])
+    # every caller checks the class first, so a class that is not zero here
+    # is an internal fault
     w1 = CyclicWord(trefoil_plus, [1])
-    with pytest.raises(ValueError):
+    with pytest.raises(DiagramError, match="not null-homologous"):
         i_grading(trefoil_plus, trefoil_plus_h1, [(w1, None)])
 
 

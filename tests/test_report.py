@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from oracles import brute_force_candidates, candidate_pool, pruned_search
+from oracles import (brute_force_candidates, candidate_pool, front_text,
+                     fraction_solve_lp, k_copy, pruned_search, search_lp)
 from reebchords import report
 from reebchords.diagram import parse_front, resolve
 from reebchords.homology import h1_presentation
@@ -246,8 +248,8 @@ def test_exhaustive_search_cases_reach_every_prune():
     """The searches above visit the products that the oracle's walk under
     the same prunes enters, and each prune cuts there at least once: odd
     squares, degree reachability with words of negative degree in the
-    pool, and the intersection-grading bound."""
-    cuts = {"odd": 0, "degree": 0, "igrading": 0}
+    pool, the intersection-grading bound, and the LP stop."""
+    cuts = {"odd": 0, "degree": 0, "igrading": 0, "lp": 0}
     for d, h1, g, rep, cap in oracle_cases():
         nodes, case_cuts = pruned_search(d, h1, g, EPS, rep.z_graded, cap)
         assert rep.nodes == nodes
@@ -257,6 +259,59 @@ def test_exhaustive_search_cases_reach_every_prune():
         for reason, count in case_cuts.items():
             cuts[reason] += count
     assert all(count > 0 for count in cuts.values()), cuts
+
+
+# a parity-mode search whose LP is still feasible when the search reaches
+# it: the search goes on, to 4,387 products
+FEASIBLE_LP_FRONT = ("L1,L2,X3,X2,L4,R3,L2,R1,X3,X2,X1,X1,R3,R1 / "
+                     "orientations {0:-} / surgery {0:+1}")
+
+
+def test_search_goes_on_past_a_feasible_lp():
+    [(d, h1, g, rep, cap)] = searches(FEASIBLE_LP_FRONT, [(4,)], 2)
+    nodes, cuts = pruned_search(d, h1, g, EPS, rep.z_graded, cap)
+    pool = candidate_pool(d, h1, g, EPS, rep.z_graded, cap)
+    rows = len(g.igrading) + 2 + rep.z_graded
+    assert rep.truncated is None and cuts["lp"] == 0
+    assert rep.nodes == nodes > rows * (len(pool) + rows)
+
+
+def test_lp_stops_have_integer_farkas_certificates(monkeypatch):
+    """Each search that the LP stops, on the trefoil +1 cases above and on
+    its 2- and 3-copy at length 1, has a Farkas vector y for the oracle's
+    LP A x <= b, x >= 0, found by the Fraction simplex on the dual and
+    checked in integers: y >= 0, y.A >= 0 on every column and y.b < 0, so
+    no x exists, whatever either simplex said."""
+    verdicts = []
+
+    def recorded(*args):
+        verdicts.append(solve_lp(*args))
+        return verdicts[-1]
+
+    solve_lp = report.solve_lp
+    monkeypatch.setattr(report, "solve_lp", recorded)
+    trefoil = parse_front(SEARCH_FRONTS[0])
+    for cases in (searches(SEARCH_FRONTS[0]),
+                  searches(front_text(k_copy(trefoil, 2)), None, 1),
+                  searches(front_text(k_copy(trefoil, 3)), None, 1)):
+        certified = 0
+        for d, h1, g, rep, cap in cases:
+            if verdicts and verdicts[-1] is None:
+                pool = candidate_pool(d, h1, g, EPS, rep.z_graded, cap)
+                a, b = search_lp(d, h1, pool, g, EPS, rep.z_graded)
+                dual = [([row[j] for row in a], 0) for j in range(len(pool))]
+                dual.append(([-v for v in b], 1))
+                y = fraction_solve_lp(len(a), [], dual, [0] * len(a))
+                assert y is not None, g
+                scale = lcm(*(v.denominator for v in y))
+                y = [int(v * scale) for v in y]
+                assert all(v >= 0 for v in y)
+                assert all(sum(v * row[j] for v, row in zip(y, a)) >= 0
+                           for j in range(len(pool)))
+                assert sum(v * w for v, w in zip(y, b)) < 0
+                certified += 1
+            verdicts.clear()
+        assert certified > 0
 
 
 def test_truncated_search_keeps_the_first_survivors(monkeypatch):

@@ -15,10 +15,11 @@ The commands, each run once:
   ``perfbench/corpus.py`` of the checkout this file is in;
 * ``invariants``, ``chain --max-len 1 --epsilon 1/100`` and
   ``grading --max-len 2`` on the 2-copy of the tb = 1 trefoil (+1 surgery
-  on two Reeb push-offs of it);
-* ``invariants`` and ``grading --max-len 2`` on its 3-copy.  The two
-  ``grading`` commands push orbits out on diagrams of 24 and 51 events;
-  the corpora's fronts have at most 15.
+  on two Reeb push-offs of it) and on its 3-copy, and ``chain --max-len 1
+  --epsilon 1/100`` on its 4-copy: eight commands in all.  The
+  ``grading`` commands push orbits out on diagrams of 24 and 51 events,
+  and the 4-copy has 88; the corpora's fronts have at most 15.  The
+  copies are those of ``k_copy`` in ``tests/oracles.py``.
 
 Each command runs as ``reebchords.cli.main(argv + ["--input", "-"])`` with
 the front on standard input.  A command that takes more than
@@ -46,6 +47,13 @@ TREFOIL_3_COPY = ("L1,L1,L1,X2,X4,X3,L7,L7,L7,X8,X10,X9,X6,X5,X4,X7,X6,X5,"
                   "X8,X7,X6,X6,X5,X4,X7,X6,X5,X8,X7,X6,X6,X5,X4,X7,X6,X5,"
                   "X8,X7,X6,X3,X2,X4,R1,R1,R1,X3,X2,X4,R1,R1,R1 "
                   "/ surgery {0:+1, 1:+1, 2:+1}")
+TREFOIL_4_COPY = ("L1,L1,L1,L1,X2,X4,X3,X6,X5,X4,L9,L9,L9,L9,X10,X12,X11,"
+                  "X14,X13,X12,X8,X7,X6,X5,X9,X8,X7,X6,X10,X9,X8,X7,X11,"
+                  "X10,X9,X8,X8,X7,X6,X5,X9,X8,X7,X6,X10,X9,X8,X7,X11,X10,"
+                  "X9,X8,X8,X7,X6,X5,X9,X8,X7,X6,X10,X9,X8,X7,X11,X10,X9,"
+                  "X8,X4,X3,X2,X5,X4,X6,R1,R1,R1,R1,X4,X3,X2,X5,X4,X6,R1,"
+                  "R1,R1,R1 "
+                  "/ surgery {0:+1, 1:+1, 2:+1, 3:+1}")
 
 
 def commands():
@@ -63,13 +71,15 @@ def commands():
                     seen.add(key)
                     out.append((f"{workload}: {item['name']}", item["argv"],
                                 item["front"]))
+    chain = ["chain", "--max-len", "1", "--epsilon", "1/100"]
     out += [
         ("2-copy invariants", ["invariants"], TREFOIL_2_COPY),
-        ("2-copy chain", ["chain", "--max-len", "1", "--epsilon", "1/100"],
-         TREFOIL_2_COPY),
+        ("2-copy chain", chain, TREFOIL_2_COPY),
         ("2-copy grading", ["grading", "--max-len", "2"], TREFOIL_2_COPY),
         ("3-copy invariants", ["invariants"], TREFOIL_3_COPY),
         ("3-copy grading", ["grading", "--max-len", "2"], TREFOIL_3_COPY),
+        ("3-copy chain", chain, TREFOIL_3_COPY),
+        ("4-copy chain", chain, TREFOIL_4_COPY),
     ]
     return out
 
