@@ -12,11 +12,10 @@ from .dynamics import (cz_mod2, embed_orbit, hyperbolic_type, is_bad,
                        orbit_action, return_map)
 from .homology import (h1_presentation, crossing_monomials,
                        orbit_class_monomial)
-from .indices import capping_angle, c1_class, cz_integral
+from .indices import c1_class, cz_integral
 from .quiver import Quiver, bubbling_faces, i_grading
 from .report import differential_candidates, generators
-from .words import (CyclicWord, OrbitString, Word, enumerate_chord_words,
-                    enumerate_orbit_words, primitive_decomposition,
-                    push_out)
+from .words import (CyclicWord, Word, enumerate_chord_words,
+                    enumerate_orbit_words, primitive_decomposition, push_out)
 
 __version__ = "0.1.0"

@@ -71,11 +71,16 @@ def word_name(chords) -> str:
 
 
 def load_diagram(args):
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    """The front read from ``--input``; an unreadable input (a missing file,
+    a directory, no permission) is a FrontError."""
+    try:
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except OSError as exc:
+        raise FrontError(str(exc)) from exc
     return parse_front(text)
 
 
@@ -211,7 +216,7 @@ def cmd_grading(args, d):
         cls = orbit_class_monomial(d, h1, w)
         if not cls.is_zero():
             continue
-        ig = i_grading(d, h1, [(w, None)])
+        ig = i_grading(d, h1, [w])
         rows.append({"word": word_name(w.chords),
                      "igrading": list(ig)})
     emit(rows, args.format)
@@ -294,7 +299,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         COMMANDS[args.command](args)
-    except (FrontError, FileNotFoundError, ValueError) as exc:
+    except (FrontError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except DiagramError as exc:

@@ -30,7 +30,7 @@ import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .geometry import (
     OCTANT_VECTORS,
@@ -219,7 +219,8 @@ def parse_front(text) -> FrontCode:
 
     Text form: ``L1,L3,X2,X2,X2,R2,R1 / surgery {0:+1} / orientations {0:+}``.
     A dict (or JSON object string) with keys ``events``, ``orientations``,
-    ``surgery`` is accepted as the structured equivalent.
+    ``surgery`` and no others is accepted as the structured equivalent; a
+    repeated key or text section is an error.
     """
     if isinstance(text, dict):
         data = text
@@ -236,6 +237,9 @@ def parse_front(text) -> FrontCode:
         events = data.get("events")
         if not isinstance(events, (list, tuple)) or not events:
             raise FrontError("events must be a non-empty list")
+        for key in data:
+            if key not in ("events", "orientations", "surgery"):
+                raise FrontError(f"unknown front key {key!r}")
         for key in ("orientations", "surgery"):
             if not isinstance(data.get(key, {}), dict):
                 raise FrontError(f"{key} must be an object")
@@ -246,18 +250,17 @@ def parse_front(text) -> FrontCode:
     if not parts or not parts[0]:
         raise FrontError("empty event list")
     events = [_event(tok) for tok in parts[0].split(",")]
-    orientations = None
-    surgery = None
-    for part in parts[1:]:
-        if not part:
-            continue
-        if part.startswith("surgery"):
-            surgery = _parse_assoc(part[len("surgery"):], "surgery")
-        elif part.startswith("orientations"):
-            orientations = _parse_assoc(part[len("orientations"):], "orientations")
-        else:
+    sections: Dict[str, Dict[int, str]] = {}
+    for part in filter(None, parts[1:]):
+        name = next((name for name in ("surgery", "orientations")
+                     if part.startswith(name)), None)
+        if name is None:
             raise FrontError(f"unknown section {part!r}")
-    return FrontCode(events, orientations, surgery)
+        if name in sections:
+            raise FrontError(f"{name} section given twice")
+        sections[name] = _parse_assoc(part[len(name):], name)
+    return FrontCode(events, sections.get("orientations"),
+                     sections.get("surgery"))
 
 
 # ---------------------------------------------------------------------------
@@ -899,36 +902,24 @@ class ResolvedDiagram(object):
     def composable(self, j1: int, j2: int) -> bool:
         return self.chord(j1).tip_comp == self.chord(j2).tail_comp
 
-    def capping_path(self, j1: int, j2: int, side: str = "eta"):
-        """Capping arc from the tip of r_j1 to the tail of r_j2.
-
-        side 'eta' follows the component orientation, 'etabar' opposes it.
-        Returns a CappingPath with exact turning data and the chord endpoints
-        met along the interior, read off the passage arcs it runs over.
-        Results are memoized per diagram.
-        """
-        if side not in ("eta", "etabar"):
-            raise ValueError(f"bad capping side {side!r}")
-        key = ("capping", j1, j2, side)
+    def capping_path(self, j1: int, j2: int) -> "CappingPath":
+        """Capping arc from the tip of r_j1 to the tail of r_j2, following
+        the component's orientation, read off the passage arcs it runs over.
+        Results are memoized per diagram."""
+        key = ("capping", j1, j2)
         if key in self.memo:
             return self.memo[key]
         c1, c2 = self.chord(j1), self.chord(j2)
         comp = c1.tip_comp
         if c2.tail_comp != comp:
             raise ValueError(f"chords r{j1}, r{j2} are not composable")
-        run = self.passage_run(j1, j2, side)
-        # passage arc k runs forward from passage k to k + 1; walking
-        # against the component turns each corner the other way
-        if side == "eta":
-            turns = sum(self.passage_turns[comp][k] for k in run[:-1])
-            length = c2.tail_loc[1] - c1.tip_loc[1]
-        else:
-            turns = -sum(self.passage_turns[comp][k] for k in run[1:])
-            length = c1.tip_loc[1] - c2.tail_loc[1]
+        run = self.passage_run(j1, j2)
+        # passage arc k runs forward from passage k to k + 1
+        turns = sum(self.passage_turns[comp][k] for k in run[:-1])
         total = self.cheb_len[comp][-1]
+        length = (c2.tail_loc[1] - c1.tip_loc[1]) % total
         interior = [self.passages[comp][k][1:3] for k in run[1:-1]]
-        self.memo[key] = cap = CappingPath(j1, j2, side, comp, turns,
-                                           length % total / total, interior)
+        self.memo[key] = cap = CappingPath(turns, length / total, interior)
         return cap
 
     def _walk(self, comp, start, length, a, b):
@@ -961,30 +952,24 @@ class ResolvedDiagram(object):
             pts.append(b)
         return pts, turns
 
-    def passage_run(self, j1: int, j2: int, side: str) -> List[int]:
+    def passage_run(self, j1: int, j2: int) -> List[int]:
         """Indices of the passages from r_j1's tip to r_j2's tail, both
-        included, in the travel order of capping side ``side``."""
+        included, in the component's order."""
         c1, c2 = self.chord(j1), self.chord(j2)
         plist = self.passages[c1.tip_comp]
         k1, k2 = (bisect_left(plist, (par,))
                   for par in (c1.tip_loc[1], c2.tail_loc[1]))
-        step = 1 if side == "eta" else -1
-        count = step * (k2 - k1) % len(plist)
-        return [(k1 + step * i) % len(plist) for i in range(count + 1)]
+        return [(k1 + i) % len(plist)
+                for i in range((k2 - k1) % len(plist) + 1)]
 
 
-class CappingPath(object):
-    """Oriented arc between chord endpoints with exact rotation data."""
-
-    def __init__(self, j1, j2, side, comp, turn_eighths, norm_length,
-                 interior):
-        self.j1 = j1
-        self.j2 = j2
-        self.side = side
-        self.component = comp
-        self.turn_eighths = turn_eighths     # total turning in pi/4 units
-        self.norm_length = norm_length       # in (0, 1], component scaled to 1
-        self.interior = interior             # [(chord id, 'tail'|'tip')]
+class CappingPath(NamedTuple):
+    """Exact rotation data of a capping arc: its total turning in pi/4
+    units, its Chebyshev length over its component's, in (0, 1], and the
+    chord ends met inside it as [(chord id, 'tail'|'tip')]."""
+    turn_eighths: int
+    norm_length: Fraction
+    interior: List[Tuple[int, str]]
 
     @property
     def theta_half_pi(self) -> int:

@@ -100,7 +100,7 @@ def _letter(d: ResolvedDiagram, j1: int, j2: int) -> Tuple[int, int, Fraction]:
     """
     key = ("letter", j1, j2)
     if key not in d.memo:
-        cap = d.capping_path(j1, j2, "eta")
+        cap = d.capping_path(j1, j2)
         sign = -1 if (cap.theta_half_pi // 2) % 2 == 1 else 1
         d.memo[key] = (sign, d.surgery[d.chord(j1).tip_comp],
                        Fraction(1, 2) - cap.norm_length)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .diagram import DiagramError, ResolvedDiagram
-from .words import CyclicWord, chord_counts, pass_counts
+from .words import CyclicWord
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]):
@@ -178,17 +178,43 @@ class OrbitClass(object):
         return f"OrbitClass{self.vector}"
 
 
+def pass_counts(d: ResolvedDiagram, j1: int, j2: int) -> List[int]:
+    """Signed crossing counts per component of the pushed-off capping arc
+    of r_j1 r_j2: passing chord c's tail counts c's sign against its tip's
+    component, and the reverse."""
+    counts = [0] * len(d.components)
+    for cid, role in d.capping_path(j1, j2).interior:
+        ch = d.chord(cid)
+        counts[ch.tip_comp if role == "tail" else ch.tail_comp] += ch.sign
+    return counts
+
+
+def chord_counts(d: ResolvedDiagram, j: int) -> List[Fraction]:
+    """The local count at chord j per component: (c + sign)/2 at each end.
+
+    c is the coefficient of the end's component, so the count is integral
+    on the surgered sublink and half-integral elsewhere.
+    """
+    ch = d.chord(j)
+    counts = [Fraction(0)] * len(d.components)
+    for comp in (ch.tail_comp, ch.tip_comp):
+        counts[comp] += Fraction(d.surgery[comp] + ch.sign, 2)
+    return counts
+
+
 def crossing_monomials(d: ResolvedDiagram):
     """(cross_j per chord, cross_{j1,j2} per composable pair), mu coefficients.
 
-    Vectors live over all components, tabulated from ``words.chord_counts``
-    and ``words.pass_counts``; chord monomials are integral on the surgered
-    sublink.  Memoized per diagram.
+    Vectors live over all components, tabulated from ``chord_counts`` and
+    ``pass_counts``; chord monomials are integral on the surgered sublink.
+    Half a word's monomial sum is the linking vector of its pushed-out
+    orbit, the one route to both its class and its grading's meridian
+    correction.  Memoized per diagram.
     """
     if ("crossing_monomials",) in d.memo:
         return d.memo[("crossing_monomials",)]
     singles = {c.id: chord_counts(d, c.id) for c in d.chords}
-    pairs = {(c1.id, c2.id): pass_counts(d, c1.id, c2.id, "eta")
+    pairs = {(c1.id, c2.id): pass_counts(d, c1.id, c2.id)
              for c1 in d.chords for c2 in d.chords
              if d.composable(c1.id, c2.id)}
     d.memo[("crossing_monomials",)] = (singles, pairs)

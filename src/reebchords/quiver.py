@@ -3,21 +3,20 @@
 The quiver has one vertex per link component and one directed edge per
 chord; its cycles index closed-orbit words.
 The intersection grading assigns to each null-homologous orbit collection
-an integer per bounded face, computed from push-out winding numbers plus a
-meridian-disk correction solved through the Smith form of the surgery
-relation matrix.  The winding numbers are the push-out's sums of per-piece
-tables (see ``words``); no curve is wound here except each component, once
-per diagram.
+an integer per bounded face: the push-out's winding numbers (sums of
+per-piece tables, see ``words``) plus a meridian-disk correction for its
+linking vector, which is the orbit's class vector, solved through the Smith
+form of the surgery relation matrix.  No curve is wound here except each
+component, once per diagram.
 """
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .diagram import DiagramError, Face, ResolvedDiagram
 from .geometry import winding_number
 from .homology import H1Presentation, orbit_class_monomial
-from .words import (CyclicWord, OrbitString, canonical_rotation,
-                    push_out)
+from .words import CyclicWord, canonical_rotation, push_out
 
 
 class Quiver(object):
@@ -47,33 +46,32 @@ def _component_windings(d: ResolvedDiagram) -> List[List[int]]:
 
 
 def effective_fiber_vector(d: ResolvedDiagram, h1: H1Presentation,
-                           w: CyclicWord, s: Optional[OrbitString] = None
-                           ) -> Tuple[Fraction, ...]:
+                           w: CyclicWord) -> Tuple[Fraction, ...]:
     """Per-orbit rational fiber-count vector; sums to the grading of unions.
 
     The push-out's winding numbers plus the (here possibly fractional)
-    meridian-cap correction solved against the relation matrix; the total
-    over a null-homologous collection is integral and is its grading.
-    Memoized per diagram.
+    meridian-cap correction solved against the relation matrix for minus
+    the orbit's class vector; the total over a null-homologous collection
+    is integral and is its grading.  Memoized per diagram.
     """
-    key = ("fiber", w.chords, s.sides if s is not None else None)
+    key = ("fiber", w.chords)
     if key in d.memo:
         return d.memo[key]
     # a degenerate tangency with a basepoint fiber regenerates the push-out
     # at a smaller offset
     offset = Fraction(1, 8)
     for _attempt in range(8):
-        curve = push_out(d, w, s, offset=offset)
-        if curve.windings is not None:
+        windings = push_out(d, w, offset)
+        if windings is not None:
             break
         offset /= 2
     else:
         raise DiagramError("push-out keeps hitting a basepoint fiber")
-    sol = h1.solve([-curve.linking[i] for i in h1.surgered])
+    sol = h1.solve([-v for v in orbit_class_monomial(d, h1, w).vector])
     comp_w = _component_windings(d)
     vec = []
     for k in range(len(d.faces_list)):
-        total = Fraction(curve.windings[k])
+        total = Fraction(windings[k])
         # each cap through handle j trades a meridian for a framed push-off,
         # whose spanning surface meets the fiber in the component's winding
         for idx, j in enumerate(h1.surgered):
@@ -84,25 +82,22 @@ def effective_fiber_vector(d: ResolvedDiagram, h1: H1Presentation,
 
 
 def i_grading(d: ResolvedDiagram, h1: H1Presentation,
-              collection: Sequence[Tuple[CyclicWord, Optional[OrbitString]]]
-              ) -> Tuple[int, ...]:
+              words: Sequence[CyclicWord]) -> Tuple[int, ...]:
     """Intersection grading of a null-homologous collection of orbits.
 
     Each entry counts intersections of a spanning surface with the vertical
     fiber over a face basepoint: the push-out's winding number plus the
     contribution of the meridian disks needed to cap its linking with the
-    surgered components, one int per face in ``faces_list`` order.  The
-    result does not depend on the capping-side choices.
+    surgered components, one int per face in ``faces_list`` order.
     """
     if not h1.finite:
         raise ValueError("intersection grading needs finite first homology")
     total_class = None
-    n_faces = len(d.faces_list)
-    totals = [Fraction(0)] * n_faces
-    for w, s in collection:
+    totals = [Fraction(0)] * len(d.faces_list)
+    for w in words:
         cls = orbit_class_monomial(d, h1, w)
         total_class = cls if total_class is None else total_class + cls
-        vec = effective_fiber_vector(d, h1, w, s)
+        vec = effective_fiber_vector(d, h1, w)
         totals = [a + b for a, b in zip(totals, vec)]
     if total_class is not None and not total_class.is_zero():
         raise DiagramError("collection is not null-homologous; no "

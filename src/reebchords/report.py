@@ -45,7 +45,7 @@ class GeneratorRecord(object):
         self.good = not self.bad
         self.igrading: Optional[Tuple[int, ...]] = None
         if h1.finite and self.orbit_class.is_zero():
-            self.igrading = i_grading(d, h1, [(w, None)])
+            self.igrading = i_grading(d, h1, [w])
 
     def __repr__(self):
         flag = "good" if self.good else "bad"

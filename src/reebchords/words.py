@@ -3,24 +3,23 @@
 After contact surgery the closed Reeb trajectories are named by cyclic words
 of composable chords on the surgered sublink, and the surviving chords of a
 zero-coefficient sublink by open words.  This module enumerates both within
-length/action bounds, canonicalizes cyclic rotation, and builds the planar
-push-out curves used for homology classes and intersection gradings.
+length/action bounds, canonicalizes cyclic rotation, and winds the planar
+push-out curves used for intersection gradings around the face basepoints.
 
 A push-out is made of pieces, each built once per diagram and offset, with
-its end points, ray crossings at every face basepoint and linking counts;
-a word's winding and linking numbers are exact sums over its pieces.  Only
-the step pieces, one per passage interval (a component's stretch between
-consecutive chord passages) and direction, are offset and wound: a capping
-arc (j1, j2, side) is a run of steps, and a jump per (chord, side in, side
-out) closes the gaps.  ``pass_counts`` and ``chord_counts`` are the one
-linking rule.
+its end points and its ray crossings at every face basepoint; a word's
+winding numbers are exact sums over its pieces.  Only the step pieces, one
+per passage interval (a component's stretch between consecutive chord
+passages), are offset and wound: the capping arc of a composable pair is a
+run of steps, and a jump at each chord closes the gaps.  A push-out's
+linking numbers are its orbit class, which ``homology`` reads off the
+crossing monomials.
 """
 
 from fractions import Fraction
-from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .diagram import DiagramError, ResolvedDiagram
+from .diagram import ResolvedDiagram
 from .geometry import offset_polyline, winding_number
 
 
@@ -216,90 +215,22 @@ def enumerate_chord_words(d: ResolvedDiagram,
     return out
 
 
-class OrbitString(object):
-    """A side choice (capping arc or its opposite) for each step of a word."""
-
-    def __init__(self, word: CyclicWord, sides: Sequence[str]):
-        if len(sides) != len(word.chords):
-            raise ValueError("need one side choice per composable pair")
-        for s in sides:
-            if s not in ("eta", "etabar"):
-                raise ValueError(f"bad side {s!r}")
-        self.word = word
-        self.sides = tuple(sides)
-
-    def __repr__(self):
-        return "*".join(self.sides)
-
-
-class PushOutCurve(object):
-    """Closed planar curve tracking an orbit pushed off the surgery handles.
-
-    Only the curve's sums are kept: ``linking`` maps each component to the
-    exact linking number of the pushed-out orbit with it, and ``windings``
-    holds the curve's winding numbers around the face basepoints, in
-    ``faces_list`` order; it is None when the curve passes through a
-    basepoint.
-    """
-
-    def __init__(self, linking: Dict[int, Fraction], word, string,
-                 windings: Optional[Tuple[int, ...]]):
-        self.linking = linking
-        self.word = word
-        self.string = string
-        self.windings = windings
-
-
-def pass_counts(d: ResolvedDiagram, j1: int, j2: int, side: str
-                ) -> List[int]:
-    """Signed crossing counts per component of a pushed-off capping arc.
-
-    Passing chord c's tail counts c's sign against its tip's component, and
-    the reverse; ``etabar`` arcs count with the sign reversed.
-    """
-    counts = [0] * len(d.components)
-    ride_sign = 1 if side == "eta" else -1
-    for cid, role in d.capping_path(j1, j2, side).interior:
-        ch = d.chord(cid)
-        comp = ch.tip_comp if role == "tail" else ch.tail_comp
-        counts[comp] += ride_sign * ch.sign
-    return counts
-
-
-def chord_counts(d: ResolvedDiagram, j: int) -> List[Fraction]:
-    """The local count at chord j per component: (c + sign)/2 at each end.
-
-    c is the coefficient of the end's component, so the count is integral
-    on the surgered sublink and half-integral elsewhere.
-    """
-    ch = d.chord(j)
-    counts = [Fraction(0)] * len(d.components)
-    for comp in (ch.tail_comp, ch.tip_comp):
-        counts[comp] += Fraction(d.surgery[comp] + ch.sign, 2)
-    return counts
-
-
 class _Piece(NamedTuple):
-    """An open piece of push-out curves with its share of their data.
-
-    ``start`` and ``end`` are its end points; ``crossings`` are its signed
-    crossings of the leftward ray from each face basepoint, None when it
-    touches one; ``counts`` are its signed crossing counts per component,
-    twice its share of the linking numbers.
-    """
+    """An open piece of push-out curves: ``start`` and ``end`` are its end
+    points, ``crossings`` its signed crossings of the leftward ray from each
+    face basepoint, None when it touches one."""
     start: Tuple
     end: Tuple
     crossings: Optional[Tuple[int, ...]]
-    counts: List[int]
 
 
-def _piece(d: ResolvedDiagram, points, counts) -> _Piece:
+def _piece(d: ResolvedDiagram, points) -> _Piece:
     try:
         crossings = tuple(winding_number(points, f.basepoint, closed=False)
                           for f in d.faces_list)
     except ValueError:
         crossings = None
-    return _Piece(points[0], points[-1], crossings, counts)
+    return _Piece(points[0], points[-1], crossings)
 
 
 def _crossings(pieces) -> Optional[Tuple[int, ...]]:
@@ -309,89 +240,61 @@ def _crossings(pieces) -> Optional[Tuple[int, ...]]:
     return tuple(map(sum, zip(*(piece.crossings for piece in pieces))))
 
 
-def _step(d: ResolvedDiagram, comp: int, k: int, side: str,
-          offset: Fraction) -> _Piece:
-    """The piece along passage arc k of comp (against it for etabar)."""
-    key = ("step", comp, k, side, offset)
+def _step(d: ResolvedDiagram, comp: int, k: int, offset: Fraction) -> _Piece:
+    """The piece along passage arc k of comp."""
+    key = ("step", comp, k, offset)
     if key not in d.memo:
-        arc = offset_polyline(
-            d.passage_arcs[comp][k][::1 if side == "eta" else -1],
-            "left" if d.surgery[comp] == 1 else "right", offset)
+        arc = offset_polyline(d.passage_arcs[comp][k],
+                              "left" if d.surgery[comp] == 1 else "right",
+                              offset)
         points = [arc[0]] + [q for p, q in zip(arc, arc[1:]) if q != p]
-        d.memo[key] = _piece(d, points, [])
+        d.memo[key] = _piece(d, points)
     return d.memo[key]
 
 
-def _arc(d: ResolvedDiagram, j1: int, j2: int, side: str, offset: Fraction):
-    """The push-out piece along capping arc (j1, j2, side), memoized: the
+def _arc(d: ResolvedDiagram, j1: int, j2: int, offset: Fraction) -> _Piece:
+    """The push-out piece along the capping arc of r_j1 r_j2, memoized: the
     run of steps from r_j1's tip passage to r_j2's tail passage.  Chord
     points lie inside segments, so the whole arc's offset passes through
     each shifted passage point, and its crossings are the steps' sums."""
-    key = ("arc", j1, j2, side, offset)
+    key = ("arc", j1, j2, offset)
     if key not in d.memo:
-        comp = d.capping_path(j1, j2, side).component
+        comp = d.chord(j1).tip_comp
         if d.surgery[comp] == 0:
             raise ValueError(f"capping path of r{j1}r{j2} rides an "
                              f"unsurgered component")
-        run = d.passage_run(j1, j2, side)
-        steps = [_step(d, comp, k, side, offset)
-                 for k in (run[:-1] if side == "eta" else run[1:])]
+        steps = [_step(d, comp, k, offset)
+                 for k in d.passage_run(j1, j2)[:-1]]
         d.memo[key] = _Piece(steps[0].start, steps[-1].end,
-                             _crossings(steps), pass_counts(d, j1, j2, side))
+                             _crossings(steps))
     return d.memo[key]
 
 
-def _jump(d: ResolvedDiagram, j: int, side_in: str, side_out: str,
-          offset: Fraction, a, b):
+def _jump(d: ResolvedDiagram, j: int, offset: Fraction, a, b) -> _Piece:
     """The push-out piece at chord j from arc end a to arc start b, memoized.
 
-    a and b depend only on j, the arcs' sides and the offset (an arc's end
-    segment is the one through the chord), so they are not in the key.
+    a and b depend only on j and the offset (an arc's end segment is the
+    one through the chord), so they are not in the key.
     """
-    key = ("jump", j, side_in, side_out, offset)
+    key = ("jump", j, offset)
     if key not in d.memo:
-        ch = d.chord(j)
-        c_tail = d.surgery[ch.tail_comp]
-        c_tip = d.surgery[ch.tip_comp]
-        if c_tail == 0 or c_tip == 0:
-            raise ValueError(f"chord r{j} touches an unsurgered component")
-        counts = [int(x) for x in chord_counts(d, j)]
-        # side-dependent local terms: an opposite-side ride reaches the chord
-        # across the other strand, trading one crossing with each component
-        if side_in == "etabar":                   # ride into the tail
-            counts[ch.tail_comp] -= c_tail
-            counts[ch.tip_comp] -= ch.sign
-        if side_out == "etabar":                  # ride out of the tip
-            counts[ch.tip_comp] -= c_tip
-            counts[ch.tail_comp] -= ch.sign
-        d.memo[key] = _piece(d, [a, b] if a != b else [a], counts)
+        d.memo[key] = _piece(d, [a, b] if a != b else [a])
     return d.memo[key]
 
 
 def push_out(d: ResolvedDiagram, w: CyclicWord,
-             s: Optional[OrbitString] = None,
-             offset: Fraction = Fraction(1, 8)) -> PushOutCurve:
-    """Homotope the orbit of w into the handle complement along s.
+             offset: Fraction = Fraction(1, 8)) -> Optional[Tuple[int, ...]]:
+    """Winding numbers of the orbit of w homotoped off the surgery handles
+    around the face basepoints, in ``faces_list`` order; None when the
+    curve passes through a basepoint.
 
-    The curve follows each chosen capping arc at a small offset: on the left
-    of the component when its coefficient is +1, on the right when -1 (sides
-    taken relative to the direction of travel), and jumps across each chord
-    of the word.  Its winding and linking data are the sums of those of the
-    memoized arc and jump pieces; the curve itself is never assembled.
+    The curve follows each capping arc at a small offset: on the left of the
+    component when its coefficient is +1, on the right when -1 (sides taken
+    relative to the direction of travel), and jumps across each chord of
+    the word.  Its windings are the sums of those of the memoized arc and
+    jump pieces; the curve itself is never assembled.
     """
-    if s is None:
-        s = OrbitString(w, ["eta"] * len(w.chords))
-    arcs = [_arc(d, j1, j2, s.sides[k], offset)
-            for k, (j1, j2) in enumerate(w.pairs())]
-    pieces = list(arcs)
-    for k, j in enumerate(w.chords):
-        pieces.append(_jump(d, j, s.sides[k - 1], s.sides[k], offset,
-                            arcs[k - 1].end, arcs[k].start))
-    linking = {}
-    for comp in d.surgery:
-        tot = sum(piece.counts[comp] for piece in pieces)
-        if tot % 2 != 0:
-            raise DiagramError(
-                f"odd signed crossing count {tot} with component {comp}")
-        linking[comp] = Fraction(tot, 2)
-    return PushOutCurve(linking, w, s, _crossings(pieces))
+    arcs = [_arc(d, j1, j2, offset) for j1, j2 in w.pairs()]
+    jumps = [_jump(d, j, offset, arcs[k - 1].end, arcs[k].start)
+             for k, j in enumerate(w.chords)]
+    return _crossings(arcs + jumps)

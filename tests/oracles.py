@@ -6,11 +6,13 @@ strand-stack simulation for front combinatorics, brute-force quiver counts,
 and the elementary-divisor formulas and a Gauss-Jordan solve for small
 integer matrices.  Second routes through library results that only the
 tests need live here too: return maps and embedding steps evaluated at an
-epsilon, the twist's height profile, orbit classes read off push-out
-linking numbers, capping paths walked segment by segment, push-out pieces
-of whole capping arcs, the closed-curve index formula that decides the
-exhaustive search's degree test, the candidate search's LP in integer rows,
-and the k-copy of a front, which no CLI command builds.
+epsilon, the twist's height profile, capping paths walked segment by
+segment on either side (the library rides only the side along the
+component's orientation), push-out pieces of whole capping arcs, whole
+push-out curves for every side choice with their linking numbers, orbit
+classes and intersection gradings, the closed-curve index formula that
+decides the exhaustive search's degree test, the candidate search's LP in
+integer rows, and the k-copy of a front, which no CLI command builds.
 """
 
 import itertools
@@ -58,8 +60,6 @@ def step_matrix(c):
 
 def reference_return_map(d, word):
     """Independent product for the linearized return map of a cyclic word."""
-    from reebchords.indices import rot_number
-
     n = len(word)
     prod = (({0: 1}, {}), ({}, {0: 1}))
     sign = 1
@@ -106,7 +106,7 @@ def step_maps(d, w, epsilon):
     epsilon = Fraction(epsilon)
     maps = []
     for j1, j2 in w.pairs():
-        cap = d.capping_path(j1, j2, "eta")
+        cap = d.capping_path(j1, j2)
         c = d.surgery[d.chord(j1).tip_comp]
         rot_sign = -1 if (cap.theta_half_pi // 2) % 2 == 1 else 1
         # (p, q) -> sign * (-q, p + 1/2 - dist - (c/eps) q)
@@ -676,11 +676,10 @@ def all_segments_basepoint(d, face):
 # -- capping paths and push-outs as whole curves -----------------------------
 
 def all_orbit_strings(word):
-    """Every side choice of a cyclic word, the first letter's side changing
-    fastest."""
-    from reebchords.words import OrbitString
-
-    return [OrbitString(word, sides[::-1]) for sides in
+    """Every side choice of a cyclic word, one 'eta' or 'etabar' per letter,
+    the first letter's side changing fastest.  The library rides 'eta'
+    only, the capping arc that follows the component's orientation."""
+    return [sides[::-1] for sides in
             itertools.product(("eta", "etabar"), repeat=len(word.chords))]
 
 
@@ -719,6 +718,12 @@ def capping_walk(d, j1, j2, side):
     walked = sum(cheb(a, b) for a, b in zip(points, points[1:]))
     total = sum(cheb(s.a, s.b) for s in segs)
     return points, turns, walked / total
+
+
+def rot_number(d, j1, j2):
+    """floor(theta / pi) of the eta capping arc of r_j1 r_j2, from the
+    turning of its walk (theta = turns * pi/4)."""
+    return capping_walk(d, j1, j2, "eta")[1] // 4
 
 
 def endpoints_between(d, j1, j2, side):
@@ -761,10 +766,10 @@ def arc_pass_counts(d, j1, j2, side):
 
 
 def whole_arc_piece(d, j1, j2, side, offset):
-    """(start, end, crossings, counts) of the push-out piece along capping
-    arc (j1, j2, side), built in one pass: the whole capping path offset
-    and wound around each face basepoint (crossings None when it touches
-    one).  The library sums the same crossings over passage intervals."""
+    """(start, end, crossings) of the push-out piece along capping arc
+    (j1, j2, side), built in one pass: the whole capping path offset and
+    wound around each face basepoint (crossings None when it touches one).
+    The library sums the same crossings over passage intervals."""
     from reebchords.geometry import offset_polyline, winding_number
 
     coeff = d.surgery[d.chord(j1).tip_comp]
@@ -780,32 +785,54 @@ def whole_arc_piece(d, j1, j2, side, offset):
                           for f in d.faces_list)
     except ValueError:
         crossings = None
-    return (points[0], points[-1], crossings,
-            arc_pass_counts(d, j1, j2, side))
+    return points[0], points[-1], crossings
 
 
-def full_curve_pushout(d, w, s, arcs):
-    """(offset, points, windings, linking) of a push-out built word by word.
+def pushout_linking(d, w, sides):
+    """{component: linking number} of the push-out of w along ``sides``:
+    half the arc passes past chord endpoints plus the local terms at each
+    chord of the word, where a ride on the 'etabar' side reaches the chord
+    across the other strand and trades one crossing with each component."""
+    n = len(w.chords)
+    counts = {i: 0 for i in d.surgery}
+    for k, (j1, j2) in enumerate(w.pairs()):
+        for i, v in enumerate(arc_pass_counts(d, j1, j2, sides[k])):
+            counts[i] += v
+    for k, j in enumerate(w.chords):
+        ch = d.chord(j)
+        c_tail, c_tip = d.surgery[ch.tail_comp], d.surgery[ch.tip_comp]
+        counts[ch.tail_comp] += (c_tail + ch.sign) // 2
+        counts[ch.tip_comp] += (c_tip + ch.sign) // 2
+        if sides[(k - 1) % n] == "etabar":      # ride into the tail
+            counts[ch.tail_comp] -= c_tail
+            counts[ch.tip_comp] -= ch.sign
+        if sides[k] == "etabar":                # ride out of the tip
+            counts[ch.tip_comp] -= c_tip
+            counts[ch.tail_comp] -= ch.sign
+    return {i: Fraction(t, 2) for i, t in counts.items()}
+
+
+def full_curve_pushout(d, w, sides, arcs):
+    """(offset, points, windings, linking) of a push-out built word by word
+    along the capping sides ``sides``, one per letter.
 
     The curve is the whole closed polyline of offset capping arcs at the
     first offset in 1/8, 1/16, ... (8 tries) where it avoids every face
-    basepoint, wound around each basepoint in one piece.  Linking counts
-    sum the arc passes past chord endpoints and the local terms at each
-    chord of the word.  ``arcs`` is a dict the caller keeps per diagram; it
-    holds each offset capping arc once computed."""
+    basepoint, wound around each basepoint in one piece.  The linking is
+    ``pushout_linking``.  ``arcs`` is a dict the caller keeps per diagram;
+    it holds each offset capping arc once computed."""
     from reebchords.geometry import offset_polyline, winding_number
 
-    n = len(w.chords)
     offset = Fraction(1, 8)
     for _attempt in range(8):
         pts = []
         for k, (j1, j2) in enumerate(w.pairs()):
-            key = (j1, j2, s.sides[k], offset)
+            key = (j1, j2, sides[k], offset)
             if key not in arcs:
                 ride = "left" if d.surgery[d.chord(j1).tip_comp] == 1 \
                     else "right"
                 arcs[key] = offset_polyline(
-                    capping_walk(d, j1, j2, s.sides[k])[0], ride, offset)
+                    capping_walk(d, j1, j2, sides[k])[0], ride, offset)
             for p in arcs[key]:
                 if not pts or pts[-1] != p:
                     pts.append(p)
@@ -827,35 +854,50 @@ def full_curve_pushout(d, w, s, arcs):
             offset /= 2
     else:
         raise AssertionError(f"push-out of {w} keeps hitting a basepoint")
-    counts = {i: 0 for i in d.surgery}
-    for k, (j1, j2) in enumerate(w.pairs()):
-        for i, v in enumerate(arc_pass_counts(d, j1, j2, s.sides[k])):
-            counts[i] += v
-    for k, j in enumerate(w.chords):
-        ch = d.chord(j)
-        c_tail, c_tip = d.surgery[ch.tail_comp], d.surgery[ch.tip_comp]
-        counts[ch.tail_comp] += (c_tail + ch.sign) // 2
-        counts[ch.tip_comp] += (c_tip + ch.sign) // 2
-        if s.sides[(k - 1) % n] == "etabar":
-            counts[ch.tail_comp] -= c_tail
-            counts[ch.tip_comp] -= ch.sign
-        if s.sides[k] == "etabar":
-            counts[ch.tip_comp] -= c_tip
-            counts[ch.tail_comp] -= ch.sign
-    linking = {i: Fraction(t, 2) for i, t in counts.items()}
-    return offset, pts, windings, linking
+    return offset, pts, windings, pushout_linking(d, w, sides)
 
 
-def orbit_class_pushout(h1, p):
+def orbit_class_pushout(h1, linking):
     """Homology class of a pushed-out orbit from its linking numbers."""
     from reebchords.homology import OrbitClass
 
     vec = []
     for i in h1.surgered:
-        assert Fraction(p.linking[i]).denominator == 1, \
+        assert Fraction(linking[i]).denominator == 1, \
             "half-integral linking number in push-out"
-        vec.append(int(p.linking[i]))
+        vec.append(int(linking[i]))
     return OrbitClass(h1, vec)
+
+
+def pushout_grading(d, collection, arcs):
+    """Intersection grading of a null-homologous collection [(word, sides)]
+    read off whole push-out curves, for any capping sides.
+
+    Per face: the curves' windings around its basepoint, plus sum_j x_j
+    times component j's winding there, where x solves M x = -(the curves'
+    total linking) by Gauss-Jordan elimination and M is the surgery
+    relation matrix (tb + c on the diagonal, linking numbers off it) over
+    the surgered components.  ``arcs`` is as for ``full_curve_pushout``."""
+    from reebchords.geometry import winding_number
+
+    surgered = [i for i in sorted(d.surgery) if d.surgery[i] != 0]
+    mat = [[d.tb[i] + d.surgery[i] if i == j else d.linking[i][j]
+            for j in surgered] for i in surgered]
+    windings = [0] * len(d.faces_list)
+    linking = [Fraction(0)] * len(surgered)
+    for w, sides in collection:
+        _offset, _pts, wind, link = full_curve_pushout(d, w, sides, arcs)
+        windings = [a + b for a, b in zip(windings, wind)]
+        linking = [t + link[i] for t, i in zip(linking, surgered)]
+    x = gauss_jordan_solve(mat, [-v for v in linking])
+    out = []
+    for k, f in enumerate(d.faces_list):
+        total = windings[k] + sum(
+            (xj * winding_number(d.components[j], f.basepoint)
+             for xj, j in zip(x, surgered)), Fraction(0))
+        assert total.denominator == 1, "fractional fiber count"
+        out.append(int(total))
+    return tuple(out)
 
 
 # -- differential candidates by exhaustive search -----------------------------

@@ -9,18 +9,19 @@ import itertools
 import sys
 from fractions import Fraction
 
-from oracles import (all_orbit_strings, orbit_class_pushout, point_in_convex,
-                     poly_diameter_sq, step_maps, trimmed_flow_polygon,
-                     divisors_2x2)
+from oracles import (all_orbit_strings, capping_walk, orbit_class_pushout,
+                     point_in_convex, poly_diameter_sq, pushout_grading,
+                     pushout_linking, rot_number, step_maps,
+                     trimmed_flow_polygon, divisors_2x2)
 from reebchords.dynamics import (cz_mod2, embed_orbit, is_bad, mat_det,
                                  orbit_action, return_map)
 from reebchords.homology import (crossing_monomials, h1_presentation,
                                  orbit_class_monomial,
                                  smith_normal_form)
-from reebchords.indices import capping_angle, cz_integral, rot_number
+from reebchords.indices import cz_integral
 from reebchords.quiver import Quiver, bubbling_faces, i_grading
 from reebchords.report import GeneratorRecord, differential_candidates, generators
-from reebchords.words import CyclicWord, enumerate_orbit_words, push_out
+from reebchords.words import CyclicWord, enumerate_orbit_words
 from test_quiver import TABLE as IGRADING_TABLE, paper_face_order
 
 F = Fraction
@@ -46,8 +47,8 @@ ROT_TABLE = {
 
 
 def test_criterion_1(trefoil_plus):
-    ok = all(rot_number(trefoil_plus, j, k) == ROT_TABLE[j][k - 1]
-             for j in range(1, 6) for k in range(1, 6))
+    ok = all(trefoil_plus.capping_path(j, k).theta_half_pi // 2
+             == ROT_TABLE[j][k - 1] for j in range(1, 6) for k in range(1, 6))
     report(1, "trefoil rotation-number table (25 exact integers)", ok)
 
 
@@ -110,15 +111,19 @@ def test_criterion_4(trefoil_plus, trefoil_plus_h1):
     d, h1 = trefoil_plus, trefoil_plus_h1
     perm = paper_face_order(d)
     ok = True
+    arcs = {}
     for words, expect in IGRADING_TABLE.items():
         cws = [CyclicWord(d, w) for w in words]
+        ig = i_grading(d, h1, cws)
+        ok &= tuple(ig[p - 1] for p in perm) == expect
         for strings in itertools.product(
                 *[all_orbit_strings(w) for w in cws]):
-            ig = i_grading(d, h1, list(zip(cws, strings)))
+            ig = pushout_grading(d, list(zip(cws, strings)), arcs)
             ok &= tuple(ig[p - 1] for p in perm) == expect
-    report(4, "trefoil intersection-grading table, 7 x 6 exact, for every "
-              "capping-side choice (two entries corrected to restore the "
-              "published table's own additivity relations)", ok)
+    report(4, "trefoil intersection-grading table, 7 x 6 exact, and the "
+              "same from whole push-out curves for every capping-side "
+              "choice (two entries corrected to restore the published "
+              "table's own additivity relations)", ok)
 
 
 # -- 5: differential forcing ---------------------------------------------------
@@ -242,8 +247,8 @@ def test_criterion_9e(trefoil_plus, trefoil_minus):
         for w in enumerate_orbit_words(d, max_len=3):
             target = orbit_class_monomial(d, h1, w)
             for s in all_orbit_strings(w):
-                po = push_out(d, w, s)
-                ok &= orbit_class_pushout(h1, po) == target
+                linking = pushout_linking(d, w, s)
+                ok &= orbit_class_pushout(h1, linking) == target
     report("9e", "push-out homology class equals the monomial class for "
                  "every capping-side choice, trefoil words length <= 3", ok)
 
@@ -297,8 +302,9 @@ def test_criterion_9h(trefoil_plus):
     ok = True
     for j in range(1, 6):
         for k in range(1, 6):
-            t_eta = capping_angle(d, j, k, "eta").t
-            t_bar = capping_angle(d, j, k, "etabar").t
-            ok &= t_eta - t_bar == 4 * d.rot[d.chord(j).tip_comp]
+            t_eta = d.capping_path(j, k).theta_half_pi
+            turns_bar = capping_walk(d, j, k, "etabar")[1]
+            ok &= 2 * t_eta - turns_bar == 8 * d.rot[d.chord(j).tip_comp]
     report("9h", "capping-angle difference identity on every composable "
-                 "trefoil pair", ok)
+                 "trefoil pair, the etabar angle walked segment by segment",
+           ok)

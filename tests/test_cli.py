@@ -126,6 +126,23 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     assert code == 2      # missing bounds
 
 
+def test_unreadable_input_exits_2(tmp_path, capsys, monkeypatch):
+    from reebchords import cli
+
+    code, out, err = run(capsys, ["invariants", "--input", str(tmp_path)])
+    assert (code, out) == (2, "") and err.startswith("input error:"), err
+
+    def denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    # root may read any file, so the refusal is planted
+    monkeypatch.setattr(cli, "open", denied, raising=False)
+    path = write(tmp_path, "L1,R1 / surgery {0:-1}")
+    code, out, err = run(capsys, ["parse", "--input", path])
+    assert (code, out) == (2, "") and err.startswith("input error:"), err
+    assert "Permission denied" in err
+
+
 def test_out_of_range_bounds_exit_2(tmp_path, capsys):
     path = write(tmp_path, "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")
     for argv in (["chain", "--max-len", "2", "--epsilon", "0"],
@@ -373,8 +390,8 @@ def test_chain_fractional_fiber_difference_exit_3(tmp_path, capsys,
 
     original = report.effective_fiber_vector
 
-    def skewed(d, h1, w, s=None):
-        vec = original(d, h1, w, s)
+    def skewed(d, h1, w):
+        vec = original(d, h1, w)
         if w.chords == (1,):
             vec = (vec[0] - F(1, 2),) + vec[1:]
         return vec
@@ -460,6 +477,7 @@ def test_command_leaves_no_cyclic_garbage(tmp_path, capsys, command):
     '{"events": [["L", true], ["R", 1]]}',
     '{"events": [["L", "1"], ["R", 1]]}',
     '{"events": [["Q", 1], ["R", 1]]}',
+    '{"events": ["L1", "L2", "X1", "R1", "R1"], "surgey": {"0": 1}}',
 ])
 def test_malformed_json_front_exits_2(tmp_path, capsys, command, text):
     path = write(tmp_path, text)
@@ -478,6 +496,8 @@ def test_malformed_json_front_exits_2(tmp_path, capsys, command, text):
     '{"events": ["L1", "R1"], "surgery": {"0": 1, "00": -1}}',
     "L1,R1 / surgery {0:+1, 0:-1}",
     "L1,R1 / orientations {0:+, 00:-}",
+    "L1,R1 / surgery {0:+1} / surgery {0:-1}",
+    "L1,R1 / orientations {0:+} / surgery {0:+1} / orientations {0:-}",
 ])
 def test_loose_or_repeated_coefficients_exit_2(tmp_path, capsys, command,
                                                text):

@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 from oracles import (apply_all, fraction_composite, fraction_embedding,
                      fraction_orbit_action, matrix_at, padd, peval,
                      point_in_convex, poly_diameter_sq, poly_eval, pscale,
-                     reference_return_map, step_maps, trace_at,
+                     reference_return_map, rot_number, step_maps, trace_at,
                      trimmed_flow_polygon, twist_height)
 from reebchords.diagram import DiagramError
 from reebchords.dynamics import (cz_mod2, embed_orbit, hyperbolic_type,
                                  is_bad, orbit_action, return_map)
-from reebchords.indices import rot_number
 from reebchords.words import CyclicWord, enumerate_orbit_words
 
 F = Fraction

@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 
 from oracles import (all_orbit_strings, divisors_2x2, gauss_jordan_solve,
-                     orbit_class_pushout)
+                     orbit_class_pushout, pushout_linking)
 from reebchords import homology
-from reebchords.diagram import DiagramError, resolve
+from reebchords.diagram import DiagramError, parse_front, resolve
 from reebchords.homology import (crossing_monomials, h1_presentation,
                                  orbit_class_monomial, smith_normal_form)
 from reebchords.quiver import effective_fiber_vector
-from reebchords.words import CyclicWord, enumerate_orbit_words, push_out
+from reebchords.words import CyclicWord, enumerate_orbit_words
+from test_lp import TREFOIL_2_COPY
 from test_realization import seeded_fronts
 
 F = Fraction
@@ -115,14 +116,13 @@ def test_orbit_class_examples(trefoil_plus, trefoil_minus, unknot_minus,
 def test_pushout_class_examples(unknot_minus, trefoil_plus, trefoil_plus_h1):
     h1u = h1_presentation(unknot_minus)
     w = CyclicWord(unknot_minus, [1])
-    po = push_out(unknot_minus, w)
     # the meridian class of the lens space
-    assert orbit_class_pushout(h1u, po).reduced == (1,)
+    linking = pushout_linking(unknot_minus, w, ("eta",))
+    assert orbit_class_pushout(h1u, linking).reduced == (1,)
     w4 = CyclicWord(trefoil_plus, [4])
-    from reebchords.words import OrbitString
-    po4 = push_out(trefoil_plus, w4, OrbitString(w4, ["etabar"]))
-    assert orbit_class_pushout(trefoil_plus_h1, po4).is_zero()
-    assert po4.linking[0] == 0
+    linking4 = pushout_linking(trefoil_plus, w4, ("etabar",))
+    assert orbit_class_pushout(trefoil_plus_h1, linking4).is_zero()
+    assert linking4[0] == 0
 
 
 def test_pushout_equals_monomial_everywhere(trefoil_plus, trefoil_minus,
@@ -132,8 +132,47 @@ def test_pushout_equals_monomial_everywhere(trefoil_plus, trefoil_minus,
         for w in enumerate_orbit_words(d, max_len=2):
             target = orbit_class_monomial(d, h1, w)
             for s in all_orbit_strings(w):
-                po = push_out(d, w, s)
-                assert orbit_class_pushout(h1, po) == target
+                assert orbit_class_pushout(h1, pushout_linking(d, w, s)) \
+                    == target
+
+
+def check_linking_is_the_class_vector(d):
+    """The push-out linking on the surgered components, for every side
+    string of the words of length <= 2 and the 'eta' string of those of
+    length 3, is the class vector minus, per 'etabar' letter, the relation
+    matrix's column of the letter's component: the framed push-off of the
+    whole component that separates the two sides.  The 'eta' linking is
+    the class vector itself, which the grading's meridian correction reads.
+    Returns the number of strings checked."""
+    h1 = h1_presentation(d)
+    count = 0
+    for w in enumerate_orbit_words(d, max_len=3):
+        vector = orbit_class_monomial(d, h1, w).vector
+        strings = all_orbit_strings(w) if len(w.chords) <= 2 \
+            else [("eta",) * 3]
+        for sides in strings:
+            want = list(vector)
+            for (j1, _j2), side in zip(w.pairs(), sides):
+                if side == "etabar":
+                    col = h1.surgered.index(d.chord(j1).tip_comp)
+                    want = [v - row[col] for v, row in zip(want, h1.matrix)]
+            linking = pushout_linking(d, w, sides)
+            assert [linking[i] for i in h1.surgered] == want, (w, sides)
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("name", [
+    "trefoil_plus", "trefoil_minus", "unknot_plus", "unknot_minus",
+    "stab_plus", "hopf_plus", "hopf_mixed"])
+def test_pushout_linking_is_the_class_vector(name, request):
+    assert check_linking_is_the_class_vector(request.getfixturevalue(name))
+
+
+def test_pushout_linking_is_the_class_vector_on_seeded_fronts_and_copy():
+    fronts = list(seeded_fronts()) + [parse_front(TREFOIL_2_COPY)]
+    assert all(check_linking_is_the_class_vector(resolve(front))
+               for front in fronts)
 
 
 def test_class_additive_under_covers(trefoil_plus, trefoil_plus_h1):

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from reebchords.indices import (CappingAngle, c1_class,
-                                canonical_grading_valid, capping_angle,
-                                cz_integral, rot_number)
+from oracles import capping_walk, rot_number
+from reebchords.diagram import CappingPath, DiagramError, parse_front, resolve
+from reebchords.indices import (c1_class, canonical_grading_valid,
+                                cz_integral, letter_index)
 from reebchords.dynamics import cz_mod2
 from reebchords.words import CyclicWord, enumerate_orbit_words
 
@@ -20,34 +21,47 @@ TREFOIL_ROT = {
 
 
 def test_unknot_capping_angle(unknot_minus):
-    ca = capping_angle(unknot_minus, 1, 1, "eta")
-    assert ca.t == 3          # theta = 3 pi / 2
-    assert ca.rot == 1
+    assert unknot_minus.capping_path(1, 1).theta_half_pi == 3   # 3 pi / 2
+    assert letter_index(unknot_minus, 1, 1) == 1    # rot 1, coefficient -1
 
 
 def test_trefoil_rotation_table(trefoil_plus):
     for j in range(1, 6):
         for k in range(1, 6):
             assert rot_number(trefoil_plus, j, k) == TREFOIL_ROT[j][k - 1]
+            # rot + [c = +1]
+            assert letter_index(trefoil_plus, j, k) == \
+                TREFOIL_ROT[j][k - 1] + 1
 
 
 def test_angles_odd_and_angle_sum(trefoil_plus, stab_plus):
+    """The library's eta angle and the walked etabar angle are odd, and
+    differ by the component's rotation number times 2 pi."""
     for d in (trefoil_plus, stab_plus):
         n = d.n_chords
         for j in range(1, n + 1):
             for k in range(1, n + 1):
                 if not d.composable(j, k):
                     continue
-                t_eta = capping_angle(d, j, k, "eta").t
-                t_bar = capping_angle(d, j, k, "etabar").t
+                t_eta = d.capping_path(j, k).theta_half_pi
+                turns_bar = capping_walk(d, j, k, "etabar")[1]
+                assert turns_bar % 2 == 0
+                t_bar = turns_bar // 2
                 assert t_eta % 2 == 1 and t_bar % 2 == 1
                 comp = d.chord(j).tip_comp
                 assert t_eta - t_bar == 4 * d.rot[comp]
 
 
-def test_capping_angle_odd_validation():
-    with pytest.raises(Exception):
-        CappingAngle(1, 2, "eta", 4)
+@pytest.mark.parametrize("turn_eighths", [4, 3])
+def test_letter_index_rejects_angles_off_the_odd_half_pi(turn_eighths,
+                                                          monkeypatch):
+    """An angle of pi (even in pi/2 units) or of 3 pi / 4 (not a multiple
+    of pi/2) is an internal fault."""
+    d = resolve(parse_front("L1,R1 / surgery {0:-1}"))
+    monkeypatch.setattr(d, "capping_path", lambda j1, j2: CappingPath(
+        turn_eighths, F(1, 2), []))
+    with pytest.raises(DiagramError):
+        letter_index(d, 1, 1)
 
 
 def test_cz_examples(trefoil_plus, trefoil_minus, stab_plus):

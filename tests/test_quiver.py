@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import all_orbit_strings, count_cycles, count_paths
+from oracles import (all_orbit_strings, count_cycles, count_paths,
+                     pushout_grading)
 from reebchords.diagram import DiagramError, parse_front, resolve
 from reebchords.homology import h1_presentation, orbit_class_monomial
 from reebchords.quiver import Quiver, bubbling_faces, i_grading
@@ -79,34 +80,37 @@ def test_trefoil_igrading_table(trefoil_plus, trefoil_plus_h1):
     perm = paper_face_order(d)
     for words, expect in TABLE.items():
         cws = [CyclicWord(d, w) for w in words]
-        ig = i_grading(d, h1, [(w, None) for w in cws])
+        ig = i_grading(d, h1, cws)
         assert tuple(ig[p - 1] for p in perm) == expect
 
 
 def test_igrading_string_independence(trefoil_plus, trefoil_plus_h1,
                                       unknot_minus):
-    d, h1 = trefoil_plus, trefoil_plus_h1
-    for base in ((4,), (4, 5), (1, 2)):
+    """The library grades along 'eta' only; whole push-out curves along
+    every side string give the same grading."""
+    cases = [(trefoil_plus, trefoil_plus_h1, base)
+             for base in ((4,), (4, 5), (1, 2), (1, 1), (2, 3, 5))]
+    cases.append((unknot_minus, h1_presentation(unknot_minus), (1, 1)))
+    graded = 0
+    for d, h1, base in cases:
         w = CyclicWord(d, base)
         if not orbit_class_monomial(d, h1, w).is_zero():
             continue
-        vals = {i_grading(d, h1, [(w, s)])
-                for s in all_orbit_strings(w)}
-        assert len(vals) == 1
-    h1u = h1_presentation(unknot_minus)
-    w = CyclicWord(unknot_minus, [1, 1])
-    vals = {i_grading(unknot_minus, h1u, [(w, s)])
-            for s in all_orbit_strings(w)}
-    assert len(vals) == 1
+        arcs = {}
+        want = i_grading(d, h1, [w])
+        for s in all_orbit_strings(w):
+            assert pushout_grading(d, [(w, s)], arcs) == want, (w, s)
+        graded += 1
+    assert graded >= 4
 
 
 def test_igrading_additive(trefoil_plus, trefoil_plus_h1):
     d, h1 = trefoil_plus, trefoil_plus_h1
     w4 = CyclicWord(d, [4])
     w5 = CyclicWord(d, [5])
-    both = i_grading(d, h1, [(w4, None), (w5, None)])
+    both = i_grading(d, h1, [w4, w5])
     assert list(both) == [a + b for a, b in zip(
-        i_grading(d, h1, [(w4, None)]), i_grading(d, h1, [(w5, None)]))]
+        i_grading(d, h1, [w4]), i_grading(d, h1, [w5]))]
     assert i_grading(d, h1, []) == (0,) * 6
 
 
@@ -114,12 +118,12 @@ def test_igrading_preconditions(trefoil_minus, trefoil_plus, trefoil_plus_h1):
     h1m = h1_presentation(trefoil_minus)
     w = CyclicWord(trefoil_minus, [4])
     with pytest.raises(ValueError):
-        i_grading(trefoil_minus, h1m, [(w, None)])
+        i_grading(trefoil_minus, h1m, [w])
     # every caller checks the class first, so a class that is not zero here
     # is an internal fault
     w1 = CyclicWord(trefoil_plus, [1])
     with pytest.raises(DiagramError, match="not null-homologous"):
-        i_grading(trefoil_plus, trefoil_plus_h1, [(w1, None)])
+        i_grading(trefoil_plus, trefoil_plus_h1, [w1])
 
 
 def test_bubbling_faces(trefoil_plus, stab_plus, unknot_plus, unknot_minus,

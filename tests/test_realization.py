@@ -8,16 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (all_orbit_strings, all_pairs_double_points,
-                     all_segments_basepoint, fd_sizing_rows,
-                     front_writhe_and_cusp_counts, orbit_class_pushout)
+                     all_segments_basepoint, capping_walk, fd_sizing_rows,
+                     front_writhe_and_cusp_counts, orbit_class_pushout,
+                     pushout_linking)
 from reebchords import diagram
 from reebchords.diagram import (FrontCode, _sizing_rows, _template,
                                 parse_front, resolve)
 from reebchords.geometry import polyline_integral_y_dx
 from reebchords.homology import h1_presentation, orbit_class_monomial
-from reebchords.indices import capping_angle
 from reebchords.report import GeneratorRecord
-from reebchords.words import enumerate_orbit_words, push_out
+from reebchords.words import enumerate_orbit_words
 
 F = Fraction
 
@@ -71,9 +71,9 @@ def check_realization(d):
     for c1 in d.chords:
         for c2 in d.chords:
             if d.composable(c1.id, c2.id):
-                t_eta = capping_angle(d, c1.id, c2.id, "eta").t
-                t_bar = capping_angle(d, c1.id, c2.id, "etabar").t
-                assert t_eta - t_bar == 4 * d.rot[c1.tip_comp]
+                t_eta = d.capping_path(c1.id, c2.id).theta_half_pi
+                turns_bar = capping_walk(d, c1.id, c2.id, "etabar")[1]
+                assert 2 * t_eta - turns_bar == 8 * d.rot[c1.tip_comp]
 
 
 def check_classes(d):
@@ -81,7 +81,7 @@ def check_classes(d):
     for w in enumerate_orbit_words(d, max_len=2)[:4]:
         target = orbit_class_monomial(d, h1, w)
         for s in all_orbit_strings(w):
-            assert orbit_class_pushout(h1, push_out(d, w, s)) == target
+            assert orbit_class_pushout(h1, pushout_linking(d, w, s)) == target
 
 
 def surgered_front(rng):

@@ -112,8 +112,8 @@ def test_survivor_filters_reassertable(trefoil_plus, trefoil_plus_h1):
                            + sum(len(w.chords) for w in c.factors))
         assert action < g.action + slack
         if c.factors:
-            top = i_grading(d, h1, [(g.word, None)])
-            bottom = i_grading(d, h1, [(w, None) for w in c.factors])
+            top = i_grading(d, h1, [g.word])
+            bottom = i_grading(d, h1, list(c.factors))
             assert all(a >= b for a, b in zip(top, bottom))
     labels = {c.label for c in rep.survivors}
     for label in labels:

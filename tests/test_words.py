@@ -2,16 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (all_orbit_strings, capping_walk, endpoints_between,
-                     full_curve_pushout, whole_arc_piece)
+from oracles import (all_orbit_strings, arc_pass_counts, capping_walk,
+                     endpoints_between, full_curve_pushout, whole_arc_piece)
 from reebchords import report, words
 from reebchords.diagram import parse_front, resolve
 from reebchords.geometry import offset_polyline
-from reebchords.homology import h1_presentation
+from reebchords.homology import h1_presentation, pass_counts
 from reebchords.report import differential_candidates, generators
-from reebchords.words import (CyclicWord, OrbitString, Word,
-                              enumerate_chord_words, enumerate_orbit_words,
-                              primitive_decomposition, push_out)
+from reebchords.words import (CyclicWord, Word, enumerate_chord_words,
+                              enumerate_orbit_words, primitive_decomposition,
+                              push_out)
 from test_cli import TREFOIL_3_COPY
 from test_lp import TREFOIL_2_COPY
 from test_realization import seeded_fronts
@@ -153,36 +153,31 @@ def test_chord_words_need_zero_sublink(trefoil_plus):
 
 def test_orbit_strings(trefoil_plus):
     w = CyclicWord(trefoil_plus, [1, 2])
-    strings = all_orbit_strings(w)
-    assert len(strings) == 4
-    with pytest.raises(ValueError):
-        OrbitString(w, ["eta"])
-    with pytest.raises(ValueError):
-        OrbitString(w, ["eta", "left"])
+    assert all_orbit_strings(w) == [("eta", "eta"), ("etabar", "eta"),
+                                    ("eta", "etabar"), ("etabar", "etabar")]
 
 
 def test_push_out_basic(unknot_minus):
     w = CyclicWord(unknot_minus, [1])
+    assert push_out(unknot_minus, w) is not None
     for s in all_orbit_strings(w):
-        po = push_out(unknot_minus, w, s)
-        assert po.windings is not None
-        assert all(Fraction(v).denominator == 1 for v in po.linking.values())
+        _offset, _pts, windings, linking = full_curve_pushout(
+            unknot_minus, w, s, {})
+        assert all(Fraction(v).denominator == 1 for v in linking.values())
 
 
 def check_pushouts_against_full_curves(d):
-    """Table sums equal the whole curve's windings, at the same offset."""
+    """Table sums equal the whole 'eta' curve's windings at the same
+    offset, and push_out gives None at every larger offset tried first."""
     arcs = {}
     for w in enumerate_orbit_words(d, max_len=4):
-        for s in all_orbit_strings(w):
-            offset, _pts, windings, linking = full_curve_pushout(d, w, s,
-                                                                 arcs)
-            earlier = F(1, 8)
-            while earlier > offset:
-                assert push_out(d, w, s, earlier).windings is None
-                earlier /= 2
-            po = push_out(d, w, s, offset)
-            assert po.windings == windings
-            assert po.linking == linking
+        offset, _pts, windings, _linking = full_curve_pushout(
+            d, w, ("eta",) * len(w.chords), arcs)
+        earlier = F(1, 8)
+        while earlier > offset:
+            assert push_out(d, w, earlier) is None
+            earlier /= 2
+        assert push_out(d, w, offset) == windings
 
 
 @pytest.mark.parametrize("name", [
@@ -212,11 +207,10 @@ def test_pushout_retries_at_a_smaller_offset_per_word(piece):
     a, b = arc[:2] if piece == "arc" else (arc[-1], arc[0])
     d.faces_list[0].basepoint = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
     check_pushouts_against_full_curves(d)
-    retried = {(w.chords, s.sides) for w in enumerate_orbit_words(d, max_len=4)
-               for s in all_orbit_strings(w)
-               if push_out(d, w, s).windings is None}
-    assert ((j,), ("eta",)) in retried
-    assert len(retried) < 3070          # of 3,070 (word, sides) pairs
+    all_words = enumerate_orbit_words(d, max_len=4)
+    retried = {w.chords for w in all_words if push_out(d, w) is None}
+    assert (j,) in retried
+    assert len(retried) < len(all_words) == 230
 
 
 def test_offset_polylines_are_per_arc_not_per_word(monkeypatch):
@@ -236,9 +230,9 @@ def test_offset_polylines_are_per_arc_not_per_word(monkeypatch):
     # every chord of the trefoil lies on the surgered component
     pairs = [(a, b) for a in d.chords for b in d.chords
              if d.composable(a.id, b.id)]
-    assert 2 * len(pairs) == 50
-    assert counts[3] == counts[5] <= 2 * len(pairs)
-    assert counts[3] <= 2 * sum(map(len, d.passages)) == 20
+    assert len(pairs) == 25
+    assert counts[3] == counts[5] <= len(pairs)
+    assert counts[3] <= sum(map(len, d.passages)) == 10
 
 
 def test_cyclic_words_live_on_the_surgered_sublink(hopf_mixed):
@@ -253,7 +247,7 @@ def test_cyclic_words_live_on_the_surgered_sublink(hopf_mixed):
                          ids=["trefoil+1", "T(2,5)+1", "hopf+-"])
 def test_offset_polylines_are_per_passage_interval(text, monkeypatch):
     """Each stretch between consecutive chord passages is offset at most
-    once per direction and offset, however long the words get."""
+    once per offset, however long the words get."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -269,31 +263,33 @@ def test_offset_polylines_are_per_passage_interval(text, monkeypatch):
         counts[max_len] = len(calls)
         offsets |= {args[2] for args in calls}
     passages = sum(map(len, d.passages))
-    assert 0 < counts[3] == counts[5] <= 2 * passages * len(offsets)
+    assert 0 < counts[3] == counts[5] <= passages * len(offsets)
 
 
 def check_arcs_against_whole_arcs(d):
-    """Every capping arc's piece, at offsets 1/8 and 1/16 and on both
-    sides, equals the whole arc offset and wound in one pass, and its
-    passages are the chord ends inside it; returns the pieces."""
+    """Every capping arc's piece, at offsets 1/8 and 1/16, equals the whole
+    arc offset and wound in one pass, and its passages are the chord ends
+    inside it, with the same crossing counts; returns the pieces."""
     pieces = {}
     for a in d.chords:
         for b in d.chords:
             if not d.composable(a.id, b.id):
                 continue
-            for side in ("eta", "etabar"):
-                assert d.capping_path(a.id, b.id, side).interior == \
-                    endpoints_between(d, a.id, b.id, side)
-                for offset in (F(1, 8), F(1, 16)):
-                    args = (d, a.id, b.id, side, offset)
-                    if d.surgery[a.tip_comp] == 0:
-                        with pytest.raises(ValueError):
-                            words._arc(*args)
-                        with pytest.raises(ValueError):
-                            whole_arc_piece(*args)
-                        continue
-                    pieces[args[1:]] = words._arc(*args)
-                    assert pieces[args[1:]] == whole_arc_piece(*args)
+            assert d.capping_path(a.id, b.id).interior == \
+                endpoints_between(d, a.id, b.id, "eta")
+            assert pass_counts(d, a.id, b.id) == \
+                arc_pass_counts(d, a.id, b.id, "eta")
+            for offset in (F(1, 8), F(1, 16)):
+                if d.surgery[a.tip_comp] == 0:
+                    with pytest.raises(ValueError):
+                        words._arc(d, a.id, b.id, offset)
+                    with pytest.raises(ValueError):
+                        whole_arc_piece(d, a.id, b.id, "eta", offset)
+                    continue
+                pieces[a.id, b.id, offset] = words._arc(d, a.id, b.id,
+                                                        offset)
+                assert pieces[a.id, b.id, offset] == \
+                    whole_arc_piece(d, a.id, b.id, "eta", offset)
     return pieces
 
 
@@ -324,11 +320,10 @@ def check_capping_paths_against_walks(d):
         for b in d.chords:
             if not d.composable(a.id, b.id):
                 continue
-            for side in ("eta", "etabar"):
-                cap = d.capping_path(a.id, b.id, side)
-                _points, turns, length = capping_walk(d, a.id, b.id, side)
-                assert (cap.turn_eighths, cap.norm_length) == (turns, length)
-                count += 1
+            cap = d.capping_path(a.id, b.id)
+            _points, turns, length = capping_walk(d, a.id, b.id, "eta")
+            assert (cap.turn_eighths, cap.norm_length) == (turns, length)
+            count += 1
     return count
 
 
@@ -356,11 +351,9 @@ def test_arc_pieces_touch_a_basepoint_where_whole_arcs_do(where):
     d.faces_list[0].basepoint = step[-1] if where == "join" else \
         ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
     pieces = check_arcs_against_whole_arcs(d)
-    # arcs that run through passage 1, or along passage arc 0, on the
-    # side the point was shifted to
-    runs = {(j1, j2): d.passage_run(j1, j2, "eta") for j1, j2, side, _ in
-            pieces if side == "eta"}
-    assert any(pieces[j1, j2, "eta", F(1, 8)].crossings is None
+    # arcs that run through passage 1, or along passage arc 0
+    runs = {(j1, j2): d.passage_run(j1, j2) for j1, j2, _ in pieces}
+    assert any(pieces[j1, j2, F(1, 8)].crossings is None
                for (j1, j2), run in runs.items()
                if (1 in run[1:-1] if where == "join" else 0 in run[:-1]))
     assert any(piece.crossings is not None for piece in pieces.values())

@@ -16,10 +16,14 @@ The commands, each run once:
 * ``invariants``, ``chain --max-len 1 --epsilon 1/100`` and
   ``grading --max-len 2`` on the 2-copy of the tb = 1 trefoil (+1 surgery
   on two Reeb push-offs of it) and on its 3-copy, and ``chain --max-len 1
-  --epsilon 1/100`` on its 4-copy: eight commands in all.  The
-  ``grading`` commands push orbits out on diagrams of 24 and 51 events,
-  and the 4-copy has 88; the corpora's fronts have at most 15.  The
-  copies are those of ``k_copy`` in ``tests/oracles.py``.
+  --epsilon 1/100`` on its 4-copy: seven commands.  The ``grading``
+  commands push orbits out on diagrams of 24 and 51 events, and the
+  4-copy has 88; the corpora's fronts have at most 15.  The copies are
+  those of ``k_copy`` in ``tests/oracles.py``;
+* ``cz --max-len 3`` and ``homology --max-len 3`` on the trefoil with +1
+  and with -1 surgery, on the Hopf link with +1 and -1 surgery, and on the
+  2-copy: ten commands.  Besides ``grading`` and ``chain`` these are the
+  commands that read capping rotations and crossing counts.
 
 Each command runs as ``reebchords.cli.main(argv + ["--input", "-"])`` with
 the front on standard input.  A command that takes more than
@@ -41,6 +45,8 @@ PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 SEEDS = (1, 2, 3)
 DEADLINE_S = 60
 
+TREFOIL = "L1,L3,X2,X2,X2,R1,R1 / surgery {{0:{}}}"
+HOPF_PLUS_MINUS = "L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:-1}"
 TREFOIL_2_COPY = ("L1,L1,X2,L5,L5,X6,X4,X3,X5,X4,X4,X3,X5,X4,X4,X3,X5,X4,"
                   "X2,R1,R1,X2,R1,R1 / surgery {0:+1, 1:+1}")
 TREFOIL_3_COPY = ("L1,L1,L1,X2,X4,X3,L7,L7,L7,X8,X10,X9,X6,X5,X4,X7,X6,X5,"
@@ -81,6 +87,13 @@ def commands():
         ("3-copy chain", chain, TREFOIL_3_COPY),
         ("4-copy chain", chain, TREFOIL_4_COPY),
     ]
+    for name, front in (("trefoil +1", TREFOIL.format("+1")),
+                        ("trefoil -1", TREFOIL.format("-1")),
+                        ("hopf +-", HOPF_PLUS_MINUS),
+                        ("2-copy", TREFOIL_2_COPY)):
+        for command in ("cz", "homology"):
+            out.append((f"{name} {command}", [command, "--max-len", "3"],
+                        front))
     return out
 
 
