@@ -8,10 +8,9 @@ differential-candidate reports.
 
 from .diagram import (DiagramError, FrontCode, FrontError, ResolvedDiagram,
                       parse_front, resolve)
-from .dynamics import (cz_mod2, embed_orbit, hyperbolic_type, is_bad,
-                       orbit_action, return_map)
-from .homology import (h1_presentation, crossing_monomials,
-                       orbit_class_monomial)
+from .dynamics import (embed_orbit, hyperbolic_type, is_bad, orbit_action,
+                       return_map)
+from .homology import h1_presentation, orbit_class_monomial
 from .indices import c1_class, cz_integral
 from .quiver import Quiver, bubbling_faces, i_grading
 from .report import differential_candidates, generators

@@ -2,13 +2,15 @@
 
 One subcommand per analysis stage; every command takes the diagram source
 via --input (a file containing the front grammar or its JSON equivalent).
-Exit codes: 0 on success, 2 on invalid input, 3 on an internal consistency
-failure of the realization.
+Exit codes: 0 on success (also when the reader of standard output closes
+it early), 2 on invalid input, 3 on an internal consistency failure of the
+realization.
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -299,6 +301,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         COMMANDS[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early: neither bad input nor a fault; point
+        # stdout at devnull so that the interpreter's last flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (FrontError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

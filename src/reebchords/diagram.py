@@ -5,7 +5,7 @@ strand positions counted from the top).  ``resolve`` realizes it as oriented
 closed polylines on the rational grid with every segment at a multiple of 45
 degrees, one double point per crossing and per right cusp, and the height
 function z recovered exactly as the line integral of y dx.  All downstream
-data (crossing signs, actions, faces, areas, capping paths) is exact.
+data (crossing signs, actions, faces, areas, capping arcs) is exact.
 
 Template conventions:
 
@@ -624,7 +624,7 @@ class ResolvedDiagram(object):
     of component ci as (parameter, chord id, 'tail'|'tip', point) in
     parameter order, and ``passage_arcs[ci][k]`` walks from passage k to the
     next, cyclically, turning by ``passage_turns[ci][k]`` pi/4 units.  Faces
-    are traced on them, capping paths are runs of them, and push-outs offset
+    are traced on them, capping arcs are runs of them, and push-outs offset
     them."""
 
     def __init__(self, front: FrontCode, components: List[List[Point]],
@@ -892,35 +892,48 @@ class ResolvedDiagram(object):
 
     # -- public helpers ------------------------------------------------------
 
-    @property
-    def n_chords(self):
-        return len(self.chords)
-
     def chord(self, cid: int) -> ChordRecord:
         return self.chords[cid - 1]
 
     def composable(self, j1: int, j2: int) -> bool:
         return self.chord(j1).tip_comp == self.chord(j2).tail_comp
 
-    def capping_path(self, j1: int, j2: int) -> "CappingPath":
-        """Capping arc from the tip of r_j1 to the tail of r_j2, following
-        the component's orientation, read off the passage arcs it runs over.
-        Results are memoized per diagram."""
-        key = ("capping", j1, j2)
-        if key in self.memo:
-            return self.memo[key]
+    def letter(self, j1: int, j2: int) -> "Letter":
+        """The letter r_j1 -> r_j2, measured on its capping arc from the tip
+        of r_j1 to the tail of r_j2 along the component's orientation.  Each
+        letter is built on first use; the letters share one memo key."""
+        letters = self.memo.setdefault(("letters",), {})
+        if (j1, j2) in letters:
+            return letters[j1, j2]
         c1, c2 = self.chord(j1), self.chord(j2)
         comp = c1.tip_comp
         if c2.tail_comp != comp:
-            raise ValueError(f"chords r{j1}, r{j2} are not composable")
-        run = self.passage_run(j1, j2)
+            raise DiagramError(f"chords r{j1}, r{j2} are not composable")
+        plist = self.passages[comp]
+        k1, k2 = (bisect_left(plist, (par,))
+                  for par in (c1.tip_loc[1], c2.tail_loc[1]))
         # passage arc k runs forward from passage k to k + 1
-        turns = sum(self.passage_turns[comp][k] for k in run[:-1])
+        arcs = tuple((k1 + i) % len(plist)
+                     for i in range((k2 - k1) % len(plist)))
+        turns = sum(self.passage_turns[comp][k] for k in arcs)
+        if turns % 4 != 2:
+            raise DiagramError(f"capping angle of r{j1}r{j2} is {turns} "
+                               f"pi/4, not an odd multiple of pi/2")
+        rot = turns // 4
+        vector = [Fraction(0)] * len(self.components)
+        for end in (c1.tail_comp, comp):
+            vector[end] += Fraction(self.surgery[end] + c1.sign, 2)
+        for k in arcs[1:]:
+            ch = self.chord(plist[k][1])
+            vector[ch.tip_comp if plist[k][2] == "tail"
+                   else ch.tail_comp] += ch.sign
         total = self.cheb_len[comp][-1]
         length = (c2.tail_loc[1] - c1.tip_loc[1]) % total
-        interior = [self.passages[comp][k][1:3] for k in run[1:-1]]
-        self.memo[key] = cap = CappingPath(turns, length / total, interior)
-        return cap
+        c = self.surgery[comp]
+        letters[j1, j2] = Letter(rot + (c == 1), -1 if rot % 2 else 1, c,
+                                 Fraction(1, 2) - length / total,
+                                 tuple(vector), arcs)
+        return letters[j1, j2]
 
     def _walk(self, comp, start, length, a, b):
         """Sub-polyline from point a, at parameter start, forward through
@@ -952,31 +965,25 @@ class ResolvedDiagram(object):
             pts.append(b)
         return pts, turns
 
-    def passage_run(self, j1: int, j2: int) -> List[int]:
-        """Indices of the passages from r_j1's tip to r_j2's tail, both
-        included, in the component's order."""
-        c1, c2 = self.chord(j1), self.chord(j2)
-        plist = self.passages[c1.tip_comp]
-        k1, k2 = (bisect_left(plist, (par,))
-                  for par in (c1.tip_loc[1], c2.tail_loc[1]))
-        return [(k1 + i) % len(plist)
-                for i in range((k2 - k1) % len(plist) + 1)]
 
+class Letter(NamedTuple):
+    """What the letter r_j1 -> r_j2 of a cyclic word contributes to its
+    orbit, from the capping arc's rotation number rot and length.
 
-class CappingPath(NamedTuple):
-    """Exact rotation data of a capping arc: its total turning in pi/4
-    units, its Chebyshev length over its component's, in (0, 1], and the
-    chord ends met inside it as [(chord id, 'tail'|'tip')]."""
-    turn_eighths: int
-    norm_length: Fraction
-    interior: List[Tuple[int, str]]
-
-    @property
-    def theta_half_pi(self) -> int:
-        """Rotation angle in units of pi/2 (odd by good position)."""
-        if self.turn_eighths % 2 != 0:
-            raise DiagramError("capping angle not a multiple of pi/2")
-        return self.turn_eighths // 2
+    ``index`` is rot + [c = +1], the letter's Conley-Zehnder term;
+    ``sign`` is (-1)^rot, its return-map sign; ``c`` is the coefficient of
+    the component holding r_j1's tip; ``h`` is 1/2 minus the arc's length
+    over its component's.  ``vector`` is the letter's crossing monomial per
+    component: at each end of r_j1, (coefficient + sign)/2 of the end's
+    component, plus the arc's signed passes (passing chord r's tail counts
+    r's sign against its tip's component, and the reverse).  ``arcs`` are
+    the passage arcs the capping arc runs over, in order."""
+    index: int
+    sign: int
+    c: int
+    h: Fraction
+    vector: Tuple[Fraction, ...]
+    arcs: Tuple[int, ...]
 
 
 def _sizing_rows(front: FrontCode, cycles, slabs, action_margin):

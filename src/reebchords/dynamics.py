@@ -2,10 +2,11 @@
 
 The return map of the orbit named by a cyclic word is a product of one
 integer-polynomial matrix per letter in the variable u = 1/epsilon, carrying
-a global sign determined by the capping-path rotation numbers.  Everything
-here is exact: polynomials over the integers, affine fixed points and
-actions over integers with a common denominator, divided once at the end,
-and the piecewise-linear twist profile for actions.
+a global sign, the product of the letters' signs (-1)^rot; every letter's
+data is read off ``ResolvedDiagram.letter``.  Everything here is exact:
+polynomials over the integers, affine fixed points and actions over
+integers with a common denominator, divided once at the end, and the
+piecewise-linear twist profile for actions.
 """
 
 from fractions import Fraction
@@ -91,22 +92,6 @@ J0 = ((0,), (-1,), (1,), (0,))
 _STEP = {c: mat_mul(J0, ((1,), (0, -c), (0,), (1,))) for c in (-1, 0, 1)}
 
 
-def _letter(d: ResolvedDiagram, j1: int, j2: int) -> Tuple[int, int, Fraction]:
-    """(sign, c, h) of the letter r_j1 -> r_j2, memoized per diagram.
-
-    sign is -1 when the capping arc's rotation number is odd, c is the
-    coefficient of the component holding r_j1's tip, and h is 1/2 minus the
-    capping arc's length normalized by its component's total length.
-    """
-    key = ("letter", j1, j2)
-    if key not in d.memo:
-        cap = d.capping_path(j1, j2)
-        sign = -1 if (cap.theta_half_pi // 2) % 2 == 1 else 1
-        d.memo[key] = (sign, d.surgery[d.chord(j1).tip_comp],
-                       Fraction(1, 2) - cap.norm_length)
-    return d.memo[key]
-
-
 def return_map(d: ResolvedDiagram, w: CyclicWord) -> ReturnMapPoly:
     """Exact linearized return map of the orbit named by w.
 
@@ -117,15 +102,10 @@ def return_map(d: ResolvedDiagram, w: CyclicWord) -> ReturnMapPoly:
     sign = 1
     prod = ((1,), (0,), (0,), (1,))
     for j1, j2 in w.pairs():
-        s, c, _h = _letter(d, j1, j2)
-        prod = mat_mul(_STEP[c], prod)
-        sign *= s
+        letter = d.letter(j1, j2)
+        prod = mat_mul(_STEP[letter.c], prod)
+        sign *= letter.sign
     return ReturnMapPoly(sign, prod, w)
-
-
-def cz_mod2(d: ResolvedDiagram, w: CyclicWord) -> int:
-    """Parity of the Conley-Zehnder index of the orbit of w."""
-    return cz_integral(d, w) % 2
 
 
 def hyperbolic_type(d: ResolvedDiagram, w: CyclicWord
@@ -135,7 +115,8 @@ def hyperbolic_type(d: ResolvedDiagram, w: CyclicWord
     For every rational 0 < epsilon < eps_w the return map has |trace| > 2,
     via a conservative bound from the trace coefficients.
     """
-    return hyperbolic_from_trace(cz_mod2(d, w), return_map(d, w).trace())
+    return hyperbolic_from_trace(cz_integral(d, w) % 2,
+                                 return_map(d, w).trace())
 
 
 def hyperbolic_from_trace(cz_parity: int, trace: Poly
@@ -156,7 +137,7 @@ def is_bad(d: ResolvedDiagram, w: CyclicWord) -> bool:
     prim, mult = primitive_decomposition(w)
     if mult % 2 != 0:
         return False
-    return cz_mod2(d, prim) == 1
+    return cz_integral(d, prim) % 2 == 1
 
 
 class EmbeddingSolution(object):
@@ -185,19 +166,20 @@ def embed_orbit(d: ResolvedDiagram, w: CyclicWord,
                 epsilon: Fraction) -> EmbeddingSolution:
     """Solve the orbit of w as the fixed point of its composed affine map.
 
-    Letter k maps (p, q) to s (-q, p + h - (c/eps) q), with (s, c, h) from
-    ``_letter``, so the model is the unit-circumference one.  Over a common
-    denominator g of 1/eps and every h the letters are homogeneous integer
-    maps; the fixed point of their composite comes from Cramer's rule and
-    the points are walked as integer triples, so nothing is reduced.
+    Letter k maps (p, q) to s (-q, p + h - (c/eps) q), with s, c and h
+    read off ``ResolvedDiagram.letter``, so the model is the
+    unit-circumference one.  Over a common denominator g of 1/eps and every
+    h the letters are homogeneous integer maps; the fixed point of their
+    composite comes from Cramer's rule and the points are walked as integer
+    triples, so nothing is reduced.
     """
     epsilon = Fraction(epsilon)
     e_num, e_den = epsilon.numerator, epsilon.denominator
-    letters = [_letter(d, j1, j2) for j1, j2 in w.pairs()]
-    g = lcm(e_num, *(h.denominator for _s, _c, h in letters))
-    steps = [(s * g, -s * c * e_den * (g // e_num),
-              s * h.numerator * (g // h.denominator))
-             for s, c, h in letters]
+    letters = [d.letter(j1, j2) for j1, j2 in w.pairs()]
+    g = lcm(e_num, *(lt.h.denominator for lt in letters))
+    steps = [(lt.sign * g, -lt.sign * lt.c * e_den * (g // e_num),
+              lt.sign * lt.h.numerator * (g // lt.h.denominator))
+             for lt in letters]
     # composite [[a, b, e], [c, dd, f], [0, 0, z]] of the homogeneous maps
     a, b, c, dd, e, f, z = 1, 0, 0, 1, 0, 0, 1
     for r, m, t in steps:

@@ -2,7 +2,8 @@
 
 The presentation matrix has the framing coefficients tb + c on the diagonal
 and linking numbers off it, over the surgered components.  Orbit classes
-come from the crossing-monomial formula and are reduced to a normal form in
+come from the crossing-monomial formula, summed over the letters' monomial
+vectors (``ResolvedDiagram.letter``), and are reduced to a normal form in
 the cokernel via Smith normal form with unimodular transforms.
 """
 
@@ -178,70 +179,17 @@ class OrbitClass(object):
         return f"OrbitClass{self.vector}"
 
 
-def pass_counts(d: ResolvedDiagram, j1: int, j2: int) -> List[int]:
-    """Signed crossing counts per component of the pushed-off capping arc
-    of r_j1 r_j2: passing chord c's tail counts c's sign against its tip's
-    component, and the reverse."""
-    counts = [0] * len(d.components)
-    for cid, role in d.capping_path(j1, j2).interior:
-        ch = d.chord(cid)
-        counts[ch.tip_comp if role == "tail" else ch.tail_comp] += ch.sign
-    return counts
-
-
-def chord_counts(d: ResolvedDiagram, j: int) -> List[Fraction]:
-    """The local count at chord j per component: (c + sign)/2 at each end.
-
-    c is the coefficient of the end's component, so the count is integral
-    on the surgered sublink and half-integral elsewhere.
-    """
-    ch = d.chord(j)
-    counts = [Fraction(0)] * len(d.components)
-    for comp in (ch.tail_comp, ch.tip_comp):
-        counts[comp] += Fraction(d.surgery[comp] + ch.sign, 2)
-    return counts
-
-
-def crossing_monomials(d: ResolvedDiagram):
-    """(cross_j per chord, cross_{j1,j2} per composable pair), mu coefficients.
-
-    Vectors live over all components, tabulated from ``chord_counts`` and
-    ``pass_counts``; chord monomials are integral on the surgered sublink.
-    Half a word's monomial sum is the linking vector of its pushed-out
-    orbit, the one route to both its class and its grading's meridian
-    correction.  Memoized per diagram.
-    """
-    if ("crossing_monomials",) in d.memo:
-        return d.memo[("crossing_monomials",)]
-    singles = {c.id: chord_counts(d, c.id) for c in d.chords}
-    pairs = {(c1.id, c2.id): pass_counts(d, c1.id, c2.id)
-             for c1 in d.chords for c2 in d.chords
-             if d.composable(c1.id, c2.id)}
-    d.memo[("crossing_monomials",)] = (singles, pairs)
-    return singles, pairs
-
-
-def _half_counts(d: ResolvedDiagram, chords: Sequence[int],
-                 pairs: Sequence[Tuple[int, int]]) -> List[Fraction]:
-    """Half the monomial sum of a word, per component: its linking vector."""
-    singles, cross = crossing_monomials(d)
-    total = [Fraction(0)] * len(d.components)
-    for vec in [singles[j] for j in chords] + [cross[p] for p in pairs]:
-        for i, v in enumerate(vec):
-            total[i] += v
-    return [t / 2 for t in total]
-
-
 def orbit_class_monomial(d: ResolvedDiagram, h1: H1Presentation,
                          w: CyclicWord) -> OrbitClass:
-    """Homology class of the orbit of w from its crossing monomials.
-
-    Memoized per diagram.
+    """Homology class of the orbit of w: half the sum of its letters'
+    crossing monomials, per component, which is also the linking vector of
+    its pushed-out orbit.  Memoized per diagram.
     """
     key = ("class", w.chords)
     if key in d.memo:
         return d.memo[key]
-    half = _half_counts(d, w.chords, w.pairs())
+    half = [sum(counts) / 2 for counts in
+            zip(*(d.letter(j1, j2).vector for j1, j2 in w.pairs()))]
     if any(v.denominator != 1 for v in half):
         raise DiagramError(f"non-integral class for {w}: {half}")
     # meridians of unsurgered components still bound their disks, so

@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 from .diagram import DiagramError, ResolvedDiagram
 from .dynamics import hyperbolic_type, is_bad
 from .homology import H1Presentation, orbit_class_monomial
-from .indices import canonical_grading_valid, cz_integral, letter_index
+from .indices import canonical_grading_valid, cz_integral
 from .lp import solve_lp
 from .quiver import bubbling_faces, effective_fiber_vector, i_grading
 from .words import CyclicWord, enumerate_orbit_words, surgered_chords
@@ -111,7 +111,7 @@ def _pool_length_cap(d: ResolvedDiagram, target_degree: int) -> Optional[int]:
     positive min_step caps the length of candidate factors.
     """
     chords = surgered_chords(d)
-    steps = [letter_index(d, a, b) for a in chords for b in chords
+    steps = [d.letter(a, b).index for a in chords for b in chords
              if d.composable(a, b)]
     if not steps or min(steps) <= 0:
         return None

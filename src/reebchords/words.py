@@ -10,16 +10,16 @@ A push-out is made of pieces, each built once per diagram and offset, with
 its end points and its ray crossings at every face basepoint; a word's
 winding numbers are exact sums over its pieces.  Only the step pieces, one
 per passage interval (a component's stretch between consecutive chord
-passages), are offset and wound: the capping arc of a composable pair is a
-run of steps, and a jump at each chord closes the gaps.  A push-out's
-linking numbers are its orbit class, which ``homology`` reads off the
-crossing monomials.
+passages), are offset and wound: the capping arc of a composable pair runs
+over the passage arcs its letter (``ResolvedDiagram.letter``) lists, and a
+jump at each chord closes the gaps.  A push-out's linking numbers are its
+orbit class, which ``homology`` sums from the letters' crossing monomials.
 """
 
 from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .diagram import ResolvedDiagram
+from .diagram import DiagramError, ResolvedDiagram
 from .geometry import offset_polyline, winding_number
 
 
@@ -94,10 +94,6 @@ class CyclicWord(Word):
         """Consecutive pairs including the closing one."""
         n = len(self.chords)
         return [(self.chords[k], self.chords[(k + 1) % n]) for k in range(n)]
-
-    def rotations(self):
-        n = len(self.chords)
-        return [self.chords[k:] + self.chords[:k] for k in range(n)]
 
 
 def primitive_decomposition(w: CyclicWord) -> Tuple[CyclicWord, int]:
@@ -254,17 +250,17 @@ def _step(d: ResolvedDiagram, comp: int, k: int, offset: Fraction) -> _Piece:
 
 def _arc(d: ResolvedDiagram, j1: int, j2: int, offset: Fraction) -> _Piece:
     """The push-out piece along the capping arc of r_j1 r_j2, memoized: the
-    run of steps from r_j1's tip passage to r_j2's tail passage.  Chord
-    points lie inside segments, so the whole arc's offset passes through
-    each shifted passage point, and its crossings are the steps' sums."""
+    steps along the letter's passage arcs, from r_j1's tip passage to r_j2's
+    tail passage.  Chord points lie inside segments, so the whole arc's
+    offset passes through each shifted passage point, and its crossings are
+    the steps' sums."""
     key = ("arc", j1, j2, offset)
     if key not in d.memo:
         comp = d.chord(j1).tip_comp
         if d.surgery[comp] == 0:
-            raise ValueError(f"capping path of r{j1}r{j2} rides an "
-                             f"unsurgered component")
-        steps = [_step(d, comp, k, offset)
-                 for k in d.passage_run(j1, j2)[:-1]]
+            raise DiagramError(f"capping arc of r{j1}r{j2} rides an "
+                               f"unsurgered component")
+        steps = [_step(d, comp, k, offset) for k in d.letter(j1, j2).arcs]
         d.memo[key] = _Piece(steps[0].start, steps[-1].end,
                              _crossings(steps))
     return d.memo[key]

@@ -102,17 +102,18 @@ def step_maps(d, w, epsilon):
 
     Offsets use the capping-arc length normalized by the component's total
     length, so the model is the unit-circumference one and stays rational.
+    Rotation numbers and lengths come from walking each capping arc.
     """
     epsilon = Fraction(epsilon)
     maps = []
     for j1, j2 in w.pairs():
-        cap = d.capping_path(j1, j2)
+        _points, turns, length = capping_walk(d, j1, j2, "eta")
         c = d.surgery[d.chord(j1).tip_comp]
-        rot_sign = -1 if (cap.theta_half_pi // 2) % 2 == 1 else 1
+        rot_sign = -1 if (turns // 4) % 2 == 1 else 1
         # (p, q) -> sign * (-q, p + 1/2 - dist - (c/eps) q)
         mat = (Fraction(0), Fraction(-rot_sign),
                Fraction(rot_sign), -rot_sign * Fraction(c) / epsilon)
-        off = (Fraction(0), rot_sign * (Fraction(1, 2) - cap.norm_length))
+        off = (Fraction(0), rot_sign * (Fraction(1, 2) - length))
         maps.append((mat, off))
     return maps
 

@@ -1,12 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from oracles import front_text, k_copy
+import reebchords
 from reebchords.cli import main
-from reebchords.diagram import parse_front
+from reebchords.diagram import ResolvedDiagram, parse_front, resolve
 from test_lp import TREFOIL_2_COPY
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -270,6 +274,44 @@ def test_chain_builds_one_record_and_return_map_per_word(tmp_path, capsys,
     assert any("candidates" in row for row in rows)
     assert len(built) == len(set(built)) >= len(rows)
     assert sorted(maps) == sorted(built)
+
+
+def test_resolve_and_invariants_build_no_letters(tmp_path, capsys,
+                                                 monkeypatch):
+    """Letters are built on first use: resolving builds none, and so does
+    the invariants command, while cz does."""
+    text = "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}"
+    assert ("letters",) not in resolve(parse_front(text)).memo
+    built = []
+    letter = ResolvedDiagram.letter
+
+    def counted(d, j1, j2):
+        built.append((j1, j2))
+        return letter(d, j1, j2)
+
+    monkeypatch.setattr(ResolvedDiagram, "letter", counted)
+    path = write(tmp_path, text)
+    assert run(capsys, ["invariants", "--input", path])[0] == 0
+    assert built == []
+    assert run(capsys, ["cz", "--max-len", "1", "--input", path])[0] == 0
+    assert built
+
+
+def test_a_reader_closing_standard_output_early_exits_0(tmp_path):
+    """A reader that takes one line and closes the pipe is neither bad input
+    nor a fault: exit 0 with nothing on standard error.  The output (about
+    260 kB) is larger than a pipe holds, so the command is still writing."""
+    path = write(tmp_path, "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")
+    src = str(Path(reebchords.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "reebchords.cli", "orbits", "--max-len", "6",
+         "--input", path], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_exit_code_3_on_internal_violation(tmp_path, capsys, monkeypatch):

@@ -8,8 +8,8 @@ from oracles import (all_orbit_strings, divisors_2x2, gauss_jordan_solve,
                      orbit_class_pushout, pushout_linking)
 from reebchords import homology
 from reebchords.diagram import DiagramError, parse_front, resolve
-from reebchords.homology import (crossing_monomials, h1_presentation,
-                                 orbit_class_monomial, smith_normal_form)
+from reebchords.homology import (h1_presentation, orbit_class_monomial,
+                                 smith_normal_form)
 from reebchords.quiver import effective_fiber_vector
 from reebchords.words import CyclicWord, enumerate_orbit_words
 from test_lp import TREFOIL_2_COPY
@@ -80,19 +80,20 @@ TREFOIL_CROSS_PAIRS = {
 
 
 def test_trefoil_crossing_monomials(trefoil_plus, trefoil_minus):
+    """Each letter's monomial is the paper's chord term c + sign of its
+    first chord plus the paper's pair term."""
     for d, c in ((trefoil_plus, 1), (trefoil_minus, -1)):
-        singles, pairs = crossing_monomials(d)
         for j in range(1, 6):
             assert d.chord(j).sign == TREFOIL_SIGNS[j]
-            assert singles[j][0] == c + TREFOIL_SIGNS[j]
         for (j, k), val in TREFOIL_CROSS_PAIRS.items():
-            assert pairs[(j, k)][0] == val
+            assert d.letter(j, k).vector == (c + TREFOIL_SIGNS[j] + val,)
 
 
 def test_single_component_chord_monomial_rule(unknot_plus, unknot_minus):
+    """The one letter of the unknot passes no chord end, so its monomial is
+    the chord term alone."""
     for d, c in ((unknot_plus, 1), (unknot_minus, -1)):
-        singles, _ = crossing_monomials(d)
-        assert singles[1][0] == c + d.chord(1).sign
+        assert d.letter(1, 1).vector == (c + d.chord(1).sign,)
 
 
 def test_orbit_class_examples(trefoil_plus, trefoil_minus, unknot_minus,

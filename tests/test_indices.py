@@ -1,15 +1,11 @@
-from fractions import Fraction
-
 import pytest
 
 from oracles import capping_walk, rot_number
-from reebchords.diagram import CappingPath, DiagramError, parse_front, resolve
-from reebchords.indices import (c1_class, canonical_grading_valid,
-                                cz_integral, letter_index)
-from reebchords.dynamics import cz_mod2
+from reebchords.diagram import DiagramError, parse_front, resolve
+from reebchords.dynamics import hyperbolic_type
+from reebchords.indices import c1_class, canonical_grading_valid, cz_integral
 from reebchords.words import CyclicWord, enumerate_orbit_words
 
-F = Fraction
 
 TREFOIL_ROT = {
     1: [0, 0, 0, 0, 1],
@@ -21,8 +17,8 @@ TREFOIL_ROT = {
 
 
 def test_unknot_capping_angle(unknot_minus):
-    assert unknot_minus.capping_path(1, 1).theta_half_pi == 3   # 3 pi / 2
-    assert letter_index(unknot_minus, 1, 1) == 1    # rot 1, coefficient -1
+    assert capping_walk(unknot_minus, 1, 1, "eta")[1] == 6    # 3 pi / 2
+    assert unknot_minus.letter(1, 1).index == 1     # rot 1, coefficient -1
 
 
 def test_trefoil_rotation_table(trefoil_plus):
@@ -30,38 +26,40 @@ def test_trefoil_rotation_table(trefoil_plus):
         for k in range(1, 6):
             assert rot_number(trefoil_plus, j, k) == TREFOIL_ROT[j][k - 1]
             # rot + [c = +1]
-            assert letter_index(trefoil_plus, j, k) == \
+            assert trefoil_plus.letter(j, k).index == \
                 TREFOIL_ROT[j][k - 1] + 1
 
 
 def test_angles_odd_and_angle_sum(trefoil_plus, stab_plus):
-    """The library's eta angle and the walked etabar angle are odd, and
+    """The walked eta and etabar angles are odd multiples of pi/2, the eta
+    one lies between rot pi and (rot + 1) pi for the letter's rot, and they
     differ by the component's rotation number times 2 pi."""
     for d in (trefoil_plus, stab_plus):
-        n = d.n_chords
+        n = len(d.chords)
         for j in range(1, n + 1):
             for k in range(1, n + 1):
                 if not d.composable(j, k):
                     continue
-                t_eta = d.capping_path(j, k).theta_half_pi
+                letter = d.letter(j, k)
+                turns = capping_walk(d, j, k, "eta")[1]
                 turns_bar = capping_walk(d, j, k, "etabar")[1]
-                assert turns_bar % 2 == 0
-                t_bar = turns_bar // 2
-                assert t_eta % 2 == 1 and t_bar % 2 == 1
+                assert turns % 4 == 2 and turns_bar % 4 == 2
+                assert turns // 4 == letter.index - (letter.c == 1)
                 comp = d.chord(j).tip_comp
-                assert t_eta - t_bar == 4 * d.rot[comp]
+                assert turns - turns_bar == 8 * d.rot[comp]
 
 
 @pytest.mark.parametrize("turn_eighths", [4, 3])
-def test_letter_index_rejects_angles_off_the_odd_half_pi(turn_eighths,
-                                                          monkeypatch):
+def test_letter_index_rejects_angles_off_the_odd_half_pi(turn_eighths):
     """An angle of pi (even in pi/2 units) or of 3 pi / 4 (not a multiple
-    of pi/2) is an internal fault."""
+    of pi/2), planted as the turning of the one passage arc the capping arc
+    runs over, is an internal fault."""
     d = resolve(parse_front("L1,R1 / surgery {0:-1}"))
-    monkeypatch.setattr(d, "capping_path", lambda j1, j2: CappingPath(
-        turn_eighths, F(1, 2), []))
+    assert d.letter(1, 1).arcs == (1,)
+    d.memo.clear()
+    d.passage_turns[0][1] = turn_eighths
     with pytest.raises(DiagramError):
-        letter_index(d, 1, 1)
+        d.letter(1, 1)
 
 
 def test_cz_examples(trefoil_plus, trefoil_minus, stab_plus):
@@ -79,7 +77,8 @@ def test_cz_rotation_invariance_and_linearity(trefoil_plus):
     d = trefoil_plus
     for w in enumerate_orbit_words(d, max_len=3):
         base = cz_integral(d, w)
-        for rot in w.rotations():
+        n = len(w.chords)
+        for rot in (w.chords[k:] + w.chords[:k] for k in range(n)):
             assert sum(
                 rot_number(d, rot[i], rot[(i + 1) % len(rot)])
                 + (1 if d.surgery[d.chord(rot[i]).tip_comp] == 1 else 0)
@@ -89,9 +88,11 @@ def test_cz_rotation_invariance_and_linearity(trefoil_plus):
 
 
 def test_cz_mod2_cross_module(trefoil_plus, trefoil_minus):
+    """The kind ``dynamics`` reports is the parity of the ``indices`` sum."""
     for d in (trefoil_plus, trefoil_minus):
         for w in enumerate_orbit_words(d, max_len=3):
-            assert cz_integral(d, w) % 2 == cz_mod2(d, w)
+            kind = hyperbolic_type(d, w)[0]
+            assert cz_integral(d, w) % 2 == (kind == "negative")
 
 
 def test_c1_class(trefoil_plus, stab_plus, hopf_plus):

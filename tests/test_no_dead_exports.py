@@ -1,10 +1,14 @@
-"""Every public function and class of the library is reached from outside it.
+"""Every public function, class, method and property of the library is
+reached from outside its own definition.
 
-A public top-level name of ``src/reebchords`` must be named somewhere other
-than its own definition and the package's ``__init__.py``: elsewhere in the
-library, or in the benchmark harness (``perfbench/``) or the tools
-(``tools/``).  A name that only the tests use is a second route, and those
-live in ``tests/oracles.py``.  This reads the syntax trees to keep it so.
+A public top-level name of ``src/reebchords``, or a public method or
+property of one of its classes, must be named somewhere other than its own
+definition and the package's ``__init__.py``: elsewhere in the library, or
+in the benchmark harness (``perfbench/``) or the tools (``tools/``).  A
+method counts as reached when any attribute of that name is read, since the
+trees carry no types.  A name that only the tests use is a second route, and
+those live in ``tests/oracles.py``.  This reads the syntax trees to keep it
+so.
 """
 
 import ast
@@ -14,12 +18,23 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "reebchords"
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def public_definitions(tree):
-    """Top-level public function and class definitions of a module."""
-    return [node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not node.name.startswith("_")]
+    """[(qualified name, node)] of a module's public top-level functions and
+    classes, and of the public methods and properties of its classes."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS + (ast.ClassDef,)) \
+                and not node.name.startswith("_"):
+            found.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{member.name}", member)
+                      for member in node.body
+                      if isinstance(member, FUNCTIONS)
+                      and not member.name.startswith("_")]
+    return found
 
 
 def names_used(tree, skip=()):
@@ -43,7 +58,7 @@ def dead_exports(modules, others):
     ``others`` names outside the definition itself."""
     dead = []
     for mod, tree in sorted(modules.items()):
-        for node in public_definitions(tree):
+        for name, node in public_definitions(tree):
             used = names_used(tree, skip=[node])
             for other, t in modules.items():
                 if other != mod:
@@ -51,7 +66,7 @@ def dead_exports(modules, others):
             for t in others:
                 used |= names_used(t)
             if node.name not in used:
-                dead.append((mod, node.name))
+                dead.append((mod, name))
     return dead
 
 
@@ -70,17 +85,31 @@ def test_checker_finds_unreached_definitions_only():
                      "    def __eq__(self, other):\n"
                      "        return isinstance(other, Lonely)\n"
                      "class Used(object):\n"
-                     "    pass\n"
+                     "    def called(self):\n"
+                     "        return self.helps()\n"
+                     "    def helps(self):\n"
+                     "        return 1\n"
+                     "    def recurses(self, n):\n"
+                     "        return self.recurses(n - 1) if n else 0\n"
+                     "    @property\n"
+                     "    def read(self):\n"
+                     "        return 2\n"
+                     "    @property\n"
+                     "    def unread(self):\n"
+                     "        return 3\n"
+                     "    def _hidden(self):\n"
+                     "        pass\n"
                      "def _private():\n"
                      "    pass\n")
     cli = ast.parse("from .core import Used, only_itself\n"
                     "def main():\n"
-                    "    return Used()\n"
+                    "    return Used().called() + Used().read\n"
                     "main()\n")
     tool = ast.parse("import core\n"
                      "print(core.reached())\n")
     assert dead_exports({"core": core, "cli": cli}, [tool]) == [
-        ("core", "only_itself"), ("core", "Lonely")]
+        ("core", "only_itself"), ("core", "Lonely"),
+        ("core", "Used.recurses"), ("core", "Used.unread")]
 
 
 def test_every_public_definition_is_reached():

@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 
 from oracles import (all_orbit_strings, arc_pass_counts, capping_walk,
-                     endpoints_between, full_curve_pushout, whole_arc_piece)
+                     endpoints_between, full_curve_pushout, rot_number,
+                     whole_arc_piece)
 from reebchords import report, words
-from reebchords.diagram import parse_front, resolve
+from reebchords.diagram import DiagramError, parse_front, resolve
 from reebchords.geometry import offset_polyline
-from reebchords.homology import h1_presentation, pass_counts
+from reebchords.homology import h1_presentation
 from reebchords.report import differential_candidates, generators
 from reebchords.words import (CyclicWord, Word, enumerate_chord_words,
                               enumerate_orbit_words, primitive_decomposition,
@@ -33,8 +34,9 @@ def test_canonical_cyclic_examples(trefoil_plus):
 def test_canonical_cyclic_rotation_invariant(trefoil_plus):
     d = trefoil_plus
     for w in enumerate_orbit_words(d, max_len=3):
-        for rot in w.rotations():
-            assert CyclicWord(d, rot) == w
+        n = len(w.chords)
+        for k in range(n):
+            assert CyclicWord(d, w.chords[k:] + w.chords[:k]) == w
 
 
 def test_canonical_cyclic_idempotent(trefoil_plus):
@@ -268,20 +270,15 @@ def test_offset_polylines_are_per_passage_interval(text, monkeypatch):
 
 def check_arcs_against_whole_arcs(d):
     """Every capping arc's piece, at offsets 1/8 and 1/16, equals the whole
-    arc offset and wound in one pass, and its passages are the chord ends
-    inside it, with the same crossing counts; returns the pieces."""
+    arc offset and wound in one pass; returns the pieces."""
     pieces = {}
     for a in d.chords:
         for b in d.chords:
             if not d.composable(a.id, b.id):
                 continue
-            assert d.capping_path(a.id, b.id).interior == \
-                endpoints_between(d, a.id, b.id, "eta")
-            assert pass_counts(d, a.id, b.id) == \
-                arc_pass_counts(d, a.id, b.id, "eta")
             for offset in (F(1, 8), F(1, 16)):
                 if d.surgery[a.tip_comp] == 0:
-                    with pytest.raises(ValueError):
+                    with pytest.raises(DiagramError):
                         words._arc(d, a.id, b.id, offset)
                     with pytest.raises(ValueError):
                         whole_arc_piece(d, a.id, b.id, "eta", offset)
@@ -308,21 +305,45 @@ def test_arc_pieces_match_whole_arcs_on_seeded_fronts():
 @pytest.mark.parametrize("text", [T25_PLUS, T25_MINUS, TREFOIL_2_COPY],
                          ids=["T(2,5)+1", "T(2,5)-1", "2-copy"])
 def test_arc_pieces_match_whole_arcs_on_more_fronts(text):
-    assert check_arcs_against_whole_arcs(resolve(parse_front(text)))
+    d = resolve(parse_front(text))
+    assert check_arcs_against_whole_arcs(d)
+    assert check_letters_against_walks(d)
 
 
-def check_capping_paths_against_walks(d):
-    """Every capping path's turning and normalized length, summed over the
-    passage arcs it runs, equal those of a segment-by-segment walk; returns
-    the number of paths checked."""
+def check_letters_against_walks(d):
+    """Every field of every letter, read off the passage arcs, equals what
+    a segment-by-segment walk of its capping arc gives: the index, sign and
+    h from the walk's turning and length, c from the tip's component, the
+    monomial from the chord term (c + sign)/2 at each end of r_j1 plus the
+    walk's passes, and the passage arcs from the chord ends inside the arc;
+    returns the number of letters checked."""
     count = 0
     for a in d.chords:
         for b in d.chords:
             if not d.composable(a.id, b.id):
                 continue
-            cap = d.capping_path(a.id, b.id)
+            letter = d.letter(a.id, b.id)
+            comp = a.tip_comp
+            c = d.surgery[comp]
             _points, turns, length = capping_walk(d, a.id, b.id, "eta")
-            assert (cap.turn_eighths, cap.norm_length) == (turns, length)
+            rot = rot_number(d, a.id, b.id)
+            assert turns % 4 == 2
+            assert letter.index == rot + (c == 1)
+            assert letter.sign == (-1) ** (rot % 2)
+            assert letter.c == c
+            assert letter.h == F(1, 2) - length
+            vector = arc_pass_counts(d, a.id, b.id, "eta")
+            for end in (a.tail_comp, a.tip_comp):
+                vector[end] += F(d.surgery[end] + a.sign, 2)
+            assert letter.vector == tuple(vector)
+            plist = d.passages[comp]
+            assert plist[letter.arcs[0]][1:3] == (a.id, "tip")
+            assert plist[(letter.arcs[-1] + 1) % len(plist)][1:3] == \
+                (b.id, "tail")
+            assert [plist[k][1:3] for k in letter.arcs[1:]] == \
+                endpoints_between(d, a.id, b.id, "eta")
+            assert [(k + 1) % len(plist) for k in letter.arcs[:-1]] == \
+                list(letter.arcs[1:])
             count += 1
     return count
 
@@ -330,14 +351,36 @@ def check_capping_paths_against_walks(d):
 @pytest.mark.parametrize("name", [
     "trefoil_plus", "trefoil_minus", "unknot_plus", "unknot_minus",
     "stab_plus", "hopf_plus", "hopf_mixed"])
-def test_capping_paths_match_walks(name, request):
-    assert check_capping_paths_against_walks(request.getfixturevalue(name))
+def test_letters_match_walks(name, request):
+    assert check_letters_against_walks(request.getfixturevalue(name))
 
 
-def test_capping_paths_match_walks_on_seeded_fronts_and_copies():
+def test_letters_match_walks_on_seeded_fronts_and_copies():
     for front in list(seeded_fronts()) + [parse_front(TREFOIL_2_COPY),
                                           parse_front(TREFOIL_3_COPY)]:
-        assert check_capping_paths_against_walks(resolve(front))
+        assert check_letters_against_walks(resolve(front))
+
+
+def test_letter_of_a_pair_that_does_not_compose_is_a_fault(hopf_plus):
+    """Only library code asks for letters, always of composable pairs."""
+    d = hopf_plus
+    pairs = [(a.id, b.id) for a in d.chords for b in d.chords
+             if not d.composable(a.id, b.id)]
+    assert pairs
+    for j1, j2 in pairs:
+        with pytest.raises(DiagramError):
+            d.letter(j1, j2)
+
+
+def test_arc_on_an_unsurgered_component_is_a_fault():
+    """Push-outs follow cyclic words, which stay on the surgered sublink."""
+    d = resolve(parse_front("L1,L3,X2,X2,R1,R1 / surgery {0:+1}"))
+    pairs = [(a.id, b.id) for a in d.chords for b in d.chords
+             if d.composable(a.id, b.id) and d.surgery[a.tip_comp] == 0]
+    assert pairs
+    for j1, j2 in pairs:
+        with pytest.raises(DiagramError):
+            words._arc(d, j1, j2, F(1, 8))
 
 
 @pytest.mark.parametrize("where", ["join", "inside"])
@@ -352,10 +395,10 @@ def test_arc_pieces_touch_a_basepoint_where_whole_arcs_do(where):
         ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
     pieces = check_arcs_against_whole_arcs(d)
     # arcs that run through passage 1, or along passage arc 0
-    runs = {(j1, j2): d.passage_run(j1, j2) for j1, j2, _ in pieces}
+    arcs = {(j1, j2): d.letter(j1, j2).arcs for j1, j2, _ in pieces}
     assert any(pieces[j1, j2, F(1, 8)].crossings is None
-               for (j1, j2), run in runs.items()
-               if (1 in run[1:-1] if where == "join" else 0 in run[:-1]))
+               for (j1, j2), run in arcs.items()
+               if (1 in run[1:] if where == "join" else 0 in run))
     assert any(piece.crossings is not None for piece in pieces.values())
 
 
