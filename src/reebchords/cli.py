@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .diagram import DiagramError, FrontError, parse_front, resolve
-from .dynamics import hyperbolic_from_trace, orbit_action, return_map
+from .dynamics import hyperbolic_type, orbit_action, return_map
 from .homology import h1_presentation, orbit_class_monomial
 from .indices import c1_class, cz_integral
 from .quiver import Quiver, i_grading
@@ -167,7 +167,7 @@ def cmd_cz(args, d):
     for w in enumerate_orbit_words(d, max_len, max_action, eps):
         cz = cz_integral(d, w)
         trace = return_map(d, w).trace()
-        kind, threshold = hyperbolic_from_trace(cz % 2, trace)
+        kind, threshold = hyperbolic_type(cz % 2, trace)
         rows.append({"word": word_name(w.chords),
                      "cz": cz,
                      "cz_mod2": cz % 2,

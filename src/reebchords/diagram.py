@@ -20,14 +20,17 @@ The template is laid out once, with every x-coordinate an exact affine form
 in the loop stretches and event spacings; the sizing LP's rows are read off
 that layout and the diagram is the same layout evaluated at the LP's
 solution.  One x-sorted sweep in integers (the coordinates over their least
-common denominator) finds the double points, and each face's basepoint sits
-a small exact step inside one of its corner wedges, tested against the
-integer boxes of the segments that can come near it.
+common denominator) finds the double points.  Every double point crosses two
+diagonals, so the faces are the cycles of passage arcs that turn left by a
+quarter turn at every chord; corner signs, corner quadrants and rotation
+numbers are read off the passage records, with no point lookup.  Each
+face's basepoint sits a small exact step inside one of its corner wedges,
+tested against the integer boxes of the segments that can come near it.
 """
 
 import json
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -41,9 +44,7 @@ from .geometry import (
     point_segment_distance_sq,
     polygon_signed_area,
     segment_intersection,
-    sub,
     turn_octants,
-    turning_number,
     winding_number,
 )
 
@@ -571,7 +572,7 @@ class ChordRecord(object):
     """A double point of the resolved diagram (one Reeb chord)."""
 
     def __init__(self, cid, point, sign, tail_comp, tip_comp, action,
-                 tail_loc, tip_loc, over_dir, under_dir, event_index):
+                 tail_loc, tip_loc):
         self.id = cid
         self.point = point
         self.sign = sign
@@ -580,9 +581,6 @@ class ChordRecord(object):
         self.action = action
         self.tail_loc = tail_loc        # (segment index, parameter) on tail_comp
         self.tip_loc = tip_loc
-        self.over_dir = over_dir        # travel octant of the high strand
-        self.under_dir = under_dir
-        self.event_index = event_index
 
     def __repr__(self):
         return f"r{self.id}"
@@ -612,20 +610,23 @@ QUADRANT_NAMES = {(1, 0): "E", (0, 1): "N", (-1, 0): "W", (0, -1): "S"}
 QUADRANT_VECTORS = {name: vec for vec, name in QUADRANT_NAMES.items()}
 
 
-def _unit(v):
-    """Componentwise sign of a vector, e.g. (1, -1) for (3, -3)."""
-    return ((v[0] > 0) - (v[0] < 0), (v[1] > 0) - (v[1] < 0))
-
-
 class ResolvedDiagram(object):
     """Exact polyline realization of a front with all derived chord data.
 
     A passage is one chord end on a component: ``passages[ci]`` lists those
     of component ci as (parameter, chord id, 'tail'|'tip', point) in
     parameter order, and ``passage_arcs[ci][k]`` walks from passage k to the
-    next, cyclically, turning by ``passage_turns[ci][k]`` pi/4 units.  Faces
-    are traced on them, capping arcs are runs of them, and push-outs offset
-    them."""
+    next, cyclically, turning by ``passage_turns[ci][k]`` pi/4 units; the
+    rotation number ``rot[ci]`` is the sum of those turns over 8.  Capping
+    arcs are runs of passage arcs, and push-outs offset them.
+
+    A face is the cycle of half-edges (component, arc k, +1 forward or -1
+    backward) that turns left at every chord.  A half-edge arrives at a
+    chord end in the travel octant o of the segment there (plus 4 when
+    backward) and the next one leaves on the chord's other strand in octant
+    o + 2: forward along its arc if that strand's octant is o + 2, backward
+    if it is o + 6.  The corner's sign is +1 exactly when the arrival is at
+    the chord's tail, and its quadrant is the axis octant o + 3."""
 
     def __init__(self, front: FrontCode, components: List[List[Point]],
                  slabs, z_shifts: Optional[List[Fraction]] = None):
@@ -682,7 +683,7 @@ class ResolvedDiagram(object):
     def _find_chords(self):
         chords = []
         found = _crossings_by_event(self.front, self.segments, self._slabs)
-        for ev, (p, over, under) in sorted(found.items()):
+        for _ev, (p, over, under) in sorted(found.items()):
             action = self._z_at(*over, p) - self._z_at(*under, p)
             if action <= 0:
                 raise DiagramError(
@@ -696,8 +697,7 @@ class ResolvedDiagram(object):
                 len(chords) + 1, p, sign,
                 tail_comp=under[0], tip_comp=over[0], action=action,
                 tail_loc=(under[1], self._param_at(under[0], under[1], p)),
-                tip_loc=(over[1], self._param_at(over[0], over[1], p)),
-                over_dir=over_dir, under_dir=under_dir, event_index=ev))
+                tip_loc=(over[1], self._param_at(over[0], over[1], p))))
         self.chords = chords
 
     def _classical(self):
@@ -716,9 +716,6 @@ class ResolvedDiagram(object):
                     if self.linking[i][j] % 2 != 0:
                         raise DiagramError("odd crossing count between components")
                     self.linking[i][j] //= 2
-        self.rot = {}
-        for i, cyc in enumerate(self.components):
-            self.rot[i] = int(turning_number(cyc))
 
     # -- faces ---------------------------------------------------------------
 
@@ -729,129 +726,91 @@ class ResolvedDiagram(object):
             for role, ci, (_, par) in (("tail", c.tail_comp, c.tail_loc),
                                        ("tip", c.tip_comp, c.tip_loc)):
                 self.passages[ci].append((par, c.id, role, c.point))
+        self._passage_of: Dict[Tuple[int, str], Tuple[int, int]] = {}
         self.passage_arcs: List[List[List[Point]]] = []
         self.passage_turns: List[List[int]] = []
+        self.rot = {}
         for ci, plist in enumerate(self.passages):
             plist.sort(key=lambda item: item[0])
             total = self.cheb_len[ci][-1]
             self.passage_arcs.append([])
             self.passage_turns.append([])
-            for k, (par, _, _, p) in enumerate(plist):
+            for k, (par, cid, role, p) in enumerate(plist):
+                self._passage_of[cid, role] = (ci, k)
                 next_par, _, _, q = plist[(k + 1) % len(plist)]
                 pts, turns = self._walk(
                     ci, par, (next_par - par) % total or total, p, q)
                 self.passage_arcs[ci].append(pts)
                 self.passage_turns[ci].append(turns)
-        self._trace_faces([a for arcs in self.passage_arcs for a in arcs])
+            # the arcs cover the component, so their turns are its turning
+            turns = sum(self.passage_turns[ci])
+            if turns % 8:
+                raise DiagramError(f"component {ci} turns by {turns} pi/4, "
+                                   f"not a multiple of 2 pi")
+            self.rot[ci] = turns // 8
+        self._trace_faces()
 
     def _seg_of_param(self, comp, par):
         cl = self.cheb_len[comp]
         return bisect_right(cl, par % cl[-1]) - 1
 
-    def _trace_faces(self, arcs):
-        # arcs are point lists; half edges: (arc index, +1/-1)
-        departs: Dict[Point, List[Tuple[int, Tuple[int, int]]]] = {}
-
-        half_edges = []
-        for ai, pts in enumerate(arcs):
-            half_edges.append((ai, 1))
-            half_edges.append((ai, -1))
-            d_fwd = sub(pts[1], pts[0])
-            d_bwd = sub(pts[-2], pts[-1])
-            departs.setdefault(pts[0], []).append((len(half_edges) - 2, d_fwd))
-            departs.setdefault(pts[-1], []).append((len(half_edges) - 1, d_bwd))
-
-        def he_points(he):
-            ai, d = half_edges[he]
-            pts = arcs[ai]
-            return pts if d == 1 else pts[::-1]
-
-        next_he = {}
-        for he in range(len(half_edges)):
-            pts = he_points(he)
-            node = pts[-1]
-            back = OCTANT_VECTORS.index(_unit(sub(pts[-2], pts[-1])))
-            best = None
-            for cand, vec in departs[node]:
-                o = OCTANT_VECTORS.index(_unit(vec))
-                delta = (back - o) % 8     # clockwise distance from back
-                if delta == 0:
-                    continue
-                if best is None or delta < best[0]:
-                    best = (delta, cand)
-            if best is None:
-                raise DiagramError(f"dead end in arrangement at {node}")
-            next_he[he] = best[1]
+    def _trace_faces(self):
+        # the left-turn rule of the class docstring; octant of each chord end
+        passages = self.passages
+        octant = {}
+        for c in self.chords:
+            for role, ci, loc in (("tail", c.tail_comp, c.tail_loc),
+                                  ("tip", c.tip_comp, c.tip_loc)):
+                octant[c.id, role] = self.segments[ci][loc[0]].octant
+        turn = {}       # half-edge -> (next half-edge, corner at its end)
+        for ci, plist in enumerate(passages):
+            n = len(plist)
+            for k in range(n):
+                for d in (1, -1):
+                    _, cid, role, _ = plist[(k + 1) % n if d == 1 else k]
+                    o = (octant[cid, role] + (0 if d == 1 else 4)) % 8
+                    other = "tip" if role == "tail" else "tail"
+                    cj, kj = self._passage_of[cid, other]
+                    s = (octant[cid, other] - o) % 8
+                    if o % 2 == 0 or s not in (2, 6):
+                        raise DiagramError(
+                            f"face walk does not turn left at r{cid}")
+                    nxt = (cj, kj, 1) if s == 2 else \
+                        (cj, (kj - 1) % len(passages[cj]), -1)
+                    quad = QUADRANT_NAMES[OCTANT_VECTORS[(o + 3) % 8]]
+                    turn[ci, k, d] = (nxt, (cid, quad,
+                                            1 if role == "tail" else -1))
 
         visited = set()
         faces = []
-        outer_count = 0
         self.outer_area = Fraction(0)
-        for he0 in range(len(half_edges)):
+        for he0 in turn:
             if he0 in visited:
                 continue
-            cycle = []
+            boundary: List[Point] = []
+            corners = []
             he = he0
             while he not in visited:
                 visited.add(he)
-                cycle.append(he)
-                he = next_he[he]
+                ci, k, d = he
+                pts = self.passage_arcs[ci][k]
+                boundary.extend(pts[:-1] if d == 1 else pts[:0:-1])
+                he, corner = turn[he]
+                corners.append(corner)
             if he != he0:
                 raise DiagramError("face tracing did not close up")
-            boundary: List[Point] = []
-            corners = []
-            for k, h in enumerate(cycle):
-                pts = he_points(h)
-                boundary.extend(pts[:-1])
-                nxt = he_points(cycle[(k + 1) % len(cycle)])
-                node = pts[-1]
-                cid = self._chord_at(node)
-                d_in = sub(pts[-1], pts[-2])
-                d_out = sub(nxt[1], nxt[0])
-                corners.append((cid, node, d_in, d_out))
             area = polygon_signed_area(boundary)
             if area < 0:
-                outer_count += 1
                 self.outer_area -= area
                 continue
             if area == 0:
                 raise DiagramError("degenerate face of zero area")
-            corner_data = []
-            for cid, node, d_in, d_out in corners:
-                sign = self._corner_sign(d_in, d_out)
-                quad = self._quadrant(d_in, d_out)
-                corner_data.append((cid, quad, sign))
-            faces.append(Face(None, corner_data, area, boundary))
+            faces.append(Face(None, corners, area, boundary))
         faces.sort(key=lambda f: (min(p[0] for p in f.boundary),
                                   min(p[1] for p in f.boundary)))
         for i, f in enumerate(faces):
             f.id = i + 1
         self.faces_list = faces
-        self._outer_count = outer_count
-
-    def _chord_at(self, node: Point) -> int:
-        for c in self.chords:
-            if c.point == node:
-                return c.id
-        raise DiagramError(f"no chord at node {node}")
-
-    def _corner_sign(self, d_in, d_out):
-        # the high strand runs along the slope -1 line
-        in_over = _unit(d_in) in ((-1, 1), (1, -1))
-        out_over = _unit(d_out) in ((-1, 1), (1, -1))
-        if in_over == out_over:
-            raise DiagramError("face corner does not switch strands")
-        # positive when ccw traversal jumps from the low strand to the high one
-        return 1 if (not in_over and out_over) else -1
-
-    def _quadrant(self, d_in, d_out):
-        # wedge between the two boundary rays: reverse of incoming, outgoing
-        r1 = _unit((-d_in[0], -d_in[1]))
-        r2 = _unit(d_out)
-        name = QUADRANT_NAMES.get(_unit((r1[0] + r2[0], r1[1] + r2[1])))
-        if name is None:
-            raise DiagramError("face corner rays do not span a quadrant")
-        return name
 
     def _pick_basepoints(self):
         # boxes by left x: a test reads only those that start left of its reach
@@ -910,8 +869,8 @@ class ResolvedDiagram(object):
         if c2.tail_comp != comp:
             raise DiagramError(f"chords r{j1}, r{j2} are not composable")
         plist = self.passages[comp]
-        k1, k2 = (bisect_left(plist, (par,))
-                  for par in (c1.tip_loc[1], c2.tail_loc[1]))
+        k1 = self._passage_of[j1, "tip"][1]
+        k2 = self._passage_of[j2, "tail"][1]
         # passage arc k runs forward from passage k to k + 1
         arcs = tuple((k1 + i) % len(plist)
                      for i in range((k2 - k1) % len(plist)))

@@ -108,20 +108,13 @@ def return_map(d: ResolvedDiagram, w: CyclicWord) -> ReturnMapPoly:
     return ReturnMapPoly(sign, prod, w)
 
 
-def hyperbolic_type(d: ResolvedDiagram, w: CyclicWord
-                    ) -> Tuple[str, Fraction]:
-    """('positive'|'negative', eps_w) classification of the orbit of w.
+def hyperbolic_type(cz_parity: int, trace: Poly) -> Tuple[str, Fraction]:
+    """('positive'|'negative', eps_w) classification of an orbit from its
+    CZ parity and its return map's trace.
 
     For every rational 0 < epsilon < eps_w the return map has |trace| > 2,
     via a conservative bound from the trace coefficients.
     """
-    return hyperbolic_from_trace(cz_integral(d, w) % 2,
-                                 return_map(d, w).trace())
-
-
-def hyperbolic_from_trace(cz_parity: int, trace: Poly
-                          ) -> Tuple[str, Fraction]:
-    """``hyperbolic_type`` from the CZ parity and the return map's trace."""
     kind = "positive" if cz_parity == 0 else "negative"
     lower = sum(abs(c) for c in trace[:-1])
     eps_w = min(Fraction(1, 2), Fraction(1, 2 + lower))

@@ -206,21 +206,6 @@ def merge_collinear(points: Sequence[Point]) -> List[Point]:
     return out
 
 
-def turning_number(points: Sequence[Point]) -> Fraction:
-    """Degree of the Gauss map of a closed polyline, via exact eighth-turns."""
-    n = len(points)
-    octs = [direction_octant(points[i], points[(i + 1) % n]) for i in range(n)]
-    total = 0
-    for i in range(n):
-        t = turn_octants(octs[i], octs[(i + 1) % n])
-        if abs(t) == 4:
-            raise ValueError(f"U-turn at vertex {points[(i + 1) % n]}")
-        total += t
-    if total % 8 != 0:
-        raise ValueError("turning total not a multiple of 2 pi")
-    return Fraction(total, 8)
-
-
 def offset_polyline(points: Sequence[Point], side: str,
                     amount: Fraction) -> List[Point]:
     """Push an open polyline off to one side using rational per-octant normals.

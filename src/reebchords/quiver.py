@@ -24,7 +24,7 @@ class Quiver(object):
 
     def __init__(self, d: ResolvedDiagram):
         if not d.chords:
-            raise ValueError("empty diagram has no quiver")
+            raise DiagramError("empty diagram has no quiver")
         self.vertices = list(range(len(d.components)))
         self.edges = [(c.id, c.tail_comp, c.tip_comp) for c in d.chords]
 
@@ -91,7 +91,7 @@ def i_grading(d: ResolvedDiagram, h1: H1Presentation,
     surgered components, one int per face in ``faces_list`` order.
     """
     if not h1.finite:
-        raise ValueError("intersection grading needs finite first homology")
+        raise DiagramError("intersection grading needs finite first homology")
     total_class = None
     totals = [Fraction(0)] * len(d.faces_list)
     for w in words:

@@ -12,7 +12,7 @@ from math import lcm
 from typing import List, Optional, Tuple
 
 from .diagram import DiagramError, ResolvedDiagram
-from .dynamics import hyperbolic_type, is_bad
+from .dynamics import hyperbolic_type, is_bad, return_map
 from .homology import H1Presentation, orbit_class_monomial
 from .indices import canonical_grading_valid, cz_integral
 from .lp import solve_lp
@@ -40,7 +40,8 @@ class GeneratorRecord(object):
         self.degree = self.cz - 1
         self.orbit_class = orbit_class_monomial(d, h1, w)
         self.action = w.action()
-        self.hyperbolic, self.threshold = hyperbolic_type(d, w)
+        self.hyperbolic, self.threshold = hyperbolic_type(
+            self.cz % 2, return_map(d, w).trace())
         self.bad = is_bad(d, w)
         self.good = not self.bad
         self.igrading: Optional[Tuple[int, ...]] = None
@@ -92,10 +93,9 @@ class Candidate(object):
 
 
 class CandidateReport(object):
-    def __init__(self, source: GeneratorRecord, survivors: List[Candidate],
-                 z_graded: bool, warning: Optional[str] = None,
+    def __init__(self, survivors: List[Candidate], z_graded: bool,
+                 warning: Optional[str] = None,
                  truncated: Optional[str] = None, nodes: int = 0):
-        self.source = source
         self.survivors = survivors
         self.z_graded = z_graded
         self.warning = warning
@@ -321,5 +321,4 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
         if consider(degree):
             break
         stack.append([nxt, left, degree])
-    return CandidateReport(g, found, z_graded, warning, truncated,
-                           nodes)
+    return CandidateReport(found, z_graded, warning, truncated, nodes)

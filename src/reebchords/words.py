@@ -30,12 +30,12 @@ class Word(object):
 
     def __init__(self, diagram: ResolvedDiagram, chords: Sequence[int]):
         if not chords:
-            raise ValueError("empty word")
+            raise DiagramError("empty word")
         self.diagram = diagram
         self.chords = tuple(int(c) for c in chords)
         for a, b in zip(self.chords, self.chords[1:]):
             if not diagram.composable(a, b):
-                raise ValueError(f"chords r{a}, r{b} are not composable")
+                raise DiagramError(f"chords r{a}, r{b} are not composable")
 
     def __len__(self):
         return len(self.chords)
@@ -71,14 +71,14 @@ class CyclicWord(Word):
         seq = canonical_rotation(chords)
         super().__init__(diagram, seq)
         if not diagram.composable(self.chords[-1], self.chords[0]):
-            raise ValueError(
+            raise DiagramError(
                 f"closing pair r{self.chords[-1]}, r{self.chords[0]} "
                 f"not composable")
         for c in self.chords:
             ch = diagram.chord(c)
             if diagram.surgery[ch.tail_comp] == 0 \
                     or diagram.surgery[ch.tip_comp] == 0:
-                raise ValueError(
+                raise DiagramError(
                     f"chord r{c} touches an unsurgered component")
 
     def __eq__(self, other):

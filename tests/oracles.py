@@ -10,9 +10,11 @@ epsilon, the twist's height profile, capping paths walked segment by
 segment on either side (the library rides only the side along the
 component's orientation), push-out pieces of whole capping arcs, whole
 push-out curves for every side choice with their linking numbers, orbit
-classes and intersection gradings, the closed-curve index formula that
-decides the exhaustive search's degree test, the candidate search's LP in
-integer rows, and the k-copy of a front, which no CLI command builds.
+classes and intersection gradings, faces traced as a planar graph keyed by
+points, the turning number of a closed polyline, the closed-curve index
+formula that decides the exhaustive search's degree test, the candidate
+search's LP in integer rows, and the k-copy of a front, which no CLI
+command builds.
 """
 
 import itertools
@@ -673,6 +675,100 @@ def all_segments_basepoint(d, face):
                 return p
         offset /= 2
     return None
+
+
+# -- faces and turning from the points ----------------------------------------
+
+OCTANTS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1),
+           (1, -1))
+AXIS_NAMES = {(1, 0): "E", (0, 1): "N", (-1, 0): "W", (0, -1): "S"}
+
+
+def _unit(v):
+    """Componentwise sign of a vector, e.g. (1, -1) for (3, -3)."""
+    return ((v[0] > 0) - (v[0] < 0), (v[1] > 0) - (v[1] < 0))
+
+
+def _octant(a, b):
+    return OCTANTS.index(_unit((b[0] - a[0], b[1] - a[1])))
+
+
+def turning_number(points):
+    """Degree of the Gauss map of a closed polyline: its octant changes at
+    every vertex summed in eighth-turns, over 8.  ValueError on a U-turn or
+    a total that is not a whole number of turns."""
+    n = len(points)
+    octs = [_octant(points[i], points[(i + 1) % n]) for i in range(n)]
+    total = 0
+    for i in range(n):
+        t = (octs[(i + 1) % n] - octs[i]) % 8
+        if t == 4:
+            raise ValueError(f"U-turn at vertex {points[(i + 1) % n]}")
+        total += t - 8 if t > 4 else t
+    if total % 8 != 0:
+        raise ValueError("turning total not a multiple of 2 pi")
+    return Fraction(total, 8)
+
+
+def trace_faces_by_points(d):
+    """(faces, outer area) of a diagram by tracing its passage arcs as a
+    planar graph keyed by points.  At every node a half-edge continues with
+    the departing half-edge nearest clockwise from its way back; each
+    corner's chord is the one at the node, its sign is +1 when the walk
+    jumps from the slope +1 strand to the slope -1 one, and its quadrant is
+    the axis between the way back and the way out.  The faces are the
+    cycles of positive area as (corners, area, boundary), sorted by the
+    least x and then least y of the boundary; the outer area is minus the
+    sum of the negative ones."""
+    arcs = [a for arcs in d.passage_arcs for a in arcs]
+    chord_at = {c.point: c.id for c in d.chords}
+    halves = [(ai, step) for ai in range(len(arcs)) for step in (1, -1)]
+    points = [arcs[ai][::step] for ai, step in halves]
+    departs = {}
+    for he, pts in enumerate(points):
+        departs.setdefault(pts[0], []).append((he, _octant(pts[0], pts[1])))
+    following = {}
+    for he, pts in enumerate(points):
+        back = _octant(pts[-1], pts[-2])
+        turns = [((back - o) % 8, cand) for cand, o in departs[pts[-1]]
+                 if o != back]
+        if not turns:
+            raise ValueError(f"dead end at {pts[-1]}")
+        following[he] = min(turns)[1]
+    seen = set()
+    faces = []
+    outer = Fraction(0)
+    for start in range(len(halves)):
+        if start in seen:
+            continue
+        boundary, corners = [], []
+        he = start
+        while he not in seen:
+            seen.add(he)
+            pts, nxt = points[he], points[following[he]]
+            boundary.extend(pts[:-1])
+            d_in = _unit((pts[-1][0] - pts[-2][0], pts[-1][1] - pts[-2][1]))
+            d_out = _unit((nxt[1][0] - nxt[0][0], nxt[1][1] - nxt[0][1]))
+            in_high = d_in[0] == -d_in[1]
+            if in_high == (d_out[0] == -d_out[1]):
+                raise ValueError("corner does not switch strands")
+            quad = AXIS_NAMES[_unit((d_out[0] - d_in[0],
+                                     d_out[1] - d_in[1]))]
+            corners.append((chord_at[pts[-1]], quad, -1 if in_high else 1))
+            he = following[he]
+        assert he == start, "face walk does not close up"
+        n = len(boundary)
+        area = sum(boundary[i][0] * boundary[(i + 1) % n][1]
+                   - boundary[(i + 1) % n][0] * boundary[i][1]
+                   for i in range(n)) / 2
+        if area < 0:
+            outer -= area
+        else:
+            faces.append((corners, area, boundary))
+    faces.sort(key=lambda f: (min(p[0] for p in f[2]),
+                              min(p[1] for p in f[2])))
+    return faces, outer
+
 
 # -- capping paths and push-outs as whole curves -----------------------------
 

@@ -11,10 +11,10 @@ from fractions import Fraction
 
 from oracles import (all_orbit_strings, capping_walk, orbit_class_pushout,
                      point_in_convex, poly_diameter_sq, pushout_grading,
-                     pushout_linking, rot_number, step_maps,
+                     pushout_linking, rot_number, step_maps, trace_at,
                      trimmed_flow_polygon, divisors_2x2)
-from reebchords.dynamics import (embed_orbit, hyperbolic_type, is_bad,
-                                 mat_det, orbit_action, return_map)
+from reebchords.dynamics import (embed_orbit, is_bad, mat_det,
+                                 orbit_action, return_map)
 from reebchords.homology import (h1_presentation, orbit_class_monomial,
                                  smith_normal_form)
 from reebchords.indices import cz_integral
@@ -202,8 +202,10 @@ def test_criterion_9a(trefoil_plus, trefoil_minus):
     ok = True
     for d in (trefoil_plus, trefoil_minus):
         for w in enumerate_orbit_words(d, max_len=4):
-            kind = hyperbolic_type(d, w)[0]
-            ok &= cz_integral(d, w) % 2 == (kind == "negative")
+            # the mod-2 index is 1 on negative hyperbolic orbits, whose
+            # return maps have trace below -2
+            trace = trace_at(return_map(d, w), Fraction(1, 100))
+            ok &= cz_integral(d, w) % 2 == (trace < -2)
     report("9a", "integral index parity equals the mod-2 index on all "
                  "trefoil words of length <= 4", ok)
 

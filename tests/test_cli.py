@@ -262,7 +262,8 @@ def test_chain_builds_one_record_and_return_map_per_word(tmp_path, capsys,
 
     return_map = dynamics.return_map
     monkeypatch.setattr(report, "GeneratorRecord", Counted)
-    monkeypatch.setattr(dynamics, "return_map", counted)
+    # the record builds its return map through report's binding
+    monkeypatch.setattr(report, "return_map", counted)
     path = write(tmp_path, "L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:-1}")
     code, out, _ = run(capsys, ["chain", "--max-len", "3", "--epsilon",
                                 "1/100", "--input", path])
@@ -360,6 +361,20 @@ def test_exit_code_3_on_a_class_fault_in_the_grading(tmp_path, capsys,
     code, out, err = run(capsys, ["grading", "--max-len", "1", "--input",
                                   path])
     assert (code, out) == (3, "") and "not null-homologous" in err, err
+
+
+def test_exit_code_3_on_a_word_with_an_unsurgered_chord(tmp_path, capsys,
+                                                        monkeypatch):
+    # the enumerators draw cyclic words from the surgered chords only, so a
+    # word that touches an unsurgered component is an internal fault
+    from reebchords import words
+
+    monkeypatch.setattr(words, "surgered_chords",
+                        lambda d: [c.id for c in d.chords])
+    path = write(tmp_path, "L1,L3,X2,X2,R1,R1 / surgery {0:0, 1:+1}")
+    code, out, err = run(capsys, ["orbits", "--max-len", "1", "--input",
+                                  path])
+    assert (code, out) == (3, "") and "unsurgered component" in err, err
 
 
 def test_bad_coefficient_values_exit_2(tmp_path, capsys):

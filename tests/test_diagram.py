@@ -94,9 +94,10 @@ def test_closure_integral_vanishes(any_diagram):
 
 
 def test_good_position_tangents(any_diagram):
-    for c in any_diagram.chords:
-        assert c.over_dir in (3, 7)
-        assert c.under_dir in (1, 5)
+    d = any_diagram
+    for c in d.chords:
+        assert d.segments[c.tip_comp][c.tip_loc[0]].octant in (3, 7)
+        assert d.segments[c.tail_comp][c.tail_loc[0]].octant in (1, 5)
         assert c.action > 0
 
 

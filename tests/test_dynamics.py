@@ -107,13 +107,17 @@ def test_cz_mod2_against_trace_sign(trefoil_plus, trefoil_minus):
             assert sign == (-1) ** (cz_integral(d, w) % 2 + 1)
 
 
+def kind_of(d, w):
+    return hyperbolic_type(cz_integral(d, w) % 2, return_map(d, w).trace())
+
+
 def test_hyperbolic_type(unknot_plus, unknot_minus, trefoil_plus):
-    kind, eps_w = hyperbolic_type(unknot_minus, CyclicWord(unknot_minus, [1]))
+    kind, eps_w = kind_of(unknot_minus, CyclicWord(unknot_minus, [1]))
     assert kind == "negative" and eps_w == F(1, 2)
-    kind, _ = hyperbolic_type(unknot_plus, CyclicWord(unknot_plus, [1]))
+    kind, _ = kind_of(unknot_plus, CyclicWord(unknot_plus, [1]))
     assert kind == "positive"
     for w in all_words(trefoil_plus, 3):
-        _, eps_w = hyperbolic_type(trefoil_plus, w)
+        _, eps_w = kind_of(trefoil_plus, w)
         for eps in (EPS, eps_w / 2, eps_w * F(99, 100)):
             assert abs(trace_at(return_map(trefoil_plus, w), eps)) > 2
 

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import turning_number
 from reebchords.geometry import (Segment, direction_octant, merge_collinear,
                                  offset_polyline, point_segment_distance_sq,
                                  polygon_signed_area, polyline_integral_y_dx,
-                                 segment_intersection, turning_number,
-                                 winding_number)
+                                 segment_intersection, winding_number)
 
 F = Fraction
 

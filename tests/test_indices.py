@@ -2,8 +2,9 @@ import pytest
 
 from oracles import capping_walk, rot_number
 from reebchords.diagram import DiagramError, parse_front, resolve
-from reebchords.dynamics import hyperbolic_type
+from reebchords.homology import h1_presentation
 from reebchords.indices import c1_class, canonical_grading_valid, cz_integral
+from reebchords.report import GeneratorRecord
 from reebchords.words import CyclicWord, enumerate_orbit_words
 
 
@@ -88,10 +89,12 @@ def test_cz_rotation_invariance_and_linearity(trefoil_plus):
 
 
 def test_cz_mod2_cross_module(trefoil_plus, trefoil_minus):
-    """The kind ``dynamics`` reports is the parity of the ``indices`` sum."""
+    """The kind a generator record reports is the parity of the
+    ``indices`` sum."""
     for d in (trefoil_plus, trefoil_minus):
+        h1 = h1_presentation(d)
         for w in enumerate_orbit_words(d, max_len=3):
-            kind = hyperbolic_type(d, w)[0]
+            kind = GeneratorRecord(d, h1, w).hyperbolic
             assert cz_integral(d, w) % 2 == (kind == "negative")
 
 

@@ -22,6 +22,14 @@ def test_hopf_quiver_shape(hopf_plus):
     assert sorted(across) == [(0, 1), (1, 0)]
 
 
+def test_quiver_of_no_chords_is_a_fault():
+    # every right cusp makes a chord, so a diagram without one is a fault
+    d = resolve(parse_front("L1,R1"))
+    d.chords = []
+    with pytest.raises(DiagramError, match="no quiver"):
+        Quiver(d)
+
+
 def test_trefoil_quiver_shape(trefoil_plus):
     q = Quiver(trefoil_plus)
     assert q.vertices == [0]
@@ -117,7 +125,8 @@ def test_igrading_additive(trefoil_plus, trefoil_plus_h1):
 def test_igrading_preconditions(trefoil_minus, trefoil_plus, trefoil_plus_h1):
     h1m = h1_presentation(trefoil_minus)
     w = CyclicWord(trefoil_minus, [4])
-    with pytest.raises(ValueError):
+    # the CLI checks finiteness first, so an infinite H1 here is a fault
+    with pytest.raises(DiagramError, match="finite first homology"):
         i_grading(trefoil_minus, h1m, [w])
     # every caller checks the class first, so a class that is not zero here
     # is an internal fault

@@ -9,17 +9,20 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (all_orbit_strings, all_pairs_double_points,
                      all_segments_basepoint, capping_walk, fd_sizing_rows,
-                     front_writhe_and_cusp_counts, orbit_class_pushout,
-                     pushout_linking)
+                     front_writhe_and_cusp_counts, k_copy,
+                     orbit_class_pushout, pushout_linking,
+                     trace_faces_by_points, turning_number)
 from reebchords import diagram
-from reebchords.diagram import (FrontCode, _sizing_rows, _template,
-                                parse_front, resolve)
+from reebchords.diagram import (DiagramError, FrontCode, _sizing_rows,
+                                _template, parse_front, resolve)
 from reebchords.geometry import polyline_integral_y_dx
 from reebchords.homology import h1_presentation, orbit_class_monomial
 from reebchords.report import GeneratorRecord
 from reebchords.words import enumerate_orbit_words
 
 F = Fraction
+FIXTURES = ["trefoil_plus", "trefoil_minus", "unknot_plus", "unknot_minus",
+            "stab_plus", "hopf_plus", "hopf_mixed"]
 
 
 def random_front(rng, max_events=12):
@@ -56,7 +59,8 @@ def check_realization(d):
     actions = {c.id: c.action for c in d.chords}
     for c in d.chords:
         assert c.action > 0
-        assert c.over_dir in (3, 7) and c.under_dir in (1, 5)
+        assert d.segments[c.tip_comp][c.tip_loc[0]].octant in (3, 7)
+        assert d.segments[c.tail_comp][c.tail_loc[0]].octant in (1, 5)
     for f in d.faces_list:
         assert sum(s * actions[cid] for cid, _q, s in f.corners) == f.area
         assert f.area > 0
@@ -159,9 +163,7 @@ def check_against_oracles(d, margin=Fraction(32)):
                       all_pairs_double_points(d.segments).items()}
 
 
-@pytest.mark.parametrize("name", [
-    "trefoil_plus", "trefoil_minus", "unknot_plus", "unknot_minus",
-    "stab_plus", "hopf_plus", "hopf_mixed"])
+@pytest.mark.parametrize("name", FIXTURES)
 def test_fixtures_match_oracles(name, request):
     check_against_oracles(request.getfixturevalue(name))
 
@@ -183,9 +185,7 @@ def check_basepoints(d):
         [all_segments_basepoint(d, f) for f in d.faces_list]
 
 
-@pytest.mark.parametrize("name", [
-    "trefoil_plus", "trefoil_minus", "unknot_plus", "unknot_minus",
-    "stab_plus", "hopf_plus", "hopf_mixed"])
+@pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_basepoints_match_the_all_segments_search(name, request):
     check_basepoints(request.getfixturevalue(name))
 
@@ -193,6 +193,47 @@ def test_fixture_basepoints_match_the_all_segments_search(name, request):
 def test_seeded_and_torus_basepoints_match_the_all_segments_search():
     for front in list(seeded_fronts()) + [torus(21)]:
         check_basepoints(resolve(front))
+
+
+def check_faces(d):
+    """The left-turn walk's faces (corners in order, areas, boundaries and
+    face order) and outer area are the point tracer's, and each rotation
+    number is its component's turning number."""
+    faces, outer = trace_faces_by_points(d)
+    assert [(f.corners, f.area, f.boundary) for f in d.faces_list] == faces
+    assert d.outer_area == outer
+    assert d.rot == {i: turning_number(cyc)
+                     for i, cyc in enumerate(d.components)}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_faces_match_the_point_tracer(name, request):
+    check_faces(request.getfixturevalue(name))
+
+
+def test_seeded_fronts_and_copies_faces_match_the_point_tracer():
+    trefoil = parse_front("L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")
+    for front in list(seeded_fronts()) + [k_copy(trefoil, 2),
+                                          k_copy(trefoil, 3)]:
+        check_faces(resolve(front))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_random_front_faces_match_the_point_tracer(seed):
+    check_faces(resolve(surgered_front(random.Random(seed))))
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_a_corner_that_does_not_turn_left_is_a_fault(shift):
+    # the low strand made parallel to the high one, or along an axis: no
+    # face can turn left from one strand onto the other there
+    d = resolve(parse_front("L1,L3,X2,X2,X2,R1,R1"))
+    c = d.chords[2]
+    tip = d.segments[c.tip_comp][c.tip_loc[0]]
+    d.segments[c.tail_comp][c.tail_loc[0]].octant = (tip.octant + shift) % 8
+    with pytest.raises(DiagramError, match="does not turn left at r3"):
+        d._trace_faces()
 
 def test_resolve_work_counts(monkeypatch):
     # counts, not clock time: the sweep, one winding test per face in the

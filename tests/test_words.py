@@ -47,13 +47,14 @@ def test_canonical_cyclic_idempotent(trefoil_plus):
 
 def test_word_validation(hopf_mixed):
     d = hopf_mixed
-    # r1 ends on component 0, r4 starts on component 1
-    with pytest.raises(ValueError):
+    # every caller builds words from composable chords, so a bad word is an
+    # internal fault; r1 ends on component 0, r4 starts on component 1
+    with pytest.raises(DiagramError, match="not composable"):
         Word(d, [1, 4])
-    with pytest.raises(ValueError):
+    with pytest.raises(DiagramError, match="empty word"):
         Word(d, [])
     # composable but not cyclically closable
-    with pytest.raises(ValueError):
+    with pytest.raises(DiagramError, match="closing pair"):
         CyclicWord(d, [2, 4])
 
 
@@ -241,7 +242,7 @@ def test_cyclic_words_live_on_the_surgered_sublink(hopf_mixed):
     d = hopf_mixed
     loops0 = [c.id for c in d.chords
               if c.tail_comp == c.tip_comp and d.surgery[c.tail_comp] == 0]
-    with pytest.raises(ValueError):
+    with pytest.raises(DiagramError, match="unsurgered"):
         CyclicWord(d, [loops0[0]])
 
 

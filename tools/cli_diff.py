@@ -15,10 +15,12 @@ The commands, each run once:
   ``perfbench/corpus.py`` of the checkout this file is in;
 * ``invariants``, ``chain --max-len 1 --epsilon 1/100`` and
   ``grading --max-len 2`` on the 2-copy of the tb = 1 trefoil (+1 surgery
-  on two Reeb push-offs of it) and on its 3-copy, and ``chain --max-len 1
-  --epsilon 1/100`` on its 4-copy: seven commands.  The ``grading``
-  commands push orbits out on diagrams of 24 and 51 events, and the
-  4-copy has 88; the corpora's fronts have at most 15.  The copies are
+  on two Reeb push-offs of it) and on its 3-copy, and ``invariants`` and
+  ``chain --max-len 1 --epsilon 1/100`` on its 4-copy: eight commands.
+  The ``grading`` commands push orbits out on diagrams of 24 and 51
+  events, and the 4-copy has 88; the corpora's fronts have at most 15.
+  The 4-copy's ``invariants`` lists every face's corners on the largest
+  diagram.  The copies are
   those of ``k_copy`` in ``tests/oracles.py``;
 * ``cz --max-len 3`` and ``homology --max-len 3`` on the trefoil with +1
   and with -1 surgery, on the Hopf link with +1 and -1 surgery, and on the
@@ -85,6 +87,7 @@ def commands():
         ("3-copy invariants", ["invariants"], TREFOIL_3_COPY),
         ("3-copy grading", ["grading", "--max-len", "2"], TREFOIL_3_COPY),
         ("3-copy chain", chain, TREFOIL_3_COPY),
+        ("4-copy invariants", ["invariants"], TREFOIL_4_COPY),
         ("4-copy chain", chain, TREFOIL_4_COPY),
     ]
     for name, front in (("trefoil +1", TREFOIL.format("+1")),
