@@ -16,16 +16,16 @@ Template conventions:
   whose horizontal stretch is a free rational parameter, solved per component
   so that the closed line integral of y dx vanishes identically.
 
-The template is laid out once, with every x-coordinate an exact affine form
-in the loop stretches and event spacings; the sizing LP's rows are read off
-that layout and the diagram is the same layout evaluated at the LP's
-solution.  One x-sorted sweep in integers (the coordinates over their least
-common denominator) finds the double points.  Every double point crosses two
-diagonals, so the faces are the cycles of passage arcs that turn left by a
-quarter turn at every chord; corner signs, corner quadrants and rotation
-numbers are read off the passage records, with no point lookup.  Each
-face's basepoint sits a small exact step inside one of its corner wedges,
-tested against the integer boxes of the segments that can come near it.
+The template is laid out once in integers, every x-coordinate an affine
+form in the loop stretches and event spacings; the sizing LP's rows are
+read off it (twice each integral, halved once) and the diagram is that
+layout at the LP's solution.  ``ResolvedDiagram`` scales the diagram by one
+integer, the least common denominator of its coordinates, and runs the
+double-point sweep, heights, lengths, face areas and basepoint tests on that
+copy; its public fields stay ``Fraction``s.  Every double point crosses two
+diagonals, so the faces are the cycles of passage arcs that turn left at
+every chord; corner signs, quadrants and rotation numbers are read off the
+passage records.  A face's basepoint is a small step into a corner wedge.
 """
 
 import json
@@ -41,8 +41,6 @@ from .geometry import (
     Segment,
     cross,
     merge_collinear,
-    point_segment_distance_sq,
-    polygon_signed_area,
     segment_intersection,
     turn_octants,
     winding_number,
@@ -271,7 +269,7 @@ def parse_front(text) -> FrontCode:
 class _Affine(object):
     """Exact affine form ``const + sum(coef[k] * theta[k])`` in the template
     sizes theta, with the arithmetic the layout needs: sums, differences
-    and rational multiples."""
+    and multiples, all in integers on the template's integer forms."""
 
     __slots__ = ("const", "coef")
 
@@ -301,19 +299,12 @@ class _Affine(object):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, c):
-        return self * (1 / Fraction(c))
-
     def __sub__(self, other):
         return self + other * -1
 
     def __eq__(self, other):
         return (isinstance(other, _Affine) and self.const == other.const
                 and self.coef == other.coef)
-
-    def at(self, theta) -> Fraction:
-        return self.const + sum(v * theta[k] for k, v in self.coef.items()
-                                if theta[k])
 
 
 class _Wire(object):
@@ -326,8 +317,8 @@ class _Wire(object):
         self.points.append((x, self.level))
 
     def append(self, x, y):
-        self.level = Fraction(y)
-        self.points.append((x, self.level))
+        self.level = y
+        self.points.append((x, y))
 
 
 def _build_wires(front: FrontCode, stretches, spacings):
@@ -342,14 +333,14 @@ def _build_wires(front: FrontCode, stretches, spacings):
     wires: Dict[int, _Wire] = {}
     stack: List[_Wire] = []
     slabs = []
-    x = _Affine(Fraction(0))
+    x = _Affine(0)
     next_wid = 0
     for idx, (kind, pos) in enumerate(front.events):
         sx = x
         for w in stack:
             w.extend_to(sx)
         if kind == "L":
-            width = Fraction(16)
+            width = 16
             for p in range(pos - 1, len(stack)):
                 w = stack[p]
                 w.append(sx + 8, w.level - 8)
@@ -358,7 +349,7 @@ def _build_wires(front: FrontCode, stretches, spacings):
             u = _Wire(next_wid)
             dn = _Wire(next_wid + 1)
             next_wid += 2
-            cusp = (sx + 10, Fraction(lu - 2))
+            cusp = (sx + 10, lu - 2)
             u.points.append(cusp)
             u.append(sx + 12, lu)
             u.extend_to(sx + 16)
@@ -369,7 +360,7 @@ def _build_wires(front: FrontCode, stretches, spacings):
             wires[dn.wid] = dn
             stack[pos - 1:pos - 1] = [u, dn]
         elif kind == "X":
-            width = Fraction(8)
+            width = 8
             w1, w2 = stack[pos - 1], stack[pos]
             a = w1.level
             w1.append(sx + 2, a)
@@ -423,12 +414,11 @@ def _template(front: FrontCode):
     then one spacing per event.  Each cycle is a component's merged,
     oriented polyline with x-coordinates as ``_Affine`` forms in theta.
     The template has the same combinatorics at every theta >= 0, so which
-    vertices the collinear merge keeps is decided at theta = 0.
+    vertices the collinear merge keeps is decided at theta = 0, in integers.
     """
     r_events = [i for i, (k, _) in enumerate(front.events) if k == "R"]
-    stretches = {ev: 2 + _Affine(Fraction(0), {i: 1})
-                 for i, ev in enumerate(r_events)}
-    spacings = {ev: _Affine(Fraction(0), {len(r_events) + ev: 1})
+    stretches = {ev: 2 + _Affine(0, {i: 1}) for i, ev in enumerate(r_events)}
+    spacings = {ev: _Affine(0, {len(r_events) + ev: 1})
                 for ev in range(len(front.events))}
     wires, slabs = _build_wires(front, stretches, spacings)
     cycles = []
@@ -446,29 +436,42 @@ def _template(front: FrontCode):
 
 
 def _evaluate(cycles, slabs, theta):
-    """The template's cycles and slabs at the concrete sizes theta."""
-    return ([[(x.at(theta), y) for x, y in cyc] for cyc in cycles],
-            [(a.at(theta), b.at(theta)) for a, b in slabs])
+    """The template's cycles and slabs at the concrete sizes theta: an x is
+    (const * den + sum(coef * n)) / den, with n = theta * den in integers."""
+    den = lcm(*(t.denominator for t in theta))
+    nums = [t.numerator * (den // t.denominator) for t in theta]
+
+    def at(form):
+        return Fraction(form.const * den + sum(c * nums[k] for k, c in
+                                               form.coef.items()), den)
+
+    return ([[(at(x), Fraction(y)) for x, y in cyc] for cyc in cycles],
+            [(at(a), at(b)) for a, b in slabs])
 
 
-def _segments(cycle) -> List[Segment]:
-    return [Segment(cycle[i], cycle[(i + 1) % len(cycle)])
-            for i in range(len(cycle))]
+def _on_grid(points, unit):
+    """Points whose denominators divide ``unit``, times unit, in integers."""
+    return [(x.numerator * (unit // x.denominator),
+             y.numerator * (unit // y.denominator)) for x, y in points]
 
 
-def _heights(cycle):
-    """Height z = integral of y dx at each vertex of a closed polyline from
-    z = 0 at vertex 0, then once more after the closing segment."""
-    zs = [Fraction(0)]
+def _segments(cycle, ints) -> List[Segment]:
+    """Segments of a closed polyline, with the octants of its integer copy."""
+    segs = [Segment(a, b) for a, b in zip(ints, ints[1:] + ints[:1])]
+    for s, a, b in zip(segs, cycle, cycle[1:] + cycle[:1]):
+        s.a, s.b = a, b
+    return segs
+
+
+def _double_heights(cycle):
+    """Twice the height z = integral of y dx at each vertex of a closed
+    polyline from 0 at vertex 0, then once more after the closing segment:
+    integers (or integer forms) on integer coordinates (or forms)."""
+    zs = [0]
     for i, a in enumerate(cycle):
         b = cycle[(i + 1) % len(cycle)]
-        zs.append(zs[-1] + (a[1] + b[1]) * (b[0] - a[0]) / 2)
+        zs.append(zs[-1] + (a[1] + b[1]) * (b[0] - a[0]))
     return zs
-
-
-def _height_at(z_start, s: Segment, p: Point):
-    """Height at p on segment s, given the height z_start at s.a."""
-    return z_start + (s.a[1] + p[1]) * (p[0] - s.a[0]) / 2
 
 
 def _integer_boxes(segments: List[List[Segment]]):
@@ -477,13 +480,10 @@ def _integer_boxes(segments: List[List[Segment]]):
     index, ax, ay, dx, dy) per segment a -> a + d, sorted by x_lo."""
     scale = lcm(*{v.denominator for segs in segments for s in segs
                   for v in s.a + s.b})
-    boxes = []
-    for ci, segs in enumerate(segments):
-        for si, s in enumerate(segs):
-            ax, ay, bx, by = (v.numerator * (scale // v.denominator)
-                              for v in s.a + s.b)
-            boxes.append((min(ax, bx), max(ax, bx), min(ay, by), max(ay, by),
-                          ci, si, ax, ay, bx - ax, by - ay))
+    boxes = [(min(ax, bx), max(ax, bx), min(ay, by), max(ay, by),
+              ci, si, ax, ay, bx - ax, by - ay)
+             for ci, segs in enumerate(segments) for si, s in enumerate(segs)
+             for (ax, ay), (bx, by) in [_on_grid((s.a, s.b), scale)]]
     boxes.sort(key=lambda box: box[0])
     return scale, boxes
 
@@ -533,19 +533,13 @@ def _double_points(segments: List[List[Segment]]):
     for p, branches in hits.items():
         if len(branches) != 2:
             raise DiagramError(f"triple point at {p}")
-        (c1, s1), (c2, s2) = branches
-        o1 = segments[c1][s1].octant
-        o2 = segments[c2][s2].octant
-        up = {1, 5}      # slope +1 travel octants
-        down = {3, 7}    # slope -1
-        if o1 in down and o2 in up:
-            found.append((p, (c1, s1), (c2, s2)))
-        elif o2 in down and o1 in up:
-            found.append((p, (c2, s2), (c1, s1)))
-        else:
+        o1, o2 = (segments[c][s].octant for c, s in branches)
+        # travel octants 1 and 5 have slope +1, octants 3 and 7 slope -1
+        if {o1 % 4, o2 % 4} != {1, 3}:
             raise DiagramError(
                 f"crossing at {p} violates good position "
                 f"(octants {o1}, {o2})")
+        found.append((p,) + tuple(branches if o1 % 4 == 3 else branches[::-1]))
     return found
 
 
@@ -553,10 +547,11 @@ def _crossings_by_event(front: FrontCode, segments, slabs):
     """{event index: (point, over, under)}: exactly one double point inside
     the slab of each crossing and right-cusp event, and no other."""
     found = {}
+    # the slabs are disjoint and in x order
+    starts = [sx for sx, _ in slabs]
     for p, over, under in _double_points(segments):
-        ev = next((idx for idx, (sx, ex) in enumerate(slabs)
-                   if sx < p[0] < ex), None)
-        if ev is None:
+        ev = bisect_right(starts, p[0]) - 1
+        if ev < 0 or not slabs[ev][0] < p[0] < slabs[ev][1]:
             raise DiagramError(f"crossing at {p} outside every event slab")
         if ev in found:
             raise DiagramError(f"two crossings inside event slab {ev}")
@@ -626,7 +621,12 @@ class ResolvedDiagram(object):
     backward) and the next one leaves on the chord's other strand in octant
     o + 2: forward along its arc if that strand's octant is o + 2, backward
     if it is o + 6.  The corner's sign is +1 exactly when the arrival is at
-    the chord's tail, and its quadrant is the axis octant o + 3."""
+    the chord's tail, and its quadrant is the axis octant o + 3.
+
+    The hot loops run on one integer copy of the components, scaled by
+    ``_scale``, the least common denominator of their coordinates.  The
+    public fields (components, heights, lengths, chord points, actions and
+    locations, areas, basepoints) stay ``Fraction``s."""
 
     def __init__(self, front: FrontCode, components: List[List[Point]],
                  slabs, z_shifts: Optional[List[Fraction]] = None):
@@ -637,6 +637,9 @@ class ResolvedDiagram(object):
         # the height function of each component is defined up to a constant;
         # these are the constants the template solver chose
         self.z_shifts = z_shifts or [Fraction(0)] * len(components)
+        self._scale = lcm(*{v.denominator for cyc in components
+                            for p in cyc for v in p})
+        self._ints = [_on_grid(cyc, self._scale) for cyc in components]
         # tables that later layers derive from this diagram, built on first
         # use; keys are tuples led by the table's name
         self.memo: Dict[tuple, object] = {}
@@ -645,46 +648,50 @@ class ResolvedDiagram(object):
     # -- construction ------------------------------------------------------
 
     def _analyze(self):
-        self._component_segments()
-        self._find_chords()
+        self._find_chords(*self._component_segments())
         self._classical()
         self._build_faces()
         self._pick_basepoints()
 
     def _component_segments(self):
-        self.segments: List[List[Segment]] = []
+        # per vertex, twice the height times _scale^2 and the Chebyshev
+        # length times _scale, in integers; the chord data read them
+        unit = 2 * self._scale ** 2
+        self.segments = list(map(_segments, self.components, self._ints))
         self.z_at_vertex: List[List[Fraction]] = []
         self.cheb_len: List[List[Fraction]] = []   # cumulative per vertex
-        for i, cyc in enumerate(self.components):
-            segs = _segments(cyc)
-            self.segments.append(segs)
-            zs = _heights(cyc)
-            if zs[-1] != 0:
-                raise DiagramError(
-                    f"component {i} closure defect: integral y dx = {zs[-1]}")
-            cl = [Fraction(0)]
-            for s in segs:
-                cl.append(cl[-1] + max(abs(s.b[0] - s.a[0]),
-                                       abs(s.b[1] - s.a[1])))
-            self.z_at_vertex.append(zs[:-1])
-            self.cheb_len.append(cl)
+        heights, lengths = [], []
+        for i, (cyc, ints) in enumerate(zip(self.components, self._ints)):
+            zs = _double_heights(ints)
+            if zs[-1]:
+                raise DiagramError(f"component {i} closure defect: integral "
+                                   f"y dx = {Fraction(zs[-1], unit)}")
+            cl = [0]
+            for (ax, ay), (bx, by) in zip(ints, ints[1:] + ints[:1]):
+                cl.append(cl[-1] + max(abs(bx - ax), abs(by - ay)))
+            heights.append(zs)
+            lengths.append(cl)
+            self.z_at_vertex.append([Fraction(z, unit) for z in zs[:-1]])
+            self.cheb_len.append([Fraction(c, self._scale) for c in cl])
+        return heights, lengths
 
-    def _z_at(self, comp, seg_idx, point) -> Fraction:
-        return self.z_shifts[comp] + _height_at(
-            self.z_at_vertex[comp][seg_idx], self.segments[comp][seg_idx],
-            point)
-
-    def _param_at(self, comp, seg_idx, point) -> Fraction:
-        s = self.segments[comp][seg_idx]
-        t = s.param_of(point)
-        step = max(abs(s.b[0] - s.a[0]), abs(s.b[1] - s.a[1]))
-        return self.cheb_len[comp][seg_idx] + t * step
-
-    def _find_chords(self):
+    def _find_chords(self, heights, lengths):
+        # octant lines through grid points meet on the half grid: chord ends
+        # are integers over h = 2 * _scale, heights over 2 h^2, lengths over h
+        h = 2 * self._scale
         chords = []
         found = _crossings_by_event(self.front, self.segments, self._slabs)
         for _ev, (p, over, under) in sorted(found.items()):
-            action = self._z_at(*over, p) - self._z_at(*under, p)
+            [(qx, qy)] = _on_grid([p], h)
+            ends = []
+            for ci, si in (over, under):
+                ax, ay = (2 * v for v in self._ints[ci][si])
+                ends.append((4 * heights[ci][si] + (ay + qy) * (qx - ax),
+                             Fraction(2 * lengths[ci][si] +
+                                      max(abs(qx - ax), abs(qy - ay)), h)))
+            (z_hi, t_hi), (z_lo, t_lo) = ends
+            action = Fraction(z_hi - z_lo, 2 * h * h) + \
+                self.z_shifts[over[0]] - self.z_shifts[under[0]]
             if action <= 0:
                 raise DiagramError(
                     f"over/under assignment inconsistent with z at {p} "
@@ -696,8 +703,7 @@ class ResolvedDiagram(object):
             chords.append(ChordRecord(
                 len(chords) + 1, p, sign,
                 tail_comp=under[0], tip_comp=over[0], action=action,
-                tail_loc=(under[1], self._param_at(under[0], under[1], p)),
-                tip_loc=(over[1], self._param_at(over[0], over[1], p))))
+                tail_loc=(under[1], t_lo), tip_loc=(over[1], t_hi)))
         self.chords = chords
 
     def _classical(self):
@@ -720,26 +726,32 @@ class ResolvedDiagram(object):
     # -- faces ---------------------------------------------------------------
 
     def _build_faces(self):
-        # split each component cycle at its chord passages into arcs
+        # split each component cycle at its chord passages into arcs; the
+        # parameters order passages only on a shared segment
         self.passages = [[] for _ in self.components]
+        seg = {}
         for c in self.chords:
-            for role, ci, (_, par) in (("tail", c.tail_comp, c.tail_loc),
-                                       ("tip", c.tip_comp, c.tip_loc)):
+            for role, ci, (si, par) in (("tail", c.tail_comp, c.tail_loc),
+                                        ("tip", c.tip_comp, c.tip_loc)):
                 self.passages[ci].append((par, c.id, role, c.point))
+                seg[c.id, role] = si
         self._passage_of: Dict[Tuple[int, str], Tuple[int, int]] = {}
         self.passage_arcs: List[List[List[Point]]] = []
         self.passage_turns: List[List[int]] = []
         self.rot = {}
         for ci, plist in enumerate(self.passages):
-            plist.sort(key=lambda item: item[0])
-            total = self.cheb_len[ci][-1]
+            plist.sort(key=lambda item: (seg[item[1], item[2]], item[0]))
+            n = len(self.segments[ci])
             self.passage_arcs.append([])
             self.passage_turns.append([])
-            for k, (par, cid, role, p) in enumerate(plist):
+            for k, (_, cid, role, p) in enumerate(plist):
                 self._passage_of[cid, role] = (ci, k)
-                next_par, _, _, q = plist[(k + 1) % len(plist)]
-                pts, turns = self._walk(
-                    ci, par, (next_par - par) % total or total, p, q)
+                _, next_cid, next_role, q = plist[(k + 1) % len(plist)]
+                # the vertices passed: a component's right-cusp loops put its
+                # passages on two segments at least, so none wraps on one
+                si = seg[cid, role]
+                count = (seg[next_cid, next_role] - si) % n
+                pts, turns = self._walk(ci, si, count, p, q)
                 self.passage_arcs[ci].append(pts)
                 self.passage_turns[ci].append(turns)
             # the arcs cover the component, so their turns are its turning
@@ -749,10 +761,6 @@ class ResolvedDiagram(object):
                                    f"not a multiple of 2 pi")
             self.rot[ci] = turns // 8
         self._trace_faces()
-
-    def _seg_of_param(self, comp, par):
-        cl = self.cheb_len[comp]
-        return bisect_right(cl, par % cl[-1]) - 1
 
     def _trace_faces(self):
         # the left-turn rule of the class docstring; octant of each chord end
@@ -783,6 +791,7 @@ class ResolvedDiagram(object):
 
         visited = set()
         faces = []
+        h = 2 * self._scale
         self.outer_area = Fraction(0)
         for he0 in turn:
             if he0 in visited:
@@ -799,55 +808,69 @@ class ResolvedDiagram(object):
                 corners.append(corner)
             if he != he0:
                 raise DiagramError("face tracing did not close up")
-            area = polygon_signed_area(boundary)
+            # the shoelace sum and the least coordinates over h = 2 * _scale
+            ring = _on_grid(boundary, h)
+            area = Fraction(sum(cross(a, b) for a, b in
+                                zip(ring, ring[1:] + ring[:1])), 2 * h * h)
             if area < 0:
                 self.outer_area -= area
                 continue
             if area == 0:
                 raise DiagramError("degenerate face of zero area")
-            faces.append(Face(None, corners, area, boundary))
-        faces.sort(key=lambda f: (min(p[0] for p in f.boundary),
-                                  min(p[1] for p in f.boundary)))
-        for i, f in enumerate(faces):
+            faces.append((min(x for x, _ in ring), min(y for _, y in ring),
+                          Face(None, corners, area, boundary)))
+        faces.sort(key=lambda item: item[:2])
+        self.faces_list = [f for _, _, f in faces]
+        for i, f in enumerate(self.faces_list):
             f.id = i + 1
-        self.faces_list = faces
 
     def _pick_basepoints(self):
         # boxes by left x: a test reads only those that start left of its reach
-        scale, boxes = _integer_boxes(self.segments)
-        index = (scale, [box[0] for box in boxes], boxes)
+        _, boxes = _integer_boxes(self.segments)
+        index = ([box[0] for box in boxes], boxes)
         for f in self.faces_list:
             f.basepoint = self._basepoint_for(f, index)
 
     def _basepoint_for(self, face, index):
         # every corner's wedge opens along the axis its quadrant names; step
-        # into it from the double point, by a shorter offset each round
-        offset = Fraction(1)
-        while offset >= Fraction(1, 256):
+        # into it from the double point by 1, 1/2, ..., 1/256.  The tests
+        # run over m = 1024 * _scale, where each step and its half are
+        # integers, and so is every chord point (it lies on the half grid)
+        m = 1024 * self._scale
+        ring = _on_grid(face.boundary, m)
+        for k in range(9):
             for cid, quad, _sign in face.corners:
-                q = self.chords[cid - 1].point
+                [(qx, qy)] = _on_grid([self.chords[cid - 1].point], m)
                 dx, dy = QUADRANT_VECTORS[quad]
-                p = (q[0] + offset * dx, q[1] + offset * dy)
-                if self._good_basepoint(p, face, index, offset / 2):
-                    return p
-            offset /= 2
+                p = (qx + (m >> k) * dx, qy + (m >> k) * dy)
+                if self._good_basepoint(p, ring, index, m >> k + 1):
+                    return Fraction(p[0], m), Fraction(p[1], m)
         raise DiagramError(f"no basepoint found for face {face.id}")
 
-    def _good_basepoint(self, p, face, index, clear):
-        # a crossing lies on a segment: clearing the segments clears it too
-        try:
-            if winding_number(face.boundary, p) != 1:
+    @staticmethod
+    def _good_basepoint(p, ring, index, clear):
+        # p and clear are over 1024 * _scale, the boxes over _scale, so the
+        # box reach is p -+ clear shifted right by 10 bits (ceiling, floor).
+        # A segment a -> a + d comes within clear of p at an end, or between
+        # them where |w x d|^2 <= clear^2 |d|^2 (w = p - a).  A crossing lies
+        # on a segment: clearing the segments clears it too
+        (px, py), (lefts, boxes), cc = p, index, clear * clear
+        lo_x, lo_y = (-((clear - v) >> 10) for v in p)
+        hi_x, hi_y = ((v + clear) >> 10 for v in p)
+        for _, x_hi, y_lo, y_hi, _, _, ax, ay, dx, dy in \
+                boxes[:bisect_right(lefts, hi_x)]:
+            if x_hi < lo_x or y_lo > hi_y or y_hi < lo_y:
+                continue
+            wx, wy = px - (ax << 10), py - (ay << 10)
+            ex, ey = wx - (dx << 10), wy - (dy << 10)
+            wd, dd = wx * dx + wy * dy, dx * dx + dy * dy
+            if wx * wx + wy * wy <= cc or ex * ex + ey * ey <= cc or \
+                    0 < wd < dd << 10 and (wx * dy - wy * dx) ** 2 <= cc * dd:
                 return False
+        try:
+            return winding_number(ring, p) == 1
         except ValueError:
             return False
-        scale, lefts, boxes = index
-        # integer box tests against the ceilings of x - clear, floors of x + clear
-        lo_x, lo_y = (-((clear - v) * scale // 1) for v in p)
-        hi_x, hi_y = ((v + clear) * scale // 1 for v in p)
-        return not any(
-            box[1] >= lo_x and box[2] <= hi_y and box[3] >= lo_y and
-            point_segment_distance_sq(p, self.segments[box[4]][box[5]])
-            <= clear * clear for box in boxes[:bisect_right(lefts, hi_x)])
 
     # -- public helpers ------------------------------------------------------
 
@@ -894,34 +917,24 @@ class ResolvedDiagram(object):
                                  tuple(vector), arcs)
         return letters[j1, j2]
 
-    def _walk(self, comp, start, length, a, b):
-        """Sub-polyline from point a, at parameter start, forward through
-        Chebyshev length > 0 to point b, with its total turning in pi/4
-        units."""
-        cl = self.cheb_len[comp]
-        total = cl[-1]
+    def _walk(self, comp, si, count, a, b):
+        """Sub-polyline from point a on segment si forward over the next
+        ``count`` vertices to point b, with its total turning in pi/4
+        units.  Chord points lie inside their segments, never on a vertex."""
+        cyc = self.components[comp]
         segs = self.segments[comp]
-        par = start % total
-        # the end parameter, shifted by total at each wrap, so that each
-        # vertex costs one comparison with cl and no arithmetic
-        stop = par + length
         pts = [a]
         turns = 0
-        si = self._seg_of_param(comp, par)
         prev_oct = segs[si].octant
-        while cl[si + 1] < stop:
-            si += 1
-            if si == len(segs):
-                si, stop = 0, stop - total
+        for _ in range(count):
+            si = (si + 1) % len(segs)
             t = turn_octants(prev_oct, segs[si].octant)
             if abs(t) == 4:
                 raise DiagramError("capping path reverses direction")
             turns += t
             prev_oct = segs[si].octant
-            if segs[si].a != pts[-1]:
-                pts.append(segs[si].a)
-        if b != pts[-1]:
-            pts.append(b)
+            pts.append(cyc[si])
+        pts.append(b)
         return pts, turns
 
 
@@ -958,28 +971,29 @@ def _sizing_rows(front: FrontCode, cycles, slabs, action_margin):
     n_comp = front.n_components
     n_geom = len(front.events) + sum(1 for k, _ in front.events if k == "R")
     n_shift = 2 * (n_comp - 1)
-    base, base_slabs = _evaluate(cycles, slabs, [Fraction(0)] * n_geom)
-    segments = [_segments(cyc) for cyc in base]
-    heights = [_heights(cyc) for cyc in cycles]
+    base = [[(x.const, y) for x, y in cyc] for cyc in cycles]
+    segments = [_segments(cyc, cyc) for cyc in base]
+    # twice the heights, as integer forms: halved once, in the rows
+    heights = [_double_heights(cyc) for cyc in cycles]
 
     def row(form):
-        return [form.coef.get(k, Fraction(0)) for k in range(n_geom)]
+        return [Fraction(form.coef.get(k, 0), 2) for k in range(n_geom)]
 
-    eq = [(row(zs[-1]) + [Fraction(0)] * n_shift, -zs[-1].const)
+    eq = [(row(zs[-1]) + [Fraction(0)] * n_shift, Fraction(-zs[-1].const, 2))
           for zs in heights]
     ge = []
-    found = _crossings_by_event(front, segments, base_slabs)
+    found = _crossings_by_event(front, segments,
+                                [(a.const, b.const) for a, b in slabs])
     for _ev, (p, over, under) in sorted(found.items()):
-        gap = (_height_at(heights[over[0]][over[1]],
-                          segments[over[0]][over[1]], p)
-               - _height_at(heights[under[0]][under[1]],
-                            segments[under[0]][under[1]], p))
-        shift = [Fraction(0)] * n_shift
-        for comp, sgn in ((over[0], 1), (under[0], -1)):
-            if comp > 0:
-                shift[2 * (comp - 1)] += sgn
-                shift[2 * (comp - 1) + 1] -= sgn
-        ge.append((row(gap) + shift, action_margin - gap.const))
+        gap, shift = _Affine(0), [Fraction(0)] * n_shift
+        for (ci, si), sgn in ((over, 1), (under, -1)):
+            a = base[ci][si]
+            gap = gap + sgn * (heights[ci][si]
+                               + (a[1] + p[1]) * (p[0] - a[0]))
+            if ci > 0:
+                shift[2 * (ci - 1)] += sgn
+                shift[2 * (ci - 1) + 1] -= sgn
+        ge.append((row(gap) + shift, action_margin - Fraction(gap.const, 2)))
     return n_geom + n_shift, eq, ge
 
 
@@ -991,10 +1005,11 @@ def resolve(front: FrontCode, action_margin: Fraction = Fraction(32)
     per-component height constants) are the unknowns of a small exact linear
     program: the closed integral of y dx must vanish on every component
     while every crossing keeps a z-gap of at least ``action_margin`` between
-    its high and low strands.  The template is laid out once with symbolic
-    sizes, the LP rows are read off it, and the diagram is that layout at
-    the LP's solution.  A ValueError of a geometry helper on the way is an
-    internal fault and is raised as DiagramError.
+    its high and low strands.  The LP rows are read off the template, laid
+    out once in integers, and the diagram is that layout at the LP's
+    solution, in ``Fraction``s over the solution's common denominator; the
+    diagram's integer scale lives in the ``ResolvedDiagram``.  A ValueError
+    of a geometry helper on the way is an internal fault, a DiagramError.
     """
     from .lp import solve_lp
 

@@ -1,9 +1,12 @@
 """Exact rational planar geometry for polyline diagrams.
 
-Everything here works over ``fractions.Fraction``: points are pairs of
-rationals, directions are restricted to the eight compass octants (multiples
-of 45 degrees), and all predicates (intersection, winding, area, distance
-comparison) are computed exactly.  Floating point never enters.
+Points are pairs of rationals (``fractions.Fraction``) or of integers,
+directions are restricted to the eight compass octants (multiples of 45
+degrees), and every predicate is computed exactly.  Octants, turns, cross
+and dot products, winding numbers and the collinear merge never divide, so
+on integer points they stay in integers; ``diagram`` runs its hot loops that
+way, on coordinates scaled by one common denominator.  Floating point never
+enters.
 """
 
 from fractions import Fraction
@@ -122,16 +125,6 @@ def polyline_integral_y_dx(points: Sequence[Point]) -> Fraction:
     return total
 
 
-def polygon_signed_area(points: Sequence[Point]) -> Fraction:
-    total = Fraction(0)
-    n = len(points)
-    for i in range(n):
-        a = points[i]
-        b = points[(i + 1) % n]
-        total += cross(a, b)
-    return total / 2
-
-
 def winding_number(points: Sequence[Point], p: Point,
                    closed: bool = True) -> int:
     """Winding of the closed polyline around p (p must avoid the curve).
@@ -173,19 +166,6 @@ def winding_number(points: Sequence[Point], p: Point,
         if (side < 0) == (sign < 0):
             w += sign
     return w
-
-
-def point_segment_distance_sq(p: Point, s: Segment) -> Fraction:
-    d = sub(s.b, s.a)
-    w = sub(p, s.a)
-    dd = dot(d, d)
-    t = dot(w, d) / dd
-    if t < 0:
-        t = Fraction(0)
-    elif t > 1:
-        t = Fraction(1)
-    q = s.point_at(t)
-    return dot(sub(p, q), sub(p, q))
 
 
 def merge_collinear(points: Sequence[Point]) -> List[Point]:

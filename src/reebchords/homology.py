@@ -123,7 +123,7 @@ class H1Presentation(object):
         """Normal form of a meridian vector in the cokernel coordinates."""
         n = len(self.surgered)
         if len(vector) != n:
-            raise ValueError("vector length does not match presentation")
+            raise DiagramError("vector length does not match presentation")
         coords = []
         for i in range(n):
             s = sum(self.u[i][j] * vector[j] for j in range(n))

@@ -15,6 +15,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
+from .diagram import DiagramError
+
 
 def _integers(values):
     """Rationals (ints or Fractions) as (integers, positive denominator)."""
@@ -71,8 +73,8 @@ def solve_lp(n: int,
              eq: Sequence[Tuple[Sequence[Fraction], Fraction]],
              ge: Sequence[Tuple[Sequence[Fraction], Fraction]],
              minimize: Sequence[Fraction]) -> Optional[List[Fraction]]:
-    """Minimize the linear objective ``minimize`` over x >= 0 with eq rows
-    a.x == b and ge rows a.x >= b; None when infeasible."""
+    """Minimize ``minimize`` over x >= 0 with eq rows a.x == b and ge rows
+    a.x >= b; None when infeasible, DiagramError (a fault) when unbounded."""
     n_slack = len(ge)
     m = len(eq) + n_slack
     n_cols = n + n_slack
@@ -108,7 +110,7 @@ def solve_lp(n: int,
             obj, oden = _minus(obj, oden, tab[r], dens[r], basis[r])
     tab[-1], dens[-1] = obj, oden
     if not _simplex(tab, dens, basis, n_cols):
-        raise ValueError("unbounded objective")
+        raise DiagramError("unbounded objective")
     x = [Fraction(0)] * n
     for r in range(m):
         if basis[r] < n:

@@ -134,9 +134,11 @@ def _pool_words(d: ResolvedDiagram, pool_len: Optional[int],
 def _no_product_passes(fiber, target_i, costs, top, eq):
     """True when no real x >= 0 over the pool has sum(x) >= 1, fiber sums
     at most target_i, cost at most top - 1 and the ``eq`` rows: this LP
-    relaxes the search's filters, so then no non-constant product passes."""
+    relaxes the search's filters, so then no non-constant product passes.
+    Faces with the same fiber entries and target give one row."""
     n = len(costs)
-    ge = [([-vec[c] for vec in fiber], -t) for c, t in enumerate(target_i)]
+    ge = list(dict.fromkeys((tuple(-vec[c] for vec in fiber), -t)
+                            for c, t in enumerate(target_i)))
     ge += [([-c for c in costs], 1 - top), ([1] * n, 1)]
     return solve_lp(n, eq, ge, [0] * n) is None
 

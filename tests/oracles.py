@@ -13,8 +13,10 @@ push-out curves for every side choice with their linking numbers, orbit
 classes and intersection gradings, faces traced as a planar graph keyed by
 points, the turning number of a closed polyline, the closed-curve index
 formula that decides the exhaustive search's degree test, the candidate
-search's LP in integer rows, and the k-copy of a front, which no CLI
-command builds.
+search's LP in integer rows, the k-copy of a front, which no CLI
+command builds, and the realization's evaluation, heights, lengths, chord
+ends, face areas and basepoint distances in ``Fraction``s, where the library
+runs them in integers over one common denominator.
 """
 
 import itertools
@@ -639,14 +641,92 @@ def fd_sizing_rows(front, action_margin):
     return n_geom + n_shift, eq, ge
 
 
+# -- the realization in Fractions --------------------------------------------
+
+def affine_at(form, theta):
+    """Value of a template form ``const + sum(coef[k] * theta[k])`` at the
+    sizes theta, term by term in Fractions."""
+    return form.const + sum(v * theta[k] for k, v in form.coef.items()
+                            if theta[k])
+
+
+def fraction_components(front, action_margin=Fraction(32)):
+    """(components, slabs) of a front's template at its sizing LP's
+    solution, every form evaluated by ``affine_at``."""
+    from reebchords.diagram import _sizing_rows, _template
+    from reebchords.lp import solve_lp
+
+    cycles, slabs = _template(front)
+    n, eq, ge = _sizing_rows(front, cycles, slabs, action_margin)
+    theta = solve_lp(n, eq, ge, [Fraction(1)] * n)
+    return ([[(affine_at(x, theta), Fraction(y)) for x, y in cyc]
+             for cyc in cycles],
+            [(affine_at(a, theta), affine_at(b, theta)) for a, b in slabs])
+
+
+def polygon_signed_area(points):
+    """Shoelace area of a closed polyline, counterclockwise positive."""
+    n = len(points)
+    return sum(points[i][0] * points[(i + 1) % n][1]
+               - points[(i + 1) % n][0] * points[i][1]
+               for i in range(n)) / 2
+
+
+def point_segment_distance_sq(p, s):
+    """Squared distance from p to the segment s, by projecting p onto its
+    line and clamping the parameter to [0, 1]."""
+    dx, dy = s.b[0] - s.a[0], s.b[1] - s.a[1]
+    wx, wy = p[0] - s.a[0], p[1] - s.a[1]
+    t = min(max((wx * dx + wy * dy) / (dx * dx + dy * dy), 0), 1)
+    qx, qy = s.a[0] + t * dx - p[0], s.a[1] + t * dy - p[1]
+    return qx * qx + qy * qy
+
+
+def fraction_measures(d):
+    """(z_at_vertex, cheb_len, chords) of a resolved diagram, measured in
+    Fractions on its components: heights by the trapezoid rule from 0 at
+    vertex 0, cumulative Chebyshev lengths, and per double point of the
+    all-pairs scan, in x order, (point, action, tail_loc, tip_loc) with
+    the slope -1 branch high."""
+    from reebchords.geometry import Segment
+
+    z_at, cheb, segments = [], [], []
+    for cyc in d.components:
+        n = len(cyc)
+        segs = [Segment(cyc[i], cyc[(i + 1) % n]) for i in range(n)]
+        zs, cl = [Fraction(0)], [Fraction(0)]
+        for s in segs:
+            zs.append(zs[-1] + (s.a[1] + s.b[1]) * (s.b[0] - s.a[0]) / 2)
+            cl.append(cl[-1] + max(abs(s.b[0] - s.a[0]),
+                                   abs(s.b[1] - s.a[1])))
+        z_at.append(zs[:-1])
+        cheb.append(cl)
+        segments.append(segs)
+
+    def height_and_param(ci, si, p):
+        s = segments[ci][si]
+        z = d.z_shifts[ci] + z_at[ci][si] + \
+            (s.a[1] + p[1]) * (p[0] - s.a[0]) / 2
+        step = max(abs(s.b[0] - s.a[0]), abs(s.b[1] - s.a[1]))
+        return z, cheb[ci][si] + s.param_of(p) * step
+
+    chords = []
+    for p, branches in sorted(all_pairs_double_points(segments).items()):
+        over, under = sorted(
+            branches, key=lambda b: segments[b[0]][b[1]].octant not in (3, 7))
+        (z_hi, t_hi), (z_lo, t_lo) = (height_and_param(*over, p),
+                                      height_and_param(*under, p))
+        chords.append((p, z_hi - z_lo, (under[1], t_lo), (over[1], t_hi)))
+    return z_at, cheb, chords
+
+
 def all_segments_basepoint(d, face):
     """The basepoint of a face by the search that tests every segment and
     every crossing: step into each corner's wedge from its double point by
     1, 1/2, ..., 1/256, and take the first point inside the face whose
     distance to every segment and crossing exceeds half the step."""
     from reebchords.diagram import QUADRANT_VECTORS
-    from reebchords.geometry import (point_segment_distance_sq, sub,
-                                     winding_number)
+    from reebchords.geometry import sub, winding_number
 
     all_segs = [s for segs in d.segments for s in segs]
     crossings = [c.point for c in d.chords]

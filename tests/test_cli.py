@@ -346,6 +346,43 @@ def test_exit_code_3_on_realization_fault(tmp_path, capsys, monkeypatch):
     assert code == 3 and "collinear overlap" in err
 
 
+def test_exit_code_3_on_an_unbounded_sizing_lp(tmp_path, capsys,
+                                               monkeypatch):
+    # every simplex run of the second phase reports an unbounded objective
+    from reebchords import lp
+
+    original = lp._simplex
+    runs = []
+
+    def second_phase_unbounded(*args):
+        runs.append(args)
+        return len(runs) % 2 == 1 and original(*args)
+
+    monkeypatch.setattr(lp, "_simplex", second_phase_unbounded)
+    path = write(tmp_path, "L1,L3,X2,X2,X2,R1,R1")
+    code, out, err = run(capsys, ["invariants", "--input", path])
+    assert code == 3 and out == ""
+    assert "unbounded objective" in err
+
+
+def test_exit_code_3_on_a_class_vector_of_the_wrong_length(
+        tmp_path, capsys, monkeypatch):
+    from reebchords import cli
+    from reebchords.homology import OrbitClass
+
+    original = cli.orbit_class_monomial
+
+    def longer(d, h1, w):
+        return OrbitClass(h1, original(d, h1, w).vector + (0,))
+
+    monkeypatch.setattr(cli, "orbit_class_monomial", longer)
+    path = write(tmp_path, "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")
+    code, out, err = run(capsys, ["homology", "--max-len", "1", "--input",
+                                  path])
+    assert code == 3 and out == ""
+    assert "vector length does not match presentation" in err
+
+
 def test_exit_code_3_on_a_class_fault_in_the_grading(tmp_path, capsys,
                                                      monkeypatch):
     # grading keeps the null-homologous words only, so a class that is not
@@ -584,7 +621,7 @@ def test_k_copy_builder_gives_the_pinned_copies(monkeypatch):
     assert copies[4] == cli_diff.TREFOIL_4_COPY
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_chain_certifies_every_degree_one_row_of_the_trefoil_k_copy(
         tmp_path, capsys, k):
     # contact 1/k surgery on the tb = 1 trefoil: each good degree-1 row has

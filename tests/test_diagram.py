@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import capping_walk, front_writhe_and_cusp_counts, trace_front
+from oracles import (capping_walk, front_writhe_and_cusp_counts,
+                     point_segment_distance_sq, trace_front)
 from reebchords.diagram import (DiagramError, FrontCode, FrontError,
-                               _double_points, parse_front, resolve)
-from reebchords.geometry import Segment, winding_number
+                               ResolvedDiagram, _double_points,
+                               _integer_boxes, parse_front, resolve)
+from reebchords.geometry import OCTANT_VECTORS, Segment, winding_number
 
 F = Fraction
 
@@ -247,3 +250,31 @@ def test_sweep_sends_parallel_pairs_to_segment_intersection():
     with pytest.raises(ValueError, match="collinear overlap"):
         _double_points(thirds((0, 0, 2, 2), (1, 1, 3, 3)))
     assert _double_points(thirds((0, 0, 2, 2), (0, 1, 2, 3))) == []
+
+
+# -- the basepoint test's integer distance check -------------------------------
+# Segments a -> a + n * (octant vector) on the integer grid (scale 1), a test
+# point over 1024 on a grid of 1/8 so that distances tie with the clearance,
+# and a square ring that winds once around every test point.
+
+SQUARE_RING = [(-10240, -10240), (10240, -10240), (10240, 10240),
+               (-10240, 10240)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                          st.integers(0, 7), st.integers(1, 3)),
+                min_size=1, max_size=4),
+       st.integers(-48, 48), st.integers(-48, 48), st.integers(0, 8))
+def test_basepoint_clearance_is_the_distance_to_every_segment(
+        ends, px, py, k):
+    segments = [[Segment((F(x), F(y)), (F(x + n * dx), F(y + n * dy)))]
+                for x, y, o, n in ends for dx, dy in [OCTANT_VECTORS[o]]]
+    _, boxes = _integer_boxes(segments)
+    p, clear = (128 * px, 128 * py), 1024 >> k
+    clear_of_all = all(
+        point_segment_distance_sq((F(p[0], 1024), F(p[1], 1024)), s)
+        > F(clear, 1024) ** 2 for [s] in segments)
+    assert ResolvedDiagram._good_basepoint(
+        p, SQUARE_RING, ([box[0] for box in boxes], boxes), clear) == \
+        clear_of_all

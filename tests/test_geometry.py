@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import turning_number
+from oracles import (point_segment_distance_sq, polygon_signed_area,
+                     turning_number)
 from reebchords.geometry import (Segment, direction_octant, merge_collinear,
-                                 offset_polyline, point_segment_distance_sq,
-                                 polygon_signed_area, polyline_integral_y_dx,
+                                 offset_polyline, polyline_integral_y_dx,
                                  segment_intersection, winding_number)
 
 F = Fraction

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import fraction_solve_lp
-from reebchords.diagram import _sizing_rows, _template, parse_front
+from reebchords.diagram import (DiagramError, _sizing_rows, _template,
+                                parse_front)
 from reebchords.lp import solve_lp
 from test_realization import seeded_fronts, torus
 
@@ -27,11 +28,12 @@ TREFOIL_2_COPY = ("L1,L1,X2,L5,L5,X6,X4,X3,X5,X4,X4,X3,X5,X4,X4,X3,X5,X4,"
 
 
 def outcome(solver, n, eq, ge, minimize):
-    """The solution, None when infeasible, or the error when unbounded."""
+    """The solution, None when infeasible, or the error's message when
+    unbounded (the library raises DiagramError, the oracle ValueError)."""
     try:
         return solver(n, eq, ge, minimize)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
+    except (DiagramError, ValueError) as exc:
+        return f"raised: {exc}"
 
 
 def check_same(n, eq, ge, minimize):
@@ -87,7 +89,9 @@ def test_named_programs():
     assert check_same(*REDUNDANT) == [F(0), F(3, 2)]
     assert check_same(*NEGATIVE) == [F(4), F(0)]
     assert check_same(*INFEASIBLE) is None
-    assert check_same(*UNBOUNDED) == "ValueError: unbounded objective"
+    assert check_same(*UNBOUNDED) == "raised: unbounded objective"
+    with pytest.raises(DiagramError, match="unbounded objective"):
+        solve_lp(*UNBOUNDED)
 
 
 RATIONALS = st.sampled_from([F(-2), F(-1), F(0), F(0), F(0), F(1), F(1),

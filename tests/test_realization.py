@@ -1,5 +1,6 @@
 """Realization robustness over a battery of structured and random fronts."""
 
+import pathlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (all_orbit_strings, all_pairs_double_points,
                      all_segments_basepoint, capping_walk, fd_sizing_rows,
+                     fraction_components, fraction_measures,
                      front_writhe_and_cusp_counts, k_copy,
-                     orbit_class_pushout, pushout_linking,
-                     trace_faces_by_points, turning_number)
+                     orbit_class_pushout, polygon_signed_area,
+                     pushout_linking, trace_faces_by_points, turning_number)
 from reebchords import diagram
 from reebchords.diagram import (DiagramError, FrontCode, _sizing_rows,
                                 _template, parse_front, resolve)
@@ -21,6 +23,7 @@ from reebchords.report import GeneratorRecord
 from reebchords.words import enumerate_orbit_words
 
 F = Fraction
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ["trefoil_plus", "trefoil_minus", "unknot_plus", "unknot_minus",
             "stab_plus", "hopf_plus", "hopf_mixed"]
 
@@ -222,6 +225,55 @@ def test_seeded_fronts_and_copies_faces_match_the_point_tracer():
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_random_front_faces_match_the_point_tracer(seed):
     check_faces(resolve(surgered_front(random.Random(seed))))
+
+
+def check_integer_route(d):
+    """The fields that the integer route fills are Fractions and equal the
+    Fraction route's: the template evaluated form by form, the heights and
+    Chebyshev lengths at the vertices, each chord's point, action and
+    locations, each face's shoelace area, the faces in order of their least
+    boundary x and then y, and the basepoints of the search over every
+    segment."""
+    fields = [v for cyc in d.components for p in cyc for v in p]
+    fields += [v for vs in d.z_at_vertex + d.cheb_len for v in vs]
+    fields += [v for c in d.chords for v in
+               c.point + (c.action, c.tail_loc[1], c.tip_loc[1])]
+    fields += [v for f in d.faces_list for v in (f.area,) + f.basepoint]
+    assert {type(v) for v in fields} == {Fraction}
+    assert d.components == fraction_components(d.front)[0]
+    z_at, cheb, chords = fraction_measures(d)
+    assert (d.z_at_vertex, d.cheb_len) == (z_at, cheb)
+    assert [(c.point, c.action, c.tail_loc, c.tip_loc)
+            for c in d.chords] == chords
+    assert [f.area for f in d.faces_list] == \
+        [polygon_signed_area(f.boundary) for f in d.faces_list]
+    keys = [(min(x for x, _ in f.boundary), min(y for _, y in f.boundary))
+            for f in d.faces_list]
+    assert keys == sorted(keys)
+    check_basepoints(d)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_integer_route_matches_the_fraction_route(name, request):
+    check_integer_route(request.getfixturevalue(name))
+
+
+def test_benchmark_fronts_and_copies_integer_route_matches_the_fraction_route(
+        monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from fronts import random_fronts
+
+    trefoil = parse_front("L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")
+    for front in [parse_front(text) for text in
+                  random_fronts(random.Random(7), 30, 6, 14, 3)] + \
+            [k_copy(trefoil, 2), k_copy(trefoil, 3)]:
+        check_integer_route(resolve(front))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_random_front_integer_route_matches_the_fraction_route(seed):
+    check_integer_route(resolve(surgered_front(random.Random(seed))))
 
 
 @pytest.mark.parametrize("shift", [0, 1])

@@ -276,6 +276,37 @@ def test_search_goes_on_past_a_feasible_lp():
     assert rep.nodes == nodes > rows * (len(pool) + rows)
 
 
+def test_lp_stop_without_repeated_face_rows_answers_as_the_full_lp(
+        monkeypatch):
+    """Every LP stop test of ``chain --max-len 1`` on the 2-copy answers as
+    the LP with one row for every face, solved by the Fraction simplex, and
+    some of them solve fewer rows than that."""
+    answers, sizes = [], []
+    passes, solve = report._no_product_passes, report.solve_lp
+
+    def both(fiber, target_i, costs, top, eq):
+        n = len(costs)
+        full = [([-vec[c] for vec in fiber], -t)
+                for c, t in enumerate(target_i)]
+        full += [([-c for c in costs], 1 - top), ([1] * n, 1)]
+        got = passes(fiber, target_i, costs, top, eq)
+        answers.append((got, fraction_solve_lp(n, eq, full, [0] * n) is None,
+                        sizes[-1] < len(full)))
+        return got
+
+    def counted(n, eq, ge, minimize):
+        sizes.append(len(ge))
+        return solve(n, eq, ge, minimize)
+
+    monkeypatch.setattr(report, "_no_product_passes", both)
+    monkeypatch.setattr(report, "solve_lp", counted)
+    trefoil = parse_front(SEARCH_FRONTS[0])
+    cases = list(searches(front_text(k_copy(trefoil, 2)), None, 1))
+    assert cases and answers
+    assert all(got == full for got, full, _ in answers)
+    assert any(repeated for _, _, repeated in answers)
+
+
 def test_lp_stops_have_integer_farkas_certificates(monkeypatch):
     """Each search that the LP stops, on the trefoil +1 cases above and on
     its 2- and 3-copy at length 1, has a Farkas vector y for the oracle's
