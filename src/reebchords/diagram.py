@@ -17,15 +17,18 @@ Template conventions:
   so that the closed line integral of y dx vanishes identically.
 
 The template is laid out once in integers, every x-coordinate an affine
-form in the loop stretches and event spacings; the sizing LP's rows are
-read off it (twice each integral, halved once) and the diagram is that
-layout at the LP's solution.  ``ResolvedDiagram`` scales the diagram by one
-integer, the least common denominator of its coordinates, and runs the
-double-point sweep, heights, lengths, face areas and basepoint tests on that
-copy; its public fields stay ``Fraction``s.  Every double point crosses two
-diagonals, so the faces are the cycles of passage arcs that turn left at
-every chord; corner signs, quadrants and rotation numbers are read off the
-passage records.  A face's basepoint is a small step into a corner wedge.
+form in the loop stretches and event spacings.  Its double points are found
+once, by a sweep of its integer instance at zero sizes, and its crossing
+pairs hold at every size.  The sizing LP's rows are read off it (twice each
+integral, halved once) and the diagram is that layout at the LP's solution.
+``ResolvedDiagram`` scales the diagram by one integer, the least common
+denominator of its coordinates, and on that copy computes the octants, the
+chord points from the crossing pairs, heights, lengths, face areas and
+basepoint tests; its public fields stay ``Fraction``s.  Every double point
+crosses two diagonals, so the faces are the cycles of passage arcs that
+turn left at every chord; corner signs, quadrants and rotation numbers are
+read off the passage records.  A face's basepoint is a small step into a
+corner wedge.
 """
 
 import json
@@ -38,10 +41,9 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .geometry import (
     OCTANT_VECTORS,
     Point,
-    Segment,
     cross,
+    direction_octant,
     merge_collinear,
-    segment_intersection,
     turn_octants,
     winding_number,
 )
@@ -408,13 +410,19 @@ def _assemble_components(front: FrontCode, wires) -> List[List[Point]]:
 
 
 def _template(front: FrontCode):
-    """The template laid out once with symbolic sizes: (cycles, slabs).
+    """The template laid out once with symbolic sizes: (cycles, crossings).
 
     The sizes theta are one loop stretch per right cusp (``2 + theta``),
     then one spacing per event.  Each cycle is a component's merged,
     oriented polyline with x-coordinates as ``_Affine`` forms in theta.
-    The template has the same combinatorics at every theta >= 0, so which
-    vertices the collinear merge keeps is decided at theta = 0, in integers.
+    The double-point sweep runs once, here, on the integer instance at
+    theta = 0: ``crossings`` holds, per crossing and right-cusp event in
+    event order, its double point there and the (component, segment index)
+    of its slope -1 and slope +1 branch.  The template has the same
+    vertices, octants and crossing pairs at every theta >= 0: the event
+    slabs are disjoint, strand levels are fixed, and a size only stretches
+    horizontal segments.  So the merge and the sweep are both decided at
+    theta = 0, in integers.
     """
     r_events = [i for i, (k, _) in enumerate(front.events) if k == "R"]
     stretches = {ev: 2 + _Affine(0, {i: 1}) for i, ev in enumerate(r_events)}
@@ -432,11 +440,14 @@ def _template(front: FrontCode):
         if front.orientations.get(i, 1) == 1:
             cyc = cyc[::-1]
         cycles.append(cyc)
-    return cycles, slabs
+    found = _crossings_by_event(
+        front, [[(x.const, y) for x, y in cyc] for cyc in cycles],
+        [(a.const, b.const) for a, b in slabs])
+    return cycles, [found[ev] for ev in sorted(found)]
 
 
-def _evaluate(cycles, slabs, theta):
-    """The template's cycles and slabs at the concrete sizes theta: an x is
+def _evaluate(cycles, theta):
+    """The template's cycles at the concrete sizes theta: an x is
     (const * den + sum(coef * n)) / den, with n = theta * den in integers."""
     den = lcm(*(t.denominator for t in theta))
     nums = [t.numerator * (den // t.denominator) for t in theta]
@@ -445,22 +456,13 @@ def _evaluate(cycles, slabs, theta):
         return Fraction(form.const * den + sum(c * nums[k] for k, c in
                                                form.coef.items()), den)
 
-    return ([[(at(x), Fraction(y)) for x, y in cyc] for cyc in cycles],
-            [(at(a), at(b)) for a, b in slabs])
+    return [[(at(x), Fraction(y)) for x, y in cyc] for cyc in cycles]
 
 
 def _on_grid(points, unit):
     """Points whose denominators divide ``unit``, times unit, in integers."""
     return [(x.numerator * (unit // x.denominator),
              y.numerator * (unit // y.denominator)) for x, y in points]
-
-
-def _segments(cycle, ints) -> List[Segment]:
-    """Segments of a closed polyline, with the octants of its integer copy."""
-    segs = [Segment(a, b) for a, b in zip(ints, ints[1:] + ints[:1])]
-    for s, a, b in zip(segs, cycle, cycle[1:] + cycle[:1]):
-        s.a, s.b = a, b
-    return segs
 
 
 def _double_heights(cycle):
@@ -474,55 +476,60 @@ def _double_heights(cycle):
     return zs
 
 
-def _integer_boxes(segments: List[List[Segment]]):
-    """(scale, boxes): the segments' coordinates as integers over their
-    least common denominator, and one box (x_lo, x_hi, y_lo, y_hi, comp,
-    index, ax, ay, dx, dy) per segment a -> a + d, sorted by x_lo."""
-    scale = lcm(*{v.denominator for segs in segments for s in segs
-                  for v in s.a + s.b})
+def _octants(poly):
+    """Travel octant of each segment of a closed polyline."""
+    return [direction_octant(a, b) for a, b in zip(poly, poly[1:] + poly[:1])]
+
+
+def _integer_boxes(polys):
+    """One box (x_lo, x_hi, y_lo, y_hi, comp, index, ax, ay, dx, dy) per
+    segment a -> a + d of closed integer polylines, sorted by x_lo."""
     boxes = [(min(ax, bx), max(ax, bx), min(ay, by), max(ay, by),
               ci, si, ax, ay, bx - ax, by - ay)
-             for ci, segs in enumerate(segments) for si, s in enumerate(segs)
-             for (ax, ay), (bx, by) in [_on_grid((s.a, s.b), scale)]]
+             for ci, poly in enumerate(polys)
+             for si, ((ax, ay), (bx, by)) in enumerate(
+                 zip(poly, poly[1:] + poly[:1]))]
     boxes.sort(key=lambda box: box[0])
-    return scale, boxes
+    return boxes
 
 
-def _double_points(segments: List[List[Segment]]):
-    """Double points of closed polylines, one segment list per component.
+def _double_points(polys):
+    """Double points of closed integer polylines, one per component.
 
     An x-sorted interval sweep tests each segment only against the segments
     whose x-range overlaps its own, about segments x strands pairs.
     Returns [(point, over, under)]: the (component, segment index) of the
     slope -1 branch and of the slope +1 branch.  Raises DiagramError on a
-    non-transverse contact, a triple point or a crossing out of good
-    position.
+    collinear overlap, a non-transverse contact, a triple point or a
+    crossing out of good position.
     """
-    scale, boxes = _integer_boxes(segments)
     hits: Dict[Point, List[Tuple[int, int]]] = {}
     active = []
-    for box in boxes:
+    for box in _integer_boxes(polys):
         x_lo, _, y_lo, y_hi, ci, si, ax, ay, dx, dy = box
-        n = len(segments[ci])
+        n = len(polys[ci])
         active = [b for b in active if b[1] >= x_lo]
         for _, _, by_lo, by_hi, cj, sj, tx, ty, ex, ey in active:
             if ci == cj and (si - sj) % n in (1, n - 1):
                 continue
             if by_hi < y_lo or y_hi < by_lo:
                 continue
-            # as segment_intersection(t, s), which takes the parallel pairs
             den = ex * dy - ey * dx
-            if den == 0:
-                segment_intersection(segments[cj][sj], segments[ci][si])
-                continue
             tn = (ax - tx) * dy - (ay - ty) * dx
             un = (ax - tx) * ey - (ay - ty) * ex
+            if den == 0:
+                # parallel: on one line, overlapping boxes share a point
+                if un == 0:
+                    raise DiagramError(
+                        f"collinear overlap of segment {sj} of component "
+                        f"{cj} and segment {si} of component {ci}")
+                continue
             if den < 0:
                 den, tn, un = -den, -tn, -un
             if not (0 <= tn <= den and 0 <= un <= den):
                 continue
-            p = (Fraction(tx * den + tn * ex, scale * den),
-                 Fraction(ty * den + tn * ey, scale * den))
+            p = (Fraction(tx * den + tn * ex, den),
+                 Fraction(ty * den + tn * ey, den))
             for c, k in ((cj, tn), (ci, un)):
                 if not 0 < k < den:
                     raise DiagramError(
@@ -530,10 +537,11 @@ def _double_points(segments: List[List[Segment]]):
             hits.setdefault(p, []).extend([(cj, sj), (ci, si)])
         active.append(box)
     found = []
+    octants = list(map(_octants, polys))
     for p, branches in hits.items():
         if len(branches) != 2:
             raise DiagramError(f"triple point at {p}")
-        o1, o2 = (segments[c][s].octant for c, s in branches)
+        o1, o2 = (octants[c][s] for c, s in branches)
         # travel octants 1 and 5 have slope +1, octants 3 and 7 slope -1
         if {o1 % 4, o2 % 4} != {1, 3}:
             raise DiagramError(
@@ -543,13 +551,13 @@ def _double_points(segments: List[List[Segment]]):
     return found
 
 
-def _crossings_by_event(front: FrontCode, segments, slabs):
+def _crossings_by_event(front: FrontCode, polys, slabs):
     """{event index: (point, over, under)}: exactly one double point inside
     the slab of each crossing and right-cusp event, and no other."""
     found = {}
     # the slabs are disjoint and in x order
     starts = [sx for sx, _ in slabs]
-    for p, over, under in _double_points(segments):
+    for p, over, under in _double_points(polys):
         ev = bisect_right(starts, p[0]) - 1
         if ev < 0 or not slabs[ev][0] < p[0] < slabs[ev][1]:
             raise DiagramError(f"crossing at {p} outside every event slab")
@@ -624,16 +632,23 @@ class ResolvedDiagram(object):
     the chord's tail, and its quadrant is the axis octant o + 3.
 
     The hot loops run on one integer copy of the components, scaled by
-    ``_scale``, the least common denominator of their coordinates.  The
-    public fields (components, heights, lengths, chord points, actions and
-    locations, areas, basepoints) stay ``Fraction``s."""
+    ``_scale``, the least common denominator of their coordinates, and
+    ``octants[ci][si]`` is the travel octant of segment si of component ci.
+    The public fields (components, heights, lengths, chord points, actions
+    and locations, areas, basepoints) stay ``Fraction``s.
+
+    ``crossings`` lists per chord, in event order, the (component, segment
+    index) of its slope -1 and its slope +1 branch.  ``resolve`` passes the
+    pairs its template's sweep found at theta = 0, which hold at every size;
+    each chord point is where the two branches' lines meet, and a pair
+    whose segments do not meet there is a DiagramError."""
 
     def __init__(self, front: FrontCode, components: List[List[Point]],
-                 slabs, z_shifts: Optional[List[Fraction]] = None):
+                 crossings, z_shifts: Optional[List[Fraction]] = None):
         self.front = front
         self.surgery = dict(front.surgery)
         self.components = components
-        self._slabs = slabs
+        self._crossings = crossings
         # the height function of each component is defined up to a constant;
         # these are the constants the template solver chose
         self.z_shifts = z_shifts or [Fraction(0)] * len(components)
@@ -648,16 +663,16 @@ class ResolvedDiagram(object):
     # -- construction ------------------------------------------------------
 
     def _analyze(self):
-        self._find_chords(*self._component_segments())
+        self._find_chords(*self._measure())
         self._classical()
         self._build_faces()
         self._pick_basepoints()
 
-    def _component_segments(self):
+    def _measure(self):
         # per vertex, twice the height times _scale^2 and the Chebyshev
         # length times _scale, in integers; the chord data read them
         unit = 2 * self._scale ** 2
-        self.segments = list(map(_segments, self.components, self._ints))
+        self.octants = list(map(_octants, self._ints))
         self.z_at_vertex: List[List[Fraction]] = []
         self.cheb_len: List[List[Fraction]] = []   # cumulative per vertex
         heights, lengths = [], []
@@ -676,16 +691,28 @@ class ResolvedDiagram(object):
         return heights, lengths
 
     def _find_chords(self, heights, lengths):
-        # octant lines through grid points meet on the half grid: chord ends
-        # are integers over h = 2 * _scale, heights over 2 h^2, lengths over h
+        # the chord point is where the line x + y = s of the over branch
+        # meets the line y - x = t of the under branch, both through a
+        # segment start: (s - t, s + t) / 2, on the half grid.  Chord ends
+        # are integers over h = 2 * _scale, heights over 2 h^2, lengths
+        # over h
         h = 2 * self._scale
         chords = []
-        found = _crossings_by_event(self.front, self.segments, self._slabs)
-        for _ev, (p, over, under) in sorted(found.items()):
-            [(qx, qy)] = _on_grid([p], h)
+        for over, under in self._crossings:
+            (ox, oy), (ux, uy) = (self._ints[ci][si] for ci, si in
+                                  (over, under))
+            qx, qy = ox + oy - uy + ux, ox + oy + uy - ux
+            p = (Fraction(qx, h), Fraction(qy, h))
             ends = []
             for ci, si in (over, under):
-                ax, ay = (2 * v for v in self._ints[ci][si])
+                ints = self._ints[ci]
+                ax, ay = (2 * v for v in ints[si])
+                bx, by = (2 * v for v in ints[(si + 1) % len(ints)])
+                # strictly inside the segment: on its line, between its ends
+                if (qx - ax) * (qy - by) != (qy - ay) * (qx - bx) or \
+                        (qx - ax) * (qx - bx) + (qy - ay) * (qy - by) >= 0:
+                    raise DiagramError(f"chord point {p} is not inside "
+                                       f"segment {si} of component {ci}")
                 ends.append((4 * heights[ci][si] + (ay + qy) * (qx - ax),
                              Fraction(2 * lengths[ci][si] +
                                       max(abs(qx - ax), abs(qy - ay)), h)))
@@ -696,8 +723,8 @@ class ResolvedDiagram(object):
                 raise DiagramError(
                     f"over/under assignment inconsistent with z at {p} "
                     f"(action {action})")
-            over_dir = self.segments[over[0]][over[1]].octant
-            under_dir = self.segments[under[0]][under[1]].octant
+            over_dir = self.octants[over[0]][over[1]]
+            under_dir = self.octants[under[0]][under[1]]
             sign = 1 if cross(OCTANT_VECTORS[over_dir],
                               OCTANT_VECTORS[under_dir]) > 0 else -1
             chords.append(ChordRecord(
@@ -741,7 +768,7 @@ class ResolvedDiagram(object):
         self.rot = {}
         for ci, plist in enumerate(self.passages):
             plist.sort(key=lambda item: (seg[item[1], item[2]], item[0]))
-            n = len(self.segments[ci])
+            n = len(self.octants[ci])
             self.passage_arcs.append([])
             self.passage_turns.append([])
             for k, (_, cid, role, p) in enumerate(plist):
@@ -769,7 +796,7 @@ class ResolvedDiagram(object):
         for c in self.chords:
             for role, ci, loc in (("tail", c.tail_comp, c.tail_loc),
                                   ("tip", c.tip_comp, c.tip_loc)):
-                octant[c.id, role] = self.segments[ci][loc[0]].octant
+                octant[c.id, role] = self.octants[ci][loc[0]]
         turn = {}       # half-edge -> (next half-edge, corner at its end)
         for ci, plist in enumerate(passages):
             n = len(plist)
@@ -826,7 +853,7 @@ class ResolvedDiagram(object):
 
     def _pick_basepoints(self):
         # boxes by left x: a test reads only those that start left of its reach
-        _, boxes = _integer_boxes(self.segments)
+        boxes = _integer_boxes(self._ints)
         index = ([box[0] for box in boxes], boxes)
         for f in self.faces_list:
             f.basepoint = self._basepoint_for(f, index)
@@ -922,17 +949,15 @@ class ResolvedDiagram(object):
         ``count`` vertices to point b, with its total turning in pi/4
         units.  Chord points lie inside their segments, never on a vertex."""
         cyc = self.components[comp]
-        segs = self.segments[comp]
+        octants = self.octants[comp]
         pts = [a]
         turns = 0
-        prev_oct = segs[si].octant
         for _ in range(count):
-            si = (si + 1) % len(segs)
-            t = turn_octants(prev_oct, segs[si].octant)
+            t = turn_octants(octants[si], octants[(si + 1) % len(octants)])
             if abs(t) == 4:
                 raise DiagramError("capping path reverses direction")
             turns += t
-            prev_oct = segs[si].octant
+            si = (si + 1) % len(octants)
             pts.append(cyc[si])
         pts.append(b)
         return pts, turns
@@ -958,21 +983,20 @@ class Letter(NamedTuple):
     arcs: Tuple[int, ...]
 
 
-def _sizing_rows(front: FrontCode, cycles, slabs, action_margin):
+def _sizing_rows(front: FrontCode, cycles, crossings, action_margin):
     """The template LP as (number of variables, eq rows, ge rows).
 
     The variables are the template sizes theta, then a height shift
     s+ - s- per component after the first.  Every closure integral must
     vanish and every crossing must keep a z-gap (high strand minus low
     strand) of at least ``action_margin``.  Both are affine in theta and
-    are read off the symbolic template in one pass; the double points are
-    found on its theta = 0 instance.
+    are read off the symbolic template in one pass, at the crossings that
+    ``_template`` found.
     """
     n_comp = front.n_components
     n_geom = len(front.events) + sum(1 for k, _ in front.events if k == "R")
     n_shift = 2 * (n_comp - 1)
     base = [[(x.const, y) for x, y in cyc] for cyc in cycles]
-    segments = [_segments(cyc, cyc) for cyc in base]
     # twice the heights, as integer forms: halved once, in the rows
     heights = [_double_heights(cyc) for cyc in cycles]
 
@@ -982,9 +1006,7 @@ def _sizing_rows(front: FrontCode, cycles, slabs, action_margin):
     eq = [(row(zs[-1]) + [Fraction(0)] * n_shift, Fraction(-zs[-1].const, 2))
           for zs in heights]
     ge = []
-    found = _crossings_by_event(front, segments,
-                                [(a.const, b.const) for a, b in slabs])
-    for _ev, (p, over, under) in sorted(found.items()):
+    for p, over, under in crossings:
         gap, shift = _Affine(0), [Fraction(0)] * n_shift
         for (ci, si), sgn in ((over, 1), (under, -1)):
             a = base[ci][si]
@@ -1014,17 +1036,17 @@ def resolve(front: FrontCode, action_margin: Fraction = Fraction(32)
     from .lp import solve_lp
 
     try:
-        cycles, slabs = _template(front)
-        n_var, eq, ge = _sizing_rows(front, cycles, slabs, action_margin)
+        cycles, crossings = _template(front)
+        n_var, eq, ge = _sizing_rows(front, cycles, crossings, action_margin)
         theta = solve_lp(n_var, eq, ge, minimize=[Fraction(1)] * n_var)
         if theta is None:
             raise DiagramError(
                 "no template sizing realizes this front in good position")
-        comps, slabs = _evaluate(cycles, slabs, theta)
         n_geom = n_var - 2 * (front.n_components - 1)
         shifts = [Fraction(0)] + [theta[k] - theta[k + 1]
                                   for k in range(n_geom, n_var, 2)]
-        return ResolvedDiagram(front, comps, slabs, shifts)
+        return ResolvedDiagram(front, _evaluate(cycles, theta),
+                               [(o, u) for _, o, u in crossings], shifts)
     except FrontError:
         raise
     except ValueError as exc:

@@ -1,8 +1,9 @@
 """Exact rational planar geometry for polyline diagrams.
 
-Points are pairs of rationals (``fractions.Fraction``) or of integers,
-directions are restricted to the eight compass octants (multiples of 45
-degrees), and every predicate is computed exactly.  Octants, turns, cross
+Points are pairs of rationals (``fractions.Fraction``) or of integers, a
+segment a -> b is its pair of ends, directions are restricted to the eight
+compass octants (multiples of 45 degrees), and every predicate is computed
+exactly.  Octants, turns, cross
 and dot products, winding numbers and the collinear merge never divide, so
 on integer points they stay in integers; ``diagram`` runs its hot loops that
 way, on coordinates scaled by one common denominator.  Floating point never
@@ -10,7 +11,7 @@ enters.
 """
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 Point = Tuple[Fraction, Fraction]
 
@@ -53,65 +54,6 @@ def turn_octants(o_in: int, o_out: int) -> int:
     if d > 4:
         d -= 8
     return d
-
-
-class Segment(object):
-    """Closed segment with endpoints on the rational grid."""
-
-    def __init__(self, a: Point, b: Point):
-        self.a = a
-        self.b = b
-        self.octant = direction_octant(a, b)
-
-    def __repr__(self):
-        return f"Segment({self.a} -> {self.b})"
-
-    def direction(self) -> Tuple[int, int]:
-        return OCTANT_VECTORS[self.octant]
-
-    def line_side(self, p: Point) -> Fraction:
-        return cross(sub(self.b, self.a), sub(p, self.a))
-
-    def param_of(self, p: Point) -> Fraction:
-        """Parameter t in [0, 1] of a point assumed to lie on the segment."""
-        d = sub(self.b, self.a)
-        if d[0] != 0:
-            return (p[0] - self.a[0]) / d[0]
-        return (p[1] - self.a[1]) / d[1]
-
-    def point_at(self, t: Fraction) -> Point:
-        return (self.a[0] + t * (self.b[0] - self.a[0]),
-                self.a[1] + t * (self.b[1] - self.a[1]))
-
-    def contains(self, p: Point, closed: bool = True) -> bool:
-        if self.line_side(p) != 0:
-            return False
-        t = self.param_of(p)
-        if closed:
-            return 0 <= t <= 1
-        return 0 < t < 1
-
-
-def segment_intersection(s1: Segment, s2: Segment) -> Optional[Point]:
-    """Transverse intersection point of two segments, or None.
-
-    Collinear overlap raises: the diagram builder must never produce it.
-    """
-    d1 = sub(s1.b, s1.a)
-    d2 = sub(s2.b, s2.a)
-    denom = cross(d1, d2)
-    if denom == 0:
-        if s1.line_side(s2.a) == 0 and (
-                s1.contains(s2.a) or s1.contains(s2.b)
-                or s2.contains(s1.a) or s2.contains(s1.b)):
-            raise ValueError(f"collinear overlap between {s1} and {s2}")
-        return None
-    w = sub(s2.a, s1.a)
-    t = cross(w, d2) / denom
-    u = cross(w, d1) / denom
-    if 0 <= t <= 1 and 0 <= u <= 1:
-        return s1.point_at(t)
-    return None
 
 
 def polyline_integral_y_dx(points: Sequence[Point]) -> Fraction:
@@ -197,15 +139,16 @@ def offset_polyline(points: Sequence[Point], side: str,
     """
     if side not in ("left", "right"):
         raise ValueError(f"bad side {side!r}")
-    segs = [Segment(a, b) for a, b in zip(points, points[1:]) if a != b]
     shifted = []
-    for s in segs:
-        dx, dy = s.direction()
+    for a, b in zip(points, points[1:]):
+        if a == b:
+            continue
+        dx, dy = OCTANT_VECTORS[direction_octant(a, b)]
         nx, ny = (-dy, dx) if side == "left" else (dy, -dx)
         scale = amount if dx == 0 or dy == 0 else amount / 2
         off = (nx * scale, ny * scale)
-        shifted.append(((s.a[0] + off[0], s.a[1] + off[1]),
-                        (s.b[0] + off[0], s.b[1] + off[1])))
+        shifted.append(((a[0] + off[0], a[1] + off[1]),
+                        (b[0] + off[0], b[1] + off[1])))
     out: List[Point] = [shifted[0][0]]
     for (a1, b1), (a2, b2) in zip(shifted, shifted[1:]):
         d1 = sub(b1, a1)

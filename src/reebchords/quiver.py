@@ -40,8 +40,11 @@ def _component_windings(d: ResolvedDiagram) -> List[List[int]]:
     """windings[i][k]: winding of component i around basepoint k."""
     key = ("component_windings",)
     if key not in d.memo:
-        d.memo[key] = [[winding_number(cyc, f.basepoint)
-                        for f in d.faces_list] for cyc in d.components]
+        try:
+            d.memo[key] = [[winding_number(cyc, f.basepoint)
+                            for f in d.faces_list] for cyc in d.components]
+        except ValueError as exc:
+            raise DiagramError(f"component winding: {exc}") from exc
     return d.memo[key]
 
 

@@ -16,7 +16,10 @@ formula that decides the exhaustive search's degree test, the candidate
 search's LP in integer rows, the k-copy of a front, which no CLI
 command builds, and the realization's evaluation, heights, lengths, chord
 ends, face areas and basepoint distances in ``Fraction``s, where the library
-runs them in integers over one common denominator.
+runs them in integers over one common denominator.  The double points of the
+realization are found here by intersecting every pair of ``Segment``s, where
+the library sweeps its template once and reads each chord point off the
+crossing pair.
 """
 
 import itertools
@@ -523,6 +526,78 @@ def gauss_jordan_solve(mat, rhs):
 
 # -- template realization by brute force --------------------------------------
 
+class Segment(object):
+    """Closed segment with endpoints on the rational grid."""
+
+    def __init__(self, a, b):
+        from reebchords.geometry import direction_octant
+
+        self.a = a
+        self.b = b
+        self.octant = direction_octant(a, b)
+
+    def __repr__(self):
+        return f"Segment({self.a} -> {self.b})"
+
+    def line_side(self, p):
+        return cross(sub(self.b, self.a), sub(p, self.a))
+
+    def param_of(self, p):
+        """Parameter t in [0, 1] of a point assumed to lie on the segment."""
+        d = sub(self.b, self.a)
+        if d[0] != 0:
+            return (p[0] - self.a[0]) / d[0]
+        return (p[1] - self.a[1]) / d[1]
+
+    def point_at(self, t):
+        return (self.a[0] + t * (self.b[0] - self.a[0]),
+                self.a[1] + t * (self.b[1] - self.a[1]))
+
+    def contains(self, p, closed=True):
+        if self.line_side(p) != 0:
+            return False
+        t = self.param_of(p)
+        if closed:
+            return 0 <= t <= 1
+        return 0 < t < 1
+
+
+def sub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def cross(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def segment_intersection(s1, s2):
+    """Transverse intersection point of two segments, or None.
+
+    Collinear overlap raises: the diagram builder must never produce it.
+    """
+    d1 = sub(s1.b, s1.a)
+    d2 = sub(s2.b, s2.a)
+    denom = cross(d1, d2)
+    if denom == 0:
+        if s1.line_side(s2.a) == 0 and (
+                s1.contains(s2.a) or s1.contains(s2.b)
+                or s2.contains(s1.a) or s2.contains(s1.b)):
+            raise ValueError(f"collinear overlap between {s1} and {s2}")
+        return None
+    w = sub(s2.a, s1.a)
+    t = cross(w, d2) / denom
+    u = cross(w, d1) / denom
+    if 0 <= t <= 1 and 0 <= u <= 1:
+        return s1.point_at(t)
+    return None
+
+
+def cycle_segments(cycles):
+    """One ``Segment`` list per closed point cycle."""
+    return [[Segment(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
+            for cyc in cycles]
+
+
 def boxes_overlap(s1, s2):
     return not (max(s1.a[0], s1.b[0]) < min(s2.a[0], s2.b[0])
                 or max(s2.a[0], s2.b[0]) < min(s1.a[0], s1.b[0])
@@ -533,8 +608,6 @@ def boxes_overlap(s1, s2):
 def all_pairs_double_points(segments):
     """{point: [(comp, seg), (comp, seg)]} over closed polylines, one segment
     list per component, by testing every pair of non-adjacent segments."""
-    from reebchords.geometry import segment_intersection
-
     flat = [(ci, si, s) for ci, segs in enumerate(segments)
             for si, s in enumerate(segs)]
     hits = {}
@@ -556,10 +629,7 @@ def crossing_z_gaps(components, slabs):
 
     The gap is z of the slope -1 branch minus z of the other one, with each
     component's z starting at 0 on its first vertex."""
-    from reebchords.geometry import Segment
-
-    segments = [[Segment(cyc[i], cyc[(i + 1) % len(cyc)])
-                 for i in range(len(cyc))] for cyc in components]
+    segments = cycle_segments(components)
     zlists = []
     for segs in segments:
         zs = [Fraction(0)]
@@ -651,17 +721,16 @@ def affine_at(form, theta):
 
 
 def fraction_components(front, action_margin=Fraction(32)):
-    """(components, slabs) of a front's template at its sizing LP's
-    solution, every form evaluated by ``affine_at``."""
+    """The components of a front's template at its sizing LP's solution,
+    every form evaluated by ``affine_at``."""
     from reebchords.diagram import _sizing_rows, _template
     from reebchords.lp import solve_lp
 
-    cycles, slabs = _template(front)
-    n, eq, ge = _sizing_rows(front, cycles, slabs, action_margin)
+    cycles, crossings = _template(front)
+    n, eq, ge = _sizing_rows(front, cycles, crossings, action_margin)
     theta = solve_lp(n, eq, ge, [Fraction(1)] * n)
-    return ([[(affine_at(x, theta), Fraction(y)) for x, y in cyc]
-             for cyc in cycles],
-            [(affine_at(a, theta), affine_at(b, theta)) for a, b in slabs])
+    return [[(affine_at(x, theta), Fraction(y)) for x, y in cyc]
+            for cyc in cycles]
 
 
 def polygon_signed_area(points):
@@ -688,12 +757,9 @@ def fraction_measures(d):
     vertex 0, cumulative Chebyshev lengths, and per double point of the
     all-pairs scan, in x order, (point, action, tail_loc, tip_loc) with
     the slope -1 branch high."""
-    from reebchords.geometry import Segment
-
-    z_at, cheb, segments = [], [], []
-    for cyc in d.components:
-        n = len(cyc)
-        segs = [Segment(cyc[i], cyc[(i + 1) % n]) for i in range(n)]
+    z_at, cheb = [], []
+    segments = cycle_segments(d.components)
+    for segs in segments:
         zs, cl = [Fraction(0)], [Fraction(0)]
         for s in segs:
             zs.append(zs[-1] + (s.a[1] + s.b[1]) * (s.b[0] - s.a[0]) / 2)
@@ -701,7 +767,6 @@ def fraction_measures(d):
                                    abs(s.b[1] - s.a[1])))
         z_at.append(zs[:-1])
         cheb.append(cl)
-        segments.append(segs)
 
     def height_and_param(ci, si, p):
         s = segments[ci][si]
@@ -726,9 +791,9 @@ def all_segments_basepoint(d, face):
     1, 1/2, ..., 1/256, and take the first point inside the face whose
     distance to every segment and crossing exceeds half the step."""
     from reebchords.diagram import QUADRANT_VECTORS
-    from reebchords.geometry import sub, winding_number
+    from reebchords.geometry import winding_number
 
-    all_segs = [s for segs in d.segments for s in segs]
+    all_segs = [s for segs in cycle_segments(d.components) for s in segs]
     crossings = [c.point for c in d.chords]
 
     def good(p, clear):
@@ -871,7 +936,7 @@ def capping_walk(d, j1, j2, side):
     from reebchords.geometry import turn_octants
 
     c1, c2 = d.chord(j1), d.chord(j2)
-    segs = d.segments[c1.tip_comp]
+    segs = cycle_segments(d.components)[c1.tip_comp]
     (s1, t1), (s2, t2) = c1.tip_loc, c2.tail_loc
     step = 1 if side == "eta" else -1
     count = step * (s2 - s1) % len(segs)

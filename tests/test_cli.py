@@ -337,13 +337,35 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
 
 
 def test_exit_code_3_on_realization_fault(tmp_path, capsys, monkeypatch):
-    def overlap(s1, s2):
-        raise ValueError(f"collinear overlap between {s1} and {s2}")
+    # a geometry helper's ValueError inside resolve is an internal fault
+    def no_octant(a, b):
+        raise ValueError(f"segment {a}->{b} is not at a multiple of 45 "
+                         f"degrees")
 
-    monkeypatch.setattr("reebchords.diagram.segment_intersection", overlap)
+    monkeypatch.setattr("reebchords.diagram.direction_octant", no_octant)
     path = write(tmp_path, "L1,L3,X2,X2,X2,R1,R1")
     code, _out, err = run(capsys, ["invariants", "--input", path])
-    assert code == 3 and "collinear overlap" in err
+    assert code == 3 and "multiple of 45 degrees" in err
+
+
+def test_exit_code_3_on_a_basepoint_on_the_curve(tmp_path, capsys,
+                                                 monkeypatch):
+    # a face basepoint planted on a component vertex: the components'
+    # windings around it are undefined, an internal fault
+    from reebchords.diagram import ResolvedDiagram
+
+    original = ResolvedDiagram._pick_basepoints
+
+    def on_a_vertex(self):
+        original(self)
+        self.faces_list[0].basepoint = self.components[0][0]
+
+    monkeypatch.setattr(ResolvedDiagram, "_pick_basepoints", on_a_vertex)
+    path = write(tmp_path, "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")
+    code, out, err = run(capsys, ["grading", "--max-len", "2", "--input",
+                                  path])
+    assert code == 3 and out == ""
+    assert "winding test point lies on the curve" in err
 
 
 def test_exit_code_3_on_an_unbounded_sizing_lp(tmp_path, capsys,

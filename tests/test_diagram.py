@@ -3,12 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (capping_walk, front_writhe_and_cusp_counts,
-                     point_segment_distance_sq, trace_front)
+from oracles import (Segment, capping_walk, cycle_segments,
+                     front_writhe_and_cusp_counts, point_segment_distance_sq,
+                     trace_front)
 from reebchords.diagram import (DiagramError, FrontCode, FrontError,
                                ResolvedDiagram, _double_points,
                                _integer_boxes, parse_front, resolve)
-from reebchords.geometry import OCTANT_VECTORS, Segment, winding_number
+from reebchords.geometry import OCTANT_VECTORS, winding_number
 
 F = Fraction
 
@@ -99,8 +100,8 @@ def test_closure_integral_vanishes(any_diagram):
 def test_good_position_tangents(any_diagram):
     d = any_diagram
     for c in d.chords:
-        assert d.segments[c.tip_comp][c.tip_loc[0]].octant in (3, 7)
-        assert d.segments[c.tail_comp][c.tail_loc[0]].octant in (1, 5)
+        assert d.octants[c.tip_comp][c.tip_loc[0]] in (3, 7)
+        assert d.octants[c.tail_comp][c.tail_loc[0]] in (1, 5)
         assert c.action > 0
 
 
@@ -126,7 +127,7 @@ def test_actions_from_independent_height_integration(any_diagram):
 def self_seg(d, c, which):
     comp = c.tip_comp if which == "tip" else c.tail_comp
     target_oct = (3, 7) if which == "tip" else (1, 5)
-    for si, s in enumerate(d.segments[comp]):
+    for si, s in enumerate(cycle_segments(d.components)[comp]):
         if s.octant in target_oct and s.contains(c.point, closed=False):
             return si
     raise AssertionError("branch segment not found")
@@ -222,34 +223,53 @@ def test_front_code_keeps_exact_coefficient_forms():
 
 
 # -- the integer sweep's fault paths ------------------------------------------
-# Each segment is its own component, so no pair counts as adjacent, and
-# every coordinate has denominator 3, so the sweep scales by 3.
+# Closed integer polygons, one per component.
 
-def thirds(*pts):
-    return [[Segment((F(a, 3), F(b, 3)), (F(c, 3), F(d, 3)))]
-            for a, b, c, d in pts]
+BOWTIE = [(0, 0), (2, 2), (2, 0), (0, 2)]
 
 
-def test_sweep_finds_a_crossing_at_thirds():
-    [(p, over, under)] = _double_points(thirds((0, 0, 2, 2), (0, 2, 2, 0)))
-    assert p == (F(1, 3), F(1, 3)) and (over, under) == ((1, 0), (0, 0))
+def test_sweep_finds_the_crossing_of_a_bowtie():
+    [(p, over, under)] = _double_points([BOWTIE])
+    assert p == (1, 1) and (over, under) == ((0, 2), (0, 0))
 
 
-@pytest.mark.parametrize("pts, message", [
-    # the slope -1 segment starts on the slope +1 one
-    ([(0, 0, 2, 2), (1, 1, 2, 0)], "non-transverse contact"),
-    ([(0, 0, 2, 2), (0, 2, 2, 0), (0, 1, 2, 1)], "triple point"),
-    ([(0, 1, 2, 1), (1, 0, 1, 2)], "violates good position"),
+@pytest.mark.parametrize("polys, message", [
+    # a slope -1 segment starts on the slope +1 one
+    ([[(0, 0), (4, 4), (4, 0)], [(2, 2), (3, 1), (2, 1)]],
+     "non-transverse contact"),
+    # a vertical side through the bowtie's crossing
+    ([BOWTIE, [(1, -1), (1, 3), (5, 3), (5, -1)]], "triple point"),
+    # a horizontal and a vertical side cross
+    ([[(0, 1), (2, 1), (2, 3), (1, 3), (1, 0), (0, 0)]],
+     "violates good position"),
+    ([[(0, 0), (2, 2), (2, 0)], [(1, 1), (3, 3), (3, 1)]],
+     "collinear overlap"),
 ])
-def test_sweep_raises_on_bad_contacts(pts, message):
+def test_sweep_raises_on_bad_contacts(polys, message):
     with pytest.raises(DiagramError, match=message):
-        _double_points(thirds(*pts))
+        _double_points(polys)
 
 
-def test_sweep_sends_parallel_pairs_to_segment_intersection():
-    with pytest.raises(ValueError, match="collinear overlap"):
-        _double_points(thirds((0, 0, 2, 2), (1, 1, 3, 3)))
-    assert _double_points(thirds((0, 0, 2, 2), (0, 1, 2, 3))) == []
+def test_sweep_passes_parallel_segments_on_two_lines():
+    assert _double_points([[(0, 0), (2, 2), (2, 0)],
+                           [(-2, 0), (0, 2), (-2, 2)]]) == []
+
+
+@pytest.mark.parametrize("swap", ["branches", "under strands"])
+def test_a_crossing_pair_whose_segments_do_not_meet_is_a_fault(
+        trefoil_plus, swap):
+    # the slope +1 branch given as the over one, or the under branches of
+    # two crossings in disjoint event slabs exchanged
+    d = trefoil_plus
+    pairs = [((c.tip_comp, c.tip_loc[0]), (c.tail_comp, c.tail_loc[0]))
+             for c in d.chords]
+    if swap == "branches":
+        pairs[0] = pairs[0][::-1]
+    else:
+        pairs[0], pairs[1] = ((pairs[0][0], pairs[1][1]),
+                              (pairs[1][0], pairs[0][1]))
+    with pytest.raises(DiagramError, match="is not inside segment"):
+        ResolvedDiagram(d.front, d.components, pairs, d.z_shifts)
 
 
 # -- the basepoint test's integer distance check -------------------------------
@@ -268,13 +288,15 @@ SQUARE_RING = [(-10240, -10240), (10240, -10240), (10240, 10240),
        st.integers(-48, 48), st.integers(-48, 48), st.integers(0, 8))
 def test_basepoint_clearance_is_the_distance_to_every_segment(
         ends, px, py, k):
-    segments = [[Segment((F(x), F(y)), (F(x + n * dx), F(y + n * dy)))]
-                for x, y, o, n in ends for dx, dy in [OCTANT_VECTORS[o]]]
-    _, boxes = _integer_boxes(segments)
+    # each segment a closed polyline a -> b -> a of its own
+    polys = [[(x, y), (x + n * dx, y + n * dy)]
+             for x, y, o, n in ends for dx, dy in [OCTANT_VECTORS[o]]]
+    boxes = _integer_boxes(polys)
     p, clear = (128 * px, 128 * py), 1024 >> k
     clear_of_all = all(
-        point_segment_distance_sq((F(p[0], 1024), F(p[1], 1024)), s)
-        > F(clear, 1024) ** 2 for [s] in segments)
+        point_segment_distance_sq((F(p[0], 1024), F(p[1], 1024)),
+                                  Segment(a, b)) > F(clear, 1024) ** 2
+        for a, b in polys)
     assert ResolvedDiagram._good_basepoint(
         p, SQUARE_RING, ([box[0] for box in boxes], boxes), clear) == \
         clear_of_all

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (point_segment_distance_sq, polygon_signed_area,
-                     turning_number)
-from reebchords.geometry import (Segment, direction_octant, merge_collinear,
+from oracles import (Segment, point_segment_distance_sq, polygon_signed_area,
+                     segment_intersection, turning_number)
+from reebchords.geometry import (direction_octant, merge_collinear,
                                  offset_polyline, polyline_integral_y_dx,
-                                 segment_intersection, winding_number)
+                                 winding_number)
 
 F = Fraction
 

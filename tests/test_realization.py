@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (all_orbit_strings, all_pairs_double_points,
-                     all_segments_basepoint, capping_walk, fd_sizing_rows,
+                     all_segments_basepoint, capping_walk, cycle_segments,
+                     fd_sizing_rows,
                      fraction_components, fraction_measures,
                      front_writhe_and_cusp_counts, k_copy,
                      orbit_class_pushout, polygon_signed_area,
@@ -62,8 +63,8 @@ def check_realization(d):
     actions = {c.id: c.action for c in d.chords}
     for c in d.chords:
         assert c.action > 0
-        assert d.segments[c.tip_comp][c.tip_loc[0]].octant in (3, 7)
-        assert d.segments[c.tail_comp][c.tail_loc[0]].octant in (1, 5)
+        assert d.octants[c.tip_comp][c.tip_loc[0]] in (3, 7)
+        assert d.octants[c.tail_comp][c.tail_loc[0]] in (1, 5)
     for f in d.faces_list:
         assert sum(s * actions[cid] for cid, _q, s in f.corners) == f.area
         assert f.area > 0
@@ -156,14 +157,20 @@ def test_seeded_random_fronts():
 
 def check_against_oracles(d, margin=Fraction(32)):
     """The one-pass LP rows equal the finite-difference rows, and the
-    sweep's chords are exactly the all-pairs double points."""
-    cycles, slabs = _template(d.front)
-    assert _sizing_rows(d.front, cycles, slabs, margin) == \
+    chords read off the template's crossing pairs are exactly the all-pairs
+    double points of the solution's segments."""
+    cycles, crossings = _template(d.front)
+    assert _sizing_rows(d.front, cycles, crossings, margin) == \
         fd_sizing_rows(d.front, margin)
+    check_chords_against_all_pairs(d)
+
+
+def check_chords_against_all_pairs(d):
     chords = {c.point: {(c.tail_comp, c.tail_loc[0]),
                         (c.tip_comp, c.tip_loc[0])} for c in d.chords}
+    segments = cycle_segments(d.components)
     assert chords == {p: set(branches) for p, branches in
-                      all_pairs_double_points(d.segments).items()}
+                      all_pairs_double_points(segments).items()}
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -179,6 +186,14 @@ def test_seeded_fronts_match_oracles():
 @pytest.mark.parametrize("n", [3, 9, 21])
 def test_torus_knots_match_oracles(n):
     check_against_oracles(resolve(torus(n)))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_copy_chords_are_the_all_pairs_double_points(k):
+    # the finite-difference rows of the 4-copy take about a minute, so the
+    # copies check the chords only
+    trefoil = parse_front("L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")
+    check_chords_against_all_pairs(resolve(k_copy(trefoil, k)))
 
 
 def check_basepoints(d):
@@ -240,7 +255,7 @@ def check_integer_route(d):
                c.point + (c.action, c.tail_loc[1], c.tip_loc[1])]
     fields += [v for f in d.faces_list for v in (f.area,) + f.basepoint]
     assert {type(v) for v in fields} == {Fraction}
-    assert d.components == fraction_components(d.front)[0]
+    assert d.components == fraction_components(d.front)
     z_at, cheb, chords = fraction_measures(d)
     assert (d.z_at_vertex, d.cheb_len) == (z_at, cheb)
     assert [(c.point, c.action, c.tail_loc, c.tip_loc)
@@ -282,23 +297,22 @@ def test_a_corner_that_does_not_turn_left_is_a_fault(shift):
     # face can turn left from one strand onto the other there
     d = resolve(parse_front("L1,L3,X2,X2,X2,R1,R1"))
     c = d.chords[2]
-    tip = d.segments[c.tip_comp][c.tip_loc[0]]
-    d.segments[c.tail_comp][c.tail_loc[0]].octant = (tip.octant + shift) % 8
+    tip = d.octants[c.tip_comp][c.tip_loc[0]]
+    d.octants[c.tail_comp][c.tail_loc[0]] = (tip + shift) % 8
     with pytest.raises(DiagramError, match="does not turn left at r3"):
         d._trace_faces()
 
 def test_resolve_work_counts(monkeypatch):
-    # counts, not clock time: the sweep, one winding test per face in the
-    # usual case, and one symbolic layout
+    # counts, not clock time: one double-point sweep, one winding test per
+    # face in the usual case, and one symbolic layout
     counts = Counter()
-    for name in ("segment_intersection", "winding_number", "_build_wires"):
+    for name in ("_double_points", "winding_number", "_build_wires"):
         def counted(*args, _fn=getattr(diagram, name), _name=name):
             counts[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(diagram, name, counted)
     d = resolve(torus(31))
-    n_segments = sum(len(segs) for segs in d.segments)
-    assert counts["segment_intersection"] <= 8 * n_segments
+    assert counts["_double_points"] == 1
     assert counts["winding_number"] <= 4 * len(d.faces_list)
     assert counts["_build_wires"] <= 2
 

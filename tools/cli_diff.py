@@ -7,7 +7,8 @@ list of commands runs under each tree, in one Python process per tree that
 imports ``reebchords`` from that tree's ``src/``; the two processes run at
 the same time.  For every command the standard output, the standard error
 and the exit code are compared.  Each difference is printed, and the exit
-code is 1 if there is any, else 0.
+code is 1 if there is any, else 0.  The summary also gives the line count
+of ``src/reebchords/*.py`` in each tree, as ``wc -l`` totals it.
 
 The commands, each run once:
 
@@ -172,6 +173,17 @@ def differences(cmds, res_a, res_b):
     return lines
 
 
+def src_lines(src):
+    """Total line count of the tree's ``src/reebchords/*.py``."""
+    pkg = os.path.join(src, "src", "reebchords")
+    total = 0
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
+
+
 def main(argv):
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -190,6 +202,7 @@ def main(argv):
         print(line)
     n_diff = sum(1 for line in lines if line.startswith("== "))
     print(f"{len(cmds)} commands, {n_diff} with differences")
+    print("src lines: base {}, change {}".format(*map(src_lines, argv)))
     return 1 if n_diff else 0
 
 
