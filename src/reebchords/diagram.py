@@ -16,11 +16,12 @@ Template conventions:
   whose horizontal stretch is a free rational parameter, solved per component
   so that the closed line integral of y dx vanishes identically.
 
-The template is laid out once in integers, every x-coordinate an affine
-form in the loop stretches and event spacings.  Its double points are found
-once, by a sweep of its integer instance at zero sizes, and its crossing
-pairs hold at every size.  The sizing LP's rows are read off it (twice each
-integral, halved once) and the diagram is that layout at the LP's solution.
+The template is laid out once in integers: a vertex is (c, y, k), at x = c
+plus the first k sizes (loop stretches and event spacings) in event order.
+Its double points are found once, by a sweep of its integer instance at
+zero sizes, and its crossing pairs hold at every size.  The sizing LP's rows
+are read off it by difference arrays over the sizes (twice each integral,
+halved once) and the diagram is that layout at the LP's solution.
 ``ResolvedDiagram`` scales the diagram by one integer, the least common
 denominator of its coordinates, and on that copy computes the octants, the
 chord points from the crossing pairs, heights, lengths, face areas and
@@ -268,96 +269,59 @@ def parse_front(text) -> FrontCode:
 # geometric realization
 
 
-class _Affine(object):
-    """Exact affine form ``const + sum(coef[k] * theta[k])`` in the template
-    sizes theta, with the arithmetic the layout needs: sums, differences
-    and multiples, all in integers on the template's integer forms."""
-
-    __slots__ = ("const", "coef")
-
-    def __init__(self, const, coef=None):
-        self.const = const
-        self.coef = coef or {}          # variable index -> nonzero rational
-
-    def __add__(self, other):
-        if not isinstance(other, _Affine):
-            return _Affine(self.const + other, self.coef)
-        coef = dict(self.coef)
-        for k, v in other.coef.items():
-            v += coef.get(k, 0)
-            if v:
-                coef[k] = v
-            else:
-                del coef[k]
-        return _Affine(self.const + other.const, coef)
-
-    __radd__ = __add__
-
-    def __mul__(self, c):
-        if not c:
-            return _Affine(self.const * c)
-        return _Affine(self.const * c,
-                       {k: v * c for k, v in self.coef.items()})
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return self + other * -1
-
-    def __eq__(self, other):
-        return (isinstance(other, _Affine) and self.const == other.const
-                and self.coef == other.coef)
-
-
 class _Wire(object):
     def __init__(self, wid):
         self.wid = wid
-        self.points: List[Point] = []
+        self.points: List[Tuple[int, int, int]] = []
         self.level = None
 
-    def extend_to(self, x):
-        self.points.append((x, self.level))
+    def extend_to(self, c, k):
+        self.points.append((c, self.level, k))
 
-    def append(self, x, y):
+    def append(self, c, y, k):
         self.level = y
-        self.points.append((x, y))
+        self.points.append((c, y, k))
 
 
-def _build_wires(front: FrontCode, stretches, spacings):
-    """Lay out all wires; returns (wires, slab x-range per event).
+def _build_wires(front: FrontCode):
+    """Lay out all wires; returns (wires, slabs, order).
 
-    ``stretches`` widens the loop of each right-cusp event and ``spacings``
-    adds horizontal room after each event.  Every x-coordinate is an
-    ``_Affine`` form in them: constant for rational sizes, symbolic for
-    symbolic ones.  Strand levels never depend on the sizes, so every
-    closure integral and crossing z-gap is affine in them.
+    The template sizes theta are one loop stretch per right cusp (the loop
+    is ``2 + theta`` wide), then one spacing per event, the room after it.
+    ``order`` lists their indices in event order: a right cusp's stretch,
+    then each event's spacing.  A vertex is (c, y, k) in integers, at x =
+    c + theta[order[0]] + ... + theta[order[k - 1]]: the sizes laid out so
+    far.  A slab is an event's x-range as two such (c, k) pairs.  Strand
+    levels never depend on the sizes, so every closure integral and
+    crossing z-gap is affine in them.
     """
     wires: Dict[int, _Wire] = {}
     stack: List[_Wire] = []
     slabs = []
-    x = _Affine(0)
-    next_wid = 0
+    order: List[int] = []
+    c, k = 0, 0
+    next_wid = n_stretches = 0
     for idx, (kind, pos) in enumerate(front.events):
-        sx = x
         for w in stack:
-            w.extend_to(sx)
+            w.extend_to(c, k)
+        end = k
         if kind == "L":
             width = 16
             for p in range(pos - 1, len(stack)):
                 w = stack[p]
-                w.append(sx + 8, w.level - 8)
-                w.extend_to(sx + 16)
+                w.append(c + 8, w.level - 8, k)
+                w.extend_to(c + 16, k)
             lu = -4 * pos
             u = _Wire(next_wid)
             dn = _Wire(next_wid + 1)
             next_wid += 2
-            cusp = (sx + 10, lu - 2)
+            cusp = (c + 10, lu - 2, k)
             u.points.append(cusp)
-            u.append(sx + 12, lu)
-            u.extend_to(sx + 16)
+            u.append(c + 12, lu, k)
+            u.extend_to(c + 16, k)
             dn.points.append(cusp)
-            dn.append(sx + 12, lu - 4)
-            dn.extend_to(sx + 16)
+            dn.append(c + 12, lu - 4, k)
+            dn.extend_to(c + 16, k)
             wires[u.wid] = u
             wires[dn.wid] = dn
             stack[pos - 1:pos - 1] = [u, dn]
@@ -365,34 +329,37 @@ def _build_wires(front: FrontCode, stretches, spacings):
             width = 8
             w1, w2 = stack[pos - 1], stack[pos]
             a = w1.level
-            w1.append(sx + 2, a)
-            w1.append(sx + 6, a - 4)
-            w1.extend_to(sx + 8)
-            w2.append(sx + 2, a - 4)
-            w2.append(sx + 6, a)
-            w2.extend_to(sx + 8)
+            w1.append(c + 2, a, k)
+            w1.append(c + 6, a - 4, k)
+            w1.extend_to(c + 8, k)
+            w2.append(c + 2, a - 4, k)
+            w2.append(c + 6, a, k)
+            w2.extend_to(c + 8, k)
             stack[pos - 1], stack[pos] = w2, w1
-        else:  # R
-            wst = stretches[idx]
-            width = 20 + wst
+        else:  # R, its loop stretched from x = c + 11 on
+            order.append(n_stretches)
+            n_stretches += 1
+            end = k + 1
+            width = 22
             w1, w2 = stack[pos - 1], stack[pos]
             a = w1.level
-            w1.append(sx + 6, a)
-            w1.append(sx + 9, a - 3)
-            w1.append(sx + 9 + wst, a - 3)
-            w1.append(sx + 10 + wst, a - 2)
-            w1.append(sx + 10 + wst, a)
-            w1.append(sx + 10, a)
-            w1.append(sx + 6, a - 4)
-            w1.append(sx, a - 4)
+            w1.append(c + 6, a, k)
+            w1.append(c + 9, a - 3, k)
+            w1.append(c + 11, a - 3, end)
+            w1.append(c + 12, a - 2, end)
+            w1.append(c + 12, a, end)
+            w1.append(c + 10, a, k)
+            w1.append(c + 6, a - 4, k)
+            w1.append(c, a - 4, k)
             for p in range(pos + 1, len(stack)):
                 w = stack[p]
-                w.extend_to(sx + 12 + wst)
-                w.append(sx + 20 + wst, w.level + 8)
+                w.extend_to(c + 14, end)
+                w.append(c + 22, w.level + 8, end)
             del stack[pos - 1:pos + 1]
-        slabs.append((sx, sx + width))
-        x = sx + width + 4 + spacings[idx]
-    return wires, slabs
+        slabs.append(((c, k), (c + width, end)))
+        order.append(front.n_right_cusps + idx)
+        c, k = c + width + 4, end + 1
+    return wires, slabs, order
 
 
 def _assemble_components(front: FrontCode, wires) -> List[List[Point]]:
@@ -410,53 +377,53 @@ def _assemble_components(front: FrontCode, wires) -> List[List[Point]]:
 
 
 def _template(front: FrontCode):
-    """The template laid out once with symbolic sizes: (cycles, crossings).
+    """The template laid out once: (cycles, order, crossings).
 
-    The sizes theta are one loop stretch per right cusp (``2 + theta``),
-    then one spacing per event.  Each cycle is a component's merged,
-    oriented polyline with x-coordinates as ``_Affine`` forms in theta.
-    The double-point sweep runs once, here, on the integer instance at
-    theta = 0: ``crossings`` holds, per crossing and right-cusp event in
-    event order, its double point there and the (component, segment index)
-    of its slope -1 and slope +1 branch.  The template has the same
-    vertices, octants and crossing pairs at every theta >= 0: the event
-    slabs are disjoint, strand levels are fixed, and a size only stretches
-    horizontal segments.  So the merge and the sweep are both decided at
-    theta = 0, in integers.
+    Each cycle is a component's merged, oriented polyline of integer
+    vertices (c, y, k), x = c plus the first k sizes of ``order`` (see
+    ``_build_wires``).  A segment whose ends have different k must be
+    horizontal and run the way the sizes grow, else DiagramError: a size
+    only stretches horizontal segments.  The event slabs are disjoint and
+    strand levels are fixed, so the template has the same vertices,
+    octants and crossing pairs at every theta >= 0, and the merge, on
+    (c, y), and the double-point sweep are both decided at theta = 0, in
+    integers.  ``crossings`` holds, per crossing and right-cusp event in
+    event order, its double point there and the (component, segment
+    index) of its slope -1 and slope +1 branch.
     """
-    r_events = [i for i, (k, _) in enumerate(front.events) if k == "R"]
-    stretches = {ev: 2 + _Affine(0, {i: 1}) for i, ev in enumerate(r_events)}
-    spacings = {ev: _Affine(0, {len(r_events) + ev: 1})
-                for ev in range(len(front.events))}
-    wires, slabs = _build_wires(front, stretches, spacings)
+    wires, slabs, order = _build_wires(front)
     cycles = []
     for i, cyc in enumerate(_assemble_components(front, wires)):
-        # merge_collinear reads only the first two coordinates, so the
-        # form rides along as a third
-        merged = merge_collinear([(x.const, y, x) for x, y in cyc])
-        cyc = [(x, y) for _, y, x in merged]
+        for (ca, ya, ka), (cb, yb, kb) in zip(cyc, cyc[1:] + cyc[:1]):
+            if ka != kb and (ya != yb or (cb - ca) * (kb - ka) <= 0):
+                raise DiagramError(
+                    f"segment {(ca, ya)}->{(cb, yb)} of component {i} is "
+                    f"not stretched along the sizes between them")
+        # merge_collinear reads only the first two coordinates, so k rides
+        # along as a third
+        cyc = merge_collinear(cyc)
         # default traversal: the lower branch of the component's first
         # left cusp runs eastward (the assembly walk is the opposite)
         if front.orientations.get(i, 1) == 1:
             cyc = cyc[::-1]
         cycles.append(cyc)
     found = _crossings_by_event(
-        front, [[(x.const, y) for x, y in cyc] for cyc in cycles],
-        [(a.const, b.const) for a, b in slabs])
-    return cycles, [found[ev] for ev in sorted(found)]
+        front, [[(c, y) for c, y, _ in cyc] for cyc in cycles],
+        [(a, b) for (a, _), (b, _) in slabs])
+    return cycles, order, [found[ev] for ev in sorted(found)]
 
 
-def _evaluate(cycles, theta):
-    """The template's cycles at the concrete sizes theta: an x is
-    (const * den + sum(coef * n)) / den, with n = theta * den in integers."""
-    den = lcm(*(t.denominator for t in theta))
-    nums = [t.numerator * (den // t.denominator) for t in theta]
-
-    def at(form):
-        return Fraction(form.const * den + sum(c * nums[k] for k, c in
-                                               form.coef.items()), den)
-
-    return [[(at(x), Fraction(y)) for x, y in cyc] for cyc in cycles]
+def _evaluate(cycles, order, theta):
+    """The template's cycles at the concrete sizes theta.  With n = theta *
+    den in integers over their common denominator, an x is (c * den + the
+    sum of n over order[:k]) / den, one prefix sum for all vertices."""
+    den = lcm(*(theta[v].denominator for v in order))
+    prefix = [0]
+    for v in order:
+        t = theta[v]
+        prefix.append(prefix[-1] + t.numerator * (den // t.denominator))
+    return [[(Fraction(c * den + prefix[k], den), Fraction(y))
+             for c, y, k in cyc] for cyc in cycles]
 
 
 def _on_grid(points, unit):
@@ -468,7 +435,7 @@ def _on_grid(points, unit):
 def _double_heights(cycle):
     """Twice the height z = integral of y dx at each vertex of a closed
     polyline from 0 at vertex 0, then once more after the closing segment:
-    integers (or integer forms) on integer coordinates (or forms)."""
+    integers on integer coordinates."""
     zs = [0]
     for i, a in enumerate(cycle):
         b = cycle[(i + 1) % len(cycle)]
@@ -983,39 +950,60 @@ class Letter(NamedTuple):
     arcs: Tuple[int, ...]
 
 
-def _sizing_rows(front: FrontCode, cycles, crossings, action_margin):
+def _sizing_rows(cycles, order, crossings, action_margin):
     """The template LP as (number of variables, eq rows, ge rows).
 
     The variables are the template sizes theta, then a height shift
     s+ - s- per component after the first.  Every closure integral must
     vanish and every crossing must keep a z-gap (high strand minus low
     strand) of at least ``action_margin``.  Both are affine in theta and
-    are read off the symbolic template in one pass, at the crossings that
-    ``_template`` found.
+    are read off the template in one pass, at the crossings that
+    ``_template`` found.  Twice a height is an integer constant and a
+    difference array over ``order``: a segment from k to k' adds y + y'
+    on [k, k'), and one prefix sum turns the array into coefficients,
+    halved once, in the rows.  A crossing's branches run along diagonals
+    laid out at one k, so from a vertex to the chord point adds a constant.
     """
-    n_comp = front.n_components
-    n_geom = len(front.events) + sum(1 for k, _ in front.events if k == "R")
-    n_shift = 2 * (n_comp - 1)
-    base = [[(x.const, y) for x, y in cyc] for cyc in cycles]
-    # twice the heights, as integer forms: halved once, in the rows
-    heights = [_double_heights(cyc) for cyc in cycles]
+    n_geom, n_shift = len(order), 2 * (len(cycles) - 1)
+    wanted = {end for _, over, under in crossings for end in (over, under)}
+    # twice the height at each chord end's segment start, and after each
+    # component's closing segment
+    heights = {}
+    closures = []
+    for ci, cyc in enumerate(cycles):
+        const, diff = 0, [0] * (n_geom + 1)
+        for si, ((ca, ya, ka), (cb, yb, kb)) in enumerate(
+                zip(cyc, cyc[1:] + cyc[:1])):
+            if (ci, si) in wanted:
+                heights[ci, si] = (const, list(diff))
+            const += (ya + yb) * (cb - ca)
+            diff[ka] += ya + yb
+            diff[kb] -= ya + yb
+        closures.append((const, diff))
 
-    def row(form):
-        return [Fraction(form.coef.get(k, 0), 2) for k in range(n_geom)]
+    def row(diff):
+        coef, acc = [Fraction(0)] * n_geom, 0
+        for v, step in zip(order, diff):
+            acc += step
+            coef[v] = Fraction(acc, 2)
+        return coef
 
-    eq = [(row(zs[-1]) + [Fraction(0)] * n_shift, Fraction(-zs[-1].const, 2))
-          for zs in heights]
+    eq = [(row(diff) + [Fraction(0)] * n_shift, Fraction(-const, 2))
+          for const, diff in closures]
     ge = []
     for p, over, under in crossings:
-        gap, shift = _Affine(0), [Fraction(0)] * n_shift
-        for (ci, si), sgn in ((over, 1), (under, -1)):
-            a = base[ci][si]
-            gap = gap + sgn * (heights[ci][si]
-                               + (a[1] + p[1]) * (p[0] - a[0]))
+        (z_hi, d_hi), (z_lo, d_lo) = heights[over], heights[under]
+        (c_hi, y_hi, _), (c_lo, y_lo, _) = (cycles[ci][si] for ci, si
+                                            in (over, under))
+        gap = z_hi + (y_hi + p[1]) * (p[0] - c_hi) \
+            - z_lo - (y_lo + p[1]) * (p[0] - c_lo)
+        shift = [Fraction(0)] * n_shift
+        for ci, sgn in ((over[0], 1), (under[0], -1)):
             if ci > 0:
                 shift[2 * (ci - 1)] += sgn
                 shift[2 * (ci - 1) + 1] -= sgn
-        ge.append((row(gap) + shift, action_margin - Fraction(gap.const, 2)))
+        ge.append((row([a - b for a, b in zip(d_hi, d_lo)]) + shift,
+                   action_margin - Fraction(gap, 2)))
     return n_geom + n_shift, eq, ge
 
 
@@ -1036,16 +1024,15 @@ def resolve(front: FrontCode, action_margin: Fraction = Fraction(32)
     from .lp import solve_lp
 
     try:
-        cycles, crossings = _template(front)
-        n_var, eq, ge = _sizing_rows(front, cycles, crossings, action_margin)
+        cycles, order, crossings = _template(front)
+        n_var, eq, ge = _sizing_rows(cycles, order, crossings, action_margin)
         theta = solve_lp(n_var, eq, ge, minimize=[Fraction(1)] * n_var)
         if theta is None:
             raise DiagramError(
                 "no template sizing realizes this front in good position")
-        n_geom = n_var - 2 * (front.n_components - 1)
         shifts = [Fraction(0)] + [theta[k] - theta[k + 1]
-                                  for k in range(n_geom, n_var, 2)]
-        return ResolvedDiagram(front, _evaluate(cycles, theta),
+                                  for k in range(len(order), n_var, 2)]
+        return ResolvedDiagram(front, _evaluate(cycles, order, theta),
                                [(o, u) for _, o, u in crossings], shifts)
     except FrontError:
         raise

@@ -237,12 +237,17 @@ def _crossings(pieces) -> Optional[Tuple[int, ...]]:
 
 
 def _step(d: ResolvedDiagram, comp: int, k: int, offset: Fraction) -> _Piece:
-    """The piece along passage arc k of comp."""
+    """The piece along passage arc k of comp.  The arc is the diagram's
+    own, so a ValueError of the offset is an internal fault."""
     key = ("step", comp, k, offset)
     if key not in d.memo:
-        arc = offset_polyline(d.passage_arcs[comp][k],
-                              "left" if d.surgery[comp] == 1 else "right",
-                              offset)
+        try:
+            arc = offset_polyline(d.passage_arcs[comp][k],
+                                  "left" if d.surgery[comp] == 1
+                                  else "right", offset)
+        except ValueError as exc:
+            raise DiagramError(f"push-out fault on passage arc {k} of "
+                               f"component {comp}: {exc}") from exc
         points = [arc[0]] + [q for p, q in zip(arc, arc[1:]) if q != p]
         d.memo[key] = _piece(d, points)
     return d.memo[key]

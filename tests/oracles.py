@@ -546,8 +546,8 @@ class Segment(object):
         """Parameter t in [0, 1] of a point assumed to lie on the segment."""
         d = sub(self.b, self.a)
         if d[0] != 0:
-            return (p[0] - self.a[0]) / d[0]
-        return (p[1] - self.a[1]) / d[1]
+            return Fraction(p[0] - self.a[0], d[0])
+        return Fraction(p[1] - self.a[1], d[1])
 
     def point_at(self, t):
         return (self.a[0] + t * (self.b[0] - self.a[0]),
@@ -585,8 +585,8 @@ def segment_intersection(s1, s2):
             raise ValueError(f"collinear overlap between {s1} and {s2}")
         return None
     w = sub(s2.a, s1.a)
-    t = cross(w, d2) / denom
-    u = cross(w, d1) / denom
+    t = Fraction(cross(w, d2), denom)
+    u = Fraction(cross(w, d1), denom)
     if 0 <= t <= 1 and 0 <= u <= 1:
         return s1.point_at(t)
     return None
@@ -628,13 +628,14 @@ def crossing_z_gaps(components, slabs):
     """{event: (z-gap, high comp, low comp)} of concrete oriented cycles.
 
     The gap is z of the slope -1 branch minus z of the other one, with each
-    component's z starting at 0 on its first vertex."""
+    component's z starting at 0 on its first vertex.  Twice each height is
+    summed first and halved once, as a ``Fraction``."""
     segments = cycle_segments(components)
     zlists = []
     for segs in segments:
-        zs = [Fraction(0)]
+        zs = [0]
         for s in segs:
-            zs.append(zs[-1] + (s.a[1] + s.b[1]) * (s.b[0] - s.a[0]) / 2)
+            zs.append(zs[-1] + (s.a[1] + s.b[1]) * (s.b[0] - s.a[0]))
         zlists.append(zs)
     gaps = {}
     for p, branches in all_pairs_double_points(segments).items():
@@ -642,7 +643,8 @@ def crossing_z_gaps(components, slabs):
 
         def z_at(ci, si):
             s = segments[ci][si]
-            return zlists[ci][si] + (s.a[1] + p[1]) * (p[0] - s.a[0]) / 2
+            return Fraction(zlists[ci][si]
+                            + (s.a[1] + p[1]) * (p[0] - s.a[0]), 2)
 
         over, under = sorted(
             branches, key=lambda b: segments[b[0]][b[1]].octant not in (3, 7))
@@ -652,48 +654,56 @@ def crossing_z_gaps(components, slabs):
     return gaps
 
 
+def template_at(front, theta):
+    """(components, slabs) of a front's template at the sizes theta: a
+    vertex (c, y, k) of the layout is at x = c plus the running sum of
+    theta over the first k entries of its size order, and each component
+    is merged at theta on its own and oriented.  Integer sizes give
+    integer coordinates, ``Fraction`` sizes ``Fraction``s."""
+    from reebchords.diagram import _assemble_components, _build_wires
+    from reebchords.geometry import merge_collinear
+
+    wires, slabs, order = _build_wires(front)
+    sums = list(itertools.accumulate((theta[v] for v in order), initial=0))
+    comps = []
+    for i, cyc in enumerate(_assemble_components(front, wires)):
+        cyc = merge_collinear([(c + sums[k], y) for c, y, k in cyc])
+        if front.orientations.get(i, 1) == 1:
+            cyc = cyc[::-1]
+        comps.append(cyc)
+    return comps, [(a + sums[ka], b + sums[kb])
+                   for (a, ka), (b, kb) in slabs]
+
+
 def fd_sizing_rows(front, action_margin):
     """The template LP (number of variables, eq rows, ge rows) by finite
     differences.
 
-    The template is rebuilt with rational sizes at theta = 0 and at every
-    unit vector; each rebuild measures its closure integrals and, by an
-    all-pairs scan, its crossing z-gaps.  Rational sizes make every
-    x-coordinate a constant form.
+    The template is evaluated in integers at theta = 0 and at every unit
+    vector, each instance merged on its own; each measures its closure
+    integrals and, by an all-pairs scan, its crossing z-gaps, dividing
+    only through ``Fraction``.
     """
-    from reebchords.diagram import _assemble_components, _build_wires
-    from reebchords.geometry import merge_collinear, polyline_integral_y_dx
-
-    r_events = [i for i, (k, _) in enumerate(front.events) if k == "R"]
     x_events = [i for i, (k, _) in enumerate(front.events)
                 if k in ("X", "R")]
     n_comp = front.n_components
-    n_geom = len(r_events) + len(front.events)
+    n_geom = front.n_right_cusps + len(front.events)
     n_shift = 2 * (n_comp - 1)
 
     def measure(theta):
-        stretches = {ev: 2 + theta[i] for i, ev in enumerate(r_events)}
-        spacings = {ev: theta[len(r_events) + ev]
-                    for ev in range(len(front.events))}
-        wires, slabs = _build_wires(front, stretches, spacings)
-        comps = []
-        for i, cyc in enumerate(_assemble_components(front, wires)):
-            assert all(not x.coef for x, _ in cyc)
-            cyc = merge_collinear([(x.const, y) for x, y in cyc])
-            if front.orientations.get(i, 1) == 1:
-                cyc = cyc[::-1]
-            comps.append(cyc)
-        gaps = crossing_z_gaps(comps, [(a.const, b.const) for a, b in slabs])
+        comps, slabs = template_at(front, theta)
+        gaps = crossing_z_gaps(comps, slabs)
         assert sorted(gaps) == x_events
-        return ([polyline_integral_y_dx(c) for c in comps],
-                [gaps[ev] for ev in x_events])
+        closures = [Fraction(sum((a[1] + b[1]) * (b[0] - a[0]) for a, b in
+                                 zip(c, c[1:] + c[:1])), 2) for c in comps]
+        return closures, [gaps[ev] for ev in x_events]
 
-    zero = [Fraction(0)] * n_geom
+    zero = [0] * n_geom
     base_close, base_gaps = measure(zero)
     cols = []
     for k in range(n_geom):
         unit = list(zero)
-        unit[k] = Fraction(1)
+        unit[k] = 1
         close, gaps = measure(unit)
         cols.append([v - b for v, b in zip(close, base_close)]
                     + [g - b for (g, _, _), (b, _, _) in zip(gaps, base_gaps)])
@@ -713,24 +723,16 @@ def fd_sizing_rows(front, action_margin):
 
 # -- the realization in Fractions --------------------------------------------
 
-def affine_at(form, theta):
-    """Value of a template form ``const + sum(coef[k] * theta[k])`` at the
-    sizes theta, term by term in Fractions."""
-    return form.const + sum(v * theta[k] for k, v in form.coef.items()
-                            if theta[k])
-
-
 def fraction_components(front, action_margin=Fraction(32)):
     """The components of a front's template at its sizing LP's solution,
-    every form evaluated by ``affine_at``."""
+    evaluated and merged in Fractions by ``template_at``."""
     from reebchords.diagram import _sizing_rows, _template
     from reebchords.lp import solve_lp
 
-    cycles, crossings = _template(front)
-    n, eq, ge = _sizing_rows(front, cycles, crossings, action_margin)
+    n, eq, ge = _sizing_rows(*_template(front), action_margin)
     theta = solve_lp(n, eq, ge, [Fraction(1)] * n)
-    return [[(affine_at(x, theta), Fraction(y)) for x, y in cyc]
-            for cyc in cycles]
+    return [[(Fraction(x), Fraction(y)) for x, y in cyc]
+            for cyc in template_at(front, theta)[0]]
 
 
 def polygon_signed_area(points):

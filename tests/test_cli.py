@@ -368,6 +368,21 @@ def test_exit_code_3_on_a_basepoint_on_the_curve(tmp_path, capsys,
     assert "winding test point lies on the curve" in err
 
 
+def test_exit_code_3_on_a_push_out_fault(tmp_path, capsys, monkeypatch):
+    # a geometry helper's ValueError while offsetting a passage arc of the
+    # resolved diagram is an internal fault
+    def no_octant(a, b):
+        raise ValueError(f"segment {a}->{b} is not at a multiple of 45 "
+                         f"degrees")
+
+    monkeypatch.setattr("reebchords.geometry.direction_octant", no_octant)
+    path = write(tmp_path, "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")
+    code, out, err = run(capsys, ["grading", "--max-len", "2", "--input",
+                                  path])
+    assert code == 3 and out == ""
+    assert "push-out fault" in err and "multiple of 45 degrees" in err
+
+
 def test_exit_code_3_on_an_unbounded_sizing_lp(tmp_path, capsys,
                                                monkeypatch):
     # every simplex run of the second phase reports an unbounded objective

@@ -255,6 +255,32 @@ def test_sweep_passes_parallel_segments_on_two_lines():
                            [(-2, 0), (0, 2), (-2, 2)]]) == []
 
 
+@pytest.mark.parametrize("event", [0, 2, 5])
+def test_a_diagonal_stretched_by_a_size_is_a_fault(monkeypatch, event):
+    # the far end of the first diagonal laid out in a left cusp, a crossing
+    # or a right cusp moved past one more size: the segment would tilt as
+    # that size grows
+    from reebchords import diagram
+
+    original = diagram._build_wires
+
+    def moved(front):
+        wires, slabs, order = original(front)
+        (lo, k), (hi, _) = slabs[event]
+        for w in wires.values():
+            pts = w.points
+            for i, (a, b) in enumerate(zip(pts, pts[1:])):
+                if lo <= a[0] <= hi and a[2] == b[2] == k and \
+                        0 != abs(b[1] - a[1]) == abs(b[0] - a[0]):
+                    pts[i + 1] = (b[0], b[1], k + 1)
+                    return wires, slabs, order
+        raise AssertionError(f"no diagonal in event {event}")
+
+    monkeypatch.setattr(diagram, "_build_wires", moved)
+    with pytest.raises(DiagramError, match="not stretched along the sizes"):
+        resolve(parse_front("L1,L3,X2,X2,X2,R1,R1"))
+
+
 @pytest.mark.parametrize("swap", ["branches", "under strands"])
 def test_a_crossing_pair_whose_segments_do_not_meet_is_a_fault(
         trefoil_plus, swap):

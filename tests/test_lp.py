@@ -43,8 +43,7 @@ def check_same(n, eq, ge, minimize):
 
 
 def check_sizing_lp(front):
-    cycles, crossings = _template(front)
-    n, eq, ge = _sizing_rows(front, cycles, crossings, F(32))
+    n, eq, ge = _sizing_rows(*_template(front), F(32))
     theta = check_same(n, eq, ge, [F(1)] * n)
     assert isinstance(theta, list) and all(isinstance(v, Fraction)
                                            for v in theta)
