@@ -28,8 +28,8 @@ chord points from the crossing pairs, heights, lengths, face areas and
 basepoint tests; its public fields stay ``Fraction``s.  Every double point
 crosses two diagonals, so the faces are the cycles of passage arcs that
 turn left at every chord; corner signs, quadrants and rotation numbers are
-read off the passage records.  A face's basepoint is a small step into a
-corner wedge.
+read off the passage records.  A face's basepoint is one unit into its
+first corner's wedge; one within 1/2 of a segment is a fault.
 """
 
 import json
@@ -193,12 +193,10 @@ def _parse_assoc(body: str, what: str) -> Dict[int, str]:
         if ":" not in item:
             raise FrontError(f"bad {what} entry {item!r}")
         key, val = item.split(":", 1)
-        key = key.strip()
-        if not key.lstrip("-").isdigit():
-            raise FrontError(f"bad component id {key!r}")
-        if int(key) in out:
-            raise FrontError(f"component {key} given twice in {what} block")
-        out[int(key)] = val.strip()
+        cid = _integer(key.strip(), "component id")
+        if cid in out:
+            raise FrontError(f"component {cid} given twice in {what} block")
+        out[cid] = val.strip()
     return out
 
 
@@ -826,40 +824,41 @@ class ResolvedDiagram(object):
             f.basepoint = self._basepoint_for(f, index)
 
     def _basepoint_for(self, face, index):
-        # every corner's wedge opens along the axis its quadrant names; step
-        # into it from the double point by 1, 1/2, ..., 1/256.  The tests
-        # run over m = 1024 * _scale, where each step and its half are
-        # integers, and so is every chord point (it lies on the half grid)
-        m = 1024 * self._scale
-        ring = _on_grid(face.boundary, m)
-        for k in range(9):
-            for cid, quad, _sign in face.corners:
-                [(qx, qy)] = _on_grid([self.chords[cid - 1].point], m)
-                dx, dy = QUADRANT_VECTORS[quad]
-                p = (qx + (m >> k) * dx, qy + (m >> k) * dy)
-                if self._good_basepoint(p, ring, index, m >> k + 1):
-                    return Fraction(p[0], m), Fraction(p[1], m)
-        raise DiagramError(f"no basepoint found for face {face.id}")
+        # one unit into the first corner's wedge (along its quadrant's axis)
+        # clears every segment by more than 1/2: the double point crosses two
+        # diagonals, and events lie on integer units with slabs 4 apart and
+        # sizes stretching only horizontals, so no other segment is within a
+        # unit.  m = 2 * _scale puts the step, its half and chord points on
+        # integers
+        m = 2 * self._scale
+        cid, quad, _sign = face.corners[0]
+        [(qx, qy)] = _on_grid([self.chords[cid - 1].point], m)
+        dx, dy = QUADRANT_VECTORS[quad]
+        p = (qx + m * dx, qy + m * dy)
+        if not self._good_basepoint(p, _on_grid(face.boundary, m), index,
+                                    self._scale):
+            raise DiagramError(f"no basepoint found for face {face.id}")
+        return Fraction(p[0], m), Fraction(p[1], m)
 
     @staticmethod
     def _good_basepoint(p, ring, index, clear):
-        # p and clear are over 1024 * _scale, the boxes over _scale, so the
-        # box reach is p -+ clear shifted right by 10 bits (ceiling, floor).
-        # A segment a -> a + d comes within clear of p at an end, or between
-        # them where |w x d|^2 <= clear^2 |d|^2 (w = p - a).  A crossing lies
-        # on a segment: clearing the segments clears it too
+        # p and clear are over 2 * _scale, the boxes over _scale, so the box
+        # reach is p -+ clear shifted right by one bit (ceiling, floor).
+        # A segment a -> a + d comes within clear of p at a (its end a + d
+        # starts the next segment), or between its ends where
+        # |w x d|^2 <= clear^2 |d|^2 (w = p - a).  A crossing lies on a
+        # segment: clearing the segments clears it too
         (px, py), (lefts, boxes), cc = p, index, clear * clear
-        lo_x, lo_y = (-((clear - v) >> 10) for v in p)
-        hi_x, hi_y = ((v + clear) >> 10 for v in p)
+        lo_x, lo_y = (-((clear - v) >> 1) for v in p)
+        hi_x, hi_y = ((v + clear) >> 1 for v in p)
         for _, x_hi, y_lo, y_hi, _, _, ax, ay, dx, dy in \
                 boxes[:bisect_right(lefts, hi_x)]:
             if x_hi < lo_x or y_lo > hi_y or y_hi < lo_y:
                 continue
-            wx, wy = px - (ax << 10), py - (ay << 10)
-            ex, ey = wx - (dx << 10), wy - (dy << 10)
+            wx, wy = px - (ax << 1), py - (ay << 1)
             wd, dd = wx * dx + wy * dy, dx * dx + dy * dy
-            if wx * wx + wy * wy <= cc or ex * ex + ey * ey <= cc or \
-                    0 < wd < dd << 10 and (wx * dy - wy * dx) ** 2 <= cc * dd:
+            if wx * wx + wy * wy <= cc or \
+                    0 < wd < dd << 1 and (wx * dy - wy * dx) ** 2 <= cc * dd:
                 return False
         try:
             return winding_number(ring, p) == 1

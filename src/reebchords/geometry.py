@@ -57,14 +57,11 @@ def turn_octants(o_in: int, o_out: int) -> int:
 
 
 def polyline_integral_y_dx(points: Sequence[Point]) -> Fraction:
-    """Exact integral of y dx around the closed polyline (trapezoid rule)."""
-    total = Fraction(0)
-    n = len(points)
-    for i in range(n):
-        a = points[i]
-        b = points[(i + 1) % n]
-        total += (a[1] + b[1]) * (b[0] - a[0]) / 2
-    return total
+    """Exact integral of y dx around the closed polyline (trapezoid rule),
+    halved once through ``Fraction``, so integer points stay exact."""
+    twice = sum((points[i - 1][1] + p[1]) * (p[0] - points[i - 1][0])
+                for i, p in enumerate(points))
+    return Fraction(twice, 2)
 
 
 def winding_number(points: Sequence[Point], p: Point,

@@ -4,10 +4,10 @@ The quiver has one vertex per link component and one directed edge per
 chord; its cycles index closed-orbit words.
 The intersection grading assigns to each null-homologous orbit collection
 an integer per bounded face: the push-out's winding numbers (sums of
-per-piece tables, see ``words``) plus a meridian-disk correction for its
-linking vector, which is the orbit's class vector, solved through the Smith
-form of the surgery relation matrix.  No curve is wound here except each
-component, once per diagram.
+per-piece tables at the one offset ``words.PUSH_OFF``, never retried) plus
+a meridian-disk correction for its linking vector, which is the orbit's
+class vector, solved through the Smith form of the surgery relation matrix.
+No curve is wound here except each component, once per diagram.
 """
 
 from fractions import Fraction
@@ -60,16 +60,7 @@ def effective_fiber_vector(d: ResolvedDiagram, h1: H1Presentation,
     key = ("fiber", w.chords)
     if key in d.memo:
         return d.memo[key]
-    # a degenerate tangency with a basepoint fiber regenerates the push-out
-    # at a smaller offset
-    offset = Fraction(1, 8)
-    for _attempt in range(8):
-        windings = push_out(d, w, offset)
-        if windings is not None:
-            break
-        offset /= 2
-    else:
-        raise DiagramError("push-out keeps hitting a basepoint fiber")
+    windings = push_out(d, w)
     sol = h1.solve([-v for v in orbit_class_monomial(d, h1, w).vector])
     comp_w = _component_windings(d)
     vec = []

@@ -6,13 +6,14 @@ zero-coefficient sublink by open words.  This module enumerates both within
 length/action bounds, canonicalizes cyclic rotation, and winds the planar
 push-out curves used for intersection gradings around the face basepoints.
 
-A push-out is made of pieces, each built once per diagram and offset, with
-its end points and its ray crossings at every face basepoint; a word's
-winding numbers are exact sums over its pieces.  Only the step pieces, one
-per passage interval (a component's stretch between consecutive chord
-passages), are offset and wound: the capping arc of a composable pair runs
-over the passage arcs its letter (``ResolvedDiagram.letter``) lists, and a
-jump at each chord closes the gaps.  A push-out's linking numbers are its
+A push-out is made of pieces, each built once per diagram at the one offset
+``PUSH_OFF``, with its end points and its ray crossings at every face
+basepoint; a word's winding numbers are exact sums over its pieces.  Only
+the step pieces, one per passage interval (a component's stretch between
+consecutive chord passages), are offset and wound: the capping arc of a
+composable pair runs over the passage arcs its letter
+(``ResolvedDiagram.letter``) lists, and a jump at each chord closes the
+gaps.  A push-out's linking numbers are its
 orbit class, which ``homology`` sums from the letters' crossing monomials.
 """
 
@@ -21,6 +22,13 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .diagram import DiagramError, ResolvedDiagram
 from .geometry import offset_polyline, winding_number
+
+# The side offset of every push-out piece.  offset_polyline moves no point
+# more than sqrt(5)/8 < 0.28 (over all octant turns the worst case is a 135
+# degree corner), and every face basepoint clears every segment of the
+# diagram by more than 1/2, so no piece touches a basepoint and the
+# windings are those at any smaller offset.
+PUSH_OFF = Fraction(1, 8)
 
 
 class Word(object):
@@ -214,37 +222,37 @@ def enumerate_chord_words(d: ResolvedDiagram,
 class _Piece(NamedTuple):
     """An open piece of push-out curves: ``start`` and ``end`` are its end
     points, ``crossings`` its signed crossings of the leftward ray from each
-    face basepoint, None when it touches one."""
+    face basepoint."""
     start: Tuple
     end: Tuple
-    crossings: Optional[Tuple[int, ...]]
+    crossings: Tuple[int, ...]
 
 
 def _piece(d: ResolvedDiagram, points) -> _Piece:
+    """A piece through a basepoint is a fault: ``PUSH_OFF`` keeps them off."""
     try:
         crossings = tuple(winding_number(points, f.basepoint, closed=False)
                           for f in d.faces_list)
-    except ValueError:
-        crossings = None
+    except ValueError as exc:
+        raise DiagramError(f"push-out piece meets a face basepoint: "
+                           f"{exc}") from exc
     return _Piece(points[0], points[-1], crossings)
 
 
-def _crossings(pieces) -> Optional[Tuple[int, ...]]:
-    """The entrywise sum of the pieces' crossings, None if one is None."""
-    if any(piece.crossings is None for piece in pieces):
-        return None
+def _crossings(pieces) -> Tuple[int, ...]:
+    """The entrywise sum of the pieces' crossings."""
     return tuple(map(sum, zip(*(piece.crossings for piece in pieces))))
 
 
-def _step(d: ResolvedDiagram, comp: int, k: int, offset: Fraction) -> _Piece:
+def _step(d: ResolvedDiagram, comp: int, k: int) -> _Piece:
     """The piece along passage arc k of comp.  The arc is the diagram's
     own, so a ValueError of the offset is an internal fault."""
-    key = ("step", comp, k, offset)
+    key = ("step", comp, k)
     if key not in d.memo:
         try:
             arc = offset_polyline(d.passage_arcs[comp][k],
                                   "left" if d.surgery[comp] == 1
-                                  else "right", offset)
+                                  else "right", PUSH_OFF)
         except ValueError as exc:
             raise DiagramError(f"push-out fault on passage arc {k} of "
                                f"component {comp}: {exc}") from exc
@@ -253,49 +261,47 @@ def _step(d: ResolvedDiagram, comp: int, k: int, offset: Fraction) -> _Piece:
     return d.memo[key]
 
 
-def _arc(d: ResolvedDiagram, j1: int, j2: int, offset: Fraction) -> _Piece:
+def _arc(d: ResolvedDiagram, j1: int, j2: int) -> _Piece:
     """The push-out piece along the capping arc of r_j1 r_j2, memoized: the
     steps along the letter's passage arcs, from r_j1's tip passage to r_j2's
     tail passage.  Chord points lie inside segments, so the whole arc's
     offset passes through each shifted passage point, and its crossings are
     the steps' sums."""
-    key = ("arc", j1, j2, offset)
+    key = ("arc", j1, j2)
     if key not in d.memo:
         comp = d.chord(j1).tip_comp
         if d.surgery[comp] == 0:
             raise DiagramError(f"capping arc of r{j1}r{j2} rides an "
                                f"unsurgered component")
-        steps = [_step(d, comp, k, offset) for k in d.letter(j1, j2).arcs]
+        steps = [_step(d, comp, k) for k in d.letter(j1, j2).arcs]
         d.memo[key] = _Piece(steps[0].start, steps[-1].end,
                              _crossings(steps))
     return d.memo[key]
 
 
-def _jump(d: ResolvedDiagram, j: int, offset: Fraction, a, b) -> _Piece:
+def _jump(d: ResolvedDiagram, j: int, a, b) -> _Piece:
     """The push-out piece at chord j from arc end a to arc start b, memoized.
 
-    a and b depend only on j and the offset (an arc's end segment is the
-    one through the chord), so they are not in the key.
+    a and b depend only on j (an arc's end segment is the one through the
+    chord), so they are not in the key.
     """
-    key = ("jump", j, offset)
+    key = ("jump", j)
     if key not in d.memo:
         d.memo[key] = _piece(d, [a, b] if a != b else [a])
     return d.memo[key]
 
 
-def push_out(d: ResolvedDiagram, w: CyclicWord,
-             offset: Fraction = Fraction(1, 8)) -> Optional[Tuple[int, ...]]:
+def push_out(d: ResolvedDiagram, w: CyclicWord) -> Tuple[int, ...]:
     """Winding numbers of the orbit of w homotoped off the surgery handles
-    around the face basepoints, in ``faces_list`` order; None when the
-    curve passes through a basepoint.
+    around the face basepoints, in ``faces_list`` order.
 
-    The curve follows each capping arc at a small offset: on the left of the
-    component when its coefficient is +1, on the right when -1 (sides taken
-    relative to the direction of travel), and jumps across each chord of
-    the word.  Its windings are the sums of those of the memoized arc and
-    jump pieces; the curve itself is never assembled.
+    The curve follows each capping arc at the offset ``PUSH_OFF``: on the
+    left of the component when its coefficient is +1, on the right when -1
+    (sides taken relative to the direction of travel), and jumps across
+    each chord of the word.  Its windings are the sums of those of the
+    memoized arc and jump pieces; the curve itself is never assembled.
     """
-    arcs = [_arc(d, j1, j2, offset) for j1, j2 in w.pairs()]
-    jumps = [_jump(d, j, offset, arcs[k - 1].end, arcs[k].start)
+    arcs = [_arc(d, j1, j2) for j1, j2 in w.pairs()]
+    jumps = [_jump(d, j, arcs[k - 1].end, arcs[k].start)
              for k, j in enumerate(w.chords)]
     return _crossings(arcs + jumps)

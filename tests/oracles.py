@@ -1032,6 +1032,23 @@ def whole_arc_piece(d, j1, j2, side, offset):
     return points[0], points[-1], crossings
 
 
+def unshifted_windings(d, w):
+    """Windings of the orbit of w around the face basepoints, read off the
+    unshifted passage arcs: the ray crossings of each letter's passage arcs
+    as open pieces, summed.  The arcs of a cyclic word close up at its chord
+    points, so no offset and no jump enters."""
+    from reebchords.geometry import winding_number
+
+    totals = [0] * len(d.faces_list)
+    for j1, j2 in w.pairs():
+        arcs = d.passage_arcs[d.chord(j1).tip_comp]
+        for k in d.letter(j1, j2).arcs:
+            for i, f in enumerate(d.faces_list):
+                totals[i] += winding_number(arcs[k], f.basepoint,
+                                            closed=False)
+    return tuple(totals)
+
+
 def pushout_linking(d, w, sides):
     """{component: linking number} of the push-out of w along ``sides``:
     half the arc passes past chord endpoints plus the local terms at each

@@ -368,6 +368,42 @@ def test_exit_code_3_on_a_basepoint_on_the_curve(tmp_path, capsys,
     assert "winding test point lies on the curve" in err
 
 
+def test_exit_code_3_on_a_basepoint_on_a_push_out_step(tmp_path, capsys,
+                                                      monkeypatch):
+    # a face basepoint planted inside the first offset step of the trefoil's
+    # passage arcs: push-outs have one offset, so this is an internal fault
+    from reebchords.diagram import ResolvedDiagram
+    from reebchords.geometry import offset_polyline
+    from reebchords.words import PUSH_OFF
+
+    original = ResolvedDiagram._pick_basepoints
+
+    def on_a_step(self):
+        original(self)
+        (ax, ay), (bx, by) = offset_polyline(self.passage_arcs[0][0], "left",
+                                             PUSH_OFF)[:2]
+        self.faces_list[0].basepoint = ((ax + bx) / 2, (ay + by) / 2)
+
+    monkeypatch.setattr(ResolvedDiagram, "_pick_basepoints", on_a_step)
+    path = write(tmp_path, "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")
+    code, out, err = run(capsys, ["grading", "--max-len", "2", "--input",
+                                  path])
+    assert code == 3 and out == ""
+    assert "push-out piece meets a face basepoint" in err
+
+
+def test_exit_code_3_on_a_rejected_basepoint(tmp_path, capsys, monkeypatch):
+    # the one candidate basepoint of each face fails its check
+    from reebchords.diagram import ResolvedDiagram
+
+    monkeypatch.setattr(ResolvedDiagram, "_good_basepoint",
+                        staticmethod(lambda *args: False))
+    path = write(tmp_path, "L1,L3,X2,X2,X2,R1,R1")
+    code, out, err = run(capsys, ["invariants", "--input", path])
+    assert code == 3 and out == ""
+    assert "no basepoint found for face 1" in err
+
+
 def test_exit_code_3_on_a_push_out_fault(tmp_path, capsys, monkeypatch):
     # a geometry helper's ValueError while offsetting a passage arc of the
     # resolved diagram is an internal fault

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (Segment, capping_walk, cycle_segments,
                      front_writhe_and_cusp_counts, point_segment_distance_sq,
@@ -56,6 +56,10 @@ def test_parse_json_equivalent():
     "L1,R1 / surgery {0:5}",
     "L1,R1 / orientations {0:2}",
     "L1,R1 / bogus {0:1}",
+    # component ids that pass a digits-after-minus test, not integers
+    "L1,R1 / surgery {--0:+1}",
+    "L1,R1 / surgery {\u00b2:+1}",
+    "L1,R1 / orientations {--0:-}",
 ])
 def test_parse_errors(text):
     with pytest.raises(FrontError):
@@ -298,31 +302,32 @@ def test_a_crossing_pair_whose_segments_do_not_meet_is_a_fault(
         ResolvedDiagram(d.front, d.components, pairs, d.z_shifts)
 
 
-# -- the basepoint test's integer distance check -------------------------------
-# Segments a -> a + n * (octant vector) on the integer grid (scale 1), a test
-# point over 1024 on a grid of 1/8 so that distances tie with the clearance,
-# and a square ring that winds once around every test point.
+# -- the basepoint test's integer distance check ------------------------------
+# Segments a -> a + n * (octant vector) on the integer grid of the boxes, a
+# test point and a clearance over 2 (the half grid, where the library's
+# points lie) so that distances tie with the clearance, and a square ring
+# that winds once around every test point.  The library's clearance is the
+# scale S over 2S; here it runs over every S from 1 to 6.
 
-SQUARE_RING = [(-10240, -10240), (10240, -10240), (10240, 10240),
-               (-10240, 10240)]
+SQUARE_RING = [(-64, -64), (64, -64), (64, 64), (-64, 64)]
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
-                          st.integers(0, 7), st.integers(1, 3)),
+                          st.integers(0, 7), st.integers(1, 4)),
                 min_size=1, max_size=4),
-       st.integers(-48, 48), st.integers(-48, 48), st.integers(0, 8))
+       st.integers(-16, 16), st.integers(-16, 16), st.integers(1, 6))
+# within the clearance of a segment's second half only
+@example([(0, 0, 0, 4)], 5, 1, 2)
 def test_basepoint_clearance_is_the_distance_to_every_segment(
-        ends, px, py, k):
+        ends, px, py, clear):
     # each segment a closed polyline a -> b -> a of its own
     polys = [[(x, y), (x + n * dx, y + n * dy)]
              for x, y, o, n in ends for dx, dy in [OCTANT_VECTORS[o]]]
     boxes = _integer_boxes(polys)
-    p, clear = (128 * px, 128 * py), 1024 >> k
     clear_of_all = all(
-        point_segment_distance_sq((F(p[0], 1024), F(p[1], 1024)),
-                                  Segment(a, b)) > F(clear, 1024) ** 2
-        for a, b in polys)
+        point_segment_distance_sq((F(px, 2), F(py, 2)), Segment(a, b))
+        > F(clear, 2) ** 2 for a, b in polys)
     assert ResolvedDiagram._good_basepoint(
-        p, SQUARE_RING, ([box[0] for box in boxes], boxes), clear) == \
+        (px, py), SQUARE_RING, ([box[0] for box in boxes], boxes), clear) == \
         clear_of_all

@@ -77,6 +77,11 @@ def test_integral_and_area():
     assert polyline_integral_y_dx(SQUARE[::-1]) == 16
 
 
+def test_integral_is_exact_on_integer_points():
+    value = polyline_integral_y_dx([(0, 0), (3, 0), (3, 1)])
+    assert type(value) is Fraction and value == Fraction(-3, 2)
+
+
 def test_offset_polyline_sides():
     path = [(F(0), F(0)), (F(4), F(0)), (F(8), F(4))]
     left = offset_polyline(path, "left", F(1, 2))

@@ -16,8 +16,9 @@ from oracles import (all_orbit_strings, all_pairs_double_points,
                      orbit_class_pushout, polygon_signed_area,
                      pushout_linking, trace_faces_by_points, turning_number)
 from reebchords import diagram
-from reebchords.diagram import (DiagramError, FrontCode, _sizing_rows,
-                                _template, parse_front, resolve)
+from reebchords.diagram import (QUADRANT_VECTORS, DiagramError, FrontCode,
+                                _sizing_rows, _template, parse_front,
+                                resolve)
 from reebchords.geometry import polyline_integral_y_dx
 from reebchords.homology import h1_presentation, orbit_class_monomial
 from reebchords.report import GeneratorRecord
@@ -205,9 +206,13 @@ def test_copy_sizing_rows_match_the_finite_differences(k):
 
 def check_basepoints(d):
     """Each face's basepoint is the one the search over every segment and
-    every crossing picks."""
-    assert [f.basepoint for f in d.faces_list] == \
-        [all_segments_basepoint(d, f) for f in d.faces_list]
+    every crossing picks, and that is its first try: one unit into the
+    wedge of the face's first corner."""
+    for f in d.faces_list:
+        cid, quad, _sign = f.corners[0]
+        (qx, qy), (dx, dy) = d.chord(cid).point, QUADRANT_VECTORS[quad]
+        assert f.basepoint == all_segments_basepoint(d, f) == \
+            (qx + dx, qy + dy)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -215,8 +220,11 @@ def test_fixture_basepoints_match_the_all_segments_search(name, request):
     check_basepoints(request.getfixturevalue(name))
 
 
-def test_seeded_and_torus_basepoints_match_the_all_segments_search():
-    for front in list(seeded_fronts()) + [torus(21)]:
+def test_seeded_torus_and_copy_basepoints_match_the_all_segments_search():
+    trefoil = parse_front("L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")
+    for front in list(seeded_fronts()) + [torus(5), torus(21),
+                                          k_copy(trefoil, 2),
+                                          k_copy(trefoil, 3)]:
         check_basepoints(resolve(front))
 
 

@@ -3,16 +3,17 @@ from fractions import Fraction
 import pytest
 
 from oracles import (all_orbit_strings, arc_pass_counts, capping_walk,
-                     endpoints_between, full_curve_pushout, rot_number,
-                     whole_arc_piece)
+                     endpoints_between, full_curve_pushout, k_copy,
+                     rot_number, unshifted_windings, whole_arc_piece)
 from reebchords import report, words
 from reebchords.diagram import DiagramError, parse_front, resolve
-from reebchords.geometry import offset_polyline
+from reebchords.geometry import (OCTANT_VECTORS, offset_polyline,
+                                 turn_octants)
 from reebchords.homology import h1_presentation
 from reebchords.report import differential_candidates, generators
-from reebchords.words import (CyclicWord, Word, enumerate_chord_words,
-                              enumerate_orbit_words, primitive_decomposition,
-                              push_out)
+from reebchords.words import (PUSH_OFF, CyclicWord, Word,
+                              enumerate_chord_words, enumerate_orbit_words,
+                              primitive_decomposition, push_out)
 from test_cli import TREFOIL_3_COPY
 from test_lp import TREFOIL_2_COPY
 from test_realization import seeded_fronts
@@ -162,25 +163,43 @@ def test_orbit_strings(trefoil_plus):
 
 def test_push_out_basic(unknot_minus):
     w = CyclicWord(unknot_minus, [1])
-    assert push_out(unknot_minus, w) is not None
+    assert len(push_out(unknot_minus, w)) == len(unknot_minus.faces_list)
     for s in all_orbit_strings(w):
         _offset, _pts, windings, linking = full_curve_pushout(
             unknot_minus, w, s, {})
         assert all(Fraction(v).denominator == 1 for v in linking.values())
 
 
+def test_push_off_moves_no_point_more_than_sqrt5_over_8():
+    """Over every turn of two octant segments but a reversal, on either side,
+    offset_polyline at PUSH_OFF moves each vertex at most sqrt(5)/8, and
+    exactly that far at a 135 degree corner."""
+    worst = {}
+    for o1, (ax, ay) in enumerate(OCTANT_VECTORS):
+        for o2, (bx, by) in enumerate(OCTANT_VECTORS):
+            if abs(turn_octants(o1, o2)) == 4:
+                continue
+            path = [(F(0), F(0)), (F(4 * ax), F(4 * ay)),
+                    (F(4 * ax + 4 * bx), F(4 * ay + 4 * by))]
+            turn = abs(turn_octants(o1, o2))
+            for side in ("left", "right"):
+                shifted = offset_polyline(path, side, PUSH_OFF)
+                worst[turn] = max([worst.get(turn, 0)] + [
+                    (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+                    for p, q in zip(shifted, path)])
+    assert max(worst.values()) == worst[3] == 5 * PUSH_OFF ** 2
+
+
 def check_pushouts_against_full_curves(d):
-    """Table sums equal the whole 'eta' curve's windings at the same
-    offset, and push_out gives None at every larger offset tried first."""
+    """Table sums equal the whole 'eta' curve's windings and the unshifted
+    passage arcs' crossings, and the whole curve's offset search takes its
+    first offset, PUSH_OFF."""
     arcs = {}
     for w in enumerate_orbit_words(d, max_len=4):
         offset, _pts, windings, _linking = full_curve_pushout(
             d, w, ("eta",) * len(w.chords), arcs)
-        earlier = F(1, 8)
-        while earlier > offset:
-            assert push_out(d, w, earlier) is None
-            earlier /= 2
-        assert push_out(d, w, offset) == windings
+        assert offset == PUSH_OFF
+        assert push_out(d, w) == windings == unshifted_windings(d, w)
 
 
 @pytest.mark.parametrize("name", [
@@ -200,20 +219,43 @@ def test_pushout_tables_match_full_curves_on_more_fronts(text):
     check_pushouts_against_full_curves(resolve(parse_front(text)))
 
 
+def test_windings_do_not_depend_on_the_offset_on_seeded_fronts_and_copy():
+    """push_out's windings equal the unshifted passage arcs' crossings
+    summed over each word's letters (the fixtures are checked with the
+    whole curves)."""
+    fronts = [f for f in seeded_fronts() if any(f.surgery.values())]
+    copy = k_copy(parse_front(TREFOIL_PLUS), 2)
+    for front, max_len in [(f, 3) for f in fronts] + [(copy, 2)]:
+        d = resolve(front)
+        all_words = enumerate_orbit_words(d, max_len=max_len)
+        assert all_words
+        for w in all_words:
+            assert push_out(d, w) == unshifted_windings(d, w)
+
+
 @pytest.mark.parametrize("piece", ["arc", "jump"])
-def test_pushout_retries_at_a_smaller_offset_per_word(piece):
-    """A basepoint moved onto an arc or the jump of the push-out of (r_j) at
-    offset 1/8: the words whose pieces touch it, and only they, retry."""
-    d = resolve(parse_front("L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}"))
+def test_a_basepoint_on_a_push_out_piece_is_a_fault(piece):
+    """A basepoint moved onto an arc or the jump of the push-out of (r_j):
+    push_out raises DiagramError for exactly the words whose whole curve at
+    PUSH_OFF touches it, and the others keep the whole curve's windings."""
+    d = resolve(parse_front(TREFOIL_PLUS))
     j = d.chords[0].id
-    arc = offset_polyline(capping_walk(d, j, j, "eta")[0], "left", F(1, 8))
+    arc = offset_polyline(capping_walk(d, j, j, "eta")[0], "left", PUSH_OFF)
     a, b = arc[:2] if piece == "arc" else (arc[-1], arc[0])
     d.faces_list[0].basepoint = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-    check_pushouts_against_full_curves(d)
     all_words = enumerate_orbit_words(d, max_len=4)
-    retried = {w.chords for w in all_words if push_out(d, w) is None}
-    assert (j,) in retried
-    assert len(retried) < len(all_words) == 230
+    arcs, touched = {}, set()
+    for w in all_words:
+        offset, _pts, windings, _linking = full_curve_pushout(
+            d, w, ("eta",) * len(w.chords), arcs)
+        if offset == PUSH_OFF:
+            assert push_out(d, w) == windings
+            continue
+        touched.add(w.chords)
+        with pytest.raises(DiagramError, match="meets a face basepoint"):
+            push_out(d, w)
+    assert (j,) in touched
+    assert len(touched) < len(all_words) == 230
 
 
 def test_offset_polylines_are_per_arc_not_per_word(monkeypatch):
@@ -250,7 +292,7 @@ def test_cyclic_words_live_on_the_surgered_sublink(hopf_mixed):
                          ids=["trefoil+1", "T(2,5)+1", "hopf+-"])
 def test_offset_polylines_are_per_passage_interval(text, monkeypatch):
     """Each stretch between consecutive chord passages is offset at most
-    once per offset, however long the words get."""
+    once, by PUSH_OFF, however long the words get."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -266,28 +308,34 @@ def test_offset_polylines_are_per_passage_interval(text, monkeypatch):
         counts[max_len] = len(calls)
         offsets |= {args[2] for args in calls}
     passages = sum(map(len, d.passages))
-    assert 0 < counts[3] == counts[5] <= passages * len(offsets)
+    assert offsets == {PUSH_OFF}
+    assert 0 < counts[3] == counts[5] <= passages
 
 
 def check_arcs_against_whole_arcs(d):
-    """Every capping arc's piece, at offsets 1/8 and 1/16, equals the whole
-    arc offset and wound in one pass; returns the pieces."""
+    """Every capping arc's piece equals the whole arc offset by PUSH_OFF
+    and wound in one pass, and is a fault where that arc touches a
+    basepoint; returns the pieces, None for the faults."""
     pieces = {}
     for a in d.chords:
         for b in d.chords:
             if not d.composable(a.id, b.id):
                 continue
-            for offset in (F(1, 8), F(1, 16)):
-                if d.surgery[a.tip_comp] == 0:
-                    with pytest.raises(DiagramError):
-                        words._arc(d, a.id, b.id, offset)
-                    with pytest.raises(ValueError):
-                        whole_arc_piece(d, a.id, b.id, "eta", offset)
-                    continue
-                pieces[a.id, b.id, offset] = words._arc(d, a.id, b.id,
-                                                        offset)
-                assert pieces[a.id, b.id, offset] == \
-                    whole_arc_piece(d, a.id, b.id, "eta", offset)
+            if d.surgery[a.tip_comp] == 0:
+                with pytest.raises(DiagramError):
+                    words._arc(d, a.id, b.id)
+                with pytest.raises(ValueError):
+                    whole_arc_piece(d, a.id, b.id, "eta", PUSH_OFF)
+                continue
+            whole = whole_arc_piece(d, a.id, b.id, "eta", PUSH_OFF)
+            if whole[2] is None:
+                with pytest.raises(DiagramError,
+                                   match="meets a face basepoint"):
+                    words._arc(d, a.id, b.id)
+                pieces[a.id, b.id] = None
+                continue
+            pieces[a.id, b.id] = words._arc(d, a.id, b.id)
+            assert pieces[a.id, b.id] == whole
     return pieces
 
 
@@ -381,26 +429,26 @@ def test_arc_on_an_unsurgered_component_is_a_fault():
     assert pairs
     for j1, j2 in pairs:
         with pytest.raises(DiagramError):
-            words._arc(d, j1, j2, F(1, 8))
+            words._arc(d, j1, j2)
 
 
 @pytest.mark.parametrize("where", ["join", "inside"])
 def test_arc_pieces_touch_a_basepoint_where_whole_arcs_do(where):
     """A basepoint moved onto the shifted passage point where two steps
     join, or inside a step: exactly the arcs whose whole offset touches it
-    have no crossings."""
+    are faults."""
     d = resolve(parse_front(TREFOIL_PLUS))
-    step = offset_polyline(d.passage_arcs[0][0], "left", F(1, 8))
+    step = offset_polyline(d.passage_arcs[0][0], "left", PUSH_OFF)
     a, b = step[:2]
     d.faces_list[0].basepoint = step[-1] if where == "join" else \
         ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
     pieces = check_arcs_against_whole_arcs(d)
     # arcs that run through passage 1, or along passage arc 0
-    arcs = {(j1, j2): d.letter(j1, j2).arcs for j1, j2, _ in pieces}
-    assert any(pieces[j1, j2, F(1, 8)].crossings is None
+    arcs = {(j1, j2): d.letter(j1, j2).arcs for j1, j2 in pieces}
+    assert any(pieces[j1, j2] is None
                for (j1, j2), run in arcs.items()
                if (1 in run[1:] if where == "join" else 0 in run))
-    assert any(piece.crossings is not None for piece in pieces.values())
+    assert any(piece is not None for piece in pieces.values())
 
 
 @pytest.mark.parametrize("text", [TREFOIL_PLUS, T25_MINUS],
