@@ -218,7 +218,7 @@ def cmd_grading(args, d):
         cls = orbit_class_monomial(d, h1, w)
         if not cls.is_zero():
             continue
-        ig = i_grading(d, h1, [w])
+        ig = i_grading(d, h1, w)
         rows.append({"word": word_name(w.chords),
                      "igrading": list(ig)})
     emit(rows, args.format)
@@ -246,7 +246,8 @@ def cmd_chain(args, d):
         if g.good:
             try:
                 row["orbit_action"] = frac_str(orbit_action(d, g.word, eps))
-            except (ValueError, DiagramError) as exc:
+            except ValueError as exc:
+                # depends on epsilon; a DiagramError here is a fault
                 row["orbit_action_error"] = str(exc)
             if g.degree == 1:
                 rep = differential_candidates(g, d, h1, eps,

@@ -112,9 +112,8 @@ class FrontCode(object):
 
     def _simulate(self):
         stack: List[int] = []           # wire ids by position, top first
-        births: Dict[int, Tuple[int, int, str]] = {}   # wid -> (event, sibling, role)
+        births: Dict[int, int] = {}                    # wid -> sibling
         deaths: Dict[int, Tuple[int, int]] = {}        # wid -> (event, partner)
-        death_pairs: Dict[int, Tuple[int, int]] = {}   # event -> (upper, lower)
         next_wid = 0
         names = {"L": "left cusp", "X": "crossing", "R": "right cusp"}
         for idx, (kind, pos) in enumerate(self.events):
@@ -126,8 +125,8 @@ class FrontCode(object):
             if kind == "L":
                 u, dn = next_wid, next_wid + 1
                 next_wid += 2
-                births[u] = (idx, dn, "u")
-                births[dn] = (idx, u, "d")
+                births[u] = dn
+                births[dn] = u
                 stack[pos - 1:pos - 1] = [u, dn]
             elif kind == "X":
                 stack[pos - 1], stack[pos] = stack[pos], stack[pos - 1]
@@ -135,13 +134,10 @@ class FrontCode(object):
                 w1, w2 = stack[pos - 1], stack[pos]
                 deaths[w1] = (idx, w2)
                 deaths[w2] = (idx, w1)
-                death_pairs[idx] = (w1, w2)
                 del stack[pos - 1:pos + 1]
         if stack:
             raise FrontError(f"{len(stack)} strands still open after all events")
-        self._births = births
         self._deaths = deaths
-        self._death_pairs = death_pairs
         # trace components: alternate death-joins and birth-joins, so each
         # cycle's even entries run from birth to death and its odd entries
         # from death to birth
@@ -159,7 +155,7 @@ class FrontCode(object):
                 partner = deaths[wid][1]
                 comp_of_wire[partner] = cid
                 cycle.append(partner)
-                wid = births[partner][1]
+                wid = births[partner]
             comps.append(cycle)
         self.n_components = len(comps)
         self.wire_cycles = comps
@@ -599,8 +595,8 @@ class ResolvedDiagram(object):
     The hot loops run on one integer copy of the components, scaled by
     ``_scale``, the least common denominator of their coordinates, and
     ``octants[ci][si]`` is the travel octant of segment si of component ci.
-    The public fields (components, heights, lengths, chord points, actions
-    and locations, areas, basepoints) stay ``Fraction``s.
+    The public fields (components, their Chebyshev ``lengths``, chord
+    points, actions and locations, areas, basepoints) stay ``Fraction``s.
 
     ``crossings`` lists per chord, in event order, the (component, segment
     index) of its slope -1 and its slope +1 branch.  ``resolve`` passes the
@@ -638,10 +634,9 @@ class ResolvedDiagram(object):
         # length times _scale, in integers; the chord data read them
         unit = 2 * self._scale ** 2
         self.octants = list(map(_octants, self._ints))
-        self.z_at_vertex: List[List[Fraction]] = []
-        self.cheb_len: List[List[Fraction]] = []   # cumulative per vertex
+        self.lengths: List[Fraction] = []
         heights, lengths = [], []
-        for i, (cyc, ints) in enumerate(zip(self.components, self._ints)):
+        for i, ints in enumerate(self._ints):
             zs = _double_heights(ints)
             if zs[-1]:
                 raise DiagramError(f"component {i} closure defect: integral "
@@ -651,8 +646,7 @@ class ResolvedDiagram(object):
                 cl.append(cl[-1] + max(abs(bx - ax), abs(by - ay)))
             heights.append(zs)
             lengths.append(cl)
-            self.z_at_vertex.append([Fraction(z, unit) for z in zs[:-1]])
-            self.cheb_len.append([Fraction(c, self._scale) for c in cl])
+            self.lengths.append(Fraction(cl[-1], self._scale))
         return heights, lengths
 
     def _find_chords(self, heights, lengths):
@@ -902,7 +896,7 @@ class ResolvedDiagram(object):
             ch = self.chord(plist[k][1])
             vector[ch.tip_comp if plist[k][2] == "tail"
                    else ch.tail_comp] += ch.sign
-        total = self.cheb_len[comp][-1]
+        total = self.lengths[comp]
         length = (c2.tail_loc[1] - c1.tip_loc[1]) % total
         c = self.surgery[comp]
         letters[j1, j2] = Letter(rot + (c == 1), -1 if rot % 2 else 1, c,

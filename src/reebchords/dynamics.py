@@ -3,15 +3,17 @@
 The return map of the orbit named by a cyclic word is a product of one
 integer-polynomial matrix per letter in the variable u = 1/epsilon, carrying
 a global sign, the product of the letters' signs (-1)^rot; every letter's
-data is read off ``ResolvedDiagram.letter``.  Everything here is exact:
-polynomials over the integers, affine fixed points and actions over
-integers with a common denominator, divided once at the end, and the
-piecewise-linear twist profile for actions.
+data is read off ``ResolvedDiagram.letter``.  A letter's matrix is the
+handle twist [[0, -1], [1, -c u]], which takes the product's rows (R0, R1)
+to (-R1, R0 - c u R1), so the product is a continuant in u.  Everything
+here is exact: polynomials over the integers, affine fixed points and
+actions over integers with a common denominator, divided once at the end,
+and the piecewise-linear twist profile for actions.
 """
 
 from fractions import Fraction
 from math import lcm
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .diagram import DiagramError, ResolvedDiagram
 from .indices import cz_integral
@@ -47,15 +49,6 @@ def poly_trim(p: Poly) -> Poly:
 Mat = Tuple[Poly, Poly, Poly, Poly]    # entries a, b, c, d row-major
 
 
-def mat_mul(m1: Mat, m2: Mat) -> Mat:
-    a1, b1, c1, d1 = m1
-    a2, b2, c2, d2 = m2
-    return (poly_add(poly_mul(a1, a2), poly_mul(b1, c2)),
-            poly_add(poly_mul(a1, b2), poly_mul(b1, d2)),
-            poly_add(poly_mul(c1, a2), poly_mul(d1, c2)),
-            poly_add(poly_mul(c1, b2), poly_mul(d1, d2)))
-
-
 def mat_det(m: Mat) -> Poly:
     a, b, c, d = m
     return poly_trim(poly_add(poly_mul(a, d),
@@ -87,25 +80,28 @@ class ReturnMapPoly(object):
         return poly_trim(tuple(self.sign * c for c in raw))
 
 
-J0 = ((0,), (-1,), (1,), (0,))
-# J0 * [[1, -c u], [0, 1]], the step matrix of a letter with coefficient c
-_STEP = {c: mat_mul(J0, ((1,), (0, -c), (0,), (1,))) for c in (-1, 0, 1)}
+def _minus_cu(p: Poly, c: int, q: Poly) -> Poly:
+    """p - c u q."""
+    return poly_trim(poly_add(p, (0,) + tuple(-c * v for v in q))) if c else p
 
 
 def return_map(d: ResolvedDiagram, w: CyclicWord) -> ReturnMapPoly:
     """Exact linearized return map of the orbit named by w.
 
-    Per letter the map contributes J0 * [[1, -c u], [0, 1]] with c the
+    Per letter the map contributes J0 * [[1, -c u], [0, 1]], with c the
     coefficient of the component holding the chord's tip, composed in word
-    order; the rotation numbers of the capping arcs only feed the sign.
+    order: the product's rows (a, b), (e, f) become (-e, -f),
+    (a - c u e, b - c u f).  The capping arcs' rotations feed the sign.
     """
     sign = 1
-    prod = ((1,), (0,), (0,), (1,))
+    a, b, e, f = (1,), (0,), (0,), (1,)
     for j1, j2 in w.pairs():
         letter = d.letter(j1, j2)
-        prod = mat_mul(_STEP[letter.c], prod)
+        c = letter.c
+        a, b, e, f = (tuple(-v for v in e), tuple(-v for v in f),
+                      _minus_cu(a, c, e), _minus_cu(b, c, f))
         sign *= letter.sign
-    return ReturnMapPoly(sign, prod, w)
+    return ReturnMapPoly(sign, (a, b, e, f), w)
 
 
 def hyperbolic_type(cz_parity: int, trace: Poly) -> Tuple[str, Fraction]:
@@ -133,26 +129,15 @@ def is_bad(d: ResolvedDiagram, w: CyclicWord) -> bool:
     return cz_integral(d, prim) % 2 == 1
 
 
-class EmbeddingSolution(object):
+class EmbeddingSolution(NamedTuple):
     """Exact fixed-point data of the affine model of an orbit.
 
-    ``hpoints`` are the points as homogeneous integer triples (x, y, z),
-    standing for (x/z, y/z); ``steps`` are the letters' affine maps as
-    integer triples (r, m, t) taking (x, y, z) to
-    (-r y, r x + m y + t z, scale z).
+    ``hpoints`` are the points (P_k, Q_k), one per letter, as homogeneous
+    integer triples (x, y, z) standing for (x/z, y/z); each letter's step
+    multiplies z by ``scale``.
     """
-
-    def __init__(self, word, epsilon, hpoints, steps, scale):
-        self.word = word
-        self.epsilon = epsilon
-        self.hpoints = hpoints
-        self.steps = steps
-        self.scale = scale
-
-    @property
-    def points(self) -> List[Tuple[Fraction, Fraction]]:
-        """[(P_k, Q_k)] per letter."""
-        return [(Fraction(x, z), Fraction(y, z)) for x, y, z in self.hpoints]
+    hpoints: List[Tuple[int, int, int]]
+    scale: int
 
 
 def embed_orbit(d: ResolvedDiagram, w: CyclicWord,
@@ -164,7 +149,9 @@ def embed_orbit(d: ResolvedDiagram, w: CyclicWord,
     unit-circumference one.  Over a common denominator g of 1/eps and every
     h the letters are homogeneous integer maps; the fixed point of their
     composite comes from Cramer's rule and the points are walked as integer
-    triples, so nothing is reduced.
+    triples, so nothing is reduced.  A singular I - A and a point outside
+    the handle (|P| >= eps) depend on epsilon and raise ValueError; a fixed
+    point that does not close up is an internal fault, a DiagramError.
     """
     epsilon = Fraction(epsilon)
     e_num, e_den = epsilon.numerator, epsilon.denominator
@@ -181,7 +168,7 @@ def embed_orbit(d: ResolvedDiagram, w: CyclicWord,
         z *= g
     det = (z - a) * (z - dd) - b * c
     if det == 0:
-        raise DiagramError(f"I - A singular for {w} at epsilon {epsilon}")
+        raise ValueError(f"I - A singular for {w} at epsilon {epsilon}")
     pt = ((z - dd) * e + b * f, c * e + (z - a) * f, det)
     hpoints = []
     for r, m, t in steps:
@@ -196,7 +183,7 @@ def embed_orbit(d: ResolvedDiagram, w: CyclicWord,
             raise ValueError(
                 f"orbit of {w} escapes the handle at epsilon {epsilon}: "
                 f"|P| = {Fraction(abs(x), abs(zz))}")
-    return EmbeddingSolution(w, epsilon, hpoints, steps, g)
+    return EmbeddingSolution(hpoints, g)
 
 
 def orbit_action(d: ResolvedDiagram, w: CyclicWord,

@@ -4,7 +4,10 @@ The presentation matrix has the framing coefficients tb + c on the diagonal
 and linking numbers off it, over the surgered components.  Orbit classes
 come from the crossing-monomial formula, summed over the letters' monomial
 vectors (``ResolvedDiagram.letter``), and are reduced to a normal form in
-the cokernel via Smith normal form with unimodular transforms.
+the cokernel via Smith normal form with unimodular transforms.  An
+``OrbitClass`` is one orbit's meridian vector and its normal form, with no
+sum: a collection's class is the sum of its vectors, reduced again, which
+the candidate search keeps as a running sum.
 """
 
 from fractions import Fraction
@@ -95,7 +98,6 @@ class H1Presentation(object):
     """Meridian presentation of the first homology after surgery."""
 
     def __init__(self, d: ResolvedDiagram):
-        self.diagram = d
         self.surgered = [i for i in range(len(d.components))
                          if d.surgery[i] != 0]
         n = len(self.surgered)
@@ -155,22 +157,17 @@ def h1_presentation(d: ResolvedDiagram) -> H1Presentation:
 class OrbitClass(object):
     """Meridian vector of an orbit with its cokernel normal form."""
 
-    __slots__ = ("vector", "reduced", "h1")
+    __slots__ = ("vector", "reduced")
 
     def __init__(self, h1: H1Presentation, vector: Sequence[int]):
         self.vector = tuple(int(v) for v in vector)
         self.reduced = h1.reduce(self.vector)
-        self.h1 = h1
 
     def __eq__(self, other):
         return isinstance(other, OrbitClass) and self.reduced == other.reduced
 
     def __hash__(self):
         return hash(self.reduced)
-
-    def __add__(self, other):
-        return OrbitClass(self.h1, [a + b for a, b in
-                                    zip(self.vector, other.vector)])
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.reduced)

@@ -2,16 +2,17 @@
 
 The quiver has one vertex per link component and one directed edge per
 chord; its cycles index closed-orbit words.
-The intersection grading assigns to each null-homologous orbit collection
-an integer per bounded face: the push-out's winding numbers (sums of
-per-piece tables at the one offset ``words.PUSH_OFF``, never retried) plus
-a meridian-disk correction for its linking vector, which is the orbit's
-class vector, solved through the Smith form of the surgery relation matrix.
-No curve is wound here except each component, once per diagram.
+The intersection grading assigns to each null-homologous orbit an integer
+per bounded face: the push-out's winding numbers (sums of per-piece tables
+at the one offset ``words.PUSH_OFF``, never retried) plus a meridian-disk
+correction for its linking vector, which is the orbit's class vector,
+solved through the Smith form of the surgery relation matrix.  A
+collection's grading is the sum of its orbits' fiber vectors.  No curve is
+wound here except each component, once per diagram.
 """
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .diagram import DiagramError, Face, ResolvedDiagram
 from .geometry import winding_number
@@ -76,30 +77,24 @@ def effective_fiber_vector(d: ResolvedDiagram, h1: H1Presentation,
 
 
 def i_grading(d: ResolvedDiagram, h1: H1Presentation,
-              words: Sequence[CyclicWord]) -> Tuple[int, ...]:
-    """Intersection grading of a null-homologous collection of orbits.
+              w: CyclicWord) -> Tuple[int, ...]:
+    """Intersection grading of a null-homologous orbit.
 
     Each entry counts intersections of a spanning surface with the vertical
     fiber over a face basepoint: the push-out's winding number plus the
     contribution of the meridian disks needed to cap its linking with the
-    surgered components, one int per face in ``faces_list`` order.
+    surgered components, one int per face in ``faces_list`` order.  Callers
+    check finiteness and the class first, so a failed check is a fault.
     """
     if not h1.finite:
         raise DiagramError("intersection grading needs finite first homology")
-    total_class = None
-    totals = [Fraction(0)] * len(d.faces_list)
-    for w in words:
-        cls = orbit_class_monomial(d, h1, w)
-        total_class = cls if total_class is None else total_class + cls
-        vec = effective_fiber_vector(d, h1, w)
-        totals = [a + b for a, b in zip(totals, vec)]
-    if total_class is not None and not total_class.is_zero():
-        raise DiagramError("collection is not null-homologous; no "
-                           "spanning surface exists")
-    if any(v.denominator != 1 for v in totals):
-        raise DiagramError("fractional fiber count on a null-homologous "
-                           "collection")
-    return tuple(int(v) for v in totals)
+    if not orbit_class_monomial(d, h1, w).is_zero():
+        raise DiagramError(f"{w} is not null-homologous; no spanning "
+                           "surface exists")
+    vec = effective_fiber_vector(d, h1, w)
+    if any(v.denominator != 1 for v in vec):
+        raise DiagramError(f"fractional fiber count on null-homologous {w}")
+    return tuple(int(v) for v in vec)
 
 
 def bubbling_faces(d: ResolvedDiagram) -> List[Tuple[Face, Tuple[int, ...]]]:

@@ -46,7 +46,7 @@ class GeneratorRecord(object):
         self.good = not self.bad
         self.igrading: Optional[Tuple[int, ...]] = None
         if h1.finite and self.orbit_class.is_zero():
-            self.igrading = i_grading(d, h1, [w])
+            self.igrading = i_grading(d, h1, w)
 
     def __repr__(self):
         flag = "good" if self.good else "bad"

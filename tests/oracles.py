@@ -5,8 +5,10 @@ arithmetic on dicts, convex polygon clipping for the trimmed affine flow,
 strand-stack simulation for front combinatorics, brute-force quiver counts,
 and the elementary-divisor formulas and a Gauss-Jordan solve for small
 integer matrices.  Second routes through library results that only the
-tests need live here too: return maps and embedding steps evaluated at an
-epsilon, the twist's height profile, capping paths walked segment by
+tests need live here too: return maps evaluated at an epsilon, the
+embedding's points read off its homogeneous integer points, the
+intersection grading of a collection of orbits (the library grades one
+orbit at a time), the twist's height profile, capping paths walked segment by
 segment on either side (the library rides only the side along the
 component's orientation), push-out pieces of whole capping arcs, whole
 push-out curves for every side choice with their linking numbers, orbit
@@ -152,7 +154,7 @@ def fraction_embedding(d, w, epsilon):
     ia, ib, ic, id_ = 1 - A[0], -A[1], -A[2], 1 - A[3]
     det = ia * id_ - ib * ic
     if det == 0:
-        raise DiagramError(f"I - A singular for {w} at epsilon {epsilon}")
+        raise ValueError(f"I - A singular for {w} at epsilon {epsilon}")
 
     def apply(k, u):
         (a, bb, c, dd), off = steps[k]
@@ -172,17 +174,17 @@ def fraction_embedding(d, w, epsilon):
     return pts
 
 
-def apply_step(emb, k, u):
-    """Letter k's integer step of a library ``EmbeddingSolution`` applied
-    to the Fraction point u."""
-    r, m, t = emb.steps[k]
-    return (Fraction(-r, emb.scale) * u[1],
-            (r * u[0] + m * u[1] + t) / Fraction(emb.scale))
+def embedding_points(emb):
+    """[(P_k, Q_k)] of a library ``EmbeddingSolution``, read off its
+    homogeneous integer points."""
+    return [(Fraction(x, z), Fraction(y, z)) for x, y, z in emb.hpoints]
 
 
-def apply_all(emb, u):
-    for k in range(len(emb.steps)):
-        u = apply_step(emb, k, u)
+def apply_all(steps, u):
+    """The affine maps ``steps`` of ``step_maps``, in order, applied to the
+    point u."""
+    for (a, b, c, dd), (o0, o1) in steps:
+        u = (a * u[0] + b * u[1] + o0, c * u[0] + dd * u[1] + o1)
     return u
 
 
@@ -352,10 +354,24 @@ def front_writhe_and_cusp_counts(front):
     The walk reproduces the resolved diagram's traversal purely
     combinatorially: crossings count +1 when their two strands travel the
     same x-direction, and a cusp counts as a down cusp when the traversal
-    passes from its upper strand to its lower one.
+    passes from its upper strand to its lower one.  The wires are numbered
+    by a strand-stack simulation, in the order of their left cusps, as
+    ``component_of_wire`` numbers them.
     """
-    births = front._births
-    deaths = front._deaths
+    births, deaths, death_pairs = {}, {}, {}
+    stack, nxt = [], 0
+    for idx, (kind, pos) in enumerate(front.events):
+        if kind == "L":
+            births[nxt], births[nxt + 1] = (idx, nxt + 1, "u"), (idx, nxt, "d")
+            stack[pos - 1:pos - 1] = [nxt, nxt + 1]
+            nxt += 2
+        elif kind == "X":
+            stack[pos - 1], stack[pos] = stack[pos], stack[pos - 1]
+        else:
+            upper, lower = stack[pos - 1:pos + 1]
+            deaths[upper], deaths[lower] = (idx, lower), (idx, upper)
+            death_pairs[idx] = (upper, lower)
+            del stack[pos - 1:pos + 1]
     comp_of = front.component_of_wire
     n = front.n_components
     direction = {}
@@ -375,7 +391,7 @@ def front_writhe_and_cusp_counts(front):
             direction[wid] = 1 if travels_east else -1
             if forward:
                 ev, partner = deaths[wid]
-                upper, _lower = front._death_pairs[ev]
+                upper, _lower = death_pairs[ev]
                 entering = partner if flip else wid
                 if entering == upper:
                     down[comp] += 1
@@ -754,11 +770,11 @@ def point_segment_distance_sq(p, s):
 
 
 def fraction_measures(d):
-    """(z_at_vertex, cheb_len, chords) of a resolved diagram, measured in
-    Fractions on its components: heights by the trapezoid rule from 0 at
-    vertex 0, cumulative Chebyshev lengths, and per double point of the
-    all-pairs scan, in x order, (point, action, tail_loc, tip_loc) with
-    the slope -1 branch high."""
+    """(lengths, chords) of a resolved diagram, measured in Fractions on its
+    components: each component's Chebyshev length, and per double point of
+    the all-pairs scan, in x order, (point, action, tail_loc, tip_loc) with
+    the slope -1 branch high, from heights by the trapezoid rule from 0 at
+    vertex 0 and cumulative Chebyshev lengths."""
     z_at, cheb = [], []
     segments = cycle_segments(d.components)
     for segs in segments:
@@ -784,7 +800,7 @@ def fraction_measures(d):
         (z_hi, t_hi), (z_lo, t_lo) = (height_and_param(*over, p),
                                       height_and_param(*under, p))
         chords.append((p, z_hi - z_lo, (under[1], t_lo), (over[1], t_hi)))
-    return z_at, cheb, chords
+    return [cl[-1] for cl in cheb], chords
 
 
 def all_segments_basepoint(d, face):
@@ -975,7 +991,8 @@ def endpoints_between(d, j1, j2, side):
     travel order, as (chord id, 'tail'|'tip'): every chord end of the
     component placed by its parameter offset from r_j1's tip."""
     comp = d.chord(j1).tip_comp
-    total = d.cheb_len[comp][-1]
+    total = sum(max(abs(s.b[0] - s.a[0]), abs(s.b[1] - s.a[1]))
+                for s in cycle_segments(d.components)[comp])
     start, end = d.chord(j1).tip_loc[1], d.chord(j2).tail_loc[1]
     if side == "eta":
         length = (end - start) % total or total
@@ -1130,6 +1147,32 @@ def orbit_class_pushout(h1, linking):
     return OrbitClass(h1, vec)
 
 
+def collection_i_grading(d, h1, words):
+    """Intersection grading of a null-homologous collection of orbits, the
+    sum of their ``effective_fiber_vector``s; the library grades one orbit
+    at a time.  The summed class vector must reduce to zero under
+    ``h1.reduce`` and the sum must be integral, else DiagramError."""
+    from reebchords.diagram import DiagramError
+    from reebchords.homology import orbit_class_monomial
+    from reebchords.quiver import effective_fiber_vector
+
+    if not h1.finite:
+        raise DiagramError("intersection grading needs finite first homology")
+    cls = [0] * len(h1.surgered)
+    totals = [Fraction(0)] * len(d.faces_list)
+    for w in words:
+        cls = [a + b for a, b in
+               zip(cls, orbit_class_monomial(d, h1, w).vector)]
+        totals = [a + b for a, b in
+                  zip(totals, effective_fiber_vector(d, h1, w))]
+    if any(h1.reduce(cls)):
+        raise DiagramError("collection is not null-homologous")
+    if any(v.denominator != 1 for v in totals):
+        raise DiagramError("fractional fiber count on a null-homologous "
+                           "collection")
+    return tuple(int(v) for v in totals)
+
+
 def pushout_grading(d, collection, arcs):
     """Intersection grading of a null-homologous collection [(word, sides)]
     read off whole push-out curves, for any capping sides.
@@ -1200,7 +1243,6 @@ def brute_force_candidates(d, h1, g, epsilon, z_graded, max_len):
     only pruning is the plainly sound one: with no negative degrees in the
     pool, a product whose degree is already above the target is not
     extended."""
-    from reebchords.homology import OrbitClass
     from reebchords.quiver import effective_fiber_vector
 
     slack = 3 * Fraction(epsilon)
@@ -1212,9 +1254,9 @@ def brute_force_candidates(d, h1, g, epsilon, z_graded, max_len):
 
     def visit(start, chosen, left):
         degree = sum(r.degree for r in chosen)
-        cls = OrbitClass(h1, [0] * len(h1.surgered))
+        cls = [0] * len(h1.surgered)
         for r in chosen:
-            cls = cls + r.orbit_class
+            cls = [a + b for a, b in zip(cls, r.orbit_class.vector)]
         odd = [r.word.chords for r in chosen if r.degree % 2 != 0]
         trail = {"degree": degree, "class": g.orbit_class.reduced,
                  "action": sum((r.action for r in chosen), Fraction(0))}
@@ -1227,7 +1269,8 @@ def brute_force_candidates(d, h1, g, epsilon, z_graded, max_len):
             trail["delta_i"] = tuple(delta)
         index = index_closed([g], chosen, 1 - len(chosen))
         if ((index == 1) if z_graded else index % 2 == 1) \
-                and cls == g.orbit_class and len(odd) == len(set(odd)) \
+                and h1.reduce(cls) == g.orbit_class.reduced \
+                and len(odd) == len(set(odd)) \
                 and all(v >= 0 and v.denominator == 1 for v in delta):
             found.append((tuple(r.word.chords for r in chosen), trail))
         if z_graded and degree > target and \

@@ -9,7 +9,8 @@ import itertools
 import sys
 from fractions import Fraction
 
-from oracles import (all_orbit_strings, capping_walk, orbit_class_pushout,
+from oracles import (all_orbit_strings, capping_walk, collection_i_grading,
+                     embedding_points, orbit_class_pushout,
                      point_in_convex, poly_diameter_sq, pushout_grading,
                      pushout_linking, rot_number, step_maps, trace_at,
                      trimmed_flow_polygon, divisors_2x2)
@@ -18,7 +19,7 @@ from reebchords.dynamics import (embed_orbit, is_bad, mat_det,
 from reebchords.homology import (h1_presentation, orbit_class_monomial,
                                  smith_normal_form)
 from reebchords.indices import cz_integral
-from reebchords.quiver import Quiver, bubbling_faces, i_grading
+from reebchords.quiver import Quiver, bubbling_faces
 from reebchords.report import GeneratorRecord, differential_candidates, generators
 from reebchords.words import CyclicWord, enumerate_orbit_words
 from test_quiver import TABLE as IGRADING_TABLE, paper_face_order
@@ -115,7 +116,7 @@ def test_criterion_4(trefoil_plus, trefoil_plus_h1):
     arcs = {}
     for words, expect in IGRADING_TABLE.items():
         cws = [CyclicWord(d, w) for w in words]
-        ig = i_grading(d, h1, cws)
+        ig = collection_i_grading(d, h1, cws)
         ok &= tuple(ig[p - 1] for p in perm) == expect
         for strings in itertools.product(
                 *[all_orbit_strings(w) for w in cws]):
@@ -261,7 +262,7 @@ def test_criterion_9f(trefoil_plus):
     d = trefoil_plus
     ok = True
     for w in enumerate_orbit_words(d, max_len=3):
-        emb = embed_orbit(d, w, EPS)
+        point = embedding_points(embed_orbit(d, w, EPS))[0]
         steps = step_maps(d, w, EPS)
         # independent elimination solve of the composed affine fixed point
         a = (F(1), F(0), F(0), F(1))
@@ -276,11 +277,11 @@ def test_criterion_9f(trefoil_plus):
         ok &= det != 0
         x = ((1 - a[3]) * b[0] + a[1] * b[1]) / det
         y = (a[2] * b[0] + (1 - a[0]) * b[1]) / det
-        ok &= (x, y) == emb.points[0]
+        ok &= (x, y) == point
         poly = trimmed_flow_polygon(steps, EPS, rounds=16)
         ok &= bool(poly)
         if poly:
-            ok &= point_in_convex(poly, emb.points[0])
+            ok &= point_in_convex(poly, point)
             ok &= poly_diameter_sq(poly) < F(1, 10 ** 20)
     report("9f", "trimmed affine-flow oracle traps exactly one fixed point "
                  "per word of length <= 3 and it equals the solved "

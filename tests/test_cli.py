@@ -511,6 +511,23 @@ def test_chain_reports_why_orbit_action_is_missing(tmp_path, capsys):
         assert "orbit_action_error" not in rows[word]
 
 
+def test_exit_code_3_on_an_embedding_fault_in_chain(tmp_path, capsys,
+                                                    monkeypatch):
+    # a chain row reports only the epsilon-dependent ValueErrors of
+    # orbit_action; a DiagramError inside embed_orbit is an internal fault
+    from reebchords import dynamics
+    from reebchords.diagram import DiagramError
+
+    def broken(d, w, epsilon):
+        raise DiagramError(f"fixed point of {w} does not close up")
+
+    monkeypatch.setattr(dynamics, "embed_orbit", broken)
+    path = write(tmp_path, "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")
+    code, out, err = run(capsys, ["chain", "--max-len", "1", "--epsilon",
+                                  "1/100", "--input", path])
+    assert (code, out) == (3, "") and "does not close up" in err, err
+
+
 def test_grading_and_chain_compute_each_class_once(tmp_path, capsys,
                                                    monkeypatch):
     from reebchords import homology, report

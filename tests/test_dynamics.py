@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (apply_all, fraction_composite, fraction_embedding,
-                     fraction_orbit_action, matrix_at, padd, peval,
+from oracles import (apply_all, embedding_points, fraction_composite,
+                     fraction_embedding, fraction_orbit_action, matrix_at,
+                     padd, peval,
                      point_in_convex, poly_diameter_sq, poly_eval, pscale,
                      reference_return_map, rot_number, step_maps, trace_at,
                      trimmed_flow_polygon, twist_height)
@@ -134,9 +135,9 @@ def test_embed_orbit_fixed_point(trefoil_plus, unknot_minus):
     for d, base in ((unknot_minus, (1,)), (trefoil_plus, (4,)),
                     (trefoil_plus, (1, 2))):
         w = CyclicWord(d, base)
-        emb = embed_orbit(d, w, EPS)
-        assert apply_all(emb, emb.points[0]) == emb.points[0]
-        for p, _q in emb.points:
+        pts = embedding_points(embed_orbit(d, w, EPS))
+        assert apply_all(step_maps(d, w, EPS), pts[0]) == pts[0]
+        for p, _q in pts:
             assert abs(p) < EPS
 
 
@@ -153,10 +154,10 @@ def test_affine_iteration_oracle_matches_embed(trefoil_plus):
     d = trefoil_plus
     for base in ((4,), (1, 2), (2, 3)):
         w = CyclicWord(d, base)
-        emb = embed_orbit(d, w, EPS)
+        point = embedding_points(embed_orbit(d, w, EPS))[0]
         poly = trimmed_flow_polygon(step_maps(d, w, EPS), EPS, rounds=40)
         assert poly, f"trimmed flow of {w} died out"
-        assert point_in_convex(poly, emb.points[0])
+        assert point_in_convex(poly, point)
         assert poly_diameter_sq(poly) < F(1, 10 ** 24)
 
 
@@ -193,7 +194,8 @@ def exact(x):
 
 def check_against_fraction_model(d, w, eps):
     """embed_orbit, orbit_action and return_map against the oracle's
-    Fraction composition; returns the outcome's kind."""
+    Fraction composition; returns the outcome's kind: "ok", or the
+    exception class and whether I - A is singular or the orbit escapes."""
     got, got_err = outcome(embed_orbit, d, w, eps)
     want, want_err = outcome(fraction_embedding, d, w, eps)
     assert got_err == want_err, (w, eps)
@@ -205,10 +207,13 @@ def check_against_fraction_model(d, w, eps):
     assert at_eps == lin and trace_at(rm, eps) == lin[0] + lin[3]
     assert all(exact(v) for v in at_eps + (trace_at(rm, eps),))
     if want_err is not None:
-        return want_err[0].__name__
-    assert got.points == want
-    assert all(exact(v) for pt in got.points for v in pt)
-    assert apply_all(got, got.points[0]) == got.points[0]
+        cls, msg = want_err
+        return cls.__name__ + (" singular" if msg.startswith("I - A singular")
+                               else " escapes")
+    pts = embedding_points(got)
+    assert pts == want
+    assert all(exact(v) for pt in pts for v in pt)
+    assert apply_all(step_maps(d, w, eps), pts[0]) == pts[0]
     assert act == fraction_orbit_action(d, w, eps, want) and exact(act)
     return "ok"
 
@@ -231,7 +236,7 @@ def test_fraction_model_cases_all_reached(trefoil_plus, unknot_plus):
     kinds = {check_against_fraction_model(d, w, eps)
              for d in (trefoil_plus, unknot_plus)
              for w in all_words(d, 2) for eps in ORACLE_EPS}
-    assert kinds == {"ok", "ValueError", "DiagramError"}
+    assert kinds == {"ok", "ValueError singular", "ValueError escapes"}
 
 
 @settings(max_examples=40, deadline=None)

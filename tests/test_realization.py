@@ -19,10 +19,12 @@ from reebchords import diagram
 from reebchords.diagram import (QUADRANT_VECTORS, DiagramError, FrontCode,
                                 _sizing_rows, _template, parse_front,
                                 resolve)
+from reebchords.dynamics import is_bad
 from reebchords.geometry import polyline_integral_y_dx
 from reebchords.homology import h1_presentation, orbit_class_monomial
+from reebchords.indices import cz_integral
 from reebchords.report import GeneratorRecord
-from reebchords.words import enumerate_orbit_words
+from reebchords.words import canonical_rotation, enumerate_orbit_words
 
 F = Fraction
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -144,6 +146,64 @@ def test_invariants_do_not_depend_on_the_action_margin(seed):
     assert data[0] == data[1] == data[2]
 
 
+def commuting_swaps(front):
+    """(front, sigma) for each pair of adjacent crossings at positions at
+    least 2 apart: the front with the two events swapped, and the
+    transposition of their chords.  Chord ids follow the crossing and
+    right-cusp events in order, so the two chords trade ids."""
+    chord_of = {}
+    for idx, (kind, _pos) in enumerate(front.events):
+        if kind != "L":
+            chord_of[idx] = len(chord_of) + 1
+    for i, ((k1, p1), (k2, p2)) in enumerate(zip(front.events,
+                                                 front.events[1:])):
+        if k1 == k2 == "X" and abs(p1 - p2) >= 2:
+            events = list(front.events)
+            events[i], events[i + 1] = events[i + 1], events[i]
+            a, b = chord_of[i], chord_of[i + 1]
+            yield (FrontCode(events, front.orientations, front.surgery),
+                   {a: b, b: a})
+
+
+def swap_data(d, sigma):
+    """tb, rot, linking, H1 diagonal, each chord's (sign, tail, tip) and,
+    per orbit word of length <= 2, its CZ index, reduced class and bad
+    flag, with chord ids renamed by sigma."""
+    h1 = h1_presentation(d)
+    chords = {sigma.get(c.id, c.id): (c.sign, c.tail_comp, c.tip_comp)
+              for c in d.chords}
+    words = {canonical_rotation([sigma.get(c, c) for c in w.chords]):
+             (cz_integral(d, w), orbit_class_monomial(d, h1, w).reduced,
+              is_bad(d, w))
+             for w in enumerate_orbit_words(d, max_len=2)}
+    return d.tb, d.rot, d.linking, h1.diagonal, chords, words
+
+
+def check_commuting_swaps(front):
+    """The swap data of every commuting swap of ``front``; returns the
+    number of swaps."""
+    want = None
+    swaps = 0
+    for swapped, sigma in commuting_swaps(front):
+        if want is None:
+            want = swap_data(resolve(front), sigma={})
+        assert swap_data(resolve(swapped), sigma) == want, swapped.events
+        swaps += 1
+    return swaps
+
+
+def test_invariants_survive_commuting_crossing_swaps(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from fronts import random_fronts
+
+    fronts = [parse_front(text) for text in
+              random_fronts(random.Random(5), 60, 6, 14, 3)]
+    assert sum(map(check_commuting_swaps, fronts)) == 16
+    trefoil = parse_front("L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")
+    for k in (2, 3):
+        assert check_commuting_swaps(k_copy(trefoil, k)) > 0
+
+
 def torus(n):
     return parse_front("L1,L3," + ",".join(["X2"] * n)
                        + ",R1,R1 / surgery {0:+1}")
@@ -259,20 +319,20 @@ def test_random_front_faces_match_the_point_tracer(seed):
 
 def check_integer_route(d):
     """The fields that the integer route fills are Fractions and equal the
-    Fraction route's: the template evaluated form by form, the heights and
-    Chebyshev lengths at the vertices, each chord's point, action and
+    Fraction route's: the template evaluated form by form, the components'
+    Chebyshev lengths, each chord's point, action and
     locations, each face's shoelace area, the faces in order of their least
     boundary x and then y, and the basepoints of the search over every
     segment."""
     fields = [v for cyc in d.components for p in cyc for v in p]
-    fields += [v for vs in d.z_at_vertex + d.cheb_len for v in vs]
+    fields += d.lengths
     fields += [v for c in d.chords for v in
                c.point + (c.action, c.tail_loc[1], c.tip_loc[1])]
     fields += [v for f in d.faces_list for v in (f.area,) + f.basepoint]
     assert {type(v) for v in fields} == {Fraction}
     assert d.components == fraction_components(d.front)
-    z_at, cheb, chords = fraction_measures(d)
-    assert (d.z_at_vertex, d.cheb_len) == (z_at, cheb)
+    lengths, chords = fraction_measures(d)
+    assert d.lengths == lengths
     assert [(c.point, c.action, c.tail_loc, c.tip_loc)
             for c in d.chords] == chords
     assert [f.area for f in d.faces_list] == \

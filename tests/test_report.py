@@ -3,8 +3,9 @@ from math import lcm
 
 import pytest
 
-from oracles import (brute_force_candidates, candidate_pool, front_text,
-                     fraction_solve_lp, k_copy, pruned_search, search_lp)
+from oracles import (brute_force_candidates, candidate_pool,
+                     collection_i_grading, front_text, fraction_solve_lp,
+                     k_copy, pruned_search, search_lp)
 from reebchords import report
 from reebchords.diagram import parse_front, resolve
 from reebchords.homology import h1_presentation
@@ -98,22 +99,18 @@ def test_survivor_filters_reassertable(trefoil_plus, trefoil_plus_h1):
     for c in rep.survivors:
         degree = sum(GeneratorRecord(d, h1, w).degree for w in c.factors)
         assert degree == g.degree - 1
-        total_class = g.orbit_class.h1.reduce([0])
-        cls = None
+        cls = [0] * len(h1.surgered)
         for w in c.factors:
-            oc = GeneratorRecord(d, h1, w).orbit_class
-            cls = oc if cls is None else cls + oc
-        if cls is None:
-            assert g.orbit_class.is_zero()
-        else:
-            assert cls.reduced == g.orbit_class.reduced
+            cls = [a + b for a, b in
+                   zip(cls, GeneratorRecord(d, h1, w).orbit_class.vector)]
+        assert h1.reduce(cls) == g.orbit_class.reduced
         action = sum((w.action() for w in c.factors), F(0))
         slack = 3 * EPS * (len(g.word.chords)
                            + sum(len(w.chords) for w in c.factors))
         assert action < g.action + slack
         if c.factors:
-            top = i_grading(d, h1, [g.word])
-            bottom = i_grading(d, h1, list(c.factors))
+            top = i_grading(d, h1, g.word)
+            bottom = collection_i_grading(d, h1, list(c.factors))
             assert all(a >= b for a, b in zip(top, bottom))
     labels = {c.label for c in rep.survivors}
     for label in labels:
