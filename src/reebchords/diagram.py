@@ -27,9 +27,10 @@ denominator of its coordinates, and on that copy computes the octants, the
 chord points from the crossing pairs, heights, lengths, face areas and
 basepoint tests; its public fields stay ``Fraction``s.  Every double point
 crosses two diagonals, so the faces are the cycles of passage arcs that
-turn left at every chord; corner signs, quadrants and rotation numbers are
-read off the passage records.  A face's basepoint is one unit into its
-first corner's wedge; one within 1/2 of a segment is a fault.
+turn left at every chord; corner signs and quadrants are read off the
+passage records, rotation numbers off the front's Maslov potential.  A
+face's basepoint is one unit into its first corner's wedge; one within 1/2
+of a segment is a fault.
 """
 
 import json
@@ -45,7 +46,6 @@ from .geometry import (
     cross,
     direction_octant,
     merge_collinear,
-    turn_octants,
     winding_number,
 )
 
@@ -82,7 +82,10 @@ class FrontCode(object):
 
     The constructor simulates the strand stack, traces the closed components
     and records which component each cusp and crossing touches.  Components
-    are numbered 0-based in order of their first left cusp.
+    are numbered 0-based in order of their first left cusp.  It gives each
+    wire a Maslov potential, with upper = lower + 1 at every cusp, cut once
+    per component; ``rot[ci]`` is o * T / 2 for the component's orientation
+    o and the potential's change T around it.
     """
 
     def __init__(self, events, orientations=None, surgery=None):
@@ -109,11 +112,33 @@ class FrontCode(object):
                 if val not in allowed:
                     raise FrontError(f"{what} must be {words}, got {val!r}")
                 table[comp] = val
+        self.rot = {ci: gain * self.orientations[ci] // 2
+                    for ci, gain in enumerate(self._mu_gain)}
+
+    def capping_rotation(self, j1: int, j2: int) -> int:
+        """Rotation number of the capping arc from r_j1's tip to r_j2's tail,
+        from the Maslov potential alone (chords count from 1 in X/R event
+        order): mu(tip wire) - mu(tail wire), plus o * T if the arc crosses
+        its cycle's cut, for the component's orientation o and mu's gain T
+        around the cycle.  A chord end's place is (entry, event), the event
+        negated on odd entries, which run from death to birth; the arc runs
+        down the places for o = +1 and up them for o = -1."""
+        tip, _, e1 = self._chords[j1 - 1]
+        _, tail, e2 = self._chords[j2 - 1]
+        (k1, mu1), (k2, mu2) = self._wire[tip], self._wire[tail]
+        ci = self.component_of_wire[tip]
+        o = self.orientations[ci]
+        wrap = ((k2, (-1) ** k2 * e2) > (k1, (-1) ** k1 * e1)) == (o == 1)
+        return mu1 - mu2 + (o * self._mu_gain[ci] if wrap else 0)
 
     def _simulate(self):
         stack: List[int] = []           # wire ids by position, top first
         births: Dict[int, int] = {}                    # wid -> sibling
         deaths: Dict[int, Tuple[int, int]] = {}        # wid -> (event, partner)
+        tops = set()                    # the upper strand of each right cusp
+        # per chord, in X/R event order, (tip wire, tail wire, event): the
+        # strands at pos and pos + 1 just before the event
+        self._chords: List[Tuple[int, int, int]] = []
         next_wid = 0
         names = {"L": "left cusp", "X": "crossing", "R": "right cusp"}
         for idx, (kind, pos) in enumerate(self.events):
@@ -128,35 +153,48 @@ class FrontCode(object):
                 births[u] = dn
                 births[dn] = u
                 stack[pos - 1:pos - 1] = [u, dn]
-            elif kind == "X":
-                stack[pos - 1], stack[pos] = stack[pos], stack[pos - 1]
+                continue
+            w1, w2 = stack[pos - 1], stack[pos]
+            self._chords.append((w1, w2, idx))
+            if kind == "X":
+                stack[pos - 1], stack[pos] = w2, w1
             else:  # R
-                w1, w2 = stack[pos - 1], stack[pos]
                 deaths[w1] = (idx, w2)
                 deaths[w2] = (idx, w1)
+                tops.add(w1)
                 del stack[pos - 1:pos + 1]
         if stack:
             raise FrontError(f"{len(stack)} strands still open after all events")
         self._deaths = deaths
         # trace components: alternate death-joins and birth-joins, so each
         # cycle's even entries run from birth to death and its odd entries
-        # from death to birth
+        # from death to birth.  The Maslov potential mu is 0 on each cycle's
+        # first wire, and at each join rises by 1 onto the cusp's upper
+        # strand (at a left cusp, the even id) and falls by 1 onto its lower
+        # one; _mu_gain[ci] is its change around the whole cycle
         comp_of_wire: Dict[int, int] = {}
         comps: List[List[int]] = []
+        self._wire: Dict[int, Tuple[int, int]] = {}     # wid -> (entry, mu)
+        self._mu_gain: List[int] = []
         for start in sorted(births):
             if start in comp_of_wire:
                 continue
             cid = len(comps)
             cycle = []
-            wid = start
+            wid, mu = start, 0
             while wid not in comp_of_wire:
                 comp_of_wire[wid] = cid
+                self._wire[wid] = (len(cycle), mu)
                 cycle.append(wid)
                 partner = deaths[wid][1]
+                mu += 1 if partner in tops else -1
                 comp_of_wire[partner] = cid
+                self._wire[partner] = (len(cycle), mu)
                 cycle.append(partner)
                 wid = births[partner]
+                mu += 1 if wid % 2 == 0 else -1
             comps.append(cycle)
+            self._mu_gain.append(mu)
         self.n_components = len(comps)
         self.wire_cycles = comps
         self.component_of_wire = comp_of_wire
@@ -579,10 +617,10 @@ class ResolvedDiagram(object):
 
     A passage is one chord end on a component: ``passages[ci]`` lists those
     of component ci as (parameter, chord id, 'tail'|'tip', point) in
-    parameter order, and ``passage_arcs[ci][k]`` walks from passage k to the
-    next, cyclically, turning by ``passage_turns[ci][k]`` pi/4 units; the
-    rotation number ``rot[ci]`` is the sum of those turns over 8.  Capping
-    arcs are runs of passage arcs, and push-outs offset them.
+    parameter order, and ``passage_arcs[ci][k]`` is the run of vertices
+    from passage k to the next, cyclically, between their chord points.
+    Capping arcs are runs of passage arcs, and push-outs offset them.  The
+    rotation numbers ``rot`` are the front's (``FrontCode.rot``).
 
     A face is the cycle of half-edges (component, arc k, +1 forward or -1
     backward) that turns left at every chord.  A half-edge arrives at a
@@ -695,6 +733,7 @@ class ResolvedDiagram(object):
     def _classical(self):
         n = len(self.components)
         self.tb = {i: 0 for i in range(n)}
+        self.rot = dict(self.front.rot)
         self.linking = [[0] * n for _ in range(n)]
         for c in self.chords:
             if c.tail_comp == c.tip_comp:
@@ -723,29 +762,20 @@ class ResolvedDiagram(object):
                 seg[c.id, role] = si
         self._passage_of: Dict[Tuple[int, str], Tuple[int, int]] = {}
         self.passage_arcs: List[List[List[Point]]] = []
-        self.passage_turns: List[List[int]] = []
-        self.rot = {}
         for ci, plist in enumerate(self.passages):
             plist.sort(key=lambda item: (seg[item[1], item[2]], item[0]))
-            n = len(self.octants[ci])
+            cyc = self.components[ci]
+            n = len(cyc)
             self.passage_arcs.append([])
-            self.passage_turns.append([])
             for k, (_, cid, role, p) in enumerate(plist):
                 self._passage_of[cid, role] = (ci, k)
                 _, next_cid, next_role, q = plist[(k + 1) % len(plist)]
                 # the vertices passed: a component's right-cusp loops put its
                 # passages on two segments at least, so none wraps on one
                 si = seg[cid, role]
-                count = (seg[next_cid, next_role] - si) % n
-                pts, turns = self._walk(ci, si, count, p, q)
-                self.passage_arcs[ci].append(pts)
-                self.passage_turns[ci].append(turns)
-            # the arcs cover the component, so their turns are its turning
-            turns = sum(self.passage_turns[ci])
-            if turns % 8:
-                raise DiagramError(f"component {ci} turns by {turns} pi/4, "
-                                   f"not a multiple of 2 pi")
-            self.rot[ci] = turns // 8
+                vertices = range(1, (seg[next_cid, next_role] - si) % n + 1)
+                self.passage_arcs[ci].append(
+                    [p] + [cyc[(si + i) % n] for i in vertices] + [q])
         self._trace_faces()
 
     def _trace_faces(self):
@@ -884,11 +914,7 @@ class ResolvedDiagram(object):
         # passage arc k runs forward from passage k to k + 1
         arcs = tuple((k1 + i) % len(plist)
                      for i in range((k2 - k1) % len(plist)))
-        turns = sum(self.passage_turns[comp][k] for k in arcs)
-        if turns % 4 != 2:
-            raise DiagramError(f"capping angle of r{j1}r{j2} is {turns} "
-                               f"pi/4, not an odd multiple of pi/2")
-        rot = turns // 4
+        rot = self.front.capping_rotation(j1, j2)
         vector = [Fraction(0)] * len(self.components)
         for end in (c1.tail_comp, comp):
             vector[end] += Fraction(self.surgery[end] + c1.sign, 2)
@@ -904,28 +930,12 @@ class ResolvedDiagram(object):
                                  tuple(vector), arcs)
         return letters[j1, j2]
 
-    def _walk(self, comp, si, count, a, b):
-        """Sub-polyline from point a on segment si forward over the next
-        ``count`` vertices to point b, with its total turning in pi/4
-        units.  Chord points lie inside their segments, never on a vertex."""
-        cyc = self.components[comp]
-        octants = self.octants[comp]
-        pts = [a]
-        turns = 0
-        for _ in range(count):
-            t = turn_octants(octants[si], octants[(si + 1) % len(octants)])
-            if abs(t) == 4:
-                raise DiagramError("capping path reverses direction")
-            turns += t
-            si = (si + 1) % len(octants)
-            pts.append(cyc[si])
-        pts.append(b)
-        return pts, turns
-
 
 class Letter(NamedTuple):
     """What the letter r_j1 -> r_j2 of a cyclic word contributes to its
-    orbit, from the capping arc's rotation number rot and length.
+    orbit, from the capping arc's rotation number rot and length.  rot is
+    mu(r_j1's tip wire) - mu(r_j2's tail wire), plus o * T across the cut
+    (``FrontCode.capping_rotation``); the length is the realization's.
 
     ``index`` is rot + [c = +1], the letter's Conley-Zehnder term;
     ``sign`` is (-1)^rot, its return-map sign; ``c`` is the coefficient of

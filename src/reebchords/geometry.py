@@ -3,7 +3,7 @@
 Points are pairs of rationals (``fractions.Fraction``) or of integers, a
 segment a -> b is its pair of ends, directions are restricted to the eight
 compass octants (multiples of 45 degrees), and every predicate is computed
-exactly.  Octants, turns, cross
+exactly.  Octants, cross
 and dot products, winding numbers and the collinear merge never divide, so
 on integer points they stay in integers; ``diagram`` runs its hot loops that
 way, on coordinates scaled by one common denominator.  Floating point never
@@ -43,17 +43,6 @@ def direction_octant(a: Point, b: Point) -> int:
     sx = (dx > 0) - (dx < 0)
     sy = (dy > 0) - (dy < 0)
     return OCTANT_VECTORS.index((sx, sy))
-
-
-def turn_octants(o_in: int, o_out: int) -> int:
-    """Signed turn from octant o_in to o_out in eighth-turns, in (-4, 4].
-
-    A value of +-4 would be a reversal; callers treat that as a geometry bug.
-    """
-    d = (o_out - o_in) % 8
-    if d > 4:
-        d -= 8
-    return d
 
 
 def polyline_integral_y_dx(points: Sequence[Point]) -> Fraction:

@@ -1,7 +1,7 @@
 """Integral Conley-Zehnder indices and the first Chern class.
 
 An orbit's index is the sum of its letters' index terms rot + [c = +1],
-which the diagram measures on the capping arcs (``ResolvedDiagram.letter``);
+with rot read off the front's Maslov potential (``ResolvedDiagram.letter``);
 every other quantity here is closed-form integer arithmetic.
 """
 

@@ -9,8 +9,10 @@ tests need live here too: return maps evaluated at an epsilon, the
 embedding's points read off its homogeneous integer points, the
 intersection grading of a collection of orbits (the library grades one
 orbit at a time), the twist's height profile, capping paths walked segment by
-segment on either side (the library rides only the side along the
-component's orientation), push-out pieces of whole capping arcs, whole
+segment on either side, whose turning is the second route for letter
+indices and rotation numbers (the library reads those off the front's
+Maslov potential, and rides only the side along the component's
+orientation), push-out pieces of whole capping arcs, whole
 push-out curves for every side choice with their linking numbers, orbit
 classes and intersection gradings, faces traced as a planar graph keyed by
 points, the turning number of a closed polyline, the closed-curve index
@@ -25,6 +27,7 @@ crossing pair.
 """
 
 import itertools
+import weakref
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -614,6 +617,22 @@ def cycle_segments(cycles):
             for cyc in cycles]
 
 
+_WALK_TABLES = weakref.WeakKeyDictionary()
+
+
+def walk_tables(d):
+    """(segments, lengths) of a diagram's components: ``cycle_segments`` and
+    each cycle's Chebyshev length, summed over its segments.  The capping
+    walks read them once per letter, so they are built once per diagram,
+    in a table that holds the diagram weakly and ends with it."""
+    if d not in _WALK_TABLES:
+        segments = cycle_segments(d.components)
+        _WALK_TABLES[d] = segments, [
+            sum(max(abs(s.b[0] - s.a[0]), abs(s.b[1] - s.a[1])) for s in segs)
+            for segs in segments]
+    return _WALK_TABLES[d]
+
+
 def boxes_overlap(s1, s2):
     return not (max(s1.a[0], s1.b[0]) < min(s2.a[0], s2.b[0])
                 or max(s2.a[0], s2.b[0]) < min(s1.a[0], s1.b[0])
@@ -856,6 +875,13 @@ def _octant(a, b):
     return OCTANTS.index(_unit((b[0] - a[0], b[1] - a[1])))
 
 
+def turn_octants(o_in, o_out):
+    """Signed turn from octant o_in to o_out in eighth-turns, in (-4, 4];
+    4 is a reversal."""
+    d = (o_out - o_in) % 8
+    return d - 8 if d > 4 else d
+
+
 def turning_number(points):
     """Degree of the Gauss map of a closed polyline: its octant changes at
     every vertex summed in eighth-turns, over 8.  ValueError on a U-turn or
@@ -949,12 +975,12 @@ def capping_walk(d, j1, j2, side):
     the component for eta, backward for etabar.  The points are the two
     chord points and every vertex between; the turning sums the octant
     changes at those vertices, in pi/4 units; the length is the Chebyshev
-    length walked over the component's.  The library sums the same data
-    over the passage arcs it runs."""
-    from reebchords.geometry import turn_octants
-
+    length walked over the component's.  The library reads the rotation
+    off the front's Maslov potential (``FrontCode.capping_rotation``) and
+    sums the length over the passage arcs it runs."""
     c1, c2 = d.chord(j1), d.chord(j2)
-    segs = cycle_segments(d.components)[c1.tip_comp]
+    segments, lengths = walk_tables(d)
+    segs = segments[c1.tip_comp]
     (s1, t1), (s2, t2) = c1.tip_loc, c2.tail_loc
     step = 1 if side == "eta" else -1
     count = step * (s2 - s1) % len(segs)
@@ -972,12 +998,9 @@ def capping_walk(d, j1, j2, side):
     if c2.point != points[-1]:
         points.append(c2.point)
 
-    def cheb(a, b):
-        return max(abs(b[0] - a[0]), abs(b[1] - a[1]))
-
-    walked = sum(cheb(a, b) for a, b in zip(points, points[1:]))
-    total = sum(cheb(s.a, s.b) for s in segs)
-    return points, turns, walked / total
+    walked = sum(max(abs(b[0] - a[0]), abs(b[1] - a[1]))
+                 for a, b in zip(points, points[1:]))
+    return points, turns, walked / lengths[c1.tip_comp]
 
 
 def rot_number(d, j1, j2):
@@ -991,8 +1014,7 @@ def endpoints_between(d, j1, j2, side):
     travel order, as (chord id, 'tail'|'tip'): every chord end of the
     component placed by its parameter offset from r_j1's tip."""
     comp = d.chord(j1).tip_comp
-    total = sum(max(abs(s.b[0] - s.a[0]), abs(s.b[1] - s.a[1]))
-                for s in cycle_segments(d.components)[comp])
+    total = walk_tables(d)[1][comp]
     start, end = d.chord(j1).tip_loc[1], d.chord(j2).tail_loc[1]
     if side == "eta":
         length = (end - start) % total or total

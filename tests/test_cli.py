@@ -1,17 +1,25 @@
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from oracles import front_text, k_copy
 import reebchords
 from reebchords.cli import main
-from reebchords.diagram import ResolvedDiagram, parse_front, resolve
+from reebchords.diagram import (FrontCode, ResolvedDiagram, parse_front,
+                                resolve)
 from test_lp import TREFOIL_2_COPY
+from test_realization import seeded_fronts, surgered_front
+from test_report import HOPF_MINUS
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -726,7 +734,98 @@ def test_chain_certifies_every_degree_one_row_of_the_trefoil_k_copy(
             if row["good"] and row["degree"] == 1]
     assert len(rows) == 2 * k
     for row in rows:
-        assert "truncated" not in row, row["word"]
-        [constant] = row["candidates"]
-        assert (constant["monomial"], constant["count"]) == ("1", "+-1")
-        assert len(constant["faces"]) == 1
+        assert certified(row), row["word"]
+        assert row["candidates"][0]["count"] == "+-1"
+
+
+def certified(row):
+    """Whether a good degree-1 ``chain`` row certifies that its generator is
+    killed: its candidate list is complete (not truncated) and is the
+    constant term alone, with exactly one witness face."""
+    return "truncated" not in row and [
+        (c["monomial"], len(c["faces"])) for c in row["candidates"]] == \
+        [("1", 1)]
+
+
+def run_text(argv, text):
+    """(exit code, standard output) of the CLI on a front text given on
+    standard input."""
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv + ["--input", "-"])
+    return code, out.getvalue()
+
+
+def chain_rows(text, max_len):
+    """The good degree-1 rows of ``chain --epsilon 1/100`` on a front."""
+    code, out = run_text(["chain", "--max-len", str(max_len), "--epsilon",
+                          "1/100"], text)
+    assert code == 0
+    return [row for row in json.loads(out)
+            if row["good"] and row["degree"] == 1]
+
+
+TREFOIL_MINUS = "L1,L3,X2,X2,X2,R1,R1 / surgery {0:-1}"
+T25_MINUS = "L1,L3,X2,X2,X2,X2,X2,R1,R1 / surgery {0:-1}"
+TREFOIL_MINUS_2_COPY = front_text(k_copy(parse_front(TREFOIL_MINUS), 2))
+
+
+# Negative controls.  Legendrian (-1) surgery gives a Stein fillable
+# manifold, whose contact homology is non-zero, so on a front whose
+# coefficients are all -1 no generator may be certified as killed.
+@pytest.mark.parametrize("text, max_len", [
+    (TREFOIL_MINUS, 3),
+    ("L1,R1 / surgery {0:-1}", 3),
+    (HOPF_MINUS, 3),
+    (T25_MINUS, 2),
+    (T25_MINUS, 3),
+    (TREFOIL_MINUS_2_COPY, 1),
+    (TREFOIL_MINUS_2_COPY, 2),
+], ids=["trefoil", "unknot", "hopf", "T(2,5)", "T(2,5)-len3", "2-copy",
+        "2-copy-len2"])
+def test_chain_certifies_no_row_of_a_minus_one_surgery(text, max_len):
+    for row in chain_rows(text, max_len):
+        assert not certified(row), row["word"]
+
+
+@settings(max_examples=30, deadline=None)
+@seed(3)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_chain_certifies_no_row_of_a_random_minus_one_surgery(front_seed):
+    front = surgered_front(random.Random(front_seed))
+    front = FrontCode(front.events, front.orientations,
+                      {i: -1 for i in front.surgery})
+    for row in chain_rows(front_text(front), 2):
+        assert not certified(row), row["word"]
+
+
+FUZZ_TEXTS = [TREFOIL_PLUS, TREFOIL_MINUS, "L1,R1 / surgery {0:+1}",
+              "L1,L2,R1,R1 / surgery {0:+1} / orientations {0:-}",
+              "L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:+1}",
+              "L1,L3,X2,X2,R1,R1 / surgery {0:0, 1:+1}"] + \
+    [front_text(front) for front in seeded_fronts()]
+FUZZ_COMMANDS = [["parse"], ["invariants"], ["quiver"],
+                 ["chain", "--max-len", "1", "--epsilon", "1/100"]] + [
+    [command, "--max-len", "2"]
+    for command in ("orbits", "chords", "cz", "homology", "grading")]
+
+
+@settings(max_examples=150, deadline=None)
+@seed(7)
+@given(st.sampled_from(FUZZ_TEXTS), st.lists(
+    st.tuples(st.integers(min_value=0),
+              st.sampled_from("LRX0123456789,/{}:+- se")),
+    min_size=2, max_size=2))
+def test_mutated_fronts_exit_0_or_2_under_every_command(text, changes):
+    # two characters changed: each command reads the mutant as a front or
+    # rejects it as input; an escaped exception (exit 1) or an internal
+    # fault (exit 3) fails
+    chars = list(text)
+    for at, char in changes:
+        chars[at % len(chars)] = char
+    mutant = "".join(chars)
+    for argv in FUZZ_COMMANDS:
+        code, _ = run_text(argv, mutant)
+        assert code in (0, 2), (argv, mutant)

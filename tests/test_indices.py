@@ -1,7 +1,4 @@
-import pytest
-
 from oracles import capping_walk, rot_number
-from reebchords.diagram import DiagramError, parse_front, resolve
 from reebchords.homology import h1_presentation
 from reebchords.indices import c1_class, canonical_grading_valid, cz_integral
 from reebchords.report import GeneratorRecord
@@ -48,19 +45,6 @@ def test_angles_odd_and_angle_sum(trefoil_plus, stab_plus):
                 assert turns // 4 == letter.index - (letter.c == 1)
                 comp = d.chord(j).tip_comp
                 assert turns - turns_bar == 8 * d.rot[comp]
-
-
-@pytest.mark.parametrize("turn_eighths", [4, 3])
-def test_letter_index_rejects_angles_off_the_odd_half_pi(turn_eighths):
-    """An angle of pi (even in pi/2 units) or of 3 pi / 4 (not a multiple
-    of pi/2), planted as the turning of the one passage arc the capping arc
-    runs over, is an internal fault."""
-    d = resolve(parse_front("L1,R1 / surgery {0:-1}"))
-    assert d.letter(1, 1).arcs == (1,)
-    d.memo.clear()
-    d.passage_turns[0][1] = turn_eighths
-    with pytest.raises(DiagramError):
-        d.letter(1, 1)
 
 
 def test_cz_examples(trefoil_plus, trefoil_minus, stab_plus):

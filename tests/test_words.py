@@ -4,11 +4,11 @@ import pytest
 
 from oracles import (all_orbit_strings, arc_pass_counts, capping_walk,
                      endpoints_between, full_curve_pushout, k_copy,
-                     rot_number, unshifted_windings, whole_arc_piece)
+                     rot_number, turn_octants, unshifted_windings,
+                     whole_arc_piece)
 from reebchords import report, words
 from reebchords.diagram import DiagramError, parse_front, resolve
-from reebchords.geometry import (OCTANT_VECTORS, offset_polyline,
-                                 turn_octants)
+from reebchords.geometry import OCTANT_VECTORS, offset_polyline
 from reebchords.homology import h1_presentation
 from reebchords.report import differential_candidates, generators
 from reebchords.words import (PUSH_OFF, CyclicWord, Word,

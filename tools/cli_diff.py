@@ -24,9 +24,13 @@ The commands, each run once:
   diagram.  The copies are
   those of ``k_copy`` in ``tests/oracles.py``;
 * ``cz --max-len 3`` and ``homology --max-len 3`` on the trefoil with +1
-  and with -1 surgery, on the Hopf link with +1 and -1 surgery, and on the
-  2-copy: ten commands.  Besides ``grading`` and ``chain`` these are the
-  commands that read capping rotations and crossing counts.
+  and with -1 surgery, on the Hopf link with +1 and -1 surgery, on the
+  2-copy, and on the stabilized unknot with +1 surgery in both
+  orientations: fourteen commands.  Besides ``grading`` and ``chain``
+  these are the commands that read capping rotations and crossing counts.
+  The stabilized unknot has rotation number -1 and +1, so its capping
+  rotations take the cut term of ``FrontCode.capping_rotation``; the other
+  fronts of these commands have rotation number 0.
 
 Each command runs as ``reebchords.cli.main(argv + ["--input", "-"])`` with
 the front on standard input.  A command that takes more than
@@ -50,6 +54,7 @@ DEADLINE_S = 60
 
 TREFOIL = "L1,L3,X2,X2,X2,R1,R1 / surgery {{0:{}}}"
 HOPF_PLUS_MINUS = "L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:-1}"
+STABILIZED_UNKNOT = "L1,L2,R1,R1 / surgery {{0:+1}} / orientations {{0:{}}}"
 TREFOIL_2_COPY = ("L1,L1,X2,L5,L5,X6,X4,X3,X5,X4,X4,X3,X5,X4,X4,X3,X5,X4,"
                   "X2,R1,R1,X2,R1,R1 / surgery {0:+1, 1:+1}")
 TREFOIL_3_COPY = ("L1,L1,L1,X2,X4,X3,L7,L7,L7,X8,X10,X9,X6,X5,X4,X7,X6,X5,"
@@ -94,7 +99,9 @@ def commands():
     for name, front in (("trefoil +1", TREFOIL.format("+1")),
                         ("trefoil -1", TREFOIL.format("-1")),
                         ("hopf +-", HOPF_PLUS_MINUS),
-                        ("2-copy", TREFOIL_2_COPY)):
+                        ("2-copy", TREFOIL_2_COPY),
+                        ("stab unknot +", STABILIZED_UNKNOT.format("+")),
+                        ("stab unknot -", STABILIZED_UNKNOT.format("-"))):
         for command in ("cz", "homology"):
             out.append((f"{name} {command}", [command, "--max-len", "3"],
                         front))
