@@ -5,6 +5,11 @@ needs (grading, homology class, action, hyperbolic type, intersection
 grading), then filters candidate targets of the degree-1-down differential
 with every available obstruction.  Counts are only ever asserted where a
 bubbling face forces them; all other survivors stay "count unknown".
+
+Under the intersection-grading filter a search also decides by exact branch
+and bound whether a non-constant product passes, with one LP per rows x
+(columns + rows) products it examines: at most MAX_NODES products plus
+MAX_NODES // that many LPs.  A proof that none does ends it complete.
 """
 
 from fractions import Fraction
@@ -99,7 +104,9 @@ class CandidateReport(object):
         self.survivors = survivors
         self.z_graded = z_graded
         self.warning = warning
-        self.truncated = truncated      # None, "nodes" or "survivors"
+        # None, "survivors" or "nodes"; "nodes" means that a non-constant
+        # product passes or that no branch and bound had proved otherwise
+        self.truncated = truncated
         self.nodes = nodes              # products the search examined
 
 
@@ -131,16 +138,57 @@ def _pool_words(d: ResolvedDiagram, pool_len: Optional[int],
     return [w for w, cost in d.memo[key][1] if cost <= budget]
 
 
-def _no_product_passes(fiber, target_i, costs, top, eq):
-    """True when no real x >= 0 over the pool has sum(x) >= 1, fiber sums
-    at most target_i, cost at most top - 1 and the ``eq`` rows: this LP
-    relaxes the search's filters, so then no non-constant product passes.
-    Faces with the same fiber entries and target give one row."""
-    n = len(costs)
-    ge = list(dict.fromkeys((tuple(-vec[c] for vec in fiber), -t)
-                            for c, t in enumerate(target_i)))
-    ge += [([-c for c in costs], 1 - top), ([1] * n, 1)]
-    return solve_lp(n, eq, ge, [0] * n) is None
+def _integer_point(pool, costs, top, fiber, target_i, target_degree,
+                   z_graded, h1):
+    """Branch and bound for a non-constant product that passes the filters:
+    a generator that solves one LP per step and yields None until it yields
+    an integer point (x, helpers), or False when there is none.  Each row
+    is implied by the filters: the distinct face rows fiber.x <= target,
+    cost.x < top, sum(x) >= 1, the degree (deg.x = target degree, or
+    deg.x - 2p = target degree with an integer helper p in parity mode),
+    and (U v).x - d y = 0 with a helper y per elementary divisor d != 1 of
+    h1, v the class vectors.  A helper is shifted by its least value under
+    x_j <= (top - 1) // cost_j when that is negative.  x_j > 1 on an odd
+    word gets one child, x_j <= 1; else the first fractional coordinate
+    gets two, the upper one first."""
+    n = len(pool)
+    degrees = [r.degree for r in pool]
+    helpers = [([sum(u * v for u, v in zip(row, r.orbit_class.vector))
+                 for r in pool], dgl, 0)
+               for row, dgl in zip(h1.u, h1.diagonal) if dgl != 1]
+    helpers += [] if z_graded else [(degrees, 2, target_degree)]
+    cols = n + len(helpers)
+    pad = [0] * len(helpers)
+    ge = [(list(a) + pad, b) for a, b in dict.fromkeys(
+        (tuple(-vec[c] for vec in fiber), -t) for c, t in enumerate(target_i))]
+    ge += [([-c for c in costs] + pad, 1 - top), ([1] * n + pad, 1)]
+    eq = [(degrees + pad, target_degree)] if z_graded else []
+    most = [(top - 1) // c for c in costs]
+    for k, (a, dgl, rhs) in enumerate(helpers):
+        low = min(0, (sum(min(0, v) * m for v, m in zip(a, most)) - rhs) // dgl)
+        eq.append((a + [-dgl if c == k else 0 for c in range(len(pad))],
+                   rhs + dgl * low))
+
+    def bound(j, sign, value):          # sign * x_j >= value
+        return [sign if c == j else 0 for c in range(cols)], value
+
+    stack = [[]]                        # each open node's branch bounds
+    while stack:
+        bounds = stack.pop()
+        x = solve_lp(cols, eq, ge + bounds, [0] * cols)
+        if x is not None:
+            over = [j for j in range(n) if degrees[j] % 2 and x[j] > 1]
+            split = [j for j, v in enumerate(x) if v.denominator != 1]
+            if over:
+                stack.append(bounds + [bound(over[0], -1, -1)])
+            elif split:
+                f = x[split[0]] // 1
+                stack += [bounds + [bound(split[0], -1, -f)],
+                          bounds + [bound(split[0], 1, f + 1)]]
+            else:
+                yield x
+                return
+        yield None if stack else False
 
 
 def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
@@ -158,8 +206,10 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     that degree, the action budget, odd squares or the intersection
     grading rule out, and stops at the work bound of MAX_NODES and
     MAX_SURVIVORS, which the report's ``truncated`` names.  Under the
-    i-grading filter it stops complete once ``_no_product_passes`` proves
-    that no non-constant product survives (the constant term may).
+    i-grading filter the walk steps ``_integer_point`` each time it has
+    examined another ``lp_at`` products, and stops complete once that
+    proves that no non-constant product survives (the constant term may).
+    The steps end at an integer point or a kept non-constant survivor.
     """
     epsilon = Fraction(epsilon)
     slack = 3 * epsilon
@@ -217,11 +267,13 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
         if use_igrading:
             fiber_lo[i] = [min(v, m) for v, m in zip(fiber[i],
                                                      fiber_lo[i + 1])]
-    # the LP costs about its tableau, rows x (columns + rows), so it runs
-    # once the search has examined that many products: short ones skip it
-    lp_eq = [([r.degree for r in pool], target_degree)] if z_graded else []
-    rows = n_faces + 2 + len(lp_eq)
+    # an LP costs about its tableau, rows x (columns + rows), so the branch
+    # and bound solves one each time the search has examined that many more
+    # products: short searches never start it
+    rows = n_faces + 2 + z_graded
     lp_at = rows * (n + rows) if use_igrading and pool else None
+    decide = _integer_point(pool, costs, top, fiber, target_i, target_degree,
+                            z_graded, h1) if lp_at else None
     found: List[Candidate] = []
     chosen: List[int] = []              # pool indices of the product's factors
     nodes = 1                           # the empty product
@@ -230,7 +282,7 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     def consider(degree: int) -> bool:
         """Keep the product of ``chosen`` if no filter excludes it; True when
         it is a survivor beyond MAX_SURVIVORS, which ends the search."""
-        nonlocal truncated
+        nonlocal truncated, decide
         if z_graded:
             if degree != target_degree:
                 return False
@@ -255,6 +307,7 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
         if use_igrading:
             trail["delta_i"] = tuple(v // fiber_den for v in delta)
         if chosen:
+            decide = None               # a product passes: no need to decide
             found.append(Candidate(
                 tuple(pool[j].word for j in chosen),
                 "unobstructed, count unknown", trail=trail))
@@ -292,9 +345,12 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
         left = budget_left - costs[i]
         if left <= 0:
             continue
-        if nodes == lp_at and _no_product_passes(fiber, target_i, costs,
-                                                 top, lp_eq):
-            break
+        if decide and nodes % lp_at == 0:
+            point = next(decide)
+            if point is False:
+                break
+            if point is not None:
+                decide = None
         # every product under the budget counts, whether a prune cuts it or
         # not, so the bound covers the prunes' work too
         if nodes == MAX_NODES:

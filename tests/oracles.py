@@ -17,7 +17,8 @@ push-out curves for every side choice with their linking numbers, orbit
 classes and intersection gradings, faces traced as a planar graph keyed by
 points, the turning number of a closed polyline, the closed-curve index
 formula that decides the exhaustive search's degree test, the candidate
-search's LP in integer rows, the k-copy of a front, which no CLI
+search's integer program in integer rows with its branch and bound in
+``Fraction``s, the k-copy of a front, which no CLI
 command builds, and the realization's evaluation, heights, lengths, chord
 ends, face areas and basepoint distances in ``Fraction``s, where the library
 runs them in integers over one common denominator.  The double points of the
@@ -1339,8 +1340,77 @@ def search_lp(d, h1, pool, g, epsilon, z_graded):
     return out_a, out_b
 
 
+def search_program(d, h1, pool, g, epsilon, z_graded):
+    """(A, b, odd) of g's integer program over ``pool``: the rows of
+    ``search_lp`` plus its lattice and parity equations, each as a pair of
+    rows of A x <= b, over x >= 0 and one helper column per equation.
+
+    For each elementary divisor d_i != 1 of h1 the product's class has
+    coordinate i (U v).x divisible by d_i, v the class vectors: the row is
+    (U v).x - d_i y_i = 0.  In parity mode deg.x - 2 p = g's degree minus
+    one.  A helper h of a row a.x - d h = r is at least
+    floor((sum of the negative a_j times m_j, less r) / d), with m_j the
+    most copies of word j that the budget allows, and is replaced by h
+    less that bound when it is negative.  ``odd`` lists the pool positions
+    of odd-degree words, which a product takes at most once."""
+    slack = 3 * Fraction(epsilon)
+    budget = g.action + slack * len(g.word.chords)
+    costs = [r.action - slack * len(r.word.chords) for r in pool]
+    den = lcm(budget.denominator, *(c.denominator for c in costs))
+    most = [int((budget - Fraction(1, den)) // c) for c in costs]
+    a, b = search_lp(d, h1, pool, g, epsilon, z_graded)
+    equations = [([sum(x * y for x, y in zip(row, r.orbit_class.vector))
+                   for r in pool], div, 0)
+                 for row, div in zip(h1.u, h1.diagonal) if div != 1]
+    degrees = [r.degree for r in pool]
+    if not z_graded:
+        equations.append((degrees, 2, g.degree - 1))
+    helpers = len(equations)
+    a = [row + [0] * helpers for row in a]
+    for k, (coeffs, div, rhs) in enumerate(equations):
+        low = min(0, (sum(c * m for c, m in zip(coeffs, most) if c < 0)
+                      - rhs) // div)
+        row = coeffs + [-div if j == k else 0 for j in range(helpers)]
+        a += [row, [-v for v in row]]
+        b += [rhs + div * low, -rhs - div * low]
+    return a, b, [j for j, v in enumerate(degrees) if v % 2 != 0]
+
+
+def branch_and_bound(a, b, odd, lps):
+    """Depth-first branch and bound for an integer point of A x <= b,
+    x >= 0, with x_j <= 1 for j in ``odd``: a generator that solves one LP
+    with ``fraction_solve_lp`` per step and yields None until it yields the
+    point, or False when there is none.  Each LP's rows and solution (None
+    when infeasible) are appended to ``lps`` as (A, b, x).  A solution with some x_j > 1, j odd,
+    gets the one child x_j <= 1; else the first fractional x_j = v gets the
+    children x_j >= floor(v) + 1, searched first, and x_j <= floor(v)."""
+    cols = len(a[0])
+    unit = [[int(i == j) for i in range(cols)] for j in range(cols)]
+    stack = [(a, b)]
+    while stack:
+        rows, rhs = stack.pop()
+        x = fraction_solve_lp(cols, [], [([-v for v in row], -v) for row, v
+                                         in zip(rows, rhs)], [0] * cols)
+        lps.append((rows, rhs, x))
+        if x is not None:
+            over = [j for j in odd if x[j] > 1]
+            fractional = [j for j, v in enumerate(x) if v.denominator != 1]
+            if over:
+                j = over[0]
+                stack.append((rows + [unit[j]], rhs + [1]))
+            elif not fractional:
+                yield x
+                return
+            else:
+                j = fractional[0]
+                f = x[j].numerator // x[j].denominator
+                stack.append((rows + [unit[j]], rhs + [f]))
+                stack.append((rows + [[-v for v in unit[j]]], rhs + [-f - 1]))
+        yield None if stack else False
+
+
 def pruned_search(d, h1, g, epsilon, z_graded, max_len):
-    """(nodes, cuts) of g's candidate search under the library's prunes.
+    """(nodes, cuts, lps) of g's candidate search under the library's prunes.
 
     Walks the tree of ``brute_force_candidates``, but does not enter a
     child under which no survivor can lie, and counts the children cut for
@@ -1356,11 +1426,14 @@ def pruned_search(d, h1, g, epsilon, z_graded, max_len):
     root, every product entered and every child cut by degree or
     i-grading (a repeated odd word is never examined there).
 
-    Under the i-grading filter the walk also stops, with one "lp" cut,
-    where the library solves its LP: when it has examined r (p + r)
-    products, r = faces + 2 (+ 1 when ``z_graded``) the rows and p the
-    pool's size, and ``search_lp`` is infeasible under this module's
-    ``fraction_solve_lp``."""
+    Under the i-grading filter the walk also steps ``branch_and_bound`` on
+    ``search_program``, one LP each time it has examined a multiple of
+    r (p + r) products, r = faces + 2 (+ 1 when ``z_graded``) the rows and
+    p the pool's size.  The steps end once the branch and bound finds an
+    integer point, or once the walk has entered a non-constant survivor.
+    When it proves there is no integer point the walk stops there, with one
+    "lp" cut.  ``lps`` are the LPs it solved, as ``branch_and_bound``
+    records them."""
     from reebchords.quiver import effective_fiber_vector
 
     slack = 3 * Fraction(epsilon)
@@ -1371,21 +1444,19 @@ def pruned_search(d, h1, g, epsilon, z_graded, max_len):
     costs = [r.action - slack * len(r.word.chords) for r in pool]
     fibers = [effective_fiber_vector(d, h1, r.word) for r in pool] \
         if use_igrading else []
-    lp_at = None
+    lp_at = decide = None
+    lps = []
     if use_igrading and pool:
         rows = len(g.igrading) + 2 + z_graded
         lp_at = rows * (len(pool) + rows)
+        decide = branch_and_bound(
+            *search_program(d, h1, pool, g, epsilon, z_graded), lps)
     cuts = {"odd": 0, "degree": 0, "igrading": 0, "lp": 0}
     nodes = 1
 
-    def infeasible():
-        a, b = search_lp(d, h1, pool, g, epsilon, z_graded)
-        ge = [([-v for v in row], -v) for row, v in zip(a, b)]
-        return fraction_solve_lp(len(pool), [], ge, [0] * len(pool)) is None
-
     def visit(start, chosen, left):
-        """False once the LP stop has ended the walk."""
-        nonlocal nodes
+        """False once the branch and bound has ended the walk."""
+        nonlocal nodes, decide
         for i in range(start, len(pool)):
             r = pool[i]
             if costs[i] >= left:
@@ -1393,9 +1464,13 @@ def pruned_search(d, h1, g, epsilon, z_graded, max_len):
             if chosen and chosen[-1] is r and r.degree % 2 != 0:
                 cuts["odd"] += 1
                 continue
-            if nodes == lp_at and infeasible():
-                cuts["lp"] += 1
-                return False
+            if decide and nodes % lp_at == 0:
+                point = next(decide)
+                if point is False:
+                    cuts["lp"] += 1
+                    return False
+                if point is not None:
+                    decide = None
             nodes += 1
             rest = left - costs[i]
             later = range(i + r.degree % 2, len(pool))
@@ -1408,20 +1483,27 @@ def pruned_search(d, h1, g, epsilon, z_graded, max_len):
                                  <= k * max(degrees)):
                 cuts["degree"] += 1
                 continue
+            picked = chosen + [r]
             if use_igrading:
-                picked = [pool.index(x) for x in chosen] + [i]
-                if any(sum(fibers[j][c] for j in picked)
-                       + k * min([fibers[j][c] for j in later] + [0])
-                       > g.igrading[c]
-                       for c in range(len(g.igrading))):
+                sums = [sum(fibers[pool.index(x)][c] for x in picked)
+                        for c in range(len(g.igrading))]
+                if any(s + k * min([fibers[j][c] for j in later] + [0])
+                       > g.igrading[c] for c, s in enumerate(sums)):
                     cuts["igrading"] += 1
                     continue
-            if not visit(i, chosen + [r], rest):
+                cls = [sum(v) for v in
+                       zip(*(x.orbit_class.vector for x in picked))]
+                if (degree - target) % 2 == 0 \
+                        and (not z_graded or degree == target) \
+                        and h1.reduce(cls) == g.orbit_class.reduced \
+                        and all(s <= t for s, t in zip(sums, g.igrading)):
+                    decide = None       # a non-constant survivor
+            if not visit(i, picked, rest):
                 return False
         return True
 
     visit(0, [], budget)
-    return nodes, cuts
+    return nodes, cuts, lps
 
 
 # -- the simplex in Fraction arithmetic ---------------------------------------

@@ -19,7 +19,7 @@ from reebchords.diagram import (FrontCode, ResolvedDiagram, parse_front,
                                 resolve)
 from test_lp import TREFOIL_2_COPY
 from test_realization import seeded_fronts, surgered_front
-from test_report import HOPF_MINUS
+from test_report import FEASIBLE_LP_FRONT, HOPF_MINUS
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -765,6 +765,17 @@ def chain_rows(text, max_len):
     assert code == 0
     return [row for row in json.loads(out)
             if row["good"] and row["degree"] == 1]
+
+
+def test_chain_decides_a_row_whose_root_lp_is_feasible():
+    """Row (r7r8) of ``chain --max-len 2`` on a parity-mode front has a
+    feasible root LP, and its search would run to MAX_NODES.  The branch
+    and bound proves that no non-constant product passes, so the row is
+    complete, with the constant term as its only candidate."""
+    [row] = [row for row in chain_rows(FEASIBLE_LP_FRONT, 2)
+             if row["word"] == "(r7r8)"]
+    assert "truncated" not in row
+    assert [c["monomial"] for c in row["candidates"]] == ["1"]
 
 
 TREFOIL_MINUS = "L1,L3,X2,X2,X2,R1,R1 / surgery {0:-1}"

@@ -1,11 +1,16 @@
+import importlib.util
+import random
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-from oracles import (brute_force_candidates, candidate_pool,
-                     collection_i_grading, front_text, fraction_solve_lp,
-                     k_copy, pruned_search, search_lp)
+from oracles import (branch_and_bound, brute_force_candidates,
+                     candidate_pool, collection_i_grading, front_text,
+                     fraction_solve_lp, k_copy, pruned_search, search_program)
 from reebchords import report
 from reebchords.diagram import parse_front, resolve
 from reebchords.homology import h1_presentation
@@ -248,7 +253,8 @@ def test_exhaustive_search_cases_reach_every_prune():
     pool, the intersection-grading bound, and the LP stop."""
     cuts = {"odd": 0, "degree": 0, "igrading": 0, "lp": 0}
     for d, h1, g, rep, cap in oracle_cases():
-        nodes, case_cuts = pruned_search(d, h1, g, EPS, rep.z_graded, cap)
+        nodes, case_cuts, _lps = pruned_search(d, h1, g, EPS, rep.z_graded,
+                                               cap)
         assert rep.nodes == nodes
         pool = candidate_pool(d, h1, g, EPS, rep.z_graded, cap)
         if not any(r.degree < 0 for r in pool):
@@ -258,45 +264,55 @@ def test_exhaustive_search_cases_reach_every_prune():
     assert all(count > 0 for count in cuts.values()), cuts
 
 
-# a parity-mode search whose LP is still feasible when the search reaches
-# it: the search goes on, to 4,387 products
+# a parity-mode front whose searches for (r4), and for (r7r8) at length 2,
+# find the root LP feasible and both of its branches infeasible; without
+# the branches (r7r8) would run to MAX_NODES
 FEASIBLE_LP_FRONT = ("L1,L2,X3,X2,L4,R3,L2,R1,X3,X2,X1,X1,R3,R1 / "
                      "orientations {0:-} / surgery {0:+1}")
 
 
 def test_search_goes_on_past_a_feasible_lp():
+    """The branch and bound steps once per r (p + r) products: the root LP
+    is feasible, both of its children are infeasible, and the search stops
+    complete at three times that, not at 4,387 as without the branches."""
     [(d, h1, g, rep, cap)] = searches(FEASIBLE_LP_FRONT, [(4,)], 2)
-    nodes, cuts = pruned_search(d, h1, g, EPS, rep.z_graded, cap)
+    nodes, cuts, lps = pruned_search(d, h1, g, EPS, rep.z_graded, cap)
     pool = candidate_pool(d, h1, g, EPS, rep.z_graded, cap)
     rows = len(g.igrading) + 2 + rep.z_graded
-    assert rep.truncated is None and cuts["lp"] == 0
-    assert rep.nodes == nodes > rows * (len(pool) + rows)
+    assert not rep.z_graded and rep.truncated is None and cuts["lp"] == 1
+    assert [x is None for _a, _b, x in lps] == [False, True, True]
+    assert rep.nodes == nodes == 3 * rows * (len(pool) + rows) == 1287
 
 
 def test_lp_stop_without_repeated_face_rows_answers_as_the_full_lp(
         monkeypatch):
-    """Every LP stop test of ``chain --max-len 1`` on the 2-copy answers as
-    the LP with one row for every face, solved by the Fraction simplex, and
-    some of them solve fewer rows than that."""
-    answers, sizes = [], []
-    passes, solve = report._no_product_passes, report.solve_lp
+    """Every LP of the branch and bound in ``chain --max-len 1`` on the
+    2-copy keeps one row for each distinct face row (fiber entries and
+    target), in face order, and answers as the LP with one row for every
+    face, solved by the Fraction simplex; some of them have fewer rows
+    than that."""
+    faces, answers = [], []
+    integer_point, solve = report._integer_point, report.solve_lp
 
-    def both(fiber, target_i, costs, top, eq):
-        n = len(costs)
-        full = [([-vec[c] for vec in fiber], -t)
-                for c, t in enumerate(target_i)]
-        full += [([-c for c in costs], 1 - top), ([1] * n, 1)]
-        got = passes(fiber, target_i, costs, top, eq)
-        answers.append((got, fraction_solve_lp(n, eq, full, [0] * n) is None,
-                        sizes[-1] < len(full)))
+    def recorded(pool, costs, top, fiber, target_i, *rest):
+        faces.append([(tuple(-vec[c] for vec in fiber), -t)
+                      for c, t in enumerate(target_i)])
+        return integer_point(pool, costs, top, fiber, target_i, *rest)
+
+    def both(cols, eq, ge, minimize):
+        full, n = faces[-1], len(faces[-1][0][0])
+        distinct = list(dict.fromkeys(full))
+        assert [(tuple(a[:n]), b) for a, b in ge[:len(distinct)]] == distinct
+        pad = [0] * (cols - n)
+        whole = [(list(a) + pad, b) for a, b in full] + ge[len(distinct):]
+        got = solve(cols, eq, ge, minimize)
+        answers.append((got is None,
+                        fraction_solve_lp(cols, eq, whole, minimize) is None,
+                        len(distinct) < len(full)))
         return got
 
-    def counted(n, eq, ge, minimize):
-        sizes.append(len(ge))
-        return solve(n, eq, ge, minimize)
-
-    monkeypatch.setattr(report, "_no_product_passes", both)
-    monkeypatch.setattr(report, "solve_lp", counted)
+    monkeypatch.setattr(report, "_integer_point", recorded)
+    monkeypatch.setattr(report, "solve_lp", both)
     trefoil = parse_front(SEARCH_FRONTS[0])
     cases = list(searches(front_text(k_copy(trefoil, 2)), None, 1))
     assert cases and answers
@@ -304,12 +320,48 @@ def test_lp_stop_without_repeated_face_rows_answers_as_the_full_lp(
     assert any(repeated for _, _, repeated in answers)
 
 
+def farkas_vector(a, b):
+    """An integer y >= 0 with y.A >= 0 on every column and y.b < 0, which
+    proves that A x <= b has no solution x >= 0, found by the Fraction
+    simplex on the dual and checked in integers."""
+    cols = len(a[0])
+    dual = [([row[j] for row in a], 0) for j in range(cols)]
+    dual.append(([-v for v in b], 1))
+    y = fraction_solve_lp(len(a), [], dual, [0] * len(a))
+    assert y is not None
+    scale = lcm(*(v.denominator for v in y))
+    y = [int(v * scale) for v in y]
+    assert all(v >= 0 for v in y)
+    assert all(sum(v * row[j] for v, row in zip(y, a)) >= 0
+               for j in range(cols))
+    assert sum(v * w for v, w in zip(y, b)) < 0
+    return y
+
+
+def decision(decide):
+    """What a branch and bound generator yields last: an integer point, or
+    False when there is none."""
+    return next(step for step in decide if step is not None)
+
+
+def oracle_decision(d, h1, g, rep, cap):
+    """(point or False, lps) of the oracle's branch and bound over
+    ``search_program``, run to the end."""
+    pool = candidate_pool(d, h1, g, EPS, rep.z_graded, cap)
+    lps = []
+    point = decision(branch_and_bound(
+        *search_program(d, h1, pool, g, EPS, rep.z_graded), lps))
+    return point, lps
+
+
 def test_lp_stops_have_integer_farkas_certificates(monkeypatch):
-    """Each search that the LP stops, on the trefoil +1 cases above and on
-    its 2- and 3-copy at length 1, has a Farkas vector y for the oracle's
-    LP A x <= b, x >= 0, found by the Fraction simplex on the dual and
-    checked in integers: y >= 0, y.A >= 0 on every column and y.b < 0, so
-    no x exists, whatever either simplex said."""
+    """Each search that the branch and bound stops, on the trefoil +1 cases
+    above, on its 2- and 3-copy at length 1, and on (r4) and (r7r8) of
+    ``FEASIBLE_LP_FRONT``, solves the LPs of the oracle's branch and bound
+    over ``search_program``, with the same verdicts.  Every infeasible leaf
+    of the oracle's, its root rows plus its branch bounds, has a Farkas
+    vector checked in integers, so no integer point exists, whatever
+    either simplex said.  The last two have a feasible root."""
     verdicts = []
 
     def recorded(*args):
@@ -321,25 +373,87 @@ def test_lp_stops_have_integer_farkas_certificates(monkeypatch):
     trefoil = parse_front(SEARCH_FRONTS[0])
     for cases in (searches(SEARCH_FRONTS[0]),
                   searches(front_text(k_copy(trefoil, 2)), None, 1),
-                  searches(front_text(k_copy(trefoil, 3)), None, 1)):
+                  searches(front_text(k_copy(trefoil, 3)), None, 1),
+                  searches(FEASIBLE_LP_FRONT, [(4,), (7, 8)], 2)):
         certified = 0
         for d, h1, g, rep, cap in cases:
-            if verdicts and verdicts[-1] is None:
-                pool = candidate_pool(d, h1, g, EPS, rep.z_graded, cap)
-                a, b = search_lp(d, h1, pool, g, EPS, rep.z_graded)
-                dual = [([row[j] for row in a], 0) for j in range(len(pool))]
-                dual.append(([-v for v in b], 1))
-                y = fraction_solve_lp(len(a), [], dual, [0] * len(a))
-                assert y is not None, g
-                scale = lcm(*(v.denominator for v in y))
-                y = [int(v * scale) for v in y]
-                assert all(v >= 0 for v in y)
-                assert all(sum(v * row[j] for v, row in zip(y, a)) >= 0
-                           for j in range(len(pool)))
-                assert sum(v * w for v, w in zip(y, b)) < 0
-                certified += 1
+            if verdicts:
+                point, lps = oracle_decision(d, h1, g, rep, cap)
+                assert [v is None for v in verdicts] == \
+                    [x is None for _a, _b, x in lps[:len(verdicts)]]
+                if point is False and len(lps) == len(verdicts):
+                    assert rep.truncated is None
+                    for a, b, x in lps:
+                        if x is None:
+                            farkas_vector(a, b)
+                            certified += 1
             verdicts.clear()
         assert certified > 0
+
+
+def products_under_budget(costs, budget, limit):
+    """How many multisets of the pool cost less than the budget, counted up
+    to just past ``limit``."""
+    count, stack = 0, [(0, budget)]
+    while stack and count <= limit:
+        start, left = stack.pop()
+        for i in range(start, len(costs)):
+            if costs[i] < left:
+                count += 1
+                stack.append((i, left - costs[i]))
+    return count
+
+
+# the perfbench front generator, loaded from its file
+_spec = importlib.util.spec_from_file_location(
+    "fronts", Path(__file__).resolve().parent.parent / "perfbench" /
+    "fronts.py")
+FRONTS = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(FRONTS)
+
+
+@settings(max_examples=60, deadline=None)
+@seed(22)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_integer_point_decisions_agree_with_brute_force(front_seed):
+    """On a seeded random front of 6-12 events, every i-graded search at
+    pool length 2 builds a branch and bound; run to its end, it finds no
+    integer point only when ``brute_force_candidates`` finds no
+    non-constant survivor, and a point only when that multiset is one of
+    them.  Searches with more than 3,000 products under the budget are left
+    out: brute force would take minutes on some of them."""
+    [text] = FRONTS.random_fronts(random.Random(front_seed), 1, 6, 12, 3)
+    d = resolve(parse_front(text))
+    h1 = h1_presentation(d)
+    made = []
+
+    def recorded(*args):
+        made.append(args)
+        return integer_point(*args)
+
+    integer_point = report._integer_point
+    for g in generators(d, h1, max_len=2):
+        if not (g.good and g.degree == 1 and g.igrading is not None):
+            continue
+        made.clear()
+        with mock.patch.object(report, "_integer_point", recorded):
+            rep = differential_candidates(g, d, h1, EPS, max_pool_len=2)
+        if not made:
+            continue
+        pool = made[0][0]
+        budget = g.action + 3 * EPS * len(g.word.chords)
+        costs = [r.action - 3 * EPS * len(r.word.chords) for r in pool]
+        if products_under_budget(costs, budget, 3000) > 3000:
+            continue
+        cap = _pool_length_cap(d, g.degree - 1) if rep.z_graded else None
+        found = [factors for factors, _trail in brute_force_candidates(
+            d, h1, g, EPS, rep.z_graded, 2 if cap is None else min(cap, 2))]
+        x = decision(integer_point(*made[0]))
+        if x is False:
+            assert not any(found), g
+        else:
+            assert tuple(r.word.chords for r, k in zip(pool, x)
+                         for _ in range(int(k))) in found, g
 
 
 def test_truncated_search_keeps_the_first_survivors(monkeypatch):

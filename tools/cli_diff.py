@@ -10,6 +10,13 @@ and the exit code are compared.  Each difference is printed, and the exit
 code is 1 if there is any, else 0.  The summary also gives the line count
 of ``src/reebchords/*.py`` in each tree, as ``wc -l`` totals it.
 
+Each tree's CPU seconds per command are recorded too, and the commands
+whose time moved by more than ``TIME_MOVE`` (25 %) either way are listed,
+with both times, when either tree took at least ``TIME_FLOOR_S`` seconds
+(0.1): on shorter commands scheduling noise is a large share of the time.
+The list only reports; it does not change the exit code.  It shows
+per-command moves that a benchmark's medians hide.
+
 The commands, each run once:
 
 * every item of the perfbench corpora at seeds 1-3, read from
@@ -46,11 +53,14 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 SEEDS = (1, 2, 3)
 DEADLINE_S = 60
+TIME_MOVE = 0.25
+TIME_FLOOR_S = 0.1
 
 TREFOIL = "L1,L3,X2,X2,X2,R1,R1 / surgery {{0:{}}}"
 HOPF_PLUS_MINUS = "L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:-1}"
@@ -119,7 +129,8 @@ def _expired(signum, frame):
 
 def worker(src):
     """Run the commands read as JSON from standard input under the tree
-    ``src``; print one [stdout, stderr, exit code] per command as JSON."""
+    ``src``; print one [stdout, stderr, exit code, CPU seconds] per command
+    as JSON."""
     sys.path.insert(0, os.path.join(src, "src"))
     from reebchords.cli import main
 
@@ -130,6 +141,7 @@ def worker(src):
     for _name, argv, front in cmds:
         sys.stdin = io.StringIO(front)
         out, err = io.StringIO(), io.StringIO()
+        start = time.process_time()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             signal.setitimer(signal.ITIMER_PROF, DEADLINE_S)
             try:
@@ -141,7 +153,8 @@ def worker(src):
                 code = 1
             finally:
                 signal.setitimer(signal.ITIMER_PROF, 0)
-        results.append([out.getvalue(), err.getvalue(), code])
+        results.append([out.getvalue(), err.getvalue(), code,
+                        time.process_time() - start])
     json.dump(results, real_stdout)
 
 
@@ -161,7 +174,7 @@ def differences(cmds, res_a, res_b):
     """Printable lines, one block per command whose results differ."""
     lines = []
     for (name, argv, _front), a, b in zip(cmds, res_a, res_b):
-        if a == b:
+        if a[:3] == b[:3]:
             continue
         lines.append(f"== {name}: {' '.join(argv)}")
         for field, va, vb in zip(("stdout", "stderr", "exit code"), a, b):
@@ -177,6 +190,18 @@ def differences(cmds, res_a, res_b):
             lines += ["     " + d for d in diff[:40]]
             if len(diff) > 40:
                 lines.append(f"     ... {len(diff) - 40} more diff lines")
+    return lines
+
+
+def time_moves(cmds, res_a, res_b):
+    """Printable lines, one per command whose CPU time moved by more than
+    TIME_MOVE of the first tree's, where either took TIME_FLOOR_S or more."""
+    lines = []
+    for (name, argv, _front), a, b in zip(cmds, res_a, res_b):
+        ta, tb = a[3], b[3]
+        if max(ta, tb) >= TIME_FLOOR_S and abs(tb - ta) > TIME_MOVE * ta:
+            lines.append(f"   {ta:.3f} s -> {tb:.3f} s  {name}: "
+                         f"{' '.join(argv)}")
     return lines
 
 
@@ -208,6 +233,13 @@ def main(argv):
     for line in lines:
         print(line)
     n_diff = sum(1 for line in lines if line.startswith("== "))
+    moves = time_moves(cmds, *results)
+    print(f"CPU time moved by more than {TIME_MOVE:.0%} on {len(moves)} "
+          f"commands:")
+    for line in moves:
+        print(line)
+    print("CPU s in all: base {:.2f}, change {:.2f}".format(
+        *(sum(r[3] for r in res) for res in results)))
     print(f"{len(cmds)} commands, {n_diff} with differences")
     print("src lines: base {}, change {}".format(*map(src_lines, argv)))
     return 1 if n_diff else 0
