@@ -15,6 +15,6 @@ from .indices import c1_class, cz_integral
 from .quiver import Quiver, bubbling_faces, i_grading
 from .report import differential_candidates, generators
 from .words import (CyclicWord, Word, enumerate_chord_words,
-                    enumerate_orbit_words, primitive_decomposition, push_out)
+                    enumerate_orbit_words, push_out)
 
 __version__ = "0.1.0"

@@ -900,7 +900,8 @@ class ResolvedDiagram(object):
     def letter(self, j1: int, j2: int) -> "Letter":
         """The letter r_j1 -> r_j2, measured on its capping arc from the tip
         of r_j1 to the tail of r_j2 along the component's orientation.  Each
-        letter is built on first use; the letters share one memo key."""
+        letter is built on first use; the letters share one memo key.  Only
+        chords of the surgered sublink make letters; any other is a fault."""
         letters = self.memo.setdefault(("letters",), {})
         if (j1, j2) in letters:
             return letters[j1, j2]
@@ -908,6 +909,10 @@ class ResolvedDiagram(object):
         comp = c1.tip_comp
         if c2.tail_comp != comp:
             raise DiagramError(f"chords r{j1}, r{j2} are not composable")
+        if not all(self.surgery[c.tail_comp] and self.surgery[c.tip_comp]
+                   for c in (c1, c2)):
+            raise DiagramError(f"letter r{j1}r{j2} touches an unsurgered "
+                               f"component")
         plist = self.passages[comp]
         k1 = self._passage_of[j1, "tip"][1]
         k2 = self._passage_of[j2, "tail"][1]
@@ -915,9 +920,9 @@ class ResolvedDiagram(object):
         arcs = tuple((k1 + i) % len(plist)
                      for i in range((k2 - k1) % len(plist)))
         rot = self.front.capping_rotation(j1, j2)
-        vector = [Fraction(0)] * len(self.components)
+        vector = [0] * len(self.components)
         for end in (c1.tail_comp, comp):
-            vector[end] += Fraction(self.surgery[end] + c1.sign, 2)
+            vector[end] += (self.surgery[end] + c1.sign) // 2
         for k in arcs[1:]:
             ch = self.chord(plist[k][1])
             vector[ch.tip_comp if plist[k][2] == "tail"
@@ -933,23 +938,26 @@ class ResolvedDiagram(object):
 
 class Letter(NamedTuple):
     """What the letter r_j1 -> r_j2 of a cyclic word contributes to its
-    orbit, from the capping arc's rotation number rot and length.  rot is
-    mu(r_j1's tip wire) - mu(r_j2's tail wire), plus o * T across the cut
-    (``FrontCode.capping_rotation``); the length is the realization's.
+    orbit, from the capping arc's rotation number rot and length.  Letters
+    exist only on the surgered sublink: both chords have both ends on
+    components of coefficient +-1.  rot is mu(r_j1's tip wire) - mu(r_j2's
+    tail wire), plus o * T across the cut (``FrontCode.capping_rotation``);
+    the length is the realization's.
 
     ``index`` is rot + [c = +1], the letter's Conley-Zehnder term;
     ``sign`` is (-1)^rot, its return-map sign; ``c`` is the coefficient of
     the component holding r_j1's tip; ``h`` is 1/2 minus the arc's length
     over its component's.  ``vector`` is the letter's crossing monomial per
-    component: at each end of r_j1, (coefficient + sign)/2 of the end's
-    component, plus the arc's signed passes (passing chord r's tail counts
-    r's sign against its tip's component, and the reverse).  ``arcs`` are
-    the passage arcs the capping arc runs over, in order."""
+    component, in ints: at each end of r_j1, (coefficient + sign)/2 of the
+    end's component, an integer as both are +-1, plus the arc's signed
+    passes (passing chord r's tail counts r's sign against its tip's
+    component, and the reverse).  ``arcs`` are the passage arcs the capping
+    arc runs over, in order."""
     index: int
     sign: int
     c: int
     h: Fraction
-    vector: Tuple[Fraction, ...]
+    vector: Tuple[int, ...]
     arcs: Tuple[int, ...]
 
 

@@ -17,7 +17,7 @@ from typing import List, NamedTuple, Tuple
 
 from .diagram import DiagramError, ResolvedDiagram
 from .indices import cz_integral
-from .words import CyclicWord, primitive_decomposition
+from .words import CyclicWord
 
 Poly = Tuple[int, ...]       # coefficients, ascending degree
 
@@ -120,13 +120,12 @@ def hyperbolic_type(cz_parity: int, trace: Poly) -> Tuple[str, Fraction]:
 def is_bad(d: ResolvedDiagram, w: CyclicWord) -> bool:
     """True for even covers of negative hyperbolic orbits.
 
-    ``hyperbolic_type`` reads the kind off the CZ parity alone, so the
-    primitive word's parity decides without building its return map.
+    ``hyperbolic_type`` reads the kind off the CZ parity alone, and the
+    index sums over letters, so w = v^k has cz(w) = k cz(v): w is bad
+    exactly when k is even and cz(w) / k is odd.
     """
-    prim, mult = primitive_decomposition(w)
-    if mult % 2 != 0:
-        return False
-    return cz_integral(d, prim) % 2 == 1
+    k = w.multiplicity()
+    return k % 2 == 0 and cz_integral(d, w) // k % 2 == 1
 
 
 class EmbeddingSolution(NamedTuple):

@@ -2,15 +2,16 @@
 
 The presentation matrix has the framing coefficients tb + c on the diagonal
 and linking numbers off it, over the surgered components.  Orbit classes
-come from the crossing-monomial formula, summed over the letters' monomial
-vectors (``ResolvedDiagram.letter``), and are reduced to a normal form in
-the cokernel via Smith normal form with unimodular transforms.  An
+come from the crossing-monomial formula, half the sum of the letters' int
+monomial vectors (``ResolvedDiagram.letter``), and are reduced to a normal
+form in the cokernel via Smith normal form with unimodular transforms.
+Everything here is in ints: ``H1Presentation.solve`` returns its rational
+solutions times ``exponent``, the last elementary divisor.  An
 ``OrbitClass`` is one orbit's meridian vector and its normal form, with no
 sum: a collection's class is the sum of its vectors, reduced again, which
 the candidate search keeps as a running sum.
 """
 
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .diagram import DiagramError, ResolvedDiagram
@@ -120,29 +121,29 @@ class H1Presentation(object):
         self.torsion = [x for x in self.diagonal if x not in (0, 1)]
         self.free_rank = sum(1 for x in self.diagonal if x == 0)
         self.finite = self.free_rank == 0
+        # the last elementary divisor, a multiple of all the others
+        self.exponent = self.diagonal[-1] if n else 1
 
     def reduce(self, vector: Sequence) -> Tuple[int, ...]:
         """Normal form of a meridian vector in the cokernel coordinates."""
-        n = len(self.surgered)
-        if len(vector) != n:
+        if len(vector) != len(self.surgered):
             raise DiagramError("vector length does not match presentation")
-        coords = []
-        for i in range(n):
-            s = sum(self.u[i][j] * vector[j] for j in range(n))
-            dgl = self.diagonal[i]
-            coords.append(int(s) % dgl if dgl != 0 else int(s))
-        return tuple(coords)
+        sums = (sum(u * v for u, v in zip(row, vector)) for row in self.u)
+        return tuple(s % dgl if dgl else s
+                     for s, dgl in zip(sums, self.diagonal))
 
-    def solve(self, rhs: Sequence[Fraction]) -> List[Fraction]:
-        """The rational x with matrix^T x = rhs, as U^T D^-1 V^T rhs.
+    def solve(self, rhs: Sequence[int]) -> List[int]:
+        """exponent * x in ints, for the rational x with matrix^T x = rhs
+        and rhs integral: U^T (exponent D^-1) V^T rhs, where each d_i
+        divides the exponent.
 
         Raises DiagramError when an elementary divisor is zero.
         """
         if not self.finite:
             raise DiagramError("singular relation matrix in grading solve")
         n = len(self.surgered)
-        y = [Fraction(sum(self.v[j][i] * rhs[j] for j in range(n)),
-                      self.diagonal[i]) for i in range(n)]
+        y = [self.exponent // self.diagonal[i] *
+             sum(self.v[j][i] * rhs[j] for j in range(n)) for i in range(n)]
         return [sum(self.u[j][i] * y[j] for j in range(n)) for i in range(n)]
 
     def group_description(self) -> str:
@@ -160,7 +161,7 @@ class OrbitClass(object):
     __slots__ = ("vector", "reduced")
 
     def __init__(self, h1: H1Presentation, vector: Sequence[int]):
-        self.vector = tuple(int(v) for v in vector)
+        self.vector = tuple(vector)
         self.reduced = h1.reduce(self.vector)
 
     def __eq__(self, other):
@@ -185,12 +186,12 @@ def orbit_class_monomial(d: ResolvedDiagram, h1: H1Presentation,
     key = ("class", w.chords)
     if key in d.memo:
         return d.memo[key]
-    half = [sum(counts) / 2 for counts in
+    sums = [sum(counts) for counts in
             zip(*(d.letter(j1, j2).vector for j1, j2 in w.pairs()))]
-    if any(v.denominator != 1 for v in half):
-        raise DiagramError(f"non-integral class for {w}: {half}")
+    if any(v % 2 for v in sums):
+        raise DiagramError(f"non-integral class for {w}: {sums} / 2")
     # meridians of unsurgered components still bound their disks, so
     # their coefficients are null-homologous and drop out
-    d.memo[key] = OrbitClass(h1, [int(half[i]) for i in h1.surgered])
+    d.memo[key] = OrbitClass(h1, [sums[i] // 2 for i in h1.surgered])
     return d.memo[key]
 

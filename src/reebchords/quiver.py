@@ -6,12 +6,12 @@ The intersection grading assigns to each null-homologous orbit an integer
 per bounded face: the push-out's winding numbers (sums of per-piece tables
 at the one offset ``words.PUSH_OFF``, never retried) plus a meridian-disk
 correction for its linking vector, which is the orbit's class vector,
-solved through the Smith form of the surgery relation matrix.  A
-collection's grading is the sum of its orbits' fiber vectors.  No curve is
-wound here except each component, once per diagram.
+solved through the Smith form of the surgery relation matrix.  Fiber
+vectors are ints over one denominator, ``H1Presentation.exponent``: a
+collection's grading is the sum of its orbits' fiber vectors, divided by
+it once.  No curve is wound here except each component, once per diagram.
 """
 
-from fractions import Fraction
 from typing import List, Tuple
 
 from .diagram import DiagramError, Face, ResolvedDiagram
@@ -50,13 +50,15 @@ def _component_windings(d: ResolvedDiagram) -> List[List[int]]:
 
 
 def effective_fiber_vector(d: ResolvedDiagram, h1: H1Presentation,
-                           w: CyclicWord) -> Tuple[Fraction, ...]:
-    """Per-orbit rational fiber-count vector; sums to the grading of unions.
+                           w: CyclicWord) -> Tuple[int, ...]:
+    """Per-orbit fiber-count vector times ``h1.exponent``, in ints; sums to
+    the exponent times the grading of unions.
 
-    The push-out's winding numbers plus the (here possibly fractional)
+    The push-out's winding numbers plus the (possibly fractional)
     meridian-cap correction solved against the relation matrix for minus
-    the orbit's class vector; the total over a null-homologous collection
-    is integral and is its grading.  Memoized per diagram.
+    the orbit's class vector, all over the exponent; the total over a
+    null-homologous collection is divisible by it, and the quotient is its
+    grading.  Memoized per diagram.
     """
     key = ("fiber", w.chords)
     if key in d.memo:
@@ -64,15 +66,12 @@ def effective_fiber_vector(d: ResolvedDiagram, h1: H1Presentation,
     windings = push_out(d, w)
     sol = h1.solve([-v for v in orbit_class_monomial(d, h1, w).vector])
     comp_w = _component_windings(d)
-    vec = []
-    for k in range(len(d.faces_list)):
-        total = Fraction(windings[k])
-        # each cap through handle j trades a meridian for a framed push-off,
-        # whose spanning surface meets the fiber in the component's winding
-        for idx, j in enumerate(h1.surgered):
-            total += sol[idx] * comp_w[j][k]
-        vec.append(total)
-    d.memo[key] = tuple(vec)
+    # each cap through handle j trades a meridian for a framed push-off,
+    # whose spanning surface meets the fiber in the component's winding
+    d.memo[key] = tuple(
+        h1.exponent * windings[k] +
+        sum(x * comp_w[j][k] for x, j in zip(sol, h1.surgered))
+        for k in range(len(d.faces_list)))
     return d.memo[key]
 
 
@@ -92,9 +91,9 @@ def i_grading(d: ResolvedDiagram, h1: H1Presentation,
         raise DiagramError(f"{w} is not null-homologous; no spanning "
                            "surface exists")
     vec = effective_fiber_vector(d, h1, w)
-    if any(v.denominator != 1 for v in vec):
+    if any(v % h1.exponent for v in vec):
         raise DiagramError(f"fractional fiber count on null-homologous {w}")
-    return tuple(int(v) for v in vec)
+    return tuple(v // h1.exponent for v in vec)
 
 
 def bubbling_faces(d: ResolvedDiagram) -> List[Tuple[Face, Tuple[int, ...]]]:

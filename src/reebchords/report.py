@@ -4,7 +4,9 @@ Assembles, per orbit word within bounds, everything the chain-level analysis
 needs (grading, homology class, action, hyperbolic type, intersection
 grading), then filters candidate targets of the degree-1-down differential
 with every available obstruction.  Counts are only ever asserted where a
-bubbling face forces them; all other survivors stay "count unknown".
+bubbling face forces them; all other survivors stay "count unknown".  The
+search runs in ints: costs over one common denominator, fiber vectors as
+``effective_fiber_vector`` gives them, over ``H1Presentation.exponent``.
 
 Under the intersection-grading filter a search also decides by exact branch
 and bound whether a non-constant product passes, with one LP per rows x
@@ -231,8 +233,8 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     use_igrading = g.igrading is not None
 
     # the search runs over integers: costs and the budget share one
-    # denominator, fiber vectors another, and a difference of fiber sums is
-    # integral exactly when its scaled value is divisible by theirs
+    # denominator, fiber vectors are ints over h1.exponent, and a
+    # difference of fiber sums is integral exactly when divisible by it
     n = len(pool)
     costs = [r.action - slack * len(r.word.chords) for r in pool]
     cost_den = lcm(budget.denominator, *(c.denominator for c in costs))
@@ -242,11 +244,8 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     acc_i = [0] * n_faces
     acc_cls = [0] * len(h1.surgered)      # meridian vector of the product
     if use_igrading:
-        vectors = [effective_fiber_vector(d, h1, r.word) for r in pool]
-        fiber_den = lcm(1, *(v.denominator for vec in vectors for v in vec))
-        fiber = [[v.numerator * (fiber_den // v.denominator) for v in vec]
-                 for vec in vectors]
-        target_i = [v * fiber_den for v in g.igrading]
+        fiber = [effective_fiber_vector(d, h1, r.word) for r in pool]
+        target_i = [v * h1.exponent for v in g.igrading]
     # Suffix tables over pool[i:], with a row for i = n: the least cost, the
     # least and greatest degree and, per face, the least scaled fiber count,
     # the last three capped at 0.  Every cost is positive (the enumeration
@@ -294,7 +293,7 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
             return False
         if use_igrading:
             delta = [t - a for t, a in zip(target_i, acc_i)]
-            if any(v % fiber_den for v in delta):
+            if any(v % h1.exponent for v in delta):
                 raise DiagramError("fractional fiber count on a "
                                    "null-homologous collection")
             if any(v < 0 for v in delta):
@@ -305,7 +304,7 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
         trail = {"degree": degree, "class": tuple(cls.reduced),
                  "action": sum((pool[j].action for j in chosen), Fraction(0))}
         if use_igrading:
-            trail["delta_i"] = tuple(v // fiber_den for v in delta)
+            trail["delta_i"] = tuple(v // h1.exponent for v in delta)
         if chosen:
             decide = None               # a product passes: no need to decide
             found.append(Candidate(

@@ -103,17 +103,11 @@ class CyclicWord(Word):
         n = len(self.chords)
         return [(self.chords[k], self.chords[(k + 1) % n]) for k in range(n)]
 
-
-def primitive_decomposition(w: CyclicWord) -> Tuple[CyclicWord, int]:
-    """Write w = v^k with v primitive and k maximal."""
-    seq = w.chords
-    n = len(seq)
-    for period in range(1, n + 1):
-        if n % period != 0:
-            continue
-        if seq == seq[period:] + seq[:period]:
-            return CyclicWord(w.diagram, seq[:period]), n // period
-    raise AssertionError("unreachable")
+    def multiplicity(self) -> int:
+        """The largest k with w = v^k: n over the least rotation fixing w."""
+        seq = self.chords
+        return len(seq) // next(p for p in range(1, len(seq) + 1)
+                                if seq == seq[p:] + seq[:p])
 
 
 def surgered_chords(d: ResolvedDiagram) -> List[int]:
@@ -270,9 +264,6 @@ def _arc(d: ResolvedDiagram, j1: int, j2: int) -> _Piece:
     key = ("arc", j1, j2)
     if key not in d.memo:
         comp = d.chord(j1).tip_comp
-        if d.surgery[comp] == 0:
-            raise DiagramError(f"capping arc of r{j1}r{j2} rides an "
-                               f"unsurgered component")
         steps = [_step(d, comp, k) for k in d.letter(j1, j2).arcs]
         d.memo[key] = _Piece(steps[0].start, steps[-1].end,
                              _crossings(steps))

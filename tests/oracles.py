@@ -8,7 +8,9 @@ integer matrices.  Second routes through library results that only the
 tests need live here too: return maps evaluated at an epsilon, the
 embedding's points read off its homogeneous integer points, the
 intersection grading of a collection of orbits (the library grades one
-orbit at a time), the twist's height profile, capping paths walked segment by
+orbit at a time), each orbit's fiber counts in ``Fraction``s by a
+Gauss-Jordan solve (the library keeps them as ints over H1's exponent),
+the twist's height profile, capping paths walked segment by
 segment on either side, whose turning is the second route for letter
 indices and rotation numbers (the library reads those off the front's
 Maslov potential, and rides only the side along the component's
@@ -1170,6 +1172,43 @@ def orbit_class_pushout(h1, linking):
     return OrbitClass(h1, vec)
 
 
+def fibers_over_exponent(d, h1, w):
+    """The library's ``effective_fiber_vector`` of w as the fiber counts it
+    stands for: ``Fraction``s over ``h1.exponent``."""
+    from reebchords.quiver import effective_fiber_vector
+
+    return [Fraction(v, h1.exponent)
+            for v in effective_fiber_vector(d, h1, w)]
+
+
+_COMPONENT_WINDINGS = weakref.WeakKeyDictionary()
+
+
+def fraction_fiber_vector(d, h1, w):
+    """Per-orbit fiber counts in ``Fraction``s by the rational route: the
+    push-out's windings plus sum_j x_j times component j's winding at each
+    face basepoint, x solving matrix^T x = -(the orbit's class vector) by
+    Gauss-Jordan elimination.  The library keeps them as ints over
+    ``h1.exponent`` and solves through the Smith form.  The components'
+    windings are wound once per diagram, held weakly as in
+    ``walk_tables``."""
+    from reebchords.geometry import winding_number
+    from reebchords.homology import orbit_class_monomial
+    from reebchords.words import push_out
+
+    if d not in _COMPONENT_WINDINGS:
+        _COMPONENT_WINDINGS[d] = [[winding_number(cyc, f.basepoint)
+                                   for cyc in d.components]
+                                  for f in d.faces_list]
+    n = len(h1.surgered)
+    transpose = [[h1.matrix[j][i] for j in range(n)] for i in range(n)]
+    x = gauss_jordan_solve(transpose, [
+        -v for v in orbit_class_monomial(d, h1, w).vector])
+    return [wind + sum((xj * comp[j] for xj, j in zip(x, h1.surgered)),
+                       Fraction(0))
+            for wind, comp in zip(push_out(d, w), _COMPONENT_WINDINGS[d])]
+
+
 def collection_i_grading(d, h1, words):
     """Intersection grading of a null-homologous collection of orbits, the
     sum of their ``effective_fiber_vector``s; the library grades one orbit
@@ -1177,7 +1216,6 @@ def collection_i_grading(d, h1, words):
     ``h1.reduce`` and the sum must be integral, else DiagramError."""
     from reebchords.diagram import DiagramError
     from reebchords.homology import orbit_class_monomial
-    from reebchords.quiver import effective_fiber_vector
 
     if not h1.finite:
         raise DiagramError("intersection grading needs finite first homology")
@@ -1187,7 +1225,7 @@ def collection_i_grading(d, h1, words):
         cls = [a + b for a, b in
                zip(cls, orbit_class_monomial(d, h1, w).vector)]
         totals = [a + b for a, b in
-                  zip(totals, effective_fiber_vector(d, h1, w))]
+                  zip(totals, fibers_over_exponent(d, h1, w))]
     if any(h1.reduce(cls)):
         raise DiagramError("collection is not null-homologous")
     if any(v.denominator != 1 for v in totals):
@@ -1266,8 +1304,6 @@ def brute_force_candidates(d, h1, g, epsilon, z_graded, max_len):
     only pruning is the plainly sound one: with no negative degrees in the
     pool, a product whose degree is already above the target is not
     extended."""
-    from reebchords.quiver import effective_fiber_vector
-
     slack = 3 * Fraction(epsilon)
     budget = g.action + slack * len(g.word.chords)
     target = g.degree - 1
@@ -1288,7 +1324,7 @@ def brute_force_candidates(d, h1, g, epsilon, z_graded, max_len):
             delta = list(g.igrading)
             for r in chosen:
                 delta = [a - b for a, b in
-                         zip(delta, effective_fiber_vector(d, h1, r.word))]
+                         zip(delta, fibers_over_exponent(d, h1, r.word))]
             trail["delta_i"] = tuple(delta)
         index = index_closed([g], chosen, 1 - len(chosen))
         if ((index == 1) if z_graded else index % 2 == 1) \
@@ -1317,13 +1353,11 @@ def search_lp(d, h1, pool, g, epsilon, z_graded):
     of 1/D, D the least common denominator of theirs and the budget's, so
     "under the budget" is "at most the budget less 1/D".  Each row is
     scaled by a positive integer."""
-    from reebchords.quiver import effective_fiber_vector
-
     slack = 3 * Fraction(epsilon)
     budget = g.action + slack * len(g.word.chords)
     costs = [r.action - slack * len(r.word.chords) for r in pool]
     den = lcm(budget.denominator, *(c.denominator for c in costs))
-    fibers = [effective_fiber_vector(d, h1, r.word) for r in pool]
+    fibers = [fibers_over_exponent(d, h1, r.word) for r in pool]
     rows = [([f[c] for f in fibers], g.igrading[c])
             for c in range(len(g.igrading))]
     rows += [(costs, budget - Fraction(1, den)),
@@ -1434,15 +1468,13 @@ def pruned_search(d, h1, g, epsilon, z_graded, max_len):
     When it proves there is no integer point the walk stops there, with one
     "lp" cut.  ``lps`` are the LPs it solved, as ``branch_and_bound``
     records them."""
-    from reebchords.quiver import effective_fiber_vector
-
     slack = 3 * Fraction(epsilon)
     budget = g.action + slack * len(g.word.chords)
     target = g.degree - 1
     pool = candidate_pool(d, h1, g, epsilon, z_graded, max_len)
     use_igrading = h1.finite and g.orbit_class.is_zero()
     costs = [r.action - slack * len(r.word.chords) for r in pool]
-    fibers = [effective_fiber_vector(d, h1, r.word) for r in pool] \
+    fibers = [fibers_over_exponent(d, h1, r.word) for r in pool] \
         if use_igrading else []
     lp_at = decide = None
     lps = []

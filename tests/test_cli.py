@@ -15,8 +15,8 @@ from hypothesis import given, seed, settings, strategies as st
 from oracles import front_text, k_copy
 import reebchords
 from reebchords.cli import main
-from reebchords.diagram import (FrontCode, ResolvedDiagram, parse_front,
-                                resolve)
+from reebchords.diagram import (DiagramError, FrontCode, ResolvedDiagram,
+                                parse_front, resolve)
 from test_lp import TREFOIL_2_COPY
 from test_realization import seeded_fronts, surgered_front
 from test_report import FEASIBLE_LP_FRONT, HOPF_MINUS
@@ -574,18 +574,46 @@ def test_grading_and_chain_compute_each_class_once(tmp_path, capsys,
     assert len(classes) == len(records) == len(set(records))
 
 
+@pytest.mark.parametrize("text", [
+    "L1,L3,X2,X2,R1,R1 / surgery {0:0, 1:+1}",
+    "L1,L2,L2,X3,X2,R3,R2,R1 / surgery {0:+1, 1:-1, 2:0}"],
+    ids=["hopf0+", "nested"])
+def test_letter_on_a_coefficient_0_chord_is_a_fault(tmp_path, capsys, text):
+    # letters exist only on the surgered sublink; every composable pair
+    # with a chord end on the coefficient-0 component has none, including
+    # pairs whose capping arc rides a surgered component, and the commands
+    # that read chords there never ask for one
+    d = resolve(parse_front(text))
+    pairs = [(a, b) for a in d.chords for b in d.chords
+             if d.composable(a.id, b.id) and not all(
+                 d.surgery[c.tail_comp] and d.surgery[c.tip_comp]
+                 for c in (a, b))]
+    assert any(d.surgery[a.tip_comp] != 0 for a, _b in pairs)
+    for a, b in pairs:
+        with pytest.raises(DiagramError, match="unsurgered component"):
+            d.letter(a.id, b.id)
+    path = write(tmp_path, text)
+    for argv in (["chain", "--max-len", "3", "--epsilon", "1/100"],
+                 ["chords", "--max-len", "3"]):
+        code, out, err = run(capsys, argv + ["--input", path])
+        assert code == 0 and json.loads(out), (argv, err)
+
+
 def test_chain_fractional_fiber_difference_exit_3(tmp_path, capsys,
                                                   monkeypatch):
     # the class filter admits only null-homologous products, whose fiber
-    # sums are integral; a fractional difference is an internal fault
+    # sums are integral; a fractional difference is an internal fault.
+    # Fiber vectors are ints over H1's exponent, 2 on the trefoil +1, so
+    # taking 1 off the scaled vector takes off 1/2
     from reebchords import report
 
     original = report.effective_fiber_vector
 
     def skewed(d, h1, w):
         vec = original(d, h1, w)
+        assert h1.exponent == 2
         if w.chords == (1,):
-            vec = (vec[0] - F(1, 2),) + vec[1:]
+            vec = (vec[0] - 1,) + vec[1:]
         return vec
 
     path = write(tmp_path, "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")

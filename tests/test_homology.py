@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -199,12 +200,19 @@ def test_qhs_flag_matches_determinant(trefoil_plus, hopf_plus, unknot_plus):
 
 
 def check_smith_solve(h1, rng):
-    """The Smith-form solve of matrix^T x = rhs equals Gauss-Jordan's."""
+    """The Smith-form solve of matrix^T x = rhs, in ints over the
+    exponent, equals Gauss-Jordan's in Fractions, and the exponent is the
+    last elementary divisor, which divides |H1|."""
     n = len(h1.surgered)
     transpose = [[h1.matrix[j][i] for j in range(n)] for i in range(n)]
+    assert h1.exponent == h1.diagonal[-1]
+    assert prod(h1.diagonal) % h1.exponent == 0
     for _ in range(5):
-        rhs = [F(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(n)]
-        assert h1.solve(rhs) == gauss_jordan_solve(transpose, rhs)
+        rhs = [rng.randint(-40, 40) for _ in range(n)]
+        x = h1.solve(rhs)
+        assert all(type(v) is int for v in x)
+        assert [F(v, h1.exponent) for v in x] == \
+            gauss_jordan_solve(transpose, rhs)
 
 
 @pytest.mark.parametrize("name", [

@@ -1,15 +1,27 @@
+import pathlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from oracles import (all_orbit_strings, collection_i_grading, count_cycles,
-                     count_paths, pushout_grading)
+                     count_paths, fraction_fiber_vector, k_copy,
+                     pushout_grading)
 from reebchords.diagram import DiagramError, parse_front, resolve
 from reebchords.homology import h1_presentation, orbit_class_monomial
-from reebchords.quiver import Quiver, bubbling_faces, i_grading
+from reebchords.quiver import (Quiver, bubbling_faces, effective_fiber_vector,
+                               i_grading)
 from reebchords.words import CyclicWord, enumerate_orbit_words
+from test_realization import FIXTURES
 
 F = Fraction
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TREFOIL_PLUS = "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}"
+# split links whose H1 exponent, the fiber vectors' denominator, is not |H1|
+SPLIT_TREFOILS = ("L1,L3,X2,X2,X2,R1,R1,L1,L3,X2,X2,X2,R1,R1 "
+                  "/ surgery {0:+1, 1:+1}")
+SPLIT_TREFOIL_T25 = ("L1,L3,X2,X2,X2,R1,R1,L1,L3,X2,X2,X2,X2,X2,R1,R1 "
+                     "/ surgery {0:+1, 1:+1}")
 
 
 def test_hopf_quiver_shape(hopf_plus):
@@ -157,3 +169,62 @@ def test_bubbling_stable_under_rerealization(trefoil_plus):
     words_a = sorted(word for _f, word in bubbling_faces(trefoil_plus))
     words_b = sorted(word for _f, word in bubbling_faces(other))
     assert words_a == words_b
+
+
+def check_fibers_against_fraction_route(d, max_len):
+    """Every orbit word's fiber vector, in ints, is h1.exponent times the
+    oracle's ``Fraction`` fiber counts; returns (words checked, whether
+    some count is fractional).  An infinite H1 has no fiber vectors."""
+    h1 = h1_presentation(d)
+    words = enumerate_orbit_words(d, max_len=max_len)
+    if not h1.finite:
+        with pytest.raises(DiagramError):
+            effective_fiber_vector(d, h1, words[0])
+        return 0, False
+    fractional = False
+    for w in words:
+        vec = effective_fiber_vector(d, h1, w)
+        want = fraction_fiber_vector(d, h1, w)
+        assert all(type(v) is int for v in vec)
+        assert list(vec) == [h1.exponent * v for v in want], w
+        fractional |= any(v.denominator != 1 for v in want)
+    return len(words), fractional
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fiber_vectors_match_the_fraction_route_on_fixtures(name, request):
+    d = request.getfixturevalue(name)
+    checked, _ = check_fibers_against_fraction_route(d, 3)
+    assert checked or name in ("trefoil_minus", "unknot_plus", "hopf_mixed")
+
+
+def test_fiber_vectors_match_the_fraction_route_on_seeded_fronts(
+        monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from fronts import random_fronts
+
+    results = [check_fibers_against_fraction_route(resolve(parse_front(t)), 2)
+               for t in random_fronts(random.Random(23), 10, 6, 14, 3)]
+    # eight of the ten have finite H1, of exponents 2 to 7
+    assert sum(1 for checked, _ in results if checked) == 8
+    assert any(fractional for _, fractional in results)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_fiber_vectors_match_the_fraction_route_on_copies(k):
+    d = resolve(k_copy(parse_front(TREFOIL_PLUS), k))
+    checked, _ = check_fibers_against_fraction_route(d, 2)
+    assert checked
+
+
+@pytest.mark.parametrize("text, diagonal", [(SPLIT_TREFOILS, [2, 2]),
+                                            (SPLIT_TREFOIL_T25, [2, 4])],
+                         ids=["trefoil+trefoil", "trefoil+T(2,5)"])
+def test_fiber_vectors_match_the_fraction_route_on_split_links(text,
+                                                               diagonal):
+    d = resolve(parse_front(text))
+    h1 = h1_presentation(d)
+    assert h1.diagonal == diagonal
+    assert h1.exponent == diagonal[-1] < diagonal[0] * diagonal[1]
+    checked, fractional = check_fibers_against_fraction_route(d, 3)
+    assert checked and fractional

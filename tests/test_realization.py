@@ -14,7 +14,8 @@ from oracles import (all_orbit_strings, all_pairs_double_points,
                      fraction_components, fraction_measures,
                      front_writhe_and_cusp_counts, k_copy,
                      orbit_class_pushout, polygon_signed_area,
-                     pushout_linking, trace_faces_by_points, turning_number)
+                     pushout_linking, rot_number, trace_faces_by_points,
+                     turning_number)
 from reebchords import diagram
 from reebchords.diagram import (QUADRANT_VECTORS, DiagramError, FrontCode,
                                 _sizing_rows, _template, parse_front,
@@ -79,13 +80,25 @@ def check_realization(d):
     for i in d.tb:
         assert d.tb[i] == writhe[i] - n_right[i] // 2
         assert 2 * d.rot[i] == down[i] - up[i]
+    # a pair of surgered chords has a letter, whose index gives the
+    # capping rotation; any other composable pair has none, and its
+    # rotation is the walk's on the eta side
     for c1 in d.chords:
         for c2 in d.chords:
-            if d.composable(c1.id, c2.id):
+            if not d.composable(c1.id, c2.id):
+                continue
+            rot = rot_number(d, c1.id, c2.id)
+            assert d.front.capping_rotation(c1.id, c2.id) == rot
+            if all(d.surgery[c.tail_comp] and d.surgery[c.tip_comp]
+                   for c in (c1, c2)):
                 letter = d.letter(c1.id, c2.id)
-                turns_eta = 4 * (letter.index - (letter.c == 1)) + 2
-                turns_bar = capping_walk(d, c1.id, c2.id, "etabar")[1]
-                assert turns_eta - turns_bar == 8 * d.rot[c1.tip_comp]
+                assert letter.index - (letter.c == 1) == rot
+            else:
+                with pytest.raises(DiagramError, match="unsurgered"):
+                    d.letter(c1.id, c2.id)
+            turns_eta = 4 * rot + 2
+            turns_bar = capping_walk(d, c1.id, c2.id, "etabar")[1]
+            assert turns_eta - turns_bar == 8 * d.rot[c1.tip_comp]
 
 
 def check_classes(d):

@@ -239,7 +239,7 @@ def test_exhaustive_search_cases_reach_cutoff_and_divisibility():
         unordered += any(a > b for a, b in zip(costs, costs[1:]))
         if h1.finite and g.orbit_class.is_zero():
             fractional += sum(
-                any(v.denominator != 1
+                any(F(v, h1.exponent).denominator != 1
                     for v in effective_fiber_vector(d, h1, r.word))
                 for r in pool)
     assert unordered > 0

@@ -13,7 +13,7 @@ from reebchords.homology import h1_presentation
 from reebchords.report import differential_candidates, generators
 from reebchords.words import (PUSH_OFF, CyclicWord, Word,
                               enumerate_chord_words, enumerate_orbit_words,
-                              primitive_decomposition, push_out)
+                              push_out)
 from test_cli import TREFOIL_3_COPY
 from test_lp import TREFOIL_2_COPY
 from test_realization import seeded_fronts
@@ -60,14 +60,19 @@ def test_word_validation(hopf_mixed):
 
 
 def test_primitive_decomposition(unknot_minus, trefoil_plus):
-    w = CyclicWord(unknot_minus, [1, 1, 1])
-    prim, k = primitive_decomposition(w)
-    assert prim.chords == (1,) and k == 3
-    w2 = CyclicWord(trefoil_plus, [1, 2, 1, 2])
-    prim2, k2 = primitive_decomposition(w2)
-    assert prim2.chords == (1, 2) and k2 == 2
-    w3 = CyclicWord(trefoil_plus, [1, 2])
-    assert primitive_decomposition(w3) == (w3, 1)
+    """w = v^k with k the multiplicity: the chords repeat with period
+    len(w) / k and with no shorter period."""
+    assert CyclicWord(unknot_minus, [1, 1, 1]).multiplicity() == 3
+    assert CyclicWord(trefoil_plus, [1, 2, 1, 2]).multiplicity() == 2
+    assert CyclicWord(trefoil_plus, [1, 2]).multiplicity() == 1
+    assert CyclicWord(trefoil_plus, [1, 2, 1, 2, 1, 2]).multiplicity() == 3
+    assert CyclicWord(trefoil_plus, [1, 1, 2, 1, 1, 2]).multiplicity() == 2
+    assert CyclicWord(trefoil_plus, [1, 1, 2, 1, 2]).multiplicity() == 1
+    for w in enumerate_orbit_words(trefoil_plus, max_len=6):
+        seq, k = w.chords, w.multiplicity()
+        period = len(seq) // k
+        assert seq == seq[:period] * k
+        assert all(seq != seq[p:] + seq[:p] for p in range(1, period))
 
 
 def test_unknot_enumeration(unknot_minus):
@@ -312,20 +317,30 @@ def test_offset_polylines_are_per_passage_interval(text, monkeypatch):
     assert 0 < counts[3] == counts[5] <= passages
 
 
+def surgered_pair(d, a, b):
+    """Whether chords a and b both have both ends on the surgered sublink,
+    the pairs that make letters."""
+    return all(d.surgery[c.tail_comp] and d.surgery[c.tip_comp]
+               for c in (a, b))
+
+
 def check_arcs_against_whole_arcs(d):
-    """Every capping arc's piece equals the whole arc offset by PUSH_OFF
-    and wound in one pass, and is a fault where that arc touches a
-    basepoint; returns the pieces, None for the faults."""
+    """Every capping arc's piece of a pair of surgered chords equals the
+    whole arc offset by PUSH_OFF and wound in one pass, and is a fault
+    where that arc touches a basepoint; on every other composable pair the
+    piece is a fault (it has no letter).  Returns the pieces, None for the
+    basepoint faults."""
     pieces = {}
     for a in d.chords:
         for b in d.chords:
             if not d.composable(a.id, b.id):
                 continue
-            if d.surgery[a.tip_comp] == 0:
-                with pytest.raises(DiagramError):
+            if not surgered_pair(d, a, b):
+                with pytest.raises(DiagramError, match="unsurgered"):
                     words._arc(d, a.id, b.id)
-                with pytest.raises(ValueError):
-                    whole_arc_piece(d, a.id, b.id, "eta", PUSH_OFF)
+                if d.surgery[a.tip_comp] == 0:
+                    with pytest.raises(ValueError):
+                        whole_arc_piece(d, a.id, b.id, "eta", PUSH_OFF)
                 continue
             whole = whole_arc_piece(d, a.id, b.id, "eta", PUSH_OFF)
             if whole[2] is None:
@@ -360,23 +375,32 @@ def test_arc_pieces_match_whole_arcs_on_more_fronts(text):
 
 
 def check_letters_against_walks(d):
-    """Every field of every letter, read off the passage arcs, equals what
-    a segment-by-segment walk of its capping arc gives: the index, sign and
-    h from the walk's turning and length, c from the tip's component, the
-    monomial from the chord term (c + sign)/2 at each end of r_j1 plus the
-    walk's passes, and the passage arcs from the chord ends inside the arc;
-    returns the number of letters checked."""
+    """Every composable pair's capping rotation off the front's Maslov
+    potential equals the turning of a segment-by-segment walk of its
+    capping arc.  On a pair of surgered chords every field of the letter,
+    read off the passage arcs, equals what the walk gives: the index, sign
+    and h from the walk's turning and length, c from the tip's component,
+    the monomial in ints from the chord term (c + sign)/2 at each end of
+    r_j1 plus the walk's passes, and the passage arcs from the chord ends
+    inside the arc.  Any other pair has no letter.  Returns the number of
+    composable pairs checked."""
     count = 0
     for a in d.chords:
         for b in d.chords:
             if not d.composable(a.id, b.id):
                 continue
-            letter = d.letter(a.id, b.id)
             comp = a.tip_comp
             c = d.surgery[comp]
             _points, turns, length = capping_walk(d, a.id, b.id, "eta")
             rot = rot_number(d, a.id, b.id)
             assert turns % 4 == 2
+            assert d.front.capping_rotation(a.id, b.id) == rot
+            count += 1
+            if not surgered_pair(d, a, b):
+                with pytest.raises(DiagramError, match="unsurgered"):
+                    d.letter(a.id, b.id)
+                continue
+            letter = d.letter(a.id, b.id)
             assert letter.index == rot + (c == 1)
             assert letter.sign == (-1) ** (rot % 2)
             assert letter.c == c
@@ -385,6 +409,7 @@ def check_letters_against_walks(d):
             for end in (a.tail_comp, a.tip_comp):
                 vector[end] += F(d.surgery[end] + a.sign, 2)
             assert letter.vector == tuple(vector)
+            assert all(type(v) is int for v in letter.vector)
             plist = d.passages[comp]
             assert plist[letter.arcs[0]][1:3] == (a.id, "tip")
             assert plist[(letter.arcs[-1] + 1) % len(plist)][1:3] == \
@@ -393,7 +418,6 @@ def check_letters_against_walks(d):
                 endpoints_between(d, a.id, b.id, "eta")
             assert [(k + 1) % len(plist) for k in letter.arcs[:-1]] == \
                 list(letter.arcs[1:])
-            count += 1
     return count
 
 

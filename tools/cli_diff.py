@@ -37,7 +37,12 @@ The commands, each run once:
   these are the commands that read capping rotations and crossing counts.
   The stabilized unknot has rotation number -1 and +1, so its capping
   rotations take the cut term of ``FrontCode.capping_rotation``; the other
-  fronts of these commands have rotation number 0.
+  fronts of these commands have rotation number 0;
+* ``grading --max-len 3`` and ``chain --max-len 3 --epsilon 1/100`` on two
+  split links with +1 surgery on both components, trefoil and trefoil
+  (H1 = Z/2 + Z/2) and trefoil and T(2,5) (H1 = Z/2 + Z/4): four
+  commands.  There the exponent of H1, the one denominator of the fiber
+  vectors, differs from the order of H1.
 
 Each command runs as ``reebchords.cli.main(argv + ["--input", "-"])`` with
 the front on standard input.  A command that takes more than
@@ -78,6 +83,10 @@ TREFOIL_4_COPY = ("L1,L1,L1,L1,X2,X4,X3,X6,X5,X4,L9,L9,L9,L9,X10,X12,X11,"
                   "X8,X4,X3,X2,X5,X4,X6,R1,R1,R1,R1,X4,X3,X2,X5,X4,X6,R1,"
                   "R1,R1,R1 "
                   "/ surgery {0:+1, 1:+1, 2:+1, 3:+1}")
+SPLIT_TREFOILS = ("L1,L3,X2,X2,X2,R1,R1,L1,L3,X2,X2,X2,R1,R1 "
+                  "/ surgery {0:+1, 1:+1}")
+SPLIT_TREFOIL_T25 = ("L1,L3,X2,X2,X2,R1,R1,L1,L3,X2,X2,X2,X2,X2,R1,R1 "
+                     "/ surgery {0:+1, 1:+1}")
 
 
 def commands():
@@ -115,6 +124,11 @@ def commands():
         for command in ("cz", "homology"):
             out.append((f"{name} {command}", [command, "--max-len", "3"],
                         front))
+    for name, front in (("trefoil + trefoil", SPLIT_TREFOILS),
+                        ("trefoil + T(2,5)", SPLIT_TREFOIL_T25)):
+        out += [(f"{name} grading", ["grading", "--max-len", "3"], front),
+                (f"{name} chain",
+                 ["chain", "--max-len", "3", "--epsilon", "1/100"], front)]
     return out
 
 
