@@ -8,14 +8,17 @@ bubbling face forces them; all other survivors stay "count unknown".  The
 search runs in ints: costs over one common denominator, fiber vectors as
 ``effective_fiber_vector`` gives them, over ``H1Presentation.exponent``.
 
-Under the intersection-grading filter a search also decides by exact branch
-and bound whether a non-constant product passes, with one LP per rows x
+A search's filters are one table of int rows over its pool (distinct face
+rows, class rows, the degree row): the walk keeps each row's sum, and under
+the intersection-grading filter an exact branch and bound over the same
+rows decides whether a non-constant product passes, with one LP per rows x
 (columns + rows) products it examines: at most MAX_NODES products plus
 MAX_NODES // that many LPs.  A proof that none does ends it complete.
 """
 
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import List, Optional, Tuple
 
 from .diagram import DiagramError, ResolvedDiagram
@@ -140,36 +143,28 @@ def _pool_words(d: ResolvedDiagram, pool_len: Optional[int],
     return [w for w, cost in d.memo[key][1] if cost <= budget]
 
 
-def _integer_point(pool, costs, top, fiber, target_i, target_degree,
-                   z_graded, h1):
+def _integer_point(pool, costs, top, rows):
     """Branch and bound for a non-constant product that passes the filters:
     a generator that solves one LP per step and yields None until it yields
-    an integer point (x, helpers), or False when there is none.  Each row
-    is implied by the filters: the distinct face rows fiber.x <= target,
-    cost.x < top, sum(x) >= 1, the degree (deg.x = target degree, or
-    deg.x - 2p = target degree with an integer helper p in parity mode),
-    and (U v).x - d y = 0 with a helper y per elementary divisor d != 1 of
-    h1, v the class vectors.  A helper is shifted by its least value under
-    x_j <= (top - 1) // cost_j when that is negative.  x_j > 1 on an odd
-    word gets one child, x_j <= 1; else the first fractional coordinate
-    gets two, the upper one first."""
+    an integer point (x, helpers), or False when there is none.  Its rows
+    are the search's rows (a, mod, t): a.x <= t for mod None, a.x = t for
+    mod 0 and a.x - mod h = t with an integer helper h for mod >= 2, each
+    helper shifted by its least value under x_j <= (top - 1) // cost_j
+    when that is negative; then cost.x < top and sum(x) >= 1.  x_j > 1 on
+    an odd word gets one child, x_j <= 1; else the first fractional
+    coordinate gets two, the upper one first."""
     n = len(pool)
-    degrees = [r.degree for r in pool]
-    helpers = [([sum(u * v for u, v in zip(row, r.orbit_class.vector))
-                 for r in pool], dgl, 0)
-               for row, dgl in zip(h1.u, h1.diagonal) if dgl != 1]
-    helpers += [] if z_graded else [(degrees, 2, target_degree)]
-    cols = n + len(helpers)
-    pad = [0] * len(helpers)
-    ge = [(list(a) + pad, b) for a, b in dict.fromkeys(
-        (tuple(-vec[c] for vec in fiber), -t) for c, t in enumerate(target_i))]
+    mods = [(a, mod, t) for a, mod, t in rows if mod]
+    cols = n + len(mods)
+    pad = [0] * len(mods)
+    ge = [([-v for v in a] + pad, -t) for a, mod, t in rows if mod is None]
     ge += [([-c for c in costs] + pad, 1 - top), ([1] * n + pad, 1)]
-    eq = [(degrees + pad, target_degree)] if z_graded else []
+    eq = [(a + pad, t) for a, mod, t in rows if mod == 0]
     most = [(top - 1) // c for c in costs]
-    for k, (a, dgl, rhs) in enumerate(helpers):
-        low = min(0, (sum(min(0, v) * m for v, m in zip(a, most)) - rhs) // dgl)
-        eq.append((a + [-dgl if c == k else 0 for c in range(len(pad))],
-                   rhs + dgl * low))
+    for k, (a, mod, t) in enumerate(mods):
+        low = min(0, (sum(min(0, v) * m for v, m in zip(a, most)) - t) // mod)
+        eq.append((a + [-mod if c == k else 0 for c in range(len(pad))],
+                   t + mod * low))
 
     def bound(j, sign, value):          # sign * x_j >= value
         return [sign if c == j else 0 for c in range(cols)], value
@@ -179,7 +174,7 @@ def _integer_point(pool, costs, top, fiber, target_i, target_degree,
         bounds = stack.pop()
         x = solve_lp(cols, eq, ge + bounds, [0] * cols)
         if x is not None:
-            over = [j for j in range(n) if degrees[j] % 2 and x[j] > 1]
+            over = [j for j in range(n) if pool[j].degree % 2 and x[j] > 1]
             split = [j for j, v in enumerate(x) if v.denominator != 1]
             if over:
                 stack.append(bounds + [bound(over[0], -1, -1)])
@@ -207,7 +202,9 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     faces whose corner word is g's word.  The search skips every subtree
     that degree, the action budget, odd squares or the intersection
     grading rule out, and stops at the work bound of MAX_NODES and
-    MAX_SURVIVORS, which the report's ``truncated`` names.  Under the
+    MAX_SURVIVORS, which the report's ``truncated`` names.  Each filter
+    but the action budget is a row of one table over the pool, which the
+    walk's checks and prunes and the branch and bound all read.  Under the
     i-grading filter the walk steps ``_integer_point`` each time it has
     examined another ``lp_at`` products, and stops complete once that
     proves that no non-constant product survives (the constant term may).
@@ -240,71 +237,80 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     cost_den = lcm(budget.denominator, *(c.denominator for c in costs))
     costs = [c.numerator * (cost_den // c.denominator) for c in costs]
     top = budget.numerator * (cost_den // budget.denominator)
-    n_faces = len(d.faces_list)
-    acc_i = [0] * n_faces
-    acc_cls = [0] * len(h1.surgered)      # meridian vector of the product
+    # The filters as rows (a, mod, t) over the pool, for a product with
+    # multiplicities x: a.x <= t when mod is None, one row per distinct
+    # face row (its fiber counts and target) in face order; then a.x = t
+    # mod ``mod`` (a.x = t when mod is 0), one class row (U v).x per
+    # elementary divisor != 1 of h1 and the degree row, last.
+    rows = []
     if use_igrading:
         fiber = [effective_fiber_vector(d, h1, r.word) for r in pool]
-        target_i = [v * h1.exponent for v in g.igrading]
-    # Suffix tables over pool[i:], with a row for i = n: the least cost, the
-    # least and greatest degree and, per face, the least scaled fiber count,
-    # the last three capped at 0.  Every cost is positive (the enumeration
-    # rejects a slack of a chord's action), so a node with budget_left whose
-    # children start at i has at most k = (budget_left - 1) // suffix_min[i]
-    # more factors, which add between k * deg_lo[i] and k * deg_hi[i] to its
-    # degree and at least k * fiber_lo[i][c] to its fiber count at face c.
-    # Once suffix_min[i] reaches the budget left no later child fits, so the
-    # child loop stops there.
+        distinct = {}
+        face_row = [distinct.setdefault(    # each face's row
+            (tuple(v[c] for v in fiber), t * h1.exponent), len(distinct))
+            for c, t in enumerate(g.igrading)]
+        rows = [(list(a), None, t) for a, t in distinct]
+    rows += [([sum(a * b for a, b in zip(u, r.orbit_class.vector))
+               for r in pool], mod, t)
+             for u, mod, t in zip(h1.u, h1.diagonal, g.orbit_class.reduced)
+             if mod != 1]
+    rows.append(([r.degree for r in pool], 0 if z_graded else 2,
+                 target_degree))
+    face_targets = [t for _a, mod, t in rows if mod is None]
+    congruences = [(c, mod, t) for c, (_a, mod, t) in enumerate(rows)
+                   if mod is not None]
+    columns = list(zip(*(a for a, _mod, _t in rows)))    # one per word
+    # Suffix tables over pool[i:], with a row for i = n: the least cost and,
+    # per row, the least and greatest coefficient, both capped at 0.  Every
+    # cost is positive (the enumeration rejects a slack of a chord's
+    # action), so a node with budget_left whose children start at i has at
+    # most k = (budget_left - 1) // suffix_min[i] more factors, which add
+    # between k * lo[i][c] and k * hi[i][c] to its sum at row c.  A face
+    # row's sum must stay at most its target, and the z-graded degree row's
+    # must reach its target exactly.  Once suffix_min[i] reaches the budget
+    # left no later child fits, so the child loop stops there.
     suffix_min = costs + [top]
-    deg_lo = [0] * (n + 1)
-    deg_hi = [0] * (n + 1)
-    fiber_lo = [[0] * n_faces for _ in range(n + 1)]
+    empty = [0] * len(rows)
+    lo = [None] * n + [empty]
+    hi = [None] * n + [empty]
     for i in range(n - 1, -1, -1):
         suffix_min[i] = min(costs[i], suffix_min[i + 1])
-        deg_lo[i] = min(pool[i].degree, deg_lo[i + 1])
-        deg_hi[i] = max(pool[i].degree, deg_hi[i + 1])
-        if use_igrading:
-            fiber_lo[i] = [min(v, m) for v, m in zip(fiber[i],
-                                                     fiber_lo[i + 1])]
+        lo[i] = list(map(min, columns[i], lo[i + 1]))
+        hi[i] = list(map(max, columns[i], hi[i + 1]))
     # an LP costs about its tableau, rows x (columns + rows), so the branch
     # and bound solves one each time the search has examined that many more
-    # products: short searches never start it
-    rows = n_faces + 2 + z_graded
-    lp_at = rows * (n + rows) if use_igrading and pool else None
-    decide = _integer_point(pool, costs, top, fiber, target_i, target_degree,
-                            z_graded, h1) if lp_at else None
+    # products: short searches never start it.  The size counts a row per
+    # face, repeated or not, as the oracle search in the tests does.
+    size = len(d.faces_list) + 2 + z_graded
+    lp_at = size * (n + size) if use_igrading and pool else None
+    decide = _integer_point(pool, costs, top, rows) if lp_at else None
     found: List[Candidate] = []
     chosen: List[int] = []              # pool indices of the product's factors
     nodes = 1                           # the empty product
     truncated = None
 
-    def consider(degree: int) -> bool:
-        """Keep the product of ``chosen`` if no filter excludes it; True when
-        it is a survivor beyond MAX_SURVIVORS, which ends the search."""
+    def consider(sums: List[int]) -> bool:
+        """Keep the product of ``chosen``, whose row sums are ``sums``, if no
+        filter excludes it; True when it is a survivor beyond MAX_SURVIVORS,
+        which ends the search."""
         nonlocal truncated, decide
-        if z_graded:
-            if degree != target_degree:
+        for c, mod, t in congruences:
+            if (sums[c] - t) % mod if mod else sums[c] != t:
                 return False
-        else:
-            if (degree - target_degree) % 2 != 0:
-                return False
-        cls = g.orbit_class
-        if h1.reduce(acc_cls) != cls.reduced:
+        delta = [t - s for s, t in zip(sums, face_targets)]
+        if any(v % h1.exponent for v in delta):
+            raise DiagramError("fractional fiber count on a "
+                               "null-homologous collection")
+        if any(v < 0 for v in delta):
             return False
-        if use_igrading:
-            delta = [t - a for t, a in zip(target_i, acc_i)]
-            if any(v % h1.exponent for v in delta):
-                raise DiagramError("fractional fiber count on a "
-                                   "null-homologous collection")
-            if any(v < 0 for v in delta):
-                return False
         if len(found) == MAX_SURVIVORS:
             truncated = "survivors"
             return True
-        trail = {"degree": degree, "class": tuple(cls.reduced),
+        trail = {"degree": sums[-1], "class": tuple(g.orbit_class.reduced),
                  "action": sum((pool[j].action for j in chosen), Fraction(0))}
         if use_igrading:
-            trail["delta_i"] = tuple(v // h1.exponent for v in delta)
+            trail["delta_i"] = tuple(delta[c] // h1.exponent
+                                     for c in face_row)
         if chosen:
             decide = None               # a product passes: no need to decide
             found.append(Candidate(
@@ -323,22 +329,16 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
         return False
 
     # Depth first over the products, children in pool order: one frame
-    # [next child, budget left, degree sum] for the empty product and one
-    # for each factor in ``chosen``.  Popping a factor's frame takes its
-    # class and fiber vectors back off the sums.
-    stack = [] if consider(0) else [[0, top, 0]]
+    # [next child, budget left, row sums] for the empty product and one for
+    # each factor in ``chosen``.
+    stack = [] if consider(empty) else [[0, top, empty]]
     while stack:
         frame = stack[-1]
-        i, budget_left, degree_sum = frame
+        i, budget_left, sums = frame
         if suffix_min[i] >= budget_left:
             stack.pop()
             if chosen:
-                j = chosen.pop()
-                for c, v in enumerate(pool[j].orbit_class.vector):
-                    acc_cls[c] -= v
-                if use_igrading:
-                    for c in range(n_faces):
-                        acc_i[c] -= fiber[j][c]
+                chosen.pop()
             continue
         frame[0] = i + 1
         left = budget_left - costs[i]
@@ -356,26 +356,20 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
             truncated = "nodes"
             break
         nodes += 1
-        r = pool[i]
-        degree = degree_sum + r.degree
+        col = columns[i]
         # odd generators square to zero: after one, the next factor is a
         # later word
-        nxt = i + r.degree % 2
+        nxt = i + pool[i].degree % 2
         k = (left - 1) // suffix_min[nxt]
-        if z_graded and not (k * deg_lo[nxt] <= target_degree - degree
-                             <= k * deg_hi[nxt]):
+        if z_graded and not (k * lo[nxt][-1] <= target_degree - sums[-1]
+                             - col[-1] <= k * hi[nxt][-1]):
             continue
-        if use_igrading:
-            vec = fiber[i]
-            if any(a + v + k * m > t for a, v, m, t in
-                   zip(acc_i, vec, fiber_lo[nxt], target_i)):
-                continue
-            for c in range(n_faces):
-                acc_i[c] += vec[c]
+        if face_targets and any(s + v + k * m > t for s, v, m, t in
+                                zip(sums, col, lo[nxt], face_targets)):
+            continue
+        sums = list(map(add, sums, col))
         chosen.append(i)
-        for c, v in enumerate(r.orbit_class.vector):
-            acc_cls[c] += v
-        if consider(degree):
+        if consider(sums):
             break
-        stack.append([nxt, left, degree])
+        stack.append([nxt, left, sums])
     return CandidateReport(found, z_graded, warning, truncated, nodes)

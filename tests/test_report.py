@@ -122,6 +122,31 @@ def test_survivor_filters_reassertable(trefoil_plus, trefoil_plus_h1):
         assert "count unknown" in label or "bubbling" in label
 
 
+def test_survivors_of_a_free_class_row_keep_the_class(trefoil_minus,
+                                                     trefoil_minus_h1):
+    """H1 = Z on the trefoil with -1 surgery, so the class row of (r4r5)'s
+    search is an equation, and it alone rejects (r4): its degree is the
+    target and its action is under the budget.  Every survivor's summed
+    class vector reduces to the generator's, at pool length 1 and 2."""
+    d, h1 = trefoil_minus, trefoil_minus_h1
+    g = GeneratorRecord(d, h1, CyclicWord(d, [4, 5]))
+    r4 = GeneratorRecord(d, h1, CyclicWord(d, [4]))
+    assert h1.diagonal == [0]
+    assert r4.degree == g.degree - 1 and r4.action < g.action
+    for max_pool_len in (1, 2):
+        rep = differential_candidates(g, d, h1, EPS,
+                                      max_pool_len=max_pool_len)
+        assert rep.z_graded and rep.truncated is None
+        assert len(rep.survivors) > 1
+        for c in rep.survivors:
+            assert c.factors != (r4.word,)
+            cls = [0] * len(h1.surgered)
+            for w in c.factors:
+                cls = [a + b for a, b in
+                       zip(cls, GeneratorRecord(d, h1, w).orbit_class.vector)]
+            assert h1.reduce(cls) == g.orbit_class.reduced
+
+
 def test_nonzero_counts_need_witness(trefoil_plus, trefoil_plus_h1):
     d, h1 = trefoil_plus, trefoil_plus_h1
     for base in ((4,), (1, 2), (2, 3)):
@@ -163,11 +188,20 @@ HOPF_MINUS_WORDS = [(1, 2, 4, 4), (1, 3, 2, 4), (1, 3, 3, 2)]
 # c1 is nonzero here, so its searches filter by parity
 PARITY_FRONT = ("L1,X1,X1,L3,X1,X3,R1,L2,X1,X1,X3,R2,R1,L1,R1 / "
                 "orientations {0:+, 1:+, 2:+} / surgery {0:+1, 1:0, 2:-1}")
+# split links with +1 surgery on both components, trefoil and trefoil
+# (H1 = Z/2 + Z/2) and trefoil and T(2,5) (H1 = Z/2 + Z/4): their searches
+# check two class rows
+SPLIT_LINKS = [
+    "L1,L3,X2,X2,X2,R1,R1,L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1, 1:+1}",
+    "L1,L3,X2,X2,X2,R1,R1,L1,L3,X2,X2,X2,X2,X2,R1,R1 / surgery {0:+1, 1:+1}"]
+# H1 = Z and c1 nonzero: a class row that is an equation, in parity mode
+FREE_H1_FRONT = "L1,L2,R1,R1,L1,R1 / surgery {0:+1, 1:+1}"
 # (front, words, max_pool_len) of every search checked against the oracle
 ORACLE_SEARCHES = [(text, None, None) for text in SEARCH_FRONTS] + [
     (TIED_FRONT, TIED_WORDS, 2),
     (HOPF_MINUS, HOPF_MINUS_WORDS, 4),
-    (PARITY_FRONT, None, 2)]
+    (PARITY_FRONT, None, 2)] + [
+    (text, None, 2) for text in SPLIT_LINKS + [FREE_H1_FRONT]]
 
 
 def searches(text, words=None, max_pool_len=None):
@@ -224,6 +258,24 @@ def test_candidates_match_exhaustive_search_with_negative_degrees():
 def test_candidates_match_exhaustive_search_in_parity_mode():
     cases = list(searches(PARITY_FRONT, max_pool_len=2))
     assert not any(rep.z_graded for _d, _h1, _g, rep, _cap in cases)
+    assert_match_exhaustive_search(cases)
+
+
+@pytest.mark.parametrize("text", SPLIT_LINKS)
+def test_candidates_match_exhaustive_search_with_two_class_rows(text):
+    """The generators of length 2; each of length 1 has over 20,000
+    products under its budget, which brute force takes seconds to visit."""
+    cases = [case for case in searches(text, max_pool_len=2)
+             if len(case[2].word.chords) == 2]
+    assert all(sum(v != 1 for v in h1.diagonal) == 2
+               for _d, h1, _g, _rep, _cap in cases)
+    assert_match_exhaustive_search(cases)
+
+
+def test_candidates_match_exhaustive_search_with_a_free_class_row():
+    cases = list(searches(FREE_H1_FRONT, max_pool_len=2))
+    assert all(not rep.z_graded and 0 in h1.diagonal
+               for _d, h1, _g, rep, _cap in cases)
     assert_match_exhaustive_search(cases)
 
 
@@ -290,34 +342,46 @@ def test_lp_stop_without_repeated_face_rows_answers_as_the_full_lp(
     2-copy keeps one row for each distinct face row (fiber entries and
     target), in face order, and answers as the LP with one row for every
     face, solved by the Fraction simplex; some of them have fewer rows
-    than that."""
-    faces, answers = [], []
+    than that.  The face rows are rebuilt here from each word's
+    ``effective_fiber_vector`` and the generator's i-grading."""
+    made, lps = [], []
     integer_point, solve = report._integer_point, report.solve_lp
 
-    def recorded(pool, costs, top, fiber, target_i, *rest):
-        faces.append([(tuple(-vec[c] for vec in fiber), -t)
-                      for c, t in enumerate(target_i)])
-        return integer_point(pool, costs, top, fiber, target_i, *rest)
+    def recorded(pool, costs, top, rows):
+        made.append(pool)
+        return integer_point(pool, costs, top, rows)
 
-    def both(cols, eq, ge, minimize):
-        full, n = faces[-1], len(faces[-1][0][0])
-        distinct = list(dict.fromkeys(full))
-        assert [(tuple(a[:n]), b) for a, b in ge[:len(distinct)]] == distinct
-        pad = [0] * (cols - n)
-        whole = [(list(a) + pad, b) for a, b in full] + ge[len(distinct):]
+    def solved(cols, eq, ge, minimize):
         got = solve(cols, eq, ge, minimize)
-        answers.append((got is None,
-                        fraction_solve_lp(cols, eq, whole, minimize) is None,
-                        len(distinct) < len(full)))
+        lps.append((cols, eq, ge, minimize, got is None))
         return got
 
     monkeypatch.setattr(report, "_integer_point", recorded)
-    monkeypatch.setattr(report, "solve_lp", both)
+    monkeypatch.setattr(report, "solve_lp", solved)
     trefoil = parse_front(SEARCH_FRONTS[0])
-    cases = list(searches(front_text(k_copy(trefoil, 2)), None, 1))
-    assert cases and answers
-    assert all(got == full for got, full, _ in answers)
-    assert any(repeated for _, _, repeated in answers)
+    checked = repeated = 0
+    for d, h1, g, _rep, _cap in searches(front_text(k_copy(trefoil, 2)),
+                                         None, 1):
+        if made:
+            [pool] = made
+            fiber = [effective_fiber_vector(d, h1, r.word) for r in pool]
+            full = [(tuple(-v[c] for v in fiber), -t * h1.exponent)
+                    for c, t in enumerate(g.igrading)]
+            distinct = list(dict.fromkeys(full))
+            n = len(pool)
+            for cols, eq, ge, minimize, infeasible in lps:
+                assert [(tuple(a[:n]), b)
+                        for a, b in ge[:len(distinct)]] == distinct
+                pad = [0] * (cols - n)
+                whole = [(list(a) + pad, b) for a, b in full] + \
+                    ge[len(distinct):]
+                assert infeasible == (
+                    fraction_solve_lp(cols, eq, whole, minimize) is None)
+                checked += 1
+                repeated += len(distinct) < len(full)
+        made.clear()
+        lps.clear()
+    assert checked and repeated
 
 
 def farkas_vector(a, b):

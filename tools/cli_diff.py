@@ -4,8 +4,9 @@
 
 SRC_A and SRC_B are source checkouts (each with a ``src/reebchords``).  One
 list of commands runs under each tree, in one Python process per tree that
-imports ``reebchords`` from that tree's ``src/``; the two processes run at
-the same time.  For every command the standard output, the standard error
+imports ``reebchords`` from that tree's ``src/``; the second process starts
+when the first has ended, so that the two do not share the CPU and their
+times compare.  For every command the standard output, the standard error
 and the exit code are compared.  Each difference is printed, and the exit
 code is 1 if there is any, else 0.  The summary also gives the line count
 of ``src/reebchords/*.py`` in each tree, as ``wc -l`` totals it.
@@ -173,15 +174,14 @@ def worker(src):
 
 
 def run_tree(src, cmds):
-    """Start the worker process of one tree; returns the Popen."""
+    """Run the worker process of one tree to its end; returns its results,
+    or None when it failed."""
     boot = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import cli_diff; cli_diff.worker(sys.argv[2])")
-    proc = subprocess.Popen([sys.executable, "-c", boot, HERE, src],
-                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                            text=True)
-    proc.stdin.write(json.dumps(cmds))
-    proc.stdin.close()
-    return proc
+    proc = subprocess.run([sys.executable, "-c", boot, HERE, src],
+                          input=json.dumps(cmds), stdout=subprocess.PIPE,
+                          text=True)
+    return json.loads(proc.stdout) if proc.returncode == 0 else None
 
 
 def differences(cmds, res_a, res_b):
@@ -235,14 +235,13 @@ def main(argv):
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     cmds = commands()
-    procs = [run_tree(os.path.abspath(src), cmds) for src in argv]
     results = []
-    for src, proc in zip(argv, procs):
-        out = proc.stdout.read()
-        if proc.wait() != 0:
+    for src in argv:
+        res = run_tree(os.path.abspath(src), cmds)
+        if res is None:
             print(f"worker for {src} failed", file=sys.stderr)
             return 2
-        results.append(json.loads(out))
+        results.append(res)
     lines = differences(cmds, *results)
     for line in lines:
         print(line)
