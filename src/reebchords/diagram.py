@@ -38,7 +38,7 @@ import re
 from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .geometry import (
     OCTANT_VECTORS,
@@ -643,14 +643,14 @@ class ResolvedDiagram(object):
     whose segments do not meet there is a DiagramError."""
 
     def __init__(self, front: FrontCode, components: List[List[Point]],
-                 crossings, z_shifts: Optional[List[Fraction]] = None):
+                 crossings, z_shifts: List[Fraction]):
         self.front = front
         self.surgery = dict(front.surgery)
         self.components = components
         self._crossings = crossings
         # the height function of each component is defined up to a constant;
         # these are the constants the template solver chose
-        self.z_shifts = z_shifts or [Fraction(0)] * len(components)
+        self.z_shifts = z_shifts
         self._scale = lcm(*{v.denominator for cyc in components
                             for p in cyc for v in p})
         self._ints = [_on_grid(cyc, self._scale) for cyc in components]
@@ -884,10 +884,7 @@ class ResolvedDiagram(object):
             if wx * wx + wy * wy <= cc or \
                     0 < wd < dd << 1 and (wx * dy - wy * dx) ** 2 <= cc * dd:
                 return False
-        try:
-            return winding_number(ring, p) == 1
-        except ValueError:
-            return False
+        return winding_number(ring, p) == 1
 
     # -- public helpers ------------------------------------------------------
 

@@ -3,7 +3,7 @@
 The return map of the orbit named by a cyclic word is a product of one
 integer-polynomial matrix per letter in the variable u = 1/epsilon, carrying
 a global sign, the product of the letters' signs (-1)^rot; every letter's
-data is read off ``ResolvedDiagram.letter``.  A letter's matrix is the
+data is read off the word's letters.  A letter's matrix is the
 handle twist [[0, -1], [1, -c u]], which takes the product's rows (R0, R1)
 to (-R1, R0 - c u R1), so the product is a continuant in u.  Everything
 here is exact: polynomials over the integers, affine fixed points and
@@ -95,8 +95,7 @@ def return_map(d: ResolvedDiagram, w: CyclicWord) -> ReturnMapPoly:
     """
     sign = 1
     a, b, e, f = (1,), (0,), (0,), (1,)
-    for j1, j2 in w.pairs():
-        letter = d.letter(j1, j2)
+    for letter in w.letters:
         c = letter.c
         a, b, e, f = (tuple(-v for v in e), tuple(-v for v in f),
                       _minus_cu(a, c, e), _minus_cu(b, c, f))
@@ -144,7 +143,7 @@ def embed_orbit(d: ResolvedDiagram, w: CyclicWord,
     """Solve the orbit of w as the fixed point of its composed affine map.
 
     Letter k maps (p, q) to s (-q, p + h - (c/eps) q), with s, c and h
-    read off ``ResolvedDiagram.letter``, so the model is the
+    read off the word's letters, so the model is the
     unit-circumference one.  Over a common denominator g of 1/eps and every
     h the letters are homogeneous integer maps; the fixed point of their
     composite comes from Cramer's rule and the points are walked as integer
@@ -154,11 +153,10 @@ def embed_orbit(d: ResolvedDiagram, w: CyclicWord,
     """
     epsilon = Fraction(epsilon)
     e_num, e_den = epsilon.numerator, epsilon.denominator
-    letters = [d.letter(j1, j2) for j1, j2 in w.pairs()]
-    g = lcm(e_num, *(lt.h.denominator for lt in letters))
+    g = lcm(e_num, *(lt.h.denominator for lt in w.letters))
     steps = [(lt.sign * g, -lt.sign * lt.c * e_den * (g // e_num),
               lt.sign * lt.h.numerator * (g // lt.h.denominator))
-             for lt in letters]
+             for lt in w.letters]
     # composite [[a, b, e], [c, dd, f], [0, 0, z]] of the homogeneous maps
     a, b, c, dd, e, f, z = 1, 0, 0, 1, 0, 0, 1
     for r, m, t in steps:

@@ -2,9 +2,9 @@
 
 The presentation matrix has the framing coefficients tb + c on the diagonal
 and linking numbers off it, over the surgered components.  Orbit classes
-come from the crossing-monomial formula, half the sum of the letters' int
-monomial vectors (``ResolvedDiagram.letter``), and are reduced to a normal
-form in the cokernel via Smith normal form with unimodular transforms.
+come from the crossing-monomial formula, half the sum of the int monomial
+vectors read off the word's letters, and are reduced to a normal form in
+the cokernel via Smith normal form with unimodular transforms.
 Everything here is in ints: ``H1Presentation.solve`` returns its rational
 solutions times ``exponent``, the last elementary divisor.  An
 ``OrbitClass`` is one orbit's meridian vector and its normal form, with no
@@ -187,7 +187,7 @@ def orbit_class_monomial(d: ResolvedDiagram, h1: H1Presentation,
     if key in d.memo:
         return d.memo[key]
     sums = [sum(counts) for counts in
-            zip(*(d.letter(j1, j2).vector for j1, j2 in w.pairs()))]
+            zip(*(letter.vector for letter in w.letters))]
     if any(v % 2 for v in sums):
         raise DiagramError(f"non-integral class for {w}: {sums} / 2")
     # meridians of unsurgered components still bound their disks, so

@@ -1,8 +1,8 @@
 """Integral Conley-Zehnder indices and the first Chern class.
 
 An orbit's index is the sum of its letters' index terms rot + [c = +1],
-with rot read off the front's Maslov potential (``ResolvedDiagram.letter``);
-every other quantity here is closed-form integer arithmetic.
+with rot read off the front's Maslov potential and kept in the word's
+letters; every other quantity here is closed-form integer arithmetic.
 """
 
 from typing import List
@@ -13,7 +13,7 @@ from .words import CyclicWord
 
 def cz_integral(d: ResolvedDiagram, w: CyclicWord) -> int:
     """Conley-Zehnder index of the orbit of w in the diagram framing."""
-    return sum(d.letter(j1, j2).index for j1, j2 in w.pairs())
+    return sum(letter.index for letter in w.letters)
 
 
 def c1_class(d: ResolvedDiagram) -> List[int]:

@@ -5,6 +5,8 @@ of composable chords on the surgered sublink, and the surviving chords of a
 zero-coefficient sublink by open words.  This module enumerates both within
 length/action bounds, canonicalizes cyclic rotation, and winds the planar
 push-out curves used for intersection gradings around the face basepoints.
+A ``CyclicWord`` holds its letters, one ``ResolvedDiagram.letter`` per
+composable pair, and the per-word invariants read them off the word.
 
 A push-out is made of pieces, each built once per diagram at the one offset
 ``PUSH_OFF``, with its end points and its ray crossings at every face
@@ -70,10 +72,12 @@ class CyclicWord(Word):
     """Cyclic word in canonical (lexicographically minimal) rotation.
 
     Cyclic words name closed trajectories, so they may only use chords of
-    the surgered sublink.
+    the surgered sublink.  ``letters`` holds one ``ResolvedDiagram.letter``
+    per consecutive pair, the closing one last; fetching them enforces that
+    rule.
     """
 
-    __slots__ = ()
+    __slots__ = ("letters",)
 
     def __init__(self, diagram: ResolvedDiagram, chords: Sequence[int]):
         seq = canonical_rotation(chords)
@@ -82,12 +86,7 @@ class CyclicWord(Word):
             raise DiagramError(
                 f"closing pair r{self.chords[-1]}, r{self.chords[0]} "
                 f"not composable")
-        for c in self.chords:
-            ch = diagram.chord(c)
-            if diagram.surgery[ch.tail_comp] == 0 \
-                    or diagram.surgery[ch.tip_comp] == 0:
-                raise DiagramError(
-                    f"chord r{c} touches an unsurgered component")
+        self.letters = tuple(diagram.letter(a, b) for a, b in self.pairs())
 
     def __eq__(self, other):
         return isinstance(other, CyclicWord) and self.chords == other.chords

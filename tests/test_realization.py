@@ -217,6 +217,82 @@ def test_invariants_survive_commuting_crossing_swaps(monkeypatch):
         assert check_commuting_swaps(k_copy(trefoil, k)) > 0
 
 
+def past_cusp(first, second):
+    """The adjacent events first, second of a crossing and a cusp on
+    disjoint strands, moved past each other, or None when they share a
+    strand.  The crossing's position shifts by 2 when the cusp's pair of
+    strands lies above it."""
+    (k1, p1), (k2, p2) = first, second
+    if (k1, k2) == ("L", "X"):
+        if p1 <= p2 - 2:
+            return ("X", p2 - 2), first
+        if p1 >= p2 + 2:
+            return second, first
+    elif (k1, k2) == ("X", "L"):
+        if p2 <= p1:
+            return second, ("X", p1 + 2)
+        if p2 >= p1 + 2:
+            return second, first
+    elif (k1, k2) == ("R", "X"):
+        if p2 + 1 < p1:
+            return second, first
+        if p2 >= p1:
+            return ("X", p2 + 2), first
+    elif (k1, k2) == ("X", "R"):
+        if p1 + 1 < p2:
+            return second, first
+        if p1 >= p2 + 2:
+            return second, ("X", p1 - 2)
+    return None
+
+
+def cusp_swaps(front):
+    """(front, sigma, kinds) for each adjacent crossing and cusp on disjoint
+    strands: the front with the two moved past each other, the renaming of
+    chord ids, and the two event kinds in their old order.  A left cusp
+    makes no chord, so only a right cusp and a crossing trade ids."""
+    chord_of = {}
+    for idx, (kind, _pos) in enumerate(front.events):
+        if kind != "L":
+            chord_of[idx] = len(chord_of) + 1
+    for i, pair in enumerate(zip(front.events, front.events[1:])):
+        moved = past_cusp(*pair)
+        if moved is None:
+            continue
+        events = list(front.events)
+        events[i:i + 2] = moved
+        sigma = {}
+        if i in chord_of and i + 1 in chord_of:
+            a, b = chord_of[i], chord_of[i + 1]
+            sigma = {a: b, b: a}
+        yield (FrontCode(events, front.orientations, front.surgery), sigma,
+               pair[0][0] + pair[1][0])
+
+
+def check_cusp_swaps(front):
+    """The swap data of every move of a crossing past a cusp of ``front``;
+    returns the kinds of the moves made."""
+    want = swap_data(resolve(front), sigma={})
+    kinds = Counter()
+    for swapped, sigma, kind in cusp_swaps(front):
+        assert swap_data(resolve(swapped), sigma) == want, swapped.events
+        kinds[kind] += 1
+    return kinds
+
+
+def test_invariants_survive_moving_a_crossing_past_a_distant_cusp(
+        monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from fronts import random_fronts
+
+    fronts = [parse_front(text) for text in
+              random_fronts(random.Random(5), 60, 6, 14, 3)]
+    kinds = sum(map(check_cusp_swaps, fronts), Counter())
+    assert kinds == {"XL": 33, "LX": 8, "RX": 28, "XR": 12}
+    trefoil = parse_front("L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")
+    assert check_cusp_swaps(k_copy(trefoil, 2)) == {"XL": 1, "RX": 1}
+
+
 def torus(n):
     return parse_front("L1,L3," + ",".join(["X2"] * n)
                        + ",R1,R1 / surgery {0:+1}")

@@ -7,9 +7,12 @@ from oracles import (all_orbit_strings, arc_pass_counts, capping_walk,
                      rot_number, turn_octants, unshifted_windings,
                      whole_arc_piece)
 from reebchords import report, words
-from reebchords.diagram import DiagramError, parse_front, resolve
+from reebchords.diagram import (DiagramError, ResolvedDiagram, parse_front,
+                                resolve)
+from reebchords.dynamics import is_bad, orbit_action, return_map
 from reebchords.geometry import OCTANT_VECTORS, offset_polyline
-from reebchords.homology import h1_presentation
+from reebchords.homology import h1_presentation, orbit_class_monomial
+from reebchords.indices import cz_integral
 from reebchords.report import differential_candidates, generators
 from reebchords.words import (PUSH_OFF, CyclicWord, Word,
                               enumerate_chord_words, enumerate_orbit_words,
@@ -291,6 +294,69 @@ def test_cyclic_words_live_on_the_surgered_sublink(hopf_mixed):
               if c.tail_comp == c.tip_comp and d.surgery[c.tail_comp] == 0]
     with pytest.raises(DiagramError, match="unsurgered"):
         CyclicWord(d, [loops0[0]])
+
+
+def test_a_word_mixing_in_unsurgered_chords_is_refused(hopf_mixed):
+    # r1 and r2 run between the two components, r4 is the loop on the
+    # surgered component 1; r1 and r2 have an end on component 0
+    d = hopf_mixed
+    assert d.chord(4).tail_comp == d.chord(4).tip_comp == 1
+    assert all(d.composable(a, b) for a, b in ((1, 2), (2, 4), (4, 1)))
+    with pytest.raises(DiagramError, match="unsurgered"):
+        CyclicWord(d, [1, 2, 4])
+
+
+FIXTURE_FRONTS = [TREFOIL_PLUS, "L1,L3,X2,X2,X2,R1,R1 / surgery {0:-1}",
+                  "L1,R1 / surgery {0:+1}", "L1,R1 / surgery {0:-1}",
+                  "L1,L2,R1,R1 / surgery {0:+1} / orientations {0:-}",
+                  "L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:+1}",
+                  "L1,L3,X2,X2,R1,R1 / surgery {0:0, 1:+1}"]
+FIXTURE_IDS = ["trefoil+1", "trefoil-1", "unknot+1", "unknot-1", "stab+1",
+               "hopf++", "hopf0+"]
+
+
+@pytest.mark.parametrize("text", FIXTURE_FRONTS + [TREFOIL_2_COPY],
+                         ids=FIXTURE_IDS + ["2-copy"])
+def test_words_hold_one_letter_per_pair(text):
+    d = resolve(parse_front(text))
+    ws = enumerate_orbit_words(d, max_len=3)
+    assert ws
+    for w in ws:
+        assert w.letters == tuple(d.letter(a, b) for a, b in w.pairs())
+
+
+def per_word_values(d, h1, w):
+    """Index, reduced class, return map, bad flag and action of w at
+    epsilon 1/100, or the message of its embedding's refusal."""
+    try:
+        action = orbit_action(d, w, F(1, 100))
+    except ValueError as exc:
+        action = str(exc)
+    rmap = return_map(d, w)
+    return (cz_integral(d, w), orbit_class_monomial(d, h1, w).reduced,
+            rmap.sign, rmap.entries, is_bad(d, w), action)
+
+
+@pytest.mark.parametrize("text", FIXTURE_FRONTS + [TREFOIL_2_COPY],
+                         ids=FIXTURE_IDS + ["2-copy"])
+def test_per_word_invariants_fetch_no_letter_of_a_built_word(text,
+                                                              monkeypatch):
+    # a fresh diagram's memo holds the words' letters but no classes, so
+    # every letter the invariants read must come from the words
+    d = resolve(parse_front(text))
+    h1 = h1_presentation(d)
+    ws = enumerate_orbit_words(d, max_len=3)
+
+    def refused(self, j1, j2):
+        raise AssertionError(f"letter r{j1}r{j2} fetched again")
+
+    monkeypatch.setattr(ResolvedDiagram, "letter", refused)
+    got = {w.chords: per_word_values(d, h1, w) for w in ws}
+    monkeypatch.undo()
+    d2 = resolve(parse_front(text))
+    h2 = h1_presentation(d2)
+    assert got == {w.chords: per_word_values(d2, h2, w)
+                   for w in enumerate_orbit_words(d2, max_len=3)}
 
 
 @pytest.mark.parametrize("text", [TREFOIL_PLUS, T25_PLUS, HOPF_PLUS_MINUS],

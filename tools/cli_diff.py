@@ -3,13 +3,16 @@
     python tools/cli_diff.py SRC_A SRC_B
 
 SRC_A and SRC_B are source checkouts (each with a ``src/reebchords``).  One
-list of commands runs under each tree, in one Python process per tree that
-imports ``reebchords`` from that tree's ``src/``; the second process starts
-when the first has ended, so that the two do not share the CPU and their
-times compare.  For every command the standard output, the standard error
-and the exit code are compared.  Each difference is printed, and the exit
-code is 1 if there is any, else 0.  The summary also gives the line count
-of ``src/reebchords/*.py`` in each tree, as ``wc -l`` totals it.
+list of commands runs under each tree, in one Python worker process per
+tree that imports ``reebchords`` from that tree's ``src/``.  Both workers
+stay up and are fed one command at a time; each command runs under one
+tree and then under the other, the first tree alternating from command to
+command.  So only one worker computes at any moment, and a command's two
+times are taken back to back, in the same phase of the machine.  For
+every command the standard output, the standard error and the exit code
+are compared.  Each difference is printed, and the exit code is 1 if there
+is any, else 0.  The summary also gives the line count of
+``src/reebchords/*.py`` in each tree, as ``wc -l`` totals it.
 
 Each tree's CPU seconds per command are recorded too, and the commands
 whose time moved by more than ``TIME_MOVE`` (25 %) either way are listed,
@@ -143,17 +146,16 @@ def _expired(signum, frame):
 
 
 def worker(src):
-    """Run the commands read as JSON from standard input under the tree
-    ``src``; print one [stdout, stderr, exit code, CPU seconds] per command
-    as JSON."""
+    """Run the commands read from standard input, one JSON line [name,
+    argv, front] each, under the tree ``src``; answer each at once with one
+    JSON line [stdout, stderr, exit code, CPU seconds]."""
     sys.path.insert(0, os.path.join(src, "src"))
     from reebchords.cli import main
 
-    cmds = json.load(sys.stdin)
-    real_stdout = sys.stdout
+    real_stdin, real_stdout = sys.stdin, sys.stdout
     signal.signal(signal.SIGPROF, _expired)
-    results = []
-    for _name, argv, front in cmds:
+    for line in real_stdin:
+        _name, argv, front = json.loads(line)
         sys.stdin = io.StringIO(front)
         out, err = io.StringIO(), io.StringIO()
         start = time.process_time()
@@ -168,20 +170,38 @@ def worker(src):
                 code = 1
             finally:
                 signal.setitimer(signal.ITIMER_PROF, 0)
-        results.append([out.getvalue(), err.getvalue(), code,
-                        time.process_time() - start])
-    json.dump(results, real_stdout)
+        elapsed = time.process_time() - start
+        print(json.dumps([out.getvalue(), err.getvalue(), code, elapsed]),
+              file=real_stdout, flush=True)
 
 
-def run_tree(src, cmds):
-    """Run the worker process of one tree to its end; returns its results,
-    or None when it failed."""
+def run_trees(srcs, cmds):
+    """Run the commands under both trees, alternating which goes first;
+    returns one list of results per tree, or None when a worker failed."""
     boot = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import cli_diff; cli_diff.worker(sys.argv[2])")
-    proc = subprocess.run([sys.executable, "-c", boot, HERE, src],
-                          input=json.dumps(cmds), stdout=subprocess.PIPE,
-                          text=True)
-    return json.loads(proc.stdout) if proc.returncode == 0 else None
+    procs = [subprocess.Popen([sys.executable, "-c", boot, HERE, src],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                              text=True) for src in srcs]
+    results = [[], []]
+    try:
+        for k, cmd in enumerate(cmds):
+            for t in (k % 2, 1 - k % 2):
+                procs[t].stdin.write(json.dumps(cmd) + "\n")
+                procs[t].stdin.flush()
+                line = procs[t].stdout.readline()
+                if not line:
+                    return None
+                results[t].append(json.loads(line))
+    except BrokenPipeError:
+        return None
+    finally:
+        for proc in procs:
+            with contextlib.suppress(BrokenPipeError):
+                proc.stdin.close()
+            proc.stdout.close()
+            proc.wait()
+    return results
 
 
 def differences(cmds, res_a, res_b):
@@ -235,13 +255,10 @@ def main(argv):
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     cmds = commands()
-    results = []
-    for src in argv:
-        res = run_tree(os.path.abspath(src), cmds)
-        if res is None:
-            print(f"worker for {src} failed", file=sys.stderr)
-            return 2
-        results.append(res)
+    results = run_trees([os.path.abspath(src) for src in argv], cmds)
+    if results is None:
+        print("a worker failed", file=sys.stderr)
+        return 2
     lines = differences(cmds, *results)
     for line in lines:
         print(line)
