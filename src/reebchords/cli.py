@@ -135,8 +135,8 @@ def _bounds(args):
         raise FrontError("need --max-len or --max-action")
     if args.max_len is not None and args.max_len < 1:
         raise FrontError(f"--max-len must be at least 1, not {args.max_len}")
-    max_action = parse_frac(args.max_action) if args.max_action else None
-    eps = parse_frac(args.epsilon) if args.epsilon else None
+    max_action, eps = (None if value is None else parse_frac(value)
+                       for value in (args.max_action, args.epsilon))
     for name, value in (("--max-action", max_action), ("--epsilon", eps)):
         if value is not None and value <= 0:
             raise FrontError(f"{name} must be positive")

@@ -2,13 +2,12 @@
 
 The return map of the orbit named by a cyclic word is a product of one
 integer-polynomial matrix per letter in the variable u = 1/epsilon, carrying
-a global sign, the product of the letters' signs (-1)^rot; every letter's
-data is read off the word's letters.  A letter's matrix is the
-handle twist [[0, -1], [1, -c u]], which takes the product's rows (R0, R1)
-to (-R1, R0 - c u R1), so the product is a continuant in u.  Everything
-here is exact: polynomials over the integers, affine fixed points and
-actions over integers with a common denominator, divided once at the end,
-and the piecewise-linear twist profile for actions.
+a global sign, the product of the letters' signs (-1)^rot.  The word
+carries both, folded along its prefixes (``words._twist``); every other
+letter datum is read off the word's letters.  Everything here is exact:
+polynomials over the integers, affine fixed points and actions over
+integers with a common denominator, divided once at the end, and the
+piecewise-linear twist profile for actions.
 """
 
 from fractions import Fraction
@@ -17,15 +16,7 @@ from typing import List, NamedTuple, Tuple
 
 from .diagram import DiagramError, ResolvedDiagram
 from .indices import cz_integral
-from .words import CyclicWord
-
-Poly = Tuple[int, ...]       # coefficients, ascending degree
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    if len(p) < len(q):
-        p, q = q, p
-    return tuple(a + b for a, b in zip(p, q)) + p[len(q):]
+from .words import CyclicWord, Mat, Poly, poly_add, poly_trim
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
@@ -37,16 +28,6 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
         for j, b in enumerate(q):
             out[i + j] += a * b
     return poly_trim(tuple(out))
-
-
-def poly_trim(p: Poly) -> Poly:
-    n = len(p)
-    while n > 1 and p[n - 1] == 0:
-        n -= 1
-    return tuple(p[:n])
-
-
-Mat = Tuple[Poly, Poly, Poly, Poly]    # entries a, b, c, d row-major
 
 
 def mat_det(m: Mat) -> Poly:
@@ -80,27 +61,15 @@ class ReturnMapPoly(object):
         return poly_trim(tuple(self.sign * c for c in raw))
 
 
-def _minus_cu(p: Poly, c: int, q: Poly) -> Poly:
-    """p - c u q."""
-    return poly_trim(poly_add(p, (0,) + tuple(-c * v for v in q))) if c else p
-
-
 def return_map(d: ResolvedDiagram, w: CyclicWord) -> ReturnMapPoly:
     """Exact linearized return map of the orbit named by w.
 
     Per letter the map contributes J0 * [[1, -c u], [0, 1]], with c the
     coefficient of the component holding the chord's tip, composed in word
-    order: the product's rows (a, b), (e, f) become (-e, -f),
-    (a - c u e, b - c u f).  The capping arcs' rotations feed the sign.
+    order, and the capping arcs' rotations feed the sign: the word's
+    ``sign`` and ``rows``.
     """
-    sign = 1
-    a, b, e, f = (1,), (0,), (0,), (1,)
-    for letter in w.letters:
-        c = letter.c
-        a, b, e, f = (tuple(-v for v in e), tuple(-v for v in f),
-                      _minus_cu(a, c, e), _minus_cu(b, c, f))
-        sign *= letter.sign
-    return ReturnMapPoly(sign, (a, b, e, f), w)
+    return ReturnMapPoly(w.sign, w.rows, w)
 
 
 def hyperbolic_type(cz_parity: int, trace: Poly) -> Tuple[str, Fraction]:

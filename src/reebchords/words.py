@@ -3,10 +3,10 @@
 After contact surgery the closed Reeb trajectories are named by cyclic words
 of composable chords on the surgered sublink, and the surviving chords of a
 zero-coefficient sublink by open words.  This module enumerates both within
-length/action bounds, canonicalizes cyclic rotation, and winds the planar
-push-out curves used for intersection gradings around the face basepoints.
-A ``CyclicWord`` holds its letters, one ``ResolvedDiagram.letter`` per
-composable pair, and the per-word invariants read them off the word.
+length/action bounds, with actions as ints over one denominator, and
+winds the planar push-out curves used for intersection gradings around the
+face basepoints.  Orbit words grow as one prefix tree whose nodes carry
+their letters, action and return-map rows, so no word is checked twice.
 
 A push-out is made of pieces, each built once per diagram at the one offset
 ``PUSH_OFF``, with its end points and its ray crossings at every face
@@ -20,9 +20,10 @@ orbit class, which ``homology`` sums from the letters' crossing monomials.
 """
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .diagram import DiagramError, ResolvedDiagram
+from .diagram import DiagramError, Letter, ResolvedDiagram
 from .geometry import offset_polyline, winding_number
 
 # The side offset of every push-out piece.  offset_polyline moves no point
@@ -32,11 +33,39 @@ from .geometry import offset_polyline, winding_number
 # windings are those at any smaller offset.
 PUSH_OFF = Fraction(1, 8)
 
+Poly = Tuple[int, ...]       # coefficients, ascending degree
+Mat = Tuple[Poly, Poly, Poly, Poly]    # entries a, b, c, d row-major
+IDENTITY: Mat = ((1,), (0,), (0,), (1,))
+
+
+def poly_add(p: Poly, q: Poly) -> Poly:
+    if len(p) < len(q):
+        p, q = q, p
+    return tuple(a + b for a, b in zip(p, q)) + p[len(q):]
+
+
+def poly_trim(p: Poly) -> Poly:
+    n = len(p)
+    while n > 1 and p[n - 1] == 0:
+        n -= 1
+    return tuple(p[:n])
+
+
+def _twist(sign: int, rows: Mat, letter: Letter) -> Tuple[int, Mat]:
+    """Sign and rows (a, b), (e, f) times one more letter's sign and J0
+    [[1, -c u], [0, 1]]: the rows become (-e, -f), (a - c u e, b - c u f),
+    so they are continuants in u."""
+    a, b, e, f = rows
+    return sign * letter.sign, (
+        tuple(-v for v in e), tuple(-v for v in f),
+        poly_trim(poly_add(a, (0,) + tuple(-letter.c * v for v in e))),
+        poly_trim(poly_add(b, (0,) + tuple(-letter.c * v for v in f))))
+
 
 class Word(object):
-    """Composable (non-cyclic) sequence of chord ids."""
+    """Composable (non-cyclic) sequence of chord ids, with its action."""
 
-    __slots__ = ("diagram", "chords")
+    __slots__ = ("diagram", "chords", "total")
 
     def __init__(self, diagram: ResolvedDiagram, chords: Sequence[int]):
         if not chords:
@@ -46,6 +75,7 @@ class Word(object):
         for a, b in zip(self.chords, self.chords[1:]):
             if not diagram.composable(a, b):
                 raise DiagramError(f"chords r{a}, r{b} are not composable")
+        self.total = sum(diagram.chord(c).action for c in self.chords)
 
     def __len__(self):
         return len(self.chords)
@@ -54,18 +84,12 @@ class Word(object):
         return "".join(f"r{c}" for c in self.chords)
 
     def action(self) -> Fraction:
-        return sum((self.diagram.chord(c).action for c in self.chords),
-                   Fraction(0))
+        return self.total
 
 
 def canonical_rotation(chords: Sequence[int]) -> Tuple[int, ...]:
     seq = tuple(chords)
-    best = seq
-    for k in range(1, len(seq)):
-        rot = seq[k:] + seq[:k]
-        if rot < best:
-            best = rot
-    return best
+    return min((seq[k:] + seq[:k] for k in range(len(seq))), default=seq)
 
 
 class CyclicWord(Word):
@@ -74,10 +98,10 @@ class CyclicWord(Word):
     Cyclic words name closed trajectories, so they may only use chords of
     the surgered sublink.  ``letters`` holds one ``ResolvedDiagram.letter``
     per consecutive pair, the closing one last; fetching them enforces that
-    rule.
+    rule.  A word also carries its return map's ``sign`` and ``rows``.
     """
 
-    __slots__ = ("letters",)
+    __slots__ = ("letters", "sign", "rows")
 
     def __init__(self, diagram: ResolvedDiagram, chords: Sequence[int]):
         seq = canonical_rotation(chords)
@@ -87,6 +111,9 @@ class CyclicWord(Word):
                 f"closing pair r{self.chords[-1]}, r{self.chords[0]} "
                 f"not composable")
         self.letters = tuple(diagram.letter(a, b) for a, b in self.pairs())
+        self.sign, self.rows = 1, IDENTITY
+        for letter in self.letters:
+            self.sign, self.rows = _twist(self.sign, self.rows, letter)
 
     def __eq__(self, other):
         return isinstance(other, CyclicWord) and self.chords == other.chords
@@ -109,6 +136,14 @@ class CyclicWord(Word):
                                 if seq == seq[p:] + seq[:p])
 
 
+def _orbit_word(d, chords, letters, total, sign, rows) -> CyclicWord:
+    """The CyclicWord of an enumerator's node, which checked it already."""
+    w = CyclicWord.__new__(CyclicWord)
+    w.diagram, w.chords, w.letters = d, chords, letters
+    w.total, w.sign, w.rows = total, sign, rows
+    return w
+
+
 def surgered_chords(d: ResolvedDiagram) -> List[int]:
     """Ids of the chords with both ends on the surgered sublink."""
     return [c.id for c in d.chords
@@ -118,25 +153,30 @@ def surgered_chords(d: ResolvedDiagram) -> List[int]:
 def _bounds(d: ResolvedDiagram, chords: Iterable[int],
             max_len: Optional[int], max_action: Optional[Fraction],
             epsilon: Optional[Fraction]):
-    """The test ``within(action, length)`` of an enumerator's bounds.
-
-    The action bound is relaxed by the slack 3*eps per letter.  A slack of
-    half the least action of a usable chord or more is rejected: below it
-    every letter adds more than half its action, so the slack at most
-    doubles the word length that the action bound allows.
-    """
+    """(den, actions, top, cap): actions are ints over den, the chords'
+    least common denominator, no word is longer than top, and a word of
+    length n costs at most cap(n) = floor((max_action + 3*eps*n) * den).
+    A slack 3*eps of half the least action of a usable chord or more is
+    rejected: below it the slack at most doubles the word length that the
+    action bound allows, as every letter adds over half its action."""
     if max_len is None and max_action is None:
         raise ValueError("need a length or action bound")
     slack = 3 * epsilon if epsilon is not None else Fraction(0)
-    least = min((d.chord(c).action for c in chords), default=None)
+    exact = {c: d.chord(c).action for c in chords}
+    least = min(exact.values(), default=None)
     if max_action is not None and least is not None and 2 * slack >= least:
         raise ValueError(f"epsilon too large for the action bound: 6*eps "
                          f"must stay below the least chord action {least}")
-
-    def within(action: Fraction, length: int) -> bool:
-        return (max_len is None or length <= max_len) and \
-            (max_action is None or action <= max_action + slack * length)
-    return within
+    den = lcm(*(a.denominator for a in exact.values()))
+    actions = {c: a.numerator * (den // a.denominator)
+               for c, a in exact.items()}
+    if max_action is None:      # n letters cost at most n dearest chords
+        return den, actions, max_len, \
+            lambda n: n * max(actions.values(), default=0)
+    # n letters cost at least n * least, and least exceeds the slack
+    top = max_action // (least - slack) if least else 0
+    top = top if max_len is None else min(top, max_len)
+    return den, actions, top, lambda n: (max_action + slack * n) * den // 1
 
 
 def enumerate_orbit_words(d: ResolvedDiagram,
@@ -147,32 +187,50 @@ def enumerate_orbit_words(d: ResolvedDiagram,
     """All cyclic words of composable chords on the surgered sublink.
 
     Non-primitive words (multiple covers) are included; each class appears
-    once, in canonical rotation.  With ``epsilon`` given, the action bound is
-    relaxed by the 3*eps*wordlength slack so that every closed trajectory of
-    true action below the bound is guaranteed to appear.
+    once, in canonical rotation, by length and then lexicographically.  With
+    ``epsilon`` given, the action bound is relaxed by the 3*eps*wordlength
+    slack so that every closed trajectory of true action below the bound is
+    guaranteed to appear.  Words are necklaces, grown a length at a time by
+    the Fredricksen-Kessler-Maiorana rule: a prenecklace seq of length n and
+    period p extends by each c >= seq[n - p], keeping p if c equals it and
+    taking n + 1 if not, and is its own least rotation when p divides n.
+    Nodes are flat tuples (chords, period, action over den, letters, sign,
+    rows); a word adds only its closing letter.
     """
     if not any(v != 0 for v in d.surgery.values()):
         raise ValueError("empty surgery locus: no orbits exist")
     chords = surgered_chords(d)
-    within = _bounds(d, chords, max_len, max_action, epsilon)
+    den, actions, top, cap = _bounds(d, chords, max_len, max_action, epsilon)
+    successors = {a: [b for b in chords if d.composable(a, b)]
+                  for a in chords}
+    # each composable pair, with its letter once a kept node uses it
+    pairs = {(a, b): None for a in chords for b in successors[a]}
+
+    def letter(a: int, b: int) -> Letter:
+        lt = pairs[a, b] = pairs[a, b] or d.letter(a, b)
+        return lt
+
     out: List[CyclicWord] = []
-    # one level per word length, each in lexicographic order: a level
-    # extends the previous one's words in order by each chord in id order
-    level: List[Tuple[Tuple[int, ...], Fraction]] = [((), Fraction(0))]
+    level = [((c,), 1, actions[c], (), 1, IDENTITY) for c in chords
+             if top and actions[c] <= cap(1)]
+    n = 1
     while level:
-        longer = []
-        for seq, action in level:
-            for c in chords:
-                # canonical words start with their minimal letter
-                if seq and (c < seq[0] or not d.composable(seq[-1], c)):
-                    continue
-                nxt_action = action + d.chord(c).action
-                if within(nxt_action, len(seq) + 1):
-                    longer.append((seq + (c,), nxt_action))
-        level = longer
-        out.extend(CyclicWord(d, seq) for seq, _ in level
-                   if d.composable(seq[-1], seq[0])
-                   and seq == canonical_rotation(seq))
+        cap_n, longer = cap(n + 1), []
+        for seq, p, act, lts, sign, rows in level:
+            if n % p == 0 and (seq[-1], seq[0]) in pairs:
+                lt = letter(seq[-1], seq[0])
+                out.append(_orbit_word(d, seq, lts + (lt,), Fraction(act, den),
+                                       *_twist(sign, rows, lt)))
+            least = seq[n - p]
+            for c in successors[seq[-1]] if n < top else ():
+                q = p if c == least else n + 1
+                if c < least or act + actions[c] > cap_n or n + 1 == top \
+                        and ((n + 1) % q or (c, seq[0]) not in pairs):
+                    continue        # past the caps, or a leaf but no word
+                lt = letter(seq[-1], c)
+                longer.append((seq + (c,), q, act + actions[c], lts + (lt,),
+                               *_twist(sign, rows, lt)))
+        level, n = longer, n + 1
     return out
 
 
@@ -188,27 +246,25 @@ def enumerate_chord_words(d: ResolvedDiagram,
     lambda0 = {i for i, v in d.surgery.items() if v == 0}
     if not lambda0:
         raise ValueError("empty zero-coefficient sublink")
-    within = _bounds(d, [c.id for c in d.chords], max_len, max_action,
-                     epsilon)
+    _den, actions, top, cap = _bounds(d, [c.id for c in d.chords], max_len,
+                                      max_action, epsilon)
     out: List[Word] = []
     # one level per word length, each in lexicographic order; a word that
     # ends on the zero sublink is complete and is not extended
-    level: List[Tuple[Tuple[int, ...], Fraction]] = [((), Fraction(0))]
-    while level:
-        longer = []
-        for seq, action in level:
+    level, n = [((), 0)], 1
+    while level and n <= top:
+        cap_n, longer = cap(n), []
+        for seq, act in level:
             for c in d.chords:
                 if (not d.composable(seq[-1], c.id) if seq
-                        else c.tail_comp not in lambda0):
-                    continue
-                nxt_action = action + c.action
-                if not within(nxt_action, len(seq) + 1):
+                        else c.tail_comp not in lambda0) or \
+                        act + actions[c.id] > cap_n:
                     continue
                 if c.tip_comp in lambda0:
                     out.append(Word(d, seq + (c.id,)))
                 else:       # interior endpoints stay on the handles
-                    longer.append((seq + (c.id,), nxt_action))
-        level = longer
+                    longer.append((seq + (c.id,), act + actions[c.id]))
+        level, n = longer, n + 1
     return out
 
 

@@ -2,12 +2,12 @@
 
 Everything here deliberately avoids the library's own code paths: polynomial
 arithmetic on dicts, convex polygon clipping for the trimmed affine flow,
-strand-stack simulation for front combinatorics, brute-force quiver counts,
-and the elementary-divisor formulas and a Gauss-Jordan solve for small
-integer matrices.  Second routes through library results that only the
-tests need live here too: return maps evaluated at an epsilon, the
-embedding's points read off its homogeneous integer points, the
-intersection grading of a collection of orbits (the library grades one
+strand-stack simulation for front combinatorics, brute-force quiver counts
+and orbit words, and the elementary-divisor formulas and a Gauss-Jordan
+solve for small integer matrices.  Second routes through library results
+that only the tests need live here too: return maps evaluated at an
+epsilon, the embedding's points read off its homogeneous integer points,
+the intersection grading of a collection of orbits (the library grades one
 orbit at a time), each orbit's fiber counts in ``Fraction``s by a
 Gauss-Jordan solve (the library keeps them as ints over H1's exponent),
 the twist's height profile, capping paths walked segment by
@@ -497,6 +497,32 @@ def count_cycles(d, length):
         if all(d.composable(seq[k - 1], seq[k]) for k in range(length)):
             seen.add(min(seq[k:] + seq[:k] for k in range(length)))
     return len(seen)
+
+
+def brute_force_orbit_words(d, max_len=None, max_action=None, epsilon=None):
+    """The chord tuples of the orbit words within the bounds, by length and
+    then lexicographically, over every sequence of surgered chords: a word
+    is cyclically composable, its own least rotation, and its ``Fraction``
+    action is at most max_action + 3 eps per letter.  Without max_len the
+    lengths stop where n letters cost more than the bound at length n."""
+    chords = [c for c in d.chords
+              if d.surgery[c.tail_comp] and d.surgery[c.tip_comp]]
+    slack = 3 * epsilon if epsilon is not None else Fraction(0)
+    least = min((c.action for c in chords), default=None)
+    out, n = [], 1
+    while (max_len is None or n <= max_len) and least is not None and \
+            (max_action is None or n * least <= max_action + slack * n):
+        for seq in itertools.product(chords, repeat=n):
+            ids = tuple(c.id for c in seq)
+            if any(seq[k - 1].tip_comp != seq[k].tail_comp
+                   for k in range(n)) or \
+                    any(ids[k:] + ids[:k] < ids for k in range(1, n)):
+                continue
+            if max_action is None or \
+                    sum(c.action for c in seq) <= max_action + slack * n:
+                out.append(ids)
+        n += 1
+    return out
 
 
 def edges_from(d, vertex):

@@ -165,6 +165,15 @@ def test_out_of_range_bounds_exit_2(tmp_path, capsys):
         assert (code, out) == (2, "") and "input error" in err, argv
 
 
+def test_an_empty_bound_value_exits_2(tmp_path, capsys):
+    # an empty value is given, not missing: it must not drop the bound
+    path = write(tmp_path, "L1,R1 / surgery {0:-1}")
+    for option in ("--max-action=", "--epsilon="):
+        code, out, err = run(capsys, ["orbits", "--max-len", "1", option,
+                                      "--input", path])
+        assert (code, out) == (2, "") and "bad rational ''" in err, option
+
+
 def test_homology_rejects_zero_bounds(tmp_path, capsys):
     # a bound of 0 is given, not missing: it must not drop the classes
     path = write(tmp_path, "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")

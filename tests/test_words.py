@@ -1,11 +1,13 @@
+import pathlib
+import random
 from fractions import Fraction
 
 import pytest
-
-from oracles import (all_orbit_strings, arc_pass_counts, capping_walk,
-                     endpoints_between, full_curve_pushout, k_copy,
-                     rot_number, turn_octants, unshifted_windings,
-                     whole_arc_piece)
+from oracles import (all_orbit_strings, arc_pass_counts,
+                     brute_force_orbit_words, capping_walk,
+                     endpoints_between, full_curve_pushout, k_copy, padd,
+                     pscale, reference_return_map, rot_number, turn_octants,
+                     unshifted_windings, whole_arc_piece)
 from reebchords import report, words
 from reebchords.diagram import (DiagramError, ResolvedDiagram, parse_front,
                                 resolve)
@@ -573,3 +575,82 @@ def test_candidate_pools_equal_the_enumeration_at_each_budget(text,
         want = enumerate_orbit_words(d, max_len=pool_len, max_action=budget,
                                      epsilon=eps)
         assert [w.chords for w in got] == [w.chords for w in want]
+
+
+def check_enumeration_against_brute_force(d, max_len):
+    """enumerate_orbit_words equals brute_force_orbit_words, in order, under
+    a length bound and under action bounds with and without the epsilon
+    slack, the action bound set at a word's own action and just under it;
+    every word's action, letters and return-map trace equal those of the
+    checked constructor's word and the oracle's product.  Returns whether
+    the slack let in a word that the bound alone keeps out."""
+    eps = F(1, 100)
+    by_len = enumerate_orbit_words(d, max_len=max_len)
+    assert [w.chords for w in by_len] == \
+        brute_force_orbit_words(d, max_len=max_len)
+    if not by_len:
+        return False
+    least = min(d.chord(c).action for c in words.surgered_chords(d))
+    top = max(w.action() for w in by_len if w.action() <= 3 * least)
+    modes = [(None, top, None), (None, top - F(1, 50), None),
+             (None, top - F(1, 50), eps), (max_len - 1, top, eps)]
+    found = {}
+    for mode in modes:
+        got = enumerate_orbit_words(d, *mode)
+        assert [w.chords for w in got] == \
+            brute_force_orbit_words(d, *mode), mode
+        found[mode] = got
+        for w in got:
+            checked = CyclicWord(d, w.chords)
+            assert w.action() == checked.action() == \
+                sum(d.chord(c).action for c in w.chords)
+            assert w.letters == checked.letters
+            trace = return_map(d, w).trace()
+            assert trace == return_map(d, checked).trace()
+            sign, prod = reference_return_map(d, w.chords)
+            assert {k: c for k, c in enumerate(trace) if c} == \
+                pscale(padd(prod[0][0], prod[1][1]), sign)
+    return len(found[modes[2]]) > len(found[modes[1]])
+
+
+@pytest.mark.parametrize("text", FIXTURE_FRONTS + [TREFOIL_2_COPY],
+                         ids=FIXTURE_IDS + ["2-copy"])
+def test_enumeration_matches_brute_force(text):
+    d = resolve(parse_front(text))
+    if text == TREFOIL_2_COPY:
+        # its chord actions have denominators 1, 3, 9 and 27, so its caps
+        # are floors over 27
+        assert {d.chord(c).action.denominator
+                for c in words.surgered_chords(d)} == {1, 3, 9, 27}
+    check_enumeration_against_brute_force(d, 3 if text == TREFOIL_2_COPY
+                                          else 4)
+
+
+def test_enumeration_matches_brute_force_on_random_fronts(monkeypatch):
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    from fronts import random_fronts
+
+    slack_counts = [check_enumeration_against_brute_force(
+        resolve(parse_front(text)), 4)
+        for text in random_fronts(random.Random(11), 30, 6, 12, 3)]
+    assert any(slack_counts)
+
+
+def test_enumeration_checks_each_pair_once(trefoil_plus, monkeypatch):
+    """The enumerator asks composable of each pair of surgered chords once,
+    and builds each letter at most once, however long its words."""
+    calls = {"composable": 0, "letter": 0}
+    for name in calls:
+        real = getattr(ResolvedDiagram, name)
+
+        def counting(self, j1, j2, name=name, real=real):
+            calls[name] += 1
+            return real(self, j1, j2)
+
+        monkeypatch.setattr(ResolvedDiagram, name, counting)
+    ws = enumerate_orbit_words(trefoil_plus, max_len=6)
+    n = len(words.surgered_chords(trefoil_plus))
+    assert len(ws) > n ** 2
+    assert calls["composable"] <= n ** 2
+    assert calls["letter"] <= n ** 2

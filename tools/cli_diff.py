@@ -5,23 +5,26 @@
 SRC_A and SRC_B are source checkouts (each with a ``src/reebchords``).  One
 list of commands runs under each tree, in one Python worker process per
 tree that imports ``reebchords`` from that tree's ``src/``.  Both workers
-stay up and are fed one command at a time; each command runs under one
-tree and then under the other, the first tree alternating from command to
-command.  So only one worker computes at any moment, and a command's two
-times are taken back to back, in the same phase of the machine.  For
-every command the standard output, the standard error and the exit code
-are compared.  Each difference is printed, and the exit code is 1 if there
-is any, else 0.  The summary also gives the line count of
-``src/reebchords/*.py`` in each tree, as ``wc -l`` totals it.
+stay up and are fed one command at a time; each command runs twice under
+each tree in ABBA order (A, B, B, A, then B, A, A, B for the next
+command).  So only one worker computes at any moment, a command's four
+times are taken back to back, in the same phase of the machine, and
+neither tree always runs first or always runs right after the other
+tree's command.  For every command the standard output, the standard
+error and the exit code of each tree's first run are compared.  Each
+difference is printed, and the exit code is 1 if there is any, else 0.
+The summary also gives the line count of ``src/reebchords/*.py`` in each
+tree, as ``wc -l`` totals it.
 
-Each tree's CPU seconds per command are recorded too, and the commands
-whose time moved by more than ``TIME_MOVE`` (25 %) either way are listed,
-with both times, when either tree took at least ``TIME_FLOOR_S`` seconds
-(0.1): on shorter commands scheduling noise is a large share of the time.
+Each tree's CPU seconds per command, the least of its two runs, are
+recorded too, and the commands whose time moved by more than
+``TIME_MOVE`` (25 %) either way are listed, with both times, when either
+tree took at least ``TIME_FLOOR_S`` seconds (0.1): on shorter commands
+scheduling noise is a large share of the time.
 The list only reports; it does not change the exit code.  It shows
 per-command moves that a benchmark's medians hide.
 
-The commands, each run once:
+The commands, each run twice under each tree:
 
 * every item of the perfbench corpora at seeds 1-3, read from
   ``perfbench/corpus.py`` of the checkout this file is in;
@@ -176,8 +179,10 @@ def worker(src):
 
 
 def run_trees(srcs, cmds):
-    """Run the commands under both trees, alternating which goes first;
-    returns one list of results per tree, or None when a worker failed."""
+    """Run each command twice under each tree in ABBA order, alternating
+    with BAAB; returns one list of results per tree, each a first run's
+    result with the least CPU time of the two runs, or None when a worker
+    failed."""
     boot = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import cli_diff; cli_diff.worker(sys.argv[2])")
     procs = [subprocess.Popen([sys.executable, "-c", boot, HERE, src],
@@ -186,13 +191,17 @@ def run_trees(srcs, cmds):
     results = [[], []]
     try:
         for k, cmd in enumerate(cmds):
-            for t in (k % 2, 1 - k % 2):
+            first, second = k % 2, 1 - k % 2
+            runs = [[], []]
+            for t in (first, second, second, first):
                 procs[t].stdin.write(json.dumps(cmd) + "\n")
                 procs[t].stdin.flush()
                 line = procs[t].stdout.readline()
                 if not line:
                     return None
-                results[t].append(json.loads(line))
+                runs[t].append(json.loads(line))
+            for t, (one, two) in enumerate(runs):
+                results[t].append(one[:3] + [min(one[3], two[3])])
     except BrokenPipeError:
         return None
     finally:
