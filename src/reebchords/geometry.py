@@ -1,13 +1,14 @@
 """Exact rational planar geometry for polyline diagrams.
 
-Points are pairs of rationals (``fractions.Fraction``) or of integers, a
-segment a -> b is its pair of ends, directions are restricted to the eight
-compass octants (multiples of 45 degrees), and every predicate is computed
-exactly.  Octants, cross
-and dot products, winding numbers and the collinear merge never divide, so
-on integer points they stay in integers; ``diagram`` runs its hot loops that
-way, on coordinates scaled by one common denominator.  Floating point never
-enters.
+Points are pairs of rationals (``fractions.Fraction``) or of integers
+over one common denominator, a segment a -> b is its pair of ends,
+directions are restricted to the eight compass octants (multiples of 45
+degrees), and every predicate is computed exactly.  Octants, cross and dot
+products, winding numbers and the collinear merge never divide, so on
+integer points they stay in integers; ``diagram`` runs its hot loops that
+way.  ``offset_polyline`` divides only exactly: given the denominator as
+``unit`` it stays in ints and refuses a result off that grid, which is how
+``words`` offsets its push-out pieces.  Floating point never enters.
 """
 
 from fractions import Fraction
@@ -114,24 +115,40 @@ def merge_collinear(points: Sequence[Point]) -> List[Point]:
     return out
 
 
+def _div(a, b):
+    """a / b: ``Fraction`` division, or on two ints a quotient that must
+    leave no remainder, so integer coordinates stay integers."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        if r:
+            raise ValueError(f"{a}/{b} leaves the integer grid")
+        return q
+    return a / b
+
+
 def offset_polyline(points: Sequence[Point], side: str,
-                    amount: Fraction) -> List[Point]:
+                    amount: Fraction, unit: int = 1) -> List[Point]:
     """Push an open polyline off to one side using rational per-octant normals.
 
     ``side`` is 'left' or 'right' relative to the direction of travel.  The
     normal for a diagonal octant is scaled by 1/2 so every displacement has
     infinity-norm <= amount; this keeps coordinates rational while staying
-    inside the safety tube used for push-out curves.
+    inside the safety tube used for push-out curves.  With ``unit`` > 1 the
+    points are ints over ``unit`` and ``amount`` stays in plane units: the
+    offset runs in ints, and an offset or a corner off that grid raises
+    ValueError.
     """
     if side not in ("left", "right"):
         raise ValueError(f"bad side {side!r}")
+    if unit != 1:
+        amount = _div(amount.numerator * unit, amount.denominator)
     shifted = []
     for a, b in zip(points, points[1:]):
         if a == b:
             continue
         dx, dy = OCTANT_VECTORS[direction_octant(a, b)]
         nx, ny = (-dy, dx) if side == "left" else (dy, -dx)
-        scale = amount if dx == 0 or dy == 0 else amount / 2
+        scale = amount if dx == 0 or dy == 0 else _div(amount, 2)
         off = (nx * scale, ny * scale)
         shifted.append(((a[0] + off[0], a[1] + off[1]),
                         (b[0] + off[0], b[1] + off[1])))
@@ -143,7 +160,9 @@ def offset_polyline(points: Sequence[Point], side: str,
         if denom == 0:
             out.append(b1)
             continue
-        t = cross(sub(a2, a1), d2) / denom
-        out.append((a1[0] + t * d1[0], a1[1] + t * d1[1]))
+        # the corner a1 + t d1 with t = num / denom
+        num = cross(sub(a2, a1), d2)
+        out.append((a1[0] + _div(num * d1[0], denom),
+                    a1[1] + _div(num * d1[1], denom)))
     out.append(shifted[-1][1])
     return out

@@ -3,21 +3,24 @@
 The quiver has one vertex per link component and one directed edge per
 chord; its cycles index closed-orbit words.
 The intersection grading assigns to each null-homologous orbit an integer
-per bounded face: the push-out's winding numbers (sums of per-piece tables
+per bounded face: the push-out's winding numbers (sums of per-letter rows
 at the one offset ``words.PUSH_OFF``, never retried) plus a meridian-disk
 correction for its linking vector, which is the orbit's class vector,
-solved through the Smith form of the surgery relation matrix.  Fiber
-vectors are ints over one denominator, ``H1Presentation.exponent``: a
-collection's grading is the sum of its orbits' fiber vectors, divided by
-it once.  No curve is wound here except each component, once per diagram.
+solved through the Smith form of the surgery relation matrix.  The solve
+is linear and the letters' crossing monomials sum to twice the class
+vector, so the correction is half the sum of per-letter cap rows, each
+solved once per diagram.  Fiber vectors are ints over one denominator,
+``H1Presentation.exponent``: a collection's grading is the sum of its
+orbits' fiber vectors, divided by it once.  No curve is wound here except
+each component, once per diagram, on the push-outs' integer grid.
 """
 
 from typing import List, Tuple
 
-from .diagram import DiagramError, Face, ResolvedDiagram
+from .diagram import DiagramError, Face, ResolvedDiagram, _on_grid
 from .geometry import winding_number
 from .homology import H1Presentation, orbit_class_monomial
-from .words import CyclicWord, canonical_rotation, push_out
+from .words import CyclicWord, _grid, canonical_rotation, push_out
 
 
 class Quiver(object):
@@ -38,15 +41,38 @@ class Quiver(object):
 
 
 def _component_windings(d: ResolvedDiagram) -> List[List[int]]:
-    """windings[i][k]: winding of component i around basepoint k."""
+    """windings[i][k]: winding of component i around basepoint k, on the
+    push-outs' grid."""
     key = ("component_windings",)
     if key not in d.memo:
+        unit, bps = _grid(d)
         try:
-            d.memo[key] = [[winding_number(cyc, f.basepoint)
-                            for f in d.faces_list] for cyc in d.components]
+            d.memo[key] = [[winding_number(ring, bp) for bp in bps]
+                           for ring in (_on_grid(cyc, unit)
+                                        for cyc in d.components)]
         except ValueError as exc:
             raise DiagramError(f"component winding: {exc}") from exc
     return d.memo[key]
+
+
+def _cap_row(d: ResolvedDiagram, h1: H1Presentation, pair, letter
+             ) -> Tuple[int, ...]:
+    """One letter's row of the meridian-cap correction, memoized per chord
+    pair: sum_j solve(-vector)_j * (component j's windings), where vector
+    is the letter's crossing monomial.  ``solve`` is linear and a word's
+    monomials sum to twice its class vector, so a word's rows sum to twice
+    its correction."""
+    rows = d.memo.setdefault(("cap_rows",), {})
+    if pair not in rows:
+        sol = h1.solve([-letter.vector[i] for i in h1.surgered])
+        comp_w = _component_windings(d)
+        # each cap through handle j trades a meridian for a framed
+        # push-off, whose spanning surface meets the fiber in the
+        # component's winding
+        rows[pair] = tuple(sum(x * comp_w[j][k]
+                               for x, j in zip(sol, h1.surgered))
+                           for k in range(len(d.faces_list)))
+    return rows[pair]
 
 
 def effective_fiber_vector(d: ResolvedDiagram, h1: H1Presentation,
@@ -56,22 +82,22 @@ def effective_fiber_vector(d: ResolvedDiagram, h1: H1Presentation,
 
     The push-out's winding numbers plus the (possibly fractional)
     meridian-cap correction solved against the relation matrix for minus
-    the orbit's class vector, all over the exponent; the total over a
-    null-homologous collection is divisible by it, and the quotient is its
-    grading.  Memoized per diagram.
+    the orbit's class vector, all over the exponent: half the sum of its
+    letters' cap rows, which must be even.  The total over a
+    null-homologous collection is divisible by the exponent, and the
+    quotient is its grading.  Memoized per diagram.
     """
     key = ("fiber", w.chords)
     if key in d.memo:
         return d.memo[key]
     windings = push_out(d, w)
-    sol = h1.solve([-v for v in orbit_class_monomial(d, h1, w).vector])
-    comp_w = _component_windings(d)
-    # each cap through handle j trades a meridian for a framed push-off,
-    # whose spanning surface meets the fiber in the component's winding
-    d.memo[key] = tuple(
-        h1.exponent * windings[k] +
-        sum(x * comp_w[j][k] for x, j in zip(sol, h1.surgered))
-        for k in range(len(d.faces_list)))
+    caps = [sum(col) for col in zip(*(
+        _cap_row(d, h1, pair, letter)
+        for pair, letter in zip(w.pairs(), w.letters)))]
+    if any(v % 2 for v in caps):
+        raise DiagramError(f"odd meridian-cap sum for {w}: {caps} / 2")
+    d.memo[key] = tuple(h1.exponent * v + c // 2
+                        for v, c in zip(windings, caps))
     return d.memo[key]
 
 

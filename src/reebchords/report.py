@@ -120,14 +120,19 @@ def _pool_length_cap(d: ResolvedDiagram, target_degree: int) -> Optional[int]:
 
     Every letter of a word adds at least min_step to its index, where
     min_step ranges over the letter indices of the composable pairs; a
-    positive min_step caps the length of candidate factors.
+    positive min_step caps the length of candidate factors.  min_step
+    depends only on the diagram, so it is found once per diagram.
     """
-    chords = surgered_chords(d)
-    steps = [d.letter(a, b).index for a in chords for b in chords
-             if d.composable(a, b)]
-    if not steps or min(steps) <= 0:
+    key = ("min_step",)
+    if key not in d.memo:
+        chords = surgered_chords(d)
+        d.memo[key] = min((d.letter(a, b).index for a in chords
+                           for b in chords if d.composable(a, b)),
+                          default=None)
+    step = d.memo[key]
+    if step is None or step <= 0:
         return None
-    return max(1, (target_degree + 1) // min(steps))
+    return max(1, (target_degree + 1) // step)
 
 
 def _pool_words(d: ResolvedDiagram, pool_len: Optional[int],

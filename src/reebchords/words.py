@@ -10,20 +10,23 @@ their letters, action and return-map rows, so no word is checked twice.
 
 A push-out is made of pieces, each built once per diagram at the one offset
 ``PUSH_OFF``, with its end points and its ray crossings at every face
-basepoint; a word's winding numbers are exact sums over its pieces.  Only
-the step pieces, one per passage interval (a component's stretch between
-consecutive chord passages), are offset and wound: the capping arc of a
-composable pair runs over the passage arcs its letter
+basepoint.  Only the step pieces, one per passage interval (a component's
+stretch between consecutive chord passages), are offset and wound, in ints
+on one grid per diagram that also holds the basepoints: the capping arc of
+a composable pair runs over the passage arcs its letter
 (``ResolvedDiagram.letter``) lists, and a jump at each chord closes the
-gaps.  A push-out's linking numbers are its
-orbit class, which ``homology`` sums from the letters' crossing monomials.
+gaps.  Each letter's arc and the jump after it make one row of crossings,
+memoized per chord pair, and a word's winding numbers are the sum of its
+letters' rows.  A push-out's linking numbers are its orbit class, which
+``homology`` sums from the letters' crossing monomials.
 """
 
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .diagram import DiagramError, Letter, ResolvedDiagram
+from .diagram import DiagramError, Letter, ResolvedDiagram, _on_grid
 from .geometry import offset_polyline, winding_number
 
 # The side offset of every push-out piece.  offset_polyline moves no point
@@ -268,6 +271,22 @@ def enumerate_chord_words(d: ResolvedDiagram,
     return out
 
 
+def _grid(d: ResolvedDiagram) -> Tuple[int, List[Tuple[int, int]]]:
+    """(unit, basepoints): the push-outs' integer grid and the face
+    basepoints as int pairs on it, built at the first push-out rather than
+    in ``resolve``, so it holds basepoints moved in between.  Chord points
+    are over 2 * ``d._scale`` and
+    PUSH_OFF / 2 is 1/16, so on the lcm of 32 * _scale and the
+    basepoints' denominators the passage arcs, their offsets and corners
+    are ints."""
+    key = ("grid",)
+    if key not in d.memo:
+        bps = [f.basepoint for f in d.faces_list]
+        unit = lcm(32 * d._scale, *(v.denominator for p in bps for v in p))
+        d.memo[key] = unit, _on_grid(bps, unit)
+    return d.memo[key]
+
+
 class _Piece(NamedTuple):
     """An open piece of push-out curves: ``start`` and ``end`` are its end
     points, ``crossings`` its signed crossings of the leftward ray from each
@@ -278,30 +297,30 @@ class _Piece(NamedTuple):
 
 
 def _piece(d: ResolvedDiagram, points) -> _Piece:
-    """A piece through a basepoint is a fault: ``PUSH_OFF`` keeps them off."""
+    """The piece through ``points`` on the grid, wound in ints; one through
+    a basepoint is a fault: ``PUSH_OFF`` keeps them off."""
+    unit, bps = _grid(d)
     try:
-        crossings = tuple(winding_number(points, f.basepoint, closed=False)
-                          for f in d.faces_list)
+        crossings = tuple(winding_number(points, bp, closed=False)
+                          for bp in bps)
     except ValueError as exc:
         raise DiagramError(f"push-out piece meets a face basepoint: "
                            f"{exc}") from exc
-    return _Piece(points[0], points[-1], crossings)
-
-
-def _crossings(pieces) -> Tuple[int, ...]:
-    """The entrywise sum of the pieces' crossings."""
-    return tuple(map(sum, zip(*(piece.crossings for piece in pieces))))
+    return _Piece(*(tuple(Fraction(v, unit) for v in p)
+                    for p in (points[0], points[-1])), crossings)
 
 
 def _step(d: ResolvedDiagram, comp: int, k: int) -> _Piece:
-    """The piece along passage arc k of comp.  The arc is the diagram's
-    own, so a ValueError of the offset is an internal fault."""
+    """The piece along passage arc k of comp, offset on the grid.  The arc
+    is the diagram's own, so a ValueError of the offset is an internal
+    fault."""
     key = ("step", comp, k)
     if key not in d.memo:
+        unit = _grid(d)[0]
         try:
-            arc = offset_polyline(d.passage_arcs[comp][k],
+            arc = offset_polyline(_on_grid(d.passage_arcs[comp][k], unit),
                                   "left" if d.surgery[comp] == 1
-                                  else "right", PUSH_OFF)
+                                  else "right", PUSH_OFF, unit=unit)
         except ValueError as exc:
             raise DiagramError(f"push-out fault on passage arc {k} of "
                                f"component {comp}: {exc}") from exc
@@ -311,18 +330,15 @@ def _step(d: ResolvedDiagram, comp: int, k: int) -> _Piece:
 
 
 def _arc(d: ResolvedDiagram, j1: int, j2: int) -> _Piece:
-    """The push-out piece along the capping arc of r_j1 r_j2, memoized: the
-    steps along the letter's passage arcs, from r_j1's tip passage to r_j2's
-    tail passage.  Chord points lie inside segments, so the whole arc's
-    offset passes through each shifted passage point, and its crossings are
-    the steps' sums."""
-    key = ("arc", j1, j2)
-    if key not in d.memo:
-        comp = d.chord(j1).tip_comp
-        steps = [_step(d, comp, k) for k in d.letter(j1, j2).arcs]
-        d.memo[key] = _Piece(steps[0].start, steps[-1].end,
-                             _crossings(steps))
-    return d.memo[key]
+    """The push-out piece along the capping arc of r_j1 r_j2: the steps
+    along the letter's passage arcs, from r_j1's tip passage to r_j2's tail
+    passage.  Chord points lie inside segments, so the whole arc's offset
+    passes through each shifted passage point, and its crossings are the
+    steps' sums."""
+    comp = d.chord(j1).tip_comp
+    steps = [_step(d, comp, k) for k in d.letter(j1, j2).arcs]
+    return _Piece(steps[0].start, steps[-1].end,
+                  tuple(map(sum, zip(*(s.crossings for s in steps)))))
 
 
 def _jump(d: ResolvedDiagram, j: int, a, b) -> _Piece:
@@ -333,8 +349,23 @@ def _jump(d: ResolvedDiagram, j: int, a, b) -> _Piece:
     """
     key = ("jump", j)
     if key not in d.memo:
-        d.memo[key] = _piece(d, [a, b] if a != b else [a])
+        unit = _grid(d)[0]
+        d.memo[key] = _piece(d, _on_grid([a, b] if a != b else [a], unit))
     return d.memo[key]
+
+
+def _letter_crossings(d: ResolvedDiagram, j1: int, j2: int
+                      ) -> Tuple[int, ...]:
+    """The crossings of letter r_j1 r_j2's share of a push-out, memoized
+    per pair: its capping arc, then the jump across r_j2 to the step that
+    leaves r_j2's tip, where every next letter's arc starts."""
+    rows = d.memo.setdefault(("crossings",), {})
+    if (j1, j2) not in rows:
+        arc = _arc(d, j1, j2)
+        comp, k = d._passage_of[j2, "tip"]
+        jump = _jump(d, j2, arc.end, _step(d, comp, k).start)
+        rows[j1, j2] = tuple(map(add, arc.crossings, jump.crossings))
+    return rows[j1, j2]
 
 
 def push_out(d: ResolvedDiagram, w: CyclicWord) -> Tuple[int, ...]:
@@ -344,10 +375,8 @@ def push_out(d: ResolvedDiagram, w: CyclicWord) -> Tuple[int, ...]:
     The curve follows each capping arc at the offset ``PUSH_OFF``: on the
     left of the component when its coefficient is +1, on the right when -1
     (sides taken relative to the direction of travel), and jumps across
-    each chord of the word.  Its windings are the sums of those of the
-    memoized arc and jump pieces; the curve itself is never assembled.
+    each chord of the word.  Its windings are the sums of its letters'
+    memoized crossings; the curve itself is never assembled.
     """
-    arcs = [_arc(d, j1, j2) for j1, j2 in w.pairs()]
-    jumps = [_jump(d, j, arcs[k - 1].end, arcs[k].start)
-             for k, j in enumerate(w.chords)]
-    return _crossings(arcs + jumps)
+    return tuple(map(sum, zip(*(_letter_crossings(d, a, b)
+                                for a, b in w.pairs()))))

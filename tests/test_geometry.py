@@ -91,6 +91,21 @@ def test_offset_polyline_sides():
     assert left[-1] == (F(8) - F(1, 4), F(4) + F(1, 4))
 
 
+def test_offset_polyline_on_ints_stays_on_the_grid():
+    # the same path as ints over 16: amount 1/8 is 2 there, its half 1
+    path = [(0, 0), (64, 0), (128, 64)]
+    got = offset_polyline(path, "left", F(1, 2), unit=16)
+    assert all(type(v) is int for p in got for v in p)
+    want = offset_polyline([(F(x, 16), F(y, 16)) for x, y in path], "left",
+                           F(1, 2))
+    assert got == [(x * 16, y * 16) for x, y in want]
+    # 1/8 is 1/2 over 4, and its diagonal half is 1/2 over 8
+    with pytest.raises(ValueError, match="integer grid"):
+        offset_polyline([(0, 0), (16, 0)], "left", F(1, 8), unit=4)
+    with pytest.raises(ValueError, match="integer grid"):
+        offset_polyline([(0, 0), (16, 16)], "left", F(1, 8), unit=8)
+
+
 def test_merge_collinear():
     pts = [(F(0), F(0)), (F(2), F(0)), (F(4), F(0)), (F(4), F(4)),
            (F(0), F(4))]

@@ -7,10 +7,13 @@ import pytest
 from oracles import (all_orbit_strings, collection_i_grading, count_cycles,
                      count_paths, fraction_fiber_vector, k_copy,
                      pushout_grading)
+from reebchords import quiver
 from reebchords.diagram import DiagramError, parse_front, resolve
-from reebchords.homology import h1_presentation, orbit_class_monomial
+from reebchords.homology import (H1Presentation, h1_presentation,
+                                 orbit_class_monomial)
 from reebchords.quiver import (Quiver, bubbling_faces, effective_fiber_vector,
                                i_grading)
+from reebchords.report import generators
 from reebchords.words import CyclicWord, enumerate_orbit_words
 from test_realization import FIXTURES
 
@@ -169,6 +172,40 @@ def test_bubbling_stable_under_rerealization(trefoil_plus):
     words_a = sorted(word for _f, word in bubbling_faces(trefoil_plus))
     words_b = sorted(word for _f, word in bubbling_faces(other))
     assert words_a == words_b
+
+
+@pytest.mark.parametrize("text", [
+    TREFOIL_PLUS, "L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:+1}",
+    SPLIT_TREFOILS], ids=["trefoil+1", "hopf++", "split-trefoils"])
+def test_fiber_vectors_solve_once_per_letter(text, monkeypatch):
+    """Generator records up to length 5 solve against the relation matrix
+    at most once per distinct letter: a fiber vector sums its letters'
+    memoized cap rows."""
+    d = resolve(parse_front(text))
+    h1 = h1_presentation(d)
+    calls = []
+    real = H1Presentation.solve
+
+    def counting(self, rhs):
+        calls.append(tuple(rhs))
+        return real(self, rhs)
+
+    monkeypatch.setattr(H1Presentation, "solve", counting)
+    records = generators(d, h1, max_len=5)
+    graded = sum(r.igrading is not None for r in records)
+    assert len(calls) <= len(d.memo[("letters",)]) < graded
+
+
+def test_an_odd_cap_sum_is_a_fault(monkeypatch):
+    """A word's cap rows sum to twice its meridian-cap correction; an odd
+    sum is a fault, never floored."""
+    d = resolve(parse_front(TREFOIL_PLUS))
+    h1 = h1_presentation(d)
+    real = quiver._cap_row
+    monkeypatch.setattr(quiver, "_cap_row", lambda *args: tuple(
+        v + 1 for v in real(*args)))
+    with pytest.raises(DiagramError, match="odd meridian-cap sum"):
+        effective_fiber_vector(d, h1, CyclicWord(d, [1]))
 
 
 def check_fibers_against_fraction_route(d, max_len):

@@ -224,6 +224,40 @@ def searches(text, words=None, max_pool_len=None):
         yield d, h1, g, rep, cap
 
 
+@pytest.mark.parametrize("text", [
+    "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}",
+    front_text(k_copy(parse_front("L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}"),
+                      2))], ids=["trefoil+1", "2-copy"])
+def test_the_pool_length_cap_is_found_once_per_diagram(text, monkeypatch):
+    """The least letter index behind the pool length cap depends only on
+    the diagram: repeated searches on one diagram ask it no composable or
+    letter question after the first, and the cap at any target degree
+    asks none either."""
+    d = resolve(parse_front(text))
+    h1 = h1_presentation(d)
+    gens = [g for g in generators(d, h1, max_len=1, epsilon=EPS)
+            if g.good and g.degree == 1]
+    assert gens
+    chords = [c.id for c in d.chords]
+    least = min(d.letter(a, b).index for a in chords for b in chords
+                if d.composable(a, b))
+    calls = []
+    for name in ("composable", "letter"):
+        real = getattr(type(d), name)
+        monkeypatch.setattr(type(d), name, lambda self, a, b, real=real:
+                            calls.append((a, b)) or real(self, a, b))
+    rounds = []
+    for _ in range(3):
+        del calls[:]
+        for g in gens:
+            differential_candidates(g, d, h1, EPS, max_pool_len=1)
+        rounds.append(len(calls))
+    caps = [_pool_length_cap(d, t) for t in range(-1, 4)]
+    assert rounds[0] > 0 and rounds[1:] == [0, 0] and calls == []
+    assert caps == [None if least <= 0 else max(1, (t + 1) // least)
+                    for t in range(-1, 4)]
+
+
 def oracle_cases():
     for args in ORACLE_SEARCHES:
         yield from searches(*args)

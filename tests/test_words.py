@@ -200,6 +200,41 @@ def test_push_off_moves_no_point_more_than_sqrt5_over_8():
     assert max(worst.values()) == worst[3] == 5 * PUSH_OFF ** 2
 
 
+def on_grid(points, unit):
+    """Points times unit, each coordinate checked to be an integer."""
+    scaled = [tuple(v * unit for v in p) for p in points]
+    assert all(v.denominator == 1 for p in scaled for v in p)
+    return [tuple(int(v) for v in p) for p in scaled]
+
+
+def test_passage_arcs_offset_in_ints_on_the_push_out_grid():
+    """Every passage arc of the fixtures, the seeded fronts and the 2-copy,
+    given as ints over its diagram's push-out grid, offsets at PUSH_OFF to
+    int coordinates only, the Fraction route's times the unit.  On the
+    unit 2 * _scale the arc's points are ints but PUSH_OFF is not, and the
+    offset raises ValueError."""
+    fronts = [parse_front(t) for t in FIXTURE_FRONTS + [TREFOIL_2_COPY]]
+    checked = 0
+    for front in fronts + list(seeded_fronts()):
+        d = resolve(front)
+        unit, bps = words._grid(d)
+        assert bps == [tuple(on_grid([f.basepoint], unit)[0])
+                       for f in d.faces_list]
+        off = 2 * d._scale
+        for arc in (arc for arcs in d.passage_arcs for arc in arcs):
+            for side in ("left", "right"):
+                got = offset_polyline(on_grid(arc, unit), side, PUSH_OFF,
+                                      unit=unit)
+                assert all(type(v) is int for p in got for v in p)
+                assert got == on_grid(offset_polyline(arc, side, PUSH_OFF),
+                                      unit)
+                with pytest.raises(ValueError, match="integer grid"):
+                    offset_polyline(on_grid(arc, off), side, PUSH_OFF,
+                                    unit=off)
+                checked += 1
+    assert checked > 500
+
+
 def check_pushouts_against_full_curves(d):
     """Table sums equal the whole 'eta' curve's windings and the unshifted
     passage arcs' crossings, and the whole curve's offset search takes its
