@@ -24,13 +24,13 @@ are read off it by difference arrays over the sizes (twice each integral,
 halved once) and the diagram is that layout at the LP's solution.
 ``ResolvedDiagram`` scales the diagram by one integer, the least common
 denominator of its coordinates, and on that copy computes the octants, the
-chord points from the crossing pairs, heights, lengths, face areas and
+chord points from the crossing pairs, heights, lengths, face order and
 basepoint tests; its public fields stay ``Fraction``s.  Every double point
 crosses two diagonals, so the faces are the cycles of passage arcs that
 turn left at every chord; corner signs and quadrants are read off the
-passage records, rotation numbers off the front's Maslov potential.  A
-face's basepoint is one unit into its first corner's wedge; one within 1/2
-of a segment is a fault.
+passage records, rotation numbers off the front's Maslov potential, face
+areas off the chord actions (Stokes).  A face's basepoint is one unit into
+its first corner's wedge; one within 1/2 of a segment is a fault.
 """
 
 import json
@@ -628,7 +628,9 @@ class ResolvedDiagram(object):
     backward) and the next one leaves on the chord's other strand in octant
     o + 2: forward along its arc if that strand's octant is o + 2, backward
     if it is o + 6.  The corner's sign is +1 exactly when the arrival is at
-    the chord's tail, and its quadrant is the axis octant o + 3.
+    the chord's tail, and its quadrant is the axis octant o + 3.  A face's
+    area is the sum of its corner signs times the chord actions, the
+    z-jumps of the y dx integral (Stokes), negative on an outer boundary.
 
     The hot loops run on one integer copy of the components, scaled by
     ``_scale``, the least common denominator of their coordinates, and
@@ -807,8 +809,10 @@ class ResolvedDiagram(object):
 
         visited = set()
         faces = []
-        h = 2 * self._scale
         self.outer_area = Fraction(0)
+        # Stokes areas (class docstring) from the actions as ints over den
+        den = lcm(*(c.action.denominator for c in self.chords))
+        acts = [int(c.action * den) for c in self.chords]
         for he0 in turn:
             if he0 in visited:
                 continue
@@ -824,15 +828,14 @@ class ResolvedDiagram(object):
                 corners.append(corner)
             if he != he0:
                 raise DiagramError("face tracing did not close up")
-            # the shoelace sum and the least coordinates over h = 2 * _scale
-            ring = _on_grid(boundary, h)
-            area = Fraction(sum(cross(a, b) for a, b in
-                                zip(ring, ring[1:] + ring[:1])), 2 * h * h)
+            area = Fraction(sum(s * acts[cid - 1] for cid, _q, s in corners),
+                            den)
             if area < 0:
                 self.outer_area -= area
                 continue
             if area == 0:
                 raise DiagramError("degenerate face of zero area")
+            ring = _on_grid(boundary, 2 * self._scale)      # the sort key
             faces.append((min(x for x, _ in ring), min(y for _, y in ring),
                           Face(None, corners, area, boundary)))
         faces.sort(key=lambda item: item[:2])

@@ -8,23 +8,22 @@ winds the planar push-out curves used for intersection gradings around the
 face basepoints.  Orbit words grow as one prefix tree whose nodes carry
 their letters, action and return-map rows, so no word is checked twice.
 
-A push-out is made of pieces, each built once per diagram at the one offset
-``PUSH_OFF``, with its end points and its ray crossings at every face
-basepoint.  Only the step pieces, one per passage interval (a component's
-stretch between consecutive chord passages), are offset and wound, in ints
-on one grid per diagram that also holds the basepoints: the capping arc of
-a composable pair runs over the passage arcs its letter
-(``ResolvedDiagram.letter``) lists, and a jump at each chord closes the
-gaps.  Each letter's arc and the jump after it make one row of crossings,
-memoized per chord pair, and a word's winding numbers are the sum of its
-letters' rows.  A push-out's linking numbers are its orbit class, which
-``homology`` sums from the letters' crossing monomials.
+A push-out is wound in two memo tables, at the one offset ``PUSH_OFF`` and
+in ints on one grid per diagram that also holds the face basepoints.  The
+first holds per passage arc (a component's stretch between consecutive
+chord passages) its offset step's (start, end, crossings), the ends as
+grid ints and the crossings at every face basepoint.  The second holds
+per letter (``ResolvedDiagram.letter``) the sums over the steps of its
+capping arc plus the jump across r_j2, whose crossings are memoized per
+chord.  A word's winding numbers are the sum of its letters' rows.  A
+push-out's linking numbers are its orbit class, which ``homology`` sums
+from the letters' crossing monomials.
 """
 
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .diagram import DiagramError, Letter, ResolvedDiagram, _on_grid
 from .geometry import offset_polyline, winding_number
@@ -275,10 +274,9 @@ def _grid(d: ResolvedDiagram) -> Tuple[int, List[Tuple[int, int]]]:
     """(unit, basepoints): the push-outs' integer grid and the face
     basepoints as int pairs on it, built at the first push-out rather than
     in ``resolve``, so it holds basepoints moved in between.  Chord points
-    are over 2 * ``d._scale`` and
-    PUSH_OFF / 2 is 1/16, so on the lcm of 32 * _scale and the
-    basepoints' denominators the passage arcs, their offsets and corners
-    are ints."""
+    are over 2 * ``d._scale`` and PUSH_OFF / 2 is 1/16, so on the lcm of
+    32 * _scale and the basepoints' denominators the passage arcs, their
+    offsets and corners are ints."""
     key = ("grid",)
     if key not in d.memo:
         bps = [f.basepoint for f in d.faces_list]
@@ -287,35 +285,24 @@ def _grid(d: ResolvedDiagram) -> Tuple[int, List[Tuple[int, int]]]:
     return d.memo[key]
 
 
-class _Piece(NamedTuple):
-    """An open piece of push-out curves: ``start`` and ``end`` are its end
-    points, ``crossings`` its signed crossings of the leftward ray from each
-    face basepoint."""
-    start: Tuple
-    end: Tuple
-    crossings: Tuple[int, ...]
-
-
-def _piece(d: ResolvedDiagram, points) -> _Piece:
-    """The piece through ``points`` on the grid, wound in ints; one through
-    a basepoint is a fault: ``PUSH_OFF`` keeps them off."""
-    unit, bps = _grid(d)
+def _crossings(d: ResolvedDiagram, points) -> Tuple[int, ...]:
+    """The signed crossings of the push-out piece through ``points``, ints
+    on the grid, with the leftward ray from each face basepoint.  A piece
+    through a basepoint is a fault: ``PUSH_OFF`` keeps them off."""
     try:
-        crossings = tuple(winding_number(points, bp, closed=False)
-                          for bp in bps)
+        return tuple(winding_number(points, bp, closed=False)
+                     for bp in _grid(d)[1])
     except ValueError as exc:
         raise DiagramError(f"push-out piece meets a face basepoint: "
                            f"{exc}") from exc
-    return _Piece(*(tuple(Fraction(v, unit) for v in p)
-                    for p in (points[0], points[-1])), crossings)
 
 
-def _step(d: ResolvedDiagram, comp: int, k: int) -> _Piece:
-    """The piece along passage arc k of comp, offset on the grid.  The arc
-    is the diagram's own, so a ValueError of the offset is an internal
-    fault."""
-    key = ("step", comp, k)
-    if key not in d.memo:
+def _step(d: ResolvedDiagram, comp: int, k: int):
+    """(start, end, crossings) of passage arc k of comp offset on the grid,
+    memoized per arc; a repeated point of the offset crosses no ray.  The
+    arc is the diagram's own, so a ValueError of the offset is a fault."""
+    steps = d.memo.setdefault(("steps",), {})
+    if (comp, k) not in steps:
         unit = _grid(d)[0]
         try:
             arc = offset_polyline(_on_grid(d.passage_arcs[comp][k], unit),
@@ -324,47 +311,37 @@ def _step(d: ResolvedDiagram, comp: int, k: int) -> _Piece:
         except ValueError as exc:
             raise DiagramError(f"push-out fault on passage arc {k} of "
                                f"component {comp}: {exc}") from exc
-        points = [arc[0]] + [q for p, q in zip(arc, arc[1:]) if q != p]
-        d.memo[key] = _piece(d, points)
-    return d.memo[key]
+        steps[comp, k] = arc[0], arc[-1], _crossings(d, arc)
+    return steps[comp, k]
 
 
-def _arc(d: ResolvedDiagram, j1: int, j2: int) -> _Piece:
-    """The push-out piece along the capping arc of r_j1 r_j2: the steps
-    along the letter's passage arcs, from r_j1's tip passage to r_j2's tail
-    passage.  Chord points lie inside segments, so the whole arc's offset
-    passes through each shifted passage point, and its crossings are the
-    steps' sums."""
+def _arc(d: ResolvedDiagram, j1: int, j2: int):
+    """(start, end, crossings) of the push-out along the capping arc of
+    r_j1 r_j2, ends on the grid: the steps along the letter's passage arcs,
+    from r_j1's tip passage to r_j2's tail passage.  Chord points lie
+    inside segments, so the whole arc's offset passes through each shifted
+    passage point, and its crossings are the steps' sums."""
     comp = d.chord(j1).tip_comp
     steps = [_step(d, comp, k) for k in d.letter(j1, j2).arcs]
-    return _Piece(steps[0].start, steps[-1].end,
-                  tuple(map(sum, zip(*(s.crossings for s in steps)))))
-
-
-def _jump(d: ResolvedDiagram, j: int, a, b) -> _Piece:
-    """The push-out piece at chord j from arc end a to arc start b, memoized.
-
-    a and b depend only on j (an arc's end segment is the one through the
-    chord), so they are not in the key.
-    """
-    key = ("jump", j)
-    if key not in d.memo:
-        unit = _grid(d)[0]
-        d.memo[key] = _piece(d, _on_grid([a, b] if a != b else [a], unit))
-    return d.memo[key]
+    return steps[0][0], steps[-1][1], \
+        tuple(map(sum, zip(*(s[2] for s in steps))))
 
 
 def _letter_crossings(d: ResolvedDiagram, j1: int, j2: int
                       ) -> Tuple[int, ...]:
     """The crossings of letter r_j1 r_j2's share of a push-out, memoized
     per pair: its capping arc, then the jump across r_j2 to the step that
-    leaves r_j2's tip, where every next letter's arc starts."""
+    leaves r_j2's tip, where every next letter's arc starts.  The jump's
+    ends depend only on j2 (an arc's end segment is the one through the
+    chord), so its crossings are memoized per chord."""
     rows = d.memo.setdefault(("crossings",), {})
     if (j1, j2) not in rows:
-        arc = _arc(d, j1, j2)
-        comp, k = d._passage_of[j2, "tip"]
-        jump = _jump(d, j2, arc.end, _step(d, comp, k).start)
-        rows[j1, j2] = tuple(map(add, arc.crossings, jump.crossings))
+        _start, end, arc = _arc(d, j1, j2)
+        jumps = d.memo.setdefault(("jumps",), {})
+        if j2 not in jumps:
+            nxt = _step(d, *d._passage_of[j2, "tip"])[0]
+            jumps[j2] = _crossings(d, [end, nxt])
+        rows[j1, j2] = tuple(map(add, arc, jumps[j2]))
     return rows[j1, j2]
 
 

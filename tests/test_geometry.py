@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (Segment, point_segment_distance_sq, polygon_signed_area,
                      segment_intersection, turning_number)
@@ -104,6 +105,31 @@ def test_offset_polyline_on_ints_stays_on_the_grid():
         offset_polyline([(0, 0), (16, 0)], "left", F(1, 8), unit=4)
     with pytest.raises(ValueError, match="integer grid"):
         offset_polyline([(0, 0), (16, 16)], "left", F(1, 8), unit=8)
+
+
+def open_winding(points, p):
+    """winding_number of the open polyline, None where p is on it."""
+    try:
+        return winding_number(points, p, closed=False)
+    except ValueError:
+        return None
+
+
+SMALL_POINTS = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(SMALL_POINTS, min_size=2, max_size=6), SMALL_POINTS,
+       st.integers(0, 5))
+@example([(0, 0), (1, 1), (2, 0)], (1, 1), 1)   # a peak: only the repeat
+def test_a_repeated_vertex_leaves_an_open_winding_unchanged(points, p, i):
+    """A zero-length edge crosses no ray: repeating vertex i changes the
+    open winding around p only by raising, and only where p is that
+    vertex (the half-open rule can miss p at a peak of the polyline)."""
+    i %= len(points)
+    repeated = points[:i + 1] + points[i:]
+    want = None if p == points[i] else open_winding(points, p)
+    assert open_winding(repeated, p) == want
 
 
 def test_merge_collinear():

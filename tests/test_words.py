@@ -429,10 +429,10 @@ def surgered_pair(d, a, b):
 
 def check_arcs_against_whole_arcs(d):
     """Every capping arc's piece of a pair of surgered chords equals the
-    whole arc offset by PUSH_OFF and wound in one pass, and is a fault
-    where that arc touches a basepoint; on every other composable pair the
-    piece is a fault (it has no letter).  Returns the pieces, None for the
-    basepoint faults."""
+    whole arc offset by PUSH_OFF and wound in one pass, its ends times the
+    push-out grid's unit, and is a fault where that arc touches a
+    basepoint; on every other composable pair the piece is a fault (it has
+    no letter).  Returns the pieces, None for the basepoint faults."""
     pieces = {}
     for a in d.chords:
         for b in d.chords:
@@ -453,7 +453,8 @@ def check_arcs_against_whole_arcs(d):
                 pieces[a.id, b.id] = None
                 continue
             pieces[a.id, b.id] = words._arc(d, a.id, b.id)
-            assert pieces[a.id, b.id] == whole
+            assert pieces[a.id, b.id] == (
+                *on_grid(whole[:2], words._grid(d)[0]), whole[2])
     return pieces
 
 
