@@ -87,19 +87,10 @@ def load_diagram(args):
 
 
 def on_diagram(cmd):
-    """The command run on the resolved diagram of ``args``' front.
-
-    The diagram's memo is cleared when the command returns: its records
-    refer back to the diagram, so the memo would otherwise keep the diagram
-    alive until a full garbage collection.
-    """
+    """The command run on the resolved diagram of ``args``' front."""
     @functools.wraps(cmd)
     def run(args):
-        d = resolve(load_diagram(args))
-        try:
-            cmd(args, d)
-        finally:
-            d.memo.clear()
+        cmd(args, resolve(load_diagram(args)))
     return run
 
 

@@ -21,16 +21,16 @@ plus the first k sizes (loop stretches and event spacings) in event order.
 Its double points are found once, by a sweep of its integer instance at
 zero sizes, and its crossing pairs hold at every size.  The sizing LP's rows
 are read off it by difference arrays over the sizes (twice each integral,
-halved once) and the diagram is that layout at the LP's solution.
-``ResolvedDiagram`` scales the diagram by one integer, the least common
-denominator of its coordinates, and on that copy computes the octants, the
-chord points from the crossing pairs, heights, lengths, face order and
-basepoint tests; its public fields stay ``Fraction``s.  Every double point
-crosses two diagonals, so the faces are the cycles of passage arcs that
-turn left at every chord; corner signs and quadrants are read off the
-passage records, rotation numbers off the front's Maslov potential, face
-areas off the chord actions (Stokes).  A face's basepoint is one unit into
-its first corner's wedge; one within 1/2 of a segment is a fault.
+halved once) and the diagram is that layout at the LP's solution, in
+ints over one integer, the least common denominator of those sizes.
+``ResolvedDiagram`` computes on those ints the octants, the chord points
+from the crossing pairs, heights, lengths, face order and basepoint tests;
+its public fields are ``Fraction``s.  Every double point crosses two
+diagonals, so the faces are the cycles of passage arcs that turn left at
+every chord; corner signs and quadrants are read off the passage records,
+rotation numbers off the front's Maslov potential, face areas off the chord
+actions (Stokes).  A face's basepoint is one unit into its first corner's
+wedge; one within 1/2 of a segment is a fault.
 """
 
 import json
@@ -446,16 +446,16 @@ def _template(front: FrontCode):
 
 
 def _evaluate(cycles, order, theta):
-    """The template's cycles at the concrete sizes theta.  With n = theta *
-    den in integers over their common denominator, an x is (c * den + the
-    sum of n over order[:k]) / den, one prefix sum for all vertices."""
+    """(ints, den): the template's cycles at the sizes theta as ints over
+    den, theta's least common denominator.  With n = theta * den, a vertex
+    is (c * den + the sum of n over order[:k], y * den): one prefix sum."""
     den = lcm(*(theta[v].denominator for v in order))
     prefix = [0]
     for v in order:
         t = theta[v]
         prefix.append(prefix[-1] + t.numerator * (den // t.denominator))
-    return [[(Fraction(c * den + prefix[k], den), Fraction(y))
-             for c, y, k in cyc] for cyc in cycles]
+    return [[(c * den + prefix[k], y * den) for c, y, k in cyc]
+            for cyc in cycles], den
 
 
 def _on_grid(points, unit):
@@ -632,11 +632,11 @@ class ResolvedDiagram(object):
     area is the sum of its corner signs times the chord actions, the
     z-jumps of the y dx integral (Stokes), negative on an outer boundary.
 
-    The hot loops run on one integer copy of the components, scaled by
-    ``_scale``, the least common denominator of their coordinates, and
-    ``octants[ci][si]`` is the travel octant of segment si of component ci.
-    The public fields (components, their Chebyshev ``lengths``, chord
-    points, actions and locations, areas, basepoints) stay ``Fraction``s.
+    The hot loops run on ``ints``, the components' vertices as ints over
+    ``scale``, which ``resolve`` takes from the template (``_evaluate``),
+    and ``octants[ci][si]`` is the travel octant of segment si of component
+    ci.  The public fields (components, their Chebyshev ``lengths``, chord
+    points, actions and locations, areas, basepoints) are ``Fraction``s.
 
     ``crossings`` lists per chord, in event order, the (component, segment
     index) of its slope -1 and its slope +1 branch.  ``resolve`` passes the
@@ -644,18 +644,16 @@ class ResolvedDiagram(object):
     each chord point is where the two branches' lines meet, and a pair
     whose segments do not meet there is a DiagramError."""
 
-    def __init__(self, front: FrontCode, components: List[List[Point]],
-                 crossings, z_shifts: List[Fraction]):
-        self.front = front
+    def __init__(self, front: FrontCode, ints: List[List[Tuple[int, int]]],
+                 scale: int, crossings, z_shifts: List[Fraction]):
+        self.front, self._ints, self._scale = front, ints, scale
         self.surgery = dict(front.surgery)
-        self.components = components
+        self.components = [[(Fraction(x, scale), Fraction(y, scale))
+                            for x, y in cyc] for cyc in ints]
         self._crossings = crossings
         # the height function of each component is defined up to a constant;
         # these are the constants the template solver chose
         self.z_shifts = z_shifts
-        self._scale = lcm(*{v.denominator for cyc in components
-                            for p in cyc for v in p})
-        self._ints = [_on_grid(cyc, self._scale) for cyc in components]
         # tables that later layers derive from this diagram, built on first
         # use; keys are tuples led by the table's name
         self.memo: Dict[tuple, object] = {}
@@ -1028,8 +1026,8 @@ def resolve(front: FrontCode, action_margin: Fraction = Fraction(32)
     while every crossing keeps a z-gap of at least ``action_margin`` between
     its high and low strands.  The LP rows are read off the template, laid
     out once in integers, and the diagram is that layout at the LP's
-    solution, in ``Fraction``s over the solution's common denominator; the
-    diagram's integer scale lives in the ``ResolvedDiagram``.  A ValueError
+    solution, in ints over the least common denominator of its sizes,
+    which the ``ResolvedDiagram`` keeps as its integer scale.  A ValueError
     of a geometry helper on the way is an internal fault, a DiagramError.
     """
     from .lp import solve_lp
@@ -1043,7 +1041,7 @@ def resolve(front: FrontCode, action_margin: Fraction = Fraction(32)
                 "no template sizing realizes this front in good position")
         shifts = [Fraction(0)] + [theta[k] - theta[k + 1]
                                   for k in range(len(order), n_var, 2)]
-        return ResolvedDiagram(front, _evaluate(cycles, order, theta),
+        return ResolvedDiagram(front, *_evaluate(cycles, order, theta),
                                [(o, u) for _, o, u in crossings], shifts)
     except FrontError:
         raise

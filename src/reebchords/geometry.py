@@ -56,14 +56,16 @@ def polyline_integral_y_dx(points: Sequence[Point]) -> Fraction:
 
 def winding_number(points: Sequence[Point], p: Point,
                    closed: bool = True) -> int:
-    """Winding of the closed polyline around p (p must avoid the curve).
+    """Winding of the closed polyline around p; p on it is a ValueError.
 
-    Counts signed crossings of the leftward horizontal ray from p with the
-    half-open convention on y so vertices are never double counted.  The
-    count is a sum over edges, so with ``closed=False`` it is an open
-    piece's share of the winding of any closed curve the piece is part of.
-    It never divides, so it is exact on integer coordinates too.
+    Counts signed crossings of the leftward horizontal ray from p, half-open
+    in y so no vertex counts twice; a vertex p, where both edges of a peak
+    miss, is refused first.  The count is a sum over edges, so with
+    ``closed=False`` it is an open piece's share of the winding of any
+    closed curve the piece is part of.  It never divides: exact on ints too.
     """
+    if p in points:
+        raise ValueError("winding test point lies on the curve")
     n = len(points)
     w = 0
     for i in range(n if closed else n - 1):

@@ -86,15 +86,19 @@ class Candidate(object):
     """A surviving monomial in the filtered differential of a generator."""
 
     def __init__(self, factors: Tuple[CyclicWord, ...], label: str,
-                 faces=None, sign_ambiguous=False, trail=None):
+                 faces=None, trail=None):
         self.factors = factors           # () is the constant term 1
         self.label = label
         self.faces = faces or []         # bubbling witnesses, constant term only
-        self.sign_ambiguous = sign_ambiguous
         self.trail = trail or {}
 
     def is_constant(self):
         return not self.factors
+
+    @property
+    def sign_ambiguous(self) -> bool:
+        """Two or more witness faces: their +-1 counts may cancel."""
+        return len(self.faces) > 1
 
     def __repr__(self):
         name = "1" if self.is_constant() else \
@@ -328,9 +332,7 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
                 label = "constant term, count +-1 (bubbling face witness)"
             else:
                 label = "unobstructed, count unknown"
-            found.append(Candidate((), label, faces=faces,
-                                   sign_ambiguous=len(faces) > 1,
-                                   trail=trail))
+            found.append(Candidate((), label, faces=faces, trail=trail))
         return False
 
     # Depth first over the products, children in pool order: one frame

@@ -7,6 +7,7 @@ length/action bounds, with actions as ints over one denominator, and
 winds the planar push-out curves used for intersection gradings around the
 face basepoints.  Orbit words grow as one prefix tree whose nodes carry
 their letters, action and return-map rows, so no word is checked twice.
+Words hold no diagram, so a diagram's memo tables never keep it alive.
 
 A push-out is wound in two memo tables, at the one offset ``PUSH_OFF`` and
 in ints on one grid per diagram that also holds the face basepoints.  The
@@ -67,12 +68,11 @@ def _twist(sign: int, rows: Mat, letter: Letter) -> Tuple[int, Mat]:
 class Word(object):
     """Composable (non-cyclic) sequence of chord ids, with its action."""
 
-    __slots__ = ("diagram", "chords", "total")
+    __slots__ = ("chords", "total")
 
     def __init__(self, diagram: ResolvedDiagram, chords: Sequence[int]):
         if not chords:
             raise DiagramError("empty word")
-        self.diagram = diagram
         self.chords = tuple(int(c) for c in chords)
         for a, b in zip(self.chords, self.chords[1:]):
             if not diagram.composable(a, b):
@@ -138,10 +138,10 @@ class CyclicWord(Word):
                                 if seq == seq[p:] + seq[:p])
 
 
-def _orbit_word(d, chords, letters, total, sign, rows) -> CyclicWord:
+def _orbit_word(chords, letters, total, sign, rows) -> CyclicWord:
     """The CyclicWord of an enumerator's node, which checked it already."""
     w = CyclicWord.__new__(CyclicWord)
-    w.diagram, w.chords, w.letters = d, chords, letters
+    w.chords, w.letters = chords, letters
     w.total, w.sign, w.rows = total, sign, rows
     return w
 
@@ -221,7 +221,7 @@ def enumerate_orbit_words(d: ResolvedDiagram,
         for seq, p, act, lts, sign, rows in level:
             if n % p == 0 and (seq[-1], seq[0]) in pairs:
                 lt = letter(seq[-1], seq[0])
-                out.append(_orbit_word(d, seq, lts + (lt,), Fraction(act, den),
+                out.append(_orbit_word(seq, lts + (lt,), Fraction(act, den),
                                        *_twist(sign, rows, lt)))
             least = seq[n - p]
             for c in successors[seq[-1]] if n < top else ():

@@ -1,10 +1,12 @@
 import contextlib
+import gc
 import io
 import json
 import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction as F
 from pathlib import Path
 from unittest import mock
@@ -793,6 +795,37 @@ def run_text(argv, text):
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv + ["--input", "-"])
     return code, out.getvalue()
+
+
+@pytest.mark.parametrize("text", [
+    TREFOIL_PLUS, "L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:+1}"])
+@pytest.mark.parametrize("argv", [
+    ["invariants"], ["orbits", "--max-len", "2"], ["cz", "--max-len", "2"],
+    ["homology", "--max-len", "2"], ["grading", "--max-len", "2"],
+    ["chain", "--max-len", "2", "--epsilon", "1/100"]])
+def test_a_commands_diagram_is_freed_when_it_returns(monkeypatch, text,
+                                                      argv):
+    """With the cycle collector off, every diagram a command resolves dies
+    with its last reference when the command returns: nothing the command
+    builds (words, letters, records, memo tables) refers back to it."""
+    from reebchords import cli
+    built = []
+
+    def tracked(front):
+        d = resolve(front)
+        built.append(weakref.ref(d))
+        return d
+
+    monkeypatch.setattr(cli, "resolve", tracked)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        code, _ = run_text(argv, text)
+        assert code == 0
+        assert built and all(ref() is None for ref in built)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def chain_rows(text, max_len):

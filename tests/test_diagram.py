@@ -299,7 +299,7 @@ def test_a_crossing_pair_whose_segments_do_not_meet_is_a_fault(
         pairs[0], pairs[1] = ((pairs[0][0], pairs[1][1]),
                               (pairs[1][0], pairs[0][1]))
     with pytest.raises(DiagramError, match="is not inside segment"):
-        ResolvedDiagram(d.front, d.components, pairs, d.z_shifts)
+        ResolvedDiagram(d.front, d._ints, d._scale, pairs, d.z_shifts)
 
 
 # -- the basepoint test's integer distance check ------------------------------

@@ -132,6 +132,21 @@ def test_a_repeated_vertex_leaves_an_open_winding_unchanged(points, p, i):
     assert open_winding(repeated, p) == want
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.lists(SMALL_POINTS, min_size=2, max_size=6), st.integers(0, 5),
+       st.booleans())
+@example([(0, 0), (2, 2), (4, 0), (2, -2)], 1, True)    # a diamond's peak
+@example([(0, 0), (2, 2), (4, 0), (2, -2)], 1, False)
+@example([(0, 0), (1, 1), (2, 0)], 1, True)              # a peak
+@example([(0, 0), (1, 1), (2, 0)], 1, False)
+@example([(0, 0), (1, 1)], 1, False)                     # an upper end
+def test_every_vertex_of_a_polyline_is_on_the_curve(points, i, closed):
+    """winding_number raises at every vertex, closed and open, also where
+    the half-open rule skips both edges: a peak or an upper end."""
+    with pytest.raises(ValueError, match="lies on the curve"):
+        winding_number(points, points[i % len(points)], closed=closed)
+
+
 def test_merge_collinear():
     pts = [(F(0), F(0)), (F(2), F(0)), (F(4), F(0)), (F(4), F(4)),
            (F(0), F(4))]

@@ -7,8 +7,10 @@ definition and the package's ``__init__.py``: elsewhere in the library, or
 in the benchmark harness (``perfbench/``) or the tools (``tools/``).  A
 method counts as reached when any attribute of that name is read, since the
 trees carry no types.  A name that only the tests use is a second route, and
-those live in ``tests/oracles.py``.  This reads the syntax trees to keep it
-so.
+those live in ``tests/oracles.py``.  Likewise every ``__slots__`` name of
+a library class must be read as an attribute somewhere in those trees: a
+slot that is only written is state no one uses.  This reads the syntax
+trees to keep it so.
 """
 
 import ast
@@ -70,6 +72,28 @@ def dead_exports(modules, others):
     return dead
 
 
+def unread_slots(modules, others):
+    """[(module, class.slot)] of the ``__slots__`` names of the classes in
+    ``modules`` that no tree in ``modules`` or ``others`` reads as an
+    attribute."""
+    read = {node.attr for tree in list(modules.values()) + list(others)
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for mod, tree in sorted(modules.items()):
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in stmt.targets):
+                    unread += [(mod, f"{cls.name}.{name}")
+                               for name in ast.literal_eval(stmt.value)
+                               if name not in read]
+    return unread
+
+
 def parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), str(path))
 
@@ -112,6 +136,21 @@ def test_checker_finds_unreached_definitions_only():
         ("core", "Used.recurses"), ("core", "Used.unread")]
 
 
+def test_slot_checker_finds_slots_never_read():
+    core = ast.parse("class Record(object):\n"
+                     "    __slots__ = ('read', 'stored', 'elsewhere')\n"
+                     "    def __init__(self, a):\n"
+                     "        self.read, self.stored = a, a\n"
+                     "        self.elsewhere = a\n"
+                     "    def total(self):\n"
+                     "        return self.read\n"
+                     "class Plain(object):\n"
+                     "    stored = 1\n")
+    tool = ast.parse("from core import Record\n"
+                     "print(Record(1).elsewhere)\n")
+    assert unread_slots({"core": core}, [tool]) == [("core", "Record.stored")]
+
+
 def test_every_public_definition_is_reached():
     modules = {p.stem: parse(p) for p in sorted(SRC.glob("*.py"))
                if p.name != "__init__.py"}
@@ -119,3 +158,12 @@ def test_every_public_definition_is_reached():
               for p in sorted((ROOT / d).glob("*.py"))]
     assert modules and others
     assert dead_exports(modules, others) == []
+
+
+def test_every_slot_is_read():
+    modules = {p.stem: parse(p) for p in sorted(SRC.glob("*.py"))
+               if p.name != "__init__.py"}
+    others = [parse(p) for d in ("perfbench", "tools")
+              for p in sorted((ROOT / d).glob("*.py"))]
+    assert modules and others
+    assert unread_slots(modules, others) == []
