@@ -222,6 +222,7 @@ def cmd_chain(args, d):
     if eps is None:
         raise FrontError("chain reports need --epsilon")
     gens = generators(d, h1, max_len, max_action, eps)
+    name = functools.lru_cache(None)(word_name)     # once per word
     rows = []
     for g in gens:
         row = {"word": word_name(g.word.chords),
@@ -245,7 +246,7 @@ def cmd_chain(args, d):
                                               max_pool_len=args.max_len)
                 row["candidates"] = [
                     {"monomial": "1" if c.is_constant() else
-                     "".join(word_name(w.chords) for w in c.factors),
+                     "".join(name(w.chords) for w in c.factors),
                      "label": c.label,
                      "trail": {k: (frac_str(v) if k == "action"
                                    else list(v) if isinstance(v, tuple)

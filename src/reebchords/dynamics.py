@@ -49,16 +49,17 @@ class ReturnMapPoly(object):
         det = mat_det(entries)
         if det != (1,):
             raise DiagramError(f"return map of {word} has det {det}")
-        tr = self.trace()
+        tr = poly_trim(tuple(sign * c for c in
+                             poly_add(entries[0], entries[3])))
         n = len(word.chords)
         if len(tr) != n + 1 or abs(tr[n]) != 1:
             raise DiagramError(
                 f"trace of {word} has bad leading coefficient: {tr}")
+        self._trace = tr
 
     def trace(self) -> Poly:
         """Trace of sign * entries as a polynomial in u = 1/epsilon."""
-        raw = poly_add(self.entries[0], self.entries[3])
-        return poly_trim(tuple(self.sign * c for c in raw))
+        return self._trace
 
 
 def return_map(d: ResolvedDiagram, w: CyclicWord) -> ReturnMapPoly:
@@ -81,8 +82,7 @@ def hyperbolic_type(cz_parity: int, trace: Poly) -> Tuple[str, Fraction]:
     """
     kind = "positive" if cz_parity == 0 else "negative"
     lower = sum(abs(c) for c in trace[:-1])
-    eps_w = min(Fraction(1, 2), Fraction(1, 2 + lower))
-    return kind, eps_w
+    return kind, Fraction(1, 2 + lower)
 
 
 def is_bad(d: ResolvedDiagram, w: CyclicWord) -> bool:

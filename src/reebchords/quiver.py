@@ -17,7 +17,7 @@ each component, once per diagram, on the push-outs' integer grid.
 
 from typing import List, Tuple
 
-from .diagram import DiagramError, Face, ResolvedDiagram, _on_grid
+from .diagram import DiagramError, Face, ResolvedDiagram
 from .geometry import winding_number
 from .homology import H1Presentation, orbit_class_monomial
 from .words import CyclicWord, _grid, canonical_rotation, push_out
@@ -46,10 +46,11 @@ def _component_windings(d: ResolvedDiagram) -> List[List[int]]:
     key = ("component_windings",)
     if key not in d.memo:
         unit, bps = _grid(d)
+        m = unit // d._scale
         try:
             d.memo[key] = [[winding_number(ring, bp) for bp in bps]
-                           for ring in (_on_grid(cyc, unit)
-                                        for cyc in d.components)]
+                           for ring in ([(x * m, y * m) for x, y in cyc]
+                                        for cyc in d._ints)]
         except ValueError as exc:
             raise DiagramError(f"component winding: {exc}") from exc
     return d.memo[key]

@@ -7,6 +7,9 @@ with every available obstruction.  Counts are only ever asserted where a
 bubbling face forces them; all other survivors stay "count unknown".  The
 search runs in ints: costs over one common denominator, fiber vectors as
 ``effective_fiber_vector`` gives them, over ``H1Presentation.exponent``.
+Its pool is read off one table per (pool length, eps) in the diagram's
+memo, sorted once by (action, chords), with actions and costs as ints
+over one denominator: a search sorts nothing and compares no ``Fraction``.
 
 A search's filters are one table of int rows over its pool (distinct face
 rows, class rows, the degree row): the walk keeps each row's sum, and under
@@ -17,7 +20,7 @@ MAX_NODES // that many LPs.  A proof that none does ends it complete.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import List, Optional, Tuple
 
@@ -139,17 +142,40 @@ def _pool_length_cap(d: ResolvedDiagram, target_degree: int) -> Optional[int]:
     return max(1, (target_degree + 1) // step)
 
 
-def _pool_words(d: ResolvedDiagram, pool_len: Optional[int],
-                budget: Fraction, epsilon: Fraction) -> List[CyclicWord]:
-    """``enumerate_orbit_words`` at budget, filtered from one enumeration
-    per (pool_len, epsilon) at the largest budget so far: every chord costs
-    over 6*eps, so a word's prefixes pass the enumerator's test if it does."""
+def _pool_words(d: ResolvedDiagram, h1: H1Presentation, g: GeneratorRecord,
+                epsilon: Fraction, pool_len: Optional[int],
+                max_degree: Optional[int]):
+    """g's candidate pool (records, costs, top, actions, den): the good
+    words of ``enumerate_orbit_words`` at g's budget, of degree at most
+    max_degree unless it is None, by (action, chords).  They are read off
+    one table per (pool_len, epsilon), of one enumeration at the largest
+    budget so far (a word's prefixes cost less), sorted once, its actions
+    and costs ints over den, the lcm of eps's and the chords'
+    denominators.  Costs and the budget top come divided by their gcd
+    with den, so over the least denominator of them all."""
     key = ("pool", pool_len, epsilon)
-    if key not in d.memo or d.memo[key][0] < budget:
-        words = enumerate_orbit_words(d, pool_len, budget, epsilon)
-        d.memo[key] = (budget, [(w, w.action() - 3 * epsilon * len(w))
-                                for w in words])
-    return [w for w, cost in d.memo[key][1] if cost <= budget]
+    if key not in d.memo:
+        d.memo[key] = [lcm(epsilon.denominator, *(
+            d.chord(c).action.denominator for c in surgered_chords(d))), 0, []]
+    den, built, rows = table = d.memo[key]
+    slack = 3 * epsilon.numerator * (den // epsilon.denominator)
+    top = g.action.numerator * (den // g.action.denominator) + \
+        slack * len(g.word)
+    if top > built:
+        rows = []
+        for w in enumerate_orbit_words(d, pool_len, Fraction(top, den),
+                                       epsilon):
+            r = generator_record(d, h1, w)
+            if r.good:
+                act = w.total.numerator * (den // w.total.denominator)
+                rows.append((act, w.chords, act - slack * len(w), r))
+        rows.sort()                     # chords differ: records never meet
+        table[1:] = top, rows
+    keep = [row for row in rows if row[2] <= top and (
+        max_degree is None or row[3].degree <= max_degree)]
+    common = gcd(den, top, *(row[2] for row in keep))
+    return ([row[3] for row in keep], [row[2] // common for row in keep],
+            top // common, [row[0] for row in keep], den)
 
 
 def _integer_point(pool, costs, top, rows):
@@ -220,32 +246,22 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     The steps end at an integer point or a kept non-constant survivor.
     """
     epsilon = Fraction(epsilon)
-    slack = 3 * epsilon
     z_graded = canonical_grading_valid(d, h1.finite, g.orbit_class.is_zero())
     warning = None if z_graded else \
         "degree grading is only mod 2 here; filtering by parity"
     target_degree = g.degree - 1
-    budget = g.action + slack * len(g.word.chords)
     # without a positive per-letter index step the pool's word length is
     # bounded by the CLI's --max-len only
     pool_len = _pool_length_cap(d, target_degree) if z_graded else None
     pool_len = min((n for n in (pool_len, max_pool_len) if n is not None),
                    default=None)
-    pool = [r for r in (generator_record(d, h1, w) for w in
-                        _pool_words(d, pool_len, budget, epsilon)) if r.good]
-    if z_graded:
-        pool = [r for r in pool if r.degree <= target_degree]
-    pool.sort(key=lambda r: (r.action, r.word.chords))
-    use_igrading = g.igrading is not None
-
     # the search runs over integers: costs and the budget share one
     # denominator, fiber vectors are ints over h1.exponent, and a
     # difference of fiber sums is integral exactly when divisible by it
+    pool, costs, top, actions, den = _pool_words(
+        d, h1, g, epsilon, pool_len, target_degree if z_graded else None)
+    use_igrading = g.igrading is not None
     n = len(pool)
-    costs = [r.action - slack * len(r.word.chords) for r in pool]
-    cost_den = lcm(budget.denominator, *(c.denominator for c in costs))
-    costs = [c.numerator * (cost_den // c.denominator) for c in costs]
-    top = budget.numerator * (cost_den // budget.denominator)
     # The filters as rows (a, mod, t) over the pool, for a product with
     # multiplicities x: a.x <= t when mod is None, one row per distinct
     # face row (its fiber counts and target) in face order; then a.x = t
@@ -316,7 +332,7 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
             truncated = "survivors"
             return True
         trail = {"degree": sums[-1], "class": tuple(g.orbit_class.reduced),
-                 "action": sum((pool[j].action for j in chosen), Fraction(0))}
+                 "action": Fraction(sum(actions[j] for j in chosen), den)}
         if use_igrading:
             trail["delta_i"] = tuple(delta[c] // h1.exponent
                                      for c in face_row)

@@ -578,3 +578,75 @@ def test_truncated_search_keeps_the_first_survivors(monkeypatch):
             assert cut.nodes == value
         else:
             assert len(got) == len(full)
+
+
+# the int pool against a Fraction route: the conftest fixtures' fronts,
+# the trefoil's 2-copy and seeded random fronts, at epsilons whose
+# denominators do not divide the chord actions'
+POOL_FRONTS = [
+    "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}",
+    "L1,L3,X2,X2,X2,R1,R1 / surgery {0:-1}",
+    "L1,R1 / surgery {0:+1}",
+    "L1,R1 / surgery {0:-1}",
+    "L1,L2,R1,R1 / orientations {0:-} / surgery {0:+1}",
+    "L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:+1}",
+    "L1,L3,X2,X2,R1,R1 / surgery {0:0, 1:+1}",
+    front_text(k_copy(parse_front(SEARCH_FRONTS[0]), 2)),
+] + FRONTS.random_fronts(random.Random("int pool"), 6, 6, 12, 3)
+POOL_EPSILONS = [F(1, 100), F(1, 7), F(2, 301)]
+
+
+def fraction_costs(g, epsilon, pool):
+    """The pool's costs and g's budget over their least common denominator,
+    as the search built them from ``Fraction``s."""
+    slack = 3 * epsilon
+    budget = g.action + slack * len(g.word.chords)
+    costs = [r.action - slack * len(r.word.chords) for r in pool]
+    den = lcm(budget.denominator, *(c.denominator for c in costs))
+    return [int(c * den) for c in costs], int(budget * den)
+
+
+@pytest.mark.parametrize("eps", POOL_EPSILONS, ids=str)
+@pytest.mark.parametrize("text", POOL_FRONTS)
+def test_int_pools_equal_the_fraction_pools(text, eps):
+    """For every good generator of length at most 2, in enumeration order
+    and then in reverse (so tables are both grown and read at smaller
+    budgets), with and without a degree bound, ``_pool_words`` gives the
+    Fraction route's pool in its order, its costs and its budget as the
+    same ints, and the pool's actions over its denominator."""
+    d = resolve(parse_front(text))
+    h1 = h1_presentation(d)
+    gens = [g for g in generators(d, h1, max_len=2, epsilon=eps) if g.good]
+    for g in gens + gens[::-1]:
+        for pool_len, z_graded in ((2, True), (2, False), (1, False)):
+            pool, costs, top, actions, den = report._pool_words(
+                d, h1, g, eps, pool_len, g.degree - 1 if z_graded else None)
+            want = candidate_pool(d, h1, g, eps, z_graded, pool_len)
+            assert [r.word.chords for r in pool] == \
+                [r.word.chords for r in want]
+            assert (costs, top) == fraction_costs(g, eps, want)
+            assert [F(a, den) for a in actions] == [r.action for r in pool]
+
+
+@pytest.mark.parametrize("eps", POOL_EPSILONS, ids=str)
+def test_trail_actions_are_the_factors_action_sums(eps, monkeypatch):
+    """Every survivor of every good degree-1 search at pool length 2 on
+    the pool fronts has the ``Fraction`` sum of its factors' actions as its
+    trail action; some of them have factors.  A work bound of 5,000 nodes
+    keeps the 2-copy's searches short; their survivors are then the first
+    of their lists."""
+    monkeypatch.setattr(report, "MAX_NODES", 5000)
+    products = 0
+    for text in POOL_FRONTS:
+        d = resolve(parse_front(text))
+        h1 = h1_presentation(d)
+        for g in generators(d, h1, max_len=2, epsilon=eps):
+            if not (g.good and g.degree == 1):
+                continue
+            rep = differential_candidates(g, d, h1, eps, max_pool_len=2)
+            for c in rep.survivors:
+                assert type(c.trail["action"]) is F
+                assert c.trail["action"] == sum(
+                    (w.action() for w in c.factors), F(0))
+                products += len(c.factors) > 0
+    assert products > 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 from oracles import (all_orbit_strings, arc_pass_counts,
-                     brute_force_orbit_words, capping_walk,
+                     brute_force_orbit_words, candidate_pool, capping_walk,
                      endpoints_between, full_curve_pushout, k_copy, padd,
                      pscale, reference_return_map, rot_number, turn_octants,
                      unshifted_windings, whole_arc_piece)
@@ -583,18 +583,19 @@ def test_arc_pieces_touch_a_basepoint_where_whole_arcs_do(where):
                          ids=["trefoil+1", "T(2,5)-1"])
 def test_candidate_pools_equal_the_enumeration_at_each_budget(text,
                                                               monkeypatch):
-    """At --max-len 3, each degree-1 generator's pool, read off one
-    enumeration per pool length at the largest budget so far, is the
-    enumeration at its own budget."""
+    """At --max-len 3, each degree-1 generator's pool, read off one table
+    per pool length at the largest budget so far, holds the good words of
+    the enumeration at its own budget within the degree bound, sorted by
+    (action, chords)."""
     pools = []
     pool_words = report._pool_words
 
     class Stop(Exception):
         pass
 
-    def recording(d, pool_len, budget, epsilon):
-        pools.append((pool_len, budget, pool_words(d, pool_len, budget,
-                                                   epsilon)))
+    def recording(d, h1, g, epsilon, pool_len, max_degree):
+        pools.append((g, pool_len, max_degree is not None, pool_words(
+            d, h1, g, epsilon, pool_len, max_degree)[0]))
         raise Stop()    # the pool is all this test needs, not the search
 
     monkeypatch.setattr(report, "_pool_words", recording)
@@ -606,11 +607,11 @@ def test_candidate_pools_equal_the_enumeration_at_each_budget(text,
             with pytest.raises(Stop):
                 differential_candidates(g, d, h1, eps, max_pool_len=3)
     assert len(pools) >= 2
-    assert len({budget for _, budget, _ in pools}) >= 2
-    for pool_len, budget, got in pools:
-        want = enumerate_orbit_words(d, max_len=pool_len, max_action=budget,
-                                     epsilon=eps)
-        assert [w.chords for w in got] == [w.chords for w in want]
+    assert len({g.action + 3 * eps * len(g.word) for g, *_ in pools}) >= 2
+    for g, pool_len, z_graded, got in pools:
+        want = candidate_pool(d, h1, g, eps, z_graded, pool_len)
+        assert [r.word.chords for r in got] == \
+            [r.word.chords for r in want]
 
 
 def check_enumeration_against_brute_force(d, max_len):

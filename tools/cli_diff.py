@@ -30,13 +30,17 @@ The commands, each run twice under each tree:
   ``perfbench/corpus.py`` of the checkout this file is in;
 * ``invariants``, ``chain --max-len 1 --epsilon 1/100`` and
   ``grading --max-len 2`` on the 2-copy of the tb = 1 trefoil (+1 surgery
-  on two Reeb push-offs of it) and on its 3-copy, and ``invariants`` and
-  ``chain --max-len 1 --epsilon 1/100`` on its 4-copy: eight commands.
+  on two Reeb push-offs of it) and on its 3-copy, ``invariants`` and
+  ``chain --max-len 1 --epsilon 1/100`` on its 4-copy, and
+  ``chain --max-len 2 --epsilon 1/100`` on the 2-copy: nine commands.
   The ``grading`` commands push orbits out on diagrams of 24 and 51
   events, and the 4-copy has 88; the corpora's fronts have at most 15.
   The 4-copy's ``invariants`` lists every face's corners on the largest
-  diagram.  The copies are
-  those of ``k_copy`` in ``tests/oracles.py``;
+  diagram.  The 2-copy's ``chain --max-len 2`` has rows whose search
+  stops at ``MAX_NODES`` (``"truncated": "nodes"``) and rows cut at
+  ``MAX_SURVIVORS``, so its output pins both work bounds; no corpus row
+  stops at ``MAX_NODES``.  The copies are those of ``k_copy`` in
+  ``tests/oracles.py``;
 * ``cz --max-len 3`` and ``homology --max-len 3`` on the trefoil with +1
   and with -1 surgery, on the Hopf link with +1 and -1 surgery, on the
   2-copy, and on the stabilized unknot with +1 surgery in both
@@ -116,6 +120,8 @@ def commands():
         ("2-copy invariants", ["invariants"], TREFOIL_2_COPY),
         ("2-copy chain", chain, TREFOIL_2_COPY),
         ("2-copy grading", ["grading", "--max-len", "2"], TREFOIL_2_COPY),
+        ("2-copy chain len2",
+         ["chain", "--max-len", "2", "--epsilon", "1/100"], TREFOIL_2_COPY),
         ("3-copy invariants", ["invariants"], TREFOIL_3_COPY),
         ("3-copy grading", ["grading", "--max-len", "2"], TREFOIL_3_COPY),
         ("3-copy chain", chain, TREFOIL_3_COPY),
