@@ -18,11 +18,12 @@ Template conventions:
 
 The template is laid out once in integers: a vertex is (c, y, k), at x = c
 plus the first k sizes (loop stretches and event spacings) in event order.
-Its double points are found once, by a sweep of its integer instance at
-zero sizes, and its crossing pairs hold at every size.  The sizing LP's rows
-are read off it by difference arrays over the sizes (twice each integral,
-halved once) and the diagram is that layout at the LP's solution, in
-ints over one integer, the least common denominator of those sizes.
+The layout is the one place that double points come from: it places each
+one inside its event, on two diagonals whose segments hold at every size.
+The sizing LP's rows are read off it by difference arrays over the sizes
+(twice each integral, halved once) and the diagram is that layout at the
+LP's solution, in ints over one integer, the least common denominator of
+those sizes.
 ``ResolvedDiagram`` computes on those ints the octants, the chord points
 from the crossing pairs, heights, lengths, face order and basepoint tests;
 its public fields are ``Fraction``s.  Every double point crosses two
@@ -316,20 +317,22 @@ class _Wire(object):
 
 
 def _build_wires(front: FrontCode):
-    """Lay out all wires; returns (wires, slabs, order).
+    """Lay out all wires; returns (wires, crossings, order).
 
     The template sizes theta are one loop stretch per right cusp (the loop
     is ``2 + theta`` wide), then one spacing per event, the room after it.
     ``order`` lists their indices in event order: a right cusp's stretch,
     then each event's spacing.  A vertex is (c, y, k) in integers, at x =
     c + theta[order[0]] + ... + theta[order[k - 1]]: the sizes laid out so
-    far.  A slab is an event's x-range as two such (c, k) pairs.  Strand
-    levels never depend on the sizes, so every closure integral and
-    crossing z-gap is affine in them.
+    far.  Strand levels never depend on the sizes, so every closure
+    integral and crossing z-gap is affine in them.  The layout places every
+    double point itself: ``crossings`` holds, per crossing and right-cusp
+    event in event order, its point (c, y) and the (c, y) ends of the slope
+    -1 (over) and the slope +1 (under) diagonal through it, all at one k.
     """
     wires: Dict[int, _Wire] = {}
     stack: List[_Wire] = []
-    slabs = []
+    crossings = []
     order: List[int] = []
     c, k = 0, 0
     next_wid = n_stretches = 0
@@ -367,6 +370,8 @@ def _build_wires(front: FrontCode):
             w2.append(c + 2, a - 4, k)
             w2.append(c + 6, a, k)
             w2.extend_to(c + 8, k)
+            crossings.append(((c + 4, a - 2), ((c + 2, a), (c + 6, a - 4)),
+                              ((c + 2, a - 4), (c + 6, a))))
             stack[pos - 1], stack[pos] = w2, w1
         else:  # R, its loop stretched from x = c + 11 on
             order.append(n_stretches)
@@ -383,15 +388,16 @@ def _build_wires(front: FrontCode):
             w1.append(c + 10, a, k)
             w1.append(c + 6, a - 4, k)
             w1.append(c, a - 4, k)
+            crossings.append(((c + 8, a - 2), ((c + 6, a), (c + 9, a - 3)),
+                              ((c + 10, a), (c + 6, a - 4))))
             for p in range(pos + 1, len(stack)):
                 w = stack[p]
                 w.extend_to(c + 14, end)
                 w.append(c + 22, w.level + 8, end)
             del stack[pos - 1:pos + 1]
-        slabs.append(((c, k), (c + width, end)))
         order.append(front.n_right_cusps + idx)
         c, k = c + width + 4, end + 1
-    return wires, slabs, order
+    return wires, crossings, order
 
 
 def _assemble_components(front: FrontCode, wires) -> List[List[Point]]:
@@ -415,16 +421,19 @@ def _template(front: FrontCode):
     vertices (c, y, k), x = c plus the first k sizes of ``order`` (see
     ``_build_wires``).  A segment whose ends have different k must be
     horizontal and run the way the sizes grow, else DiagramError: a size
-    only stretches horizontal segments.  The event slabs are disjoint and
+    only stretches horizontal segments.  Events take disjoint x-ranges and
     strand levels are fixed, so the template has the same vertices,
     octants and crossing pairs at every theta >= 0, and the merge, on
-    (c, y), and the double-point sweep are both decided at theta = 0, in
-    integers.  ``crossings`` holds, per crossing and right-cusp event in
-    event order, its double point there and the (component, segment
-    index) of its slope -1 and slope +1 branch.
+    (c, y), is decided at theta = 0, in integers.  ``crossings`` holds, per
+    crossing and right-cusp event in event order, the double point that
+    the layout placed and the (component, segment index) of its slope -1
+    and slope +1 branch: the segment between the diagonal's two (c, y)
+    ends.  Two vertices at one (c, y), an end that is no vertex or ends
+    that are not adjacent on one cycle are a DiagramError.
     """
-    wires, slabs, order = _build_wires(front)
+    wires, laid, order = _build_wires(front)
     cycles = []
+    vertex = {}
     for i, cyc in enumerate(_assemble_components(front, wires)):
         for (ca, ya, ka), (cb, yb, kb) in zip(cyc, cyc[1:] + cyc[:1]):
             if ka != kb and (ya != yb or (cb - ca) * (kb - ka) <= 0):
@@ -438,11 +447,23 @@ def _template(front: FrontCode):
         # left cusp runs eastward (the assembly walk is the opposite)
         if front.orientations.get(i, 1) == 1:
             cyc = cyc[::-1]
+        for si, (c, y, _) in enumerate(cyc):
+            if vertex.setdefault((c, y), (i, si)) != (i, si):
+                raise DiagramError(f"two template vertices at {(c, y)}")
         cycles.append(cyc)
-    found = _crossings_by_event(
-        front, [[(c, y) for c, y, _ in cyc] for cyc in cycles],
-        [(a, b) for (a, _), (b, _) in slabs])
-    return cycles, order, [found[ev] for ev in sorted(found)]
+
+    def segment(p, ends):
+        if not all(e in vertex for e in ends):
+            raise DiagramError(f"a diagonal end at {p} is not a vertex")
+        (ci, si), (cj, sj) = (vertex[e] for e in ends)
+        step = (sj - si) % len(cycles[ci])
+        if ci != cj or step not in (1, len(cycles[ci]) - 1):
+            raise DiagramError(f"diagonal ends {ends} at {p} are not "
+                               f"adjacent on one component")
+        return ci, si if step == 1 else sj
+
+    return cycles, order, [(p, segment(p, over), segment(p, under))
+                           for p, over, under in laid]
 
 
 def _evaluate(cycles, order, theta):
@@ -490,84 +511,6 @@ def _integer_boxes(polys):
                  zip(poly, poly[1:] + poly[:1]))]
     boxes.sort(key=lambda box: box[0])
     return boxes
-
-
-def _double_points(polys):
-    """Double points of closed integer polylines, one per component.
-
-    An x-sorted interval sweep tests each segment only against the segments
-    whose x-range overlaps its own, about segments x strands pairs.
-    Returns [(point, over, under)]: the (component, segment index) of the
-    slope -1 branch and of the slope +1 branch.  Raises DiagramError on a
-    collinear overlap, a non-transverse contact, a triple point or a
-    crossing out of good position.
-    """
-    hits: Dict[Point, List[Tuple[int, int]]] = {}
-    active = []
-    for box in _integer_boxes(polys):
-        x_lo, _, y_lo, y_hi, ci, si, ax, ay, dx, dy = box
-        n = len(polys[ci])
-        active = [b for b in active if b[1] >= x_lo]
-        for _, _, by_lo, by_hi, cj, sj, tx, ty, ex, ey in active:
-            if ci == cj and (si - sj) % n in (1, n - 1):
-                continue
-            if by_hi < y_lo or y_hi < by_lo:
-                continue
-            den = ex * dy - ey * dx
-            tn = (ax - tx) * dy - (ay - ty) * dx
-            un = (ax - tx) * ey - (ay - ty) * ex
-            if den == 0:
-                # parallel: on one line, overlapping boxes share a point
-                if un == 0:
-                    raise DiagramError(
-                        f"collinear overlap of segment {sj} of component "
-                        f"{cj} and segment {si} of component {ci}")
-                continue
-            if den < 0:
-                den, tn, un = -den, -tn, -un
-            if not (0 <= tn <= den and 0 <= un <= den):
-                continue
-            p = (Fraction(tx * den + tn * ex, den),
-                 Fraction(ty * den + tn * ey, den))
-            for c, k in ((cj, tn), (ci, un)):
-                if not 0 < k < den:
-                    raise DiagramError(
-                        f"non-transverse contact at {p} on component {c}")
-            hits.setdefault(p, []).extend([(cj, sj), (ci, si)])
-        active.append(box)
-    found = []
-    octants = list(map(_octants, polys))
-    for p, branches in hits.items():
-        if len(branches) != 2:
-            raise DiagramError(f"triple point at {p}")
-        o1, o2 = (octants[c][s] for c, s in branches)
-        # travel octants 1 and 5 have slope +1, octants 3 and 7 slope -1
-        if {o1 % 4, o2 % 4} != {1, 3}:
-            raise DiagramError(
-                f"crossing at {p} violates good position "
-                f"(octants {o1}, {o2})")
-        found.append((p,) + tuple(branches if o1 % 4 == 3 else branches[::-1]))
-    return found
-
-
-def _crossings_by_event(front: FrontCode, polys, slabs):
-    """{event index: (point, over, under)}: exactly one double point inside
-    the slab of each crossing and right-cusp event, and no other."""
-    found = {}
-    # the slabs are disjoint and in x order
-    starts = [sx for sx, _ in slabs]
-    for p, over, under in _double_points(polys):
-        ev = bisect_right(starts, p[0]) - 1
-        if ev < 0 or not slabs[ev][0] < p[0] < slabs[ev][1]:
-            raise DiagramError(f"crossing at {p} outside every event slab")
-        if ev in found:
-            raise DiagramError(f"two crossings inside event slab {ev}")
-        found[ev] = (p, over, under)
-    expected = [i for i, (k, _) in enumerate(front.events) if k in ("X", "R")]
-    if sorted(found) != expected:
-        raise DiagramError(
-            f"chord/event mismatch: {sorted(found)} vs {expected}")
-    return found
 
 
 class ChordRecord(object):
@@ -640,9 +583,9 @@ class ResolvedDiagram(object):
 
     ``crossings`` lists per chord, in event order, the (component, segment
     index) of its slope -1 and its slope +1 branch.  ``resolve`` passes the
-    pairs its template's sweep found at theta = 0, which hold at every size;
-    each chord point is where the two branches' lines meet, and a pair
-    whose segments do not meet there is a DiagramError."""
+    pairs that its template's layout placed, which hold at every size; each
+    chord point is where the two branches' lines meet, and a pair whose
+    segments do not meet there is a DiagramError."""
 
     def __init__(self, front: FrontCode, ints: List[List[Tuple[int, int]]],
                  scale: int, crossings, z_shifts: List[Fraction]):
@@ -833,11 +776,13 @@ class ResolvedDiagram(object):
                 continue
             if area == 0:
                 raise DiagramError("degenerate face of zero area")
-            ring = _on_grid(boundary, 2 * self._scale)      # the sort key
+            # on the grid of 2 * _scale: the sort key and the basepoint ring
+            ring = _on_grid(boundary, 2 * self._scale)
             faces.append((min(x for x, _ in ring), min(y for _, y in ring),
-                          Face(None, corners, area, boundary)))
+                          Face(None, corners, area, boundary), ring))
         faces.sort(key=lambda item: item[:2])
-        self.faces_list = [f for _, _, f in faces]
+        self.faces_list = [f for _, _, f, _ in faces]
+        self._rings = [ring for *_, ring in faces]
         for i, f in enumerate(self.faces_list):
             f.id = i + 1
 
@@ -845,10 +790,10 @@ class ResolvedDiagram(object):
         # boxes by left x: a test reads only those that start left of its reach
         boxes = _integer_boxes(self._ints)
         index = ([box[0] for box in boxes], boxes)
-        for f in self.faces_list:
-            f.basepoint = self._basepoint_for(f, index)
+        for f, ring in zip(self.faces_list, self._rings):
+            f.basepoint = self._basepoint_for(f, ring, index)
 
-    def _basepoint_for(self, face, index):
+    def _basepoint_for(self, face, ring, index):
         # one unit into the first corner's wedge (along its quadrant's axis)
         # clears every segment by more than 1/2: the double point crosses two
         # diagonals, and events lie on integer units with slabs 4 apart and
@@ -860,8 +805,7 @@ class ResolvedDiagram(object):
         [(qx, qy)] = _on_grid([self.chords[cid - 1].point], m)
         dx, dy = QUADRANT_VECTORS[quad]
         p = (qx + m * dx, qy + m * dy)
-        if not self._good_basepoint(p, _on_grid(face.boundary, m), index,
-                                    self._scale):
+        if not self._good_basepoint(p, ring, index, self._scale):
             raise DiagramError(f"no basepoint found for face {face.id}")
         return Fraction(p[0], m), Fraction(p[1], m)
 

@@ -25,8 +25,8 @@ command builds, and the realization's evaluation, heights, lengths, chord
 ends, face areas and basepoint distances in ``Fraction``s, where the library
 runs them in integers over one common denominator.  The double points of the
 realization are found here by intersecting every pair of ``Segment``s, where
-the library sweeps its template once and reads each chord point off the
-crossing pair.
+the library takes each crossing pair from its template's layout and reads
+the chord point off it.
 """
 
 import itertools
@@ -718,6 +718,19 @@ def crossing_z_gaps(components, slabs):
     return gaps
 
 
+def event_slabs(front):
+    """Each event's x-range in the template as two (c, k) pairs: an event
+    at c is 16 wide for a left cusp, 8 for a crossing and 22 for a right
+    cusp, whose loop stretch is one more size inside it, and the next event
+    starts 4 further on, after one more size."""
+    slabs, c, k = [], 0, 0
+    for kind, _ in front.events:
+        width, end = {"L": 16, "X": 8, "R": 22}[kind], k + (kind == "R")
+        slabs.append(((c, k), (c + width, end)))
+        c, k = c + width + 4, end + 1
+    return slabs
+
+
 def template_at(front, theta):
     """(components, slabs) of a front's template at the sizes theta: a
     vertex (c, y, k) of the layout is at x = c plus the running sum of
@@ -727,7 +740,8 @@ def template_at(front, theta):
     from reebchords.diagram import _assemble_components, _build_wires
     from reebchords.geometry import merge_collinear
 
-    wires, slabs, order = _build_wires(front)
+    wires, _, order = _build_wires(front)
+    slabs = event_slabs(front)
     sums = list(itertools.accumulate((theta[v] for v in order), initial=0))
     comps = []
     for i, cyc in enumerate(_assemble_components(front, wires)):

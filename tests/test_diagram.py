@@ -3,12 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import (Segment, capping_walk, cycle_segments,
+from oracles import (Segment, all_pairs_double_points, capping_walk,
+                     cycle_segments, event_slabs,
                      front_writhe_and_cusp_counts, point_segment_distance_sq,
-                     trace_front)
+                     template_at, trace_front)
 from reebchords.diagram import (DiagramError, FrontCode, FrontError,
-                               ResolvedDiagram, _double_points,
-                               _integer_boxes, parse_front, resolve)
+                               ResolvedDiagram, _integer_boxes, _template,
+                               parse_front, resolve)
 from reebchords.geometry import OCTANT_VECTORS, winding_number
 
 F = Fraction
@@ -226,38 +227,33 @@ def test_front_code_keeps_exact_coefficient_forms():
     assert (front.orientations, front.surgery) == ({0: -1}, {0: 1})
 
 
-# -- the integer sweep's fault paths ------------------------------------------
-# Closed integer polygons, one per component.
+# -- the template's crossings -------------------------------------------------
 
-BOWTIE = [(0, 0), (2, 2), (2, 0), (0, 2)]
-
-
-def test_sweep_finds_the_crossing_of_a_bowtie():
-    [(p, over, under)] = _double_points([BOWTIE])
-    assert p == (1, 1) and (over, under) == ((0, 2), (0, 0))
-
-
-@pytest.mark.parametrize("polys, message", [
-    # a slope -1 segment starts on the slope +1 one
-    ([[(0, 0), (4, 4), (4, 0)], [(2, 2), (3, 1), (2, 1)]],
-     "non-transverse contact"),
-    # a vertical side through the bowtie's crossing
-    ([BOWTIE, [(1, -1), (1, 3), (5, 3), (5, -1)]], "triple point"),
-    # a horizontal and a vertical side cross
-    ([[(0, 1), (2, 1), (2, 3), (1, 3), (1, 0), (0, 0)]],
-     "violates good position"),
-    ([[(0, 0), (2, 2), (2, 0)], [(1, 1), (3, 3), (3, 1)]],
-     "collinear overlap"),
-])
-def test_sweep_raises_on_bad_contacts(polys, message):
-    with pytest.raises(DiagramError, match=message):
-        _double_points(polys)
+@pytest.mark.parametrize("text", ["L1,R1", "L1,L3,X2,X2,X2,R1,R1",
+                                  "L1,L3,X2,X2,X2,R2,R1", "L1,L2,R1,R1",
+                                  "L1,L3,X2,X2,R1,R1"])
+def test_layout_crossings_are_the_all_pairs_double_points(text):
+    # the crossings the layout records are every double point of the
+    # template, at zero sizes and at positive ones, each over (slope -1) and
+    # under (slope +1) branch the segment the all-pairs scan finds there
+    front = parse_front(text)
+    cycles, order, crossings = _template(front)
+    assert len(crossings) == front.n_crossings + front.n_right_cusps
+    segments = cycle_segments([[(c, y) for c, y, _ in cyc] for cyc in cycles])
+    assert {p: {over, under} for p, over, under in crossings} == \
+        {p: set(b) for p, b in all_pairs_double_points(segments).items()}
+    for p, over, under in crossings:
+        for (ci, si), slope in ((over, -1), (under, 1)):
+            s = segments[ci][si]
+            assert s.b[1] - s.a[1] == slope * (s.b[0] - s.a[0]) != 0
+            assert s.contains(p, closed=False)
+    comps, _ = template_at(front, [3 + v for v in range(len(order))])
+    hits = all_pairs_double_points(cycle_segments(comps))
+    assert sorted(sorted(b) for b in hits.values()) == \
+        sorted(sorted((over, under)) for _, over, under in crossings)
 
 
-def test_sweep_passes_parallel_segments_on_two_lines():
-    assert _double_points([[(0, 0), (2, 2), (2, 0)],
-                           [(-2, 0), (0, 2), (-2, 2)]]) == []
-
+# -- the template's fault paths -----------------------------------------------
 
 @pytest.mark.parametrize("event", [0, 2, 5])
 def test_a_diagonal_stretched_by_a_size_is_a_fault(monkeypatch, event):
@@ -269,20 +265,61 @@ def test_a_diagonal_stretched_by_a_size_is_a_fault(monkeypatch, event):
     original = diagram._build_wires
 
     def moved(front):
-        wires, slabs, order = original(front)
-        (lo, k), (hi, _) = slabs[event]
+        wires, crossings, order = original(front)
+        (lo, k), (hi, _) = event_slabs(front)[event]
         for w in wires.values():
             pts = w.points
             for i, (a, b) in enumerate(zip(pts, pts[1:])):
                 if lo <= a[0] <= hi and a[2] == b[2] == k and \
                         0 != abs(b[1] - a[1]) == abs(b[0] - a[0]):
                     pts[i + 1] = (b[0], b[1], k + 1)
-                    return wires, slabs, order
+                    return wires, crossings, order
         raise AssertionError(f"no diagonal in event {event}")
 
     monkeypatch.setattr(diagram, "_build_wires", moved)
     with pytest.raises(DiagramError, match="not stretched along the sizes"):
         resolve(parse_front("L1,L3,X2,X2,X2,R1,R1"))
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("far end", "are not adjacent on one component"),
+    ("crossing", "is not a vertex"),
+])
+def test_a_misrecorded_crossing_is_a_fault(monkeypatch, tmp_path, capsys,
+                                           fault, message):
+    # the first crossing's under branch recorded as running to the far end
+    # of its over branch, which is no neighbour of its own first end, or to
+    # the double point itself, which is no vertex
+    from reebchords import cli, diagram
+
+    original = diagram._build_wires
+
+    def misrecorded(front):
+        wires, crossings, order = original(front)
+        p, over, (u, _) = crossings[0]
+        crossings[0] = (p, over, (u, over[1] if fault == "far end" else p))
+        return wires, crossings, order
+
+    monkeypatch.setattr(diagram, "_build_wires", misrecorded)
+    text = "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}"
+    with pytest.raises(DiagramError, match=message):
+        resolve(parse_front(text))
+    path = tmp_path / "front.txt"
+    path.write_text(text)
+    assert cli.main(["invariants", "--input", str(path)]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_a_template_vertex_met_twice_is_a_fault(monkeypatch):
+    # a component assembled twice puts each of its vertices at one (c, y)
+    # on two cycles
+    from reebchords import diagram
+
+    original = diagram._assemble_components
+    monkeypatch.setattr(diagram, "_assemble_components",
+                        lambda front, wires: 2 * original(front, wires))
+    with pytest.raises(DiagramError, match="two template vertices at"):
+        _template(parse_front("L1,L3,X2,X2,X2,R1,R1"))
 
 
 @pytest.mark.parametrize("swap", ["branches", "under strands"])

@@ -337,6 +337,14 @@ def test_torus_knots_match_oracles(n):
     check_against_oracles(resolve(torus(n)))
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_random_fronts_match_oracles(seed):
+    # the chords the layout places are all the double points: one per
+    # crossing and right-cusp slab and no triple point (``fd_sizing_rows``)
+    check_against_oracles(resolve(surgered_front(random.Random(seed))))
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_copy_chords_are_the_all_pairs_double_points(k):
     trefoil = parse_front("L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")
@@ -467,16 +475,15 @@ def test_a_corner_that_does_not_turn_left_is_a_fault(shift):
         d._trace_faces()
 
 def test_resolve_work_counts(monkeypatch):
-    # counts, not clock time: one double-point sweep, one winding test per
-    # face in the usual case, and one layout
+    # counts, not clock time: one winding test per face in the usual case,
+    # and one layout
     counts = Counter()
-    for name in ("_double_points", "winding_number", "_build_wires"):
+    for name in ("winding_number", "_build_wires"):
         def counted(*args, _fn=getattr(diagram, name), _name=name):
             counts[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(diagram, name, counted)
     d = resolve(torus(31))
-    assert counts["_double_points"] == 1
     assert counts["winding_number"] <= 4 * len(d.faces_list)
     assert counts["_build_wires"] == 1
 
