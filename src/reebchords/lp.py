@@ -1,9 +1,15 @@
 """Tiny exact-rational linear programming (simplex with Bland's rule).
 
-Used by the diagram builder to size its templates: closure integrals must
-vanish exactly while every crossing keeps a positive z-gap.  The builder
-reads all rows off one symbolic layout; a front of n events gives about n
-variables and n rows, and the pivots skip the tableau's many zeros.
+Two users share one tableau and its pivots.  ``solve_lp``, the two-phase
+primal, sizes the diagram builder's templates: closure integrals must
+vanish exactly while every crossing keeps a positive z-gap, and its vertex
+fixes the realization.  The builder reads all rows off one symbolic
+layout; a front of n events gives about n variables and n rows, and the
+pivots skip the tableau's many zeros.  ``feasible_vertex``, a dual simplex,
+decides the candidate search's branch and bound: its objective is zero, so
+every basis is dual feasible and it needs no phase 1.  A root starts from
+the slack basis; a child starts from its parent's final tableau with the
+one new bound row added.
 
 The tableau is fraction-free: each row is integers over one positive
 denominator, reduced by the row's gcd after each update, and ratios are
@@ -47,6 +53,15 @@ def _pivot(tab, dens, basis, row, col):
         if r != row and tab[r][col]:
             tab[r], dens[r] = _minus(tab[r], dens[r], prow, pden, col)
     basis[row] = col
+
+
+def _vertex(tab, dens, basis, n):
+    """The basic solution's first n coordinates, as Fractions."""
+    x = [Fraction(0)] * n
+    for r, j in enumerate(basis):
+        if j < n:
+            x[j] = Fraction(tab[r][-1], dens[r])
+    return x
 
 
 def _simplex(tab, dens, basis, n_cols):
@@ -111,8 +126,75 @@ def solve_lp(n: int,
     tab[-1], dens[-1] = obj, oden
     if not _simplex(tab, dens, basis, n_cols):
         raise DiagramError("unbounded objective")
-    x = [Fraction(0)] * n
-    for r in range(m):
-        if basis[r] < n:
-            x[basis[r]] = Fraction(tab[r][-1], dens[r])
-    return x
+    return _vertex(tab, dens, basis, n)
+
+
+def _dual_simplex(tab, dens, basis):
+    """Pivot until every right-hand side is >= 0, under Bland's rule: the
+    negative row with the least basic index leaves, and the least column
+    with a negative entry there enters (with a zero objective, every one
+    ties in the ratio test).  False when that row has no negative entry:
+    it proves the LP infeasible."""
+    while True:
+        rows = [(j, r) for r, j in enumerate(basis) if tab[r][-1] < 0]
+        if not rows:
+            return True
+        row = min(rows)[1]
+        col = next((j for j, v in enumerate(tab[row][:-1]) if v < 0), None)
+        if col is None:
+            return False
+        _pivot(tab, dens, basis, row, col)
+
+
+def _in_basis(tab, dens, basis, values):
+    """A new row of rationals as ints over a denominator, with every basic
+    column eliminated."""
+    row, den = _integers(values)
+    for r, j in enumerate(basis):
+        if row[j]:
+            row, den = _minus(row, den, tab[r], dens[r], j)
+    return row, den
+
+
+def feasible_vertex(n: int,
+                    eq: Sequence[Tuple[Sequence[Fraction], Fraction]],
+                    ge: Sequence[Tuple[Sequence[Fraction], Fraction]],
+                    parent=None):
+    """A point of x >= 0 with eq rows a.x == b and ge rows a.x >= b, as
+    (x, tableau) with x n Fractions, or None when there is none: the dual
+    simplex on a zero objective.
+
+    The root (no ``parent``) pivots each eq row in on its least nonzero
+    column; one that reduces to 0 = 0 is dropped, and 0 = b != 0 means
+    infeasible.  Each ge row -a.x + s = -b then enters with its slack s
+    basic.  ``parent`` is the tableau returned for the same rows less the
+    last ge row: a copy of it, widened by one slack column, takes only
+    that row.  Whether there is a point depends on the rows alone; which
+    vertex is returned depends on the start."""
+    pad = [0] * len(ge)
+    if parent is None:
+        tab, dens, basis, first = [], [], [], 0
+        for a, b in eq:
+            row, den = _in_basis(tab, dens, basis, [*a, *pad, b])
+            col = next((j for j in range(n) if row[j]), None)
+            if col is None and row[-1]:
+                return None
+            if col is not None:
+                tab.append(row)
+                dens.append(den)
+                basis.append(col)
+                _pivot(tab, dens, basis, len(tab) - 1, col)
+    else:
+        tab = [row[:-1] + [0, row[-1]] for row in parent[0]]
+        dens, basis, first = list(parent[1]), list(parent[2]), len(ge) - 1
+    for i in range(first, len(ge)):
+        a, b = ge[i]
+        values = [-v for v in a] + pad + [-b]
+        values[n + i] = 1
+        row, den = _in_basis(tab, dens, basis, values)
+        tab.append(row)
+        dens.append(den)
+        basis.append(n + i)
+    if not _dual_simplex(tab, dens, basis):
+        return None
+    return _vertex(tab, dens, basis, n), (tab, dens, basis)

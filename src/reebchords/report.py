@@ -28,7 +28,7 @@ from .diagram import DiagramError, ResolvedDiagram
 from .dynamics import hyperbolic_type, is_bad, return_map
 from .homology import H1Presentation, orbit_class_monomial
 from .indices import canonical_grading_valid, cz_integral
-from .lp import solve_lp
+from .lp import feasible_vertex
 from .quiver import bubbling_faces, effective_fiber_vector, i_grading
 from .words import CyclicWord, enumerate_orbit_words, surgered_chords
 
@@ -187,7 +187,12 @@ def _integer_point(pool, costs, top, rows):
     helper shifted by its least value under x_j <= (top - 1) // cost_j
     when that is negative; then cost.x < top and sum(x) >= 1.  x_j > 1 on
     an odd word gets one child, x_j <= 1; else the first fractional
-    coordinate gets two, the upper one first."""
+    coordinate gets two, the upper one first.  A child's LP is its
+    parent's rows plus one bound, solved by ``feasible_vertex`` from the
+    parent's final tableau.  Each step is one LP, root or child, and the
+    caller's ``lp_at`` schedule prices every step as a root LP on purpose:
+    so each decision arrives at the same walk step as it would with every
+    LP solved from scratch."""
     n = len(pool)
     mods = [(a, mod, t) for a, mod, t in rows if mod]
     cols = n + len(mods)
@@ -204,19 +209,22 @@ def _integer_point(pool, costs, top, rows):
     def bound(j, sign, value):          # sign * x_j >= value
         return [sign if c == j else 0 for c in range(cols)], value
 
-    stack = [[]]                        # each open node's branch bounds
+    # each open node: its parent's tableau (None at the root) and its
+    # branch bounds, the last one new
+    stack = [(None, [])]
     while stack:
-        bounds = stack.pop()
-        x = solve_lp(cols, eq, ge + bounds, [0] * cols)
-        if x is not None:
+        parent, bounds = stack.pop()
+        node = feasible_vertex(cols, eq, ge + bounds, parent)
+        if node is not None:
+            x, tableau = node
             over = [j for j in range(n) if pool[j].degree % 2 and x[j] > 1]
             split = [j for j, v in enumerate(x) if v.denominator != 1]
             if over:
-                stack.append(bounds + [bound(over[0], -1, -1)])
+                stack.append((tableau, bounds + [bound(over[0], -1, -1)]))
             elif split:
                 f = x[split[0]] // 1
-                stack += [bounds + [bound(split[0], -1, -f)],
-                          bounds + [bound(split[0], 1, f + 1)]]
+                stack += [(tableau, bounds + [bound(split[0], -1, -f)]),
+                          (tableau, bounds + [bound(split[0], 1, f + 1)])]
             else:
                 yield x
                 return
@@ -305,7 +313,10 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     # an LP costs about its tableau, rows x (columns + rows), so the branch
     # and bound solves one each time the search has examined that many more
     # products: short searches never start it.  The size counts a row per
-    # face, repeated or not, as the oracle search in the tests does.
+    # face, repeated or not, as the oracle search in the tests does.  A
+    # warm-started child LP costs less, but the schedule is kept so that
+    # each decision, and so each report's node count, comes at the same
+    # walk step.
     size = len(d.faces_list) + 2 + z_graded
     lp_at = size * (n + size) if use_igrading and pool else None
     decide = _integer_point(pool, costs, top, rows) if lp_at else None

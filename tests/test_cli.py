@@ -758,6 +758,47 @@ def test_k_copy_builder_gives_the_pinned_copies(monkeypatch):
     assert copies[4] == cli_diff.TREFOIL_4_COPY
 
 
+def bench_diff(tmp_path, new):
+    """bench_diff's (exit code, {run: {metric: ratio text}}) of
+    ``BENCH_31.json`` against ``new``, written to a file."""
+    path = tmp_path / "new.json"
+    path.write_text(json.dumps(new))
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "bench_diff.py"),
+         str(TOOLS.parent / "BENCH_31.json"), str(path)],
+        capture_output=True, text=True, check=False)
+    runs = {}
+    for line in done.stdout.splitlines():
+        if line.startswith("== "):
+            run = runs.setdefault(line[3:], {})
+        else:
+            name, *_rest, ratio = line.split()
+            run[name] = ratio
+    return done.returncode, runs
+
+
+def test_bench_diff_prints_each_metric_with_its_ratio(tmp_path):
+    """Against itself every printed ratio is 1: each workload's trace 0
+    metrics and its trace 1 self seconds and call counts.  With one value
+    doubled, that line alone reads 2."""
+    bench = json.loads((TOOLS.parent / "BENCH_31.json").read_text())
+    code, runs = bench_diff(tmp_path, bench)
+    assert code == 0 and sorted(runs) == sorted(bench["runs"])
+    assert set(runs["search-seed1-trace0"]) == {
+        "fronts_per_s", "op_s_p50", "op_s_tail", "peak_rss_mb", "setup_s"}
+    assert {"lp.solve_lp.s", "lp.solve_lp.calls"} <= \
+        set(runs["search-seed1-trace1"])
+    assert not any(name.endswith(("_s_per_event", ".survivors"))
+                   for name in runs["search-seed1-trace1"])
+    assert {ratio for run in runs.values() for ratio in run.values()} == \
+        {"1.000"}
+    bench["runs"]["search-seed1-trace0"]["metrics"]["fronts_per_s"][
+        "value"] *= 2
+    code, changed = bench_diff(tmp_path, bench)
+    runs["search-seed1-trace0"]["fronts_per_s"] = "2.000"
+    assert code == 0 and changed == runs
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_chain_certifies_every_degree_one_row_of_the_trefoil_k_copy(
         tmp_path, capsys, k):

@@ -1,11 +1,15 @@
 """The fraction-free simplex against the Fraction simplex in the oracles.
 
-Both run Bland's rule with the same tie-breaks, so they must return the
-same vertex, None on the same infeasible programs and raise on the same
-unbounded ones: on the sizing LPs of real fronts and on small random
-programs built to hit ratio-test ties, redundant equality rows (which leave
-an artificial basic at 0), negative right-hand sides, infeasibility and
-unboundedness.
+``solve_lp`` and the oracle run Bland's rule with the same tie-breaks, so
+they must return the same vertex, None on the same infeasible programs and
+raise on the same unbounded ones: on the sizing LPs of real fronts and on
+small random programs built to hit ratio-test ties, redundant equality
+rows (which leave an artificial basic at 0), negative right-hand sides,
+infeasibility and unboundedness.  ``feasible_vertex``, the branch and
+bound's dual simplex, may stop at another vertex: on the same random
+programs, at the root and after chains of branch bounds, it must agree
+with the oracle on feasibility, and each point it returns must satisfy
+every row exactly.
 """
 
 from fractions import Fraction
@@ -16,8 +20,10 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import fraction_solve_lp
 from reebchords.diagram import (DiagramError, _sizing_rows, _template,
                                 parse_front)
-from reebchords.lp import solve_lp
+from reebchords import lp, report
+from reebchords.lp import feasible_vertex, solve_lp
 from test_realization import seeded_fronts, torus
+from test_report import FEASIBLE_LP_FRONT, searches
 
 F = Fraction
 
@@ -127,3 +133,137 @@ def small_programs(draw):
 @example(UNBOUNDED)
 def test_small_programs_match_the_fraction_simplex(program):
     check_same(*program)
+
+
+def satisfies(x, n, eq, ge):
+    return len(x) == n and all(v >= 0 for v in x) and \
+        all(sum(c * v for c, v in zip(a, x)) == b for a, b in eq) and \
+        all(sum(c * v for c, v in zip(a, x)) >= b for a, b in ge)
+
+
+def check_bound_chain(n, eq, ge, bounds):
+    """Solve the root, then each child that adds the next bound
+    ``(j, sign, value)``, sign * x_j >= value, from its parent's tableau,
+    while the nodes stay feasible.  Each verdict must be the oracle's, and
+    each point must satisfy every row; the nodes are returned."""
+    nodes, parent = [], None
+    for k in range(len(bounds) + 1):
+        rows = ge + [([sign if c == j else 0 for c in range(n)], value)
+                     for j, sign, value in bounds[:k]]
+        node = feasible_vertex(n, eq, rows, parent)
+        assert (node is None) == \
+            (fraction_solve_lp(n, eq, rows, [0] * n) is None)
+        nodes.append(node)
+        if node is None:
+            break
+        assert satisfies(node[0], n, eq, rows)
+        parent = node[1]
+    return nodes
+
+
+# (n, eq rows, ge rows, bounds) for the dual simplex.  In ZERO_ROW the
+# second eq row is twice the first, so it reduces to 0 = 0 and is dropped;
+# in CONTRADICTION it reduces to 0 = -1.  NO_GE has eq rows only.  In
+# BASIC_AND_NOT the root's vertex is x = (3/2, 0) with x0 basic: the first
+# bound asks x1 >= 1 of the nonbasic x1, the second cuts the basic x0 to
+# at most 0, and the third makes the node infeasible.
+ZERO_ROW = (2, [([F(1), F(1)], F(2)), ([F(2), F(2)], F(4))], [], [])
+CONTRADICTION = (2, [([F(1), F(1)], F(2)), ([F(2), F(2)], F(3))], [], [])
+NO_GE = (3, [([F(1), F(-1), F(0)], F(-1)), ([F(0), F(1), F(2)], F(3))], [],
+         [(0, -1, F(-1))])
+BASIC_AND_NOT = (2, [], [([F(1), F(1)], F(3, 2))],
+                 [(1, 1, F(1)), (0, -1, F(0)), (1, -1, F(-1))])
+
+
+def test_named_dual_programs():
+    [(x, (tab, _dens, _basis))] = check_bound_chain(*ZERO_ROW)
+    assert len(tab) == 1 and x == [F(2), F(0)]
+    assert check_bound_chain(*CONTRADICTION) == [None]
+    assert [node[0] for node in check_bound_chain(*NO_GE)] == \
+        [[F(2), F(3), F(0)], [F(1), F(2), F(1, 2)]]
+    root, nonbasic, basic, infeasible = check_bound_chain(*BASIC_AND_NOT)
+    assert root[0] == [F(3, 2), F(0)]
+    assert 0 in root[1][2] and 1 not in root[1][2]
+    assert nonbasic[0] == [F(1, 2), F(1)] and 0 in nonbasic[1][2]
+    assert basic[0] == [F(0), F(3, 2)] and infeasible is None
+
+
+@st.composite
+def programs_with_a_point(draw):
+    """Small programs whose rows hold at a drawn point x >= 0, with each
+    ge row slack by its drawn right-hand side's size, so the root LP is
+    feasible and the bounds meet more feasible nodes."""
+    n, eq, ge, minimize = draw(small_programs())
+    x = draw(st.lists(st.sampled_from([F(0), F(0), F(1), F(2), F(1, 2),
+                                       F(5, 3)]), min_size=n, max_size=n))
+
+    def at(a):
+        return sum(c * v for c, v in zip(a, x))
+
+    return (n, [(a, at(a)) for a, _b in eq],
+            [(a, at(a) - abs(b)) for a, b in ge], minimize)
+
+
+BOUND = st.tuples(st.integers(min_value=0, max_value=4),
+                  st.sampled_from([1, -1]),
+                  st.sampled_from([F(-1), F(0), F(1), F(2), F(1, 2),
+                                   F(3, 2), F(-1, 3)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_programs() | programs_with_a_point(),
+       st.lists(BOUND, max_size=5))
+@example(TIE, [])
+@example(REDUNDANT, [(1, -1, F(-1))])
+@example(INFEASIBLE, [])
+@example(ZERO_ROW[:3] + (F(0),), ZERO_ROW[3])
+@example(CONTRADICTION[:3] + (F(0),), CONTRADICTION[3])
+@example(NO_GE[:3] + (F(0),), NO_GE[3])
+@example(BASIC_AND_NOT[:3] + (F(0),), BASIC_AND_NOT[3])
+def test_dual_simplex_verdicts_match_the_fraction_simplex(program, bounds):
+    n, eq, ge, _minimize = program
+    check_bound_chain(n, eq, ge, [(j % n, sign, value)
+                                  for j, sign, value in bounds])
+
+
+def test_a_child_takes_fewer_pivots_than_a_fresh_solve(monkeypatch):
+    """In the branch and bound of (r4) on ``FEASIBLE_LP_FRONT``, whose root
+    LP is feasible and whose two children are not, each child solved from
+    its parent's tableau takes fewer pivots than the same LP solved by
+    ``feasible_vertex`` from the slack basis, and the three LPs take fewer
+    than ``solve_lp`` takes on them."""
+    made, nodes, pivots = [], [], [0]
+    integer_point, pivot = report._integer_point, lp._pivot
+
+    def recorded(*args):
+        made.append(args)
+        return integer_point(*args)
+
+    def counted(*args):
+        pivots[0] += 1
+        return pivot(*args)
+
+    def work(solver, *args):
+        pivots[0] = 0
+        return solver(*args), pivots[0]
+
+    def solved(cols, eq, ge, parent):
+        node, count = work(feasible_vertex, cols, eq, ge, parent)
+        nodes.append((cols, eq, ge, parent, node, count))
+        return node
+
+    monkeypatch.setattr(report, "_integer_point", recorded)
+    next(searches(FEASIBLE_LP_FRONT, [(4,)], 2))
+    monkeypatch.setattr(lp, "_pivot", counted)
+    monkeypatch.setattr(report, "feasible_vertex", solved)
+    assert list(integer_point(*made[0]))[-1] is False
+    assert [parent is None for *_rows, parent, _node, _count in nodes] == \
+        [True, False, False]
+    two_phase = 0
+    for cols, eq, ge, parent, node, count in nodes:
+        fresh, dual = work(feasible_vertex, cols, eq, ge)
+        x, primal = work(solve_lp, cols, eq, ge, [0] * cols)
+        assert (node is None) == (fresh is None) == (x is None)
+        assert count < dual if parent else count == dual
+        two_phase += primal
+    assert sum(count for *_rest, count in nodes) < two_phase

@@ -379,19 +379,19 @@ def test_lp_stop_without_repeated_face_rows_answers_as_the_full_lp(
     than that.  The face rows are rebuilt here from each word's
     ``effective_fiber_vector`` and the generator's i-grading."""
     made, lps = [], []
-    integer_point, solve = report._integer_point, report.solve_lp
+    integer_point, solve = report._integer_point, report.feasible_vertex
 
     def recorded(pool, costs, top, rows):
         made.append(pool)
         return integer_point(pool, costs, top, rows)
 
-    def solved(cols, eq, ge, minimize):
-        got = solve(cols, eq, ge, minimize)
-        lps.append((cols, eq, ge, minimize, got is None))
+    def solved(cols, eq, ge, parent):
+        got = solve(cols, eq, ge, parent)
+        lps.append((cols, eq, ge, [0] * cols, got is None))
         return got
 
     monkeypatch.setattr(report, "_integer_point", recorded)
-    monkeypatch.setattr(report, "solve_lp", solved)
+    monkeypatch.setattr(report, "feasible_vertex", solved)
     trefoil = parse_front(SEARCH_FRONTS[0])
     checked = repeated = 0
     for d, h1, g, _rep, _cap in searches(front_text(k_copy(trefoil, 2)),
@@ -463,11 +463,11 @@ def test_lp_stops_have_integer_farkas_certificates(monkeypatch):
     verdicts = []
 
     def recorded(*args):
-        verdicts.append(solve_lp(*args))
+        verdicts.append(feasible_vertex(*args))
         return verdicts[-1]
 
-    solve_lp = report.solve_lp
-    monkeypatch.setattr(report, "solve_lp", recorded)
+    feasible_vertex = report.feasible_vertex
+    monkeypatch.setattr(report, "feasible_vertex", recorded)
     trefoil = parse_front(SEARCH_FRONTS[0])
     for cases in (searches(SEARCH_FRONTS[0]),
                   searches(front_text(k_copy(trefoil, 2)), None, 1),
