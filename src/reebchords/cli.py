@@ -223,6 +223,14 @@ def cmd_chain(args, d):
         raise FrontError("chain reports need --epsilon")
     gens = generators(d, h1, max_len, max_action, eps)
     name = functools.lru_cache(None)(word_name)     # once per word
+    # the searches run by descending budget, so each pool table of
+    # _pool_words is enumerated once, at its largest budget
+    reps = {}
+    for g in sorted((g for g in gens if g.good and g.degree == 1),
+                    key=lambda g: g.action + 3 * eps * len(g.word),
+                    reverse=True):
+        reps[g.word.chords] = differential_candidates(
+            g, d, h1, eps, max_pool_len=args.max_len)
     rows = []
     for g in gens:
         row = {"word": word_name(g.word.chords),
@@ -242,8 +250,7 @@ def cmd_chain(args, d):
                 # depends on epsilon; a DiagramError here is a fault
                 row["orbit_action_error"] = str(exc)
             if g.degree == 1:
-                rep = differential_candidates(g, d, h1, eps,
-                                              max_pool_len=args.max_len)
+                rep = reps[g.word.chords]
                 row["candidates"] = [
                     {"monomial": "1" if c.is_constant() else
                      "".join(name(w.chords) for w in c.factors),

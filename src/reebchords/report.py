@@ -12,11 +12,15 @@ memo, sorted once by (action, chords), with actions and costs as ints
 over one denominator: a search sorts nothing and compares no ``Fraction``.
 
 A search's filters are one table of int rows over its pool (distinct face
-rows, class rows, the degree row): the walk keeps each row's sum, and under
-the intersection-grading filter an exact branch and bound over the same
-rows decides whether a non-constant product passes, with one LP per rows x
-(columns + rows) products it examines: at most MAX_NODES products plus
-MAX_NODES // that many LPs.  A proof that none does ends it complete.
+rows, class rows, the degree row).  The walk keeps a product's face-row
+slacks and z-graded degree window as fixed-width fields of one int, whose
+width a bound on the factors makes exact, so both prunes are one sign-mask
+test and a child's state one subtraction; the congruence rows' sums stay a
+short list.  Under the intersection-grading filter an exact branch and
+bound over the same rows decides whether a non-constant product passes,
+with one LP per rows x (columns + rows) products it examines: at most
+MAX_NODES products plus MAX_NODES // that many LPs.  A proof that none
+does ends it complete.
 """
 
 from fractions import Fraction
@@ -178,6 +182,37 @@ def _pool_words(d: ResolvedDiagram, h1: H1Presentation, g: GeneratorRecord,
             top // common, [row[0] for row in keep], den)
 
 
+def _field_width(fields, factors: int) -> int:
+    """The width W of the walk's packed fields, for fields (a, t) of
+    coefficient lists a and targets t, and at most ``factors`` factors in a
+    product (and so in a suffix bound k).  A field the walk forms is t - s
+    - v - k * m: s a sum of factors' coefficients, v and m one each, and
+    no more than 2 * factors + 1 of them in all, so at most max|t| + (2 *
+    factors + 1) * M in size, M the greatest |coefficient|.  With W - 1 >=
+    the bit_length of that, every field lies in [-2^(W-1), 2^(W-1))."""
+    most = max((abs(v) for a, _t in fields for v in a), default=0)
+    bound = max((abs(t) for _a, t in fields), default=0) + \
+        (2 * factors + 1) * most
+    return bound.bit_length() + 1
+
+
+def _pack(values, width: int) -> int:
+    """Fields of ``width`` bits, the first lowest: the int sum of value_f *
+    2^(width f).  A sum or difference of packed ints packs the fieldwise
+    sums or differences, and with 2^(width - 1) added to every field (a
+    bias) a field whose value lies in [-2^(width-1), 2^(width-1)) holds
+    value + 2^(width-1) in [0, 2^width) with no carry into the next: its
+    top bit is set exactly when the value is >= 0, so one mask tests the
+    signs of all fields at once."""
+    return sum(v << width * f for f, v in enumerate(values))
+
+
+def _unpack(state: int, width: int, count: int) -> List[int]:
+    """The first ``count`` fields of a biased packed state, unbiased."""
+    mask, half = (1 << width) - 1, 1 << width - 1
+    return [(state >> s & mask) - half for s in range(0, width * count, width)]
+
+
 def _integer_point(pool, costs, top, rows):
     """Branch and bound for a non-constant product that passes the filters:
     a generator that solves one LP per step and yields None until it yields
@@ -283,33 +318,44 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
             (tuple(v[c] for v in fiber), t * h1.exponent), len(distinct))
             for c, t in enumerate(g.igrading)]
         rows = [(list(a), None, t) for a, t in distinct]
+    nf = len(rows)
     rows += [([sum(a * b for a, b in zip(u, r.orbit_class.vector))
                for r in pool], mod, t)
              for u, mod, t in zip(h1.u, h1.diagonal, g.orbit_class.reduced)
              if mod != 1]
     rows.append(([r.degree for r in pool], 0 if z_graded else 2,
                  target_degree))
-    face_targets = [t for _a, mod, t in rows if mod is None]
-    congruences = [(c, mod, t) for c, (_a, mod, t) in enumerate(rows)
-                   if mod is not None]
-    columns = list(zip(*(a for a, _mod, _t in rows)))    # one per word
-    # Suffix tables over pool[i:], with a row for i = n: the least cost and,
-    # per row, the least and greatest coefficient, both capped at 0.  Every
-    # cost is positive (the enumeration rejects a slack of a chord's
-    # action), so a node with budget_left whose children start at i has at
-    # most k = (budget_left - 1) // suffix_min[i] more factors, which add
-    # between k * lo[i][c] and k * hi[i][c] to its sum at row c.  A face
-    # row's sum must stay at most its target, and the z-graded degree row's
-    # must reach its target exactly.  Once suffix_min[i] reaches the budget
-    # left no later child fits, so the child loop stops there.
+    congruences = rows[nf:-1] if z_graded else rows[nf:]
+    ccols = list(zip(*(a for a, _mod, _t in congruences))) or [()] * n
+    # The walk's state of a product is one int of biased fields (see
+    # _pack): each distinct face row's slack t - s and, z-graded, the degree
+    # window's two sides, target - s and s - target, the second over the
+    # negated degrees.  A word's column and the suffix minima suffix_lo[i]
+    # over pool[i:], capped at 0, are packed alike.  Every cost is positive
+    # (the enumeration rejects a slack of a chord's action), so a node with
+    # budget_left whose children start at i has at most k = (budget_left -
+    # 1) // suffix_min[i] more factors, which add at most -k * suffix_lo[i]
+    # to each field: a face row's sum must stay at most its target, and the
+    # z-graded degree row's must reach its target exactly.  Once
+    # suffix_min[i] reaches the budget left no later child fits, so the
+    # child loop stops there.
+    fields = [(a, t) for a, _mod, t in rows[:nf]]
+    if z_graded:
+        fields += [(rows[-1][0], target_degree),
+                   ([-v for v in rows[-1][0]], -target_degree)]
+    # a product has at most K factors, and k <= K too
+    width = _field_width(fields, (top - 1) // min(costs) if costs else 0)
+    half, mask = 1 << width - 1, (1 << width) - 1
+    high = _pack([half] * len(fields), width)
+    columns = [_pack(col, width) for col in zip(*(a for a, _t in fields))
+               ] or [0] * n
     suffix_min = costs + [top]
-    empty = [0] * len(rows)
-    lo = [None] * n + [empty]
-    hi = [None] * n + [empty]
+    suffix_lo = [0] * (n + 1)
+    least = [0] * len(fields)
     for i in range(n - 1, -1, -1):
         suffix_min[i] = min(costs[i], suffix_min[i + 1])
-        lo[i] = list(map(min, columns[i], lo[i + 1]))
-        hi[i] = list(map(max, columns[i], hi[i + 1]))
+        least = [min(a[i], m) for (a, _t), m in zip(fields, least)]
+        suffix_lo[i] = _pack(least, width)
     # an LP costs about its tableau, rows x (columns + rows), so the branch
     # and bound solves one each time the search has examined that many more
     # products: short searches never start it.  The size counts a row per
@@ -325,15 +371,17 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     nodes = 1                           # the empty product
     truncated = None
 
-    def consider(sums: List[int]) -> bool:
-        """Keep the product of ``chosen``, whose row sums are ``sums``, if no
-        filter excludes it; True when it is a survivor beyond MAX_SURVIVORS,
-        which ends the search."""
+    def consider(state: int, sums: List[int]) -> bool:
+        """Keep the product of ``chosen``, of packed state ``state`` and
+        congruence row sums ``sums``, if no filter excludes it; True when it
+        is a survivor beyond MAX_SURVIVORS, which ends the search."""
         nonlocal truncated, decide
-        for c, mod, t in congruences:
-            if (sums[c] - t) % mod if mod else sums[c] != t:
+        for s, (_a, mod, t) in zip(sums, congruences):
+            if (s - t) % mod if mod else s != t:
                 return False
-        delta = [t - s for s, t in zip(sums, face_targets)]
+        if z_graded and state >> width * nf & mask != half:
+            return False                # the degree is not the target
+        delta = _unpack(state, width, nf)
         if any(v % h1.exponent for v in delta):
             raise DiagramError("fractional fiber count on a "
                                "null-homologous collection")
@@ -342,7 +390,8 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
         if len(found) == MAX_SURVIVORS:
             truncated = "survivors"
             return True
-        trail = {"degree": sums[-1], "class": tuple(g.orbit_class.reduced),
+        trail = {"degree": target_degree if z_graded else sums[-1],
+                 "class": tuple(g.orbit_class.reduced),
                  "action": Fraction(sum(actions[j] for j in chosen), den)}
         if use_igrading:
             trail["delta_i"] = tuple(delta[c] // h1.exponent
@@ -363,12 +412,14 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
         return False
 
     # Depth first over the products, children in pool order: one frame
-    # [next child, budget left, row sums] for the empty product and one for
-    # each factor in ``chosen``.
-    stack = [] if consider(empty) else [[0, top, empty]]
+    # [next child, budget left, state, congruence sums] for the empty
+    # product and one for each factor in ``chosen``.
+    empty = [0] * len(congruences)
+    start = _pack([t for _a, t in fields], width) + high
+    stack = [] if consider(start, empty) else [[0, top, start, empty]]
     while stack:
         frame = stack[-1]
-        i, budget_left, sums = frame
+        i, budget_left, state, sums = frame
         if suffix_min[i] >= budget_left:
             stack.pop()
             if chosen:
@@ -390,20 +441,16 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
             truncated = "nodes"
             break
         nodes += 1
-        col = columns[i]
         # odd generators square to zero: after one, the next factor is a
         # later word
         nxt = i + pool[i].degree % 2
+        state -= columns[i]
         k = (left - 1) // suffix_min[nxt]
-        if z_graded and not (k * lo[nxt][-1] <= target_degree - sums[-1]
-                             - col[-1] <= k * hi[nxt][-1]):
-            continue
-        if face_targets and any(s + v + k * m > t for s, v, m, t in
-                                zip(sums, col, lo[nxt], face_targets)):
-            continue
-        sums = list(map(add, sums, col))
+        if (state - k * suffix_lo[nxt]) & high != high:
+            continue                    # a prune: some field goes negative
+        sums = list(map(add, sums, ccols[i]))
         chosen.append(i)
-        if consider(sums):
+        if consider(state, sums):
             break
-        stack.append([nxt, left, sums])
+        stack.append([nxt, left, state, sums])
     return CandidateReport(found, z_graded, warning, truncated, nodes)

@@ -650,3 +650,129 @@ def test_trail_actions_are_the_factors_action_sums(eps, monkeypatch):
                     (w.action() for w in c.factors), F(0))
                 products += len(c.factors) > 0
     assert products > 0
+
+
+@settings(max_examples=400, deadline=None)
+@seed(33)
+@given(st.data())
+def test_the_packed_prune_equals_the_row_sums(data):
+    """For fields (a, t) with coefficients and targets up to a drawn size,
+    a product of at most K factors, its last one new, a suffix start and k
+    <= K: the walk's one sign-mask test on the packed state passes exactly
+    when no field has s + v + k * m > t (s the old factors' sum, v the new
+    one's, m the suffix minimum capped at 0), and the new state unpacks to
+    t - s - v in every field."""
+    count = data.draw(st.integers(0, 6), "fields")
+    n = data.draw(st.integers(1, 5), "columns")
+    factors = data.draw(st.integers(1, 5), "K")
+    size = data.draw(st.sampled_from([1, 7, 2 ** 20, 2 ** 70]), "size")
+    value = st.integers(-size, size)
+    fields = [(data.draw(st.lists(value, min_size=n, max_size=n)),
+               data.draw(value)) for _ in range(count)]
+    chosen = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                max_size=factors), "product")
+    start = data.draw(st.integers(0, n), "suffix")
+    k = data.draw(st.integers(0, factors), "k")
+    width = report._field_width(fields, factors)
+    high = report._pack([1 << width - 1] * count, width)
+    column = [report._pack([a[j] for a, _t in fields], width)
+              for j in range(n)]
+    least = [min([0] + a[start:]) for a, _t in fields]
+    state = report._pack([t for _a, t in fields], width) + high - sum(
+        column[j] for j in chosen[:-1])
+    sums = [sum(a[j] for j in chosen[:-1]) for a, _t in fields]
+    new = [a[chosen[-1]] for a, _t in fields]
+    passes = (state - column[chosen[-1]] - k * report._pack(least, width)
+              ) & high == high
+    assert passes == (not any(s + v + k * m > t for s, v, m, (_a, t) in
+                              zip(sums, new, least, fields)))
+    assert report._unpack(state - column[chosen[-1]], width, count) == \
+        [t - s - v for s, v, (_a, t) in zip(sums, new, fields)]
+
+
+@pytest.mark.parametrize("width", [1, 2, 5, 64, 131])
+def test_packed_fields_hold_the_ends_of_their_range(width):
+    """Biased fields at +-(2^(W-1) - 1), -2^(W-1) and 0, next to each other
+    in every order of a few, unpack to themselves, and the sign mask is
+    set exactly when each is >= 0."""
+    half = 1 << width - 1
+    ends = sorted({half - 1, -(half - 1), -half, 0})
+    cases = [[a, b, c] for a in ends for b in ends for c in ends]
+    high = report._pack([half] * 3, width)
+    for values in cases:
+        state = report._pack(values, width) + high
+        assert report._unpack(state, width, 3) == values
+        assert (state & high == high) == all(v >= 0 for v in values)
+
+
+def test_a_fractional_fiber_count_raises_in_the_search(monkeypatch):
+    """Fiber vectors are ints over H1's exponent, 2 on the trefoil +1.  With
+    1 taken off one entry of (r1)'s, the null-homologous product (r1)(r2)
+    has a fiber count off that lattice, and its generator's search raises
+    where ``consider`` unpacks the face fields; unskewed, no search
+    does."""
+    original = report.effective_fiber_vector
+
+    def skewed(d, h1, w):
+        vec = original(d, h1, w)
+        if w.chords == (1,):
+            vec = (vec[0] - 1,) + vec[1:]
+        return vec
+
+    def outcomes():
+        d = resolve(parse_front(SEARCH_FRONTS[0]))
+        h1 = h1_presentation(d)
+        assert h1.exponent == 2
+        raised = []
+        for g in generators(d, h1, max_len=2, epsilon=EPS):
+            if g.good and g.degree == 1:
+                try:
+                    differential_candidates(g, d, h1, EPS, max_pool_len=2)
+                except report.DiagramError as exc:
+                    assert "fractional fiber count" in str(exc)
+                    raised.append(g.word.chords)
+        return raised
+
+    assert outcomes() == []
+    monkeypatch.setattr(report, "effective_fiber_vector", skewed)
+    assert outcomes()
+
+
+# (word, nodes, truncated, survivors) of every good degree-1 row of the
+# trefoil's 2-copy at --max-len 2 and its 5-copy at --max-len 1, at
+# epsilon 1/100, as the list-of-sums walk gave them
+K_COPY_WORK = {
+    (2, 2): [
+        ((16,), 100000, "nodes", 1), ((17,), 100000, "nodes", 1),
+        ((19,), 100000, "nodes", 1), ((20,), 100000, "nodes", 1),
+        ((1, 15), 146, "survivors", 48), ((1, 18), 147, "survivors", 48),
+        ((2, 15), 146, "survivors", 48), ((2, 18), 147, "survivors", 48),
+        ((3, 6), 3237, None, 1), ((3, 10), 816, None, 0),
+        ((3, 14), 100000, "nodes", 0), ((4, 8), 145, "survivors", 48),
+        ((4, 12), 143, "survivors", 48), ((5, 9), 155, "survivors", 48),
+        ((5, 13), 144, "survivors", 48), ((6, 7), 3311, None, 3),
+        ((6, 11), 768, None, 0), ((7, 10), 100000, "nodes", 0),
+        ((7, 14), 864, None, 0), ((8, 12), 146, "survivors", 48),
+        ((9, 13), 150, "survivors", 48), ((10, 11), 100000, "nodes", 1),
+        ((11, 14), 100000, "nodes", 0)],
+    (5, 1): [((w,), 18576, None, 1)
+             for w in (106, 107, 108, 109, 110, 121, 122, 123, 124, 125)],
+}
+
+
+@pytest.mark.parametrize("copies, max_len", sorted(K_COPY_WORK),
+                         ids=["2-copy-len2", "5-copy-len1"])
+def test_k_copy_search_work_is_pinned(copies, max_len):
+    """The work of each k-copy search, which the CLI output cannot show:
+    products examined, the stop reason and the number of survivors."""
+    trefoil = parse_front(SEARCH_FRONTS[0])
+    d = resolve(parse_front(front_text(k_copy(trefoil, copies))))
+    h1 = h1_presentation(d)
+    got = []
+    for g in generators(d, h1, max_len, None, EPS):
+        if g.good and g.degree == 1:
+            rep = differential_candidates(g, d, h1, EPS,
+                                          max_pool_len=max_len)
+            got.append((g.word.chords, rep.nodes, rep.truncated,
+                        len(rep.survivors)))
+    assert got == K_COPY_WORK[copies, max_len]
