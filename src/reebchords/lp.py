@@ -1,27 +1,25 @@
-"""Tiny exact-rational linear programming (simplex with Bland's rule).
+"""Tiny exact-rational linear programming: one dual simplex under Bland's
+rule, with two starts.
 
-Two users share one tableau and its pivots.  ``solve_lp``, the two-phase
-primal, sizes the diagram builder's templates: closure integrals must
+``solve_lp`` sizes the diagram builder's templates: closure integrals must
 vanish exactly while every crossing keeps a positive z-gap, and its vertex
-fixes the realization.  The builder reads all rows off one symbolic
-layout; a front of n events gives about n variables and n rows, and the
-pivots skip the tableau's many zeros.  ``feasible_vertex``, a dual simplex,
-decides the candidate search's branch and bound: its objective is zero, so
-every basis is dual feasible and it needs no phase 1.  A root starts from
-the slack basis; a child starts from its parent's final tableau with the
-one new bound row added.
+fixes the realization.  Its costs are >= 0, so the slack basis is dual
+feasible and there is no phase 1.  The builder reads all rows off one
+symbolic layout; a front of n events gives about n variables and n rows,
+and the pivots skip the tableau's many zeros.  ``feasible_vertex`` decides
+the candidate search's branch and bound on a zero objective, for which
+every basis is dual feasible.  A root starts from the slack basis with its
+equality rows pivoted in; a child starts from its parent's final tableau
+with the one new bound row added.
 
 The tableau is fraction-free: each row is integers over one positive
 denominator, reduced by the row's gcd after each update, and ratios are
 compared by cross-multiplying.  Only the solution becomes ``Fraction``s.
-The artificial columns are never read, so they are not stored.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
-
-from .diagram import DiagramError
 
 
 def _integers(values):
@@ -64,96 +62,78 @@ def _vertex(tab, dens, basis, n):
     return x
 
 
-def _simplex(tab, dens, basis, n_cols):
-    """Minimize the objective in the last tableau row; returns False if unbounded."""
-    while True:
-        obj = tab[-1]
-        col = next((j for j in range(n_cols) if obj[j] < 0), None)
-        if col is None:
-            return True
-        row = None
-        for r in range(len(tab) - 1):
-            c = tab[r][col]
-            # the least ratio rhs / c, cross-multiplied (a row's denominator
-            # cancels from its own ratio), then the least basis index
-            if c > 0 and (row is None or (tab[r][-1] * tab[row][col], basis[r])
-                          < (tab[row][-1] * c, basis[row])):
-                row = r
-        if row is None:
-            return False
-        _pivot(tab, dens, basis, row, col)
-
-
 def solve_lp(n: int,
              eq: Sequence[Tuple[Sequence[Fraction], Fraction]],
              ge: Sequence[Tuple[Sequence[Fraction], Fraction]],
              minimize: Sequence[Fraction]) -> Optional[List[Fraction]]:
-    """Minimize ``minimize`` over x >= 0 with eq rows a.x == b and ge rows
-    a.x >= b; None when infeasible, DiagramError (a fault) when unbounded."""
-    n_slack = len(ge)
-    m = len(eq) + n_slack
-    n_cols = n + n_slack
-    tab, dens = [], []
-    for i, (a, b) in enumerate(list(eq) + list(ge)):
-        row, den = _integers(list(a) + [0] * n_slack + [b])
-        if i >= len(eq):
-            row[n + i - len(eq)] = -den
-        tab.append(row if row[-1] >= 0 else [-v for v in row])
-        dens.append(den)
-    basis = list(range(n_cols, n_cols + m))    # the artificials
-    # phase 1 objective: sum of artificials
-    ks = [lcm(*dens) // den for den in dens]
-    obj, oden = _reduced([-sum(k * row[j] for k, row in zip(ks, tab))
-                          for j in range(n_cols + 1)], lcm(*dens))
-    tab.append(obj)
-    dens.append(oden)
-    if not _simplex(tab, dens, basis, n_cols):
+    """Minimize ``minimize``, every cost >= 0, over x >= 0 with eq rows
+    a.x == b and ge rows a.x >= b; None when infeasible.
+
+    Each ge row, and each eq row as the two rows a.x >= b and -a.x >= -b,
+    enters with its slack basic, and the costs go in the last row.  Costs
+    >= 0 make that basis dual feasible, and with x >= 0 they bound the
+    objective below, so the dual simplex ends at an optimum or proves the
+    rows infeasible."""
+    rows = [_integers([*a, b]) for a, b in ge]
+    for a, b in eq:
+        row, den = _integers([*a, b])
+        rows += [(row, den), ([-v for v in row], den)]
+    tab, dens, basis = [], [], []
+    _enter(tab, dens, basis, n, len(rows), rows, 0)
+    cost, den = _integers([*minimize, *[0] * (len(rows) + 1)])
+    tab.append(cost)
+    dens.append(den)
+    if not _dual_simplex(tab, dens, basis):
         return None
-    if tab[-1][-1] != 0:
-        return None
-    # drive leftover artificials out of the basis where possible
-    for r in range(m):
-        if basis[r] >= n_cols:
-            for j in range(n_cols):
-                if tab[r][j] != 0:
-                    _pivot(tab, dens, basis, r, j)
-                    break
-    obj, oden = _integers(list(minimize) + [0] * (n_slack + 1))
-    # express objective in terms of the current basis
-    for r in range(m):
-        if basis[r] < n and obj[basis[r]] != 0:
-            obj, oden = _minus(obj, oden, tab[r], dens[r], basis[r])
-    tab[-1], dens[-1] = obj, oden
-    if not _simplex(tab, dens, basis, n_cols):
-        raise DiagramError("unbounded objective")
     return _vertex(tab, dens, basis, n)
 
 
 def _dual_simplex(tab, dens, basis):
     """Pivot until every right-hand side is >= 0, under Bland's rule: the
-    negative row with the least basic index leaves, and the least column
-    with a negative entry there enters (with a zero objective, every one
-    ties in the ratio test).  False when that row has no negative entry:
-    it proves the LP infeasible."""
+    negative row with the least basic index leaves, and the column with the
+    least ratio c_j / -a_j over that row's negative entries a_j enters,
+    the least column on ties.  The costs c are the tableau's row past the
+    basis rows, if it has one, else zero: then every ratio ties, and the
+    least column with a negative entry enters.  False when the leaving row
+    has no negative entry: it proves the LP infeasible."""
     while True:
         rows = [(j, r) for r, j in enumerate(basis) if tab[r][-1] < 0]
         if not rows:
             return True
         row = min(rows)[1]
-        col = next((j for j, v in enumerate(tab[row][:-1]) if v < 0), None)
+        lead = tab[row]
+        col = next((j for j, v in enumerate(lead[:-1]) if v < 0), None)
         if col is None:
             return False
+        if len(tab) > len(basis):
+            cost = tab[-1]
+            # c_j / -a_j < c_col / -a_col, cross-multiplied: the row's and
+            # the cost row's denominators cancel
+            for j in range(col + 1, len(lead) - 1):
+                if lead[j] < 0 and cost[j] * lead[col] > cost[col] * lead[j]:
+                    col = j
         _pivot(tab, dens, basis, row, col)
 
 
-def _in_basis(tab, dens, basis, values):
-    """A new row of rationals as ints over a denominator, with every basic
-    column eliminated."""
-    row, den = _integers(values)
+def _in_basis(tab, dens, basis, row, den):
+    """A new row of ints over ``den`` with every basic column eliminated."""
     for r, j in enumerate(basis):
         if row[j]:
             row, den = _minus(row, den, tab[r], dens[r], j)
     return row, den
+
+
+def _enter(tab, dens, basis, n, slacks, rows, first):
+    """Append each row (a and b as ints over one denominator) as -a.x + s =
+    -b over the basis, its slack s basic: the columns after x's n are
+    ``slacks`` slacks, and the rows' run from column n + first."""
+    for i, (row, den) in enumerate(rows, n + first):
+        values = [-v for v in row[:-1]] + [0] * slacks + [-row[-1]]
+        values[i] = den
+        row, den = _in_basis(tab, dens, basis, values, den)
+        tab.append(row)
+        dens.append(den)
+        basis.append(i)
 
 
 def feasible_vertex(n: int,
@@ -175,7 +155,8 @@ def feasible_vertex(n: int,
     if parent is None:
         tab, dens, basis, first = [], [], [], 0
         for a, b in eq:
-            row, den = _in_basis(tab, dens, basis, [*a, *pad, b])
+            row, den = _in_basis(tab, dens, basis,
+                                 *_integers([*a, *pad, b]))
             col = next((j for j in range(n) if row[j]), None)
             if col is None and row[-1]:
                 return None
@@ -187,14 +168,8 @@ def feasible_vertex(n: int,
     else:
         tab = [row[:-1] + [0, row[-1]] for row in parent[0]]
         dens, basis, first = list(parent[1]), list(parent[2]), len(ge) - 1
-    for i in range(first, len(ge)):
-        a, b = ge[i]
-        values = [-v for v in a] + pad + [-b]
-        values[n + i] = 1
-        row, den = _in_basis(tab, dens, basis, values)
-        tab.append(row)
-        dens.append(den)
-        basis.append(n + i)
+    _enter(tab, dens, basis, n, len(ge),
+           [_integers([*a, b]) for a, b in ge[first:]], first)
     if not _dual_simplex(tab, dens, basis):
         return None
     return _vertex(tab, dens, basis, n), (tab, dens, basis)

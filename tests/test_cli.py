@@ -438,23 +438,22 @@ def test_exit_code_3_on_a_push_out_fault(tmp_path, capsys, monkeypatch):
     assert "push-out fault" in err and "multiple of 45 degrees" in err
 
 
-def test_exit_code_3_on_an_unbounded_sizing_lp(tmp_path, capsys,
-                                               monkeypatch):
-    # every simplex run of the second phase reports an unbounded objective
-    from reebchords import lp
+def test_exit_code_3_on_an_infeasible_sizing_lp(tmp_path, capsys,
+                                                monkeypatch):
+    # one more sizing row, -sum(theta) >= 1, leaves no point with theta >= 0
+    from reebchords import diagram
 
-    original = lp._simplex
-    runs = []
+    original = diagram._sizing_rows
 
-    def second_phase_unbounded(*args):
-        runs.append(args)
-        return len(runs) % 2 == 1 and original(*args)
+    def infeasible(*args):
+        n, eq, ge = original(*args)
+        return n, eq, ge + [([-1] * n, 1)]
 
-    monkeypatch.setattr(lp, "_simplex", second_phase_unbounded)
+    monkeypatch.setattr(diagram, "_sizing_rows", infeasible)
     path = write(tmp_path, "L1,L3,X2,X2,X2,R1,R1")
     code, out, err = run(capsys, ["invariants", "--input", path])
     assert code == 3 and out == ""
-    assert "unbounded objective" in err
+    assert "no template sizing" in err
 
 
 def test_exit_code_3_on_a_class_vector_of_the_wrong_length(

@@ -175,12 +175,16 @@ SEARCH_FRONTS = [
     "L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:-1}",
     "L1,L2,R1,R1 / orientations {0:-} / surgery {0:+1}",
     "L1,L2,L2,X3,X2,R3,R2,R1 / surgery {0:+1, 1:-1, 2:0}"]
-# chord r7 has the action of the word (r10r11), so a pool holding both lists
-# a dearer cost before a cheaper one; longer pools here grow to 10^5
-# survivors, so only these generators and factors of length <= 2
-TIED_FRONT = ("L1,X1,X1,X1,X1,L1,X3,X2,L2,R2,X3,X1,R3,R1 / "
+# searches that complete with 3, 26 and 11 survivors at pool length 2
+WIDE_FRONT = ("L1,X1,X1,X1,X1,L1,X3,X2,L2,R2,X3,X1,R3,R1 / "
               "orientations {0:+, 1:-} / surgery {0:-1, 1:-1}")
-TIED_WORDS = [(1, 3), (1, 5), (3, 5)]
+WIDE_WORDS = [(1, 3), (1, 5), (3, 5)]
+# chord r1 has the action 64 of each two-letter word on r3 to r6, whose
+# actions are 32, so a pool holding both lists a dearer cost before a
+# cheaper one
+TIED_FRONT = ("L1,R1,L1,X1,X1,X1,X1,R1 / orientations {0:+, 1:-} / "
+              "surgery {0:+1, 1:+1}")
+TIED_WORDS = [(2, 5), (3, 6)]
 # the degree-1 words of length 4 on the Hopf link with -1 surgeries, whose
 # pools hold words of negative degree
 HOPF_MINUS = "L1,L3,X2,X2,R1,R1 / surgery {0:-1, 1:-1}"
@@ -198,6 +202,7 @@ SPLIT_LINKS = [
 FREE_H1_FRONT = "L1,L2,R1,R1,L1,R1 / surgery {0:+1, 1:+1}"
 # (front, words, max_pool_len) of every search checked against the oracle
 ORACLE_SEARCHES = [(text, None, None) for text in SEARCH_FRONTS] + [
+    (WIDE_FRONT, WIDE_WORDS, 2),
     (TIED_FRONT, TIED_WORDS, 2),
     (HOPF_MINUS, HOPF_MINUS_WORDS, 4),
     (PARITY_FRONT, None, 2)] + [
@@ -283,6 +288,10 @@ def test_candidates_match_exhaustive_search(text):
 
 def test_candidates_match_exhaustive_search_with_tied_actions():
     assert_match_exhaustive_search(searches(TIED_FRONT, TIED_WORDS, 2))
+
+
+def test_candidates_match_exhaustive_search_with_many_survivors():
+    assert_match_exhaustive_search(searches(WIDE_FRONT, WIDE_WORDS, 2))
 
 
 def test_candidates_match_exhaustive_search_with_negative_degrees():
@@ -555,9 +564,9 @@ def test_integer_point_decisions_agree_with_brute_force(front_seed):
 
 
 def test_truncated_search_keeps_the_first_survivors(monkeypatch):
-    d, h1, g, rep, cap = next(searches(TIED_FRONT, [(1, 5)], 2))
+    d, h1, g, rep, cap = next(searches(WIDE_FRONT, [(1, 5)], 2))
     full = brute_force_candidates(d, h1, g, EPS, rep.z_graded, cap)
-    assert rep.truncated is None and len(full) == 43
+    assert rep.truncated is None and len(full) == 26
     for name, value, reason in (
             ("MAX_SURVIVORS", 10, "survivors"),
             ("MAX_SURVIVORS", len(full) - 1, "survivors"),
@@ -703,6 +712,19 @@ def test_packed_fields_hold_the_ends_of_their_range(width):
         state = report._pack(values, width) + high
         assert report._unpack(state, width, 3) == values
         assert (state & high == high) == all(v >= 0 for v in values)
+
+
+@pytest.mark.parametrize("bound, width", [
+    (1, 8), (127, 8), (128, 16), (2 ** 15, 32), (2 ** 31 - 1, 32),
+    (2 ** 31, 64), (2 ** 63 - 1, 64), (2 ** 63, 65)])
+def test_field_widths_are_the_least_word_that_holds_the_bound(bound, width):
+    """A field bound of 8, 16, 32 or 64 bits gets the least of those words
+    that holds it, a larger one its least width, and fields at +-bound
+    unpack to themselves."""
+    assert report._field_width([([0], bound)], 0) == width
+    high = report._pack([1 << width - 1] * 2, width)
+    state = report._pack([bound, -bound], width) + high
+    assert report._unpack(state, width, 2) == [bound, -bound]
 
 
 def test_a_fractional_fiber_count_raises_in_the_search(monkeypatch):
