@@ -53,15 +53,6 @@ def _pivot(tab, dens, basis, row, col):
     basis[row] = col
 
 
-def _vertex(tab, dens, basis, n):
-    """The basic solution's first n coordinates, as Fractions."""
-    x = [Fraction(0)] * n
-    for r, j in enumerate(basis):
-        if j < n:
-            x[j] = Fraction(tab[r][-1], dens[r])
-    return x
-
-
 def solve_lp(n: int,
              eq: Sequence[Tuple[Sequence[Fraction], Fraction]],
              ge: Sequence[Tuple[Sequence[Fraction], Fraction]],
@@ -83,28 +74,31 @@ def solve_lp(n: int,
     cost, den = _integers([*minimize, *[0] * (len(rows) + 1)])
     tab.append(cost)
     dens.append(den)
-    if not _dual_simplex(tab, dens, basis):
-        return None
-    return _vertex(tab, dens, basis, n)
+    return _dual_simplex(tab, dens, basis, n)
 
 
-def _dual_simplex(tab, dens, basis):
-    """Pivot until every right-hand side is >= 0, under Bland's rule: the
+def _dual_simplex(tab, dens, basis, n):
+    """Pivot until every right-hand side is >= 0, under Bland's rule, and
+    return the basic solution's first n coordinates as Fractions.  The
     negative row with the least basic index leaves, and the column with the
     least ratio c_j / -a_j over that row's negative entries a_j enters,
     the least column on ties.  The costs c are the tableau's row past the
     basis rows, if it has one, else zero: then every ratio ties, and the
-    least column with a negative entry enters.  False when the leaving row
+    least column with a negative entry enters.  None when the leaving row
     has no negative entry: it proves the LP infeasible."""
     while True:
         rows = [(j, r) for r, j in enumerate(basis) if tab[r][-1] < 0]
         if not rows:
-            return True
+            x = [Fraction(0)] * n
+            for r, j in enumerate(basis):
+                if j < n:
+                    x[j] = Fraction(tab[r][-1], dens[r])
+            return x
         row = min(rows)[1]
         lead = tab[row]
         col = next((j for j, v in enumerate(lead[:-1]) if v < 0), None)
         if col is None:
-            return False
+            return None
         if len(tab) > len(basis):
             cost = tab[-1]
             # c_j / -a_j < c_col / -a_col, cross-multiplied: the row's and
@@ -170,6 +164,5 @@ def feasible_vertex(n: int,
         dens, basis, first = list(parent[1]), list(parent[2]), len(ge) - 1
     _enter(tab, dens, basis, n, len(ge),
            [_integers([*a, b]) for a, b in ge[first:]], first)
-    if not _dual_simplex(tab, dens, basis):
-        return None
-    return _vertex(tab, dens, basis, n), (tab, dens, basis)
+    x = _dual_simplex(tab, dens, basis, n)
+    return None if x is None else (x, (tab, dens, basis))

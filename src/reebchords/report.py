@@ -26,7 +26,6 @@ does ends it complete.
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from struct import unpack
 from typing import List, Optional, Tuple
 
 from .diagram import DiagramError, ResolvedDiagram
@@ -183,10 +182,6 @@ def _pool_words(d: ResolvedDiagram, h1: H1Presentation, g: GeneratorRecord,
             top // common, [row[0] for row in keep], den)
 
 
-# the field widths that struct reads as unsigned words, by format code
-_WORDS = {8: "B", 16: "H", 32: "I", 64: "Q"}
-
-
 def _field_width(fields, factors: int) -> int:
     """The width W of the walk's packed fields, for fields (a, t) of
     coefficient lists a and targets t, and at most ``factors`` factors in a
@@ -194,14 +189,11 @@ def _field_width(fields, factors: int) -> int:
     - v - k * m: s a sum of factors' coefficients, v and m one each, and
     no more than 2 * factors + 1 of them in all, so at most max|t| + (2 *
     factors + 1) * M in size, M the greatest |coefficient|.  With W - 1 >=
-    the bit_length of that, every field lies in [-2^(W-1), 2^(W-1)).  W
-    is the least such width, raised to 8, 16, 32 or 64 when one of those
-    holds, so that ``_unpack`` reads the fields as words."""
+    the bit_length of that, every field lies in [-2^(W-1), 2^(W-1))."""
     most = max((abs(v) for a, _t in fields for v in a), default=0)
     bound = max((abs(t) for _a, t in fields), default=0) + \
         (2 * factors + 1) * most
-    least = bound.bit_length() + 1
-    return next((w for w in _WORDS if w >= least), least)
+    return bound.bit_length() + 1
 
 
 def _pack(values, width: int) -> int:
@@ -216,18 +208,9 @@ def _pack(values, width: int) -> int:
 
 
 def _unpack(state: int, width: int, count: int) -> List[int]:
-    """The first ``count`` fields of a biased packed state, unbiased.  At a
-    width of 8, 16, 32 or 64 bits the low width * count bits become bytes
-    once and are read as words, in time linear in their number; any other
-    width takes one shift of the state per field."""
-    half = 1 << width - 1
-    if width not in _WORDS:
-        mask = (1 << width) - 1
-        return [(state >> s & mask) - half
-                for s in range(0, width * count, width)]
-    raw = (state & (1 << width * count) - 1).to_bytes(width // 8 * count,
-                                                       "little")
-    return [v - half for v in unpack(f"<{count}{_WORDS[width]}", raw)]
+    """The first ``count`` fields of a biased packed state, unbiased."""
+    mask, half = (1 << width) - 1, 1 << width - 1
+    return [(state >> s & mask) - half for s in range(0, width * count, width)]
 
 
 def _integer_point(pool, costs, top, rows):

@@ -714,19 +714,6 @@ def test_packed_fields_hold_the_ends_of_their_range(width):
         assert (state & high == high) == all(v >= 0 for v in values)
 
 
-@pytest.mark.parametrize("bound, width", [
-    (1, 8), (127, 8), (128, 16), (2 ** 15, 32), (2 ** 31 - 1, 32),
-    (2 ** 31, 64), (2 ** 63 - 1, 64), (2 ** 63, 65)])
-def test_field_widths_are_the_least_word_that_holds_the_bound(bound, width):
-    """A field bound of 8, 16, 32 or 64 bits gets the least of those words
-    that holds it, a larger one its least width, and fields at +-bound
-    unpack to themselves."""
-    assert report._field_width([([0], bound)], 0) == width
-    high = report._pack([1 << width - 1] * 2, width)
-    state = report._pack([bound, -bound], width) + high
-    assert report._unpack(state, width, 2) == [bound, -bound]
-
-
 def test_a_fractional_fiber_count_raises_in_the_search(monkeypatch):
     """Fiber vectors are ints over H1's exponent, 2 on the trefoil +1.  With
     1 taken off one entry of (r1)'s, the null-homologous product (r1)(r2)
