@@ -1,5 +1,5 @@
 """Tiny exact-rational linear programming: one dual simplex under Bland's
-rule, with two starts.
+rule, with one start.
 
 ``solve_lp`` sizes the diagram builder's templates: closure integrals must
 vanish exactly while every crossing keeps a positive z-gap, and its vertex
@@ -8,9 +8,12 @@ feasible and there is no phase 1.  The builder reads all rows off one
 symbolic layout; a front of n events gives about n variables and n rows,
 and the pivots skip the tableau's many zeros.  ``feasible_vertex`` decides
 the candidate search's branch and bound on a zero objective, for which
-every basis is dual feasible.  A root starts from the slack basis with its
-equality rows pivoted in; a child starts from its parent's final tableau
-with the one new bound row added.
+every basis is dual feasible.  A child starts from its parent's final
+tableau with the one new bound row added.
+
+Every row enters as -a.x + s = -b with its slack s basic, an eq row as the
+two rows a.x >= b and -a.x >= -b, so every tableau's slack columns hold
+B^-1, and a row that proves an LP infeasible holds its Farkas vector.
 
 The tableau is fraction-free: each row is integers over one positive
 denominator, reduced by the row's gcd after each update, and ratios are
@@ -60,17 +63,15 @@ def solve_lp(n: int,
     """Minimize ``minimize``, every cost >= 0, over x >= 0 with eq rows
     a.x == b and ge rows a.x >= b; None when infeasible.
 
-    Each ge row, and each eq row as the two rows a.x >= b and -a.x >= -b,
-    enters with its slack basic, and the costs go in the last row.  Costs
-    >= 0 make that basis dual feasible, and with x >= 0 they bound the
-    objective below, so the dual simplex ends at an optimum or proves the
-    rows infeasible."""
-    rows = [_integers([*a, b]) for a, b in ge]
-    for a, b in eq:
-        row, den = _integers([*a, b])
-        rows += [(row, den), ([-v for v in row], den)]
+    The ge rows enter, then each eq row as its pair, and the costs go in
+    the last row.  Costs >= 0 make the slack basis dual feasible, and with
+    x >= 0 they bound the objective below, so the dual simplex ends at an
+    optimum or proves the rows infeasible.  Under Bland's rule the row
+    order picks among optimal vertices: eq pairs first moves a corpus
+    front's realization and slows the larger k-copies' sizing."""
+    rows = [_integers([*a, b]) for a, b in ge] + _pairs(eq)
     tab, dens, basis = [], [], []
-    _enter(tab, dens, basis, n, len(rows), rows, 0)
+    _enter(tab, dens, basis, n, rows)
     cost, den = _integers([*minimize, *[0] * (len(rows) + 1)])
     tab.append(cost)
     dens.append(den)
@@ -109,25 +110,31 @@ def _dual_simplex(tab, dens, basis, n):
         _pivot(tab, dens, basis, row, col)
 
 
-def _in_basis(tab, dens, basis, row, den):
-    """A new row of ints over ``den`` with every basic column eliminated."""
-    for r, j in enumerate(basis):
-        if row[j]:
-            row, den = _minus(row, den, tab[r], dens[r], j)
-    return row, den
+def _pairs(eq):
+    """Each eq row a.x == b as the two ge rows a.x >= b and -a.x >= -b, as
+    ints over one denominator."""
+    rows = []
+    for a, b in eq:
+        row, den = _integers([*a, b])
+        rows += [(row, den), ([-v for v in row], den)]
+    return rows
 
 
-def _enter(tab, dens, basis, n, slacks, rows, first):
-    """Append each row (a and b as ints over one denominator) as -a.x + s =
-    -b over the basis, its slack s basic: the columns after x's n are
-    ``slacks`` slacks, and the rows' run from column n + first."""
-    for i, (row, den) in enumerate(rows, n + first):
-        values = [-v for v in row[:-1]] + [0] * slacks + [-row[-1]]
-        values[i] = den
-        row, den = _in_basis(tab, dens, basis, values, den)
-        tab.append(row)
+def _enter(tab, dens, basis, n, rows):
+    """Widen the tableau by a slack column per row, then append each row (a
+    and b as ints over one denominator) as -a.x + s = -b over the basis,
+    its slack s basic in column n + len(basis), basic columns eliminated."""
+    slacks = len(basis) + len(rows)
+    tab[:] = [row[:-1] + [0] * len(rows) + row[-1:] for row in tab]
+    for row, den in rows:
+        new = [-v for v in row[:-1]] + [0] * slacks + [-row[-1]]
+        new[n + len(basis)] = den
+        for r, j in enumerate(basis):
+            if new[j]:
+                new, den = _minus(new, den, tab[r], dens[r], j)
+        tab.append(new)
         dens.append(den)
-        basis.append(i)
+        basis.append(n + len(basis))
 
 
 def feasible_vertex(n: int,
@@ -138,31 +145,17 @@ def feasible_vertex(n: int,
     (x, tableau) with x n Fractions, or None when there is none: the dual
     simplex on a zero objective.
 
-    The root (no ``parent``) pivots each eq row in on its least nonzero
-    column; one that reduces to 0 = 0 is dropped, and 0 = b != 0 means
-    infeasible.  Each ge row -a.x + s = -b then enters with its slack s
-    basic.  ``parent`` is the tableau returned for the same rows less the
-    last ge row: a copy of it, widened by one slack column, takes only
-    that row.  Whether there is a point depends on the rows alone; which
-    vertex is returned depends on the start."""
-    pad = [0] * len(ge)
+    The root (no ``parent``) enters the eq pairs, then the ge rows: under
+    Bland's rule the eq rows then leave first, which takes fewer pivots on
+    the search's LPs than ge rows first.  ``parent`` is the tableau
+    returned for the same rows less the last ge row: a copy of it takes
+    only that row.  Whether there is a point depends on the rows alone;
+    which vertex is returned depends on the start."""
     if parent is None:
-        tab, dens, basis, first = [], [], [], 0
-        for a, b in eq:
-            row, den = _in_basis(tab, dens, basis,
-                                 *_integers([*a, *pad, b]))
-            col = next((j for j in range(n) if row[j]), None)
-            if col is None and row[-1]:
-                return None
-            if col is not None:
-                tab.append(row)
-                dens.append(den)
-                basis.append(col)
-                _pivot(tab, dens, basis, len(tab) - 1, col)
+        tab, dens, basis, rows, new = [], [], [], _pairs(eq), ge
     else:
-        tab = [row[:-1] + [0, row[-1]] for row in parent[0]]
-        dens, basis, first = list(parent[1]), list(parent[2]), len(ge) - 1
-    _enter(tab, dens, basis, n, len(ge),
-           [_integers([*a, b]) for a, b in ge[first:]], first)
+        tab, dens, basis = (list(part) for part in parent)
+        rows, new = [], ge[-1:]
+    _enter(tab, dens, basis, n, rows + [_integers([*a, b]) for a, b in new])
     x = _dual_simplex(tab, dens, basis, n)
     return None if x is None else (x, (tab, dens, basis))

@@ -11,7 +11,9 @@ must satisfy every row exactly with x >= 0.  ``feasible_vertex``, the
 branch and bound's entry to the same pivots, may stop at another vertex:
 on the same random programs, at the root and after chains of branch
 bounds, it must agree with the oracle on feasibility, and each point it
-returns must satisfy every row exactly.
+returns must satisfy every row exactly.  Both enter every row with its
+slack basic, an eq row as two ge rows, so each tableau ``feasible_vertex``
+returns must be its slack block times the rows entered, exactly.
 """
 
 from fractions import Fraction
@@ -24,7 +26,7 @@ from reebchords.diagram import _sizing_rows, _template, parse_front
 from reebchords import lp, report
 from reebchords.lp import feasible_vertex, solve_lp
 from test_realization import seeded_fronts, torus
-from test_report import FEASIBLE_LP_FRONT, searches
+from test_report import FEASIBLE_LP_FRONT, entered, searches
 
 F = Fraction
 
@@ -144,11 +146,25 @@ def test_small_programs_match_the_fraction_simplex(program):
     check_optimal(*program)
 
 
+def check_inverse(n, rows, tab):
+    """Each tableau row's x columns and right-hand side, over its
+    denominator, are its slack block y times the rows entered as
+    -a.x + s = -b, exactly: the slack columns hold B^-1."""
+    for row in tab:
+        assert len(row) == n + len(rows) + 1
+        y = row[n:-1]
+        assert row[:n] == [-sum(v * a[j] for v, (a, _b) in zip(y, rows))
+                           for j in range(n)]
+        assert row[-1] == -sum(v * b for v, (_a, b) in zip(y, rows))
+
+
 def check_bound_chain(n, eq, ge, bounds):
     """Solve the root, then each child that adds the next bound
     ``(j, sign, value)``, sign * x_j >= value, from its parent's tableau,
-    while the nodes stay feasible.  Each verdict must be the oracle's, and
-    each point must satisfy every row; the nodes are returned."""
+    while the nodes stay feasible.  Each verdict must be the oracle's, each
+    point must satisfy every row, and each tableau must hold B^-1 of the
+    rows entered (each eq row as a.x >= b and -a.x >= -b, then the ge
+    rows); the nodes are returned."""
     nodes, parent = [], None
     for k in range(len(bounds) + 1):
         rows = ge + [([sign if c == j else 0 for c in range(n)], value)
@@ -160,16 +176,18 @@ def check_bound_chain(n, eq, ge, bounds):
         if node is None:
             break
         assert satisfies(node[0], n, eq, rows)
+        check_inverse(n, entered(eq, rows), node[1][0])
         parent = node[1]
     return nodes
 
 
 # (n, eq rows, ge rows, bounds) for the dual simplex.  In ZERO_ROW the
-# second eq row is twice the first, so it reduces to 0 = 0 and is dropped;
-# in CONTRADICTION it reduces to 0 = -1.  NO_GE has eq rows only.  In
-# BASIC_AND_NOT the root's vertex is x = (3/2, 0) with x0 basic: the first
-# bound asks x1 >= 1 of the nonbasic x1, the second cuts the basic x0 to
-# at most 0, and the third makes the node infeasible.
+# second eq row is twice the first, and each eq row enters as two ge rows,
+# so the tableau keeps four; in CONTRADICTION the second contradicts the
+# first.  NO_GE has eq rows only.  In BASIC_AND_NOT the root's vertex is
+# x = (3/2, 0) with x0 basic: the first bound asks x1 >= 1 of the nonbasic
+# x1, the second cuts the basic x0 to at most 0, and the third makes the
+# node infeasible.
 ZERO_ROW = (2, [([F(1), F(1)], F(2)), ([F(2), F(2)], F(4))], [], [])
 CONTRADICTION = (2, [([F(1), F(1)], F(2)), ([F(2), F(2)], F(3))], [], [])
 NO_GE = (3, [([F(1), F(-1), F(0)], F(-1)), ([F(0), F(1), F(2)], F(3))], [],
@@ -180,7 +198,7 @@ BASIC_AND_NOT = (2, [], [([F(1), F(1)], F(3, 2))],
 
 def test_named_dual_programs():
     [(x, (tab, _dens, _basis))] = check_bound_chain(*ZERO_ROW)
-    assert len(tab) == 1 and x == [F(2), F(0)]
+    assert len(tab) == 4 and x == [F(2), F(0)]
     assert check_bound_chain(*CONTRADICTION) == [None]
     assert [node[0] for node in check_bound_chain(*NO_GE)] == \
         [[F(2), F(3), F(0)], [F(1), F(2), F(1, 2)]]
@@ -234,7 +252,9 @@ def test_a_child_takes_fewer_pivots_than_a_fresh_solve(monkeypatch):
     LP is feasible and whose two children are not, each child solved from
     its parent's tableau takes fewer pivots than the same LP solved by
     ``feasible_vertex`` from the slack basis, and the three LPs take fewer
-    than ``solve_lp`` takes on them."""
+    than ``solve_lp`` takes on them with a zero objective.  All the counts
+    are of the one dual simplex, from two starts: a parent's tableau, and
+    the slack basis in either function's row order."""
     made, nodes, pivots = [], [], [0]
     integer_point, pivot = report._integer_point, lp._pivot
 
@@ -262,11 +282,11 @@ def test_a_child_takes_fewer_pivots_than_a_fresh_solve(monkeypatch):
     assert list(integer_point(*made[0]))[-1] is False
     assert [parent is None for *_rows, parent, _node, _count in nodes] == \
         [True, False, False]
-    two_phase = 0
+    from_slacks = 0
     for cols, eq, ge, parent, node, count in nodes:
         fresh, dual = work(feasible_vertex, cols, eq, ge)
-        x, primal = work(solve_lp, cols, eq, ge, [0] * cols)
+        x, sized = work(solve_lp, cols, eq, ge, [0] * cols)
         assert (node is None) == (fresh is None) == (x is None)
         assert count < dual if parent else count == dual
-        two_phase += primal
-    assert sum(count for *_rest, count in nodes) < two_phase
+        from_slacks += sized
+    assert sum(count for *_rest, count in nodes) < from_slacks

@@ -11,7 +11,7 @@ from hypothesis import given, seed, settings, strategies as st
 from oracles import (branch_and_bound, brute_force_candidates,
                      candidate_pool, collection_i_grading, front_text,
                      fraction_solve_lp, k_copy, pruned_search, search_program)
-from reebchords import report
+from reebchords import lp, report
 from reebchords.diagram import parse_front, resolve
 from reebchords.homology import h1_presentation
 from reebchords.quiver import effective_fiber_vector, i_grading
@@ -496,6 +496,60 @@ def test_lp_stops_have_integer_farkas_certificates(monkeypatch):
                             certified += 1
             verdicts.clear()
         assert certified > 0
+
+
+def entered(eq, ge):
+    """The rows ``lp.feasible_vertex`` enters, in its order, as (a, b) with
+    a.x >= b: each eq row as a.x >= b and -a.x >= -b, then the ge rows."""
+    return [r for a, b in eq for r in ((a, b), ([-v for v in a], -b))] + \
+        list(ge)
+
+
+def test_infeasible_lps_end_on_their_own_farkas_vectors(monkeypatch):
+    """On the searches of the test above, each LP that ``feasible_vertex``
+    finds infeasible ends on a tableau whose leaving row, the negative row
+    with the least basic index, has in its slack columns an integer y over
+    the rows entered.  With those rows scaled to ints, y >= 0, y.A <= 0 on
+    every column and y.b > 0, so no x >= 0 has A x >= b: the library's own
+    verdict carries its proof."""
+    finals, infeasible = [], []
+    dual_simplex, feasible_vertex = lp._dual_simplex, report.feasible_vertex
+
+    def kept(tab, dens, basis, n):
+        x = dual_simplex(tab, dens, basis, n)
+        finals[:] = [(tab, basis)]
+        return x
+
+    def checked(n, eq, ge, parent=None):
+        node = feasible_vertex(n, eq, ge, parent)
+        if node is None:
+            rows = entered(eq, ge)
+            scale = lcm(*(F(v).denominator for a, b in rows
+                          for v in (*a, b)))
+            a_int = [[int(v * scale) for v in a] for a, _b in rows]
+            b_int = [int(b * scale) for _a, b in rows]
+            tab, basis = finals[0]
+            row = min((j, r) for r, j in enumerate(basis)
+                      if tab[r][-1] < 0)[1]
+            y = tab[row][n:n + len(rows)]
+            assert len(tab[row]) == n + len(rows) + 1
+            assert all(v >= 0 for v in y)
+            assert all(sum(v * a[j] for v, a in zip(y, a_int)) <= 0
+                       for j in range(n))
+            assert sum(v * b for v, b in zip(y, b_int)) > 0
+            infeasible.append(y)
+        return node
+
+    monkeypatch.setattr(lp, "_dual_simplex", kept)
+    monkeypatch.setattr(report, "feasible_vertex", checked)
+    trefoil = parse_front(SEARCH_FRONTS[0])
+    for cases in (searches(SEARCH_FRONTS[0]),
+                  searches(front_text(k_copy(trefoil, 2)), None, 1),
+                  searches(front_text(k_copy(trefoil, 3)), None, 1),
+                  searches(FEASIBLE_LP_FRONT, [(4,), (7, 8)], 2)):
+        before = len(infeasible)
+        list(cases)
+        assert len(infeasible) > before
 
 
 def products_under_budget(costs, budget, limit):

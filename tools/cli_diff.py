@@ -31,15 +31,17 @@ The commands, each run twice under each tree:
 * ``invariants``, ``chain --max-len 1 --epsilon 1/100`` and
   ``grading --max-len 2`` on the 2-copy of the tb = 1 trefoil (+1 surgery
   on two Reeb push-offs of it) and on its 3-copy, ``invariants`` and
-  ``chain --max-len 1 --epsilon 1/100`` on its 4-copy, and
-  ``chain --max-len 2 --epsilon 1/100`` on the 2-copy: nine commands.
-  The ``grading`` commands push orbits out on diagrams of 24 and 51
-  events, and the 4-copy has 88; the corpora's fronts have at most 15.
+  ``chain --max-len 1 --epsilon 1/100`` on its 4-copy, the same ``chain``
+  on its 5-copy, and ``chain --max-len 2 --epsilon 1/100`` on the 2-copy:
+  ten commands.  The ``grading`` commands push orbits out on diagrams of
+  24 and 51 events, the 4-copy has 88 and the 5-copy 135; the corpora's
+  fronts have at most 15.  Of the ``chain --max-len 1`` commands the
+  5-copy's solves the most branch and bound LPs, ten, each infeasible.
   The 4-copy's ``invariants`` lists every face's corners on the largest
-  diagram.  The 2-copy's ``chain --max-len 2`` has rows whose search
-  stops at ``MAX_NODES`` (``"truncated": "nodes"``) and rows cut at
-  ``MAX_SURVIVORS``, so its output pins both work bounds; no corpus row
-  stops at ``MAX_NODES``.  The copies are those of ``k_copy`` in
+  diagram an ``invariants`` command meets.  The 2-copy's ``chain
+  --max-len 2`` has rows whose search stops at ``MAX_NODES``
+  (``"truncated": "nodes"``) and rows cut at ``MAX_SURVIVORS``, so its
+  output pins both work bounds; no corpus row stops at ``MAX_NODES``.  The copies are those of ``k_copy`` in
   ``tests/oracles.py``;
 * ``cz --max-len 3`` and ``homology --max-len 3`` on the trefoil with +1
   and with -1 surgery, on the Hopf link with +1 and -1 surgery, on the
@@ -94,6 +96,16 @@ TREFOIL_4_COPY = ("L1,L1,L1,L1,X2,X4,X3,X6,X5,X4,L9,L9,L9,L9,X10,X12,X11,"
                   "X8,X4,X3,X2,X5,X4,X6,R1,R1,R1,R1,X4,X3,X2,X5,X4,X6,R1,"
                   "R1,R1,R1 "
                   "/ surgery {0:+1, 1:+1, 2:+1, 3:+1}")
+TREFOIL_5_COPY = ("L1,L1,L1,L1,L1,X2,X4,X3,X6,X5,X4,X8,X7,X6,X5,L11,L11,L11,"
+                  "L11,L11,X12,X14,X13,X16,X15,X14,X18,X17,X16,X15,X10,X9,X8,"
+                  "X7,X6,X11,X10,X9,X8,X7,X12,X11,X10,X9,X8,X13,X12,X11,X10,"
+                  "X9,X14,X13,X12,X11,X10,X10,X9,X8,X7,X6,X11,X10,X9,X8,X7,"
+                  "X12,X11,X10,X9,X8,X13,X12,X11,X10,X9,X14,X13,X12,X11,X10,"
+                  "X10,X9,X8,X7,X6,X11,X10,X9,X8,X7,X12,X11,X10,X9,X8,X13,"
+                  "X12,X11,X10,X9,X14,X13,X12,X11,X10,X5,X4,X3,X2,X6,X5,X4,"
+                  "X7,X6,X8,R1,R1,R1,R1,R1,X5,X4,X3,X2,X6,X5,X4,X7,X6,X8,R1,"
+                  "R1,R1,R1,R1 "
+                  "/ surgery {0:+1, 1:+1, 2:+1, 3:+1, 4:+1}")
 SPLIT_TREFOILS = ("L1,L3,X2,X2,X2,R1,R1,L1,L3,X2,X2,X2,R1,R1 "
                   "/ surgery {0:+1, 1:+1}")
 SPLIT_TREFOIL_T25 = ("L1,L3,X2,X2,X2,R1,R1,L1,L3,X2,X2,X2,X2,X2,R1,R1 "
@@ -127,6 +139,7 @@ def commands():
         ("3-copy chain", chain, TREFOIL_3_COPY),
         ("4-copy invariants", ["invariants"], TREFOIL_4_COPY),
         ("4-copy chain", chain, TREFOIL_4_COPY),
+        ("5-copy chain", chain, TREFOIL_5_COPY),
     ]
     for name, front in (("trefoil +1", TREFOIL.format("+1")),
                         ("trefoil -1", TREFOIL.format("-1")),
