@@ -260,7 +260,7 @@ def cmd_chain(args, d):
                                    else v)
                                for k, v in c.trail.items()},
                      "faces": [f.id for f in c.faces],
-                     "count": "+-1" if c.faces else None,
+                     "count": "+-1" if len(c.faces) == 1 else None,
                      "sign_ambiguous": c.sign_ambiguous}
                     for c in rep.survivors]
                 if rep.truncated:

@@ -18,9 +18,9 @@ width a bound on the factors makes exact, so both prunes are one sign-mask
 test and a child's state one subtraction; the congruence rows' sums stay a
 short list.  Under the intersection-grading filter an exact branch and
 bound over the same rows decides whether a non-constant product passes,
-with one LP per rows x (columns + rows) products it examines: at most
-MAX_NODES products plus MAX_NODES // that many LPs.  A proof that none
-does ends it complete.
+once the walk has examined as many products as its LP has rows x
+(columns + rows): at most MAX_NODES products plus MAX_NODES // that many
+LPs.  A proof that none does ends the search complete.
 """
 
 from fractions import Fraction
@@ -213,21 +213,43 @@ def _unpack(state: int, width: int, count: int) -> List[int]:
     return [(state >> s & mask) - half for s in range(0, width * count, width)]
 
 
-def _integer_point(pool, costs, top, rows):
+def _search_rows(d: ResolvedDiagram, h1: H1Presentation, g: GeneratorRecord,
+                 pool, z_graded: bool):
+    """g's filters as rows (a, mod, t) over its pool, for a product with
+    multiplicities x, and each face's index among them.  a.x <= t when mod
+    is None: one row per distinct face row (its fiber counts and target),
+    in face order, under the i-grading filter.  Then a.x = t mod ``mod``
+    (a.x = t when mod is 0): one class row (U v).x per elementary divisor
+    != 1 of h1, and the degree row, last."""
+    rows, face_row = [], []
+    if g.igrading is not None:
+        fiber = [effective_fiber_vector(d, h1, r.word) for r in pool]
+        distinct = {}
+        face_row = [distinct.setdefault(
+            (tuple(v[c] for v in fiber), t * h1.exponent), len(distinct))
+            for c, t in enumerate(g.igrading)]
+        rows = [(list(a), None, t) for a, t in distinct]
+    rows += [([sum(a * b for a, b in zip(u, r.orbit_class.vector))
+               for r in pool], mod, t)
+             for u, mod, t in zip(h1.u, h1.diagonal, g.orbit_class.reduced)
+             if mod != 1]
+    rows.append(([r.degree for r in pool], 0 if z_graded else 2,
+                 g.degree - 1))
+    return rows, face_row
+
+
+def _integer_point(pool, costs, top, rows, cap: int):
     """Branch and bound for a non-constant product that passes the filters:
-    a generator that solves one LP per step and yields None until it yields
-    an integer point (x, helpers), or False when there is none.  Its rows
-    are the search's rows (a, mod, t): a.x <= t for mod None, a.x = t for
-    mod 0 and a.x - mod h = t with an integer helper h for mod >= 2, each
-    helper shifted by its least value under x_j <= (top - 1) // cost_j
-    when that is negative; then cost.x < top and sum(x) >= 1.  x_j > 1 on
-    an odd word gets one child, x_j <= 1; else the first fractional
-    coordinate gets two, the upper one first.  A child's LP is its
-    parent's rows plus one bound, solved by ``feasible_vertex`` from the
-    parent's final tableau.  Each step is one LP, root or child, and the
-    caller's ``lp_at`` schedule prices every step as a root LP on purpose:
-    so each decision arrives at the same walk step as it would with every
-    LP solved from scratch."""
+    an integer point (x, helpers), False when there is none, or None once
+    it has solved ``cap`` LPs without a verdict.  Its rows are the
+    search's rows (a, mod, t): a.x <= t for mod None, a.x = t for mod 0
+    and a.x - mod h = t with an integer helper h for mod >= 2, each helper
+    shifted by its least value under x_j <= (top - 1) // cost_j when that
+    is negative; then cost.x < top and sum(x) >= 1.  x_j > 1 on an odd word
+    gets one child, x_j <= 1; else the first fractional coordinate gets
+    two, the upper one first.  A child's LP is its parent's rows plus one
+    bound, solved by ``feasible_vertex`` from the parent's final
+    tableau."""
     n = len(pool)
     mods = [(a, mod, t) for a, mod, t in rows if mod]
     cols = n + len(mods)
@@ -247,7 +269,8 @@ def _integer_point(pool, costs, top, rows):
     # each open node: its parent's tableau (None at the root) and its
     # branch bounds, the last one new
     stack = [(None, [])]
-    while stack:
+    while stack and cap:
+        cap -= 1
         parent, bounds = stack.pop()
         node = feasible_vertex(cols, eq, ge + bounds, parent)
         if node is not None:
@@ -261,9 +284,8 @@ def _integer_point(pool, costs, top, rows):
                 stack += [(tableau, bounds + [bound(split[0], -1, -f)]),
                           (tableau, bounds + [bound(split[0], 1, f + 1)])]
             else:
-                yield x
-                return
-        yield None if stack else False
+                return x
+    return None if stack else False
 
 
 def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
@@ -283,10 +305,9 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     MAX_SURVIVORS, which the report's ``truncated`` names.  Each filter
     but the action budget is a row of one table over the pool, which the
     walk's checks and prunes and the branch and bound all read.  Under the
-    i-grading filter the walk steps ``_integer_point`` each time it has
-    examined another ``lp_at`` products, and stops complete once that
-    proves that no non-constant product survives (the constant term may).
-    The steps end at an integer point or a kept non-constant survivor.
+    i-grading filter the walk calls ``_integer_point`` once, when it has
+    examined ``lp_at`` products, and stops complete if that proves that
+    no non-constant product survives (the constant term may).
     """
     epsilon = Fraction(epsilon)
     z_graded = canonical_grading_valid(d, h1.finite, g.orbit_class.is_zero())
@@ -305,26 +326,8 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
         d, h1, g, epsilon, pool_len, target_degree if z_graded else None)
     use_igrading = g.igrading is not None
     n = len(pool)
-    # The filters as rows (a, mod, t) over the pool, for a product with
-    # multiplicities x: a.x <= t when mod is None, one row per distinct
-    # face row (its fiber counts and target) in face order; then a.x = t
-    # mod ``mod`` (a.x = t when mod is 0), one class row (U v).x per
-    # elementary divisor != 1 of h1 and the degree row, last.
-    rows = []
-    if use_igrading:
-        fiber = [effective_fiber_vector(d, h1, r.word) for r in pool]
-        distinct = {}
-        face_row = [distinct.setdefault(    # each face's row
-            (tuple(v[c] for v in fiber), t * h1.exponent), len(distinct))
-            for c, t in enumerate(g.igrading)]
-        rows = [(list(a), None, t) for a, t in distinct]
-    nf = len(rows)
-    rows += [([sum(a * b for a, b in zip(u, r.orbit_class.vector))
-               for r in pool], mod, t)
-             for u, mod, t in zip(h1.u, h1.diagonal, g.orbit_class.reduced)
-             if mod != 1]
-    rows.append(([r.degree for r in pool], 0 if z_graded else 2,
-                 target_degree))
+    rows, face_row = _search_rows(d, h1, g, pool, z_graded)
+    nf = len(set(face_row))
     congruences = rows[nf:-1] if z_graded else rows[nf:]
     ccols = list(zip(*(a for a, _mod, _t in congruences))) or [()] * n
     # The walk's state of a product is one int of biased fields (see
@@ -356,16 +359,12 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
         suffix_min[i] = min(costs[i], suffix_min[i + 1])
         least = [min(a[i], m) for (a, _t), m in zip(fields, least)]
         suffix_lo[i] = _pack(least, width)
-    # an LP costs about its tableau, rows x (columns + rows), so the branch
-    # and bound solves one each time the search has examined that many more
-    # products: short searches never start it.  The size counts a row per
-    # face, repeated or not, as the oracle search in the tests does.  A
-    # warm-started child LP costs less, but the schedule is kept so that
-    # each decision, and so each report's node count, comes at the same
-    # walk step.
-    size = len(d.faces_list) + 2 + z_graded
+    # an LP costs about its tableau, rows x (columns + rows), its rows the
+    # table's and cost < top and sum(x) >= 1: the branch and bound runs
+    # once the search has examined that many products, for at most
+    # MAX_NODES // that many LPs, so short searches never start it
+    size = len(rows) + 2
     lp_at = size * (n + size) if use_igrading and pool else None
-    decide = _integer_point(pool, costs, top, rows) if lp_at else None
     found: List[Candidate] = []
     chosen: List[int] = []              # pool indices of the product's factors
     nodes = 1                           # the empty product
@@ -375,7 +374,7 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
         """Keep the product of ``chosen``, of packed state ``state`` and
         congruence row sums ``sums``, if no filter excludes it; True when it
         is a survivor beyond MAX_SURVIVORS, which ends the search."""
-        nonlocal truncated, decide
+        nonlocal truncated
         for s, (_a, mod, t) in zip(sums, congruences):
             if (s - t) % mod if mod else s != t:
                 return False
@@ -397,7 +396,6 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
             trail["delta_i"] = tuple(delta[c] // h1.exponent
                                      for c in face_row)
         if chosen:
-            decide = None               # a product passes: no need to decide
             found.append(Candidate(
                 tuple(pool[j].word for j in chosen),
                 "unobstructed, count unknown", trail=trail))
@@ -429,12 +427,9 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
         left = budget_left - costs[i]
         if left <= 0:
             continue
-        if decide and nodes % lp_at == 0:
-            point = next(decide)
-            if point is False:
-                break
-            if point is not None:
-                decide = None
+        if nodes == lp_at and _integer_point(
+                pool, costs, top, rows, MAX_NODES // lp_at) is False:
+            break
         # every product under the budget counts, whether a prune cuts it or
         # not, so the bound covers the prunes' work too
         if nodes == MAX_NODES:

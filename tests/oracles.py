@@ -1500,14 +1500,17 @@ def pruned_search(d, h1, g, epsilon, z_graded, max_len):
     root, every product entered and every child cut by degree or
     i-grading (a repeated odd word is never examined there).
 
-    Under the i-grading filter the walk also steps ``branch_and_bound`` on
-    ``search_program``, one LP each time it has examined a multiple of
-    r (p + r) products, r = faces + 2 (+ 1 when ``z_graded``) the rows and
-    p the pool's size.  The steps end once the branch and bound finds an
-    integer point, or once the walk has entered a non-constant survivor.
-    When it proves there is no integer point the walk stops there, with one
-    "lp" cut.  ``lps`` are the LPs it solved, as ``branch_and_bound``
-    records them."""
+    Under the i-grading filter, once the walk has examined r (p + r)
+    products, it runs ``branch_and_bound`` on ``search_program`` for at most
+    MAX_NODES // r (p + r) LPs.  Here p is the pool's size and r counts the
+    rows of the library's LP: one per distinct face row (the fiber counts
+    of the pool's words at a face, with its target), one per elementary
+    divisor != 1 of h1, the degree row, the budget row and the row of at
+    least one factor.  When it proves there is no integer point the walk
+    stops there, with one "lp" cut.  ``lps`` are the LPs it solved, as
+    ``branch_and_bound`` records them."""
+    from reebchords.report import MAX_NODES
+
     slack = 3 * Fraction(epsilon)
     budget = g.action + slack * len(g.word.chords)
     target = g.degree - 1
@@ -1516,19 +1519,19 @@ def pruned_search(d, h1, g, epsilon, z_graded, max_len):
     costs = [r.action - slack * len(r.word.chords) for r in pool]
     fibers = [fibers_over_exponent(d, h1, r.word) for r in pool] \
         if use_igrading else []
-    lp_at = decide = None
+    lp_at = None
     lps = []
     if use_igrading and pool:
-        rows = len(g.igrading) + 2 + z_graded
+        faces = {(tuple(f[c] for f in fibers), t)
+                 for c, t in enumerate(g.igrading)}
+        rows = len(faces) + sum(v != 1 for v in h1.diagonal) + 3
         lp_at = rows * (len(pool) + rows)
-        decide = branch_and_bound(
-            *search_program(d, h1, pool, g, epsilon, z_graded), lps)
     cuts = {"odd": 0, "degree": 0, "igrading": 0, "lp": 0}
     nodes = 1
 
     def visit(start, chosen, left):
         """False once the branch and bound has ended the walk."""
-        nonlocal nodes, decide
+        nonlocal nodes
         for i in range(start, len(pool)):
             r = pool[i]
             if costs[i] >= left:
@@ -1536,13 +1539,12 @@ def pruned_search(d, h1, g, epsilon, z_graded, max_len):
             if chosen and chosen[-1] is r and r.degree % 2 != 0:
                 cuts["odd"] += 1
                 continue
-            if decide and nodes % lp_at == 0:
-                point = next(decide)
-                if point is False:
+            if nodes == lp_at:
+                steps = branch_and_bound(
+                    *search_program(d, h1, pool, g, epsilon, z_graded), lps)
+                if False in itertools.islice(steps, MAX_NODES // lp_at):
                     cuts["lp"] += 1
                     return False
-                if point is not None:
-                    decide = None
             nodes += 1
             rest = left - costs[i]
             later = range(i + r.degree % 2, len(pool))
@@ -1563,13 +1565,6 @@ def pruned_search(d, h1, g, epsilon, z_graded, max_len):
                        > g.igrading[c] for c, s in enumerate(sums)):
                     cuts["igrading"] += 1
                     continue
-                cls = [sum(v) for v in
-                       zip(*(x.orbit_class.vector for x in picked))]
-                if (degree - target) % 2 == 0 \
-                        and (not z_graded or degree == target) \
-                        and h1.reduce(cls) == g.orbit_class.reduced \
-                        and all(s <= t for s, t in zip(sums, g.igrading)):
-                    decide = None       # a non-constant survivor
             if not visit(i, picked, rest):
                 return False
         return True

@@ -798,11 +798,14 @@ def test_bench_diff_prints_each_metric_with_its_ratio(tmp_path):
     assert code == 0 and changed == runs
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_chain_certifies_every_degree_one_row_of_the_trefoil_k_copy(
         tmp_path, capsys, k):
     # contact 1/k surgery on the tb = 1 trefoil: each good degree-1 row has
-    # the constant term as its complete candidate list, with one witness
+    # the constant term as its complete candidate list, with one witness.
+    # At k = 8 the branch and bound runs after 41,472 products; priced at
+    # one row per face, all 321 of them, it would wait for 112,752, past
+    # MAX_NODES
     path = write(tmp_path, front_text(k_copy(parse_front(TREFOIL_PLUS), k)))
     code, out, _ = run(capsys, ["homology", "--input", path])
     assert code == 0 and json.loads(out)["group"] == f"Z/{k + 1}"
@@ -815,6 +818,22 @@ def test_chain_certifies_every_degree_one_row_of_the_trefoil_k_copy(
     for row in rows:
         assert certified(row), row["word"]
         assert row["candidates"][0]["count"] == "+-1"
+
+
+def test_chain_prints_no_count_for_two_witness_faces(tmp_path, capsys):
+    """The tb = -1 unknot with +1 surgery is S^1 x S^2.  The constant term
+    of its row (r1) has two witness faces, and two planes of count +-1 sum
+    to 0 or +-2, never +-1: ``chain`` prints no count and flags the sign
+    as ambiguous."""
+    path = write(tmp_path, "L1,R1 / surgery {0:+1}")
+    code, out, err = run(capsys, ["chain", "--max-len", "2", "--epsilon",
+                                  "1/100", "--input", path])
+    assert code == 0, err
+    [row] = [row for row in json.loads(out) if row["word"] == "(r1)"]
+    [const] = row["candidates"]
+    assert const["monomial"] == "1" and const["faces"] == [1, 2]
+    assert const["count"] is None and const["sign_ambiguous"]
+    assert not certified(row)
 
 
 def certified(row):

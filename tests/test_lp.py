@@ -26,7 +26,8 @@ from reebchords.diagram import _sizing_rows, _template, parse_front
 from reebchords import lp, report
 from reebchords.lp import feasible_vertex, solve_lp
 from test_realization import seeded_fronts, torus
-from test_report import FEASIBLE_LP_FRONT, entered, searches
+from test_report import (FEASIBLE_LP_FRONT, branch_inputs, entered,
+                         integer_point, searches)
 
 F = Fraction
 
@@ -255,12 +256,8 @@ def test_a_child_takes_fewer_pivots_than_a_fresh_solve(monkeypatch):
     than ``solve_lp`` takes on them with a zero objective.  All the counts
     are of the one dual simplex, from two starts: a parent's tableau, and
     the slack basis in either function's row order."""
-    made, nodes, pivots = [], [], [0]
-    integer_point, pivot = report._integer_point, lp._pivot
-
-    def recorded(*args):
-        made.append(args)
-        return integer_point(*args)
+    nodes, pivots = [], [0]
+    pivot = lp._pivot
 
     def counted(*args):
         pivots[0] += 1
@@ -275,11 +272,10 @@ def test_a_child_takes_fewer_pivots_than_a_fresh_solve(monkeypatch):
         nodes.append((cols, eq, ge, parent, node, count))
         return node
 
-    monkeypatch.setattr(report, "_integer_point", recorded)
-    next(searches(FEASIBLE_LP_FRONT, [(4,)], 2))
+    [(_case, args)] = branch_inputs(searches(FEASIBLE_LP_FRONT, [(4,)], 2))
     monkeypatch.setattr(lp, "_pivot", counted)
     monkeypatch.setattr(report, "feasible_vertex", solved)
-    assert list(integer_point(*made[0]))[-1] is False
+    assert integer_point(*args) is False
     assert [parent is None for *_rows, parent, _node, _count in nodes] == \
         [True, False, False]
     from_slacks = 0

@@ -3,7 +3,6 @@ import random
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -268,6 +267,31 @@ def oracle_cases():
         yield from searches(*args)
 
 
+def branch_inputs(cases):
+    """(case, (pool, costs, top, rows)) of each search of ``cases`` under
+    the i-grading filter with a non-empty pool: the input of its branch and
+    bound, built as ``differential_candidates`` builds it.  The search
+    itself calls ``report._integer_point`` only once it has examined
+    ``lp_at`` products, so the tests call it on these directly."""
+    for d, h1, g, rep, cap in cases:
+        if g.igrading is None:
+            continue
+        pool, costs, top, _actions, _den = report._pool_words(
+            d, h1, g, EPS, cap, g.degree - 1 if rep.z_graded else None)
+        if pool:
+            rows, _face_row = report._search_rows(d, h1, g, pool,
+                                                  rep.z_graded)
+            yield (d, h1, g, rep, cap), (pool, costs, top, rows)
+
+
+def integer_point(pool, costs, top, rows):
+    """``report._integer_point`` run to its verdict: an integer point, or
+    False when there is none."""
+    point = report._integer_point(pool, costs, top, rows, report.MAX_NODES)
+    assert point is not None
+    return point
+
+
 def assert_match_exhaustive_search(cases):
     checked = 0
     for d, h1, g, rep, cap in cases:
@@ -367,63 +391,78 @@ FEASIBLE_LP_FRONT = ("L1,L2,X3,X2,L4,R3,L2,R1,X3,X2,X1,X1,R3,R1 / "
 
 
 def test_search_goes_on_past_a_feasible_lp():
-    """The branch and bound steps once per r (p + r) products: the root LP
-    is feasible, both of its children are infeasible, and the search stops
-    complete at three times that, not at 4,387 as without the branches."""
+    """The branch and bound runs once the search has examined r (p + r)
+    products, p the pool's size and r = 15 the rows of its LP: the 11
+    face rows, all distinct, one class row, the degree row, the budget row
+    and the row of at least one factor.  Its root LP is feasible, both of
+    its children are infeasible, and the search stops complete there, not
+    at 4,387 as without the branches."""
     [(d, h1, g, rep, cap)] = searches(FEASIBLE_LP_FRONT, [(4,)], 2)
     nodes, cuts, lps = pruned_search(d, h1, g, EPS, rep.z_graded, cap)
     pool = candidate_pool(d, h1, g, EPS, rep.z_graded, cap)
-    rows = len(g.igrading) + 2 + rep.z_graded
+    assert len(g.igrading) == 11 and h1.diagonal == [5]
     assert not rep.z_graded and rep.truncated is None and cuts["lp"] == 1
     assert [x is None for _a, _b, x in lps] == [False, True, True]
-    assert rep.nodes == nodes == 3 * rows * (len(pool) + rows) == 1287
+    assert rep.nodes == nodes == 15 * (len(pool) + 15) == 525
+
+
+def test_the_branch_and_bound_is_undecided_at_its_lp_cap(monkeypatch):
+    """The branch and bound of (r4) on ``FEASIBLE_LP_FRONT`` needs its
+    three LPs to prove that no integer point exists: with fewer it returns
+    None.  The search caps it at MAX_NODES // 525 LPs, so it stops
+    complete at 525 products when MAX_NODES allows three LPs, and at
+    MAX_NODES, truncated, when it allows two."""
+    [((d, h1, g, _rep, cap), args)] = branch_inputs(
+        searches(FEASIBLE_LP_FRONT, [(4,)], 2))
+    assert [report._integer_point(*args, lps) for lps in (1, 2, 3)] == \
+        [None, None, False]
+    for most, truncated, nodes in ((3 * 525 - 1, "nodes", 3 * 525 - 1),
+                                   (3 * 525, None, 525)):
+        monkeypatch.setattr(report, "MAX_NODES", most)
+        rep = differential_candidates(g, d, h1, EPS, max_pool_len=cap)
+        assert (rep.truncated, rep.nodes) == (truncated, nodes)
 
 
 def test_lp_stop_without_repeated_face_rows_answers_as_the_full_lp(
         monkeypatch):
-    """Every LP of the branch and bound in ``chain --max-len 1`` on the
-    2-copy keeps one row for each distinct face row (fiber entries and
-    target), in face order, and answers as the LP with one row for every
-    face, solved by the Fraction simplex; some of them have fewer rows
-    than that.  The face rows are rebuilt here from each word's
-    ``effective_fiber_vector`` and the generator's i-grading."""
-    made, lps = [], []
-    integer_point, solve = report._integer_point, report.feasible_vertex
-
-    def recorded(pool, costs, top, rows):
-        made.append(pool)
-        return integer_point(pool, costs, top, rows)
+    """Every LP of the branch and bound of each search in ``chain --max-len
+    1`` on the 2-copy, run to its verdict, keeps one row for each distinct
+    face row (fiber entries and target), in face order, and answers as the
+    LP with one row for every face, solved by the Fraction simplex; some
+    of them have fewer rows than that.  The face rows are rebuilt here from
+    each word's ``effective_fiber_vector`` and the generator's
+    i-grading."""
+    lps = []
+    solve = report.feasible_vertex
 
     def solved(cols, eq, ge, parent):
         got = solve(cols, eq, ge, parent)
         lps.append((cols, eq, ge, [0] * cols, got is None))
         return got
 
-    monkeypatch.setattr(report, "_integer_point", recorded)
     monkeypatch.setattr(report, "feasible_vertex", solved)
     trefoil = parse_front(SEARCH_FRONTS[0])
     checked = repeated = 0
-    for d, h1, g, _rep, _cap in searches(front_text(k_copy(trefoil, 2)),
-                                         None, 1):
-        if made:
-            [pool] = made
-            fiber = [effective_fiber_vector(d, h1, r.word) for r in pool]
-            full = [(tuple(-v[c] for v in fiber), -t * h1.exponent)
-                    for c, t in enumerate(g.igrading)]
-            distinct = list(dict.fromkeys(full))
-            n = len(pool)
-            for cols, eq, ge, minimize, infeasible in lps:
-                assert [(tuple(a[:n]), b)
-                        for a, b in ge[:len(distinct)]] == distinct
-                pad = [0] * (cols - n)
-                whole = [(list(a) + pad, b) for a, b in full] + \
-                    ge[len(distinct):]
-                assert infeasible == (
-                    fraction_solve_lp(cols, eq, whole, minimize) is None)
-                checked += 1
-                repeated += len(distinct) < len(full)
-        made.clear()
+    for (d, h1, g, _rep, _cap), args in branch_inputs(searches(
+            front_text(k_copy(trefoil, 2)), None, 1)):
         lps.clear()
+        integer_point(*args)
+        pool = args[0]
+        fiber = [effective_fiber_vector(d, h1, r.word) for r in pool]
+        full = [(tuple(-v[c] for v in fiber), -t * h1.exponent)
+                for c, t in enumerate(g.igrading)]
+        distinct = list(dict.fromkeys(full))
+        n = len(pool)
+        for cols, eq, ge, minimize, infeasible in lps:
+            assert [(tuple(a[:n]), b)
+                    for a, b in ge[:len(distinct)]] == distinct
+            pad = [0] * (cols - n)
+            whole = [(list(a) + pad, b) for a, b in full] + \
+                ge[len(distinct):]
+            assert infeasible == (
+                fraction_solve_lp(cols, eq, whole, minimize) is None)
+            checked += 1
+            repeated += len(distinct) < len(full)
     assert checked and repeated
 
 
@@ -446,8 +485,8 @@ def farkas_vector(a, b):
 
 
 def decision(decide):
-    """What a branch and bound generator yields last: an integer point, or
-    False when there is none."""
+    """What a branch and bound generator of the oracles yields last: an
+    integer point, or False when there is none."""
     return next(step for step in decide if step is not None)
 
 
@@ -461,14 +500,25 @@ def oracle_decision(d, h1, g, rep, cap):
     return point, lps
 
 
+def farkas_cases():
+    """The searches of the Farkas tests: the trefoil +1 cases above, its 2-
+    and 3-copy at length 1, and (r4) and (r7r8) of ``FEASIBLE_LP_FRONT``,
+    whose root LPs are feasible."""
+    trefoil = parse_front(SEARCH_FRONTS[0])
+    return (searches(SEARCH_FRONTS[0]),
+            searches(front_text(k_copy(trefoil, 2)), None, 1),
+            searches(front_text(k_copy(trefoil, 3)), None, 1),
+            searches(FEASIBLE_LP_FRONT, [(4,), (7, 8)], 2))
+
+
 def test_lp_stops_have_integer_farkas_certificates(monkeypatch):
-    """Each search that the branch and bound stops, on the trefoil +1 cases
-    above, on its 2- and 3-copy at length 1, and on (r4) and (r7r8) of
-    ``FEASIBLE_LP_FRONT``, solves the LPs of the oracle's branch and bound
-    over ``search_program``, with the same verdicts.  Every infeasible leaf
-    of the oracle's, its root rows plus its branch bounds, has a Farkas
-    vector checked in integers, so no integer point exists, whatever
-    either simplex said.  The last two have a feasible root."""
+    """The branch and bound of each i-graded search of ``farkas_cases``,
+    run to its verdict on the search's rows, solves the LPs of the oracle's
+    branch and bound over ``search_program``, with the same verdicts.
+    Every infeasible leaf of the oracle's, its root rows plus its branch
+    bounds, has a Farkas vector checked in integers, so no integer point
+    exists, whatever either simplex said, and the search itself ended
+    complete."""
     verdicts = []
 
     def recorded(*args):
@@ -477,24 +527,21 @@ def test_lp_stops_have_integer_farkas_certificates(monkeypatch):
 
     feasible_vertex = report.feasible_vertex
     monkeypatch.setattr(report, "feasible_vertex", recorded)
-    trefoil = parse_front(SEARCH_FRONTS[0])
-    for cases in (searches(SEARCH_FRONTS[0]),
-                  searches(front_text(k_copy(trefoil, 2)), None, 1),
-                  searches(front_text(k_copy(trefoil, 3)), None, 1),
-                  searches(FEASIBLE_LP_FRONT, [(4,), (7, 8)], 2)):
+    for cases in farkas_cases():
         certified = 0
-        for d, h1, g, rep, cap in cases:
-            if verdicts:
-                point, lps = oracle_decision(d, h1, g, rep, cap)
-                assert [v is None for v in verdicts] == \
-                    [x is None for _a, _b, x in lps[:len(verdicts)]]
-                if point is False and len(lps) == len(verdicts):
-                    assert rep.truncated is None
-                    for a, b, x in lps:
-                        if x is None:
-                            farkas_vector(a, b)
-                            certified += 1
+        for case, args in branch_inputs(cases):
             verdicts.clear()
+            point = integer_point(*args)
+            want, lps = oracle_decision(*case)
+            assert [v is None for v in verdicts] == \
+                [x is None for _a, _b, x in lps]
+            assert (point is False) == (want is False)
+            if point is False:
+                assert case[3].truncated is None
+                for a, b, x in lps:
+                    if x is None:
+                        farkas_vector(a, b)
+                        certified += 1
         assert certified > 0
 
 
@@ -506,10 +553,11 @@ def entered(eq, ge):
 
 
 def test_infeasible_lps_end_on_their_own_farkas_vectors(monkeypatch):
-    """On the searches of the test above, each LP that ``feasible_vertex``
-    finds infeasible ends on a tableau whose leaving row, the negative row
-    with the least basic index, has in its slack columns an integer y over
-    the rows entered.  With those rows scaled to ints, y >= 0, y.A <= 0 on
+    """On the branch and bound of each i-graded search of
+    ``farkas_cases``, run to its verdict, and on the searches themselves,
+    each LP that ``feasible_vertex`` finds infeasible ends on a tableau
+    whose leaving row, the negative row with the least basic index, has in
+    its slack columns an integer y over the rows entered.  With those rows scaled to ints, y >= 0, y.A <= 0 on
     every column and y.b > 0, so no x >= 0 has A x >= b: the library's own
     verdict carries its proof."""
     finals, infeasible = [], []
@@ -542,13 +590,10 @@ def test_infeasible_lps_end_on_their_own_farkas_vectors(monkeypatch):
 
     monkeypatch.setattr(lp, "_dual_simplex", kept)
     monkeypatch.setattr(report, "feasible_vertex", checked)
-    trefoil = parse_front(SEARCH_FRONTS[0])
-    for cases in (searches(SEARCH_FRONTS[0]),
-                  searches(front_text(k_copy(trefoil, 2)), None, 1),
-                  searches(front_text(k_copy(trefoil, 3)), None, 1),
-                  searches(FEASIBLE_LP_FRONT, [(4,), (7, 8)], 2)):
+    for cases in farkas_cases():
         before = len(infeasible)
-        list(cases)
+        for _case, args in branch_inputs(cases):
+            integer_point(*args)
         assert len(infeasible) > before
 
 
@@ -577,39 +622,32 @@ _spec.loader.exec_module(FRONTS)
 @seed(22)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_integer_point_decisions_agree_with_brute_force(front_seed):
-    """On a seeded random front of 6-12 events, every i-graded search at
-    pool length 2 builds a branch and bound; run to its end, it finds no
-    integer point only when ``brute_force_candidates`` finds no
-    non-constant survivor, and a point only when that multiset is one of
-    them.  Searches with more than 3,000 products under the budget are left
-    out: brute force would take minutes on some of them."""
+    """On a seeded random front of 6-12 events, the branch and bound of
+    every i-graded search at pool length 2, run to its verdict on the
+    search's rows, finds no integer point only when
+    ``brute_force_candidates`` finds no non-constant survivor, and a point
+    only when that multiset is one of them.  Searches with more than 3,000
+    products under the budget are left out: brute force would take minutes
+    on some of them."""
     [text] = FRONTS.random_fronts(random.Random(front_seed), 1, 6, 12, 3)
     d = resolve(parse_front(text))
     h1 = h1_presentation(d)
-    made = []
-
-    def recorded(*args):
-        made.append(args)
-        return integer_point(*args)
-
-    integer_point = report._integer_point
+    cases = []
     for g in generators(d, h1, max_len=2):
-        if not (g.good and g.degree == 1 and g.igrading is not None):
-            continue
-        made.clear()
-        with mock.patch.object(report, "_integer_point", recorded):
+        if g.good and g.degree == 1:
             rep = differential_candidates(g, d, h1, EPS, max_pool_len=2)
-        if not made:
-            continue
-        pool = made[0][0]
+            cap = _pool_length_cap(d, g.degree - 1) if rep.z_graded \
+                else None
+            cases.append((d, h1, g, rep, 2 if cap is None else min(cap, 2)))
+    for (d, h1, g, rep, cap), args in branch_inputs(cases):
+        pool = args[0]
         budget = g.action + 3 * EPS * len(g.word.chords)
         costs = [r.action - 3 * EPS * len(r.word.chords) for r in pool]
         if products_under_budget(costs, budget, 3000) > 3000:
             continue
-        cap = _pool_length_cap(d, g.degree - 1) if rep.z_graded else None
         found = [factors for factors, _trail in brute_force_candidates(
-            d, h1, g, EPS, rep.z_graded, 2 if cap is None else min(cap, 2))]
-        x = decision(integer_point(*made[0]))
+            d, h1, g, EPS, rep.z_graded, cap)]
+        x = integer_point(*args)
         if x is False:
             assert not any(found), g
         else:
@@ -810,15 +848,15 @@ K_COPY_WORK = {
         ((19,), 100000, "nodes", 1), ((20,), 100000, "nodes", 1),
         ((1, 15), 146, "survivors", 48), ((1, 18), 147, "survivors", 48),
         ((2, 15), 146, "survivors", 48), ((2, 18), 147, "survivors", 48),
-        ((3, 6), 3237, None, 1), ((3, 10), 816, None, 0),
+        ((3, 6), 3237, None, 1), ((3, 10), 875, None, 0),
         ((3, 14), 100000, "nodes", 0), ((4, 8), 145, "survivors", 48),
         ((4, 12), 143, "survivors", 48), ((5, 9), 155, "survivors", 48),
         ((5, 13), 144, "survivors", 48), ((6, 7), 3311, None, 3),
-        ((6, 11), 768, None, 0), ((7, 10), 100000, "nodes", 0),
-        ((7, 14), 864, None, 0), ((8, 12), 146, "survivors", 48),
+        ((6, 11), 825, None, 0), ((7, 10), 100000, "nodes", 0),
+        ((7, 14), 925, None, 0), ((8, 12), 146, "survivors", 48),
         ((9, 13), 150, "survivors", 48), ((10, 11), 100000, "nodes", 1),
         ((11, 14), 100000, "nodes", 0)],
-    (5, 1): [((w,), 18576, None, 1)
+    (5, 1): [((w,), 8316, None, 1)
              for w in (106, 107, 108, 109, 110, 121, 122, 123, 124, 125)],
 }
 
