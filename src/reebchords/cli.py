@@ -284,7 +284,9 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(None)
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built at its first use in a process."""
     parser = argparse.ArgumentParser(
         prog="reebchords",
         description="Combinatorial Reeb dynamics of contact surgeries on "
@@ -298,7 +300,11 @@ def main(argv=None) -> int:
                         help="rational p/q, e.g. 1/100")
     parser.add_argument("--format", choices=["json", "tsv", "md"],
                         default="json")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         COMMANDS[args.command](args)
         sys.stdout.flush()

@@ -872,6 +872,7 @@ class ResolvedDiagram(object):
         total = self.lengths[comp]
         length = (c2.tail_loc[1] - c1.tip_loc[1]) % total
         c = self.surgery[comp]
+        assert abs(c) == 1      # words._width bounds twists by |c| <= 1
         letters[j1, j2] = Letter(rot + (c == 1), -1 if rot % 2 else 1, c,
                                  Fraction(1, 2) - length / total,
                                  tuple(vector), arcs)

@@ -3,11 +3,11 @@
 The return map of the orbit named by a cyclic word is a product of one
 integer-polynomial matrix per letter in the variable u = 1/epsilon, carrying
 a global sign, the product of the letters' signs (-1)^rot.  The word
-carries both, folded along its prefixes (``words._twist``); every other
-letter datum is read off the word's letters.  Everything here is exact:
-polynomials over the integers, affine fixed points and actions over
-integers with a common denominator, divided once at the end, and the
-piecewise-linear twist profile for actions.
+carries both, folded along its prefixes (``words._twist``), each entry as
+its value at u = 2^W, one int; every other letter datum is read off the
+word's letters.  Everything here is exact: polynomials over the integers,
+affine fixed points and actions over integers with a common denominator,
+divided once at the end, and the piecewise-linear twist profile.
 """
 
 from fractions import Fraction
@@ -16,49 +16,33 @@ from typing import List, NamedTuple, Tuple
 
 from .diagram import DiagramError, ResolvedDiagram
 from .indices import cz_integral
-from .words import CyclicWord, Mat, Poly, poly_add, poly_trim
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    if len(p) == 1:
-        a = p[0]
-        return poly_trim(tuple(a * b for b in q))
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(tuple(out))
-
-
-def mat_det(m: Mat) -> Poly:
-    a, b, c, d = m
-    return poly_trim(poly_add(poly_mul(a, d),
-                              tuple(-v for v in poly_mul(b, c))))
+from .words import CyclicWord, unpack
 
 
 class ReturnMapPoly(object):
-    """Sign and 2x2 integer-polynomial matrix of the linearized return map.
+    """The checked return map of a word, sign * rows(1/epsilon) at epsilon.
 
-    The actual return map at a given epsilon is sign * entries(1/epsilon).
+    Its det is the polynomial 1 exactly when a d - b e == 1 on the packed
+    rows: ``words._width`` keeps every coefficient of a d - b e - 1 in digit
+    range, so it is the zero polynomial when its value at u = 2^W is 0.  Its
+    trace, unpacked once, has the word's length as degree and a leading
+    coefficient of +-1.
     """
 
-    def __init__(self, sign: int, entries: Mat, word: CyclicWord):
-        self.sign = sign
-        self.entries = entries
-        self.word = word
-        det = mat_det(entries)
-        if det != (1,):
-            raise DiagramError(f"return map of {word} has det {det}")
-        tr = poly_trim(tuple(sign * c for c in
-                             poly_add(entries[0], entries[3])))
+    def __init__(self, word: CyclicWord):
+        a, b, e, f = word.rows
+        if a * f - b * e != 1:
+            raise DiagramError(f"return map of {word} has det "
+                               f"{unpack(a * f - b * e, word.width)}")
+        tr = unpack(word.sign * (a + f), word.width)
         n = len(word.chords)
         if len(tr) != n + 1 or abs(tr[n]) != 1:
             raise DiagramError(
                 f"trace of {word} has bad leading coefficient: {tr}")
         self._trace = tr
 
-    def trace(self) -> Poly:
-        """Trace of sign * entries as a polynomial in u = 1/epsilon."""
+    def trace(self) -> Tuple[int, ...]:
+        """Trace of sign * rows in u = 1/epsilon, coefficients ascending."""
         return self._trace
 
 
@@ -70,10 +54,10 @@ def return_map(d: ResolvedDiagram, w: CyclicWord) -> ReturnMapPoly:
     order, and the capping arcs' rotations feed the sign: the word's
     ``sign`` and ``rows``.
     """
-    return ReturnMapPoly(w.sign, w.rows, w)
+    return ReturnMapPoly(w)
 
 
-def hyperbolic_type(cz_parity: int, trace: Poly) -> Tuple[str, Fraction]:
+def hyperbolic_type(cz_parity: int, trace: tuple) -> Tuple[str, Fraction]:
     """('positive'|'negative', eps_w) classification of an orbit from its
     CZ parity and its return map's trace.
 

@@ -6,7 +6,8 @@ zero-coefficient sublink by open words.  This module enumerates both within
 length/action bounds, with actions as ints over one denominator, and
 winds the planar push-out curves used for intersection gradings around the
 face basepoints.  Orbit words grow as one prefix tree whose nodes carry
-their letters, action and return-map rows, so no word is checked twice.
+their letters, action and return-map rows, so no word is checked twice;
+a row entry is one int, its polynomial in u at u = 2^W (``_width``).
 Words hold no diagram, so a diagram's memo tables never keep it alive.
 
 A push-out is wound in two memo tables, at the one offset ``PUSH_OFF`` and
@@ -36,33 +37,37 @@ from .geometry import offset_polyline, winding_number
 # windings are those at any smaller offset.
 PUSH_OFF = Fraction(1, 8)
 
-Poly = Tuple[int, ...]       # coefficients, ascending degree
-Mat = Tuple[Poly, Poly, Poly, Poly]    # entries a, b, c, d row-major
-IDENTITY: Mat = ((1,), (0,), (0,), (1,))
+def _width(n: int) -> int:
+    """The packing width W of words of at most n letters.  A twist by
+    c = +-1 (a surgery coefficient) at most doubles an entry's coefficient
+    L1 norm, so after n letters it is at most 2^n, every coefficient of
+    a d - b e - 1 is at most 2^(2n+1) + 1 < 2^(W-1) in size, and a
+    polynomial with coefficients that small is read back exactly from its
+    value at u = 2^W, as balanced base-2^W digits (``unpack``)."""
+    return 2 * n + 3
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    if len(p) < len(q):
-        p, q = q, p
-    return tuple(a + b for a, b in zip(p, q)) + p[len(q):]
+def unpack(x: int, width: int) -> Tuple[int, ...]:
+    """The coefficients, ascending, of the polynomial with value x at
+    u = 2^width and coefficients in [-2^(width-1), 2^(width-1)); (0,) for
+    x = 0.  Each digit is the low bits of x + 2^(width-1), less that."""
+    mask, half, out = (1 << width) - 1, 1 << (width - 1), []
+    while True:
+        x += half
+        out.append((x & mask) - half)
+        x >>= width
+        if not x:
+            return tuple(out)
 
 
-def poly_trim(p: Poly) -> Poly:
-    n = len(p)
-    while n > 1 and p[n - 1] == 0:
-        n -= 1
-    return tuple(p[:n])
-
-
-def _twist(sign: int, rows: Mat, letter: Letter) -> Tuple[int, Mat]:
+def _twist(sign: int, rows, letter: Letter, width: int):
     """Sign and rows (a, b), (e, f) times one more letter's sign and J0
     [[1, -c u], [0, 1]]: the rows become (-e, -f), (a - c u e, b - c u f),
-    so they are continuants in u."""
+    so they are continuants in u, each held as its value at u = 2^width."""
     a, b, e, f = rows
-    return sign * letter.sign, (
-        tuple(-v for v in e), tuple(-v for v in f),
-        poly_trim(poly_add(a, (0,) + tuple(-letter.c * v for v in e))),
-        poly_trim(poly_add(b, (0,) + tuple(-letter.c * v for v in f))))
+    c = letter.c
+    return sign * letter.sign, (-e, -f, a - (c * e << width),
+                                b - (c * f << width))
 
 
 class Word(object):
@@ -100,10 +105,11 @@ class CyclicWord(Word):
     Cyclic words name closed trajectories, so they may only use chords of
     the surgered sublink.  ``letters`` holds one ``ResolvedDiagram.letter``
     per consecutive pair, the closing one last; fetching them enforces that
-    rule.  A word also carries its return map's ``sign`` and ``rows``.
+    rule.  A word also carries its return map's ``sign`` and ``rows``,
+    packed at ``width``, that of its length or of its enumerator's bound.
     """
 
-    __slots__ = ("letters", "sign", "rows")
+    __slots__ = ("letters", "sign", "rows", "width")
 
     def __init__(self, diagram: ResolvedDiagram, chords: Sequence[int]):
         seq = canonical_rotation(chords)
@@ -113,9 +119,10 @@ class CyclicWord(Word):
                 f"closing pair r{self.chords[-1]}, r{self.chords[0]} "
                 f"not composable")
         self.letters = tuple(diagram.letter(a, b) for a, b in self.pairs())
-        self.sign, self.rows = 1, IDENTITY
+        sign, rows, self.width = 1, (1, 0, 0, 1), _width(len(seq))
         for letter in self.letters:
-            self.sign, self.rows = _twist(self.sign, self.rows, letter)
+            sign, rows = _twist(sign, rows, letter, self.width)
+        self.sign, self.rows = sign, rows
 
     def __eq__(self, other):
         return isinstance(other, CyclicWord) and self.chords == other.chords
@@ -138,11 +145,11 @@ class CyclicWord(Word):
                                 if seq == seq[p:] + seq[:p])
 
 
-def _orbit_word(chords, letters, total, sign, rows) -> CyclicWord:
+def _orbit_word(chords, letters, total, width, sign, rows) -> CyclicWord:
     """The CyclicWord of an enumerator's node, which checked it already."""
     w = CyclicWord.__new__(CyclicWord)
-    w.chords, w.letters = chords, letters
-    w.total, w.sign, w.rows = total, sign, rows
+    w.chords, w.letters, w.total = chords, letters, total
+    w.width, w.sign, w.rows = width, sign, rows
     return w
 
 
@@ -197,7 +204,7 @@ def enumerate_orbit_words(d: ResolvedDiagram,
     period p extends by each c >= seq[n - p], keeping p if c equals it and
     taking n + 1 if not, and is its own least rotation when p divides n.
     Nodes are flat tuples (chords, period, action over den, letters, sign,
-    rows); a word adds only its closing letter.
+    rows packed at the bound's width); a word adds only its closing letter.
     """
     if not any(v != 0 for v in d.surgery.values()):
         raise ValueError("empty surgery locus: no orbits exist")
@@ -213,7 +220,8 @@ def enumerate_orbit_words(d: ResolvedDiagram,
         return lt
 
     out: List[CyclicWord] = []
-    level = [((c,), 1, actions[c], (), 1, IDENTITY) for c in chords
+    width = _width(top)
+    level = [((c,), 1, actions[c], (), 1, (1, 0, 0, 1)) for c in chords
              if top and actions[c] <= cap(1)]
     n = 1
     while level:
@@ -222,7 +230,7 @@ def enumerate_orbit_words(d: ResolvedDiagram,
             if n % p == 0 and (seq[-1], seq[0]) in pairs:
                 lt = letter(seq[-1], seq[0])
                 out.append(_orbit_word(seq, lts + (lt,), Fraction(act, den),
-                                       *_twist(sign, rows, lt)))
+                                       width, *_twist(sign, rows, lt, width)))
             least = seq[n - p]
             for c in successors[seq[-1]] if n < top else ():
                 q = p if c == least else n + 1
@@ -231,7 +239,7 @@ def enumerate_orbit_words(d: ResolvedDiagram,
                     continue        # past the caps, or a leaf but no word
                 lt = letter(seq[-1], c)
                 longer.append((seq + (c,), q, act + actions[c], lts + (lt,),
-                               *_twist(sign, rows, lt)))
+                               *_twist(sign, rows, lt, width)))
         level, n = longer, n + 1
     return out
 

@@ -5,9 +5,10 @@ arithmetic on dicts, convex polygon clipping for the trimmed affine flow,
 strand-stack simulation for front combinatorics, brute-force quiver counts
 and orbit words, and the elementary-divisor formulas and a Gauss-Jordan
 solve for small integer matrices.  Second routes through library results
-that only the tests need live here too: return maps evaluated at an
-epsilon, the embedding's points read off its homogeneous integer points,
-the intersection grading of a collection of orbits (the library grades one
+that only the tests need live here too: return-map traces evaluated at
+an epsilon, the reference return map at an epsilon and at the u = 2^W at
+which the library packs its rows, the embedding's points read off its
+homogeneous integer points, the intersection grading of a collection of orbits (the library grades one
 orbit at a time), each orbit's fiber counts in ``Fraction``s by a
 Gauss-Jordan solve (the library keeps them as ints over H1's exponent),
 the twist's height profile, capping paths walked segment by
@@ -104,10 +105,23 @@ def trace_at(rm, epsilon):
     return poly_eval(rm.trace(), 1 / Fraction(epsilon))
 
 
-def matrix_at(rm, epsilon):
-    """Entries (a, b, c, d) of a library ``ReturnMapPoly`` at this epsilon."""
+def packed_reference(d, w):
+    """Sign and entries (a, b, c, d) of the reference product of the cyclic
+    word w's return map, each entry's polynomial evaluated at u = 2^W for
+    w's packing width W: the library's ``w.sign`` and ``w.rows``, which
+    hold the polynomials so, must equal these."""
+    sign, prod = reference_return_map(d, w.chords)
+    u = 2 ** w.width
+    return sign, tuple(sum(v * u ** k for k, v in p.items())
+                       for row in prod for p in row)
+
+
+def matrix_at(d, w, epsilon):
+    """Entries (a, b, c, d) of the reference return map of the cyclic word
+    w at this epsilon, its sign applied."""
+    sign, prod = reference_return_map(d, w.chords)
     u = 1 / Fraction(epsilon)
-    return tuple(rm.sign * poly_eval(p, u) for p in rm.entries)
+    return tuple(sign * peval(p, u) for row in prod for p in row)
 
 
 # -- the affine orbit model composed in Fraction arithmetic -------------------
@@ -1046,10 +1060,18 @@ def capping_walk(d, j1, j2, side):
     return points, turns, walked / lengths[c1.tip_comp]
 
 
+_ROT_NUMBERS = weakref.WeakKeyDictionary()
+
+
 def rot_number(d, j1, j2):
     """floor(theta / pi) of the eta capping arc of r_j1 r_j2, from the
-    turning of its walk (theta = turns * pi/4)."""
-    return capping_walk(d, j1, j2, "eta")[1] // 4
+    turning of its walk (theta = turns * pi/4).  The reference return maps
+    read one per letter of every word they multiply, so each is walked once
+    per diagram, in a table that holds the diagram weakly."""
+    table = _ROT_NUMBERS.setdefault(d, {})
+    if (j1, j2) not in table:
+        table[j1, j2] = capping_walk(d, j1, j2, "eta")[1] // 4
+    return table[j1, j2]
 
 
 def endpoints_between(d, j1, j2, side):

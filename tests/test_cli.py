@@ -334,6 +334,37 @@ def test_a_reader_closing_standard_output_early_exits_0(tmp_path):
     assert err == b""
 
 
+def test_one_parser_serves_every_command_line_of_a_process(tmp_path):
+    """Importing the CLI builds no parser; the first command line builds
+    it.  After a command line that it refuses (exit 2), the same process
+    runs a good one, and each prints what it prints in a fresh process."""
+    path = write(tmp_path, "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")
+    bad = ["cz", "--max-len", "two", "--input", path]
+    good = ["cz", "--max-len", "2", "--input", path]
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(reebchords.__file__).resolve().parent.parent))
+
+    def python(*args):
+        done = subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True, env=env, timeout=60, check=False)
+        return done.stdout, done.stderr, done.returncode
+
+    script = ("import sys\n"
+              "from reebchords import cli\n"
+              "print(cli._parser.cache_info().currsize, file=sys.stderr)\n"
+              "try:\n"
+              "    cli.main(sys.argv[1:6])\n"
+              "except SystemExit as exc:\n"
+              "    print(exc.code, file=sys.stderr)\n"
+              "sys.exit(cli.main(sys.argv[6:]))\n")
+    fresh_bad = python("-m", "reebchords.cli", *bad)
+    fresh_good = python("-m", "reebchords.cli", *good)
+    assert fresh_bad[2] == 2 and fresh_good[2] == 0
+    assert python("-c", script, *bad, *good) == (
+        fresh_bad[0] + fresh_good[0], "0\n" + fresh_bad[1] + "2\n"
+        + fresh_good[1], 0)
+
+
 def test_exit_code_3_on_internal_violation(tmp_path, capsys, monkeypatch):
     from reebchords import cli
     from reebchords.diagram import DiagramError

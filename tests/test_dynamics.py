@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (apply_all, embedding_points, fraction_composite,
                      fraction_embedding, fraction_orbit_action, matrix_at,
-                     padd, peval,
+                     packed_reference, padd, peval, pmul,
                      point_in_convex, poly_diameter_sq, poly_eval, pscale,
                      reference_return_map, rot_number, step_maps, trace_at,
                      trimmed_flow_polygon, twist_height)
@@ -13,7 +13,7 @@ from reebchords.diagram import DiagramError
 from reebchords.dynamics import (embed_orbit, hyperbolic_type, is_bad,
                                  orbit_action, return_map)
 from reebchords.indices import cz_integral
-from reebchords.words import CyclicWord, enumerate_orbit_words
+from reebchords.words import CyclicWord, enumerate_orbit_words, unpack
 
 F = Fraction
 EPS = F(1, 100)
@@ -29,11 +29,11 @@ def test_return_map_against_reference_product(trefoil_plus, trefoil_minus,
                                               unknot_plus, unknot_minus):
     for d in (trefoil_plus, trefoil_minus, unknot_plus, unknot_minus):
         for w in all_words(d, 3):
-            rm = return_map(d, w)
+            return_map(d, w)
+            assert (w.sign, w.rows) == packed_reference(d, w)
             sign, ref = reference_return_map(d, w.chords)
-            assert rm.sign == sign
-            entries = [rm.entries[0], rm.entries[1], rm.entries[2],
-                       rm.entries[3]]
+            assert w.sign == sign
+            entries = [unpack(x, w.width) for x in w.rows]
             ref_flat = [ref[0][0], ref[0][1], ref[1][0], ref[1][1]]
             for mine, theirs in zip(entries, ref_flat):
                 for u in US:
@@ -49,8 +49,12 @@ def test_unknot_trace_polynomials(unknot_plus, unknot_minus):
 
 def test_determinant_one_identically(trefoil_plus):
     for w in all_words(trefoil_plus, 4):
-        rm = return_map(trefoil_plus, w)
-        a, b, c, dd = rm.entries
+        return_map(trefoil_plus, w)
+        assert (w.sign, w.rows) == packed_reference(trefoil_plus, w)
+        _sign, ((ra, rb), (rc, rd)) = reference_return_map(trefoil_plus,
+                                                           w.chords)
+        assert padd(pmul(ra, rd), pscale(pmul(rb, rc), -1)) == {0: 1}
+        a, b, c, dd = (unpack(x, w.width) for x in w.rows)
         for u in US:
             det = poly_eval(a, u) * poly_eval(dd, u) \
                 - poly_eval(b, u) * poly_eval(c, u)
@@ -81,7 +85,8 @@ def test_power_trace_consistency(trefoil_plus):
     diag = trefoil_plus
     for base in ((1,), (4,), (1, 2)):
         prim = CyclicWord(diag, base)
-        m = matrix_at(return_map(diag, prim), EPS)
+        assert (prim.sign, prim.rows) == packed_reference(diag, prim)
+        m = matrix_at(diag, prim, EPS)
         power = (F(1), F(0), F(0), F(1))
         for k in range(1, 4):
             p0, p1, p2, p3 = power
@@ -202,8 +207,10 @@ def check_against_fraction_model(d, w, eps):
     act, act_err = outcome(orbit_action, d, w, eps)
     assert act_err == want_err, (w, eps)
     rm = return_map(d, w)
+    assert (w.sign, w.rows) == packed_reference(d, w)
+    assert all(type(v) is int for v in w.rows)
     lin, _off = fraction_composite(step_maps(d, w, eps))
-    at_eps = matrix_at(rm, eps)
+    at_eps = matrix_at(d, w, eps)
     assert at_eps == lin and trace_at(rm, eps) == lin[0] + lin[3]
     assert all(exact(v) for v in at_eps + (trace_at(rm, eps),))
     if want_err is not None:

@@ -3,14 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import (all_orbit_strings, arc_pass_counts,
                      brute_force_orbit_words, candidate_pool, capping_walk,
-                     endpoints_between, full_curve_pushout, k_copy, padd,
-                     pscale, reference_return_map, rot_number, turn_octants,
-                     unshifted_windings, whole_arc_piece)
+                     endpoints_between, full_curve_pushout, k_copy, mat_mul,
+                     packed_reference, padd, pmul, pscale,
+                     reference_return_map, rot_number, step_matrix,
+                     turn_octants, unshifted_windings, whole_arc_piece)
 from reebchords import report, words
-from reebchords.diagram import (DiagramError, ResolvedDiagram, parse_front,
-                                resolve)
+from reebchords.diagram import (DiagramError, Letter, ResolvedDiagram,
+                                parse_front, resolve)
 from reebchords.dynamics import is_bad, orbit_action, return_map
 from reebchords.geometry import OCTANT_VECTORS, offset_polyline
 from reebchords.homology import h1_presentation, orbit_class_monomial
@@ -369,9 +371,8 @@ def per_word_values(d, h1, w):
         action = orbit_action(d, w, F(1, 100))
     except ValueError as exc:
         action = str(exc)
-    rmap = return_map(d, w)
     return (cz_integral(d, w), orbit_class_monomial(d, h1, w).reduced,
-            rmap.sign, rmap.entries, is_bad(d, w), action)
+            w.sign, w.rows, return_map(d, w).trace(), is_bad(d, w), action)
 
 
 @pytest.mark.parametrize("text", FIXTURE_FRONTS + [TREFOIL_2_COPY],
@@ -691,3 +692,106 @@ def test_enumeration_checks_each_pair_once(trefoil_plus, monkeypatch):
     assert len(ws) > n ** 2
     assert calls["composable"] <= n ** 2
     assert calls["letter"] <= n ** 2
+
+
+def coefficients(poly):
+    """A coefficient tuple, ascending, as a dict-polynomial."""
+    return {k: c for k, c in enumerate(poly) if c}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))),
+                min_size=1, max_size=16))
+def test_packed_rows_unpack_to_the_dict_product(steps):
+    """Twists by letters of random c and sign, packed at the width of their
+    number, unpack to the dict product's entries, det 1 and trace; the
+    entries' coefficient L1 norms stay within the 2^n that the width
+    assumes."""
+    n, width = len(steps), words._width(len(steps))
+    sign, rows = 1, (1, 0, 0, 1)
+    ref_sign, ref = 1, (({0: 1}, {}), ({}, {0: 1}))
+    for c, s in steps:
+        sign, rows = words._twist(sign, rows, Letter(0, s, c, F(0), (), ()),
+                                  width)
+        ref_sign, ref = ref_sign * s, mat_mul(step_matrix(c), ref)
+    entries = [ref[0][0], ref[0][1], ref[1][0], ref[1][1]]
+    assert all(sum(map(abs, p.values())) <= 2 ** n for p in entries)
+    assert sign == ref_sign
+    assert [coefficients(words.unpack(x, width)) for x in rows] == entries
+    a, b, e, f = rows
+    assert words.unpack(a * f - b * e, width) == (1,)
+    assert padd(pmul(entries[0], entries[3]),
+                pscale(pmul(entries[1], entries[2]), -1)) == {0: 1}
+    assert coefficients(words.unpack(sign * (a + f), width)) == \
+        pscale(padd(entries[0], entries[3]), sign)
+
+
+def test_unpack_reads_balanced_digits():
+    width = 5
+    for poly in [(0,), (1,), (-1,), (0, 1), (15, -16), (-16, 15, -3),
+                 (0, 0, 1), (7, 0, -16)]:
+        x = sum(c << width * k for k, c in enumerate(poly))
+        assert words.unpack(x, width) == poly
+
+
+@pytest.mark.parametrize("text", [
+    HOPF_PLUS_MINUS, "L1,L2,R1,R1 / surgery {0:+1} / orientations {0:-}"],
+    ids=["hopf+-", "stab+1 o-"])
+def test_length_twelve_traces_match_the_dict_product(text):
+    """Words up to length 12 on two fronts of four chords, whose entries
+    reach the largest coefficients of the cheap fronts (L1 norm 233 at
+    length 12): their packed rows are the dict product's entries at
+    u = 2^W and their unpacked traces its trace."""
+    d = resolve(parse_front(text))
+    ws = enumerate_orbit_words(d, max_len=12)
+    assert len(ws) == 801 and len(ws[-1]) == 12
+    largest = 0
+    for w in ws:
+        trace = return_map(d, w).trace()
+        sign, prod = reference_return_map(d, w.chords)
+        assert coefficients(trace) == pscale(padd(prod[0][0], prod[1][1]),
+                                             sign)
+        u = 2 ** w.width
+        assert (w.sign, w.rows) == (sign, tuple(
+            sum(v * u ** k for k, v in p.items())
+            for row in prod for p in row))
+        largest = max([largest] + [sum(map(abs, p.values()))
+                                   for row in prod for p in row])
+    assert largest == 233
+
+
+def test_checked_and_enumerated_words_differ_in_width_not_trace(
+        trefoil_plus):
+    """A word built by ``CyclicWord`` packs at its own length's width, the
+    enumerator's at its length bound's: below the bound the ints differ,
+    and both equal the dict product at their own width, so the traces
+    agree."""
+    ws = enumerate_orbit_words(trefoil_plus, max_len=5)
+    assert len(ws) > 100 and {len(w) for w in ws} == {1, 2, 3, 4, 5}
+    for w in ws:
+        checked = CyclicWord(trefoil_plus, w.chords)
+        assert checked.width == words._width(len(w))
+        assert w.width == words._width(5)
+        assert (checked.rows != w.rows) == (len(w) < 5)
+        assert (checked.sign, checked.rows) == \
+            packed_reference(trefoil_plus, checked)
+        assert (w.sign, w.rows) == packed_reference(trefoil_plus, w)
+        assert return_map(trefoil_plus, checked).trace() == \
+            return_map(trefoil_plus, w).trace()
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 12, 16])
+def test_the_width_tells_a_det_of_one_from_its_aliases(n):
+    """Entries of coefficient L1 norm at most 2^n can have a det that is not
+    1 and still packs to 1 at a width of 2n: a = d = 2^n, b = u - 1 and
+    e = 1 give 4^n + 1 - u.  At ``_width(n)`` the packed det is not 1, the
+    return map refuses the rows and its message unpacks the det."""
+    def rows(width):
+        return 2 ** n, (1 << width) - 1, 1, 2 ** n
+
+    a, b, e, f = rows(2 * n)
+    assert a * f - b * e == 1
+    width = words._width(n)
+    w = words._orbit_word((1,) * n, (), F(0), width, 1, rows(width))
+    with pytest.raises(DiagramError, match=rf"has det \({4 ** n + 1}, -1\)"):
+        return_map(None, w)

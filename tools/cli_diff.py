@@ -51,6 +51,12 @@ The commands, each run twice under each tree:
   The stabilized unknot has rotation number -1 and +1, so its capping
   rotations take the cut term of ``FrontCode.capping_rotation``; the other
   fronts of these commands have rotation number 0;
+* ``cz --max-len 12`` on the Hopf link with +1 and -1 surgery and on the
+  stabilized unknot with +1 surgery and orientation -, of rotation number
+  +1: two
+  commands of 801 words each, whose return-map traces reach degree 12
+  and the largest coefficients of these fronts, so the traces unpacked
+  from the words' packed rows are pinned at that length;
 * ``grading --max-len 3`` and ``chain --max-len 3 --epsilon 1/100`` on two
   split links with +1 surgery on both components, trefoil and trefoil
   (H1 = Z/2 + Z/2) and trefoil and T(2,5) (H1 = Z/2 + Z/4): four
@@ -150,6 +156,9 @@ def commands():
         for command in ("cz", "homology"):
             out.append((f"{name} {command}", [command, "--max-len", "3"],
                         front))
+    for name, front in (("hopf +-", HOPF_PLUS_MINUS),
+                        ("stab unknot -", STABILIZED_UNKNOT.format("-"))):
+        out.append((f"{name} cz len12", ["cz", "--max-len", "12"], front))
     for name, front in (("trefoil + trefoil", SPLIT_TREFOILS),
                         ("trefoil + T(2,5)", SPLIT_TREFOIL_T25)):
         out += [(f"{name} grading", ["grading", "--max-len", "3"], front),
