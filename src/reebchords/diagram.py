@@ -38,7 +38,7 @@ import json
 import re
 from bisect import bisect_right
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate
 from typing import Dict, List, NamedTuple, Tuple
 
 from .geometry import (
@@ -49,6 +49,7 @@ from .geometry import (
     merge_collinear,
     winding_number,
 )
+from .lp import _integers, solve_lp
 
 
 class FrontError(ValueError):
@@ -470,11 +471,8 @@ def _evaluate(cycles, order, theta):
     """(ints, den): the template's cycles at the sizes theta as ints over
     den, theta's least common denominator.  With n = theta * den, a vertex
     is (c * den + the sum of n over order[:k], y * den): one prefix sum."""
-    den = lcm(*(theta[v].denominator for v in order))
-    prefix = [0]
-    for v in order:
-        t = theta[v]
-        prefix.append(prefix[-1] + t.numerator * (den // t.denominator))
+    sizes, den = _integers([theta[v] for v in order])
+    prefix = [0, *accumulate(sizes)]
     return [[(c * den + prefix[k], y * den) for c, y, k in cyc]
             for cyc in cycles], den
 
@@ -752,8 +750,7 @@ class ResolvedDiagram(object):
         faces = []
         self.outer_area = Fraction(0)
         # Stokes areas (class docstring) from the actions as ints over den
-        den = lcm(*(c.action.denominator for c in self.chords))
-        acts = [int(c.action * den) for c in self.chords]
+        acts, den = _integers([c.action for c in self.chords])
         for he0 in turn:
             if he0 in visited:
                 continue
@@ -975,8 +972,6 @@ def resolve(front: FrontCode, action_margin: Fraction = Fraction(32)
     which the ``ResolvedDiagram`` keeps as its integer scale.  A ValueError
     of a geometry helper on the way is an internal fault, a DiagramError.
     """
-    from .lp import solve_lp
-
     try:
         cycles, order, crossings = _template(front)
         n_var, eq, ge = _sizing_rows(cycles, order, crossings, action_margin)

@@ -15,8 +15,9 @@ A search's filters are one table of int rows over its pool (distinct face
 rows, class rows, the degree row).  The walk keeps a product's face-row
 slacks and z-graded degree window as fixed-width fields of one int, whose
 width a bound on the factors makes exact, so both prunes are one sign-mask
-test and a child's state one subtraction; the congruence rows' sums stay a
-short list.  Under the intersection-grading filter an exact branch and
+test and a product passes on its congruence sums and one mask.  Under the
+intersection-grading filter the search proves once that no product the
+class rows admit has a fractional fiber count, and an exact branch and
 bound over the same rows decides whether a non-constant product passes,
 once the walk has examined as many products as its LP has rows x
 (columns + rows): at most MAX_NODES products plus MAX_NODES // that many
@@ -34,7 +35,7 @@ from .homology import H1Presentation, orbit_class_monomial
 from .indices import canonical_grading_valid, cz_integral
 from .lp import feasible_vertex
 from .quiver import bubbling_faces, effective_fiber_vector, i_grading
-from .words import CyclicWord, enumerate_orbit_words, surgered_chords
+from .words import CyclicWord, enumerate_orbit_words, surgered_chords, unpack
 
 # The work bound of one generator's candidate search: it stops after
 # examining MAX_NODES products under the action budget (each one visited or
@@ -202,15 +203,9 @@ def _pack(values, width: int) -> int:
     sums or differences, and with 2^(width - 1) added to every field (a
     bias) a field whose value lies in [-2^(width-1), 2^(width-1)) holds
     value + 2^(width-1) in [0, 2^width) with no carry into the next: its
-    top bit is set exactly when the value is >= 0, so one mask tests the
-    signs of all fields at once."""
+    top bit is set exactly when the value is >= 0, so one mask, the packed
+    biases high, tests all signs at once: state & high == high."""
     return sum(v << width * f for f, v in enumerate(values))
-
-
-def _unpack(state: int, width: int, count: int) -> List[int]:
-    """The first ``count`` fields of a biased packed state, unbiased."""
-    mask, half = (1 << width) - 1, 1 << width - 1
-    return [(state >> s & mask) - half for s in range(0, width * count, width)]
 
 
 def _search_rows(d: ResolvedDiagram, h1: H1Presentation, g: GeneratorRecord,
@@ -236,6 +231,33 @@ def _search_rows(d: ResolvedDiagram, h1: H1Presentation, g: GeneratorRecord,
     rows.append(([r.degree for r in pool], 0 if z_graded else 2,
                  g.degree - 1))
     return rows, face_row
+
+
+def _prove_integral_fibers(rows, nf: int, exponent: int) -> None:
+    """Raise unless F.x = 0 mod e = ``exponent``, F the face rows, on L =
+    {x : a.x = 0 mod ``mod``, each class row}.  For a class-0 generator
+    an x >= 0 is in L exactly when the collection x is null-homologous, so
+    of integral fiber counts, and L holds e * Z^n: each x in L plus some
+    e * (c, ..., c) is such a collection, visited or not.  Column steps on
+    the pool's [class rows; face rows] columns and one column mod * e_k per
+    class row k clear the class rows in turn (Euclid folds each nonzero
+    entry's column into a pivot, which leaves): the rest span F.L."""
+    faces, classes = rows[:nf], rows[nf:-1]
+    r = len(classes)
+    columns = [list(col) for col in zip(*(a for a, _m, _t in classes + faces))]
+    columns += [[mod if i == k else 0 for i in range(r + nf)]
+                for k, (_a, mod, _t) in enumerate(classes)]
+    for k in range(r):
+        pivot, *folds = [col for col in columns if col[k]]
+        columns = [col for col in columns if not col[k]]
+        for col in folds:
+            while col[k]:
+                q = pivot[k] // col[k]
+                pivot, col = col, [u - q * v for u, v in zip(pivot, col)]
+            columns.append(col)
+    if any(v % exponent for col in columns for v in col[r:]):
+        raise DiagramError("fractional fiber count on a "
+                           "null-homologous collection")
 
 
 def _integer_point(pool, costs, top, rows, cap: int):
@@ -305,9 +327,10 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     MAX_SURVIVORS, which the report's ``truncated`` names.  Each filter
     but the action budget is a row of one table over the pool, which the
     walk's checks and prunes and the branch and bound all read.  Under the
-    i-grading filter the walk calls ``_integer_point`` once, when it has
-    examined ``lp_at`` products, and stops complete if that proves that
-    no non-constant product survives (the constant term may).
+    i-grading filter ``_prove_integral_fibers`` runs first, once, and the
+    walk calls ``_integer_point`` once, when it has examined ``lp_at``
+    products, and stops complete if that proves that no non-constant
+    product survives (the constant term may).
     """
     epsilon = Fraction(epsilon)
     z_graded = canonical_grading_valid(d, h1.finite, g.orbit_class.is_zero())
@@ -320,14 +343,15 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     pool_len = min((n for n in (pool_len, max_pool_len) if n is not None),
                    default=None)
     # the search runs over integers: costs and the budget share one
-    # denominator, fiber vectors are ints over h1.exponent, and a
-    # difference of fiber sums is integral exactly when divisible by it
+    # denominator, and fiber vectors are ints over h1.exponent
     pool, costs, top, actions, den = _pool_words(
         d, h1, g, epsilon, pool_len, target_degree if z_graded else None)
     use_igrading = g.igrading is not None
     n = len(pool)
     rows, face_row = _search_rows(d, h1, g, pool, z_graded)
     nf = len(set(face_row))
+    if use_igrading:
+        _prove_integral_fibers(rows, nf, h1.exponent)
     congruences = rows[nf:-1] if z_graded else rows[nf:]
     ccols = list(zip(*(a for a, _mod, _t in congruences))) or [()] * n
     # The walk's state of a product is one int of biased fields (see
@@ -348,8 +372,7 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
                    ([-v for v in rows[-1][0]], -target_degree)]
     # a product has at most K factors, and k <= K too
     width = _field_width(fields, (top - 1) // min(costs) if costs else 0)
-    half, mask = 1 << width - 1, (1 << width) - 1
-    high = _pack([half] * len(fields), width)
+    high = _pack([1 << width - 1] * len(fields), width)
     columns = [_pack(col, width) for col in zip(*(a for a, _t in fields))
                ] or [0] * n
     suffix_min = costs + [top]
@@ -372,20 +395,15 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
 
     def consider(state: int, sums: List[int]) -> bool:
         """Keep the product of ``chosen``, of packed state ``state`` and
-        congruence row sums ``sums``, if no filter excludes it; True when it
+        congruence row sums ``sums``, if its sums pass and one mask finds
+        every field >= 0 (face slacks and the degree window); True when it
         is a survivor beyond MAX_SURVIVORS, which ends the search."""
         nonlocal truncated
         for s, (_a, mod, t) in zip(sums, congruences):
             if (s - t) % mod if mod else s != t:
                 return False
-        if z_graded and state >> width * nf & mask != half:
-            return False                # the degree is not the target
-        delta = _unpack(state, width, nf)
-        if any(v % h1.exponent for v in delta):
-            raise DiagramError("fractional fiber count on a "
-                               "null-homologous collection")
-        if any(v < 0 for v in delta):
-            return False
+        if state & high != high:
+            return False                # a face row or the degree fails
         if len(found) == MAX_SURVIVORS:
             truncated = "survivors"
             return True
@@ -393,20 +411,15 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
                  "class": tuple(g.orbit_class.reduced),
                  "action": Fraction(sum(actions[j] for j in chosen), den)}
         if use_igrading:
+            delta = unpack(state - high, width) + (0,) * nf
             trail["delta_i"] = tuple(delta[c] // h1.exponent
                                      for c in face_row)
-        if chosen:
-            found.append(Candidate(
-                tuple(pool[j].word for j in chosen),
-                "unobstructed, count unknown", trail=trail))
-        else:
-            faces = [f for f, word in bubbling_faces(d)
-                     if word == g.word.chords]
-            if faces:
-                label = "constant term, count +-1 (bubbling face witness)"
-            else:
-                label = "unobstructed, count unknown"
-            found.append(Candidate((), label, faces=faces, trail=trail))
+        faces = [] if chosen else [f for f, word in bubbling_faces(d)
+                                   if word == g.word.chords]
+        label = "constant term, count +-1 (bubbling face witness)" \
+            if faces else "unobstructed, count unknown"
+        found.append(Candidate(tuple(pool[j].word for j in chosen), label,
+                               faces=faces, trail=trail))
         return False
 
     # Depth first over the products, children in pool order: one frame
@@ -416,8 +429,7 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     start = _pack([t for _a, t in fields], width) + high
     stack = [] if consider(start, empty) else [[0, top, start, empty]]
     while stack:
-        frame = stack[-1]
-        i, budget_left, state, sums = frame
+        i, budget_left, state, sums = frame = stack[-1]
         if suffix_min[i] >= budget_left:
             stack.pop()
             if chosen:

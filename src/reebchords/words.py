@@ -29,6 +29,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .diagram import DiagramError, Letter, ResolvedDiagram, _on_grid
 from .geometry import offset_polyline, winding_number
+from .lp import _integers
 
 # The side offset of every push-out piece.  offset_polyline moves no point
 # more than sqrt(5)/8 < 0.28 (over all octant turns the worst case is a 135
@@ -176,9 +177,8 @@ def _bounds(d: ResolvedDiagram, chords: Iterable[int],
     if max_action is not None and least is not None and 2 * slack >= least:
         raise ValueError(f"epsilon too large for the action bound: 6*eps "
                          f"must stay below the least chord action {least}")
-    den = lcm(*(a.denominator for a in exact.values()))
-    actions = {c: a.numerator * (den // a.denominator)
-               for c, a in exact.items()}
+    ints, den = _integers(list(exact.values()))
+    actions = dict(zip(exact, ints))
     if max_action is None:      # n letters cost at most n dearest chords
         return den, actions, max_len, \
             lambda n: n * max(actions.values(), default=0)

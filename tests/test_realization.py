@@ -293,6 +293,48 @@ def test_invariants_survive_moving_a_crossing_past_a_distant_cusp(
     assert check_cusp_swaps(k_copy(trefoil, 2)) == {"XL": 1, "RX": 1}
 
 
+def triple_point_moves(front):
+    """(a, b) for each place in ``front`` with s strands and each p with
+    p + 2 <= s: the front with X{p},X{p+1},X{p} inserted there, and with
+    X{p+1},X{p},X{p+1}.  Both sides permute the strands alike, so they have
+    the same components, possibly not the front's; both keep the front's
+    orientations where those components exist, and its surgery
+    coefficients, +1 on any component it does not have."""
+    strands = 0
+    for i, (kind, _pos) in enumerate(front.events):
+        for p in range(1, strands - 1):
+            sides = []
+            for triple in ((p, p + 1, p), (p + 1, p, p + 1)):
+                events = front.events[:i] + [("X", q) for q in triple] + \
+                    front.events[i:]
+                n = FrontCode(events).n_components
+                sides.append(FrontCode(
+                    events,
+                    {c: o for c, o in front.orientations.items() if c < n},
+                    {c: front.surgery.get(c, 1) for c in range(n)}))
+            yield tuple(sides)
+        strands += {"L": 2, "R": -2}.get(kind, 0)
+
+
+def triple_point_data(front):
+    d = resolve(front)
+    return d.tb, d.rot, d.linking, h1_presentation(d).diagonal
+
+
+def test_invariants_survive_the_triple_point_move():
+    """Legendrian Reidemeister III, X{p},X{p+1},X{p} <-> X{p+1},X{p},X{p+1},
+    inserted at every place of at least p + 2 strands of the trefoil and
+    of the seeded fronts, keeps tb, rot, linking and H1's diagonal."""
+    fronts = [parse_front("L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")]
+    fronts += list(seeded_fronts())
+    moves = 0
+    for front in fronts:
+        for a, b in triple_point_moves(front):
+            assert triple_point_data(a) == triple_point_data(b), a.events
+            moves += 1
+    assert moves == 210
+
+
 def torus(n):
     return parse_front("L1,L3," + ",".join(["X2"] * n)
                        + ",R1,R1 / surgery {0:+1}")

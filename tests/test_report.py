@@ -1,7 +1,9 @@
 import importlib.util
 import random
 from fractions import Fraction
+from itertools import product
 from math import lcm
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ from reebchords.homology import h1_presentation
 from reebchords.quiver import effective_fiber_vector, i_grading
 from reebchords.report import (GeneratorRecord, _pool_length_cap,
                                differential_candidates, generators)
-from reebchords.words import CyclicWord
+from reebchords.words import CyclicWord, unpack
 
 F = Fraction
 EPS = F(1, 100)
@@ -753,6 +755,12 @@ def test_trail_actions_are_the_factors_action_sums(eps, monkeypatch):
     assert products > 0
 
 
+def unpacked(x, width, count):
+    """The first ``count`` fields of the unbiased packed int x, read as
+    the search reads a survivor's: ``unpack``, padded with zeros."""
+    return (list(unpack(x, width)) + [0] * count)[:count]
+
+
 @settings(max_examples=400, deadline=None)
 @seed(33)
 @given(st.data())
@@ -787,7 +795,7 @@ def test_the_packed_prune_equals_the_row_sums(data):
               ) & high == high
     assert passes == (not any(s + v + k * m > t for s, v, m, (_a, t) in
                               zip(sums, new, least, fields)))
-    assert report._unpack(state - column[chosen[-1]], width, count) == \
+    assert unpacked(state - column[chosen[-1]] - high, width, count) == \
         [t - s - v for s, v, (_a, t) in zip(sums, new, fields)]
 
 
@@ -802,7 +810,7 @@ def test_packed_fields_hold_the_ends_of_their_range(width):
     high = report._pack([half] * 3, width)
     for values in cases:
         state = report._pack(values, width) + high
-        assert report._unpack(state, width, 3) == values
+        assert unpacked(state - high, width, 3) == values
         assert (state & high == high) == all(v >= 0 for v in values)
 
 
@@ -810,7 +818,7 @@ def test_a_fractional_fiber_count_raises_in_the_search(monkeypatch):
     """Fiber vectors are ints over H1's exponent, 2 on the trefoil +1.  With
     1 taken off one entry of (r1)'s, the null-homologous product (r1)(r2)
     has a fiber count off that lattice, and its generator's search raises
-    where ``consider`` unpacks the face fields; unskewed, no search
+    in its proof over the class rows, before the walk; unskewed, no search
     does."""
     original = report.effective_fiber_vector
 
@@ -837,6 +845,83 @@ def test_a_fractional_fiber_count_raises_in_the_search(monkeypatch):
     assert outcomes() == []
     monkeypatch.setattr(report, "effective_fiber_vector", skewed)
     assert outcomes()
+
+
+def test_the_fiber_proof_raises_on_products_the_walk_never_reaches(
+        monkeypatch):
+    """On the trefoil +1 at pool length 1 both degree-1 rows, (r4) and
+    (r5), have the pool (r1), (r2), (r3), each of degree 0 and class 1 in
+    H1 = Z/2.  With 1 taken off the first fiber entry of (r3), each product
+    with (r3) an odd number of times and an even number of factors has a
+    fractional fiber count, but every such product lies over the budget or
+    behind the face prune, so no search visits one: a check on visited
+    products returns normally here.  The proof over the class rows'
+    lattice raises in both searches; unskewed, neither raises."""
+    original = report.effective_fiber_vector
+
+    def skewed(d, h1, w):
+        vec = original(d, h1, w)
+        return (vec[0] - 1,) + vec[1:] if w.chords == (3,) else vec
+
+    def outcomes():
+        d = resolve(parse_front(SEARCH_FRONTS[0]))
+        h1 = h1_presentation(d)
+        raised = []
+        for g in generators(d, h1, max_len=1, epsilon=EPS):
+            if g.good and g.degree == 1:
+                try:
+                    rep = differential_candidates(g, d, h1, EPS,
+                                                  max_pool_len=1)
+                except report.DiagramError as exc:
+                    assert "fractional fiber count" in str(exc)
+                    raised.append(g.word.chords)
+                else:
+                    assert [c.factors for c in rep.survivors] == [()]
+        return raised
+
+    assert outcomes() == []
+    monkeypatch.setattr(report, "effective_fiber_vector", skewed)
+    assert outcomes() == [(4,), (5,)]
+
+
+@settings(max_examples=200, deadline=None)
+@seed(38)
+@given(st.data())
+def test_the_fiber_proof_agrees_with_brute_force(data):
+    """``_prove_integral_fibers`` raises exactly when some x in [0, e)^n
+    with C.x = 0 mod m has a face sum F.x that e does not divide, for an
+    exponent e <= 12, at most two class rows C with moduli m dividing e, a
+    few face rows F and n <= 4 pool words.  The lattice of the class rows
+    holds e * Z^n, so that box meets every residue of it mod e.  Each
+    input is checked with its class rows and again without them.  Face
+    rows are drawn at random or as sums of (e / m) * C rows plus
+    multiples of e, which the class rows make integral."""
+    e = data.draw(st.integers(2, 12), "exponent")
+    n = data.draw(st.integers(0, 4), "words")
+    entries = st.lists(st.integers(-3 * e, 3 * e), min_size=n, max_size=n)
+    moduli = st.sampled_from([m for m in range(2, e + 1) if e % m == 0])
+    classes = data.draw(st.lists(st.tuples(entries, moduli), max_size=2),
+                        "class rows")
+    faces = data.draw(st.lists(entries, min_size=1, max_size=3), "faces")
+    if data.draw(st.booleans(), "integral faces"):
+        for f in faces:
+            f[:] = [e * v for v in f]
+            for c, m in classes:
+                k = data.draw(st.integers(-2, 2), "multiple")
+                f[:] = [v + k * (e // m) * a for v, a in zip(f, c)]
+    for cls in (classes, []):
+        rows = [(f, None, 0) for f in faces] + \
+            [(c, m, 0) for c, m in cls] + [([0] * n, 0, 0)]
+        fractional = any(
+            all(sum(map(mul, c, x)) % m == 0 for c, m in cls) and
+            any(sum(map(mul, f, x)) % e for f in faces)
+            for x in product(range(e), repeat=n))
+        try:
+            report._prove_integral_fibers(rows, len(faces), e)
+        except report.DiagramError:
+            assert fractional
+        else:
+            assert not fractional
 
 
 # (word, nodes, truncated, survivors) of every good degree-1 row of the
