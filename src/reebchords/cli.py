@@ -24,9 +24,9 @@ from .words import enumerate_chord_words, enumerate_orbit_words
 
 
 def frac_str(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 \
-        else str(f.numerator)
+    """An int or Fraction as "p/q", or "p" when its denominator is 1."""
+    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 \
+        else str(x.numerator)
 
 
 def parse_frac(text: str) -> Fraction:

@@ -21,7 +21,7 @@ plus the first k sizes (loop stretches and event spacings) in event order.
 The layout is the one place that double points come from: it places each
 one inside its event, on two diagonals whose segments hold at every size.
 The sizing LP's rows are read off it by difference arrays over the sizes
-(twice each integral, halved once) and the diagram is that layout at the
+(each row doubled, so in ints) and the diagram is that layout at the
 LP's solution, in ints over one integer, the least common denominator of
 those sizes.
 ``ResolvedDiagram`` computes on those ints the octants, the chord points
@@ -902,7 +902,8 @@ class Letter(NamedTuple):
 
 
 def _sizing_rows(cycles, order, crossings, action_margin):
-    """The template LP as (number of variables, eq rows, ge rows).
+    """The template LP (number of variables, eq rows, ge rows) in ints:
+    every row doubled, a ge row also times the margin's denominator.
 
     The variables are the template sizes theta, then a height shift
     s+ - s- per component after the first.  Every closure integral must
@@ -911,11 +912,13 @@ def _sizing_rows(cycles, order, crossings, action_margin):
     are read off the template in one pass, at the crossings that
     ``_template`` found.  Twice a height is an integer constant and a
     difference array over ``order``: a segment from k to k' adds y + y'
-    on [k, k'), and one prefix sum turns the array into coefficients,
-    halved once, in the rows.  A crossing's branches run along diagonals
-    laid out at one k, so from a vertex to the chord point adds a constant.
+    on [k, k'), and one prefix sum turns the array into coefficients.  A
+    crossing's branches run along diagonals laid out at one k, so from a
+    vertex to the chord point adds a constant.  Scaling a row by a
+    positive factor moves no pivot of ``solve_lp``'s rule.
     """
     n_geom, n_shift = len(order), 2 * (len(cycles) - 1)
+    num, den = action_margin.numerator, action_margin.denominator
     wanted = {end for _, over, under in crossings for end in (over, under)}
     # twice the height at each chord end's segment start, and after each
     # component's closing segment
@@ -933,14 +936,12 @@ def _sizing_rows(cycles, order, crossings, action_margin):
         closures.append((const, diff))
 
     def row(diff):
-        coef, acc = [Fraction(0)] * n_geom, 0
-        for v, step in zip(order, diff):
-            acc += step
-            coef[v] = Fraction(acc, 2)
+        coef = [0] * n_geom
+        for v, acc in zip(order, accumulate(diff)):
+            coef[v] = acc
         return coef
 
-    eq = [(row(diff) + [Fraction(0)] * n_shift, Fraction(-const, 2))
-          for const, diff in closures]
+    eq = [(row(diff) + [0] * n_shift, -const) for const, diff in closures]
     ge = []
     for p, over, under in crossings:
         (z_hi, d_hi), (z_lo, d_lo) = heights[over], heights[under]
@@ -948,13 +949,13 @@ def _sizing_rows(cycles, order, crossings, action_margin):
                                             in (over, under))
         gap = z_hi + (y_hi + p[1]) * (p[0] - c_hi) \
             - z_lo - (y_lo + p[1]) * (p[0] - c_lo)
-        shift = [Fraction(0)] * n_shift
-        for ci, sgn in ((over[0], 1), (under[0], -1)):
+        shift = [0] * n_shift
+        for ci, sgn in ((over[0], 2 * den), (under[0], -2 * den)):
             if ci > 0:
                 shift[2 * (ci - 1)] += sgn
                 shift[2 * (ci - 1) + 1] -= sgn
-        ge.append((row([a - b for a, b in zip(d_hi, d_lo)]) + shift,
-                   action_margin - Fraction(gap, 2)))
+        ge.append((row([den * (a - b) for a, b in zip(d_hi, d_lo)]) + shift,
+                   2 * num - den * gap))
     return n_geom + n_shift, eq, ge
 
 
@@ -975,7 +976,7 @@ def resolve(front: FrontCode, action_margin: Fraction = Fraction(32)
     try:
         cycles, order, crossings = _template(front)
         n_var, eq, ge = _sizing_rows(cycles, order, crossings, action_margin)
-        theta = solve_lp(n_var, eq, ge, minimize=[Fraction(1)] * n_var)
+        theta = solve_lp(n_var, eq, ge, minimize=[1] * n_var)
         if theta is None:
             raise DiagramError(
                 "no template sizing realizes this front in good position")

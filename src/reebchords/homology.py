@@ -19,80 +19,59 @@ from .words import CyclicWord
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]):
-    """(D, U, V) with U m V = D diagonal, U and V unimodular."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [list(map(int, r)) for r in m]
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    """(D, U, V) with U m V = D diagonal, U and V unimodular, read off one
+    table t = [[m | I], [I | 0]]: an operation on a row of m carries U
+    along that row, one on a column of m carries V down that column.  U
+    fixes the class coordinates that ``chain`` and ``homology`` print, so
+    the operation order is fixed: the least |entry| is the pivot, the
+    first in row-major order on ties; the remainders are cleared, then
+    the pivot's row gains a row holding an entry the pivot does not divide.
+    """
+    rows, cols = len(m), len(m[0]) if m else 0
+    t = [[*map(int, r), *(int(i == j) for j in range(rows))]
+         for i, r in enumerate(m)]
+    t += [[int(i == j) for j in range(cols)] + [0] * rows
+          for i in range(cols)]
 
-    def row_op(i, j, k):         # row_i += k * row_j
-        for t in range(cols):
-            a[i][t] += k * a[j][t]
-        for t in range(rows):
-            u[i][t] += k * u[j][t]
+    def row_op(i, j, k):         # row_i += k * row_j; k = -2 negates
+        t[i] = [x + k * y for x, y in zip(t[i], t[j])]
 
     def col_op(i, j, k):         # col_i += k * col_j
-        for t in range(rows):
-            a[t][i] += k * a[t][j]
-        for t in range(cols):
-            v[t][i] += k * v[t][j]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        for r in t:
+            r[i] += k * r[j]
 
     def col_swap(i, j):
-        for t in range(rows):
-            a[t][i], a[t][j] = a[t][j], a[t][i]
-        for t in range(cols):
-            v[t][i], v[t][j] = v[t][j], v[t][i]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        for r in t:
+            r[i], r[j] = r[j], r[i]
 
     for k in range(min(rows, cols)):
         while True:
-            piv = None
-            for i in range(k, rows):
-                for j in range(k, cols):
-                    if a[i][j] != 0 and (piv is None or
-                                         abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                        piv = (i, j)
+            piv = min(((abs(t[i][j]), i, j) for i in range(k, rows)
+                       for j in range(k, cols) if t[i][j]), default=None)
             if piv is None:
                 break
-            row_swap(k, piv[0])
-            col_swap(k, piv[1])
-            if any(a[i][k] % a[k][k] for i in range(k + 1, rows)) or \
-               any(a[k][j] % a[k][k] for j in range(k + 1, cols)):
-                for i in range(k + 1, rows):
-                    if a[i][k] % a[k][k]:
-                        row_op(i, k, -(a[i][k] // a[k][k]))
-                for j in range(k + 1, cols):
-                    if a[k][j] % a[k][k]:
-                        col_op(j, k, -(a[k][j] // a[k][k]))
-                continue        # a smaller pivot now exists
+            t[k], t[piv[1]] = t[piv[1]], t[k]
+            col_swap(k, piv[2])
+            p = t[k][k]
+            rem = any(t[i][k] % p for i in range(k + 1, rows)) or \
+                any(t[k][j] % p for j in range(k + 1, cols))
             for i in range(k + 1, rows):
-                if a[i][k]:
-                    row_op(i, k, -(a[i][k] // a[k][k]))
+                if t[i][k] % p if rem else t[i][k]:
+                    row_op(i, k, -(t[i][k] // p))
             for j in range(k + 1, cols):
-                if a[k][j]:
-                    col_op(j, k, -(a[k][j] // a[k][k]))
-            bad = None
-            for i in range(k + 1, rows):
-                for j in range(k + 1, cols):
-                    if a[i][j] % a[k][k]:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+                if t[k][j] % p if rem else t[k][j]:
+                    col_op(j, k, -(t[k][j] // p))
+            if rem:
+                continue        # a remainder is a smaller pivot
+            bad = next((i for i in range(k + 1, rows)
+                        if any(t[i][j] % p for j in range(k + 1, cols))), None)
             if bad is None:
                 break
-            row_op(k, bad, 1)   # drag a non-divisible entry into row k
-        if k < min(rows, cols) and a[k][k] < 0:
-            row_negate(k)
-    return a, u, v
+            row_op(k, bad, 1)
+        if t[k][k] < 0:
+            row_op(k, k, -2)
+    return ([r[:cols] for r in t[:rows]], [r[cols:] for r in t[:rows]],
+            [r[:cols] for r in t[rows:]])
 
 
 class H1Presentation(object):

@@ -4,12 +4,12 @@ rule, with one start.
 ``solve_lp`` sizes the diagram builder's templates: closure integrals must
 vanish exactly while every crossing keeps a positive z-gap, and its vertex
 fixes the realization.  Its costs are >= 0, so the slack basis is dual
-feasible and there is no phase 1.  The builder reads all rows off one
-symbolic layout; a front of n events gives about n variables and n rows,
-and the pivots skip the tableau's many zeros.  ``feasible_vertex`` decides
-the candidate search's branch and bound on a zero objective, for which
-every basis is dual feasible.  A child starts from its parent's final
-tableau with the one new bound row added.
+feasible and there is no phase 1.  The builder's rows are doubled into
+ints, which moves no pivot; a front of n events gives about n variables
+and n rows, and the pivots skip the tableau's many zeros.
+``feasible_vertex`` decides the candidate search's branch and bound on a
+zero objective, for which every basis is dual feasible.  A child starts
+from its parent's final tableau with the one new bound row added.
 
 Every row enters as -a.x + s = -b with its slack s basic, an eq row as the
 two rows a.x >= b and -a.x >= -b, so every tableau's slack columns hold

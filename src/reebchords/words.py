@@ -38,6 +38,10 @@ from .lp import _integers
 # windings are those at any smaller offset.
 PUSH_OFF = Fraction(1, 8)
 
+# The most words and open prefixes an orbit-word enumeration keeps; past it
+# it raises a ValueError (CLI exit 2) rather than grow memory without limit.
+MAX_WORD_NODES = 100_000
+
 def _width(n: int) -> int:
     """The packing width W of words of at most n letters.  A twist by
     c = +-1 (a surgery coefficient) at most doubles an entry's coefficient
@@ -205,6 +209,7 @@ def enumerate_orbit_words(d: ResolvedDiagram,
     taking n + 1 if not, and is its own least rotation when p divides n.
     Nodes are flat tuples (chords, period, action over den, letters, sign,
     rows packed at the bound's width); a word adds only its closing letter.
+    Past ``MAX_WORD_NODES`` words and kept prefixes it raises ValueError.
     """
     if not any(v != 0 for v in d.surgery.values()):
         raise ValueError("empty surgery locus: no orbits exist")
@@ -240,6 +245,9 @@ def enumerate_orbit_words(d: ResolvedDiagram,
                 lt = letter(seq[-1], c)
                 longer.append((seq + (c,), q, act + actions[c], lts + (lt,),
                                *_twist(sign, rows, lt, width)))
+                if len(out) + len(longer) > MAX_WORD_NODES:
+                    raise ValueError(f"orbit words and open prefixes passed "
+                                     f"MAX_WORD_NODES = {MAX_WORD_NODES}")
         level, n = longer, n + 1
     return out
 
@@ -338,15 +346,16 @@ def _arc(d: ResolvedDiagram, j1: int, j2: int):
 def _letter_crossings(d: ResolvedDiagram, j1: int, j2: int
                       ) -> Tuple[int, ...]:
     """The crossings of letter r_j1 r_j2's share of a push-out, memoized
-    per pair: its capping arc, then the jump across r_j2 to the step that
-    leaves r_j2's tip, where every next letter's arc starts.  The jump's
-    ends depend only on j2 (an arc's end segment is the one through the
-    chord), so its crossings are memoized per chord."""
+    per pair: its capping arc, then the jump across r_j2, memoized per
+    chord, from the end of the step into r_j2's tail passage (arc k - 1 of
+    its component) to the start of the step out of its tip passage."""
     rows = d.memo.setdefault(("crossings",), {})
     if (j1, j2) not in rows:
-        _start, end, arc = _arc(d, j1, j2)
+        arc = _arc(d, j1, j2)[2]
         jumps = d.memo.setdefault(("jumps",), {})
         if j2 not in jumps:
+            comp, k = d._passage_of[j2, "tail"]
+            end = _step(d, comp, (k - 1) % len(d.passages[comp]))[1]
             nxt = _step(d, *d._passage_of[j2, "tip"])[0]
             jumps[j2] = _crossings(d, [end, nxt])
         rows[j1, j2] = tuple(map(add, arc, jumps[j2]))

@@ -16,6 +16,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from oracles import front_text, k_copy
 import reebchords
+from reebchords import words
 from reebchords.cli import main
 from reebchords.diagram import (DiagramError, FrontCode, ResolvedDiagram,
                                 parse_front, resolve)
@@ -85,6 +86,20 @@ def test_orbits_and_cz_commands(tmp_path, capsys):
     code, out, _ = run(capsys, ["cz", "--input", path, "--max-len", "2"])
     rows = json.loads(out)
     assert rows[0]["cz"] == 1 and rows[1]["cz"] == 2
+
+
+def test_orbit_words_past_their_bound_exit_2(tmp_path, capsys,
+                                             monkeypatch):
+    """The trefoil +1 has 859 orbit words of length at most 5 and 3,494
+    of length at most 6.  Under a bound of 1,000 words and open prefixes
+    the first enumeration runs and the second exits 2, naming the bound."""
+    monkeypatch.setattr(words, "MAX_WORD_NODES", 1000)
+    path = write(tmp_path, "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}")
+    code, out, _ = run(capsys, ["orbits", "--input", path, "--max-len", "5"])
+    assert code == 0 and len(json.loads(out)) == 859
+    code, out, err = run(capsys, ["orbits", "--input", path, "--max-len", "6"])
+    assert code == 2 and out == ""
+    assert "MAX_WORD_NODES = 1000" in err
 
 
 def test_chords_command(tmp_path, capsys):

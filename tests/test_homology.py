@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (all_orbit_strings, divisors_2x2, gauss_jordan_solve,
                      orbit_class_pushout, pushout_linking)
@@ -42,6 +43,40 @@ def test_snf_against_bruteforce_2x2():
         assert d[0][1] == d[1][0] == 0
         assert abs(u[0][0] * u[1][1] - u[0][1] * u[1][0]) == 1
         assert abs(v[0][0] * v[1][1] - v[0][1] * v[1][0]) == 1
+
+
+def exact_det(m):
+    """The determinant of a square integer matrix, by Gaussian elimination
+    in Fractions."""
+    a, det = [[F(x) for x in row] for row in m], F(1)
+    for k in range(len(a)):
+        piv = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv], det = a[piv], a[k], -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-50, 50), min_size=cols, max_size=cols),
+    min_size=1, max_size=8)))
+def test_snf_is_a_unimodular_diagonalization(m):
+    """U m V = D exactly, D is diagonal with 0 <= d_i and d_i | d_(i+1),
+    and U and V have determinant +-1, on matrices up to 8x8."""
+    d, u, v = smith_normal_form(m)
+    assert mat_mul(mat_mul(u, m), v) == d
+    diag = [d[k][k] for k in range(min(len(m), len(m[0])))]
+    assert all(x == 0 for i, row in enumerate(d)
+               for j, x in enumerate(row) if i != j)
+    assert all(x >= 0 for x in diag)
+    assert all(y % x == 0 if x else y == 0 for x, y in zip(diag, diag[1:]))
+    assert abs(exact_det(u)) == abs(exact_det(v)) == 1
 
 
 def test_h1_examples(trefoil_plus_h1, trefoil_minus_h1,

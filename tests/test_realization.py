@@ -347,12 +347,20 @@ def test_seeded_random_fronts():
         check_classes(d)
 
 
+def doubled_fd_sizing_rows(front, margin):
+    """``fd_sizing_rows`` with every row times 2, as ``_sizing_rows``
+    returns them."""
+    n, eq, ge = fd_sizing_rows(front, margin)
+    return n, *([([2 * v for v in a], 2 * b) for a, b in rows]
+                for rows in (eq, ge))
+
+
 def check_against_oracles(d, margin=Fraction(32)):
-    """The one-pass LP rows equal the finite-difference rows, and the
-    chords read off the template's crossing pairs are exactly the all-pairs
-    double points of the solution's segments."""
+    """The one-pass LP rows equal twice the finite-difference rows, and
+    the chords read off the template's crossing pairs are exactly the
+    all-pairs double points of the solution's segments."""
     assert _sizing_rows(*_template(d.front), margin) == \
-        fd_sizing_rows(d.front, margin)
+        doubled_fd_sizing_rows(d.front, margin)
     check_chords_against_all_pairs(d)
 
 
@@ -400,7 +408,7 @@ def test_copy_sizing_rows_match_the_finite_differences(k):
     # the 4-copy checks the chords only
     front = k_copy(parse_front("L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}"), k)
     assert _sizing_rows(*_template(front), Fraction(32)) == \
-        fd_sizing_rows(front, Fraction(32))
+        doubled_fd_sizing_rows(front, Fraction(32))
 
 
 def check_basepoints(d):

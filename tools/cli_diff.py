@@ -47,6 +47,9 @@ The commands, each run twice under each tree:
   grading differences, read back from the search's packed states over
   this 51-event front's face rows.  It takes about 2-3.5 CPU s a run.
   The copies are those of ``k_copy`` in ``tests/oracles.py``;
+* ``homology --max-len 1`` on the 3-, 4- and 5-copy: three commands.
+  Their H1 presentations are 3x3 to 5x5, and these commands pin the
+  class coordinates that the Smith form's U fixes on them;
 * ``cz --max-len 3`` and ``homology --max-len 3`` on the trefoil with +1
   and with -1 surgery, on the Hopf link with +1 and -1 surgery, on the
   2-copy, and on the stabilized unknot with +1 surgery in both
@@ -153,6 +156,10 @@ def commands():
         ("4-copy chain", chain, TREFOIL_4_COPY),
         ("5-copy chain", chain, TREFOIL_5_COPY),
     ]
+    for k, front in ((3, TREFOIL_3_COPY), (4, TREFOIL_4_COPY),
+                     (5, TREFOIL_5_COPY)):
+        out.append((f"{k}-copy homology", ["homology", "--max-len", "1"],
+                    front))
     for name, front in (("trefoil +1", TREFOIL.format("+1")),
                         ("trefoil -1", TREFOIL.format("-1")),
                         ("hopf +-", HOPF_PLUS_MINUS),
