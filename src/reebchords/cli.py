@@ -19,7 +19,7 @@ from .dynamics import hyperbolic_type, orbit_action, return_map
 from .homology import h1_presentation, orbit_class_monomial
 from .indices import c1_class, cz_integral
 from .quiver import Quiver, i_grading
-from .report import differential_candidates, generators
+from .report import candidate_reports, generators
 from .words import enumerate_chord_words, enumerate_orbit_words
 
 
@@ -44,18 +44,10 @@ def emit(data, fmt: str):
         print(json.dumps(data, indent=2))
         return
     rows = data if isinstance(data, list) else [data]
-    flat = []
-    for row in rows:
-        if isinstance(row, dict):
-            flat.append({k: (json.dumps(v) if isinstance(v, (list, dict))
-                             else v) for k, v in row.items()})
-        else:
-            flat.append({"value": row})
-    headers = []
-    for row in flat:
-        for k in row:
-            if k not in headers:
-                headers.append(k)
+    flat = [{k: (json.dumps(v) if isinstance(v, (list, dict)) else v)
+             for k, v in row.items()} if isinstance(row, dict)
+            else {"value": row} for row in rows]
+    headers = list(dict.fromkeys(k for row in flat for k in row))
     if fmt == "tsv":
         print("\t".join(headers))
         for row in flat:
@@ -159,11 +151,8 @@ def cmd_cz(args, d):
         cz = cz_integral(d, w)
         trace = return_map(d, w).trace()
         kind, threshold = hyperbolic_type(cz % 2, trace)
-        rows.append({"word": word_name(w.chords),
-                     "cz": cz,
-                     "cz_mod2": cz % 2,
-                     "hyperbolic": kind,
-                     "threshold": frac_str(threshold),
+        rows.append({"word": word_name(w.chords), "cz": cz, "cz_mod2": cz % 2,
+                     "hyperbolic": kind, "threshold": frac_str(threshold),
                      "trace": list(trace)})
     emit(rows, args.format)
 
@@ -204,15 +193,9 @@ def cmd_grading(args, d):
     if not h1.finite:
         raise FrontError("intersection grading needs finite first homology")
     max_len, max_action, eps = _bounds(args)
-    rows = []
-    for w in enumerate_orbit_words(d, max_len, max_action, eps):
-        cls = orbit_class_monomial(d, h1, w)
-        if not cls.is_zero():
-            continue
-        ig = i_grading(d, h1, w)
-        rows.append({"word": word_name(w.chords),
-                     "igrading": list(ig)})
-    emit(rows, args.format)
+    emit([{"word": word_name(w.chords), "igrading": list(i_grading(d, h1, w))}
+          for w in enumerate_orbit_words(d, max_len, max_action, eps)
+          if orbit_class_monomial(d, h1, w).is_zero()], args.format)
 
 
 @on_diagram
@@ -223,23 +206,12 @@ def cmd_chain(args, d):
         raise FrontError("chain reports need --epsilon")
     gens = generators(d, h1, max_len, max_action, eps)
     name = functools.lru_cache(None)(word_name)     # once per word
-    # the searches run by descending budget, so each pool table of
-    # _pool_words is enumerated once, at its largest budget
-    reps = {}
-    for g in sorted((g for g in gens if g.good and g.degree == 1),
-                    key=lambda g: g.action + 3 * eps * len(g.word),
-                    reverse=True):
-        reps[g.word.chords] = differential_candidates(
-            g, d, h1, eps, max_pool_len=args.max_len)
+    reps = candidate_reports(gens, d, h1, eps, args.max_len)
     rows = []
     for g in gens:
-        row = {"word": word_name(g.word.chords),
-               "good": g.good,
-               "cz": g.cz,
-               "degree": g.degree,
-               "class": list(g.orbit_class.reduced),
-               "action": frac_str(g.action),
-               "hyperbolic": g.hyperbolic,
+        row = {"word": word_name(g.word.chords), "good": g.good, "cz": g.cz,
+               "degree": g.degree, "class": list(g.orbit_class.reduced),
+               "action": frac_str(g.action), "hyperbolic": g.hyperbolic,
                "threshold": frac_str(g.threshold)}
         if g.igrading is not None:
             row["igrading"] = list(g.igrading)

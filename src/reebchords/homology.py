@@ -4,7 +4,8 @@ The presentation matrix has the framing coefficients tb + c on the diagonal
 and linking numbers off it, over the surgered components.  Orbit classes
 come from the crossing-monomial formula, half the sum of the int monomial
 vectors read off the word's letters, and are reduced to a normal form in
-the cokernel via Smith normal form with unimodular transforms.
+the cokernel via Smith normal form with unimodular transforms, which a
+fraction-free determinant checks.
 Everything here is in ints: ``H1Presentation.solve`` returns its rational
 solutions times ``exponent``, the last elementary divisor.  An
 ``OrbitClass`` is one orbit's meridian vector and its normal form, with no
@@ -74,26 +75,33 @@ def smith_normal_form(m: Sequence[Sequence[int]]):
             [r[:cols] for r in t[rows:]])
 
 
+def _det(m: Sequence[Sequence[int]]) -> int:
+    """The determinant of a square int matrix, by fraction-free (Bareiss)
+    elimination: every division in it is exact."""
+    a, sign, last = [list(r) for r in m], 1, 1
+    for k in range(len(a)):
+        j = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if j is None:
+            return 0
+        a[k], a[j], sign = a[j], a[k], sign if j == k else -sign
+        a[k + 1:] = [[(x * a[k][k] - r[k] * y) // last
+                      for x, y in zip(r, a[k])] for r in a[k + 1:]]
+        last = a[k][k]
+    return sign * last
+
+
 class H1Presentation(object):
     """Meridian presentation of the first homology after surgery."""
 
     def __init__(self, d: ResolvedDiagram):
         self.surgered = [i for i in range(len(d.components))
                          if d.surgery[i] != 0]
-        n = len(self.surgered)
-        self.matrix = [[0] * n for _ in range(n)]
-        for a, i in enumerate(self.surgered):
-            for b, j in enumerate(self.surgered):
-                if i == j:
-                    self.matrix[a][b] = d.tb[i] + d.surgery[i]
-                else:
-                    self.matrix[a][b] = d.linking[i][j]
+        self.matrix = [[d.tb[i] + d.surgery[i] if i == j else d.linking[i][j]
+                        for j in self.surgered] for i in self.surgered]
         self.snf, self.u, self.v = smith_normal_form(self.matrix)
-        # a square integer matrix is unimodular when its Smith form is I
-        if any(row[k] != 1 for t in (self.u, self.v)
-               for k, row in enumerate(smith_normal_form(t)[0])):
+        if any(abs(_det(t)) != 1 for t in (self.u, self.v)):
             raise DiagramError("SNF transforms are not unimodular")
-        self.diagonal = [self.snf[k][k] for k in range(n)]
+        self.diagonal = [row[k] for k, row in enumerate(self.snf)]
         for x, y in zip(self.diagonal, self.diagonal[1:]):
             if (x == 0 and y != 0) or (x != 0 and y % x != 0):
                 raise DiagramError(f"SNF divisibility fails: {self.diagonal}")
@@ -101,7 +109,7 @@ class H1Presentation(object):
         self.free_rank = sum(1 for x in self.diagonal if x == 0)
         self.finite = self.free_rank == 0
         # the last elementary divisor, a multiple of all the others
-        self.exponent = self.diagonal[-1] if n else 1
+        self.exponent = self.diagonal[-1] if self.diagonal else 1
 
     def reduce(self, vector: Sequence) -> Tuple[int, ...]:
         """Normal form of a meridian vector in the cokernel coordinates."""

@@ -10,6 +10,7 @@ search runs in ints: costs over one common denominator, fiber vectors as
 Its pool is read off one table per (pool length, eps) in the diagram's
 memo, sorted once by (action, chords), with actions and costs as ints
 over one denominator: a search sorts nothing and compares no ``Fraction``.
+``chain`` asks each distinct question once (``candidate_reports``).
 
 A search's filters are one table of int rows over its pool (distinct face
 rows, class rows, the degree row).  The walk keeps a product's face-row
@@ -25,6 +26,7 @@ LPs.  A proof that none does ends the search complete.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from operator import add
 from typing import List, Optional, Tuple
@@ -85,9 +87,8 @@ def generators(d: ResolvedDiagram, h1: H1Presentation,
                max_action: Optional[Fraction] = None,
                epsilon: Optional[Fraction] = None) -> List[GeneratorRecord]:
     """All orbit words within bounds, bad ones included and flagged."""
-    words = enumerate_orbit_words(d, max_len=max_len, max_action=max_action,
-                                  epsilon=epsilon)
-    return [generator_record(d, h1, w) for w in words]
+    return [generator_record(d, h1, w) for w in
+            enumerate_orbit_words(d, max_len, max_action, epsilon)]
 
 
 class Candidate(object):
@@ -125,6 +126,16 @@ class CandidateReport(object):
         # product passes or that no branch and bound had proved otherwise
         self.truncated = truncated
         self.nodes = nodes              # products the search examined
+
+
+def _constant_term(d: ResolvedDiagram, g: GeneratorRecord,
+                   trail) -> Candidate:
+    """The constant term 1 of g's differential, of trail ``trail``, with
+    the bubbling faces whose corner word is g's word as its witnesses."""
+    faces = [f for f, word in bubbling_faces(d) if word == g.word.chords]
+    return Candidate((), "constant term, count +-1 (bubbling face witness)"
+                     if faces else "unobstructed, count unknown",
+                     faces=faces, trail=trail)
 
 
 def _pool_length_cap(d: ResolvedDiagram, target_degree: int) -> Optional[int]:
@@ -208,6 +219,18 @@ def _pack(values, width: int) -> int:
     return sum(v << width * f for f, v in enumerate(values))
 
 
+def _packed_tables(fields, n: int, width: int):
+    """(columns, suffix_lo): ``_pack`` of the fields' entries of word j and
+    of their minima over words i.. capped at 0, for j < n and i <= n,
+    built field by field, field f adding its value << width * f once."""
+    columns, suffix_lo = [0] * n, [0] * (n + 1)
+    for f, (a, _t) in enumerate(fields):
+        lows = list(accumulate(reversed(a), min, initial=0))[::-1]
+        columns = [c + (v << width * f) for c, v in zip(columns, a)]
+        suffix_lo = [c + (v << width * f) for c, v in zip(suffix_lo, lows)]
+    return columns, suffix_lo
+
+
 def _search_rows(d: ResolvedDiagram, h1: H1Presentation, g: GeneratorRecord,
                  pool, z_graded: bool):
     """g's filters as rows (a, mod, t) over its pool, for a product with
@@ -218,11 +241,11 @@ def _search_rows(d: ResolvedDiagram, h1: H1Presentation, g: GeneratorRecord,
     != 1 of h1, and the degree row, last."""
     rows, face_row = [], []
     if g.igrading is not None:
-        fiber = [effective_fiber_vector(d, h1, r.word) for r in pool]
+        per_face = list(zip(*(effective_fiber_vector(d, h1, r.word)
+                              for r in pool))) or [()] * len(g.igrading)
         distinct = {}
-        face_row = [distinct.setdefault(
-            (tuple(v[c] for v in fiber), t * h1.exponent), len(distinct))
-            for c, t in enumerate(g.igrading)]
+        face_row = [distinct.setdefault((a, t * h1.exponent), len(distinct))
+                    for a, t in zip(per_face, g.igrading)]
         rows = [(list(a), None, t) for a, t in distinct]
     rows += [([sum(a * b for a, b in zip(u, r.orbit_class.vector))
                for r in pool], mod, t)
@@ -330,7 +353,8 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     i-grading filter ``_prove_integral_fibers`` runs first, once, and the
     walk calls ``_integer_point`` once, when it has examined ``lp_at``
     products, and stops complete if that proves that no non-constant
-    product survives (the constant term may).
+    product survives (the constant term may).  It is pure per generator:
+    ``candidate_reports`` shares one report among the rows of ``chain``.
     """
     epsilon = Fraction(epsilon)
     z_graded = canonical_grading_valid(d, h1.finite, g.orbit_class.is_zero())
@@ -373,15 +397,8 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     # a product has at most K factors, and k <= K too
     width = _field_width(fields, (top - 1) // min(costs) if costs else 0)
     high = _pack([1 << width - 1] * len(fields), width)
-    columns = [_pack(col, width) for col in zip(*(a for a, _t in fields))
-               ] or [0] * n
-    suffix_min = costs + [top]
-    suffix_lo = [0] * (n + 1)
-    least = [0] * len(fields)
-    for i in range(n - 1, -1, -1):
-        suffix_min[i] = min(costs[i], suffix_min[i + 1])
-        least = [min(a[i], m) for (a, _t), m in zip(fields, least)]
-        suffix_lo[i] = _pack(least, width)
+    columns, suffix_lo = _packed_tables(fields, n, width)
+    suffix_min = list(accumulate(reversed(costs), min, initial=top))[::-1]
     # an LP costs about its tableau, rows x (columns + rows), its rows the
     # table's and cost < top and sum(x) >= 1: the branch and bound runs
     # once the search has examined that many products, for at most
@@ -414,12 +431,9 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
             delta = unpack(state - high, width) + (0,) * nf
             trail["delta_i"] = tuple(delta[c] // h1.exponent
                                      for c in face_row)
-        faces = [] if chosen else [f for f, word in bubbling_faces(d)
-                                   if word == g.word.chords]
-        label = "constant term, count +-1 (bubbling face witness)" \
-            if faces else "unobstructed, count unknown"
-        found.append(Candidate(tuple(pool[j].word for j in chosen), label,
-                               faces=faces, trail=trail))
+        found.append(Candidate(tuple(pool[j].word for j in chosen),
+                               "unobstructed, count unknown", trail=trail)
+                     if chosen else _constant_term(d, g, trail))
         return False
 
     # Depth first over the products, children in pool order: one frame
@@ -461,3 +475,29 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
             break
         stack.append([nxt, left, state, sums])
     return CandidateReport(found, z_graded, warning, truncated, nodes)
+
+
+def candidate_reports(gens: List[GeneratorRecord], d: ResolvedDiagram,
+                      h1: H1Presentation, epsilon: Fraction,
+                      max_pool_len: Optional[int] = None):
+    """{word chords: ``differential_candidates``} of gens' good degree-1
+    generators, by descending budget: each pool table is enumerated once.
+    A search reads g only through its budget g.action + 3 eps len(g.word),
+    reduced class (so z_graded, pool length, class rows), i-grading and
+    constant term: a generator asking an answered question gets that
+    report with its own constant term, whose faces are its word's."""
+    asked = {g: (g.action + 3 * epsilon * len(g.word), g.orbit_class.reduced,
+                 g.igrading) for g in gens if g.good and g.degree == 1}
+    reps, answers = {}, {}
+    for g in sorted(asked, key=lambda g: asked[g][0], reverse=True):
+        rep = answers.get(asked[g])
+        if rep is None:
+            rep = answers[asked[g]] = differential_candidates(
+                g, d, h1, epsilon, max_pool_len)
+        else:
+            rep = CandidateReport([_constant_term(d, g, c.trail)
+                                   if c.is_constant() else c
+                                   for c in rep.survivors], rep.z_graded,
+                                  rep.warning, rep.truncated, rep.nodes)
+        reps[g.word.chords] = rep
+    return reps

@@ -692,12 +692,13 @@ def test_chain_on_item4_input_completes_with_bounded_work(tmp_path, capsys,
 
     reports = {}
 
-    def kept(g, *args, **kwargs):
-        rep = report.differential_candidates(g, *args, **kwargs)
-        reports[cli.word_name(g.word.chords)] = rep
-        return rep
+    def kept(*args, **kwargs):
+        reps = report.candidate_reports(*args, **kwargs)
+        reports.update((cli.word_name(chords), rep)
+                       for chords, rep in reps.items())
+        return reps
 
-    monkeypatch.setattr(cli, "differential_candidates", kept)
+    monkeypatch.setattr(cli, "candidate_reports", kept)
     path = write(tmp_path, "L1,L3,X2,X2,X2,X2,X2,R1,R1 / surgery {0:-1}")
     code, out, _ = run(capsys, ["chain", "--max-len", "3", "--epsilon",
                                 "1/100", "--input", path])

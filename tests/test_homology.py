@@ -288,6 +288,48 @@ def test_non_unimodular_snf_transform_raises(hopf_plus, monkeypatch, which):
         homology.H1Presentation(hopf_plus)
 
 
+def test_a_transform_of_determinant_two_raises(hopf_plus, monkeypatch):
+    """U = [[1, 1], [-1, 1]], of determinant 2 with no row a multiple of
+    another's, is rejected as not unimodular."""
+    real = homology.smith_normal_form
+
+    def skewed(m):
+        d, _u, v = real(m)
+        return d, [[1, 1], [-1, 1]], v
+
+    monkeypatch.setattr(homology, "smith_normal_form", skewed)
+    with pytest.raises(DiagramError, match="SNF transforms are not unimodular"):
+        homology.H1Presentation(hopf_plus)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.integers(-2, 2), st.integers(-10 ** 6, 10 ** 6)),
+             min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_the_bareiss_determinant_is_exact(m):
+    """The fraction-free determinant that checks U and V equals Gaussian
+    elimination in Fractions, singular matrices and 0x0 included."""
+    assert homology._det(m) == exact_det(m)
+
+
+# (diagonal, U) of each fixture's presentation, as measured before the
+# unimodularity check became a determinant
+H1_OF_FIXTURES = {
+    "trefoil_plus": ([2], [[1]]), "trefoil_minus": ([0], [[1]]),
+    "unknot_plus": ([0], [[1]]), "unknot_minus": ([2], [[-1]]),
+    "stab_plus": ([1], [[-1]]), "hopf_plus": ([1, 1], [[-1, 0], [0, -1]]),
+    "hopf_mixed": ([0], [[1]]), "2-copy": ([1, 3], [[1, 0], [2, -1]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(H1_OF_FIXTURES))
+def test_h1_diagonal_and_u_of_the_fixtures(name, request):
+    d = resolve(parse_front(TREFOIL_2_COPY)) if name == "2-copy" \
+        else request.getfixturevalue(name)
+    h1 = h1_presentation(d)
+    assert (h1.diagonal, h1.u) == H1_OF_FIXTURES[name]
+
+
 def test_fiber_vector_needs_finite_h1(unknot_plus):
     h1 = h1_presentation(unknot_plus)
     assert not h1.finite

@@ -17,7 +17,8 @@ from reebchords.diagram import parse_front, resolve
 from reebchords.homology import h1_presentation
 from reebchords.quiver import effective_fiber_vector, i_grading
 from reebchords.report import (GeneratorRecord, _pool_length_cap,
-                               differential_candidates, generators)
+                               candidate_reports, differential_candidates,
+                               generators)
 from reebchords.words import CyclicWord, unpack
 
 F = Fraction
@@ -962,3 +963,117 @@ def test_k_copy_search_work_is_pinned(copies, max_len):
             got.append((g.word.chords, rep.nodes, rep.truncated,
                         len(rep.survivors)))
     assert got == K_COPY_WORK[copies, max_len]
+
+
+def torus_minus(crossings):
+    """T(2, crossings) with -1 surgery."""
+    return "L1,L3," + "X2," * crossings + "R1,R1 / surgery {0:-1}"
+
+
+SHARED_FRONTS = [
+    (torus_minus(3), 3), (torus_minus(5), 3), (torus_minus(9), 3),
+    (SEARCH_FRONTS[0], 3),
+    (front_text(k_copy(parse_front(SEARCH_FRONTS[0]), 2)), 2)]
+
+
+def candidate_summary(rep):
+    """Everything a report says that ``chain`` prints or counts."""
+    return ([(tuple(w.chords for w in c.factors), c.label,
+              [f.id for f in c.faces], c.trail) for c in rep.survivors],
+            rep.truncated, rep.nodes, rep.z_graded, rep.warning)
+
+
+def chain_reports(text, max_len):
+    """``candidate_reports`` of the front ``text`` at --max-len max_len."""
+    d = resolve(parse_front(text))
+    h1 = h1_presentation(d)
+    return candidate_reports(generators(d, h1, max_len, None, EPS), d, h1,
+                             EPS, max_len)
+
+
+@pytest.mark.parametrize("text, max_len", SHARED_FRONTS,
+                         ids=["T(2,3)-1", "T(2,5)-1", "T(2,9)-1", "trefoil+1",
+                              "2-copy"])
+def test_shared_searches_equal_fresh_ones(text, max_len):
+    """Each row of ``candidate_reports``, shared with an earlier row's
+    search or not, says what a fresh search on a freshly resolved diagram
+    says of its generator."""
+    reps = chain_reports(text, max_len)
+    d = resolve(parse_front(text))
+    h1 = h1_presentation(d)
+    fresh = {g.word.chords: differential_candidates(g, d, h1, EPS, max_len)
+             for g in generators(d, h1, max_len, None, EPS)
+             if g.good and g.degree == 1}
+    assert sorted(reps) == sorted(fresh) and reps
+    for chords, rep in reps.items():
+        assert candidate_summary(rep) == candidate_summary(fresh[chords])
+
+
+@pytest.mark.parametrize("text, rows, searches",
+                         [(torus_minus(3), 13, 6), (torus_minus(5), 21, 8),
+                          (torus_minus(9), 37, 6)])
+def test_chain_runs_one_search_per_distinct_question(text, rows, searches,
+                                                     monkeypatch):
+    """The torus knots with -1 surgery repeat questions: rows of one
+    budget, class and i-grading share one search."""
+    real, calls = report.differential_candidates, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(report, "differential_candidates", counted)
+    assert (len(chain_reports(text, 3)), len(calls)) == (rows, searches)
+
+
+@pytest.mark.parametrize("witness", [0, 1])
+def test_a_shared_search_keeps_each_constant_term_its_own(witness,
+                                                          monkeypatch):
+    """On T(2,3) -1 six generators ask one question, whose report has the
+    constant term.  A bubbling face is faked for one of two of them: the
+    one searched (witness 0) or the first that shares its report (witness
+    1).  That row's constant term carries the face and the witness label,
+    the next row's none, and the rest of the two reports agree."""
+    text = torus_minus(3)
+    d = resolve(parse_front(text))
+    h1 = h1_presentation(d)
+    gens = generators(d, h1, 3, None, EPS)
+    groups = {}
+    for chords in candidate_reports(gens, d, h1, EPS, 3):   # search order
+        g = next(g for g in gens if g.word.chords == chords)
+        groups.setdefault((g.action + 3 * EPS * len(chords),
+                           g.orbit_class.reduced, g.igrading),
+                          []).append(chords)
+    pair = next(v for v in groups.values() if len(v) == 6)[witness:][:2]
+    face = d.faces_list[0]
+    real = report.bubbling_faces
+    monkeypatch.setattr(report, "bubbling_faces",
+                        lambda d: real(d) + [(face, pair[0])])
+    reps = candidate_reports(gens, d, h1, EPS, 3)
+    for chords, faces in zip(pair, ([face.id], [])):
+        constant = next(c for c in reps[chords].survivors if c.is_constant())
+        assert [f.id for f in constant.faces] == faces
+        assert ("bubbling face witness" in constant.label) == bool(faces)
+    first, second = (candidate_summary(reps[chords]) for chords in pair)
+    assert first[0][1:] == second[0][1:] and first[1:] == second[1:]
+
+
+@settings(max_examples=300, deadline=None)
+@seed(40)
+@given(st.data())
+def test_field_wise_tables_are_the_packed_columns_and_suffix_minima(data):
+    """``_packed_tables`` holds ``_pack`` of each word's column and of each
+    suffix minimum capped at 0, for pools of no words or no fields too,
+    negative entries and entries at the ends of a field's range."""
+    width = data.draw(st.sampled_from([1, 2, 5, 64, 131]), "width")
+    half = 1 << width - 1
+    n = data.draw(st.integers(0, 5), "words")
+    value = st.one_of(st.integers(-half, half - 1),
+                      st.sampled_from([-half, half - 1, 0, -1]))
+    fields = [(data.draw(st.lists(value, min_size=n, max_size=n)), 0)
+              for _ in range(data.draw(st.integers(0, 4), "fields"))]
+    columns, suffix_lo = report._packed_tables(fields, n, width)
+    assert columns == [report._pack([a[j] for a, _t in fields], width)
+                       for j in range(n)]
+    assert suffix_lo == [report._pack([min([0] + a[i:]) for a, _t in fields],
+                                      width) for i in range(n + 1)]

@@ -64,6 +64,11 @@ The commands, each run twice under each tree:
   commands of 801 words each, whose return-map traces reach degree 12
   and the largest coefficients of these fronts, so the traces unpacked
   from the words' packed rows are pinned at that length;
+* ``chain --max-len 3 --epsilon 1/100`` on T(2,9) and on T(2,3) with -1
+  surgery: two commands whose generators repeat candidate searches, 37
+  rows asking 6 distinct questions and 13 rows asking 6, so the rows
+  that share a search are pinned; the corpora's T(2,5) -1 is the other
+  such front;
 * ``grading --max-len 3`` and ``chain --max-len 3 --epsilon 1/100`` on two
   split links with +1 surgery on both components, trefoil and trefoil
   (H1 = Z/2 + Z/2) and trefoil and T(2,5) (H1 = Z/2 + Z/4): four
@@ -119,6 +124,7 @@ TREFOIL_5_COPY = ("L1,L1,L1,L1,L1,X2,X4,X3,X6,X5,X4,X8,X7,X6,X5,L11,L11,L11,"
                   "X7,X6,X8,R1,R1,R1,R1,R1,X5,X4,X3,X2,X6,X5,X4,X7,X6,X8,R1,"
                   "R1,R1,R1,R1 "
                   "/ surgery {0:+1, 1:+1, 2:+1, 3:+1, 4:+1}")
+T29 = "L1,L3," + "X2," * 9 + "R1,R1 / surgery {0:-1}"
 SPLIT_TREFOILS = ("L1,L3,X2,X2,X2,R1,R1,L1,L3,X2,X2,X2,R1,R1 "
                   "/ surgery {0:+1, 1:+1}")
 SPLIT_TREFOIL_T25 = ("L1,L3,X2,X2,X2,R1,R1,L1,L3,X2,X2,X2,X2,X2,R1,R1 "
@@ -172,6 +178,10 @@ def commands():
     for name, front in (("hopf +-", HOPF_PLUS_MINUS),
                         ("stab unknot -", STABILIZED_UNKNOT.format("-"))):
         out.append((f"{name} cz len12", ["cz", "--max-len", "12"], front))
+    for name, front in (("T(2,9) -1", T29),
+                        ("trefoil -1", TREFOIL.format("-1"))):
+        out.append((f"{name} chain len3",
+                    ["chain", "--max-len", "3", "--epsilon", "1/100"], front))
     for name, front in (("trefoil + trefoil", SPLIT_TREFOILS),
                         ("trefoil + T(2,5)", SPLIT_TREFOIL_T25)):
         out += [(f"{name} grading", ["grading", "--max-len", "3"], front),
