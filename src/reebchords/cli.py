@@ -39,9 +39,55 @@ def parse_frac(text: str) -> Fraction:
         raise FrontError(f"bad rational {text!r}")
 
 
+def json_text(data) -> str:
+    """``json.dumps(data, indent=2)`` of exactly str, int, bool, None, list,
+    tuple and dict with str or int keys, in one loop over a stack of open
+    containers (iterator, is-dict, pad, separator).  Other types, float and
+    Fraction among them, raise TypeError: reported numbers are exact."""
+    encode = json.encoder.encode_basestring_ascii
+    out, stack = [], []
+    it, is_dict, pad, sep = iter((data,)), False, "\n", ""
+    while True:
+        for value in it:
+            if is_dict:
+                key, value = value
+                if type(key) not in (str, int):
+                    raise TypeError(f"key {key!r} is neither str nor int")
+                out.append(encode(str(key)) + ": ")
+            t = type(value)
+            if t is str:
+                out.append(encode(value))
+            elif t is int:
+                out.append(int.__repr__(value))
+            elif t is bool or value is None:
+                out.append("null" if value is None else
+                           "true" if value else "false")
+            elif t is list or t is dict or t is tuple:
+                if value:
+                    stack.append((it, is_dict, pad, sep))
+                    is_dict, pad = t is dict, pad + "  "
+                    it = iter(value.items() if is_dict else value)
+                    sep = "," + pad
+                    out.append(("{" if is_dict else "[") + pad)
+                    break
+                out.append("{}" if t is dict else "[]")
+            else:
+                raise TypeError(f"Object of type {t.__name__} "
+                                f"is not JSON serializable")
+            out.append(sep)         # the last becomes the closing bracket
+        else:
+            if not stack:
+                return "".join(out)
+            out[-1] = stack[-1][2] + ("}" if is_dict else "]")
+            it, is_dict, pad, sep = stack.pop()
+            out.append(sep)
+
+
 def emit(data, fmt: str):
+    """Print data as indented JSON (``json_text``), or as TSV or Markdown
+    rows, one per list item, with nested values in compact JSON."""
     if fmt == "json":
-        print(json.dumps(data, indent=2))
+        print(json_text(data))
         return
     rows = data if isinstance(data, list) else [data]
     flat = [{k: (json.dumps(v) if isinstance(v, (list, dict)) else v)

@@ -85,55 +85,71 @@ class EmbeddingSolution(NamedTuple):
 
     ``hpoints`` are the points (P_k, Q_k), one per letter, as homogeneous
     integer triples (x, y, z) standing for (x/z, y/z); each letter's step
-    multiplies z by ``scale``.
+    multiplies z by ``scale``, the numerator p of epsilon = p/q.
     """
     hpoints: List[Tuple[int, int, int]]
     scale: int
+
+
+def _orbit_steps(d: ResolvedDiagram, w: CyclicWord, p: int, q: int):
+    """(H, steps) of w at eps = p/q: H a common multiple of its letters' h
+    denominators and per letter the ints (s p, -s c q, t = s p h H, c at
+    the tail of its first chord), memoized per chord pair in one table per
+    eps.  An h denominator H does not divide grows H and empties it."""
+    big, rows = table = d.memo.setdefault(("orbit_steps", p, q), [1, {}])
+    pairs = w.pairs()
+    try:
+        return big, [rows[pair] for pair in pairs]
+    except KeyError:
+        grown = lcm(big, *(lt.h.denominator for lt in w.letters))
+        if grown != big:
+            table[:] = big, rows = grown, {}
+        for pair, lt in zip(pairs, w.letters):
+            rows[pair] = (lt.sign * p, -lt.sign * lt.c * q, lt.sign * p
+                          * lt.h.numerator * (big // lt.h.denominator),
+                          d.surgery[d.chord(pair[0]).tail_comp])
+    return big, [rows[pair] for pair in pairs]
 
 
 def embed_orbit(d: ResolvedDiagram, w: CyclicWord,
                 epsilon: Fraction) -> EmbeddingSolution:
     """Solve the orbit of w as the fixed point of its composed affine map.
 
-    Letter k maps (p, q) to s (-q, p + h - (c/eps) q), with s, c and h
-    read off the word's letters, so the model is the
-    unit-circumference one.  Over a common denominator g of 1/eps and every
-    h the letters are homogeneous integer maps; the fixed point of their
-    composite comes from Cramer's rule and the points are walked as integer
-    triples, so nothing is reduced.  A singular I - A and a point outside
-    the handle (|P| >= eps) depend on epsilon and raise ValueError; a fixed
-    point that does not close up is an internal fault, a DiagramError.
+    Letter k maps (P, Q) to s (-Q, P + h - (c/eps) Q), with s, c and h
+    read off the word's letters: the unit-circumference model.  At eps =
+    p/q it maps (x, y, z), standing for (x/z, y/z), to (-s p y, s (p x -
+    c q y) + t z/H, p z), from the ints of ``_orbit_steps``.  Cramer's
+    rule puts the fixed point over det H, so point k is over det H p^k;
+    nothing is reduced.  A singular I - A and a point outside the handle
+    (|P| >= eps) depend on epsilon and raise ValueError; a fixed point
+    that does not close up is an internal fault, a DiagramError.
     """
-    epsilon = Fraction(epsilon)
     e_num, e_den = epsilon.numerator, epsilon.denominator
-    g = lcm(e_num, *(lt.h.denominator for lt in w.letters))
-    steps = [(lt.sign * g, -lt.sign * lt.c * e_den * (g // e_num),
-              lt.sign * lt.h.numerator * (g // lt.h.denominator))
-             for lt in w.letters]
-    # composite [[a, b, e], [c, dd, f], [0, 0, z]] of the homogeneous maps
+    big, steps = _orbit_steps(d, w, e_num, e_den)
+    # composite [[a, b, e], [c, dd, f], [0, 0, z]] of the maps on (x, y, z/H)
     a, b, c, dd, e, f, z = 1, 0, 0, 1, 0, 0, 1
-    for r, m, t in steps:
+    for r, m, t, _c_exit in steps:
         a, b, c, dd = -r * c, -r * dd, r * a + m * c, r * b + m * dd
         e, f = -r * f, r * e + m * f + t * z
-        z *= g
+        z *= e_num
     det = (z - a) * (z - dd) - b * c
     if det == 0:
         raise ValueError(f"I - A singular for {w} at epsilon {epsilon}")
     pt = ((z - dd) * e + b * f, c * e + (z - a) * f, det)
     hpoints = []
-    for r, m, t in steps:
-        hpoints.append(pt)
-        x, y, zz = pt
-        pt = (-r * y, r * x + m * y + t * zz, g * zz)
-    x0, y0, z0 = hpoints[0]
-    if pt[0] * z0 != x0 * pt[2] or pt[1] * z0 != y0 * pt[2]:
+    for r, m, t, _c_exit in steps:
+        x, y, u = pt
+        hpoints.append((x, y, u * big))
+        pt = (-r * y, r * x + m * y + t * u, e_num * u)
+    x0, y0, _z0 = hpoints[0]
+    if pt[0] * det != x0 * pt[2] or pt[1] * det != y0 * pt[2]:
         raise DiagramError(f"fixed point of {w} does not close up")
     for x, _y, zz in hpoints:
         if abs(x) * e_den >= e_num * abs(zz):
             raise ValueError(
                 f"orbit of {w} escapes the handle at epsilon {epsilon}: "
                 f"|P| = {Fraction(abs(x), abs(zz))}")
-    return EmbeddingSolution(hpoints, g)
+    return EmbeddingSolution(hpoints, e_num)
 
 
 def orbit_action(d: ResolvedDiagram, w: CyclicWord,
@@ -142,20 +158,22 @@ def orbit_action(d: ResolvedDiagram, w: CyclicWord,
 
     The sum over letters of action(r_k) - P_k Q_k + c_k h(P_k), with c_k
     the coefficient at the chord's tail and h(p) = -eps/8 + p^2 / (2 eps)
-    the twist's height profile.  All but the chord actions are summed over
-    one integer denominator: point k has z_k = z_0 g^k, so every P_k Q_k
-    and P_k^2 is a numerator over z_(n-1)^2 once scaled by g^(2(n-1-k)).
+    the twist's height profile.  At eps = p/q point k has z_k = z_0 p^k,
+    so every P_k Q_k and P_k^2 is a numerator over z_(n-1)^2 once scaled
+    by p^(2(n-1-k)); with ``w.total``'s numerator and denominator one
+    Fraction is built, at the end.
     """
-    epsilon = Fraction(epsilon)
     e_num, e_den = epsilon.numerator, epsilon.denominator
     emb = embed_orbit(d, w, epsilon)
-    g2 = emb.scale ** 2
+    _big, steps = _orbit_steps(d, w, e_num, e_den)
+    p2 = emb.scale ** 2
     twist = 0          # sum of c_k, the coefficients of the -eps/8 terms
-    quad = 0           # sum of c_k e_den x^2 - 2 e_num x y, scaled as above
-    for j, (x, y, _z) in zip(w.chords, emb.hpoints):
-        c_exit = d.surgery[d.chord(j).tail_comp]
+    quad = 0           # sum of c_k q x^2 - 2 p x y, scaled as above
+    for (_r, _m, _t, c_exit), (x, y, _z) in zip(steps, emb.hpoints):
         twist += c_exit
-        quad = quad * g2 + c_exit * e_den * x * x - 2 * e_num * x * y
+        quad = quad * p2 + c_exit * e_den * x * x - 2 * e_num * x * y
     z2 = emb.hpoints[-1][2] ** 2
-    return w.action() + Fraction(
-        4 * e_den * quad - e_num * e_num * twist * z2, 8 * e_den * e_num * z2)
+    num = 4 * e_den * quad - e_num * e_num * twist * z2
+    den = 8 * e_den * e_num * z2
+    return Fraction(w.total.numerator * den + num * w.total.denominator,
+                    w.total.denominator * den)

@@ -129,19 +129,14 @@ def bubbling_faces(d: ResolvedDiagram) -> List[Tuple[Face, Tuple[int, ...]]]:
     After +1 surgery on the components meeting such a face, a family of
     holomorphic planes of algebraic count +-1 bounds the orbit named by the
     corner word; faces touching components of other coefficients are
-    skipped.
+    skipped.  The faces are walked once per diagram; later calls return
+    the memoized list, which callers must not change.
     """
-    out = []
-    for f in d.faces_list:
-        if not f.all_positive():
-            continue
-        comps = set()
-        for cid in f.corner_chords():
-            ch = d.chord(cid)
-            comps.add(ch.tail_comp)
-            comps.add(ch.tip_comp)
-        if any(d.surgery[i] != 1 for i in comps):
-            continue
-        word = canonical_rotation([cid for cid, _, _ in f.corners])
-        out.append((f, word))
-    return out
+    key = ("bubbling_faces",)
+    if key not in d.memo:
+        d.memo[key] = [
+            (f, canonical_rotation([cid for cid, _, _ in f.corners]))
+            for f in d.faces_list if f.all_positive() and all(
+                d.surgery[ch.tail_comp] == d.surgery[ch.tip_comp] == 1
+                for ch in map(d.chord, f.corner_chords()))]
+    return d.memo[key]

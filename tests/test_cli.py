@@ -12,12 +12,12 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from oracles import front_text, k_copy
 import reebchords
 from reebchords import words
-from reebchords.cli import main
+from reebchords.cli import json_text, main
 from reebchords.diagram import (DiagramError, FrontCode, ResolvedDiagram,
                                 parse_front, resolve)
 from test_lp import TREFOIL_2_COPY
@@ -845,6 +845,37 @@ def test_bench_diff_prints_each_metric_with_its_ratio(tmp_path):
     assert code == 0 and changed == runs
 
 
+def test_bench_pairs_reads_each_median_change_against_its_bound(
+        monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import bench_pairs
+
+    metrics = [{"name": "fronts_per_s", "unit": "1/s", "better": "higher",
+                "bound": 0.25},
+               {"name": "op_s_p50", "unit": "s", "better": "lower",
+                "bound": 0.25}]
+
+    def runs(values):
+        return [{"metrics": {"fronts_per_s": {"value": f},
+                             "op_s_p50": {"value": s}}} for f, s in values]
+
+    _header, fronts, p50 = bench_pairs.summary(
+        metrics, runs([(100, 0.02), (90, 0.02), (110, 0.02)]),
+        runs([(120, 0.025), (80, 0.03), (110, 0.02)]))
+    # medians 100 -> 110 and 0.02 -> 0.025; B is better in pair 1 only on
+    # fronts_per_s (a tie is no win), and in none on op_s_p50
+    assert fronts.split()[4:] == ["10", "+10.00%", "1/3", "0.25", "+0.40"]
+    assert p50.split()[5:] == ["-25.00%", "0/3", "0.25", "-1.00"]
+    for part in ("src/pkg/__pycache__", "tests/__pycache__",
+                 ".git/__pycache__"):
+        (tmp_path / part).mkdir(parents=True)
+        (tmp_path / part / "m.pyc").write_bytes(b"")
+    bench_pairs.drop_bytecode(str(tmp_path))
+    assert sorted(str(p.relative_to(tmp_path))
+                  for p in tmp_path.rglob("__pycache__")) == \
+        [".git/__pycache__"]
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_chain_certifies_every_degree_one_row_of_the_trefoil_k_copy(
         tmp_path, capsys, k):
@@ -1016,3 +1047,46 @@ def test_mutated_fronts_exit_0_or_2_under_every_command(text, changes):
     for argv in FUZZ_COMMANDS:
         code, _ = run_text(argv, mutant)
         assert code in (0, 2), (argv, mutant)
+
+
+# strings with quotes, backslashes, control, non-ASCII and astral characters
+JSON_STRINGS = st.one_of(st.text(), st.text(
+    alphabet='"\\/\x00\x01\x1f\x7f\n\t\u00e9\u2028\ufeff\U0001f600a'))
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.integers(-2 ** 300, 2 ** 300), JSON_STRINGS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5), st.tuples(inner, inner),
+        st.dictionaries(st.one_of(JSON_STRINGS, st.integers()), inner,
+                        max_size=5)),
+    max_leaves=40)
+
+
+def nested(depth, leaf):
+    """leaf inside ``depth`` alternating one-element lists and dicts."""
+    for k in range(depth):
+        leaf = [leaf] if k % 2 else {k: leaf, "k": []}
+    return leaf
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES)
+@example([[], {}, (), "", 0, -1, 2 ** 200, -(2 ** 200), True, False, None])
+def test_json_text_is_json_dumps_with_indent_2(data):
+    assert json_text(data) == json.dumps(data, indent=2)
+
+
+@pytest.mark.parametrize("depth", [499, 500])
+@pytest.mark.parametrize("leaf", ["deep", [], {}, -7])
+def test_json_text_writes_500_levels_of_nesting(depth, leaf):
+    # built here, not as a hypothesis example: its repr would recurse
+    data = nested(depth, leaf)
+    assert json_text(data) == json.dumps(data, indent=2)
+
+
+@pytest.mark.parametrize("data", [
+    0.5, F(1, 3), [1, 2.0], {"action": F(7, 2)}, nested(500, F(1, 2)),
+    {1.5: 0}, {F(1, 2): 0}])
+def test_json_text_refuses_floats_and_fractions(data):
+    with pytest.raises(TypeError):
+        json_text(data)

@@ -9,7 +9,7 @@ from oracles import (apply_all, embedding_points, fraction_composite,
                      point_in_convex, poly_diameter_sq, poly_eval, pscale,
                      reference_return_map, rot_number, step_maps, trace_at,
                      trimmed_flow_polygon, twist_height)
-from reebchords.diagram import DiagramError
+from reebchords.diagram import DiagramError, parse_front, resolve
 from reebchords.dynamics import (embed_orbit, hyperbolic_type, is_bad,
                                  orbit_action, return_map)
 from reebchords.indices import cz_integral
@@ -164,6 +164,35 @@ def test_affine_iteration_oracle_matches_embed(trefoil_plus):
         assert poly, f"trimmed flow of {w} died out"
         assert point_in_convex(poly, point)
         assert poly_diameter_sq(poly) < F(1, 10 ** 24)
+
+
+def test_every_point_of_an_orbit_has_one_z_at_epsilon_one_over_q(
+        trefoil_plus):
+    # at eps = p/q a letter multiplies z by p, and here p = 1
+    solved = 0
+    for w in all_words(trefoil_plus, 5):
+        try:
+            emb = embed_orbit(trefoil_plus, w, EPS)
+        except ValueError:
+            continue
+        solved += 1
+        assert emb.scale == 1
+        assert len({z for _x, _y, z in emb.hpoints}) == 1, w
+    assert solved > 100
+
+
+def test_orbit_steps_take_in_letters_built_after_their_table():
+    # on this Hopf link the letter of (r3) has an h denominator of 182 and
+    # that of (r4) one of 2702, which 182 does not divide
+    d = resolve(parse_front("L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:+1}"))
+    dens = []
+    for chords in ((3,), (4,), (1, 2), (3,)):
+        w = CyclicWord(d, chords)       # its letters are built here
+        want = fraction_orbit_action(d, w, EPS,
+                                     fraction_embedding(d, w, EPS))
+        assert orbit_action(d, w, EPS) == want
+        dens.append(d.memo[("orbit_steps", 1, 100)][0])
+    assert dens[0] < dens[1] == dens[2] == dens[3]
 
 
 def test_twist_height_constant():

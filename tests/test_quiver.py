@@ -8,7 +8,7 @@ from oracles import (all_orbit_strings, collection_i_grading, count_cycles,
                      count_paths, fraction_fiber_vector, k_copy,
                      pushout_grading)
 from reebchords import quiver
-from reebchords.diagram import DiagramError, parse_front, resolve
+from reebchords.diagram import DiagramError, Face, parse_front, resolve
 from reebchords.homology import (H1Presentation, h1_presentation,
                                  orbit_class_monomial)
 from reebchords.quiver import (Quiver, bubbling_faces, effective_fiber_vector,
@@ -163,6 +163,20 @@ def test_bubbling_faces(trefoil_plus, stab_plus, unknot_plus, unknot_minus,
     # detection only applies over +1-surgered components
     assert bubbling_faces(unknot_minus) == []
     assert all(w != (1,) or True for w in bubbling_faces(hopf_mixed))
+
+
+def test_bubbling_faces_walks_the_faces_once_per_diagram(monkeypatch):
+    d = resolve(parse_front(TREFOIL_PLUS))
+    first = bubbling_faces(d)
+    walked = []
+    real = Face.all_positive
+    monkeypatch.setattr(Face, "all_positive",
+                        lambda f: walked.append(f) or real(f))
+    assert bubbling_faces(d) == first and walked == []
+    # a new diagram of the same front walks its own faces, once each
+    other = resolve(parse_front(TREFOIL_PLUS))
+    assert [w for _f, w in bubbling_faces(other)] == [w for _f, w in first]
+    assert len(walked) == len(other.faces_list)
 
 
 def test_bubbling_stable_under_rerealization(trefoil_plus):

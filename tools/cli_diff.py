@@ -16,11 +16,16 @@ difference is printed, and the exit code is 1 if there is any, else 0.
 The summary also gives the line count of ``src/reebchords/*.py`` in each
 tree, as ``wc -l`` totals it.
 
-Each tree's CPU seconds per command, the least of its two runs, are
-recorded too, and the commands whose time moved by more than
-``TIME_MOVE`` (25 %) either way are listed, with both times, when either
-tree took at least ``TIME_FLOOR_S`` seconds (0.1): on shorter commands
-scheduling noise is a large share of the time.
+Each tree's seconds per command, the least of its two runs, are recorded
+too, and the commands whose time moved by more than ``TIME_MOVE`` (25 %)
+either way are listed, with both times, when either tree took at least
+``TIME_FLOOR_S`` seconds (0.1): on shorter commands scheduling noise is a
+large share of the time.  A command's seconds are its thread's CPU
+seconds scaled to perfbench's reference speed, as ``perfbench/run.py``
+scales them: its ``reference()`` is timed right before and right after
+the command, and ``at_reference_speed`` divides by their mean.  A shared
+virtual machine can run the same work 70 % slower for seconds or minutes
+at a time; the reference, timed next to the command, moves with it.
 The list only reports; it does not change the exit code.  It shows
 per-command moves that a benchmark's medians hide.
 
@@ -202,9 +207,12 @@ def _expired(signum, frame):
 def worker(src):
     """Run the commands read from standard input, one JSON line [name,
     argv, front] each, under the tree ``src``; answer each at once with one
-    JSON line [stdout, stderr, exit code, CPU seconds]."""
+    JSON line [stdout, stderr, exit code, seconds at the reference
+    speed]."""
     sys.path.insert(0, os.path.join(src, "src"))
     from reebchords.cli import main
+    sys.path.insert(0, PERFBENCH)
+    from run import at_reference_speed, reference
 
     real_stdin, real_stdout = sys.stdin, sys.stdout
     signal.signal(signal.SIGPROF, _expired)
@@ -212,7 +220,8 @@ def worker(src):
         _name, argv, front = json.loads(line)
         sys.stdin = io.StringIO(front)
         out, err = io.StringIO(), io.StringIO()
-        start = time.process_time()
+        ref_before = reference()
+        start = time.thread_time()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             signal.setitimer(signal.ITIMER_PROF, DEADLINE_S)
             try:
@@ -224,7 +233,8 @@ def worker(src):
                 code = 1
             finally:
                 signal.setitimer(signal.ITIMER_PROF, 0)
-        elapsed = time.process_time() - start
+        elapsed = at_reference_speed(time.thread_time() - start,
+                                     ref_before, reference())
         print(json.dumps([out.getvalue(), err.getvalue(), code, elapsed]),
               file=real_stdout, flush=True)
 
@@ -232,7 +242,7 @@ def worker(src):
 def run_trees(srcs, cmds):
     """Run each command twice under each tree in ABBA order, alternating
     with BAAB; returns one list of results per tree, each a first run's
-    result with the least CPU time of the two runs, or None when a worker
+    result with the least time of the two runs, or None when a worker
     failed."""
     boot = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import cli_diff; cli_diff.worker(sys.argv[2])")
@@ -288,7 +298,7 @@ def differences(cmds, res_a, res_b):
 
 
 def time_moves(cmds, res_a, res_b):
-    """Printable lines, one per command whose CPU time moved by more than
+    """Printable lines, one per command whose time moved by more than
     TIME_MOVE of the first tree's, where either took TIME_FLOOR_S or more."""
     lines = []
     for (name, argv, _front), a, b in zip(cmds, res_a, res_b):
@@ -324,11 +334,11 @@ def main(argv):
         print(line)
     n_diff = sum(1 for line in lines if line.startswith("== "))
     moves = time_moves(cmds, *results)
-    print(f"CPU time moved by more than {TIME_MOVE:.0%} on {len(moves)} "
-          f"commands:")
+    print(f"time at the reference speed moved by more than {TIME_MOVE:.0%} "
+          f"on {len(moves)} commands:")
     for line in moves:
         print(line)
-    print("CPU s in all: base {:.2f}, change {:.2f}".format(
+    print("reference s in all: base {:.2f}, change {:.2f}".format(
         *(sum(r[3] for r in res) for res in results)))
     print(f"{len(cmds)} commands, {n_diff} with differences")
     print("src lines: base {}, change {}".format(*map(src_lines, argv)))
