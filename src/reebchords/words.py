@@ -140,8 +140,8 @@ class CyclicWord(Word):
 
     def pairs(self) -> List[Tuple[int, int]]:
         """Consecutive pairs including the closing one."""
-        n = len(self.chords)
-        return [(self.chords[k], self.chords[(k + 1) % n]) for k in range(n)]
+        c = self.chords
+        return list(zip(c, c[1:] + c[:1]))
 
     def multiplicity(self) -> int:
         """The largest k with w = v^k: n over the least rotation fixing w."""

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import weakref
@@ -20,6 +21,7 @@ from reebchords import words
 from reebchords.cli import json_text, main
 from reebchords.diagram import (DiagramError, FrontCode, ResolvedDiagram,
                                 parse_front, resolve)
+from reebchords.report import _pool_length_cap
 from test_lp import TREFOIL_2_COPY
 from test_realization import seeded_fronts, surgered_front
 from test_report import FEASIBLE_LP_FRONT, HOPF_MINUS
@@ -804,6 +806,61 @@ def test_k_copy_builder_gives_the_pinned_copies(monkeypatch):
     assert copies[4] == cli_diff.TREFOIL_4_COPY
 
 
+DIFF_COMMANDS = [
+    ("trefoil invariants", ["invariants"], TREFOIL_PLUS),
+    ("trefoil chain", ["chain", "--max-len", "1", "--epsilon", "1/100"],
+     TREFOIL_PLUS)]
+
+
+@pytest.fixture
+def cli_diff(monkeypatch):
+    """``tools/cli_diff.py`` with ``DIFF_COMMANDS`` as its command list."""
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import cli_diff
+
+    monkeypatch.setattr(cli_diff, "commands", lambda: DIFF_COMMANDS)
+    return cli_diff
+
+
+def src_tree(tmp_path, name):
+    """A copy of this checkout's ``src/reebchords`` under tmp_path/name."""
+    root = tmp_path / name
+    shutil.copytree(Path(reebchords.__file__).parent,
+                    root / "src" / "reebchords",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return root
+
+
+def test_cli_diff_finds_no_difference_between_identical_trees(
+        tmp_path, cli_diff):
+    res_a, res_b = (cli_diff.run_tree(str(src_tree(tmp_path, name)),
+                                      DIFF_COMMANDS) for name in "ab")
+    assert [code for _out, _err, code in res_a] == [0, 0]
+    assert res_a == res_b
+    assert cli_diff.differences(DIFF_COMMANDS, res_a, res_b) == []
+
+
+def test_cli_diff_reports_a_changed_label(tmp_path, capsys, cli_diff):
+    base, change = src_tree(tmp_path, "base"), src_tree(tmp_path, "change")
+    report = change / "src" / "reebchords" / "report.py"
+    text = report.read_text()
+    assert "(bubbling face witness)" in text
+    report.write_text(text.replace("(bubbling face witness)", "(witness)"))
+    assert cli_diff.main([str(base), str(change)]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("== ")] == \
+        ["== trefoil chain: chain --max-len 1 --epsilon 1/100"]
+    assert "2 commands, 1 with differences" in out
+
+
+def test_cli_diff_exits_2_when_a_worker_fails(tmp_path, capsys, cli_diff):
+    broken = src_tree(tmp_path, "broken")
+    (broken / "src" / "reebchords" / "__init__.py").write_text(
+        "raise ImportError('broken tree')\n")
+    assert cli_diff.main([str(src_tree(tmp_path, "base")), str(broken)]) == 2
+    assert "a worker failed" in capsys.readouterr().err
+
+
 def bench_diff(tmp_path, new):
     """bench_diff's (exit code, {run: {metric: ratio text}}) of
     ``BENCH_31.json`` against ``new``, written to a file."""
@@ -881,9 +938,13 @@ def test_chain_certifies_every_degree_one_row_of_the_trefoil_k_copy(
         tmp_path, capsys, k):
     # contact 1/k surgery on the tb = 1 trefoil: each good degree-1 row has
     # the constant term as its complete candidate list, with one witness.
-    # At k = 8 the branch and bound runs after 41,472 products; priced at
-    # one row per face, all 321 of them, it would wait for 112,752, past
-    # MAX_NODES
+    # For k >= 2 the pool length is not capped (_pool_length_cap is None),
+    # so this certificate covers pool words of length <= 1 only; the same
+    # search certifies the cancelling 2-copy, which is S^3 (test_chain_
+    # certifies_the_cancelling_2_copy_only_at_pool_length_1).  Only k = 1,
+    # of cap 1, is certified at full scope.  At k = 8 the branch and bound
+    # runs after 41,472 products; priced at one row per face, all 321 of
+    # them, it would wait for 112,752, past MAX_NODES
     path = write(tmp_path, front_text(k_copy(parse_front(TREFOIL_PLUS), k)))
     code, out, _ = run(capsys, ["homology", "--input", path])
     assert code == 0 and json.loads(out)["group"] == f"Z/{k + 1}"
@@ -1017,6 +1078,37 @@ def test_chain_certifies_no_row_of_a_random_minus_one_surgery(front_seed):
                       {i: -1 for i in front.surgery})
     for row in chain_rows(front_text(front), 2):
         assert not certified(row), row["word"]
+
+
+def trefoil_2_copy(surgery):
+    """The tb = 1 trefoil's 2-copy with the coefficients ``surgery``."""
+    front = k_copy(parse_front(TREFOIL_PLUS), 2)
+    return FrontCode(front.events, front.orientations, surgery)
+
+
+@pytest.mark.parametrize("surgery, group, relations, killed", [
+    ({0: +1, 1: -1}, "0", [[2, 1], [1, 0]], ["(r17)", "(r20)"]),
+    ({0: -1, 1: +1}, "0", [[0, 1], [1, 2]], ["(r16)", "(r19)"]),
+    ({0: +1, 1: +1}, "Z/3", [[2, 1], [1, 2]],
+     ["(r16)", "(r17)", "(r19)", "(r20)"]),
+], ids=["+-", "-+", "++"])
+def test_chain_certifies_the_cancelling_2_copy_only_at_pool_length_1(
+        surgery, group, relations, killed):
+    """Contact +1 surgery on the trefoil and -1 surgery on its push-off
+    cancel (Ding-Geiges): the 2-copy with one coefficient of each sign is
+    (S^3, xi_std), whose contact homology is not zero.  Its pool length is
+    not capped, so a ``--max-len 1`` certificate covers pool words of
+    length <= 1 only, and such a certificate is found on two of its rows,
+    as on all four of the {+1, +1} twin (contact 1/2 surgery).  At
+    ``--max-len 2`` no row of either is certified."""
+    front = trefoil_2_copy(surgery)
+    code, out = run_text(["homology"], front_text(front))
+    h1 = json.loads(out)
+    assert (code, h1["group"], h1["relations"]) == (0, group, relations)
+    assert _pool_length_cap(resolve(front), 0) is None
+    assert [row["word"] for row in chain_rows(front_text(front), 1)
+            if certified(row)] == killed
+    assert not any(certified(row) for row in chain_rows(front_text(front), 2))
 
 
 FUZZ_TEXTS = [TREFOIL_PLUS, TREFOIL_MINUS, "L1,R1 / surgery {0:+1}",

@@ -3,33 +3,15 @@
     python tools/cli_diff.py SRC_A SRC_B
 
 SRC_A and SRC_B are source checkouts (each with a ``src/reebchords``).  One
-list of commands runs under each tree, in one Python worker process per
-tree that imports ``reebchords`` from that tree's ``src/``.  Both workers
-stay up and are fed one command at a time; each command runs twice under
-each tree in ABBA order (A, B, B, A, then B, A, A, B for the next
-command).  So only one worker computes at any moment, a command's four
-times are taken back to back, in the same phase of the machine, and
-neither tree always runs first or always runs right after the other
-tree's command.  For every command the standard output, the standard
-error and the exit code of each tree's first run are compared.  Each
-difference is printed, and the exit code is 1 if there is any, else 0.
-The summary also gives the line count of ``src/reebchords/*.py`` in each
-tree, as ``wc -l`` totals it.
+list of commands runs under each tree, once, in one Python worker process
+per tree that imports ``reebchords`` from that tree's ``src/``.  For every
+command the standard output, the standard error and the exit code under
+the two trees are compared.  Each difference is printed, and the exit code
+is 1 if there is any, else 0; it is 2 when a worker fails.  The summary
+also gives the line count of ``src/reebchords/*.py`` in each tree, as
+``wc -l`` totals it.  The tool compares outputs only; it times nothing.
 
-Each tree's seconds per command, the least of its two runs, are recorded
-too, and the commands whose time moved by more than ``TIME_MOVE`` (25 %)
-either way are listed, with both times, when either tree took at least
-``TIME_FLOOR_S`` seconds (0.1): on shorter commands scheduling noise is a
-large share of the time.  A command's seconds are its thread's CPU
-seconds scaled to perfbench's reference speed, as ``perfbench/run.py``
-scales them: its ``reference()`` is timed right before and right after
-the command, and ``at_reference_speed`` divides by their mean.  A shared
-virtual machine can run the same work 70 % slower for seconds or minutes
-at a time; the reference, timed next to the command, moves with it.
-The list only reports; it does not change the exit code.  It shows
-per-command moves that a benchmark's medians hide.
-
-The commands, each run twice under each tree:
+The commands:
 
 * every item of the perfbench corpora at seeds 1-3, read from
   ``perfbench/corpus.py`` of the checkout this file is in;
@@ -94,14 +76,11 @@ import os
 import signal
 import subprocess
 import sys
-import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 SEEDS = (1, 2, 3)
 DEADLINE_S = 60
-TIME_MOVE = 0.25
-TIME_FLOOR_S = 0.1
 
 TREFOIL = "L1,L3,X2,X2,X2,R1,R1 / surgery {{0:{}}}"
 HOPF_PLUS_MINUS = "L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:-1}"
@@ -205,23 +184,18 @@ def _expired(signum, frame):
 
 
 def worker(src):
-    """Run the commands read from standard input, one JSON line [name,
-    argv, front] each, under the tree ``src``; answer each at once with one
-    JSON line [stdout, stderr, exit code, seconds at the reference
-    speed]."""
+    """Run the commands of the JSON list [[name, argv, front], ...] on
+    standard input under the tree ``src``; print one JSON list of their
+    results, [stdout, stderr, exit code] each."""
     sys.path.insert(0, os.path.join(src, "src"))
     from reebchords.cli import main
-    sys.path.insert(0, PERFBENCH)
-    from run import at_reference_speed, reference
 
-    real_stdin, real_stdout = sys.stdin, sys.stdout
+    cmds = json.load(sys.stdin)
     signal.signal(signal.SIGPROF, _expired)
-    for line in real_stdin:
-        _name, argv, front = json.loads(line)
+    results = []
+    for _name, argv, front in cmds:
         sys.stdin = io.StringIO(front)
         out, err = io.StringIO(), io.StringIO()
-        ref_before = reference()
-        start = time.thread_time()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             signal.setitimer(signal.ITIMER_PROF, DEADLINE_S)
             try:
@@ -233,52 +207,29 @@ def worker(src):
                 code = 1
             finally:
                 signal.setitimer(signal.ITIMER_PROF, 0)
-        elapsed = at_reference_speed(time.thread_time() - start,
-                                     ref_before, reference())
-        print(json.dumps([out.getvalue(), err.getvalue(), code, elapsed]),
-              file=real_stdout, flush=True)
+        results.append([out.getvalue(), err.getvalue(), code])
+    json.dump(results, sys.stdout)
 
 
-def run_trees(srcs, cmds):
-    """Run each command twice under each tree in ABBA order, alternating
-    with BAAB; returns one list of results per tree, each a first run's
-    result with the least time of the two runs, or None when a worker
-    failed."""
+def run_tree(src, cmds):
+    """The results of ``cmds`` under the tree ``src``, one worker process
+    for them all, or None when the worker failed."""
     boot = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import cli_diff; cli_diff.worker(sys.argv[2])")
-    procs = [subprocess.Popen([sys.executable, "-c", boot, HERE, src],
-                              stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                              text=True) for src in srcs]
-    results = [[], []]
-    try:
-        for k, cmd in enumerate(cmds):
-            first, second = k % 2, 1 - k % 2
-            runs = [[], []]
-            for t in (first, second, second, first):
-                procs[t].stdin.write(json.dumps(cmd) + "\n")
-                procs[t].stdin.flush()
-                line = procs[t].stdout.readline()
-                if not line:
-                    return None
-                runs[t].append(json.loads(line))
-            for t, (one, two) in enumerate(runs):
-                results[t].append(one[:3] + [min(one[3], two[3])])
-    except BrokenPipeError:
+    done = subprocess.run([sys.executable, "-c", boot, HERE, src],
+                          input=json.dumps(cmds), capture_output=True,
+                          text=True, check=False)
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr)
         return None
-    finally:
-        for proc in procs:
-            with contextlib.suppress(BrokenPipeError):
-                proc.stdin.close()
-            proc.stdout.close()
-            proc.wait()
-    return results
+    return json.loads(done.stdout)
 
 
 def differences(cmds, res_a, res_b):
     """Printable lines, one block per command whose results differ."""
     lines = []
     for (name, argv, _front), a, b in zip(cmds, res_a, res_b):
-        if a[:3] == b[:3]:
+        if a == b:
             continue
         lines.append(f"== {name}: {' '.join(argv)}")
         for field, va, vb in zip(("stdout", "stderr", "exit code"), a, b):
@@ -294,18 +245,6 @@ def differences(cmds, res_a, res_b):
             lines += ["     " + d for d in diff[:40]]
             if len(diff) > 40:
                 lines.append(f"     ... {len(diff) - 40} more diff lines")
-    return lines
-
-
-def time_moves(cmds, res_a, res_b):
-    """Printable lines, one per command whose time moved by more than
-    TIME_MOVE of the first tree's, where either took TIME_FLOOR_S or more."""
-    lines = []
-    for (name, argv, _front), a, b in zip(cmds, res_a, res_b):
-        ta, tb = a[3], b[3]
-        if max(ta, tb) >= TIME_FLOOR_S and abs(tb - ta) > TIME_MOVE * ta:
-            lines.append(f"   {ta:.3f} s -> {tb:.3f} s  {name}: "
-                         f"{' '.join(argv)}")
     return lines
 
 
@@ -325,21 +264,14 @@ def main(argv):
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     cmds = commands()
-    results = run_trees([os.path.abspath(src) for src in argv], cmds)
-    if results is None:
+    results = [run_tree(os.path.abspath(src), cmds) for src in argv]
+    if None in results:
         print("a worker failed", file=sys.stderr)
         return 2
     lines = differences(cmds, *results)
     for line in lines:
         print(line)
     n_diff = sum(1 for line in lines if line.startswith("== "))
-    moves = time_moves(cmds, *results)
-    print(f"time at the reference speed moved by more than {TIME_MOVE:.0%} "
-          f"on {len(moves)} commands:")
-    for line in moves:
-        print(line)
-    print("reference s in all: base {:.2f}, change {:.2f}".format(
-        *(sum(r[3] for r in res) for res in results)))
     print(f"{len(cmds)} commands, {n_diff} with differences")
     print("src lines: base {}, change {}".format(*map(src_lines, argv)))
     return 1 if n_diff else 0
