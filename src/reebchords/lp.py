@@ -18,6 +18,9 @@ B^-1, and a row that proves an LP infeasible holds its Farkas vector.
 The tableau is fraction-free: each row is integers over one positive
 denominator, reduced by the row's gcd after each update, and ratios are
 compared by cross-multiplying.  Only the solution becomes ``Fraction``s.
+An update touches only the pivot row's nonzero columns, and scales the
+row only by the part of the pivot's denominator that the row's own entry
+does not cancel; its canonical row is the dense update's.
 """
 
 from fractions import Fraction
@@ -38,21 +41,33 @@ def _reduced(row, den):
     return row, den
 
 
-def _minus(row, den, prow, pden, col):
-    """row - row[col] * prow, for a pivot row with prow[col] == pden."""
-    f = row[col]
-    return _reduced([a * pden - f * b if b else a * pden
-                     for a, b in zip(row, prow)], den * pden)
+def _minus(row, den, prow, pden, cols, col):
+    """row - row[col] * prow, for a pivot row with prow[col] == pden whose
+    nonzero entries are at ``cols``, as a new canonical row.
+
+    With g = gcd(row[col], pden), f = row[col] / g and s = pden / g, this
+    is row * s - f * prow over den * s: the dense update's row over
+    den * pden divided through by g, so ``_reduced`` returns the same
+    canonical row.  s is 1 on most updates, and then no entry is scaled."""
+    g = gcd(row[col], pden)
+    f, s = row[col] // g, pden // g
+    new = [a * s for a in row] if s > 1 else row[:]
+    for j in cols:
+        new[j] -= f * prow[j]
+    return _reduced(new, den * s)
 
 
 def _pivot(tab, dens, basis, row, col):
+    """Make ``col`` basic in ``row``, then clear ``col`` from every other
+    row by ``_minus`` at the pivot row's nonzero columns, listed once."""
     piv = tab[row][col]
     prow = tab[row] if piv > 0 else [-v for v in tab[row]]
     prow, pden = _reduced(prow, abs(piv))
     tab[row], dens[row] = prow, pden
+    cols = [j for j, v in enumerate(prow) if v]
     for r in range(len(tab)):
         if r != row and tab[r][col]:
-            tab[r], dens[r] = _minus(tab[r], dens[r], prow, pden, col)
+            tab[r], dens[r] = _minus(tab[r], dens[r], prow, pden, cols, col)
     basis[row] = col
 
 
@@ -131,7 +146,8 @@ def _enter(tab, dens, basis, n, rows):
         new[n + len(basis)] = den
         for r, j in enumerate(basis):
             if new[j]:
-                new, den = _minus(new, den, tab[r], dens[r], j)
+                cols = [k for k, v in enumerate(tab[r]) if v]
+                new, den = _minus(new, den, tab[r], dens[r], cols, j)
         tab.append(new)
         dens.append(den)
         basis.append(n + len(basis))

@@ -21,10 +21,12 @@ classes and intersection gradings, faces traced as a planar graph keyed by
 points, the turning number of a closed polyline, the closed-curve index
 formula that decides the exhaustive search's degree test, the candidate
 search's integer program in integer rows with its branch and bound in
-``Fraction``s, the k-copy of a front, which no CLI
-command builds, and the realization's evaluation, heights, lengths, chord
-ends, face areas and basepoint distances in ``Fraction``s, where the library
-runs them in integers over one common denominator.  The double points of the
+``Fraction``s, the dual simplex's pivot with dense row updates, which the
+library's sparse updates must match tableau for tableau, the k-copy of a
+front, which no CLI command builds, and the realization's evaluation,
+heights, lengths, chord ends, face areas and basepoint distances in
+``Fraction``s, where the library runs them in integers over one common
+denominator.  The double points of the
 realization are found here by intersecting every pair of ``Segment``s, where
 the library takes each crossing pair from its template's layout and reads
 the chord point off it.
@@ -1634,6 +1636,36 @@ def _fraction_simplex(tab, basis, n_cols):
         if row is None:
             return False
         _fraction_pivot(tab, basis, row, col)
+
+
+# -- the dense row update ----------------------------------------------------
+# The fraction-free pivot with every row scaled by the pivot row's
+# denominator and updated at every column, then divided by its gcd.  The
+# library's pivot, which touches only the pivot row's nonzero columns and
+# scales by what the row's entry does not cancel, must leave this tableau.
+
+def canonical(row, den):
+    """A row of ints over a positive denominator, divided by their gcd."""
+    g = gcd(den, *row)
+    return [v // g for v in row], den // g
+
+
+def dense_minus(row, den, prow, pden, col):
+    """row - row[col] * prow, for a pivot row with prow[col] == pden."""
+    f = row[col]
+    return canonical([a * pden - f * b for a, b in zip(row, prow)],
+                     den * pden)
+
+
+def dense_pivot(tab, dens, basis, row, col):
+    piv = tab[row][col]
+    prow = tab[row] if piv > 0 else [-v for v in tab[row]]
+    prow, pden = canonical(prow, abs(piv))
+    tab[row], dens[row] = prow, pden
+    for r in range(len(tab)):
+        if r != row and tab[r][col]:
+            tab[r], dens[r] = dense_minus(tab[r], dens[r], prow, pden, col)
+    basis[row] = col
 
 
 def fraction_solve_lp(n, eq, ge, minimize):

@@ -1080,9 +1080,10 @@ def test_chain_certifies_no_row_of_a_random_minus_one_surgery(front_seed):
         assert not certified(row), row["word"]
 
 
-def trefoil_2_copy(surgery):
-    """The tb = 1 trefoil's 2-copy with the coefficients ``surgery``."""
-    front = k_copy(parse_front(TREFOIL_PLUS), 2)
+def trefoil_copy(surgery):
+    """The tb = 1 trefoil's k-copy, k = len(surgery), with the coefficients
+    ``surgery``."""
+    front = k_copy(parse_front(TREFOIL_PLUS), len(surgery))
     return FrontCode(front.events, front.orientations, surgery)
 
 
@@ -1101,7 +1102,7 @@ def test_chain_certifies_the_cancelling_2_copy_only_at_pool_length_1(
     length <= 1 only, and such a certificate is found on two of its rows,
     as on all four of the {+1, +1} twin (contact 1/2 surgery).  At
     ``--max-len 2`` no row of either is certified."""
-    front = trefoil_2_copy(surgery)
+    front = trefoil_copy(surgery)
     code, out = run_text(["homology"], front_text(front))
     h1 = json.loads(out)
     assert (code, h1["group"], h1["relations"]) == (0, group, relations)
@@ -1109,6 +1110,35 @@ def test_chain_certifies_the_cancelling_2_copy_only_at_pool_length_1(
     assert [row["word"] for row in chain_rows(front_text(front), 1)
             if certified(row)] == killed
     assert not any(certified(row) for row in chain_rows(front_text(front), 2))
+
+
+@pytest.mark.parametrize("surgery, relations, killed, killed_at_2", [
+    ({0: +1, 1: +1, 2: -1}, [[2, 1, 1], [1, 2, 1], [1, 1, 0]],
+     ["(r38)", "(r39)", "(r44)", "(r45)"], ["(r45)"]),
+    ({0: +1, 1: -1, 2: +1}, [[2, 1, 1], [1, 0, 1], [1, 1, 2]],
+     ["(r37)", "(r39)", "(r43)", "(r45)"], ["(r24r25)"]),
+    ({0: -1, 1: +1, 2: +1}, [[0, 1, 1], [1, 2, 1], [1, 1, 2]],
+     ["(r37)", "(r38)", "(r43)", "(r44)"], ["(r37)"]),
+], ids=["++-", "+-+", "-++"])
+def test_chain_certifies_the_positive_twin_3_copy(surgery, relations,
+                                                 killed, killed_at_2):
+    """The positive twin of the cancelling 2-copy: on the trefoil's 3-copy
+    with coefficients {+1, +1, -1} in any order, one +1 and the -1 cancel
+    (Ding-Geiges), leaving the trefoil +1, whose contact homology is zero.
+    H1 is Z/2 and the pool length is not capped.  ``--max-len 1``
+    certifies all four good degree-1 rows, and ``--max-len 2`` one of its
+    36 in each order: a bounded-scope result, consistent with zero."""
+    front = trefoil_copy(surgery)
+    code, out = run_text(["homology"], front_text(front))
+    h1 = json.loads(out)
+    assert (code, h1["group"], h1["relations"]) == (0, "Z/2", relations)
+    assert _pool_length_cap(resolve(front), 0) is None
+    rows = chain_rows(front_text(front), 1)
+    assert [row["word"] for row in rows if certified(row)] == killed
+    assert len(rows) == len(killed)
+    rows = chain_rows(front_text(front), 2)
+    assert [row["word"] for row in rows if certified(row)] == killed_at_2
+    assert len(rows) == 36
 
 
 FUZZ_TEXTS = [TREFOIL_PLUS, TREFOIL_MINUS, "L1,R1 / surgery {0:+1}",

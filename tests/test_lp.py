@@ -13,15 +13,19 @@ on the same random programs, at the root and after chains of branch
 bounds, it must agree with the oracle on feasibility, and each point it
 returns must satisfy every row exactly.  Both enter every row with its
 slack basic, an eq row as two ge rows, so each tableau ``feasible_vertex``
-returns must be its slack block times the rows entered, exactly.
+returns must be its slack block times the rows entered, exactly.  After
+every pivot, on the sizing LPs and on the random programs' bound chains,
+the library's sparse row updates must leave the tableau that the dense
+update in the oracles leaves, each row canonical.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import fraction_solve_lp
+from oracles import dense_pivot, fraction_solve_lp, k_copy
 from reebchords.diagram import _sizing_rows, _template, parse_front
 from reebchords import lp, report
 from reebchords.lp import feasible_vertex, solve_lp
@@ -64,9 +68,11 @@ def check_sizing_lp(front):
                                            for v in theta)
 
 
-@pytest.mark.parametrize("name", [
-    "trefoil_plus", "trefoil_minus", "unknot_plus", "unknot_minus",
-    "stab_plus", "hopf_plus", "hopf_mixed"])
+FIXTURES = ["trefoil_plus", "trefoil_minus", "unknot_plus", "unknot_minus",
+            "stab_plus", "hopf_plus", "hopf_mixed"]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_sizing_lps_match_the_fraction_simplex(name, request):
     check_sizing_lp(request.getfixturevalue(name).front)
 
@@ -81,6 +87,60 @@ def test_seeded_sizing_lps_match_the_fraction_simplex():
                          ids=["T(2,3)", "T(2,9)", "T(2,21)", "2-copy"])
 def test_torus_and_copy_sizing_lps_match_the_fraction_simplex(front):
     check_sizing_lp(front)
+
+
+LIBRARY_PIVOT = lp._pivot
+
+
+def rows_canonical(tab, dens):
+    return all(den > 0 and gcd(den, *row) == 1 for row, den in zip(tab, dens))
+
+
+def checked_pivot(tab, dens, basis, row, col):
+    """The library's pivot, side by side with the dense update's on a copy
+    of the tableau: both must leave the same tableau, every row canonical
+    (ints over a positive denominator, gcd 1)."""
+    reference = [r[:] for r in tab], dens[:], basis[:]
+    dense_pivot(*reference, row, col)
+    LIBRARY_PIVOT(tab, dens, basis, row, col)
+    assert (tab, dens, basis) == reference
+    assert rows_canonical(tab, dens)
+
+
+def sizing_vertex(front):
+    n, eq, ge = _sizing_rows(*_template(front), F(32))
+    return solve_lp(n, eq, ge, [F(1)] * n)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_sizing_pivots_match_the_dense_update(name, request,
+                                                      monkeypatch):
+    front = request.getfixturevalue(name).front
+    monkeypatch.setattr(lp, "_pivot", checked_pivot)
+    sizing_vertex(front)
+
+
+def test_seeded_torus_and_copy_sizing_pivots_match_the_dense_update(
+        monkeypatch):
+    monkeypatch.setattr(lp, "_pivot", checked_pivot)
+    for front in [*seeded_fronts(), torus(21), parse_front(TREFOIL_2_COPY)]:
+        sizing_vertex(front)
+
+
+@pytest.mark.parametrize("k, pivots", [(2, 13), (3, 26), (4, 42), (6, 68)])
+def test_sizing_pivot_counts_of_the_trefoil_k_copies(k, pivots,
+                                                     monkeypatch):
+    # pinned under Bland's rule (ROADMAP item 23): a pivot rule that takes
+    # fewer must re-pin them
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return LIBRARY_PIVOT(*args)
+
+    monkeypatch.setattr(lp, "_pivot", counted)
+    sizing_vertex(k_copy(torus(3), k))
+    assert count[0] == pivots
 
 
 # (n, eq rows, ge rows, objective), one per case the random programs must
@@ -246,6 +306,25 @@ def test_dual_simplex_verdicts_match_the_fraction_simplex(program, bounds):
     n, eq, ge, _minimize = program
     check_bound_chain(n, eq, ge, [(j % n, sign, value)
                                   for j, sign, value in bounds])
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_programs() | programs_with_a_point(),
+       st.lists(BOUND, max_size=5))
+@example(TIE, [])
+@example(RATIO, [])
+@example(NEGATIVE, [])
+@example(ZERO_ROW[:3] + ([F(0)] * 2,), ZERO_ROW[3])
+@example(BASIC_AND_NOT[:3] + ([F(1), F(2)],), BASIC_AND_NOT[3])
+def test_random_program_pivots_match_the_dense_update(program, bounds):
+    n, eq, ge, _minimize = program
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_pivot", checked_pivot)
+        solve_lp(*program)
+        for node in check_bound_chain(n, eq, ge, [(j % n, sign, value)
+                                                  for j, sign, value in
+                                                  bounds]):
+            assert node is None or rows_canonical(*node[1][:2])
 
 
 def test_a_child_takes_fewer_pivots_than_a_fresh_solve(monkeypatch):
