@@ -25,19 +25,21 @@ The sizing LP's rows are read off it by difference arrays over the sizes
 LP's solution, in ints over one integer, the least common denominator of
 those sizes.
 ``ResolvedDiagram`` computes on those ints the octants, the chord points
-from the crossing pairs, heights, lengths, face order and basepoint tests;
-its public fields are ``Fraction``s.  Every double point crosses two
-diagonals, so the faces are the cycles of passage arcs that turn left at
-every chord; corner signs and quadrants are read off the passage records,
-rotation numbers off the front's Maslov potential, face areas off the chord
-actions (Stokes).  A face's basepoint is one unit into its first corner's
-wedge; one within 1/2 of a segment is a fault.
+from the crossing pairs, heights, lengths, passage arcs, face rings and
+basepoint tests; its printed fields are ``Fraction``s.  Every double
+point crosses two diagonals, so the faces are the cycles of passage arcs
+that turn left at every chord; corner signs and quadrants are read off
+the passage records, rotation numbers off the front's Maslov potential,
+face areas off the chord actions (Stokes).  A face's basepoint is one
+unit into its first corner's wedge; one within 1/2 of a segment is a
+fault.
 """
 
 import json
 import re
 from bisect import bisect_right
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from typing import Dict, List, NamedTuple, Tuple
 
@@ -483,6 +485,11 @@ def _on_grid(points, unit):
              y.numerator * (unit // y.denominator)) for x, y in points]
 
 
+def _view(points, unit):
+    """Int points over ``unit`` as ``Fraction`` pairs."""
+    return [(Fraction(x, unit), Fraction(y, unit)) for x, y in points]
+
+
 def _double_heights(cycle):
     """Twice the height z = integral of y dx at each vertex of a closed
     polyline from 0 at vertex 0, then once more after the closing segment:
@@ -512,12 +519,16 @@ def _integer_boxes(polys):
 
 
 class ChordRecord(object):
-    """A double point of the resolved diagram (one Reeb chord)."""
+    """A double point of the resolved diagram (one Reeb chord).
 
-    def __init__(self, cid, point, sign, tail_comp, tip_comp, action,
+    ``_q`` is the point as ints over twice the diagram's scale.  The action
+    and the locations (segment index, Chebyshev length from the component's
+    vertex 0) are ``Fraction``s."""
+
+    def __init__(self, cid, q, sign, tail_comp, tip_comp, action,
                  tail_loc, tip_loc):
         self.id = cid
-        self.point = point
+        self._q = q
         self.sign = sign
         self.tail_comp = tail_comp      # l^-: component of the low strand
         self.tip_comp = tip_comp        # l^+: component of the high strand
@@ -530,13 +541,16 @@ class ChordRecord(object):
 
 
 class Face(object):
-    """Bounded complementary region with its corner data."""
+    """Bounded complementary region with its corner data.
 
-    def __init__(self, fid, corners, area, boundary, basepoint=None):
+    ``_ring`` is its ccw boundary cycle as ints over twice the diagram's
+    scale.  The area and the basepoint are ``Fraction``s."""
+
+    def __init__(self, fid, corners, area, ring, basepoint=None):
         self.id = fid
         self.corners = corners          # [(chord id, quadrant, sign)] ccw
         self.area = area
-        self.boundary = boundary        # ccw point cycle
+        self._ring = ring
         self.basepoint = basepoint
 
     def corner_chords(self):
@@ -557,8 +571,9 @@ class ResolvedDiagram(object):
     """Exact polyline realization of a front with all derived chord data.
 
     A passage is one chord end on a component: ``passages[ci]`` lists those
-    of component ci as (parameter, chord id, 'tail'|'tip', point) in
-    parameter order, and ``passage_arcs[ci][k]`` is the run of vertices
+    of component ci as (parameter, chord id, 'tail'|'tip', point, segment
+    index) in parameter order, the parameter its Chebyshev length from
+    vertex 0, and ``_arcs[ci][k]``, passage arc k, is the run of vertices
     from passage k to the next, cyclically, between their chord points.
     Capping arcs are runs of passage arcs, and push-outs offset them.  The
     rotation numbers ``rot`` are the front's (``FrontCode.rot``).
@@ -573,11 +588,16 @@ class ResolvedDiagram(object):
     area is the sum of its corner signs times the chord actions, the
     z-jumps of the y dx integral (Stokes), negative on an outer boundary.
 
-    The hot loops run on ``ints``, the components' vertices as ints over
-    ``scale``, which ``resolve`` takes from the template (``_evaluate``),
-    and ``octants[ci][si]`` is the travel octant of segment si of component
-    ci.  The public fields (components, their Chebyshev ``lengths``, chord
-    points, actions and locations, areas, basepoints) are ``Fraction``s.
+    The point tables are ints, one per concept: ``_ints``, the components'
+    vertices over ``scale``, which ``resolve`` takes from the template
+    (``_evaluate``); over h = 2 * ``scale``, the chord points
+    (``ChordRecord._q``), the passages' parameters and points, the
+    passage arcs and the face rings (``Face._ring``).  ``octants[ci][si]``
+    is the travel octant of segment si of component ci.  The printed
+    fields (the Chebyshev ``lengths``, chord actions and locations, areas,
+    basepoints) are ``Fraction``s.  ``components``, the vertices as
+    ``Fraction``s, is a view of ``_ints`` built on first read and then
+    cached; no command reads it.
 
     ``crossings`` lists per chord, in event order, the (component, segment
     index) of its slope -1 and its slope +1 branch.  ``resolve`` passes the
@@ -589,8 +609,6 @@ class ResolvedDiagram(object):
                  scale: int, crossings, z_shifts: List[Fraction]):
         self.front, self._ints, self._scale = front, ints, scale
         self.surgery = dict(front.surgery)
-        self.components = [[(Fraction(x, scale), Fraction(y, scale))
-                            for x, y in cyc] for cyc in ints]
         self._crossings = crossings
         # the height function of each component is defined up to a constant;
         # these are the constants the template solver chose
@@ -599,6 +617,10 @@ class ResolvedDiagram(object):
         # use; keys are tuples led by the table's name
         self.memo: Dict[tuple, object] = {}
         self._analyze()
+
+    @cached_property
+    def components(self) -> List[List[Point]]:
+        return [_view(cyc, self._scale) for cyc in self._ints]
 
     # -- construction ------------------------------------------------------
 
@@ -632,15 +654,20 @@ class ResolvedDiagram(object):
         # the chord point is where the line x + y = s of the over branch
         # meets the line y - x = t of the under branch, both through a
         # segment start: (s - t, s + t) / 2, on the half grid.  Chord ends
-        # are integers over h = 2 * _scale, heights over 2 h^2, lengths
-        # over h
+        # and passage parameters are integers over h = 2 * _scale, heights
+        # over 2 h^2, and the actions, kept for the face areas as _acts, ints
+        # over den, 2 h^2 times the height shifts' denominator
         h = 2 * self._scale
-        chords = []
+        hh = 2 * h * h
+        shifts, sden = _integers(self.z_shifts)
+        den = hh * sden
+        acts = []
+        self.chords = []
+        self.passages = [[] for _ in self._ints]
         for over, under in self._crossings:
             (ox, oy), (ux, uy) = (self._ints[ci][si] for ci, si in
                                   (over, under))
-            qx, qy = ox + oy - uy + ux, ox + oy + uy - ux
-            p = (Fraction(qx, h), Fraction(qy, h))
+            q = qx, qy = ox + oy - uy + ux, ox + oy + uy - ux
             ends = []
             for ci, si in (over, under):
                 ints = self._ints[ci]
@@ -649,30 +676,37 @@ class ResolvedDiagram(object):
                 # strictly inside the segment: on its line, between its ends
                 if (qx - ax) * (qy - by) != (qy - ay) * (qx - bx) or \
                         (qx - ax) * (qx - bx) + (qy - ay) * (qy - by) >= 0:
-                    raise DiagramError(f"chord point {p} is not inside "
-                                       f"segment {si} of component {ci}")
+                    raise DiagramError(f"chord point {_view([q], h)[0]} is "
+                                       f"not inside segment {si} of "
+                                       f"component {ci}")
                 ends.append((4 * heights[ci][si] + (ay + qy) * (qx - ax),
-                             Fraction(2 * lengths[ci][si] +
-                                      max(abs(qx - ax), abs(qy - ay)), h)))
+                             2 * lengths[ci][si] +
+                             max(abs(qx - ax), abs(qy - ay))))
             (z_hi, t_hi), (z_lo, t_lo) = ends
-            action = Fraction(z_hi - z_lo, 2 * h * h) + \
-                self.z_shifts[over[0]] - self.z_shifts[under[0]]
-            if action <= 0:
+            act = (z_hi - z_lo) * sden + \
+                hh * (shifts[over[0]] - shifts[under[0]])
+            if act <= 0:
                 raise DiagramError(
-                    f"over/under assignment inconsistent with z at {p} "
-                    f"(action {action})")
+                    f"over/under assignment inconsistent with z at "
+                    f"{_view([q], h)[0]} (action {Fraction(act, den)})")
             over_dir = self.octants[over[0]][over[1]]
             under_dir = self.octants[under[0]][under[1]]
             sign = 1 if cross(OCTANT_VECTORS[over_dir],
                               OCTANT_VECTORS[under_dir]) > 0 else -1
-            chords.append(ChordRecord(
-                len(chords) + 1, p, sign,
-                tail_comp=under[0], tip_comp=over[0], action=action,
-                tail_loc=(under[1], t_lo), tip_loc=(over[1], t_hi)))
-        self.chords = chords
+            cid = len(self.chords) + 1
+            acts.append(act)
+            self.chords.append(ChordRecord(
+                cid, q, sign, tail_comp=under[0], tip_comp=over[0],
+                action=Fraction(act, den),
+                tail_loc=(under[1], Fraction(t_lo, h)),
+                tip_loc=(over[1], Fraction(t_hi, h))))
+            for role, (ci, si), t in (("tail", under, t_lo),
+                                      ("tip", over, t_hi)):
+                self.passages[ci].append((t, cid, role, q, si))
+        self._acts = acts, den
 
     def _classical(self):
-        n = len(self.components)
+        n = len(self._ints)
         self.tb = {i: 0 for i in range(n)}
         self.rot = dict(self.front.rot)
         self.linking = [[0] * n for _ in range(n)]
@@ -692,31 +726,24 @@ class ResolvedDiagram(object):
     # -- faces ---------------------------------------------------------------
 
     def _build_faces(self):
-        # split each component cycle at its chord passages into arcs; the
-        # parameters order passages only on a shared segment
-        self.passages = [[] for _ in self.components]
-        seg = {}
-        for c in self.chords:
-            for role, ci, (si, par) in (("tail", c.tail_comp, c.tail_loc),
-                                        ("tip", c.tip_comp, c.tip_loc)):
-                self.passages[ci].append((par, c.id, role, c.point))
-                seg[c.id, role] = si
+        # split each component cycle at its chord passages into arcs, ints
+        # over h; a parameter is a length from vertex 0, so it orders the
+        # passages along the cycle
         self._passage_of: Dict[Tuple[int, str], Tuple[int, int]] = {}
-        self.passage_arcs: List[List[List[Point]]] = []
+        self._arcs: List[List[List[Tuple[int, int]]]] = []
         for ci, plist in enumerate(self.passages):
-            plist.sort(key=lambda item: (seg[item[1], item[2]], item[0]))
-            cyc = self.components[ci]
+            plist.sort()
+            cyc = [(2 * x, 2 * y) for x, y in self._ints[ci]]
             n = len(cyc)
-            self.passage_arcs.append([])
-            for k, (_, cid, role, p) in enumerate(plist):
+            arcs = []
+            for k, (_, cid, role, p, si) in enumerate(plist):
                 self._passage_of[cid, role] = (ci, k)
-                _, next_cid, next_role, q = plist[(k + 1) % len(plist)]
+                *_, q, sj = plist[(k + 1) % len(plist)]
                 # the vertices passed: a component's right-cusp loops put its
                 # passages on two segments at least, so none wraps on one
-                si = seg[cid, role]
-                vertices = range(1, (seg[next_cid, next_role] - si) % n + 1)
-                self.passage_arcs[ci].append(
-                    [p] + [cyc[(si + i) % n] for i in vertices] + [q])
+                vertices = range(1, (sj - si) % n + 1)
+                arcs.append([p] + [cyc[(si + i) % n] for i in vertices] + [q])
+            self._arcs.append(arcs)
         self._trace_faces()
 
     def _trace_faces(self):
@@ -732,7 +759,7 @@ class ResolvedDiagram(object):
             n = len(plist)
             for k in range(n):
                 for d in (1, -1):
-                    _, cid, role, _ = plist[(k + 1) % n if d == 1 else k]
+                    _, cid, role, *_ = plist[(k + 1) % n if d == 1 else k]
                     o = (octant[cid, role] + (0 if d == 1 else 4)) % 8
                     other = "tip" if role == "tail" else "tail"
                     cj, kj = self._passage_of[cid, other]
@@ -748,38 +775,35 @@ class ResolvedDiagram(object):
 
         visited = set()
         faces = []
-        self.outer_area = Fraction(0)
-        # Stokes areas (class docstring) from the actions as ints over den
-        acts, den = _integers([c.action for c in self.chords])
+        outer = 0
+        # Stokes areas (class docstring) from the actions, ints over den
+        acts, den = self._acts
         for he0 in turn:
             if he0 in visited:
                 continue
-            boundary: List[Point] = []
+            ring: List[Tuple[int, int]] = []
             corners = []
             he = he0
             while he not in visited:
                 visited.add(he)
                 ci, k, d = he
-                pts = self.passage_arcs[ci][k]
-                boundary.extend(pts[:-1] if d == 1 else pts[:0:-1])
+                pts = self._arcs[ci][k]
+                ring.extend(pts[:-1] if d == 1 else pts[:0:-1])
                 he, corner = turn[he]
                 corners.append(corner)
             if he != he0:
                 raise DiagramError("face tracing did not close up")
-            area = Fraction(sum(s * acts[cid - 1] for cid, _q, s in corners),
-                            den)
+            area = sum(s * acts[cid - 1] for cid, _q, s in corners)
             if area < 0:
-                self.outer_area -= area
+                outer -= area
                 continue
             if area == 0:
                 raise DiagramError("degenerate face of zero area")
-            # on the grid of 2 * _scale: the sort key and the basepoint ring
-            ring = _on_grid(boundary, 2 * self._scale)
             faces.append((min(x for x, _ in ring), min(y for _, y in ring),
-                          Face(None, corners, area, boundary), ring))
+                          Face(None, corners, Fraction(area, den), ring)))
+        self.outer_area = Fraction(outer, den)
         faces.sort(key=lambda item: item[:2])
-        self.faces_list = [f for _, _, f, _ in faces]
-        self._rings = [ring for *_, ring in faces]
+        self.faces_list = [f for _, _, f in faces]
         for i, f in enumerate(self.faces_list):
             f.id = i + 1
 
@@ -787,10 +811,10 @@ class ResolvedDiagram(object):
         # boxes by left x: a test reads only those that start left of its reach
         boxes = _integer_boxes(self._ints)
         index = ([box[0] for box in boxes], boxes)
-        for f, ring in zip(self.faces_list, self._rings):
-            f.basepoint = self._basepoint_for(f, ring, index)
+        for f in self.faces_list:
+            f.basepoint = self._basepoint_for(f, index)
 
-    def _basepoint_for(self, face, ring, index):
+    def _basepoint_for(self, face, index):
         # one unit into the first corner's wedge (along its quadrant's axis)
         # clears every segment by more than 1/2: the double point crosses two
         # diagonals, and events lie on integer units with slabs 4 apart and
@@ -799,10 +823,10 @@ class ResolvedDiagram(object):
         # integers
         m = 2 * self._scale
         cid, quad, _sign = face.corners[0]
-        [(qx, qy)] = _on_grid([self.chords[cid - 1].point], m)
+        qx, qy = self.chords[cid - 1]._q
         dx, dy = QUADRANT_VECTORS[quad]
         p = (qx + m * dx, qy + m * dy)
-        if not self._good_basepoint(p, ring, index, self._scale):
+        if not self._good_basepoint(p, face._ring, index, self._scale):
             raise DiagramError(f"no basepoint found for face {face.id}")
         return Fraction(p[0], m), Fraction(p[1], m)
 
@@ -859,7 +883,7 @@ class ResolvedDiagram(object):
         arcs = tuple((k1 + i) % len(plist)
                      for i in range((k2 - k1) % len(plist)))
         rot = self.front.capping_rotation(j1, j2)
-        vector = [0] * len(self.components)
+        vector = [0] * len(self._ints)
         for end in (c1.tail_comp, comp):
             vector[end] += (self.surgery[end] + c1.sign) // 2
         for k in arcs[1:]:

@@ -94,7 +94,7 @@ class H1Presentation(object):
     """Meridian presentation of the first homology after surgery."""
 
     def __init__(self, d: ResolvedDiagram):
-        self.surgered = [i for i in range(len(d.components))
+        self.surgered = [i for i in range(d.front.n_components)
                          if d.surgery[i] != 0]
         self.matrix = [[d.tb[i] + d.surgery[i] if i == j else d.linking[i][j]
                         for j in self.surgered] for i in self.surgered]

@@ -19,7 +19,7 @@ def cz_integral(d: ResolvedDiagram, w: CyclicWord) -> int:
 def c1_class(d: ResolvedDiagram) -> List[int]:
     """Poincare dual of c1 as a meridian vector (surgered components only)."""
     return [d.rot[i] if d.surgery[i] != 0 else 0
-            for i in range(len(d.components))]
+            for i in range(d.front.n_components)]
 
 
 def canonical_grading_valid(d: ResolvedDiagram, h1_finite: bool,

@@ -29,7 +29,7 @@ class Quiver(object):
     def __init__(self, d: ResolvedDiagram):
         if not d.chords:
             raise DiagramError("empty diagram has no quiver")
-        self.vertices = list(range(len(d.components)))
+        self.vertices = list(range(d.front.n_components))
         self.edges = [(c.id, c.tail_comp, c.tip_comp) for c in d.chords]
 
     def loops_at(self, vertex: int) -> List[int]:

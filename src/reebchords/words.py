@@ -13,13 +13,14 @@ Words hold no diagram, so a diagram's memo tables never keep it alive.
 A push-out is wound in two memo tables, at the one offset ``PUSH_OFF`` and
 in ints on one grid per diagram that also holds the face basepoints.  The
 first holds per passage arc (a component's stretch between consecutive
-chord passages) its offset step's (start, end, crossings), the ends as
-grid ints and the crossings at every face basepoint.  The second holds
-per letter (``ResolvedDiagram.letter``) the sums over the steps of its
-capping arc plus the jump across r_j2, whose crossings are memoized per
-chord.  A word's winding numbers are the sum of its letters' rows.  A
-push-out's linking numbers are its orbit class, which ``homology`` sums
-from the letters' crossing monomials.
+chord passages, which the diagram keeps as ints over twice its scale, a
+divisor of the grid's unit) its offset step's (start, end, crossings),
+the ends as grid ints and the crossings at every face basepoint.  The
+second holds per letter (``ResolvedDiagram.letter``) the sums over the
+steps of its capping arc plus the jump across r_j2, whose crossings are
+memoized per chord.  A word's winding numbers are the sum of its
+letters' rows.  A push-out's linking numbers are its orbit class, which
+``homology`` sums from the letters' crossing monomials.
 """
 
 from fractions import Fraction
@@ -316,12 +317,16 @@ def _crossings(d: ResolvedDiagram, points) -> Tuple[int, ...]:
 def _step(d: ResolvedDiagram, comp: int, k: int):
     """(start, end, crossings) of passage arc k of comp offset on the grid,
     memoized per arc; a repeated point of the offset crosses no ray.  The
-    arc is the diagram's own, so a ValueError of the offset is a fault."""
+    arc's points are ints over 2 * ``d._scale``, which divides the grid's
+    unit, so one int factor puts them on the grid.  The arc is the
+    diagram's own, so a ValueError of the offset is a fault."""
     steps = d.memo.setdefault(("steps",), {})
     if (comp, k) not in steps:
         unit = _grid(d)[0]
+        m = unit // (2 * d._scale)
         try:
-            arc = offset_polyline(_on_grid(d.passage_arcs[comp][k], unit),
+            arc = offset_polyline([(x * m, y * m) for x, y in
+                                   d._arcs[comp][k]],
                                   "left" if d.surgery[comp] == 1
                                   else "right", PUSH_OFF, unit=unit)
         except ValueError as exc:

@@ -26,7 +26,10 @@ library's sparse updates must match tableau for tableau, the k-copy of a
 front, which no CLI command builds, and the realization's evaluation,
 heights, lengths, chord ends, face areas and basepoint distances in
 ``Fraction``s, where the library runs them in integers over one common
-denominator.  The double points of the
+denominator.  The ``Fraction`` views of the library's int points (chord
+points, face boundaries, passage arcs) are built here too, as no command
+reads them, with the passage arcs also assembled the way the library did
+from ``Fraction`` points.  The double points of the
 realization are found here by intersecting every pair of ``Segment``s, where
 the library takes each crossing pair from its template's layout and reads
 the chord point off it.
@@ -829,6 +832,47 @@ def fraction_components(front, action_margin=Fraction(32)):
             for cyc in template_at(front, theta)[0]]
 
 
+def chord_point(d, c):
+    """A chord's double point in Fractions, from its ints over h = 2 *
+    scale."""
+    return tuple(Fraction(v, 2 * d._scale) for v in c._q)
+
+
+def face_boundary(d, f):
+    """A face's ccw boundary cycle in Fractions, from its ring of ints over
+    h = 2 * scale."""
+    return [tuple(Fraction(v, 2 * d._scale) for v in p) for p in f._ring]
+
+
+def passage_arcs(d):
+    """passage_arcs(d)[ci][k]: passage arc k of component ci in Fractions,
+    from the diagram's arcs of ints over h = 2 * scale."""
+    h = 2 * d._scale
+    return [[[tuple(Fraction(v, h) for v in p) for p in arc] for arc in arcs]
+            for arcs in d._arcs]
+
+
+def fraction_arcs(d):
+    """The passage arcs assembled from Fraction points: each component's
+    chord ends sorted by segment and then parameter, and from each, its
+    chord point, the vertices up to the next end's segment and that end's
+    chord point."""
+    ends = [[] for _ in d.components]
+    for c in d.chords:
+        for ci, (si, t) in ((c.tail_comp, c.tail_loc),
+                            (c.tip_comp, c.tip_loc)):
+            ends[ci].append((si, t, chord_point(d, c)))
+    arcs = []
+    for cyc, plist in zip(d.components, ends):
+        plist.sort(key=lambda end: end[:2])
+        n = len(cyc)
+        arcs.append([[p] + [cyc[(si + i) % n]
+                            for i in range(1, (sj - si) % n + 1)] + [q]
+                     for (si, _, p), (sj, _, q)
+                     in zip(plist, plist[1:] + plist[:1])])
+    return arcs
+
+
 def polygon_signed_area(points):
     """Shoelace area of a closed polyline, counterclockwise positive."""
     n = len(points)
@@ -890,12 +934,13 @@ def all_segments_basepoint(d, face):
     from reebchords.geometry import winding_number
 
     all_segs = [s for segs in cycle_segments(d.components) for s in segs]
-    crossings = [c.point for c in d.chords]
+    crossings = [chord_point(d, c) for c in d.chords]
+    boundary = face_boundary(d, face)
 
     def good(p, clear):
         clear_sq = clear * clear
         try:
-            if winding_number(face.boundary, p) != 1:
+            if winding_number(boundary, p) != 1:
                 return False
         except ValueError:
             return False
@@ -909,7 +954,7 @@ def all_segments_basepoint(d, face):
     offset = Fraction(1)
     while offset >= Fraction(1, 256):
         for cid, quad, _sign in face.corners:
-            q = d.chord(cid).point
+            q = chord_point(d, d.chord(cid))
             dx, dy = QUADRANT_VECTORS[quad]
             p = (q[0] + offset * dx, q[1] + offset * dy)
             if good(p, offset / 2):
@@ -959,17 +1004,18 @@ def turning_number(points):
 
 
 def trace_faces_by_points(d):
-    """(faces, outer area) of a diagram by tracing its passage arcs as a
-    planar graph keyed by points.  At every node a half-edge continues with
-    the departing half-edge nearest clockwise from its way back; each
+    """(faces, outer area) of a diagram by tracing its passage arcs, as
+    ``fraction_arcs`` assembles them, as a planar graph keyed by points.
+    At every node a half-edge continues with the departing half-edge
+    nearest clockwise from its way back; each
     corner's chord is the one at the node, its sign is +1 when the walk
     jumps from the slope +1 strand to the slope -1 one, and its quadrant is
     the axis between the way back and the way out.  The faces are the
     cycles of positive area as (corners, area, boundary), sorted by the
     least x and then least y of the boundary; the outer area is minus the
     sum of the negative ones."""
-    arcs = [a for arcs in d.passage_arcs for a in arcs]
-    chord_at = {c.point: c.id for c in d.chords}
+    arcs = [a for arcs in fraction_arcs(d) for a in arcs]
+    chord_at = {chord_point(d, c): c.id for c in d.chords}
     halves = [(ai, step) for ai in range(len(arcs)) for step in (1, -1)]
     points = [arcs[ai][::step] for ai, step in halves]
     departs = {}
@@ -1049,13 +1095,13 @@ def capping_walk(d, j1, j2, side):
     octants = [(segs[k].octant + (0 if step == 1 else 4)) % 8
                for k in seg_ids]
     turns = sum(turn_octants(a, b) for a, b in zip(octants, octants[1:]))
-    points = [c1.point]
+    points = [chord_point(d, c1)]
     for k in seg_ids[1:]:
         vertex = segs[k].a if step == 1 else segs[k].b
         if vertex != points[-1]:
             points.append(vertex)
-    if c2.point != points[-1]:
-        points.append(c2.point)
+    if chord_point(d, c2) != points[-1]:
+        points.append(chord_point(d, c2))
 
     walked = sum(max(abs(b[0] - a[0]), abs(b[1] - a[1]))
                  for a, b in zip(points, points[1:]))
@@ -1146,8 +1192,9 @@ def unshifted_windings(d, w):
     from reebchords.geometry import winding_number
 
     totals = [0] * len(d.faces_list)
+    views = passage_arcs(d)
     for j1, j2 in w.pairs():
-        arcs = d.passage_arcs[d.chord(j1).tip_comp]
+        arcs = views[d.chord(j1).tip_comp]
         for k in d.letter(j1, j2).arcs:
             for i, f in enumerate(d.faces_list):
                 totals[i] += winding_number(arcs[k], f.basepoint,

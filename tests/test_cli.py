@@ -15,7 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from oracles import front_text, k_copy
+from oracles import front_text, k_copy, passage_arcs
 import reebchords
 from reebchords import words
 from reebchords.cli import json_text, main
@@ -447,8 +447,8 @@ def test_exit_code_3_on_a_basepoint_on_a_push_out_step(tmp_path, capsys,
 
     def on_a_step(self):
         original(self)
-        (ax, ay), (bx, by) = offset_polyline(self.passage_arcs[0][0], "left",
-                                             PUSH_OFF)[:2]
+        (ax, ay), (bx, by) = offset_polyline(passage_arcs(self)[0][0],
+                                             "left", PUSH_OFF)[:2]
         self.faces_list[0].basepoint = ((ax + bx) / 2, (ay + by) / 2)
 
     monkeypatch.setattr(ResolvedDiagram, "_pick_basepoints", on_a_step)
@@ -916,13 +916,17 @@ def test_bench_pairs_reads_each_median_change_against_its_bound(
         return [{"metrics": {"fronts_per_s": {"value": f},
                              "op_s_p50": {"value": s}}} for f, s in values]
 
-    _header, fronts, p50 = bench_pairs.summary(
+    header, fronts, p50 = bench_pairs.summary(
         metrics, runs([(100, 0.02), (90, 0.02), (110, 0.02)]),
         runs([(120, 0.025), (80, 0.03), (110, 0.02)]))
-    # medians 100 -> 110 and 0.02 -> 0.025; B is better in pair 1 only on
-    # fronts_per_s (a tie is no win), and in none on op_s_p50
-    assert fronts.split()[4:] == ["10", "+10.00%", "1/3", "0.25", "+0.40"]
-    assert p50.split()[5:] == ["-25.00%", "0/3", "0.25", "-1.00"]
+    # medians 100 -> 110 and 0.02 -> 0.025, interquartile ranges 10 and 20,
+    # 0 and 0.005; B is better in pair 1 only on fronts_per_s (a tie is no
+    # win), and in none on op_s_p50
+    assert header.split()[6:10] == ["A", "IQR", "B", "IQR"]
+    assert fronts.split()[4:] == ["10", "20", "+10.00%", "1/3", "0.25",
+                                  "+0.40"]
+    assert p50.split()[4:] == ["0", "0.005", "-25.00%", "0/3", "0.25",
+                               "-1.00"]
     for part in ("src/pkg/__pycache__", "tests/__pycache__",
                  ".git/__pycache__"):
         (tmp_path / part).mkdir(parents=True)
@@ -1026,6 +1030,26 @@ def test_a_commands_diagram_is_freed_when_it_returns(monkeypatch, text,
             gc.enable()
 
 
+@pytest.mark.parametrize("text", [
+    TREFOIL_PLUS, "L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:+1}"])
+@pytest.mark.parametrize("argv", [
+    ["invariants"], ["chain", "--max-len", "2", "--epsilon", "1/100"]])
+def test_a_command_builds_no_fraction_view(monkeypatch, text, argv):
+    """``invariants`` and ``chain`` read the diagram's int tables only: the
+    ``Fraction`` view ``components`` is never built."""
+    from reebchords import cli
+    built = []
+
+    def kept(front):
+        built.append(resolve(front))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "resolve", kept)
+    code, _ = run_text(argv, text)
+    assert code == 0 and built
+    assert not any("components" in vars(d) for d in built)
+
+
 def chain_rows(text, max_len):
     """The good degree-1 rows of ``chain --epsilon 1/100`` on a front."""
     code, out = run_text(["chain", "--max-len", str(max_len), "--epsilon",
@@ -1110,6 +1134,34 @@ def test_chain_certifies_the_cancelling_2_copy_only_at_pool_length_1(
     assert [row["word"] for row in chain_rows(front_text(front), 1)
             if certified(row)] == killed
     assert not any(certified(row) for row in chain_rows(front_text(front), 2))
+
+
+def test_chain_certifies_no_row_of_a_random_cancelling_2_copy():
+    """Every component of a random front of at most 7 events and 2
+    components doubled by ``k_copy``, with +1 on one copy and -1 on the
+    other in random order: each pair cancels (Ding-Geiges), so the diagram
+    is (S^3, xi_std), whose contact homology is not zero.  ``chain
+    --max-len 2`` certifies no row of 40 distinct such fronts."""
+    rng = random.Random(1)
+    seen, rows = set(), 0
+    while len(seen) < 40:
+        front = surgered_front(rng)
+        if len(front.events) > 7 or front.n_components > 2:
+            continue
+        copy = k_copy(front, 2)
+        surgery = {}
+        for c in range(front.n_components):
+            signs = [1, -1]
+            rng.shuffle(signs)
+            surgery[2 * c], surgery[2 * c + 1] = signs
+        text = front_text(FrontCode(copy.events, copy.orientations, surgery))
+        if text in seen:
+            continue
+        seen.add(text)
+        for row in chain_rows(text, 2):
+            assert not certified(row), (text, row["word"])
+            rows += 1
+    assert rows > 100
 
 
 @pytest.mark.parametrize("surgery, relations, killed, killed_at_2", [

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (Segment, all_pairs_double_points, capping_walk,
-                     cycle_segments, event_slabs,
+                     chord_point, cycle_segments, event_slabs, face_boundary,
                      front_writhe_and_cusp_counts, point_segment_distance_sq,
                      template_at, trace_front)
 from reebchords.diagram import (DiagramError, FrontCode, FrontError,
@@ -124,8 +124,8 @@ def test_actions_from_independent_height_integration(any_diagram):
             total += (a[1] + point[1]) * (point[0] - a[0]) / 2
             return total + d.z_shifts[comp]
 
-        hi = height(c.tip_comp, self_seg(d, c, "tip"), c.point)
-        lo = height(c.tail_comp, self_seg(d, c, "tail"), c.point)
+        hi = height(c.tip_comp, self_seg(d, c, "tip"), chord_point(d, c))
+        lo = height(c.tail_comp, self_seg(d, c, "tail"), chord_point(d, c))
         assert hi - lo == c.action
 
 
@@ -133,7 +133,8 @@ def self_seg(d, c, which):
     comp = c.tip_comp if which == "tip" else c.tail_comp
     target_oct = (3, 7) if which == "tip" else (1, 5)
     for si, s in enumerate(cycle_segments(d.components)[comp]):
-        if s.octant in target_oct and s.contains(c.point, closed=False):
+        if s.octant in target_oct and \
+                s.contains(chord_point(d, c), closed=False):
             return si
     raise AssertionError("branch segment not found")
 
@@ -184,7 +185,7 @@ def test_total_area_identity(any_diagram):
 def test_basepoints_interior(any_diagram):
     d = any_diagram
     for f in d.faces_list:
-        assert winding_number(f.boundary, f.basepoint) == 1
+        assert winding_number(face_boundary(d, f), f.basepoint) == 1
 
 
 def test_unknot_lobe_areas_match_action(unknot_plus):

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (all_orbit_strings, all_pairs_double_points,
-                     all_segments_basepoint, capping_walk, cycle_segments,
-                     fd_sizing_rows,
-                     fraction_components, fraction_measures,
+                     all_segments_basepoint, capping_walk, chord_point,
+                     cycle_segments, face_boundary, fd_sizing_rows,
+                     fraction_arcs, fraction_components, fraction_measures,
                      front_writhe_and_cusp_counts, k_copy,
-                     orbit_class_pushout, polygon_signed_area,
+                     orbit_class_pushout, passage_arcs, polygon_signed_area,
                      pushout_linking, rot_number, trace_faces_by_points,
                      turning_number)
 from reebchords import diagram
@@ -365,8 +365,9 @@ def check_against_oracles(d, margin=Fraction(32)):
 
 
 def check_chords_against_all_pairs(d):
-    chords = {c.point: {(c.tail_comp, c.tail_loc[0]),
-                        (c.tip_comp, c.tip_loc[0])} for c in d.chords}
+    chords = {chord_point(d, c): {(c.tail_comp, c.tail_loc[0]),
+                                  (c.tip_comp, c.tip_loc[0])}
+              for c in d.chords}
     segments = cycle_segments(d.components)
     assert chords == {p: set(branches) for p, branches in
                       all_pairs_double_points(segments).items()}
@@ -417,7 +418,8 @@ def check_basepoints(d):
     wedge of the face's first corner."""
     for f in d.faces_list:
         cid, quad, _sign = f.corners[0]
-        (qx, qy), (dx, dy) = d.chord(cid).point, QUADRANT_VECTORS[quad]
+        (qx, qy), (dx, dy) = (chord_point(d, d.chord(cid)),
+                              QUADRANT_VECTORS[quad])
         assert f.basepoint == all_segments_basepoint(d, f) == \
             (qx + dx, qy + dy)
 
@@ -440,7 +442,8 @@ def check_faces(d):
     face order) and outer area are the point tracer's, and each rotation
     number is its component's turning number."""
     faces, outer = trace_faces_by_points(d)
-    assert [(f.corners, f.area, f.boundary) for f in d.faces_list] == faces
+    assert [(f.corners, f.area, face_boundary(d, f))
+            for f in d.faces_list] == faces
     assert d.outer_area == outer
     assert d.rot == {i: turning_number(cyc)
                      for i, cyc in enumerate(d.components)}
@@ -468,24 +471,26 @@ def check_integer_route(d):
     """The fields that the integer route fills are Fractions and equal the
     Fraction route's: the template evaluated form by form, the components'
     Chebyshev lengths, each chord's point, action and
-    locations, each face's shoelace area, the faces in order of their least
-    boundary x and then y, and the basepoints of the search over every
-    segment."""
+    locations, the passage arcs assembled from those points, each face's
+    shoelace area, the faces in order of their least boundary x and then
+    y, and the basepoints of the search over every segment.  The faces'
+    boundaries are the point tracer's (``check_faces``)."""
     fields = [v for cyc in d.components for p in cyc for v in p]
     fields += d.lengths
     fields += [v for c in d.chords for v in
-               c.point + (c.action, c.tail_loc[1], c.tip_loc[1])]
+               chord_point(d, c) + (c.action, c.tail_loc[1], c.tip_loc[1])]
     fields += [v for f in d.faces_list for v in (f.area,) + f.basepoint]
     assert {type(v) for v in fields} == {Fraction}
     assert d.components == fraction_components(d.front)
     lengths, chords = fraction_measures(d)
     assert d.lengths == lengths
-    assert [(c.point, c.action, c.tail_loc, c.tip_loc)
+    assert [(chord_point(d, c), c.action, c.tail_loc, c.tip_loc)
             for c in d.chords] == chords
+    assert passage_arcs(d) == fraction_arcs(d)
     assert [f.area for f in d.faces_list] == \
-        [polygon_signed_area(f.boundary) for f in d.faces_list]
-    keys = [(min(x for x, _ in f.boundary), min(y for _, y in f.boundary))
-            for f in d.faces_list]
+        [polygon_signed_area(face_boundary(d, f)) for f in d.faces_list]
+    keys = [(min(x for x, _ in b), min(y for _, y in b))
+            for b in (face_boundary(d, f) for f in d.faces_list)]
     assert keys == sorted(keys)
     check_basepoints(d)
 
@@ -504,6 +509,11 @@ def test_benchmark_fronts_and_copies_integer_route_matches_the_fraction_route(
     for front in [parse_front(text) for text in
                   random_fronts(random.Random(7), 30, 6, 14, 3)] + \
             [k_copy(trefoil, 2), k_copy(trefoil, 3)]:
+        check_integer_route(resolve(front))
+
+
+def test_seeded_front_integer_route_matches_the_fraction_route():
+    for front in seeded_fronts():
         check_integer_route(resolve(front))
 
 

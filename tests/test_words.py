@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (all_orbit_strings, arc_pass_counts,
                      brute_force_orbit_words, candidate_pool, capping_walk,
                      endpoints_between, full_curve_pushout, k_copy, mat_mul,
-                     packed_reference, padd, pmul, pscale,
+                     packed_reference, padd, passage_arcs, pmul, pscale,
                      reference_return_map, rot_number, step_matrix,
                      turn_octants, unshifted_windings, whole_arc_piece)
 from reebchords import report, words
@@ -223,7 +223,7 @@ def test_passage_arcs_offset_in_ints_on_the_push_out_grid():
         assert bps == [tuple(on_grid([f.basepoint], unit)[0])
                        for f in d.faces_list]
         off = 2 * d._scale
-        for arc in (arc for arcs in d.passage_arcs for arc in arcs):
+        for arc in (arc for arcs in passage_arcs(d) for arc in arcs):
             for side in ("left", "right"):
                 got = offset_polyline(on_grid(arc, unit), side, PUSH_OFF,
                                       unit=unit)
@@ -567,7 +567,7 @@ def test_arc_pieces_touch_a_basepoint_where_whole_arcs_do(where):
     join, or inside a step: exactly the arcs whose whole offset touches it
     are faults."""
     d = resolve(parse_front(TREFOIL_PLUS))
-    step = offset_polyline(d.passage_arcs[0][0], "left", PUSH_OFF)
+    step = offset_polyline(passage_arcs(d)[0][0], "left", PUSH_OFF)
     a, b = step[:2]
     d.faces_list[0].basepoint = step[-1] if where == "join" else \
         ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)

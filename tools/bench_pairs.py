@@ -14,9 +14,9 @@ run wrote.
 
 For each end-to-end metric of ``BENCHMARK.json`` (read from the checkout
 this file is in, and never written) it prints A's and B's medians, the
-interquartile range of A's runs, B's change against A's median, the
-number of pairs in which B did better than A, and the change over the
-metric's bound.  A change is positive when B is better; a change over
+interquartile ranges of A's runs and of B's, B's change against A's
+median, the number of pairs in which B did better than A, and the change
+over the metric's bound.  A change is positive when B is better; a change over
 bound at -1 or below is a median worse than the bound allows.  A run that
 exits non-zero stops the pairs, with its standard error; the exit code is
 then 1.
@@ -75,8 +75,8 @@ def quartile_range(values):
 def summary(metrics, runs_a, runs_b):
     """Printable lines, one per metric of ``BENCHMARK.json``."""
     lines = [f"{'metric':14} {'unit':5} {'A median':>10} {'B median':>10} "
-             f"{'A IQR':>9} {'change':>8} {'B wins':>7} {'bound':>6} "
-             f"{'chg/bound':>9}"]
+             f"{'A IQR':>9} {'B IQR':>9} {'change':>8} {'B wins':>7} "
+             f"{'bound':>6} {'chg/bound':>9}"]
     for m in metrics:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
         a = [r["metrics"][name]["value"] for r in runs_a]
@@ -85,8 +85,8 @@ def summary(metrics, runs_a, runs_b):
         change = sign * (med_b - med_a) / med_a if med_a else 0.0
         wins = sum(1 for x, y in zip(a, b) if sign * (y - x) > 0)
         lines.append(f"{name:14} {m['unit']:5} {med_a:10.4g} {med_b:10.4g} "
-                     f"{quartile_range(a):9.3g} {change:+8.2%} "
-                     f"{wins:>3}/{len(a):<3} {m['bound']:6.2f} "
+                     f"{quartile_range(a):9.3g} {quartile_range(b):9.3g} "
+                     f"{change:+8.2%} {wins:>3}/{len(a):<3} {m['bound']:6.2f} "
                      f"{change / m['bound']:+9.2f}")
     return lines
 

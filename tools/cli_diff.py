@@ -34,6 +34,14 @@ The commands:
   grading differences, read back from the search's packed states over
   this 51-event front's face rows.  It takes about 2-3.5 CPU s a run.
   The copies are those of ``k_copy`` in ``tests/oracles.py``;
+* ``invariants`` and ``chain --max-len 1 --epsilon 1/100`` on the
+  cancelling 2-copy, the 2-copy with -1 surgery on one copy, in both
+  orders: four commands.  Contact +1 surgery on a knot and -1 on its
+  push-off cancel (Ding-Geiges), so these diagrams are S^3 with its
+  standard contact structure, whose contact homology is not zero; with
+  the 2-copy's own two such commands above (contact 1/2 surgery, whose
+  contact homology is zero) they are the discriminating pair of ROADMAP
+  item 22;
 * ``homology --max-len 1`` on the 3-, 4- and 5-copy: three commands.
   Their H1 presentations are 3x3 to 5x5, and these commands pin the
   class coordinates that the Smith form's U fixes on them;
@@ -146,6 +154,10 @@ def commands():
         ("4-copy chain", chain, TREFOIL_4_COPY),
         ("5-copy chain", chain, TREFOIL_5_COPY),
     ]
+    for surgery in ("{0:+1, 1:-1}", "{0:-1, 1:+1}"):
+        front = TREFOIL_2_COPY.replace("{0:+1, 1:+1}", surgery)
+        out += [(f"2-copy {surgery} invariants", ["invariants"], front),
+                (f"2-copy {surgery} chain", chain, front)]
     for k, front in ((3, TREFOIL_3_COPY), (4, TREFOIL_4_COPY),
                      (5, TREFOIL_5_COPY)):
         out.append((f"{k}-copy homology", ["homology", "--max-len", "1"],
