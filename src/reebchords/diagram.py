@@ -41,6 +41,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from math import lcm
 from typing import Dict, List, NamedTuple, Tuple
 
 from .geometry import (
@@ -593,11 +594,15 @@ class ResolvedDiagram(object):
     (``_evaluate``); over h = 2 * ``scale``, the chord points
     (``ChordRecord._q``), the passages' parameters and points, the
     passage arcs and the face rings (``Face._ring``).  ``octants[ci][si]``
-    is the travel octant of segment si of component ci.  The printed
-    fields (the Chebyshev ``lengths``, chord actions and locations, areas,
-    basepoints) are ``Fraction``s.  ``components``, the vertices as
-    ``Fraction``s, is a view of ``_ints`` built on first read and then
-    cached; no command reads it.
+    is the travel octant of segment si of component ci.  The measures are
+    ints over one denominator each, which later layers read as they are:
+    ``lengths``, the components' Chebyshev lengths, over ``scale``; each
+    letter's h over ``arc_den``, the lcm of twice those lengths; and
+    ``actions``, the chord actions, over ``action_den``, for the face
+    areas, the word enumerator and the candidate pool.  The printed fields
+    (chord actions and locations, areas, basepoints) are ``Fraction``s.
+    ``components``, the vertices as ``Fraction``s, is a view of ``_ints``
+    built on first read and then cached; no command reads it.
 
     ``crossings`` lists per chord, in event order, the (component, segment
     index) of its slope -1 and its slope +1 branch.  ``resolve`` passes the
@@ -635,7 +640,6 @@ class ResolvedDiagram(object):
         # length times _scale, in integers; the chord data read them
         unit = 2 * self._scale ** 2
         self.octants = list(map(_octants, self._ints))
-        self.lengths: List[Fraction] = []
         heights, lengths = [], []
         for i, ints in enumerate(self._ints):
             zs = _double_heights(ints)
@@ -647,7 +651,8 @@ class ResolvedDiagram(object):
                 cl.append(cl[-1] + max(abs(bx - ax), abs(by - ay)))
             heights.append(zs)
             lengths.append(cl)
-            self.lengths.append(Fraction(cl[-1], self._scale))
+        self.lengths = [cl[-1] for cl in lengths]
+        self.arc_den = lcm(*(2 * t for t in self.lengths))
         return heights, lengths
 
     def _find_chords(self, heights, lengths):
@@ -655,8 +660,8 @@ class ResolvedDiagram(object):
         # meets the line y - x = t of the under branch, both through a
         # segment start: (s - t, s + t) / 2, on the half grid.  Chord ends
         # and passage parameters are integers over h = 2 * _scale, heights
-        # over 2 h^2, and the actions, kept for the face areas as _acts, ints
-        # over den, 2 h^2 times the height shifts' denominator
+        # over 2 h^2, and the actions ints over den, 2 h^2 times the height
+        # shifts' denominator
         h = 2 * self._scale
         hh = 2 * h * h
         shifts, sden = _integers(self.z_shifts)
@@ -703,7 +708,7 @@ class ResolvedDiagram(object):
             for role, (ci, si), t in (("tail", under, t_lo),
                                       ("tip", over, t_hi)):
                 self.passages[ci].append((t, cid, role, q, si))
-        self._acts = acts, den
+        self.actions, self.action_den = acts, den
 
     def _classical(self):
         n = len(self._ints)
@@ -777,7 +782,7 @@ class ResolvedDiagram(object):
         faces = []
         outer = 0
         # Stokes areas (class docstring) from the actions, ints over den
-        acts, den = self._acts
+        acts, den = self.actions, self.action_den
         for he0 in turn:
             if he0 in visited:
                 continue
@@ -890,12 +895,15 @@ class ResolvedDiagram(object):
             ch = self.chord(plist[k][1])
             vector[ch.tip_comp if plist[k][2] == "tail"
                    else ch.tail_comp] += ch.sign
+        # the arc's length L, over 2 * _scale from the passage parameters,
+        # over the component's T, over _scale: h = 1/2 - L/(2T)
         total = self.lengths[comp]
-        length = (c2.tail_loc[1] - c1.tip_loc[1]) % total
+        length = (plist[k2][0] - plist[k1][0]) % (2 * total)
         c = self.surgery[comp]
         assert abs(c) == 1      # words._width bounds twists by |c| <= 1
         letters[j1, j2] = Letter(rot + (c == 1), -1 if rot % 2 else 1, c,
-                                 Fraction(1, 2) - length / total,
+                                 (total - length) * (self.arc_den //
+                                                     (2 * total)),
                                  tuple(vector), arcs)
         return letters[j1, j2]
 
@@ -910,8 +918,10 @@ class Letter(NamedTuple):
 
     ``index`` is rot + [c = +1], the letter's Conley-Zehnder term;
     ``sign`` is (-1)^rot, its return-map sign; ``c`` is the coefficient of
-    the component holding r_j1's tip; ``h`` is 1/2 minus the arc's length
-    over its component's.  ``vector`` is the letter's crossing monomial per
+    the component holding r_j1's tip; ``h``, an int over the diagram's
+    ``arc_den``, is 1/2 minus the arc's length over its component's.  The
+    letter before it in a word ends at r_j1's tail, so its ``c`` is the
+    coefficient there.  ``vector`` is the letter's crossing monomial per
     component, in ints: at each end of r_j1, (coefficient + sign)/2 of the
     end's component, an integer as both are +-1, plus the arc's signed
     passes (passing chord r's tail counts r's sign against its tip's
@@ -920,7 +930,7 @@ class Letter(NamedTuple):
     index: int
     sign: int
     c: int
-    h: Fraction
+    h: int
     vector: Tuple[int, ...]
     arcs: Tuple[int, ...]
 

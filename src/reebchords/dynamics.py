@@ -5,13 +5,14 @@ integer-polynomial matrix per letter in the variable u = 1/epsilon, carrying
 a global sign, the product of the letters' signs (-1)^rot.  The word
 carries both, folded along its prefixes (``words._twist``), each entry as
 its value at u = 2^W, one int; every other letter datum is read off the
-word's letters.  Everything here is exact: polynomials over the integers,
-affine fixed points and actions over integers with a common denominator,
-divided once at the end, and the piecewise-linear twist profile.
+word's letters, each h an int over the diagram's one ``arc_den``, so the
+orbit model keeps no table of its own.  Everything here is exact:
+polynomials over the integers, affine fixed points and actions over
+integers with a common denominator, divided once at the end, and the
+piecewise-linear twist profile.
 """
 
 from fractions import Fraction
-from math import lcm
 from typing import List, NamedTuple, Tuple
 
 from .diagram import DiagramError, ResolvedDiagram
@@ -91,44 +92,28 @@ class EmbeddingSolution(NamedTuple):
     scale: int
 
 
-def _orbit_steps(d: ResolvedDiagram, w: CyclicWord, p: int, q: int):
-    """(H, steps) of w at eps = p/q: H a common multiple of its letters' h
-    denominators and per letter the ints (s p, -s c q, t = s p h H, c at
-    the tail of its first chord), memoized per chord pair in one table per
-    eps.  An h denominator H does not divide grows H and empties it."""
-    big, rows = table = d.memo.setdefault(("orbit_steps", p, q), [1, {}])
-    pairs = w.pairs()
-    try:
-        return big, [rows[pair] for pair in pairs]
-    except KeyError:
-        grown = lcm(big, *(lt.h.denominator for lt in w.letters))
-        if grown != big:
-            table[:] = big, rows = grown, {}
-        for pair, lt in zip(pairs, w.letters):
-            rows[pair] = (lt.sign * p, -lt.sign * lt.c * q, lt.sign * p
-                          * lt.h.numerator * (big // lt.h.denominator),
-                          d.surgery[d.chord(pair[0]).tail_comp])
-    return big, [rows[pair] for pair in pairs]
-
-
 def embed_orbit(d: ResolvedDiagram, w: CyclicWord,
                 epsilon: Fraction) -> EmbeddingSolution:
     """Solve the orbit of w as the fixed point of its composed affine map.
 
     Letter k maps (P, Q) to s (-Q, P + h - (c/eps) Q), with s, c and h
-    read off the word's letters: the unit-circumference model.  At eps =
-    p/q it maps (x, y, z), standing for (x/z, y/z), to (-s p y, s (p x -
-    c q y) + t z/H, p z), from the ints of ``_orbit_steps``.  Cramer's
-    rule puts the fixed point over det H, so point k is over det H p^k;
-    nothing is reduced.  A singular I - A and a point outside the handle
-    (|P| >= eps) depend on epsilon and raise ValueError; a fixed point
-    that does not close up is an internal fault, a DiagramError.
+    read off the word's letters: the unit-circumference model.  Every h
+    is an int over the diagram's H = ``arc_den``, so at eps = p/q the
+    letter maps (x, y, z), standing for (x/z, y/z), to (-s p y, s (p x -
+    c q y) + s p h z/H, p z), in ints formed from the letter alone.
+    Cramer's rule puts the fixed point over det H, so point k is over
+    det H p^k; nothing is reduced.  A singular I - A and a point outside
+    the handle (|P| >= eps) depend on epsilon and raise ValueError; a
+    fixed point that does not close up is an internal fault, a
+    DiagramError.
     """
     e_num, e_den = epsilon.numerator, epsilon.denominator
-    big, steps = _orbit_steps(d, w, e_num, e_den)
+    big = d.arc_den
+    steps = [(lt.sign * e_num, -lt.sign * lt.c * e_den,
+              lt.sign * e_num * lt.h) for lt in w.letters]
     # composite [[a, b, e], [c, dd, f], [0, 0, z]] of the maps on (x, y, z/H)
     a, b, c, dd, e, f, z = 1, 0, 0, 1, 0, 0, 1
-    for r, m, t, _c_exit in steps:
+    for r, m, t in steps:
         a, b, c, dd = -r * c, -r * dd, r * a + m * c, r * b + m * dd
         e, f = -r * f, r * e + m * f + t * z
         z *= e_num
@@ -137,7 +122,7 @@ def embed_orbit(d: ResolvedDiagram, w: CyclicWord,
         raise ValueError(f"I - A singular for {w} at epsilon {epsilon}")
     pt = ((z - dd) * e + b * f, c * e + (z - a) * f, det)
     hpoints = []
-    for r, m, t, _c_exit in steps:
+    for r, m, t in steps:
         x, y, u = pt
         hpoints.append((x, y, u * big))
         pt = (-r * y, r * x + m * y + t * u, e_num * u)
@@ -157,23 +142,24 @@ def orbit_action(d: ResolvedDiagram, w: CyclicWord,
     """Exact action of the orbit of w under the piecewise-linear model.
 
     The sum over letters of action(r_k) - P_k Q_k + c_k h(P_k), with c_k
-    the coefficient at the chord's tail and h(p) = -eps/8 + p^2 / (2 eps)
-    the twist's height profile.  At eps = p/q point k has z_k = z_0 p^k,
-    so every P_k Q_k and P_k^2 is a numerator over z_(n-1)^2 once scaled
-    by p^(2(n-1-k)); with ``w.total``'s numerator and denominator one
-    Fraction is built, at the end.
+    the coefficient at the chord's tail, the previous letter's c, and
+    h(p) = -eps/8 + p^2 / (2 eps) the twist's height profile.  At eps =
+    p/q point k has z_k = z_0 p^k, so every P_k Q_k and P_k^2 is a
+    numerator over z_(n-1)^2 once scaled by p^(2(n-1-k)); with
+    ``w.total``'s numerator and denominator one Fraction is built, at the
+    end.
     """
     e_num, e_den = epsilon.numerator, epsilon.denominator
     emb = embed_orbit(d, w, epsilon)
-    _big, steps = _orbit_steps(d, w, e_num, e_den)
     p2 = emb.scale ** 2
     twist = 0          # sum of c_k, the coefficients of the -eps/8 terms
     quad = 0           # sum of c_k q x^2 - 2 p x y, scaled as above
-    for (_r, _m, _t, c_exit), (x, y, _z) in zip(steps, emb.hpoints):
-        twist += c_exit
-        quad = quad * p2 + c_exit * e_den * x * x - 2 * e_num * x * y
+    for lt, (x, y, _z) in zip(w.letters[-1:] + w.letters[:-1], emb.hpoints):
+        twist += lt.c
+        quad = quad * p2 + lt.c * e_den * x * x - 2 * e_num * x * y
     z2 = emb.hpoints[-1][2] ** 2
     num = 4 * e_den * quad - e_num * e_num * twist * z2
     den = 8 * e_den * e_num * z2
-    return Fraction(w.total.numerator * den + num * w.total.denominator,
-                    w.total.denominator * den)
+    total = w.total         # the chord actions' Fraction sum
+    return type(total)(total.numerator * den + num * total.denominator,
+                       total.denominator * den)

@@ -166,16 +166,16 @@ def _pool_words(d: ResolvedDiagram, h1: H1Presentation, g: GeneratorRecord,
     max_degree unless it is None, by (action, chords).  They are read off
     one table per (pool_len, epsilon), of one enumeration at the largest
     budget so far (a word's prefixes cost less), sorted once, its actions
-    and costs ints over den, the lcm of eps's and the chords'
-    denominators.  Costs and the budget top come divided by their gcd
-    with den, so over the least denominator of them all."""
+    and costs ints over den, the lcm of eps's denominator and the
+    diagram's ``action_den``.  Costs and the budget top come divided by
+    their gcd with den, so over the least denominator of them all."""
     key = ("pool", pool_len, epsilon)
     if key not in d.memo:
-        d.memo[key] = [lcm(epsilon.denominator, *(
-            d.chord(c).action.denominator for c in surgered_chords(d))), 0, []]
+        d.memo[key] = [lcm(epsilon.denominator, d.action_den), 0, []]
     den, built, rows = table = d.memo[key]
+    acts, unit = d.actions, den // d.action_den
     slack = 3 * epsilon.numerator * (den // epsilon.denominator)
-    top = g.action.numerator * (den // g.action.denominator) + \
+    top = unit * sum(acts[c - 1] for c in g.word.chords) + \
         slack * len(g.word)
     if top > built:
         rows = []
@@ -183,7 +183,7 @@ def _pool_words(d: ResolvedDiagram, h1: H1Presentation, g: GeneratorRecord,
                                        epsilon):
             r = generator_record(d, h1, w)
             if r.good:
-                act = w.total.numerator * (den // w.total.denominator)
+                act = unit * sum(acts[c - 1] for c in w.chords)
                 rows.append((act, w.chords, act - slack * len(w), r))
         rows.sort()                     # chords differ: records never meet
         table[1:] = top, rows

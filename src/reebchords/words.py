@@ -3,11 +3,12 @@
 After contact surgery the closed Reeb trajectories are named by cyclic words
 of composable chords on the surgered sublink, and the surviving chords of a
 zero-coefficient sublink by open words.  This module enumerates both within
-length/action bounds, with actions as ints over one denominator, and
-winds the planar push-out curves used for intersection gradings around the
-face basepoints.  Orbit words grow as one prefix tree whose nodes carry
-their letters, action and return-map rows, so no word is checked twice;
-a row entry is one int, its polynomial in u at u = 2^W (``_width``).
+length/action bounds, with the chord actions as the diagram's ints over
+its ``action_den``, and winds the planar push-out curves used for
+intersection gradings around the face basepoints.  Orbit words grow as
+one prefix tree whose nodes carry their letters, action and return-map
+rows, so no word is checked twice; a row entry is one int, its
+polynomial in u at u = 2^W (``_width``).
 Words hold no diagram, so a diagram's memo tables never keep it alive.
 
 A push-out is wound in two memo tables, at the one offset ``PUSH_OFF`` and
@@ -30,7 +31,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .diagram import DiagramError, Letter, ResolvedDiagram, _on_grid
 from .geometry import offset_polyline, winding_number
-from .lp import _integers
 
 # The side offset of every push-out piece.  offset_polyline moves no point
 # more than sqrt(5)/8 < 0.28 (over all octant turns the worst case is a 135
@@ -168,29 +168,29 @@ def surgered_chords(d: ResolvedDiagram) -> List[int]:
 def _bounds(d: ResolvedDiagram, chords: Iterable[int],
             max_len: Optional[int], max_action: Optional[Fraction],
             epsilon: Optional[Fraction]):
-    """(den, actions, top, cap): actions are ints over den, the chords'
-    least common denominator, no word is longer than top, and a word of
+    """(actions, top, cap): actions are the chords' ints over the
+    diagram's ``action_den``, no word is longer than top, and a word of
     length n costs at most cap(n) = floor((max_action + 3*eps*n) * den).
     A slack 3*eps of half the least action of a usable chord or more is
     rejected: below it the slack at most doubles the word length that the
     action bound allows, as every letter adds over half its action."""
     if max_len is None and max_action is None:
         raise ValueError("need a length or action bound")
-    slack = 3 * epsilon if epsilon is not None else Fraction(0)
-    exact = {c: d.chord(c).action for c in chords}
-    least = min(exact.values(), default=None)
+    den = d.action_den
+    slack = 3 * epsilon * den if epsilon is not None else 0
+    actions = {c: d.actions[c - 1] for c in chords}
+    least = min(actions.values(), default=None)
     if max_action is not None and least is not None and 2 * slack >= least:
         raise ValueError(f"epsilon too large for the action bound: 6*eps "
-                         f"must stay below the least chord action {least}")
-    ints, den = _integers(list(exact.values()))
-    actions = dict(zip(exact, ints))
+                         f"must stay below the least chord action "
+                         f"{Fraction(least, den)}")
     if max_action is None:      # n letters cost at most n dearest chords
-        return den, actions, max_len, \
+        return actions, max_len, \
             lambda n: n * max(actions.values(), default=0)
     # n letters cost at least n * least, and least exceeds the slack
-    top = max_action // (least - slack) if least else 0
+    top = max_action * den // (least - slack) if least else 0
     top = top if max_len is None else min(top, max_len)
-    return den, actions, top, lambda n: (max_action + slack * n) * den // 1
+    return actions, top, lambda n: (max_action * den + slack * n) // 1
 
 
 def enumerate_orbit_words(d: ResolvedDiagram,
@@ -215,7 +215,8 @@ def enumerate_orbit_words(d: ResolvedDiagram,
     if not any(v != 0 for v in d.surgery.values()):
         raise ValueError("empty surgery locus: no orbits exist")
     chords = surgered_chords(d)
-    den, actions, top, cap = _bounds(d, chords, max_len, max_action, epsilon)
+    actions, top, cap = _bounds(d, chords, max_len, max_action, epsilon)
+    den = d.action_den
     successors = {a: [b for b in chords if d.composable(a, b)]
                   for a in chords}
     # each composable pair, with its letter once a kept node uses it
@@ -265,8 +266,8 @@ def enumerate_chord_words(d: ResolvedDiagram,
     lambda0 = {i for i, v in d.surgery.items() if v == 0}
     if not lambda0:
         raise ValueError("empty zero-coefficient sublink")
-    _den, actions, top, cap = _bounds(d, [c.id for c in d.chords], max_len,
-                                      max_action, epsilon)
+    actions, top, cap = _bounds(d, [c.id for c in d.chords], max_len,
+                                max_action, epsilon)
     out: List[Word] = []
     # one level per word length, each in lexicographic order; a word that
     # ends on the zero sublink is complete and is not extended

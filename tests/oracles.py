@@ -26,8 +26,9 @@ library's sparse updates must match tableau for tableau, the k-copy of a
 front, which no CLI command builds, and the realization's evaluation,
 heights, lengths, chord ends, face areas and basepoint distances in
 ``Fraction``s, where the library runs them in integers over one common
-denominator.  The ``Fraction`` views of the library's int points (chord
-points, face boundaries, passage arcs) are built here too, as no command
+denominator.  The ``Fraction`` views of the library's int tables (chord
+points, face boundaries, passage arcs, component lengths) are built here
+too, as no command
 reads them, with the passage arcs also assembled the way the library did
 from ``Fraction`` points.  The double points of the
 realization are found here by intersecting every pair of ``Segment``s, where
@@ -490,6 +491,21 @@ def k_copy(front, k):
                       for j in range(k)})
 
 
+def stabilize(front, position, times):
+    """The FrontCode of ``front``, whose first event is L1, with ``times``
+    zigzags on the strand at ``position`` (1 or 2) right after it: each
+    is L(position + 1),R(position), a cusp opened just below the strand
+    whose upper branch the strand then joins, so the strand runs on as
+    the cusp's lower branch.  Position 1 gives ``L2,R1``.  Coefficients
+    and orientations are kept."""
+    from reebchords.diagram import FrontCode
+
+    assert front.events[0] == ("L", 1) and position in (1, 2)
+    zigzag = [("L", position + 1), ("R", position)]
+    return FrontCode(front.events[:1] + zigzag * times + front.events[1:],
+                     front.orientations, front.surgery)
+
+
 def front_text(front):
     """The grammar text of a FrontCode: events, an orientations block when
     some component is reversed, and every surgery coefficient."""
@@ -830,6 +846,12 @@ def fraction_components(front, action_margin=Fraction(32)):
     theta = solve_lp(n, eq, ge, [Fraction(1)] * n)
     return [[(Fraction(x), Fraction(y)) for x, y in cyc]
             for cyc in template_at(front, theta)[0]]
+
+
+def component_lengths(d):
+    """Each component's Chebyshev length in Fractions, from its int over
+    the diagram's scale."""
+    return [Fraction(t, d._scale) for t in d.lengths]
 
 
 def chord_point(d, c):

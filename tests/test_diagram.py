@@ -198,7 +198,7 @@ def test_capping_paths_partition(trefoil_plus):
     d = trefoil_plus
     for j in range(1, 6):
         for k in range(1, 6):
-            eta_length = F(1, 2) - d.letter(j, k).h
+            eta_length = F(1, 2) - F(d.letter(j, k).h, d.arc_den)
             bar_length = capping_walk(d, j, k, "etabar")[2]
             assert 0 < eta_length <= 1
             assert eta_length + bar_length == 1

@@ -7,13 +7,15 @@ from oracles import (apply_all, embedding_points, fraction_composite,
                      fraction_embedding, fraction_orbit_action, matrix_at,
                      packed_reference, padd, peval, pmul,
                      point_in_convex, poly_diameter_sq, poly_eval, pscale,
-                     reference_return_map, rot_number, step_maps, trace_at,
-                     trimmed_flow_polygon, twist_height)
+                     reference_return_map, rot_number, stabilize, step_maps,
+                     trace_at, trimmed_flow_polygon, twist_height)
+from reebchords import diagram, dynamics
 from reebchords.diagram import DiagramError, parse_front, resolve
 from reebchords.dynamics import (embed_orbit, hyperbolic_type, is_bad,
                                  orbit_action, return_map)
 from reebchords.indices import cz_integral
-from reebchords.words import CyclicWord, enumerate_orbit_words, unpack
+from reebchords.words import (CyclicWord, enumerate_orbit_words,
+                              surgered_chords, unpack)
 
 F = Fraction
 EPS = F(1, 100)
@@ -181,18 +183,20 @@ def test_every_point_of_an_orbit_has_one_z_at_epsilon_one_over_q(
     assert solved > 100
 
 
-def test_orbit_steps_take_in_letters_built_after_their_table():
+def test_arc_den_holds_the_letters_of_every_word():
     # on this Hopf link the letter of (r3) has an h denominator of 182 and
-    # that of (r4) one of 2702, which 182 does not divide
+    # that of (r4) one of 2702, which 182 does not divide: both are ints
+    # over the diagram's one arc_den, so a word's orbit needs no other
     d = resolve(parse_front("L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:+1}"))
-    dens = []
-    for chords in ((3,), (4,), (1, 2), (3,)):
-        w = CyclicWord(d, chords)       # its letters are built here
-        want = fraction_orbit_action(d, w, EPS,
-                                     fraction_embedding(d, w, EPS))
-        assert orbit_action(d, w, EPS) == want
-        dens.append(d.memo[("orbit_steps", 1, 100)][0])
-    assert dens[0] < dens[1] == dens[2] == dens[3]
+    dens = [F(d.letter(j, j).h, d.arc_den).denominator for j in (3, 4)]
+    assert dens == [182, 2702]
+    assert all(d.arc_den % den == 0 for den in dens)
+    for eps in (EPS, F(3, 700)):
+        for chords in ((3,), (4,), (1, 2), (3,)):
+            w = CyclicWord(d, chords)
+            want = fraction_orbit_action(d, w, eps,
+                                         fraction_embedding(d, w, eps))
+            assert orbit_action(d, w, eps) == want
 
 
 def test_twist_height_constant():
@@ -283,3 +287,55 @@ def test_embedding_matches_fraction_model_at_random_epsilon(
     for d in (trefoil_plus, hopf_plus):
         for w in all_words(d, 3):
             check_against_fraction_model(d, w, eps)
+
+
+@pytest.mark.parametrize("text", [
+    "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}",
+    "L1,L3,X2,X2,X2,X2,X2,R1,R1 / surgery {0:+1}",
+    "L1,R1 / surgery {0:+1}"], ids=["trefoil", "T(2,5)", "unknot"])
+def test_orbit_actions_on_stabilized_fronts_match_the_fraction_model(text):
+    # a zigzag moves rot off 0, so capping arcs cross the potential's cut
+    for position in (1, 2):
+        for times in (1, 2):
+            d = resolve(stabilize(parse_front(text), position, times))
+            assert d.rot[0] != 0
+            solved = 0
+            for w in all_words(d, 3):
+                for eps in (EPS, F(3, 700)):
+                    want, err = outcome(fraction_embedding, d, w, eps)
+                    act, act_err = outcome(orbit_action, d, w, eps)
+                    assert act_err == err, (w, eps)
+                    if err is None:
+                        assert act == fraction_orbit_action(d, w, eps, want)
+                        solved += 1
+            assert solved
+
+
+def test_letters_and_orbit_actions_build_no_fraction(monkeypatch, request):
+    """A letter's h and the orbit model are ints over the diagram's own
+    denominators: with ``Fraction`` raising in ``diagram`` and
+    ``dynamics``, fresh diagrams of the fixtures still make every letter
+    of the surgered sublink, and every orbit action of their words up to
+    length 3 that stays in the handle equals the fixture's."""
+    def forbidden(*args):
+        raise AssertionError(f"Fraction{args} built")
+
+    fixtures = [request.getfixturevalue(name) for name in FIXTURES]
+    wanted = [{(w.chords, eps): act for w in all_words(d, 3)
+               for eps in (EPS, F(3, 700))
+               for act, err in [outcome(orbit_action, d, w, eps)]
+               if err is None} for d in fixtures]
+    fresh = [resolve(d.front) for d in fixtures]
+    monkeypatch.setattr(diagram, "Fraction", forbidden)
+    monkeypatch.setattr(dynamics, "Fraction", forbidden)
+    letters = 0
+    for d, actions in zip(fresh, wanted):
+        chords = surgered_chords(d)
+        for a in chords:
+            for b in chords:
+                if d.composable(a, b):
+                    letters += type(d.letter(a, b).h) is int
+        for (word, eps), act in actions.items():
+            assert orbit_action(d, CyclicWord(d, word), eps) == act
+    # every composable pair of the seven fixtures, and every action solved
+    assert letters == 65 and sum(map(len, wanted)) == 314

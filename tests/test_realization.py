@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (all_orbit_strings, all_pairs_double_points,
                      all_segments_basepoint, capping_walk, chord_point,
-                     cycle_segments, face_boundary, fd_sizing_rows,
-                     fraction_arcs, fraction_components, fraction_measures,
-                     front_writhe_and_cusp_counts, k_copy,
+                     component_lengths, cycle_segments, face_boundary,
+                     fd_sizing_rows, fraction_arcs, fraction_components,
+                     fraction_measures, front_writhe_and_cusp_counts, k_copy,
                      orbit_class_pushout, passage_arcs, polygon_signed_area,
-                     pushout_linking, rot_number, trace_faces_by_points,
-                     turning_number)
+                     pushout_linking, rot_number, stabilize,
+                     trace_faces_by_points, turning_number)
 from reebchords import diagram
 from reebchords.diagram import (QUADRANT_VECTORS, DiagramError, FrontCode,
                                 _sizing_rows, _template, parse_front,
@@ -347,6 +347,27 @@ def test_seeded_random_fronts():
         check_classes(d)
 
 
+# +1 surgery on these, stabilized, is overtwisted: the positive controls
+STABILIZED_BASES = {"trefoil": "L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}",
+                    "T(2,5)": "L1,L3,X2,X2,X2,X2,X2,R1,R1 / surgery {0:+1}",
+                    "unknot": "L1,R1 / surgery {0:+1}"}
+
+
+@pytest.mark.parametrize("name", sorted(STABILIZED_BASES))
+def test_each_zigzag_lowers_tb_and_moves_rot_by_one(name):
+    """A zigzag on the strand at position 1 lowers rot by 1 and one at
+    position 2 raises it; either lowers tb by 1.  Every stabilized front
+    is realized, and its tb and rot are the front formulas'."""
+    base = parse_front(STABILIZED_BASES[name])
+    d0 = resolve(base)
+    for position, turn in ((1, -1), (2, 1)):
+        for times in (1, 2):
+            d = resolve(stabilize(base, position, times))
+            check_realization(d)
+            assert d.tb == {0: d0.tb[0] - times}
+            assert d.rot == {0: d0.rot[0] + turn * times}
+
+
 def doubled_fd_sizing_rows(front, margin):
     """``fd_sizing_rows`` with every row times 2, as ``_sizing_rows``
     returns them."""
@@ -470,20 +491,22 @@ def test_random_front_faces_match_the_point_tracer(seed):
 def check_integer_route(d):
     """The fields that the integer route fills are Fractions and equal the
     Fraction route's: the template evaluated form by form, the components'
-    Chebyshev lengths, each chord's point, action and
+    Chebyshev lengths (ints over the scale, read through their view),
+    each chord's point, action and
     locations, the passage arcs assembled from those points, each face's
     shoelace area, the faces in order of their least boundary x and then
     y, and the basepoints of the search over every segment.  The faces'
     boundaries are the point tracer's (``check_faces``)."""
     fields = [v for cyc in d.components for p in cyc for v in p]
-    fields += d.lengths
+    fields += component_lengths(d)
     fields += [v for c in d.chords for v in
                chord_point(d, c) + (c.action, c.tail_loc[1], c.tip_loc[1])]
     fields += [v for f in d.faces_list for v in (f.area,) + f.basepoint]
     assert {type(v) for v in fields} == {Fraction}
     assert d.components == fraction_components(d.front)
     lengths, chords = fraction_measures(d)
-    assert d.lengths == lengths
+    assert all(type(t) is int for t in d.lengths)
+    assert component_lengths(d) == lengths
     assert [(chord_point(d, c), c.action, c.tail_loc, c.tip_loc)
             for c in d.chords] == chords
     assert passage_arcs(d) == fraction_arcs(d)

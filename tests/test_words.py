@@ -509,7 +509,8 @@ def check_letters_against_walks(d):
             assert letter.index == rot + (c == 1)
             assert letter.sign == (-1) ** (rot % 2)
             assert letter.c == c
-            assert letter.h == F(1, 2) - length
+            assert type(letter.h) is int
+            assert F(letter.h, d.arc_den) == F(1, 2) - length
             vector = arc_pass_counts(d, a.id, b.id, "eta")
             for end in (a.tail_comp, a.tip_comp):
                 vector[end] += F(d.surgery[end] + a.sign, 2)

@@ -68,7 +68,12 @@ The commands:
   split links with +1 surgery on both components, trefoil and trefoil
   (H1 = Z/2 + Z/2) and trefoil and T(2,5) (H1 = Z/2 + Z/4): four
   commands.  There the exponent of H1, the one denominator of the fiber
-  vectors, differs from the order of H1.
+  vectors, differs from the order of H1;
+* ``chain --max-len 3 --epsilon 3/700`` on the trefoil and on the Hopf
+  link with +1 surgery: two commands.  Every other ``chain`` command runs
+  at epsilon = 1/100, where each orbit step's factor p, the numerator of
+  epsilon = p/q, is 1; here it is 3, so the orbit embeddings and actions
+  are pinned at a p other than 1.
 
 Each command runs as ``reebchords.cli.main(argv + ["--input", "-"])`` with
 the front on standard input.  A command that takes more than
@@ -92,6 +97,7 @@ DEADLINE_S = 60
 
 TREFOIL = "L1,L3,X2,X2,X2,R1,R1 / surgery {{0:{}}}"
 HOPF_PLUS_MINUS = "L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:-1}"
+HOPF_PLUS_PLUS = "L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:+1}"
 STABILIZED_UNKNOT = "L1,L2,R1,R1 / surgery {{0:+1}} / orientations {{0:{}}}"
 TREFOIL_2_COPY = ("L1,L1,X2,L5,L5,X6,X4,X3,X5,X4,X4,X3,X5,X4,X4,X3,X5,X4,"
                   "X2,R1,R1,X2,R1,R1 / surgery {0:+1, 1:+1}")
@@ -183,6 +189,10 @@ def commands():
         out += [(f"{name} grading", ["grading", "--max-len", "3"], front),
                 (f"{name} chain",
                  ["chain", "--max-len", "3", "--epsilon", "1/100"], front)]
+    for name, front in (("trefoil +1", TREFOIL.format("+1")),
+                        ("hopf ++", HOPF_PLUS_PLUS)):
+        out.append((f"{name} chain len3 eps 3/700",
+                    ["chain", "--max-len", "3", "--epsilon", "3/700"], front))
     return out
 
 
