@@ -253,6 +253,21 @@ def cmd_chain(args, d):
     gens = generators(d, h1, max_len, max_action, eps)
     name = functools.lru_cache(None)(word_name)     # once per word
     reps = candidate_reports(gens, d, h1, eps, args.max_len)
+
+    # rows that share a report share its non-constant candidates, so each
+    # candidate is converted once per command
+    @functools.lru_cache(None)
+    def candidate_row(c):
+        return {"monomial": "1" if c.is_constant() else
+                "".join(name(w.chords) for w in c.factors),
+                "label": c.label,
+                "trail": {k: (frac_str(v) if k == "action"
+                              else list(v) if isinstance(v, tuple) else v)
+                          for k, v in c.trail.items()},
+                "faces": [f.id for f in c.faces],
+                "count": "+-1" if len(c.faces) == 1 else None,
+                "sign_ambiguous": c.sign_ambiguous}
+
     rows = []
     for g in gens:
         row = {"word": word_name(g.word.chords), "good": g.good, "cz": g.cz,
@@ -269,18 +284,7 @@ def cmd_chain(args, d):
                 row["orbit_action_error"] = str(exc)
             if g.degree == 1:
                 rep = reps[g.word.chords]
-                row["candidates"] = [
-                    {"monomial": "1" if c.is_constant() else
-                     "".join(name(w.chords) for w in c.factors),
-                     "label": c.label,
-                     "trail": {k: (frac_str(v) if k == "action"
-                                   else list(v) if isinstance(v, tuple)
-                                   else v)
-                               for k, v in c.trail.items()},
-                     "faces": [f.id for f in c.faces],
-                     "count": "+-1" if len(c.faces) == 1 else None,
-                     "sign_ambiguous": c.sign_ambiguous}
-                    for c in rep.survivors]
+                row["candidates"] = [candidate_row(c) for c in rep.survivors]
                 if rep.truncated:
                     row["truncated"] = rep.truncated
                 if rep.warning:

@@ -145,9 +145,9 @@ def orbit_action(d: ResolvedDiagram, w: CyclicWord,
     the coefficient at the chord's tail, the previous letter's c, and
     h(p) = -eps/8 + p^2 / (2 eps) the twist's height profile.  At eps =
     p/q point k has z_k = z_0 p^k, so every P_k Q_k and P_k^2 is a
-    numerator over z_(n-1)^2 once scaled by p^(2(n-1-k)); with
-    ``w.total``'s numerator and denominator one Fraction is built, at the
-    end.
+    numerator over z_(n-1)^2 once scaled by p^(2(n-1-k)); with the
+    numerator and denominator of ``w.action()`` one Fraction is built, at
+    the end.
     """
     e_num, e_den = epsilon.numerator, epsilon.denominator
     emb = embed_orbit(d, w, epsilon)
@@ -160,6 +160,6 @@ def orbit_action(d: ResolvedDiagram, w: CyclicWord,
     z2 = emb.hpoints[-1][2] ** 2
     num = 4 * e_den * quad - e_num * e_num * twist * z2
     den = 8 * e_den * e_num * z2
-    total = w.total         # the chord actions' Fraction sum
+    total = w.action()      # the chord actions' Fraction sum
     return type(total)(total.numerator * den + num * total.denominator,
                        total.denominator * den)

@@ -8,9 +8,10 @@ the cokernel via Smith normal form with unimodular transforms, which a
 fraction-free determinant checks.
 Everything here is in ints: ``H1Presentation.solve`` returns its rational
 solutions times ``exponent``, the last elementary divisor.  An
-``OrbitClass`` is one orbit's meridian vector and its normal form, with no
-sum: a collection's class is the sum of its vectors, reduced again, which
-the candidate search keeps as a running sum.
+``OrbitClass`` is one orbit's meridian vector, its lift U v and its normal
+form, with no sum: a collection's class is the sum of its vectors,
+reduced again, which the candidate search keeps as running sums of the
+lifts.
 """
 
 from typing import List, Sequence, Tuple
@@ -111,13 +112,12 @@ class H1Presentation(object):
         # the last elementary divisor, a multiple of all the others
         self.exponent = self.diagonal[-1] if self.diagonal else 1
 
-    def reduce(self, vector: Sequence) -> Tuple[int, ...]:
-        """Normal form of a meridian vector in the cokernel coordinates."""
+    def lift(self, vector: Sequence) -> Tuple[int, ...]:
+        """U v: a meridian vector v in the cokernel coordinates, before
+        ``OrbitClass`` takes each coordinate mod its elementary divisor."""
         if len(vector) != len(self.surgered):
             raise DiagramError("vector length does not match presentation")
-        sums = (sum(u * v for u, v in zip(row, vector)) for row in self.u)
-        return tuple(s % dgl if dgl else s
-                     for s, dgl in zip(sums, self.diagonal))
+        return tuple(sum(u * v for u, v in zip(row, vector)) for row in self.u)
 
     def solve(self, rhs: Sequence[int]) -> List[int]:
         """exponent * x in ints, for the rational x with matrix^T x = rhs
@@ -143,13 +143,18 @@ def h1_presentation(d: ResolvedDiagram) -> H1Presentation:
 
 
 class OrbitClass(object):
-    """Meridian vector of an orbit with its cokernel normal form."""
+    """Meridian vector of an orbit with its cokernel coordinates: ``lift``,
+    U v, and the normal form ``reduced``, each coordinate of the lift mod
+    its elementary divisor when that is nonzero.  The candidate search's
+    class rows read the lift."""
 
-    __slots__ = ("vector", "reduced")
+    __slots__ = ("vector", "lift", "reduced")
 
     def __init__(self, h1: H1Presentation, vector: Sequence[int]):
         self.vector = tuple(vector)
-        self.reduced = h1.reduce(self.vector)
+        self.lift = h1.lift(self.vector)
+        self.reduced = tuple(s % dgl if dgl else s
+                             for s, dgl in zip(self.lift, h1.diagonal))
 
     def __eq__(self, other):
         return isinstance(other, OrbitClass) and self.reduced == other.reduced

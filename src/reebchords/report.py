@@ -10,19 +10,24 @@ search runs in ints: costs over one common denominator, fiber vectors as
 Its pool is read off one table per (pool length, eps) in the diagram's
 memo, sorted once by (action, chords), with actions and costs as ints
 over one denominator: a search sorts nothing and compares no ``Fraction``.
-``chain`` asks each distinct question once (``candidate_reports``).
+``chain`` asks each distinct question once (``candidate_reports``), and
+ranks the questions by the same int budget.
 
 A search's filters are one table of int rows over its pool (distinct face
-rows, class rows, the degree row).  The walk keeps a product's face-row
-slacks and z-graded degree window as fixed-width fields of one int, whose
-width a bound on the factors makes exact, so both prunes are one sign-mask
-test and a product passes on its congruence sums and one mask.  Under the
-intersection-grading filter the search proves once that no product the
-class rows admit has a fractional fiber count, and an exact branch and
-bound over the same rows decides whether a non-constant product passes,
-once the walk has examined as many products as its LP has rows x
-(columns + rows): at most MAX_NODES products plus MAX_NODES // that many
-LPs.  A proof that none does ends the search complete.
+rows, class rows, the degree row).  Their coefficients depend on the pool
+alone and are built once per distinct pool (``_Pool``): the class rows
+read each word's ``OrbitClass.lift``, and the walk's packed columns are
+kept per set of fields; a search adds only its targets and budget.  The
+walk keeps a product's face-row slacks and z-graded degree window as
+fixed-width fields of one int, whose width a bound on the factors makes
+exact, so both prunes are one sign-mask test and a product passes on its
+congruence sums and one mask.  Under the intersection-grading filter a
+proof that no product the class rows admit has a fractional fiber count
+runs once per pool, skipped for a pool inside one already proven, and an
+exact branch and bound over the same rows decides whether a non-constant
+product passes, once the walk has examined as many products as its LP
+has rows x (columns + rows): at most MAX_NODES products plus MAX_NODES
+// that many LPs.  A proof that none does ends the search complete.
 """
 
 from fractions import Fraction
@@ -51,15 +56,14 @@ MAX_SURVIVORS = 48
 class GeneratorRecord(object):
     """One orbit word with its chain-level invariants."""
 
-    __slots__ = ("word", "cz", "degree", "orbit_class", "action",
-                 "hyperbolic", "threshold", "bad", "good", "igrading")
+    __slots__ = ("word", "cz", "degree", "orbit_class", "hyperbolic",
+                 "threshold", "bad", "good", "igrading")
 
     def __init__(self, d: ResolvedDiagram, h1: H1Presentation, w: CyclicWord):
         self.word = w
         self.cz = cz_integral(d, w)
         self.degree = self.cz - 1
         self.orbit_class = orbit_class_monomial(d, h1, w)
-        self.action = w.action()
         self.hyperbolic, self.threshold = hyperbolic_type(
             self.cz % 2, return_map(d, w).trace())
         self.bad = is_bad(d, w)
@@ -67,6 +71,11 @@ class GeneratorRecord(object):
         self.igrading: Optional[Tuple[int, ...]] = None
         if h1.finite and self.orbit_class.is_zero():
             self.igrading = i_grading(d, h1, w)
+
+    @property
+    def action(self) -> Fraction:
+        """The word's action, a ``Fraction`` built at its first read."""
+        return self.word.action()
 
     def __repr__(self):
         flag = "good" if self.good else "bad"
@@ -158,6 +167,17 @@ def _pool_length_cap(d: ResolvedDiagram, target_degree: int) -> Optional[int]:
     return max(1, (target_degree + 1) // step)
 
 
+def _action_terms(d: ResolvedDiagram, epsilon: Fraction,
+                  w: CyclicWord) -> Tuple[int, int]:
+    """(action, slack) of w as ints over lcm(eps's denominator, the
+    diagram's ``action_den``): its action and 3 eps len(w).  Their sum is
+    the action budget of w's candidate search, their difference w's cost
+    as a factor of a candidate."""
+    den = lcm(epsilon.denominator, d.action_den)
+    return (den // d.action_den * w.act,
+            3 * epsilon.numerator * (den // epsilon.denominator) * len(w))
+
+
 def _pool_words(d: ResolvedDiagram, h1: H1Presentation, g: GeneratorRecord,
                 epsilon: Fraction, pool_len: Optional[int],
                 max_degree: Optional[int]):
@@ -166,25 +186,22 @@ def _pool_words(d: ResolvedDiagram, h1: H1Presentation, g: GeneratorRecord,
     max_degree unless it is None, by (action, chords).  They are read off
     one table per (pool_len, epsilon), of one enumeration at the largest
     budget so far (a word's prefixes cost less), sorted once, its actions
-    and costs ints over den, the lcm of eps's denominator and the
-    diagram's ``action_den``.  Costs and the budget top come divided by
-    their gcd with den, so over the least denominator of them all."""
+    and costs ints over den (``_action_terms``).  Costs and the budget top
+    come divided by their gcd with den, so over the least denominator of
+    them all."""
     key = ("pool", pool_len, epsilon)
     if key not in d.memo:
         d.memo[key] = [lcm(epsilon.denominator, d.action_den), 0, []]
     den, built, rows = table = d.memo[key]
-    acts, unit = d.actions, den // d.action_den
-    slack = 3 * epsilon.numerator * (den // epsilon.denominator)
-    top = unit * sum(acts[c - 1] for c in g.word.chords) + \
-        slack * len(g.word)
+    top = sum(_action_terms(d, epsilon, g.word))
     if top > built:
         rows = []
         for w in enumerate_orbit_words(d, pool_len, Fraction(top, den),
                                        epsilon):
             r = generator_record(d, h1, w)
             if r.good:
-                act = unit * sum(acts[c - 1] for c in w.chords)
-                rows.append((act, w.chords, act - slack * len(w), r))
+                act, slack = _action_terms(d, epsilon, w)
+                rows.append((act, w.chords, act - slack, r))
         rows.sort()                     # chords differ: records never meet
         table[1:] = top, rows
     keep = [row for row in rows if row[2] <= top and (
@@ -202,7 +219,7 @@ def _field_width(fields, factors: int) -> int:
     no more than 2 * factors + 1 of them in all, so at most max|t| + (2 *
     factors + 1) * M in size, M the greatest |coefficient|.  With W - 1 >=
     the bit_length of that, every field lies in [-2^(W-1), 2^(W-1))."""
-    most = max((abs(v) for a, _t in fields for v in a), default=0)
+    most = max((max(map(abs, a), default=0) for a, _t in fields), default=0)
     bound = max((abs(t) for _a, t in fields), default=0) + \
         (2 * factors + 1) * most
     return bound.bit_length() + 1
@@ -231,6 +248,37 @@ def _packed_tables(fields, n: int, width: int):
     return columns, suffix_lo
 
 
+class _Pool(object):
+    """The coefficients of a search's rows that depend on its pool alone,
+    shared by every search over the same pool: the degrees, one class row
+    per elementary divisor != 1 of h1 (each word's ``OrbitClass.lift``
+    entry), and, built at the first search under the i-grading filter, the
+    distinct face rows of fiber counts with each face's index among them.
+    ``packed`` holds the walk's ``_packed_tables`` per (face_row, z_graded,
+    width), which fix its fields' coefficients.  No search writes to a row
+    it reads."""
+
+    __slots__ = ("degrees", "negated", "classes", "faces", "face_ids",
+                 "packed")
+
+    def __init__(self, h1: H1Presentation, pool):
+        self.degrees = [r.degree for r in pool]
+        self.negated = [-v for v in self.degrees]
+        self.classes = [[r.orbit_class.lift[k] for r in pool]
+                        for k, mod in enumerate(h1.diagonal) if mod != 1]
+        self.faces = self.face_ids = None
+        self.packed = {}
+
+
+def _pool_columns(d: ResolvedDiagram, h1: H1Presentation, pool) -> _Pool:
+    """The ``_Pool`` of ``pool``, a list of records, memoized per diagram
+    under the tuple of its records (one per word in the diagram's memo)."""
+    key = ("columns", tuple(pool))
+    if key not in d.memo:
+        d.memo[key] = _Pool(h1, pool)
+    return d.memo[key]
+
+
 def _search_rows(d: ResolvedDiagram, h1: H1Presentation, g: GeneratorRecord,
                  pool, z_graded: bool):
     """g's filters as rows (a, mod, t) over its pool, for a product with
@@ -238,21 +286,26 @@ def _search_rows(d: ResolvedDiagram, h1: H1Presentation, g: GeneratorRecord,
     is None: one row per distinct face row (its fiber counts and target),
     in face order, under the i-grading filter.  Then a.x = t mod ``mod``
     (a.x = t when mod is 0): one class row (U v).x per elementary divisor
-    != 1 of h1, and the degree row, last."""
+    != 1 of h1, and the degree row, last.  Every a is the pool's
+    (``_pool_columns``); only the targets are g's."""
+    columns = _pool_columns(d, h1, pool)
     rows, face_row = [], []
     if g.igrading is not None:
-        per_face = list(zip(*(effective_fiber_vector(d, h1, r.word)
-                              for r in pool))) or [()] * len(g.igrading)
+        if columns.faces is None:
+            per_face = list(zip(*(effective_fiber_vector(d, h1, r.word)
+                                  for r in pool))) or [()] * len(g.igrading)
+            ids = {}
+            columns.face_ids = [ids.setdefault(a, len(ids))
+                                for a in per_face]
+            columns.faces = [list(a) for a in ids]
         distinct = {}
-        face_row = [distinct.setdefault((a, t * h1.exponent), len(distinct))
-                    for a, t in zip(per_face, g.igrading)]
-        rows = [(list(a), None, t) for a, t in distinct]
-    rows += [([sum(a * b for a, b in zip(u, r.orbit_class.vector))
-               for r in pool], mod, t)
-             for u, mod, t in zip(h1.u, h1.diagonal, g.orbit_class.reduced)
-             if mod != 1]
-    rows.append(([r.degree for r in pool], 0 if z_graded else 2,
-                 g.degree - 1))
+        face_row = [distinct.setdefault((i, t * h1.exponent), len(distinct))
+                    for i, t in zip(columns.face_ids, g.igrading)]
+        rows = [(columns.faces[i], None, t) for i, t in distinct]
+    targets = [(mod, t) for mod, t in zip(h1.diagonal, g.orbit_class.reduced)
+               if mod != 1]
+    rows += [(a, mod, t) for a, (mod, t) in zip(columns.classes, targets)]
+    rows.append((columns.degrees, 0 if z_graded else 2, g.degree - 1))
     return rows, face_row
 
 
@@ -281,6 +334,19 @@ def _prove_integral_fibers(rows, nf: int, exponent: int) -> None:
     if any(v % exponent for col in columns for v in col[r:]):
         raise DiagramError("fractional fiber count on a "
                            "null-homologous collection")
+
+
+def _prove_once(d: ResolvedDiagram, pool, rows, nf: int,
+                exponent: int) -> None:
+    """``_prove_integral_fibers`` of a search's rows, unless a proof over a
+    pool that holds this one passed already: a sub-pool's class lattice is
+    that of the larger pool on fewer columns, so its proof is implied.
+    Only successes are kept, so every search over a pool that fails it
+    raises."""
+    proven = d.memo.setdefault(("proven",), [])
+    if not any(p.issuperset(pool) for p in proven):
+        _prove_integral_fibers(rows, nf, exponent)
+        proven.append(frozenset(pool))
 
 
 def _integer_point(pool, costs, top, rows, cap: int):
@@ -349,11 +415,14 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     grading rule out, and stops at the work bound of MAX_NODES and
     MAX_SURVIVORS, which the report's ``truncated`` names.  Each filter
     but the action budget is a row of one table over the pool, which the
-    walk's checks and prunes and the branch and bound all read.  Under the
-    i-grading filter ``_prove_integral_fibers`` runs first, once, and the
-    walk calls ``_integer_point`` once, when it has examined ``lp_at``
-    products, and stops complete if that proves that no non-constant
-    product survives (the constant term may).  It is pure per generator:
+    walk's checks and prunes and the branch and bound all read; their
+    coefficients are the pool's, shared with every search over it.  Under
+    the i-grading filter the pool's fiber proof comes first
+    (``_prove_once``: a pool inside one proven before needs none, and a
+    failed proof raises in every search over its pool), and the walk calls
+    ``_integer_point`` once, when it has examined ``lp_at`` products, and
+    stops complete if that proves that no non-constant product survives
+    (the constant term may).  Its report is pure per generator:
     ``candidate_reports`` shares one report among the rows of ``chain``.
     """
     epsilon = Fraction(epsilon)
@@ -375,7 +444,7 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     rows, face_row = _search_rows(d, h1, g, pool, z_graded)
     nf = len(set(face_row))
     if use_igrading:
-        _prove_integral_fibers(rows, nf, h1.exponent)
+        _prove_once(d, pool, rows, nf, h1.exponent)
     congruences = rows[nf:-1] if z_graded else rows[nf:]
     ccols = list(zip(*(a for a, _mod, _t in congruences))) or [()] * n
     # The walk's state of a product is one int of biased fields (see
@@ -390,14 +459,18 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     # z-graded degree row's must reach its target exactly.  Once
     # suffix_min[i] reaches the budget left no later child fits, so the
     # child loop stops there.
+    shared = _pool_columns(d, h1, pool)
     fields = [(a, t) for a, _mod, t in rows[:nf]]
     if z_graded:
-        fields += [(rows[-1][0], target_degree),
-                   ([-v for v in rows[-1][0]], -target_degree)]
+        fields += [(shared.degrees, target_degree),
+                   (shared.negated, -target_degree)]
     # a product has at most K factors, and k <= K too
     width = _field_width(fields, (top - 1) // min(costs) if costs else 0)
     high = _pack([1 << width - 1] * len(fields), width)
-    columns, suffix_lo = _packed_tables(fields, n, width)
+    key = (tuple(face_row), z_graded, width)
+    if key not in shared.packed:
+        shared.packed[key] = _packed_tables(fields, n, width)
+    columns, suffix_lo = shared.packed[key]
     suffix_min = list(accumulate(reversed(costs), min, initial=top))[::-1]
     # an LP costs about its tableau, rows x (columns + rows), its rows the
     # table's and cost < top and sum(x) >= 1: the branch and bound runs
@@ -482,12 +555,14 @@ def candidate_reports(gens: List[GeneratorRecord], d: ResolvedDiagram,
                       max_pool_len: Optional[int] = None):
     """{word chords: ``differential_candidates``} of gens' good degree-1
     generators, by descending budget: each pool table is enumerated once.
-    A search reads g only through its budget g.action + 3 eps len(g.word),
+    A search reads g only through its budget g.action + 3 eps len(g.word)
+    (an int over the pool's denominator, ``_action_terms``),
     reduced class (so z_graded, pool length, class rows), i-grading and
     constant term: a generator asking an answered question gets that
     report with its own constant term, whose faces are its word's."""
-    asked = {g: (g.action + 3 * epsilon * len(g.word), g.orbit_class.reduced,
-                 g.igrading) for g in gens if g.good and g.degree == 1}
+    asked = {g: (sum(_action_terms(d, epsilon, g.word)),
+                 g.orbit_class.reduced, g.igrading)
+             for g in gens if g.good and g.degree == 1}
     reps, answers = {}, {}
     for g in sorted(asked, key=lambda g: asked[g][0], reverse=True):
         rep = answers.get(asked[g])

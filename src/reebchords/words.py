@@ -77,9 +77,12 @@ def _twist(sign: int, rows, letter: Letter, width: int):
 
 
 class Word(object):
-    """Composable (non-cyclic) sequence of chord ids, with its action."""
+    """Composable (non-cyclic) sequence of chord ids, with its action as
+    the int ``act`` over the diagram's ``action_den``, ``den``.  The
+    ``Fraction`` act / den is built at the first ``action()`` and kept in
+    ``total``, so a word whose action no one reads builds none."""
 
-    __slots__ = ("chords", "total")
+    __slots__ = ("chords", "act", "den", "total")
 
     def __init__(self, diagram: ResolvedDiagram, chords: Sequence[int]):
         if not chords:
@@ -88,7 +91,8 @@ class Word(object):
         for a, b in zip(self.chords, self.chords[1:]):
             if not diagram.composable(a, b):
                 raise DiagramError(f"chords r{a}, r{b} are not composable")
-        self.total = sum(diagram.chord(c).action for c in self.chords)
+        self.act = sum(diagram.actions[c - 1] for c in self.chords)
+        self.den, self.total = diagram.action_den, None
 
     def __len__(self):
         return len(self.chords)
@@ -97,6 +101,8 @@ class Word(object):
         return "".join(f"r{c}" for c in self.chords)
 
     def action(self) -> Fraction:
+        if self.total is None:
+            self.total = Fraction(self.act, self.den)
         return self.total
 
 
@@ -151,11 +157,11 @@ class CyclicWord(Word):
                                 if seq == seq[p:] + seq[:p])
 
 
-def _orbit_word(chords, letters, total, width, sign, rows) -> CyclicWord:
+def _orbit_word(chords, letters, act, den, width, sign, rows) -> CyclicWord:
     """The CyclicWord of an enumerator's node, which checked it already."""
     w = CyclicWord.__new__(CyclicWord)
-    w.chords, w.letters, w.total = chords, letters, total
-    w.width, w.sign, w.rows = width, sign, rows
+    w.chords, w.letters, w.act, w.den = chords, letters, act, den
+    w.total, w.width, w.sign, w.rows = None, width, sign, rows
     return w
 
 
@@ -236,8 +242,8 @@ def enumerate_orbit_words(d: ResolvedDiagram,
         for seq, p, act, lts, sign, rows in level:
             if n % p == 0 and (seq[-1], seq[0]) in pairs:
                 lt = letter(seq[-1], seq[0])
-                out.append(_orbit_word(seq, lts + (lt,), Fraction(act, den),
-                                       width, *_twist(sign, rows, lt, width)))
+                out.append(_orbit_word(seq, lts + (lt,), act, den, width,
+                                       *_twist(sign, rows, lt, width)))
             least = seq[n - p]
             for c in successors[seq[-1]] if n < top else ():
                 q = p if c == least else n + 1

@@ -1305,6 +1305,19 @@ def orbit_class_pushout(h1, linking):
     return OrbitClass(h1, vec)
 
 
+def class_lift(h1, vector):
+    """U v of a meridian vector v, summed row by row from the presentation's
+    U: what ``OrbitClass.lift`` keeps."""
+    return tuple(sum(u * v for u, v in zip(row, vector)) for row in h1.u)
+
+
+def reduce_class(h1, vector):
+    """The cokernel normal form of a meridian vector: its ``class_lift``,
+    each coordinate mod its elementary divisor when that is nonzero."""
+    return tuple(s % m if m else s
+                 for s, m in zip(class_lift(h1, vector), h1.diagonal))
+
+
 def fibers_over_exponent(d, h1, w):
     """The library's ``effective_fiber_vector`` of w as the fiber counts it
     stands for: ``Fraction``s over ``h1.exponent``."""
@@ -1346,7 +1359,7 @@ def collection_i_grading(d, h1, words):
     """Intersection grading of a null-homologous collection of orbits, the
     sum of their ``effective_fiber_vector``s; the library grades one orbit
     at a time.  The summed class vector must reduce to zero under
-    ``h1.reduce`` and the sum must be integral, else DiagramError."""
+    ``reduce_class`` and the sum must be integral, else DiagramError."""
     from reebchords.diagram import DiagramError
     from reebchords.homology import orbit_class_monomial
 
@@ -1359,7 +1372,7 @@ def collection_i_grading(d, h1, words):
                zip(cls, orbit_class_monomial(d, h1, w).vector)]
         totals = [a + b for a, b in
                   zip(totals, fibers_over_exponent(d, h1, w))]
-    if any(h1.reduce(cls)):
+    if any(reduce_class(h1, cls)):
         raise DiagramError("collection is not null-homologous")
     if any(v.denominator != 1 for v in totals):
         raise DiagramError("fractional fiber count on a null-homologous "
@@ -1461,7 +1474,7 @@ def brute_force_candidates(d, h1, g, epsilon, z_graded, max_len):
             trail["delta_i"] = tuple(delta)
         index = index_closed([g], chosen, 1 - len(chosen))
         if ((index == 1) if z_graded else index % 2 == 1) \
-                and h1.reduce(cls) == g.orbit_class.reduced \
+                and reduce_class(h1, cls) == g.orbit_class.reduced \
                 and len(odd) == len(set(odd)) \
                 and all(v >= 0 and v.denominator == 1 for v in delta):
             found.append((tuple(r.word.chords for r in chosen), trail))

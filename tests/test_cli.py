@@ -924,9 +924,29 @@ def test_bench_pairs_reads_each_median_change_against_its_bound(
     # win), and in none on op_s_p50
     assert header.split()[6:10] == ["A", "IQR", "B", "IQR"]
     assert fronts.split()[4:] == ["10", "20", "+10.00%", "1/3", "0.25",
-                                  "+0.40"]
+                                  "+0.40", "within"]
     assert p50.split()[4:] == ["0", "0.005", "-25.00%", "0/3", "0.25",
-                               "-1.00"]
+                               "-1.00", "worse"]
+    assert header.split()[-1] == "verdict"
+    # the claim rule: B better in 9 of 10 pairs and a median change past
+    # A's interquartile range (1.5, at quartiles 99.25 and 100.75) is a gain;
+    # with that change no larger than the range, or in 8 of 10 pairs, it
+    # is not; A's range over the bound leaves the metric unresolved
+    base = [99, 99, 99, 100, 100, 100, 100, 101, 101, 101]
+
+    def read(a, b):
+        return [line.split()[-1] for line in bench_pairs.summary(
+            metrics[:1], runs([(v, 0.02) for v in a]),
+            runs([(v, 0.02) for v in b]))[1:]]
+
+    assert read(base, [v + 3 for v in base[:9]] + [100]) == ["gain"]
+    assert read(base, [v + 1.5 for v in base]) == ["within"]
+    assert read(base, [v + 3 for v in base[:8]] + [100, 100]) == ["within"]
+    assert read(base, [v - 30 for v in base]) == ["worse"]
+    assert read([60, 100, 140], [90, 130, 170]) == ["unresolved"]
+    assert bench_pairs.verdict(0.05, 0.02, 9, 10, 0.25) == "gain"
+    assert bench_pairs.verdict(0.05, 0.3, 10, 10, 0.25) == "unresolved"
+    assert bench_pairs.verdict(-0.3, 0.3, 0, 10, 0.25) == "worse"
     for part in ("src/pkg/__pycache__", "tests/__pycache__",
                  ".git/__pycache__"):
         (tmp_path / part).mkdir(parents=True)

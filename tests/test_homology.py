@@ -6,8 +6,9 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (all_orbit_strings, divisors_2x2, gauss_jordan_solve,
-                     orbit_class_pushout, pushout_linking)
+from oracles import (all_orbit_strings, class_lift, divisors_2x2,
+                     gauss_jordan_solve, orbit_class_pushout, pushout_linking,
+                     reduce_class)
 from reebchords import homology
 from reebchords.diagram import DiagramError, parse_front, resolve
 from reebchords.homology import (h1_presentation, orbit_class_monomial,
@@ -147,7 +148,7 @@ def test_orbit_class_examples(trefoil_plus, trefoil_minus, unknot_minus,
     clsu = orbit_class_monomial(unknot_minus, h1u,
                                 CyclicWord(unknot_minus, [1]))
     # equals the meridian class in Z/2
-    assert clsu.reduced == h1u.reduce([1]) == (1,)
+    assert clsu.reduced == reduce_class(h1u, [1]) == (1,)
 
 
 def test_pushout_class_examples(unknot_minus, trefoil_plus, trefoil_plus_h1):
@@ -212,13 +213,44 @@ def test_pushout_linking_is_the_class_vector_on_seeded_fronts_and_copy():
                for front in fronts)
 
 
+def check_lift_is_u_times_the_vector(d):
+    """Every word of length <= 3 has ``OrbitClass.lift`` equal to U times
+    its class vector and ``reduced`` equal to that vector's normal form,
+    all three from the oracles: the vector as the 'eta' push-out's linking
+    on the surgered components, U v as ``class_lift``, the normal form as
+    ``reduce_class``.  Returns the number of words checked."""
+    h1 = h1_presentation(d)
+    words = enumerate_orbit_words(d, max_len=3)
+    for w in words:
+        linking = pushout_linking(d, w, ("eta",) * len(w.chords))
+        vector = [linking[i] for i in h1.surgered]
+        cls = orbit_class_monomial(d, h1, w)
+        assert cls.lift == class_lift(h1, vector), w
+        assert cls.reduced == reduce_class(h1, vector), w
+    return len(words)
+
+
+@pytest.mark.parametrize("name", [
+    "trefoil_plus", "trefoil_minus", "unknot_plus", "unknot_minus",
+    "stab_plus", "hopf_plus", "hopf_mixed"])
+def test_class_lift_is_u_times_the_vector(name, request):
+    assert check_lift_is_u_times_the_vector(request.getfixturevalue(name))
+
+
+def test_class_lift_is_u_times_the_vector_on_seeded_fronts_and_copy():
+    fronts = list(seeded_fronts()) + [parse_front(TREFOIL_2_COPY)]
+    assert all(check_lift_is_u_times_the_vector(resolve(front))
+               for front in fronts)
+
+
 def test_class_additive_under_covers(trefoil_plus, trefoil_plus_h1):
     d, h1 = trefoil_plus, trefoil_plus_h1
     for w in enumerate_orbit_words(d, max_len=2):
         base = orbit_class_monomial(d, h1, w)
         for k in (2, 3):
             cover = orbit_class_monomial(d, h1, CyclicWord(d, w.chords * k))
-            assert cover.reduced == h1.reduce([k * v for v in base.vector])
+            assert cover.reduced == reduce_class(
+                h1, [k * v for v in base.vector])
 
 
 def test_qhs_flag_matches_determinant(trefoil_plus, hopf_plus, unknot_plus):

@@ -11,7 +11,8 @@ from hypothesis import given, seed, settings, strategies as st
 
 from oracles import (branch_and_bound, brute_force_candidates,
                      candidate_pool, collection_i_grading, front_text,
-                     fraction_solve_lp, k_copy, pruned_search, search_program)
+                     fraction_solve_lp, k_copy, pruned_search, reduce_class,
+                     search_program)
 from reebchords import lp, report
 from reebchords.diagram import parse_front, resolve
 from reebchords.homology import h1_presentation
@@ -110,7 +111,7 @@ def test_survivor_filters_reassertable(trefoil_plus, trefoil_plus_h1):
         for w in c.factors:
             cls = [a + b for a, b in
                    zip(cls, GeneratorRecord(d, h1, w).orbit_class.vector)]
-        assert h1.reduce(cls) == g.orbit_class.reduced
+        assert reduce_class(h1, cls) == g.orbit_class.reduced
         action = sum((w.action() for w in c.factors), F(0))
         slack = 3 * EPS * (len(g.word.chords)
                            + sum(len(w.chords) for w in c.factors))
@@ -146,7 +147,7 @@ def test_survivors_of_a_free_class_row_keep_the_class(trefoil_minus,
             for w in c.factors:
                 cls = [a + b for a, b in
                        zip(cls, GeneratorRecord(d, h1, w).orbit_class.vector)]
-            assert h1.reduce(cls) == g.orbit_class.reduced
+            assert reduce_class(h1, cls) == g.orbit_class.reduced
 
 
 def test_nonzero_counts_need_witness(trefoil_plus, trefoil_plus_h1):
@@ -1024,6 +1025,34 @@ def test_chain_runs_one_search_per_distinct_question(text, rows, searches,
 
     monkeypatch.setattr(report, "differential_candidates", counted)
     assert (len(chain_reports(text, 3)), len(calls)) == (rows, searches)
+
+
+def test_chain_proves_each_pool_at_most_once(monkeypatch):
+    """T(2,5) -1 at --max-len 3 runs eight searches, five of them under the
+    i-grading filter over two distinct pools, the second inside the
+    first.  The fiber proof runs at most once per distinct pool and never
+    on a pool inside one it has proven: here once, on the first."""
+    real_pool, real_proof = report._pool_words, report._prove_integral_fibers
+    pools, proofs = [], []
+
+    def pool_words(d, h1, g, *args):
+        out = real_pool(d, h1, g, *args)
+        pools.append((g.igrading is not None,
+                      frozenset(r.word.chords for r in out[0])))
+        return out
+
+    def proof(*args):
+        proofs.append(pools[-1][1])
+        return real_proof(*args)
+
+    monkeypatch.setattr(report, "_pool_words", pool_words)
+    monkeypatch.setattr(report, "_prove_integral_fibers", proof)
+    chain_reports(torus_minus(5), 3)
+    graded = [pool for igrading, pool in pools if igrading]
+    assert (len(pools), len(graded), len(set(graded))) == (8, 5, 2)
+    assert all(not p <= q for k, p in enumerate(proofs) for q in proofs[:k])
+    assert len(proofs) <= len(set(graded))
+    assert proofs == [graded[0]] and all(p <= graded[0] for p in graded)
 
 
 @pytest.mark.parametrize("witness", [0, 1])

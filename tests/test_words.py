@@ -793,6 +793,6 @@ def test_the_width_tells_a_det_of_one_from_its_aliases(n):
     a, b, e, f = rows(2 * n)
     assert a * f - b * e == 1
     width = words._width(n)
-    w = words._orbit_word((1,) * n, (), F(0), width, 1, rows(width))
+    w = words._orbit_word((1,) * n, (), 0, 1, width, 1, rows(width))
     with pytest.raises(DiagramError, match=rf"has det \({4 ** n + 1}, -1\)"):
         return_map(None, w)

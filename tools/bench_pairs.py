@@ -15,11 +15,11 @@ run wrote.
 For each end-to-end metric of ``BENCHMARK.json`` (read from the checkout
 this file is in, and never written) it prints A's and B's medians, the
 interquartile ranges of A's runs and of B's, B's change against A's
-median, the number of pairs in which B did better than A, and the change
-over the metric's bound.  A change is positive when B is better; a change over
-bound at -1 or below is a median worse than the bound allows.  A run that
-exits non-zero stops the pairs, with its standard error; the exit code is
-then 1.
+median, the number of pairs in which B did better than A, the change
+over the metric's bound and the verdict of the claim rule (``verdict``).
+A change is positive when B is better; a change over bound at -1 or below
+is a median worse than the bound allows.  A run that exits non-zero stops
+the pairs, with its standard error; the exit code is then 1.
 """
 
 import argparse
@@ -72,22 +72,41 @@ def quartile_range(values):
     return upper - lower
 
 
+def verdict(change, spread, wins, pairs, bound):
+    """The claim rule's reading of one metric, from B's median change
+    against A's (positive when B is better) and A's interquartile range,
+    both as fractions of A's median, and the pairs in which B did better:
+    "worse" when the change is -bound or below, "unresolved" when the
+    spread exceeds the bound, "gain" when B did better in at least 9 of
+    every 10 pairs and the change exceeds the spread, else "within"."""
+    if change <= -bound:
+        return "worse"
+    if spread > bound:
+        return "unresolved"
+    if 10 * wins >= 9 * pairs and change > spread:
+        return "gain"
+    return "within"
+
+
 def summary(metrics, runs_a, runs_b):
     """Printable lines, one per metric of ``BENCHMARK.json``."""
     lines = [f"{'metric':14} {'unit':5} {'A median':>10} {'B median':>10} "
              f"{'A IQR':>9} {'B IQR':>9} {'change':>8} {'B wins':>7} "
-             f"{'bound':>6} {'chg/bound':>9}"]
+             f"{'bound':>6} {'chg/bound':>9} {'verdict':>10}"]
     for m in metrics:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
         a = [r["metrics"][name]["value"] for r in runs_a]
         b = [r["metrics"][name]["value"] for r in runs_b]
         med_a, med_b = statistics.median(a), statistics.median(b)
+        iqr_a = quartile_range(a)
         change = sign * (med_b - med_a) / med_a if med_a else 0.0
+        spread = iqr_a / med_a if med_a else 0.0
         wins = sum(1 for x, y in zip(a, b) if sign * (y - x) > 0)
+        reading = verdict(change, spread, wins, len(a), m["bound"])
         lines.append(f"{name:14} {m['unit']:5} {med_a:10.4g} {med_b:10.4g} "
-                     f"{quartile_range(a):9.3g} {quartile_range(b):9.3g} "
+                     f"{iqr_a:9.3g} {quartile_range(b):9.3g} "
                      f"{change:+8.2%} {wins:>3}/{len(a):<3} {m['bound']:6.2f} "
-                     f"{change / m['bound']:+9.2f}")
+                     f"{change / m['bound']:+9.2f} {reading:>10}")
     return lines
 
 
