@@ -11,7 +11,8 @@ solutions times ``exponent``, the last elementary divisor.  An
 ``OrbitClass`` is one orbit's meridian vector, its lift U v and its normal
 form, with no sum: a collection's class is the sum of its vectors,
 reduced again, which the candidate search keeps as running sums of the
-lifts.
+lifts.  A diagram has few distinct class vectors, so it builds one
+``OrbitClass`` per vector, shared by every word with it and never written.
 """
 
 from typing import List, Sequence, Tuple
@@ -146,7 +147,9 @@ class OrbitClass(object):
     """Meridian vector of an orbit with its cokernel coordinates: ``lift``,
     U v, and the normal form ``reduced``, each coordinate of the lift mod
     its elementary divisor when that is nonzero.  The candidate search's
-    class rows read the lift."""
+    class rows read the lift.  ``orbit_class_monomial`` builds one per
+    distinct vector per diagram and hands it to every word with that
+    vector, so no caller writes to one."""
 
     __slots__ = ("vector", "lift", "reduced")
 
@@ -173,7 +176,8 @@ def orbit_class_monomial(d: ResolvedDiagram, h1: H1Presentation,
                          w: CyclicWord) -> OrbitClass:
     """Homology class of the orbit of w: half the sum of its letters'
     crossing monomials, per component, which is also the linking vector of
-    its pushed-out orbit.  Memoized per diagram.
+    its pushed-out orbit.  Memoized per word, and every word with the same
+    vector gets the same ``OrbitClass``, built once per diagram.
     """
     key = ("class", w.chords)
     if key in d.memo:
@@ -184,6 +188,10 @@ def orbit_class_monomial(d: ResolvedDiagram, h1: H1Presentation,
         raise DiagramError(f"non-integral class for {w}: {sums} / 2")
     # meridians of unsurgered components still bound their disks, so
     # their coefficients are null-homologous and drop out
-    d.memo[key] = OrbitClass(h1, [sums[i] // 2 for i in h1.surgered])
+    vector = tuple(sums[i] // 2 for i in h1.surgered)
+    shared = ("class_of", vector)
+    if shared not in d.memo:
+        d.memo[shared] = OrbitClass(h1, vector)
+    d.memo[key] = d.memo[shared]
     return d.memo[key]
 

@@ -7,9 +7,9 @@ per bounded face: the push-out's winding numbers (sums of per-letter rows
 at the one offset ``words.PUSH_OFF``, never retried) plus a meridian-disk
 correction for its linking vector, which is the orbit's class vector,
 solved through the Smith form of the surgery relation matrix.  The solve
-is linear and the letters' crossing monomials sum to twice the class
-vector, so the correction is half the sum of per-letter cap rows, each
-solved once per diagram.  Fiber vectors are ints over one denominator,
+is linear, so the correction is sum_i v_i times that of the unit meridian
+e_i: one cap table per diagram, one solve per surgered component, and
+nothing is halved.  Fiber vectors are ints over one denominator,
 ``H1Presentation.exponent``: a collection's grading is the sum of its
 orbits' fiber vectors, divided by it once.  No curve is wound here except
 each component, once per diagram, on the push-outs' integer grid.
@@ -40,40 +40,32 @@ class Quiver(object):
         return len(self.edges)
 
 
-def _component_windings(d: ResolvedDiagram) -> List[List[int]]:
-    """windings[i][k]: winding of component i around basepoint k, on the
-    push-outs' grid."""
-    key = ("component_windings",)
+def _cap_table(d: ResolvedDiagram, h1: H1Presentation
+               ) -> List[Tuple[int, ...]]:
+    """The meridian-cap correction of each unit meridian, one row over the
+    faces per surgered component i and times ``h1.exponent``:
+    sum_j solve(-e_i)_j * (component j's windings), one solve per
+    surgered component.  Each cap through handle j trades a meridian for
+    a framed push-off, whose spanning surface meets the fiber in the
+    component's winding.  Every component is wound once, on the
+    push-outs' grid.  Built once per diagram."""
+    key = ("cap_table",)
     if key not in d.memo:
+        n = len(h1.surgered)
+        sols = [h1.solve([-int(i == j) for j in range(n)]) for i in range(n)]
         unit, bps = _grid(d)
         m = unit // d._scale
         try:
-            d.memo[key] = [[winding_number(ring, bp) for bp in bps]
-                           for ring in ([(x * m, y * m) for x, y in cyc]
-                                        for cyc in d._ints)]
+            comp_w = [[winding_number(ring, bp) for bp in bps]
+                      for ring in ([(x * m, y * m) for x, y in cyc]
+                                   for cyc in d._ints)]
         except ValueError as exc:
             raise DiagramError(f"component winding: {exc}") from exc
+        d.memo[key] = [tuple(sum(x * comp_w[j][k]
+                                 for x, j in zip(sol, h1.surgered))
+                             for k in range(len(bps)))
+                       for sol in sols]
     return d.memo[key]
-
-
-def _cap_row(d: ResolvedDiagram, h1: H1Presentation, pair, letter
-             ) -> Tuple[int, ...]:
-    """One letter's row of the meridian-cap correction, memoized per chord
-    pair: sum_j solve(-vector)_j * (component j's windings), where vector
-    is the letter's crossing monomial.  ``solve`` is linear and a word's
-    monomials sum to twice its class vector, so a word's rows sum to twice
-    its correction."""
-    rows = d.memo.setdefault(("cap_rows",), {})
-    if pair not in rows:
-        sol = h1.solve([-letter.vector[i] for i in h1.surgered])
-        comp_w = _component_windings(d)
-        # each cap through handle j trades a meridian for a framed
-        # push-off, whose spanning surface meets the fiber in the
-        # component's winding
-        rows[pair] = tuple(sum(x * comp_w[j][k]
-                               for x, j in zip(sol, h1.surgered))
-                           for k in range(len(d.faces_list)))
-    return rows[pair]
 
 
 def effective_fiber_vector(d: ResolvedDiagram, h1: H1Presentation,
@@ -81,24 +73,24 @@ def effective_fiber_vector(d: ResolvedDiagram, h1: H1Presentation,
     """Per-orbit fiber-count vector times ``h1.exponent``, in ints; sums to
     the exponent times the grading of unions.
 
-    The push-out's winding numbers plus the (possibly fractional)
-    meridian-cap correction solved against the relation matrix for minus
-    the orbit's class vector, all over the exponent: half the sum of its
-    letters' cap rows, which must be even.  The total over a
+    The push-out's winding numbers times the exponent, plus the
+    (possibly fractional) meridian-cap correction for minus the orbit's
+    class vector v, solved against the relation matrix and scaled by the
+    exponent: sum_i v_i times the cap table's row i, since the solve is
+    linear.  v is ``orbit_class_monomial``'s, whose letter-sum parity
+    check is this sum's only precondition.  The total over a
     null-homologous collection is divisible by the exponent, and the
     quotient is its grading.  Memoized per diagram.
     """
     key = ("fiber", w.chords)
     if key in d.memo:
         return d.memo[key]
-    windings = push_out(d, w)
-    caps = [sum(col) for col in zip(*(
-        _cap_row(d, h1, pair, letter)
-        for pair, letter in zip(w.pairs(), w.letters)))]
-    if any(v % 2 for v in caps):
-        raise DiagramError(f"odd meridian-cap sum for {w}: {caps} / 2")
-    d.memo[key] = tuple(h1.exponent * v + c // 2
-                        for v, c in zip(windings, caps))
+    fiber = [h1.exponent * x for x in push_out(d, w)]
+    for c, row in zip(orbit_class_monomial(d, h1, w).vector,
+                      _cap_table(d, h1)):
+        if c:
+            fiber = [x + c * r for x, r in zip(fiber, row)]
+    d.memo[key] = tuple(fiber)
     return d.memo[key]
 
 

@@ -1338,21 +1338,41 @@ def fraction_fiber_vector(d, h1, w):
     ``h1.exponent`` and solves through the Smith form.  The components'
     windings are wound once per diagram, held weakly as in
     ``walk_tables``."""
-    from reebchords.geometry import winding_number
     from reebchords.homology import orbit_class_monomial
     from reebchords.words import push_out
 
-    if d not in _COMPONENT_WINDINGS:
-        _COMPONENT_WINDINGS[d] = [[winding_number(cyc, f.basepoint)
-                                   for cyc in d.components]
-                                  for f in d.faces_list]
     n = len(h1.surgered)
     transpose = [[h1.matrix[j][i] for j in range(n)] for i in range(n)]
     x = gauss_jordan_solve(transpose, [
         -v for v in orbit_class_monomial(d, h1, w).vector])
     return [wind + sum((xj * comp[j] for xj, j in zip(x, h1.surgered)),
                        Fraction(0))
-            for wind, comp in zip(push_out(d, w), _COMPONENT_WINDINGS[d])]
+            for wind, comp in zip(push_out(d, w), component_windings(d))]
+
+
+def component_windings(d):
+    """windings[k][j]: the winding of component j around face k's
+    basepoint, from the ``Fraction`` components, wound once per diagram
+    and held weakly as in ``walk_tables``."""
+    from reebchords.geometry import winding_number
+
+    if d not in _COMPONENT_WINDINGS:
+        _COMPONENT_WINDINGS[d] = [[winding_number(cyc, f.basepoint)
+                                   for cyc in d.components]
+                                  for f in d.faces_list]
+    return _COMPONENT_WINDINGS[d]
+
+
+def letter_cap_row(d, h1, letter):
+    """One letter's row of the meridian-cap correction over the faces,
+    times ``h1.exponent``: sum_j solve(-vector)_j * (component j's
+    windings), where vector is the letter's crossing monomial.  ``solve``
+    is linear and a word's monomials sum to twice its class vector, so a
+    word's rows sum to twice its correction.  The library solves once per
+    surgered component instead, into ``quiver._cap_table``."""
+    sol = h1.solve([-letter.vector[i] for i in h1.surgered])
+    return tuple(sum(x * comp[j] for x, j in zip(sol, h1.surgered))
+                 for comp in component_windings(d))
 
 
 def collection_i_grading(d, h1, words):

@@ -596,6 +596,8 @@ def test_exit_code_3_on_an_embedding_fault_in_chain(tmp_path, capsys,
 
 def test_grading_and_chain_compute_each_class_once(tmp_path, capsys,
                                                    monkeypatch):
+    """An ``OrbitClass`` is built once per distinct class vector of a
+    diagram, and every word with that vector holds the same object."""
     from reebchords import homology, report
 
     classes, records = [], []
@@ -604,15 +606,15 @@ def test_grading_and_chain_compute_each_class_once(tmp_path, capsys,
         __slots__ = ()
 
         def __init__(self, h1, vector):
-            classes.append(tuple(vector))
             super().__init__(h1, vector)
+            classes.append(self)
 
     class CountedRecord(report.GeneratorRecord):
         __slots__ = ()
 
         def __init__(self, d, h1, w):
-            records.append(w.chords)
             super().__init__(d, h1, w)
+            records.append(self)
 
     monkeypatch.setattr(homology, "OrbitClass", CountedClass)
     monkeypatch.setattr(report, "GeneratorRecord", CountedRecord)
@@ -622,14 +624,53 @@ def test_grading_and_chain_compute_each_class_once(tmp_path, capsys,
     n_words = len(json.loads(out))
     code, out, _ = run(capsys, ["grading"] + bounds)
     assert code == 0
-    # class-zero words have a grading row, and their class is not computed
-    # again for it
-    assert 0 < len(json.loads(out)) < n_words == len(classes)
+    # class-zero words have a grading row; the 65 words have 7 vectors
+    assert 0 < len(json.loads(out)) < n_words == 65
+    assert len(classes) == len({c.vector for c in classes}) == 7
     classes.clear()
     code, out, _ = run(capsys, ["chain", "--epsilon", "1/100"] + bounds)
     assert code == 0
     assert any("igrading" in row for row in json.loads(out))
-    assert len(classes) == len(records) == len(set(records))
+    by_vector = {c.vector: c for c in classes}
+    assert len(classes) == len(by_vector) == 7
+    assert len(records) == len({r.word.chords for r in records}) == n_words
+    assert all(r.orbit_class is by_vector[r.orbit_class.vector]
+               for r in records)
+
+
+def test_shared_classes_are_never_written(monkeypatch):
+    """``chain --max-len 2`` on the trefoil 2-copy and on a seeded
+    cancelling 2-copy leaves every memoized ``OrbitClass``, each shared by
+    every word of its vector, equal to a freshly built one."""
+    from reebchords import cli
+    from reebchords.homology import OrbitClass, h1_presentation
+
+    rng = random.Random(1)
+    front = surgered_front(rng)
+    while len(front.events) > 7 or front.n_components > 2:
+        front = surgered_front(rng)
+    copy = k_copy(front, 2)
+    cancelling = front_text(FrontCode(copy.events, copy.orientations, {
+        c: (-1) ** c for c in range(copy.n_components)}))
+    diagrams = []
+    real = cli.resolve
+    monkeypatch.setattr(cli, "resolve",
+                        lambda *args: diagrams.append(real(*args))
+                        or diagrams[-1])
+    for text in (TREFOIL_2_COPY, cancelling):
+        code, out = run_text(["chain", "--max-len", "2", "--epsilon",
+                              "1/100"], text)
+        assert code == 0 and json.loads(out)
+        d = diagrams.pop()
+        h1 = h1_presentation(d)
+        shared = {id(v): v for v in d.memo.values()
+                  if isinstance(v, OrbitClass)}.values()
+        words = [k for k in d.memo if k[0] == "class"]
+        assert len(shared) < len(words)
+        for cls in shared:
+            fresh = OrbitClass(h1, cls.vector)
+            assert (cls.vector, cls.lift, cls.reduced) == \
+                (fresh.vector, fresh.lift, fresh.reduced)
 
 
 @pytest.mark.parametrize("text", [

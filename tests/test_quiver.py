@@ -6,7 +6,7 @@ import pytest
 
 from oracles import (all_orbit_strings, collection_i_grading, count_cycles,
                      count_paths, fraction_fiber_vector, k_copy,
-                     pushout_grading)
+                     letter_cap_row, pushout_grading)
 from reebchords import quiver
 from reebchords.diagram import DiagramError, Face, parse_front, resolve
 from reebchords.homology import (H1Presentation, h1_presentation,
@@ -14,7 +14,7 @@ from reebchords.homology import (H1Presentation, h1_presentation,
 from reebchords.quiver import (Quiver, bubbling_faces, effective_fiber_vector,
                                i_grading)
 from reebchords.report import generators
-from reebchords.words import CyclicWord, enumerate_orbit_words
+from reebchords.words import CyclicWord, enumerate_orbit_words, push_out
 from test_realization import FIXTURES
 
 F = Fraction
@@ -193,8 +193,8 @@ def test_bubbling_stable_under_rerealization(trefoil_plus):
     SPLIT_TREFOILS], ids=["trefoil+1", "hopf++", "split-trefoils"])
 def test_fiber_vectors_solve_once_per_letter(text, monkeypatch):
     """Generator records up to length 5 solve against the relation matrix
-    at most once per distinct letter: a fiber vector sums its letters'
-    memoized cap rows."""
+    at most once per surgered component, fewer times than there are
+    letters: a fiber vector applies the cap table to its class vector."""
     d = resolve(parse_front(text))
     h1 = h1_presentation(d)
     calls = []
@@ -207,19 +207,23 @@ def test_fiber_vectors_solve_once_per_letter(text, monkeypatch):
     monkeypatch.setattr(H1Presentation, "solve", counting)
     records = generators(d, h1, max_len=5)
     graded = sum(r.igrading is not None for r in records)
-    assert len(calls) <= len(d.memo[("letters",)]) < graded
+    assert len(calls) <= len(h1.surgered) < len(d.memo[("letters",)])
+    assert len(h1.surgered) < graded
 
 
-def test_an_odd_cap_sum_is_a_fault(monkeypatch):
-    """A word's cap rows sum to twice its meridian-cap correction; an odd
-    sum is a fault, never floored."""
+def test_an_odd_letter_sum_is_a_fault_in_fibers_and_gradings():
+    """A word's letters' crossing monomials sum to twice its class vector,
+    which the fiber vector reads; an odd sum is orbit_class_monomial's
+    fault, never floored, for the fiber vector and the grading alike."""
     d = resolve(parse_front(TREFOIL_PLUS))
     h1 = h1_presentation(d)
-    real = quiver._cap_row
-    monkeypatch.setattr(quiver, "_cap_row", lambda *args: tuple(
-        v + 1 for v in real(*args)))
-    with pytest.raises(DiagramError, match="odd meridian-cap sum"):
-        effective_fiber_vector(d, h1, CyclicWord(d, [1]))
+    real = d.letter(4, 4)
+    d.memo[("letters",)][4, 4] = real._replace(
+        vector=tuple(v + 1 for v in real.vector))
+    w = CyclicWord(d, [4])
+    for graded in (effective_fiber_vector, i_grading):
+        with pytest.raises(DiagramError, match="non-integral class"):
+            graded(d, h1, w)
 
 
 def check_fibers_against_fraction_route(d, max_len):
@@ -242,11 +246,60 @@ def check_fibers_against_fraction_route(d, max_len):
     return len(words), fractional
 
 
+def check_cap_table_against_letter_rows(d, max_len):
+    """Every orbit word's meridian-cap correction, its fiber vector less
+    ``h1.exponent`` times its push-out, is half the sum of its letters'
+    ``letter_cap_row``s, and each letter's row is the cap table applied to
+    the letter's crossing monomial (its fiber column); returns the number
+    of words checked, 0 when H1 is infinite."""
+    h1 = h1_presentation(d)
+    if not h1.finite:
+        return 0
+    words = enumerate_orbit_words(d, max_len=max_len)
+    table = quiver._cap_table(d, h1)
+    assert len(table) == len(h1.surgered)
+    for w in words:
+        rows = [letter_cap_row(d, h1, letter) for letter in w.letters]
+        twice = [sum(col) for col in zip(*rows)]
+        assert not any(v % 2 for v in twice), w
+        assert [f - h1.exponent * x for f, x in zip(
+            effective_fiber_vector(d, h1, w), push_out(d, w))] == \
+            [v // 2 for v in twice], w
+        for letter, row in zip(w.letters, rows):
+            assert row == tuple(sum(letter.vector[j] * t[k] for j, t in
+                                    zip(h1.surgered, table))
+                                for k in range(len(d.faces_list))), w
+    return len(words)
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fiber_vectors_match_the_fraction_route_on_fixtures(name, request):
     d = request.getfixturevalue(name)
     checked, _ = check_fibers_against_fraction_route(d, 3)
     assert checked or name in ("trefoil_minus", "unknot_plus", "hopf_mixed")
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_cap_table_matches_the_letter_rows_on_fixtures(name, request):
+    d = request.getfixturevalue(name)
+    checked = check_cap_table_against_letter_rows(d, 3)
+    assert checked or name in ("trefoil_minus", "unknot_plus", "hopf_mixed")
+
+
+def test_cap_table_matches_the_letter_rows_on_seeded_fronts_and_copies(
+        monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from fronts import random_fronts
+
+    checked = [check_cap_table_against_letter_rows(resolve(parse_front(t)), 2)
+               for t in random_fronts(random.Random(23), 10, 6, 14, 3)]
+    assert sum(1 for n in checked if n) == 8
+    for k in (2, 3):
+        d = resolve(k_copy(parse_front(TREFOIL_PLUS), k))
+        assert check_cap_table_against_letter_rows(d, 2)
+    for text in (SPLIT_TREFOILS, SPLIT_TREFOIL_T25):
+        assert check_cap_table_against_letter_rows(resolve(parse_front(text)),
+                                                   3)
 
 
 def test_fiber_vectors_match_the_fraction_route_on_seeded_fronts(
