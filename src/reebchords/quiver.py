@@ -12,7 +12,8 @@ e_i: one cap table per diagram, one solve per surgered component, and
 nothing is halved.  Fiber vectors are ints over one denominator,
 ``H1Presentation.exponent``: a collection's grading is the sum of its
 orbits' fiber vectors, divided by it once.  No curve is wound here except
-each component, once per diagram, on the push-outs' integer grid.
+each surgered component, once per diagram, on the push-outs' integer
+grid.
 """
 
 from typing import List, Tuple
@@ -47,7 +48,7 @@ def _cap_table(d: ResolvedDiagram, h1: H1Presentation
     sum_j solve(-e_i)_j * (component j's windings), one solve per
     surgered component.  Each cap through handle j trades a meridian for
     a framed push-off, whose spanning surface meets the fiber in the
-    component's winding.  Every component is wound once, on the
+    component's winding.  Each surgered component is wound once, on the
     push-outs' grid.  Built once per diagram."""
     key = ("cap_table",)
     if key not in d.memo:
@@ -57,12 +58,11 @@ def _cap_table(d: ResolvedDiagram, h1: H1Presentation
         m = unit // d._scale
         try:
             comp_w = [[winding_number(ring, bp) for bp in bps]
-                      for ring in ([(x * m, y * m) for x, y in cyc]
-                                   for cyc in d._ints)]
+                      for ring in ([(x * m, y * m) for x, y in d._ints[j]]
+                                   for j in h1.surgered)]
         except ValueError as exc:
             raise DiagramError(f"component winding: {exc}") from exc
-        d.memo[key] = [tuple(sum(x * comp_w[j][k]
-                                 for x, j in zip(sol, h1.surgered))
+        d.memo[key] = [tuple(sum(x * w[k] for x, w in zip(sol, comp_w))
                              for k in range(len(bps)))
                        for sol in sols]
     return d.memo[key]

@@ -14,20 +14,19 @@ over one denominator: a search sorts nothing and compares no ``Fraction``.
 ranks the questions by the same int budget.
 
 A search's filters are one table of int rows over its pool (distinct face
-rows, class rows, the degree row).  Their coefficients depend on the pool
-alone and are built once per distinct pool (``_Pool``): the class rows
-read each word's ``OrbitClass.lift``, and the walk's packed columns are
-kept per set of fields; a search adds only its targets and budget.  The
-walk keeps a product's face-row slacks and z-graded degree window as
-fixed-width fields of one int, whose width a bound on the factors makes
-exact, so both prunes are one sign-mask test and a product passes on its
-congruence sums and one mask.  Under the intersection-grading filter a
-proof that no product the class rows admit has a fractional fiber count
-runs once per pool, skipped for a pool inside one already proven, and an
-exact branch and bound over the same rows decides whether a non-constant
-product passes, once the walk has examined as many products as its LP
-has rows x (columns + rows): at most MAX_NODES products plus MAX_NODES
-// that many LPs.  A proof that none does ends the search complete.
+rows, class rows, the degree row), built per search from what the
+diagram's memo keeps per word: its ``OrbitClass.lift`` and its fiber
+vector.  The walk keeps a product's face-row slacks and z-graded degree
+window as fixed-width fields of one int, whose width a bound on the
+factors makes exact, so both prunes are one sign-mask test and a product
+passes on its congruence sums and one mask.  Under the
+intersection-grading filter a proof that no product the class rows admit
+has a fractional fiber count runs once per pool, skipped for a pool
+inside one already proven, and an exact branch and bound over the same
+rows decides whether a non-constant product passes, once the walk has
+examined as many products as its LP has rows x (columns + rows): at most
+MAX_NODES products plus MAX_NODES // that many LPs.  A proof that none
+does ends the search complete.
 """
 
 from fractions import Fraction
@@ -248,37 +247,6 @@ def _packed_tables(fields, n: int, width: int):
     return columns, suffix_lo
 
 
-class _Pool(object):
-    """The coefficients of a search's rows that depend on its pool alone,
-    shared by every search over the same pool: the degrees, one class row
-    per elementary divisor != 1 of h1 (each word's ``OrbitClass.lift``
-    entry), and, built at the first search under the i-grading filter, the
-    distinct face rows of fiber counts with each face's index among them.
-    ``packed`` holds the walk's ``_packed_tables`` per (face_row, z_graded,
-    width), which fix its fields' coefficients.  No search writes to a row
-    it reads."""
-
-    __slots__ = ("degrees", "negated", "classes", "faces", "face_ids",
-                 "packed")
-
-    def __init__(self, h1: H1Presentation, pool):
-        self.degrees = [r.degree for r in pool]
-        self.negated = [-v for v in self.degrees]
-        self.classes = [[r.orbit_class.lift[k] for r in pool]
-                        for k, mod in enumerate(h1.diagonal) if mod != 1]
-        self.faces = self.face_ids = None
-        self.packed = {}
-
-
-def _pool_columns(d: ResolvedDiagram, h1: H1Presentation, pool) -> _Pool:
-    """The ``_Pool`` of ``pool``, a list of records, memoized per diagram
-    under the tuple of its records (one per word in the diagram's memo)."""
-    key = ("columns", tuple(pool))
-    if key not in d.memo:
-        d.memo[key] = _Pool(h1, pool)
-    return d.memo[key]
-
-
 def _search_rows(d: ResolvedDiagram, h1: H1Presentation, g: GeneratorRecord,
                  pool, z_graded: bool):
     """g's filters as rows (a, mod, t) over its pool, for a product with
@@ -286,26 +254,22 @@ def _search_rows(d: ResolvedDiagram, h1: H1Presentation, g: GeneratorRecord,
     is None: one row per distinct face row (its fiber counts and target),
     in face order, under the i-grading filter.  Then a.x = t mod ``mod``
     (a.x = t when mod is 0): one class row (U v).x per elementary divisor
-    != 1 of h1, and the degree row, last.  Every a is the pool's
-    (``_pool_columns``); only the targets are g's."""
-    columns = _pool_columns(d, h1, pool)
+    != 1 of h1, read off each word's ``OrbitClass.lift``, and the degree
+    row, last.  Each word's fiber vector and class are memoized per
+    diagram, so a search only gathers them into its rows."""
     rows, face_row = [], []
     if g.igrading is not None:
-        if columns.faces is None:
-            per_face = list(zip(*(effective_fiber_vector(d, h1, r.word)
-                                  for r in pool))) or [()] * len(g.igrading)
-            ids = {}
-            columns.face_ids = [ids.setdefault(a, len(ids))
-                                for a in per_face]
-            columns.faces = [list(a) for a in ids]
+        per_face = list(zip(*(effective_fiber_vector(d, h1, r.word)
+                              for r in pool))) or [()] * len(g.igrading)
         distinct = {}
-        face_row = [distinct.setdefault((i, t * h1.exponent), len(distinct))
-                    for i, t in zip(columns.face_ids, g.igrading)]
-        rows = [(columns.faces[i], None, t) for i, t in distinct]
-    targets = [(mod, t) for mod, t in zip(h1.diagonal, g.orbit_class.reduced)
-               if mod != 1]
-    rows += [(a, mod, t) for a, (mod, t) in zip(columns.classes, targets)]
-    rows.append((columns.degrees, 0 if z_graded else 2, g.degree - 1))
+        face_row = [distinct.setdefault((a, t * h1.exponent), len(distinct))
+                    for a, t in zip(per_face, g.igrading)]
+        rows = [(list(a), None, t) for a, t in distinct]
+    rows += [([r.orbit_class.lift[k] for r in pool], mod, t) for k, (mod, t)
+             in enumerate(zip(h1.diagonal, g.orbit_class.reduced))
+             if mod != 1]
+    rows.append(([r.degree for r in pool], 0 if z_graded else 2,
+                 g.degree - 1))
     return rows, face_row
 
 
@@ -415,8 +379,7 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     grading rule out, and stops at the work bound of MAX_NODES and
     MAX_SURVIVORS, which the report's ``truncated`` names.  Each filter
     but the action budget is a row of one table over the pool, which the
-    walk's checks and prunes and the branch and bound all read; their
-    coefficients are the pool's, shared with every search over it.  Under
+    walk's checks and prunes and the branch and bound all read.  Under
     the i-grading filter the pool's fiber proof comes first
     (``_prove_once``: a pool inside one proven before needs none, and a
     failed proof raises in every search over its pool), and the walk calls
@@ -459,18 +422,15 @@ def differential_candidates(g: GeneratorRecord, d: ResolvedDiagram,
     # z-graded degree row's must reach its target exactly.  Once
     # suffix_min[i] reaches the budget left no later child fits, so the
     # child loop stops there.
-    shared = _pool_columns(d, h1, pool)
+    degrees = rows[-1][0]
     fields = [(a, t) for a, _mod, t in rows[:nf]]
     if z_graded:
-        fields += [(shared.degrees, target_degree),
-                   (shared.negated, -target_degree)]
+        fields += [(degrees, target_degree),
+                   ([-v for v in degrees], -target_degree)]
     # a product has at most K factors, and k <= K too
     width = _field_width(fields, (top - 1) // min(costs) if costs else 0)
     high = _pack([1 << width - 1] * len(fields), width)
-    key = (tuple(face_row), z_graded, width)
-    if key not in shared.packed:
-        shared.packed[key] = _packed_tables(fields, n, width)
-    columns, suffix_lo = shared.packed[key]
+    columns, suffix_lo = _packed_tables(fields, n, width)
     suffix_min = list(accumulate(reversed(costs), min, initial=top))[::-1]
     # an LP costs about its tableau, rows x (columns + rows), its rows the
     # table's and cost < top and sum(x) >= 1: the branch and bound runs

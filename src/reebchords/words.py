@@ -39,9 +39,12 @@ from .geometry import offset_polyline, winding_number
 # windings are those at any smaller offset.
 PUSH_OFF = Fraction(1, 8)
 
-# The most words and open prefixes an orbit-word enumeration keeps; past it
-# it raises a ValueError (CLI exit 2) rather than grow memory without limit.
+# The most words and open prefixes an orbit-word enumeration keeps, and the
+# most letters in one; past either it raises a ValueError (CLI exit 2)
+# rather than grow memory without limit.  The letter bound caps the width
+# at which every node packs its return-map rows, whatever the length bound.
 MAX_WORD_NODES = 100_000
+MAX_WORD_LENGTH = 64
 
 def _width(n: int) -> int:
     """The packing width W of words of at most n letters.  A twist by
@@ -215,8 +218,10 @@ def enumerate_orbit_words(d: ResolvedDiagram,
     period p extends by each c >= seq[n - p], keeping p if c equals it and
     taking n + 1 if not, and is its own least rotation when p divides n.
     Nodes are flat tuples (chords, period, action over den, letters, sign,
-    rows packed at the bound's width); a word adds only its closing letter.
-    Past ``MAX_WORD_NODES`` words and kept prefixes it raises ValueError.
+    rows packed at the width of the bound, or of ``MAX_WORD_LENGTH`` if
+    less); a word adds only its closing letter.  Past ``MAX_WORD_NODES``
+    words and kept prefixes, or at a kept prefix longer than
+    ``MAX_WORD_LENGTH``, it raises ValueError.
     """
     if not any(v != 0 for v in d.surgery.values()):
         raise ValueError("empty surgery locus: no orbits exist")
@@ -233,7 +238,7 @@ def enumerate_orbit_words(d: ResolvedDiagram,
         return lt
 
     out: List[CyclicWord] = []
-    width = _width(top)
+    width = _width(min(top, MAX_WORD_LENGTH))
     level = [((c,), 1, actions[c], (), 1, (1, 0, 0, 1)) for c in chords
              if top and actions[c] <= cap(1)]
     n = 1
@@ -250,6 +255,9 @@ def enumerate_orbit_words(d: ResolvedDiagram,
                 if c < least or act + actions[c] > cap_n or n + 1 == top \
                         and ((n + 1) % q or (c, seq[0]) not in pairs):
                     continue        # past the caps, or a leaf but no word
+                if n == MAX_WORD_LENGTH:
+                    raise ValueError(f"orbit words past MAX_WORD_LENGTH = "
+                                     f"{MAX_WORD_LENGTH} letters")
                 lt = letter(seq[-1], c)
                 longer.append((seq + (c,), q, act + actions[c], lts + (lt,),
                                *_twist(sign, rows, lt, width)))

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import resource
 import shutil
 import subprocess
 import sys
@@ -102,6 +103,30 @@ def test_orbit_words_past_their_bound_exit_2(tmp_path, capsys,
     code, out, err = run(capsys, ["orbits", "--input", path, "--max-len", "6"])
     assert code == 2 and out == ""
     assert "MAX_WORD_NODES = 1000" in err
+
+
+@pytest.mark.parametrize("front, bound", [
+    ("L1,L3,X2,X2,X2,R1,R1 / surgery {0:+1}", "MAX_WORD_NODES = 100000"),
+    ("L1,R1 / surgery {0:-1}", "MAX_WORD_LENGTH = 64")],
+    ids=["trefoil+1", "unknot-1"])
+def test_orbits_at_a_huge_length_bound_exit_2_in_bounded_memory(front,
+                                                                bound):
+    """``orbits --max-len 100000`` under a 1 GiB address space: every node
+    packs its return-map rows at the width of MAX_WORD_LENGTH letters, not
+    of the length bound, so the trefoil +1 reaches MAX_WORD_NODES and the
+    unknot -1, one word per length, reaches MAX_WORD_LENGTH; each exits 2
+    and names its bound rather than run out of memory."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(reebchords.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "reebchords.cli", "orbits", "--max-len",
+         "100000", "--input", "-"], input=front, capture_output=True,
+        text=True, preexec_fn=limit, timeout=60, check=False,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 2 and done.stdout == ""
+    assert bound in done.stderr
 
 
 def test_chords_command(tmp_path, capsys):

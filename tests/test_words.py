@@ -727,6 +727,26 @@ def test_packed_rows_unpack_to_the_dict_product(steps):
         pscale(padd(entries[0], entries[3]), sign)
 
 
+@pytest.mark.parametrize("sign", ["+1", "-1"])
+def test_words_of_the_most_letters_match_the_dict_product(sign):
+    """On the unknot with +-1 surgery, words of exactly MAX_WORD_LENGTH
+    letters are packed at that length's width, whatever the bound, and
+    their traces are the dict product's; a kept prefix of one letter more
+    raises, under a length or an action bound, and names the bound."""
+    d = resolve(parse_front(f"L1,R1 / surgery {{0:{sign}}}"))
+    n = words.MAX_WORD_LENGTH
+    longest = [w for w in enumerate_orbit_words(d, max_len=n) if len(w) == n]
+    assert longest
+    for w in longest:
+        assert w.width == words._width(n)
+        ref_sign, prod = reference_return_map(d, w.chords)
+        assert coefficients(return_map(d, w).trace()) == \
+            pscale(padd(prod[0][0], prod[1][1]), ref_sign)
+    for bounds in ({"max_len": n + 1}, {"max_action": F(10 ** 6)}):
+        with pytest.raises(ValueError, match=f"MAX_WORD_LENGTH = {n}"):
+            enumerate_orbit_words(d, **bounds)
+
+
 def test_unpack_reads_balanced_digits():
     width = 5
     for poly in [(0,), (1,), (-1,), (0, 1), (15, -16), (-16, 15, -3),

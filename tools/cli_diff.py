@@ -59,6 +59,10 @@ The commands:
   commands of 801 words each, whose return-map traces reach degree 12
   and the largest coefficients of these fronts, so the traces unpacked
   from the words' packed rows are pinned at that length;
+* ``cz --max-len 40`` on the unknot with +1 and with -1 surgery: two
+  commands of 40 words each, one per length, whose traces reach degree
+  40 and coefficients up to 47,720,400, so the packed rows are pinned
+  far past every other command's length (12 at most);
 * ``chain --max-len 3 --epsilon 1/100`` on T(2,9) and on T(2,3) with -1
   surgery: two commands whose generators repeat candidate searches, 37
   rows asking 6 distinct questions and 13 rows asking 6, so the rows
@@ -96,6 +100,7 @@ SEEDS = (1, 2, 3)
 DEADLINE_S = 60
 
 TREFOIL = "L1,L3,X2,X2,X2,R1,R1 / surgery {{0:{}}}"
+UNKNOT = "L1,R1 / surgery {{0:{}}}"
 HOPF_PLUS_MINUS = "L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:-1}"
 HOPF_PLUS_PLUS = "L1,L3,X2,X2,R1,R1 / surgery {0:+1, 1:+1}"
 STABILIZED_UNKNOT = "L1,L2,R1,R1 / surgery {{0:+1}} / orientations {{0:{}}}"
@@ -180,6 +185,9 @@ def commands():
     for name, front in (("hopf +-", HOPF_PLUS_MINUS),
                         ("stab unknot -", STABILIZED_UNKNOT.format("-"))):
         out.append((f"{name} cz len12", ["cz", "--max-len", "12"], front))
+    for sign in ("+1", "-1"):
+        out.append((f"unknot {sign} cz len40", ["cz", "--max-len", "40"],
+                    UNKNOT.format(sign)))
     for name, front in (("T(2,9) -1", T29),
                         ("trefoil -1", TREFOIL.format("-1"))):
         out.append((f"{name} chain len3",
