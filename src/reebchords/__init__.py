@@ -12,7 +12,7 @@ from .dynamics import (embed_orbit, hyperbolic_type, is_bad, orbit_action,
                        return_map)
 from .homology import h1_presentation, orbit_class_monomial
 from .indices import c1_class, cz_integral
-from .quiver import Quiver, bubbling_faces, i_grading
+from .quiver import bubbling_faces, i_grading
 from .report import differential_candidates, generators
 from .words import (CyclicWord, Word, enumerate_chord_words,
                     enumerate_orbit_words, push_out)

@@ -18,15 +18,9 @@ from .diagram import DiagramError, FrontError, parse_front, resolve
 from .dynamics import hyperbolic_type, orbit_action, return_map
 from .homology import h1_presentation, orbit_class_monomial
 from .indices import c1_class, cz_integral
-from .quiver import Quiver, i_grading
+from .quiver import i_grading
 from .report import candidate_reports, generators
 from .words import enumerate_chord_words, enumerate_orbit_words
-
-
-def frac_str(x) -> str:
-    """An int or Fraction as "p/q", or "p" when its denominator is 1."""
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 \
-        else str(x.numerator)
 
 
 def parse_frac(text: str) -> Fraction:
@@ -145,13 +139,13 @@ def cmd_invariants(args, d):
         "linking": d.linking,
         "chords": [{"id": c.id, "sign": c.sign, "tail": c.tail_comp,
                     "tip": c.tip_comp,
-                    "tail_loc": [c.tail_loc[0], frac_str(c.tail_loc[1])],
-                    "tip_loc": [c.tip_loc[0], frac_str(c.tip_loc[1])],
-                    "action": frac_str(c.action)}
+                    "tail_loc": [c.tail_loc[0], str(c.tail_loc[1])],
+                    "tip_loc": [c.tip_loc[0], str(c.tip_loc[1])],
+                    "action": str(c.action)}
                    for c in d.chords],
-        "faces": [{"id": f.id, "area": frac_str(f.area),
-                   "basepoint": [frac_str(f.basepoint[0]),
-                                 frac_str(f.basepoint[1])],
+        "faces": [{"id": f.id, "area": str(f.area),
+                   "basepoint": [str(f.basepoint[0]),
+                                 str(f.basepoint[1])],
                    "corners": [[c, q, s] for c, q, s in f.corners]}
                   for f in d.faces_list],
         "c1": c1_class(d),
@@ -172,21 +166,20 @@ def _bounds(args):
     return args.max_len, max_action, eps
 
 
-def _word_rows(args, d, enumerate_words, name):
-    emit([{"word": name(w.chords), "length": len(w.chords),
-           "action": frac_str(w.action())}
+def _word_rows(args, d, enumerate_words):
+    emit([{"word": repr(w), "length": len(w.chords),
+           "action": str(w.action())}
           for w in enumerate_words(d, *_bounds(args))], args.format)
 
 
 @on_diagram
 def cmd_orbits(args, d):
-    _word_rows(args, d, enumerate_orbit_words, word_name)
+    _word_rows(args, d, enumerate_orbit_words)
 
 
 @on_diagram
 def cmd_chords(args, d):
-    _word_rows(args, d, enumerate_chord_words,
-               lambda chords: "".join(f"r{c}" for c in chords))
+    _word_rows(args, d, enumerate_chord_words)
 
 
 @on_diagram
@@ -198,7 +191,7 @@ def cmd_cz(args, d):
         trace = return_map(d, w).trace()
         kind, threshold = hyperbolic_type(cz % 2, trace)
         rows.append({"word": word_name(w.chords), "cz": cz, "cz_mod2": cz % 2,
-                     "hyperbolic": kind, "threshold": frac_str(threshold),
+                     "hyperbolic": kind, "threshold": str(threshold),
                      "trace": list(trace)})
     emit(rows, args.format)
 
@@ -226,11 +219,18 @@ def cmd_homology(args, d):
 
 @on_diagram
 def cmd_quiver(args, d):
-    q = Quiver(d)
-    emit({"vertices": q.vertices,
-          "edges": [{"chord": e, "tail": a, "tip": b} for e, a, b in q.edges],
-          "loops": {str(v): q.loops_at(v) for v in q.vertices},
-          "collapsed_h1_rank": q.collapsed_h1_rank()}, args.format)
+    # a vertex per component and an edge per chord; the one-vertex
+    # collapse has first Betti number one per edge
+    if not d.chords:
+        raise DiagramError("empty diagram has no quiver")
+    vertices = list(range(d.front.n_components))
+    emit({"vertices": vertices,
+          "edges": [{"chord": c.id, "tail": c.tail_comp, "tip": c.tip_comp}
+                    for c in d.chords],
+          "loops": {str(v): [c.id for c in d.chords
+                             if c.tail_comp == c.tip_comp == v]
+                    for v in vertices},
+          "collapsed_h1_rank": len(d.chords)}, args.format)
 
 
 @on_diagram
@@ -261,7 +261,7 @@ def cmd_chain(args, d):
         return {"monomial": "1" if c.is_constant() else
                 "".join(name(w.chords) for w in c.factors),
                 "label": c.label,
-                "trail": {k: (frac_str(v) if k == "action"
+                "trail": {k: (str(v) if k == "action"
                               else list(v) if isinstance(v, tuple) else v)
                           for k, v in c.trail.items()},
                 "faces": [f.id for f in c.faces],
@@ -272,13 +272,13 @@ def cmd_chain(args, d):
     for g in gens:
         row = {"word": word_name(g.word.chords), "good": g.good, "cz": g.cz,
                "degree": g.degree, "class": list(g.orbit_class.reduced),
-               "action": frac_str(g.action), "hyperbolic": g.hyperbolic,
-               "threshold": frac_str(g.threshold)}
+               "action": str(g.action), "hyperbolic": g.hyperbolic,
+               "threshold": str(g.threshold)}
         if g.igrading is not None:
             row["igrading"] = list(g.igrading)
         if g.good:
             try:
-                row["orbit_action"] = frac_str(orbit_action(d, g.word, eps))
+                row["orbit_action"] = str(orbit_action(d, g.word, eps))
             except ValueError as exc:
                 # depends on epsilon; a DiagramError here is a fault
                 row["orbit_action_error"] = str(exc)

@@ -13,7 +13,7 @@ piecewise-linear twist profile.
 """
 
 from fractions import Fraction
-from typing import List, NamedTuple, Tuple
+from typing import List, Tuple
 
 from .diagram import DiagramError, ResolvedDiagram
 from .indices import cz_integral
@@ -81,20 +81,11 @@ def is_bad(d: ResolvedDiagram, w: CyclicWord) -> bool:
     return k % 2 == 0 and cz_integral(d, w) // k % 2 == 1
 
 
-class EmbeddingSolution(NamedTuple):
-    """Exact fixed-point data of the affine model of an orbit.
-
-    ``hpoints`` are the points (P_k, Q_k), one per letter, as homogeneous
-    integer triples (x, y, z) standing for (x/z, y/z); each letter's step
-    multiplies z by ``scale``, the numerator p of epsilon = p/q.
-    """
-    hpoints: List[Tuple[int, int, int]]
-    scale: int
-
-
 def embed_orbit(d: ResolvedDiagram, w: CyclicWord,
-                epsilon: Fraction) -> EmbeddingSolution:
-    """Solve the orbit of w as the fixed point of its composed affine map.
+                epsilon: Fraction) -> List[Tuple[int, int, int]]:
+    """The orbit of w as the fixed point of its composed affine map: its
+    points (P_k, Q_k), one per letter, as homogeneous integer triples
+    (x, y, z) standing for (x/z, y/z).
 
     Letter k maps (P, Q) to s (-Q, P + h - (c/eps) Q), with s, c and h
     read off the word's letters: the unit-circumference model.  Every h
@@ -134,7 +125,7 @@ def embed_orbit(d: ResolvedDiagram, w: CyclicWord,
             raise ValueError(
                 f"orbit of {w} escapes the handle at epsilon {epsilon}: "
                 f"|P| = {Fraction(abs(x), abs(zz))}")
-    return EmbeddingSolution(hpoints, e_num)
+    return hpoints
 
 
 def orbit_action(d: ResolvedDiagram, w: CyclicWord,
@@ -150,14 +141,14 @@ def orbit_action(d: ResolvedDiagram, w: CyclicWord,
     the end.
     """
     e_num, e_den = epsilon.numerator, epsilon.denominator
-    emb = embed_orbit(d, w, epsilon)
-    p2 = emb.scale ** 2
+    hpoints = embed_orbit(d, w, epsilon)
+    p2 = e_num ** 2
     twist = 0          # sum of c_k, the coefficients of the -eps/8 terms
     quad = 0           # sum of c_k q x^2 - 2 p x y, scaled as above
-    for lt, (x, y, _z) in zip(w.letters[-1:] + w.letters[:-1], emb.hpoints):
+    for lt, (x, y, _z) in zip(w.letters[-1:] + w.letters[:-1], hpoints):
         twist += lt.c
         quad = quad * p2 + lt.c * e_den * x * x - 2 * e_num * x * y
-    z2 = emb.hpoints[-1][2] ** 2
+    z2 = hpoints[-1][2] ** 2
     num = 4 * e_den * quad - e_num * e_num * twist * z2
     den = 8 * e_den * e_num * z2
     total = w.action()      # the chord actions' Fraction sum

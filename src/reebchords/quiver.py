@@ -1,7 +1,8 @@
-"""The chord quiver, intersection gradings, and bubbling faces.
+"""Intersection gradings and bubbling faces.
 
-The quiver has one vertex per link component and one directed edge per
-chord; its cycles index closed-orbit words.
+The chord quiver (a vertex per link component, an edge per chord, whose
+cycles index closed-orbit words) is the diagram's chords themselves: the
+``quiver`` command lists it from ``ResolvedDiagram.chords``.
 The intersection grading assigns to each null-homologous orbit an integer
 per bounded face: the push-out's winding numbers (sums of per-letter rows
 at the one offset ``words.PUSH_OFF``, never retried) plus a meridian-disk
@@ -22,23 +23,6 @@ from .diagram import DiagramError, Face, ResolvedDiagram
 from .geometry import winding_number
 from .homology import H1Presentation, orbit_class_monomial
 from .words import CyclicWord, _grid, canonical_rotation, push_out
-
-
-class Quiver(object):
-    """Directed graph with a vertex per component and an edge per chord."""
-
-    def __init__(self, d: ResolvedDiagram):
-        if not d.chords:
-            raise DiagramError("empty diagram has no quiver")
-        self.vertices = list(range(d.front.n_components))
-        self.edges = [(c.id, c.tail_comp, c.tip_comp) for c in d.chords]
-
-    def loops_at(self, vertex: int) -> List[int]:
-        return [e for e, a, b in self.edges if a == b == vertex]
-
-    def collapsed_h1_rank(self) -> int:
-        """First Betti number of the one-vertex collapse: one per edge."""
-        return len(self.edges)
 
 
 def _cap_table(d: ResolvedDiagram, h1: H1Presentation

@@ -56,7 +56,7 @@ class GeneratorRecord(object):
     """One orbit word with its chain-level invariants."""
 
     __slots__ = ("word", "cz", "degree", "orbit_class", "hyperbolic",
-                 "threshold", "bad", "good", "igrading")
+                 "threshold", "good", "igrading")
 
     def __init__(self, d: ResolvedDiagram, h1: H1Presentation, w: CyclicWord):
         self.word = w
@@ -65,8 +65,7 @@ class GeneratorRecord(object):
         self.orbit_class = orbit_class_monomial(d, h1, w)
         self.hyperbolic, self.threshold = hyperbolic_type(
             self.cz % 2, return_map(d, w).trace())
-        self.bad = is_bad(d, w)
-        self.good = not self.bad
+        self.good = not is_bad(d, w)
         self.igrading: Optional[Tuple[int, ...]] = None
         if h1.finite and self.orbit_class.is_zero():
             self.igrading = i_grading(d, h1, w)

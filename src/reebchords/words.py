@@ -230,13 +230,7 @@ def enumerate_orbit_words(d: ResolvedDiagram,
     den = d.action_den
     successors = {a: [b for b in chords if d.composable(a, b)]
                   for a in chords}
-    # each composable pair, with its letter once a kept node uses it
-    pairs = {(a, b): None for a in chords for b in successors[a]}
-
-    def letter(a: int, b: int) -> Letter:
-        lt = pairs[a, b] = pairs[a, b] or d.letter(a, b)
-        return lt
-
+    pairs = {(a, b) for a in chords for b in successors[a]}
     out: List[CyclicWord] = []
     width = _width(min(top, MAX_WORD_LENGTH))
     level = [((c,), 1, actions[c], (), 1, (1, 0, 0, 1)) for c in chords
@@ -246,7 +240,7 @@ def enumerate_orbit_words(d: ResolvedDiagram,
         cap_n, longer = cap(n + 1), []
         for seq, p, act, lts, sign, rows in level:
             if n % p == 0 and (seq[-1], seq[0]) in pairs:
-                lt = letter(seq[-1], seq[0])
+                lt = d.letter(seq[-1], seq[0])
                 out.append(_orbit_word(seq, lts + (lt,), act, den, width,
                                        *_twist(sign, rows, lt, width)))
             least = seq[n - p]
@@ -258,7 +252,7 @@ def enumerate_orbit_words(d: ResolvedDiagram,
                 if n == MAX_WORD_LENGTH:
                     raise ValueError(f"orbit words past MAX_WORD_LENGTH = "
                                      f"{MAX_WORD_LENGTH} letters")
-                lt = letter(seq[-1], c)
+                lt = d.letter(seq[-1], c)
                 longer.append((seq + (c,), q, act + actions[c], lts + (lt,),
                                *_twist(sign, rows, lt, width)))
                 if len(out) + len(longer) > MAX_WORD_NODES:

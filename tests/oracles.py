@@ -200,10 +200,9 @@ def fraction_embedding(d, w, epsilon):
     return pts
 
 
-def embedding_points(emb):
-    """[(P_k, Q_k)] of a library ``EmbeddingSolution``, read off its
-    homogeneous integer points."""
-    return [(Fraction(x, z), Fraction(y, z)) for x, y, z in emb.hpoints]
+def embedding_points(hpoints):
+    """[(P_k, Q_k)] of ``embed_orbit``'s homogeneous integer points."""
+    return [(Fraction(x, z), Fraction(y, z)) for x, y, z in hpoints]
 
 
 def apply_all(steps, u):

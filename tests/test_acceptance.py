@@ -19,10 +19,11 @@ from reebchords.dynamics import embed_orbit, is_bad, orbit_action, return_map
 from reebchords.homology import (h1_presentation, orbit_class_monomial,
                                  smith_normal_form)
 from reebchords.indices import cz_integral
-from reebchords.quiver import Quiver, bubbling_faces
+from reebchords.quiver import bubbling_faces
 from reebchords.report import GeneratorRecord, differential_candidates, generators
 from reebchords.words import CyclicWord, enumerate_orbit_words
-from test_quiver import TABLE as IGRADING_TABLE, paper_face_order
+from test_quiver import (TABLE as IGRADING_TABLE, paper_face_order,
+                         quiver_json)
 
 F = Fraction
 EPS = F(1, 100)
@@ -184,10 +185,11 @@ def test_criterion_7(stab_plus):
 # -- 8: Hopf quiver ------------------------------------------------------------
 
 def test_criterion_8(hopf_plus):
-    q = Quiver(hopf_plus)
-    ok = len(q.vertices) == 2 and len(q.edges) == 4
-    ok &= len(q.loops_at(0)) == 1 and len(q.loops_at(1)) == 1
-    across = sorted((a, b) for _e, a, b in q.edges if a != b)
+    q = quiver_json(hopf_plus)
+    ok = len(q["vertices"]) == 2 and len(q["edges"]) == 4
+    ok &= len(q["loops"]["0"]) == 1 and len(q["loops"]["1"]) == 1
+    across = sorted((e["tail"], e["tip"]) for e in q["edges"]
+                    if e["tail"] != e["tip"])
     ok &= across == [(0, 1), (1, 0)]
     words = enumerate_orbit_words(hopf_plus, max_len=1)
     ok &= len(words) == 2

@@ -144,7 +144,7 @@ def realization_data(d):
     words = {}
     for w in enumerate_orbit_words(d, max_len=2):
         r = GeneratorRecord(d, h1, w)
-        words[w.chords] = (r.cz, r.orbit_class.reduced, r.bad, None
+        words[w.chords] = (r.cz, r.orbit_class.reduced, not r.good, None
                            if r.igrading is None else
                            sorted(zip(names, r.igrading)))
     return d.tb, d.rot, h1.diagonal, words

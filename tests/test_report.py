@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from oracles import (branch_and_bound, brute_force_candidates,
-                     candidate_pool, collection_i_grading, front_text,
-                     fraction_solve_lp, k_copy, pruned_search, reduce_class,
-                     search_program)
+                     candidate_pool, collection_i_grading,
+                     fibers_over_exponent, front_text, fraction_solve_lp,
+                     k_copy, pruned_search, reduce_class, search_program)
 from reebchords import lp, report
 from reebchords.diagram import parse_front, resolve
 from reebchords.homology import h1_presentation
@@ -1106,3 +1106,106 @@ def test_field_wise_tables_are_the_packed_columns_and_suffix_minima(data):
                        for j in range(n)]
     assert suffix_lo == [report._pack([min([0] + a[i:]) for a, _t in fields],
                                       width) for i in range(n + 1)]
+
+
+T25_MINUS = "L1,L3,X2,X2,X2,X2,X2,R1,R1 / surgery {0:-1}"
+
+
+def two_and_three_factor_products(pool, budget, epsilon, degree):
+    """Pool-index tuples of every product of 2 or 3 words of ``pool`` (a
+    multiset each, factors by ascending cost) of summed degree ``degree``
+    and cost under ``budget``: pairs by two loops that stop at the budget,
+    third factors from the words of the one degree that completes it."""
+    costs = [r.action - 3 * epsilon * len(r.word) for r in pool]
+    den = lcm(budget.denominator, *(c.denominator for c in costs))
+    order = sorted(range(len(pool)), key=costs.__getitem__)
+    cost = [int(costs[i] * den) for i in order]
+    top = int(budget * den)
+    deg = [pool[i].degree for i in order]
+    of_degree = {}
+    for a, v in enumerate(deg):
+        of_degree.setdefault(v, []).append(a)
+    for a in range(len(order)):
+        for b in range(a, len(order)):
+            if cost[a] + cost[b] >= top:
+                break
+            if deg[a] + deg[b] == degree:
+                yield order[a], order[b]
+            for c in of_degree.get(degree - deg[a] - deg[b], ()):
+                if c >= b and cost[a] + cost[b] + cost[c] < top:
+                    yield order[a], order[b], order[c]
+
+
+@pytest.mark.parametrize("text, max_len, complete_rows", [
+    (T25_MINUS, 3, 8), (HOPF_MINUS, 4, 3)])
+def test_no_passing_product_of_two_or_three_needs_a_positive_degree_factor(
+        text, max_len, complete_rows):
+    """A z-graded pool keeps only words of degree at most g's minus one,
+    0.  That drops no survivor when every letter raises the degree
+    (``_pool_length_cap`` is then not None); on these fronts one does not,
+    the pool holds words of degree -1, and a factor of degree >= 1 beside
+    one of degree -1 would still sum to 0.  Over the unfiltered pool of
+    each complete row, by brute force, no product of 2 or 3 words that
+    passes every filter (degree, class, odd squares, budget, i-grading)
+    has a factor of degree > 0, and the passing products are the row's
+    survivors of 2 and 3 factors."""
+    d = resolve(parse_front(text))
+    h1 = h1_presentation(d)
+    assert _pool_length_cap(d, 0) is None
+    gens = generators(d, h1, max_len, None, EPS)
+    reps = candidate_reports(gens, d, h1, EPS, max_len)
+    rows = [g for g in gens if g.good and g.degree == 1
+            and reps[g.word.chords].truncated is None]
+    assert len(rows) == complete_rows
+    passing, degrees = 0, set()
+    for g in rows:
+        assert reps[g.word.chords].z_graded
+        pool = candidate_pool(d, h1, g, EPS, False, max_len)
+        degrees.update(r.degree for r in pool)
+        budget = g.action + 3 * EPS * len(g.word)
+        fibers = [[int(v * h1.exponent)
+                   for v in fibers_over_exponent(d, h1, r.word)]
+                  for r in pool] if g.igrading is not None else None
+        found = set()
+        for product in two_and_three_factor_products(pool, budget, EPS,
+                                                     g.degree - 1):
+            factors = [pool[j] for j in product]
+            odd = [r.word.chords for r in factors if r.degree % 2]
+            if len(odd) != len(set(odd)):
+                continue
+            if fibers is not None and any(
+                    s > t * h1.exponent for s, t in zip(
+                        map(sum, zip(*(fibers[j] for j in product))),
+                        g.igrading)):
+                continue
+            vector = list(map(sum, zip(*(r.orbit_class.vector
+                                         for r in factors))))
+            if reduce_class(h1, vector) != tuple(g.orbit_class.reduced):
+                continue
+            assert all(r.degree <= 0 for r in factors), (g.word, product)
+            found.add(tuple(sorted(r.word.chords for r in factors)))
+        assert found == {tuple(sorted(w.chords for w in c.factors))
+                         for c in reps[g.word.chords].survivors
+                         if len(c.factors) in (2, 3)}, g.word
+        passing += len(found)
+    assert min(degrees) < 0 < max(degrees) and passing > 0
+
+
+def test_the_readme_library_example_runs_as_its_comments_say(capsys):
+    """README's "Library" block, run as written: H1 = Z/2, 20 orbit words
+    at max_len=2, the constant term with its one witness face as (r4)'s
+    only survivor, and a complete search (of 56 products when written)."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1]
+    scope = {}
+    exec(block.split("```", 1)[0], scope)
+    rep = scope["rep"]
+    assert scope["h1"].group_description() == "Z/2"
+    assert len(scope["table"]) == 20
+    [only] = rep.survivors
+    assert only.is_constant() and len(only.faces) == 1
+    assert "bubbling face witness" in only.label
+    assert rep.truncated is None and rep.nodes > 0
+    assert capsys.readouterr().out.splitlines() == [
+        repr(rep.survivors), f"None {rep.nodes}"]

@@ -77,7 +77,16 @@ The commands:
   link with +1 surgery: two commands.  Every other ``chain`` command runs
   at epsilon = 1/100, where each orbit step's factor p, the numerator of
   epsilon = p/q, is 1; here it is 3, so the orbit embeddings and actions
-  are pinned at a p other than 1.
+  are pinned at a p other than 1;
+* ``parse``, ``quiver`` and ``orbits --max-len 2`` under ``--format tsv``
+  and ``--format md`` on the seven diagrams of ``tests/conftest.py`` (the
+  trefoil and the unknot with +1 and with -1 surgery, the stabilized
+  unknot with +1 surgery and orientation -, the Hopf link with +1 on both
+  components and with 0 and +1), ``quiver`` on the 2-copy, and ``chords
+  --max-len 3`` in both formats on the Hopf link with 0 and +1, its one
+  diagram with a zero-coefficient sublink: 31 commands.  No other command
+  reads ``quiver`` output or the tsv and md rows, and the corpora hold no
+  ``parse`` command.
 
 Each command runs as ``reebchords.cli.main(argv + ["--input", "-"])`` with
 the front on standard input.  A command that takes more than
@@ -128,6 +137,14 @@ TREFOIL_5_COPY = ("L1,L1,L1,L1,L1,X2,X4,X3,X6,X5,X4,X8,X7,X6,X5,L11,L11,L11,"
                   "R1,R1,R1,R1 "
                   "/ surgery {0:+1, 1:+1, 2:+1, 3:+1, 4:+1}")
 T29 = "L1,L3," + "X2," * 9 + "R1,R1 / surgery {0:-1}"
+# the seven diagrams of tests/conftest.py
+FIXTURES = (("trefoil +1", TREFOIL.format("+1")),
+            ("trefoil -1", TREFOIL.format("-1")),
+            ("unknot +1", UNKNOT.format("+1")),
+            ("unknot -1", UNKNOT.format("-1")),
+            ("stab unknot -", STABILIZED_UNKNOT.format("-")),
+            ("hopf ++", HOPF_PLUS_PLUS),
+            ("hopf 0+", "L1,L3,X2,X2,R1,R1 / surgery {0:0, 1:+1}"))
 SPLIT_TREFOILS = ("L1,L3,X2,X2,X2,R1,R1,L1,L3,X2,X2,X2,R1,R1 "
                   "/ surgery {0:+1, 1:+1}")
 SPLIT_TREFOIL_T25 = ("L1,L3,X2,X2,X2,R1,R1,L1,L3,X2,X2,X2,X2,X2,R1,R1 "
@@ -201,6 +218,17 @@ def commands():
                         ("hopf ++", HOPF_PLUS_PLUS)):
         out.append((f"{name} chain len3 eps 3/700",
                     ["chain", "--max-len", "3", "--epsilon", "3/700"], front))
+    for name, front in FIXTURES:
+        out += [(f"{name} parse", ["parse"], front),
+                (f"{name} quiver", ["quiver"], front)]
+        for fmt in ("tsv", "md"):
+            out.append((f"{name} orbits {fmt}",
+                        ["orbits", "--max-len", "2", "--format", fmt], front))
+    out.append(("2-copy quiver", ["quiver"], TREFOIL_2_COPY))
+    for fmt in ("tsv", "md"):
+        out.append((f"hopf 0+ chords {fmt}",
+                    ["chords", "--max-len", "3", "--format", fmt],
+                    FIXTURES[-1][1]))
     return out
 
 
