@@ -3,8 +3,9 @@
 A front is an event sequence (left cusps, right cusps, crossings at 1-based
 strand positions counted from the top).  ``resolve`` realizes it as oriented
 closed polylines on the rational grid with every segment at a multiple of 45
-degrees, one double point per crossing and per right cusp, and the height
-function z recovered exactly as the line integral of y dx.  All downstream
+degrees and one double point per crossing and per right cusp.  Each chord's
+action, the jump of the height z = integral of y dx between its strands,
+is read off the sizing LP's row for it at the LP's vertex.  All downstream
 data (crossing signs, actions, faces, areas, capping arcs) is exact.
 
 Template conventions:
@@ -23,16 +24,16 @@ one inside its event, on two diagonals whose segments hold at every size.
 The sizing LP's rows are read off it by difference arrays over the sizes
 (each row doubled, so in ints) and the diagram is that layout at the
 LP's solution, in ints over one integer, the least common denominator of
-those sizes.
+those sizes; the chord actions are the margin plus the slacks of the
+LP's z-gap rows there.
 ``ResolvedDiagram`` computes on those ints the octants, the chord points
-from the crossing pairs, heights, lengths, passage arcs, face rings and
-basepoint tests; its printed fields are ``Fraction``s.  Every double
-point crosses two diagonals, so the faces are the cycles of passage arcs
-that turn left at every chord; corner signs and quadrants are read off
-the passage records, rotation numbers off the front's Maslov potential,
-face areas off the chord actions (Stokes).  A face's basepoint is one
-unit into its first corner's wedge; one within 1/2 of a segment is a
-fault.
+from the crossing pairs, lengths, passage arcs, face rings and basepoint
+tests; its printed fields are ``Fraction``s.  Every double point crosses
+two diagonals, so the faces are the cycles of passage arcs that turn left
+at every chord; corner signs and quadrants are read off the passage
+records, rotation numbers off the front's Maslov potential, face areas
+off the chord actions (Stokes).  A face's basepoint is one unit into its
+first corner's wedge; one within 1/2 of a segment is a fault.
 """
 
 import json
@@ -491,17 +492,6 @@ def _view(points, unit):
     return [(Fraction(x, unit), Fraction(y, unit)) for x, y in points]
 
 
-def _double_heights(cycle):
-    """Twice the height z = integral of y dx at each vertex of a closed
-    polyline from 0 at vertex 0, then once more after the closing segment:
-    integers on integer coordinates."""
-    zs = [0]
-    for i, a in enumerate(cycle):
-        b = cycle[(i + 1) % len(cycle)]
-        zs.append(zs[-1] + (a[1] + b[1]) * (b[0] - a[0]))
-    return zs
-
-
 def _octants(poly):
     """Travel octant of each segment of a closed polyline."""
     return [direction_octant(a, b) for a, b in zip(poly, poly[1:] + poly[:1])]
@@ -598,7 +588,8 @@ class ResolvedDiagram(object):
     ints over one denominator each, which later layers read as they are:
     ``lengths``, the components' Chebyshev lengths, over ``scale``; each
     letter's h over ``arc_den``, the lcm of twice those lengths; and
-    ``actions``, the chord actions, over ``action_den``, for the face
+    ``actions``, the chord actions in chord order, over ``action_den``,
+    which ``resolve`` reads off the sizing LP (``_actions``), for the face
     areas, the word enumerator and the candidate pool.  The printed fields
     (chord actions and locations, areas, basepoints) are ``Fraction``s.
     ``components``, the vertices as ``Fraction``s, is a view of ``_ints``
@@ -611,13 +602,11 @@ class ResolvedDiagram(object):
     segments do not meet there is a DiagramError."""
 
     def __init__(self, front: FrontCode, ints: List[List[Tuple[int, int]]],
-                 scale: int, crossings, z_shifts: List[Fraction]):
+                 scale: int, crossings, actions: List[int], action_den: int):
         self.front, self._ints, self._scale = front, ints, scale
         self.surgery = dict(front.surgery)
         self._crossings = crossings
-        # the height function of each component is defined up to a constant;
-        # these are the constants the template solver chose
-        self.z_shifts = z_shifts
+        self.actions, self.action_den = actions, action_den
         # tables that later layers derive from this diagram, built on first
         # use; keys are tuples led by the table's name
         self.memo: Dict[tuple, object] = {}
@@ -630,46 +619,28 @@ class ResolvedDiagram(object):
     # -- construction ------------------------------------------------------
 
     def _analyze(self):
-        self._find_chords(*self._measure())
+        self._find_chords()
         self._classical()
         self._build_faces()
         self._pick_basepoints()
 
-    def _measure(self):
-        # per vertex, twice the height times _scale^2 and the Chebyshev
-        # length times _scale, in integers; the chord data read them
-        unit = 2 * self._scale ** 2
-        self.octants = list(map(_octants, self._ints))
-        heights, lengths = [], []
-        for i, ints in enumerate(self._ints):
-            zs = _double_heights(ints)
-            if zs[-1]:
-                raise DiagramError(f"component {i} closure defect: integral "
-                                   f"y dx = {Fraction(zs[-1], unit)}")
-            cl = [0]
-            for (ax, ay), (bx, by) in zip(ints, ints[1:] + ints[:1]):
-                cl.append(cl[-1] + max(abs(bx - ax), abs(by - ay)))
-            heights.append(zs)
-            lengths.append(cl)
-        self.lengths = [cl[-1] for cl in lengths]
-        self.arc_den = lcm(*(2 * t for t in self.lengths))
-        return heights, lengths
-
-    def _find_chords(self, heights, lengths):
-        # the chord point is where the line x + y = s of the over branch
+    def _find_chords(self):
+        # the Chebyshev length from vertex 0 at each vertex, over _scale.
+        # The chord point is where the line x + y = s of the over branch
         # meets the line y - x = t of the under branch, both through a
         # segment start: (s - t, s + t) / 2, on the half grid.  Chord ends
-        # and passage parameters are integers over h = 2 * _scale, heights
-        # over 2 h^2, and the actions ints over den, 2 h^2 times the height
-        # shifts' denominator
+        # and passage parameters are integers over h = 2 * _scale
+        self.octants = list(map(_octants, self._ints))
+        lengths = [[0, *accumulate(max(abs(bx - ax), abs(by - ay))
+                                   for (ax, ay), (bx, by)
+                                   in zip(ints, ints[1:] + ints[:1]))]
+                   for ints in self._ints]
+        self.lengths = [cl[-1] for cl in lengths]
+        self.arc_den = lcm(*(2 * t for t in self.lengths))
         h = 2 * self._scale
-        hh = 2 * h * h
-        shifts, sden = _integers(self.z_shifts)
-        den = hh * sden
-        acts = []
         self.chords = []
         self.passages = [[] for _ in self._ints]
-        for over, under in self._crossings:
+        for (over, under), act in zip(self._crossings, self.actions):
             (ox, oy), (ux, uy) = (self._ints[ci][si] for ci, si in
                                   (over, under))
             q = qx, qy = ox + oy - uy + ux, ox + oy + uy - ux
@@ -684,31 +655,22 @@ class ResolvedDiagram(object):
                     raise DiagramError(f"chord point {_view([q], h)[0]} is "
                                        f"not inside segment {si} of "
                                        f"component {ci}")
-                ends.append((4 * heights[ci][si] + (ay + qy) * (qx - ax),
-                             2 * lengths[ci][si] +
-                             max(abs(qx - ax), abs(qy - ay))))
-            (z_hi, t_hi), (z_lo, t_lo) = ends
-            act = (z_hi - z_lo) * sden + \
-                hh * (shifts[over[0]] - shifts[under[0]])
-            if act <= 0:
-                raise DiagramError(
-                    f"over/under assignment inconsistent with z at "
-                    f"{_view([q], h)[0]} (action {Fraction(act, den)})")
+                ends.append(2 * lengths[ci][si] +
+                            max(abs(qx - ax), abs(qy - ay)))
+            t_hi, t_lo = ends
             over_dir = self.octants[over[0]][over[1]]
             under_dir = self.octants[under[0]][under[1]]
             sign = 1 if cross(OCTANT_VECTORS[over_dir],
                               OCTANT_VECTORS[under_dir]) > 0 else -1
             cid = len(self.chords) + 1
-            acts.append(act)
             self.chords.append(ChordRecord(
                 cid, q, sign, tail_comp=under[0], tip_comp=over[0],
-                action=Fraction(act, den),
+                action=Fraction(act, self.action_den),
                 tail_loc=(under[1], Fraction(t_lo, h)),
                 tip_loc=(over[1], Fraction(t_hi, h))))
             for role, (ci, si), t in (("tail", under, t_lo),
                                       ("tip", over, t_hi)):
                 self.passages[ci].append((t, cid, role, q, si))
-        self.actions, self.action_den = acts, den
 
     def _classical(self):
         n = len(self._ints)
@@ -993,6 +955,26 @@ def _sizing_rows(cycles, order, crossings, action_margin):
     return n_geom + n_shift, eq, ge
 
 
+def _actions(eq, ge, theta, action_margin):
+    """(actions, den): each crossing's action, its z-gap, as an int over den,
+    read off its ge row at the LP's solution theta.  A ge row a.x >= b of
+    ``_sizing_rows`` is 2 * margin.denominator times gap >= margin, so the
+    gap is margin + (a.theta - b) / (2 * margin.denominator).  Every row is
+    evaluated in ints over theta's common denominator D, at theta's nonzero
+    entries, and den is 2 * margin.denominator * D.  A theta that misses an
+    eq row or leaves a ge row a negative slack is a solver fault, a
+    DiagramError."""
+    nums, d = _integers(theta)
+    nonzero = [(j, v) for j, v in enumerate(nums) if v]
+    closures, slacks = ([sum(a[j] * v for j, v in nonzero) - b * d
+                         for a, b in rows] for rows in (eq, ge))
+    if any(closures) or min(slacks) < 0:
+        raise DiagramError("the sizing LP's solution breaks a closure or "
+                           "z-gap row")
+    return ([s + 2 * action_margin.numerator * d for s in slacks],
+            2 * action_margin.denominator * d)
+
+
 def resolve(front: FrontCode, action_margin: Fraction = Fraction(32)
             ) -> ResolvedDiagram:
     """Realize a front as an exact Lagrangian-projection polyline diagram.
@@ -1004,8 +986,10 @@ def resolve(front: FrontCode, action_margin: Fraction = Fraction(32)
     its high and low strands.  The LP rows are read off the template, laid
     out once in integers, and the diagram is that layout at the LP's
     solution, in ints over the least common denominator of its sizes,
-    which the ``ResolvedDiagram`` keeps as its integer scale.  A ValueError
-    of a geometry helper on the way is an internal fault, a DiagramError.
+    which the ``ResolvedDiagram`` keeps as its integer scale.  The chord
+    actions are the z-gap rows' values there (``_actions``), after a check
+    that the solution meets every row.  A ValueError of a geometry helper
+    on the way is an internal fault, a DiagramError.
     """
     try:
         cycles, order, crossings = _template(front)
@@ -1014,10 +998,9 @@ def resolve(front: FrontCode, action_margin: Fraction = Fraction(32)
         if theta is None:
             raise DiagramError(
                 "no template sizing realizes this front in good position")
-        shifts = [Fraction(0)] + [theta[k] - theta[k + 1]
-                                  for k in range(len(order), n_var, 2)]
         return ResolvedDiagram(front, *_evaluate(cycles, order, theta),
-                               [(o, u) for _, o, u in crossings], shifts)
+                               [(o, u) for _, o, u in crossings],
+                               *_actions(eq, ge, theta, action_margin))
     except FrontError:
         raise
     except ValueError as exc:

@@ -345,27 +345,21 @@ def _step(d: ResolvedDiagram, comp: int, k: int):
     return steps[comp, k]
 
 
-def _arc(d: ResolvedDiagram, j1: int, j2: int):
-    """(start, end, crossings) of the push-out along the capping arc of
-    r_j1 r_j2, ends on the grid: the steps along the letter's passage arcs,
-    from r_j1's tip passage to r_j2's tail passage.  Chord points lie
-    inside segments, so the whole arc's offset passes through each shifted
-    passage point, and its crossings are the steps' sums."""
-    comp = d.chord(j1).tip_comp
-    steps = [_step(d, comp, k) for k in d.letter(j1, j2).arcs]
-    return steps[0][0], steps[-1][1], \
-        tuple(map(sum, zip(*(s[2] for s in steps))))
-
-
 def _letter_crossings(d: ResolvedDiagram, j1: int, j2: int
                       ) -> Tuple[int, ...]:
     """The crossings of letter r_j1 r_j2's share of a push-out, memoized
-    per pair: its capping arc, then the jump across r_j2, memoized per
-    chord, from the end of the step into r_j2's tail passage (arc k - 1 of
-    its component) to the start of the step out of its tip passage."""
+    per pair: its capping arc, the steps along the letter's passage arcs
+    from r_j1's tip passage to r_j2's tail passage, then the jump across
+    r_j2, memoized per chord, from the end of the step into r_j2's tail
+    passage (arc k - 1 of its component) to the start of the step out of
+    its tip passage.  Chord points lie inside segments, so the whole arc's
+    offset passes through each shifted passage point, and its crossings
+    are the steps' sums."""
     rows = d.memo.setdefault(("crossings",), {})
     if (j1, j2) not in rows:
-        arc = _arc(d, j1, j2)[2]
+        comp = d.chord(j1).tip_comp
+        arc = map(sum, zip(*(_step(d, comp, k)[2]
+                             for k in d.letter(j1, j2).arcs)))
         jumps = d.memo.setdefault(("jumps",), {})
         if j2 not in jumps:
             comp, k = d._passage_of[j2, "tail"]

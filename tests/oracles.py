@@ -835,16 +835,31 @@ def fd_sizing_rows(front, action_margin):
 
 # -- the realization in Fractions --------------------------------------------
 
-def fraction_components(front, action_margin=Fraction(32)):
-    """The components of a front's template at its sizing LP's solution,
-    evaluated and merged in Fractions by ``template_at``."""
+def sizing_solution(front, action_margin=Fraction(32)):
+    """The sizing LP's solution theta for a front: the sizes in ``order``'s
+    indices, then s+ and s- per component after the first."""
     from reebchords.diagram import _sizing_rows, _template
     from reebchords.lp import solve_lp
 
     n, eq, ge = _sizing_rows(*_template(front), action_margin)
-    theta = solve_lp(n, eq, ge, [Fraction(1)] * n)
+    return solve_lp(n, eq, ge, [Fraction(1)] * n)
+
+
+def fraction_components(front, action_margin=Fraction(32)):
+    """The components of a front's template at its sizing LP's solution,
+    evaluated and merged in Fractions by ``template_at``."""
+    theta = sizing_solution(front, action_margin)
     return [[(Fraction(x), Fraction(y)) for x, y in cyc]
             for cyc in template_at(front, theta)[0]]
+
+
+def height_shifts(front, action_margin=Fraction(32)):
+    """Each component's height constant at the sizing LP's solution: 0 on
+    component 0 and s+ - s- on each other, the LP's last columns."""
+    theta = sizing_solution(front, action_margin)
+    return [Fraction(0)] + [theta[k] - theta[k + 1] for k in
+                            range(len(theta) - 2 * (front.n_components - 1),
+                                  len(theta), 2)]
 
 
 def component_lengths(d):
@@ -912,12 +927,14 @@ def point_segment_distance_sq(p, s):
     return qx * qx + qy * qy
 
 
-def fraction_measures(d):
+def fraction_measures(d, action_margin=Fraction(32)):
     """(lengths, chords) of a resolved diagram, measured in Fractions on its
     components: each component's Chebyshev length, and per double point of
     the all-pairs scan, in x order, (point, action, tail_loc, tip_loc) with
     the slope -1 branch high, from heights by the trapezoid rule from 0 at
-    vertex 0 and cumulative Chebyshev lengths."""
+    vertex 0 plus the component's constant (``height_shifts`` at the
+    diagram's ``action_margin``) and cumulative Chebyshev lengths."""
+    shifts = height_shifts(d.front, action_margin)
     z_at, cheb = [], []
     segments = cycle_segments(d.components)
     for segs in segments:
@@ -931,7 +948,7 @@ def fraction_measures(d):
 
     def height_and_param(ci, si, p):
         s = segments[ci][si]
-        z = d.z_shifts[ci] + z_at[ci][si] + \
+        z = shifts[ci] + z_at[ci][si] + \
             (s.a[1] + p[1]) * (p[0] - s.a[0]) / 2
         step = max(abs(s.b[0] - s.a[0]), abs(s.b[1] - s.a[1]))
         return z, cheb[ci][si] + s.param_of(p) * step

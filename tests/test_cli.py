@@ -529,6 +529,32 @@ def test_exit_code_3_on_an_infeasible_sizing_lp(tmp_path, capsys,
     assert "no template sizing" in err
 
 
+@pytest.mark.parametrize("front, column, by", [
+    ("L1,L3,X2,X2,X2,R1,R1", 0, 1),
+    ("L1,L3,X2,X2,R1,R1", -1, 10 ** 6)], ids=["closure", "z-gap"])
+def test_exit_code_3_when_the_sizing_solution_breaks_a_row(
+        tmp_path, capsys, monkeypatch, front, column, by):
+    # the trefoil's first loop stretch raised by 1 leaves its closure
+    # integral nonzero; the Hopf link's last shift column (s- of component
+    # 1) raised by 10^6 sinks that component below the other one
+    from reebchords import diagram
+
+    original = diagram.solve_lp
+
+    def broken(*args, **kwargs):
+        theta = original(*args, **kwargs)
+        theta[column] += by
+        return theta
+
+    monkeypatch.setattr(diagram, "solve_lp", broken)
+    with pytest.raises(DiagramError, match="breaks a closure or z-gap row"):
+        diagram.resolve(parse_front(front))
+    code, out, err = run(capsys, ["invariants", "--input",
+                                  write(tmp_path, front)])
+    assert code == 3 and out == ""
+    assert "breaks a closure or z-gap row" in err
+
+
 def test_exit_code_3_on_a_class_vector_of_the_wrong_length(
         tmp_path, capsys, monkeypatch):
     from reebchords import cli
@@ -917,6 +943,27 @@ def test_cli_diff_reports_a_changed_label(tmp_path, capsys, cli_diff):
     assert [line for line in out.splitlines() if line.startswith("== ")] == \
         ["== trefoil chain: chain --max-len 1 --epsilon 1/100"]
     assert "2 commands, 1 with differences" in out
+
+
+def test_cli_diff_names_each_module_whose_line_count_differs(
+        tmp_path, capsys, cli_diff):
+    """Identical trees print the two summary lines and no module; with one
+    line added to words.py, that module follows them with both counts."""
+    base, change = src_tree(tmp_path, "base"), src_tree(tmp_path, "change")
+    total = sum(cli_diff.src_lines(str(base)).values())
+    assert cli_diff.main([str(base), str(change)]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "2 commands, 0 with differences",
+        f"src lines: base {total}, change {total}"]
+    words_py = change / "src" / "reebchords" / "words.py"
+    text = words_py.read_text()
+    words_py.write_text(text + "# one more line\n")
+    n = text.count("\n")
+    assert cli_diff.main([str(base), str(change)]) == 0
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "2 commands, 0 with differences",
+        f"src lines: base {total}, change {total + 1}",
+        f"  words.py: base {n}, change {n + 1}"]
 
 
 def test_cli_diff_exits_2_when_a_worker_fails(tmp_path, capsys, cli_diff):

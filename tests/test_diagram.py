@@ -5,8 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (Segment, all_pairs_double_points, capping_walk,
                      chord_point, cycle_segments, event_slabs, face_boundary,
-                     front_writhe_and_cusp_counts, point_segment_distance_sq,
-                     template_at, trace_front)
+                     front_writhe_and_cusp_counts, height_shifts,
+                     point_segment_distance_sq, template_at, trace_front)
 from reebchords.diagram import (DiagramError, FrontCode, FrontError,
                                ResolvedDiagram, _integer_boxes, _template,
                                parse_front, resolve)
@@ -112,6 +112,7 @@ def test_good_position_tangents(any_diagram):
 
 def test_actions_from_independent_height_integration(any_diagram):
     d = any_diagram
+    shifts = height_shifts(d.front)
     for c in d.chords:
         # integrate y dx to the two branch passages independently
         def height(comp, seg_idx, point):
@@ -122,7 +123,7 @@ def test_actions_from_independent_height_integration(any_diagram):
                 total += (a[1] + b[1]) * (b[0] - a[0]) / 2
             a = cyc[seg_idx]
             total += (a[1] + point[1]) * (point[0] - a[0]) / 2
-            return total + d.z_shifts[comp]
+            return total + shifts[comp]
 
         hi = height(c.tip_comp, self_seg(d, c, "tip"), chord_point(d, c))
         lo = height(c.tail_comp, self_seg(d, c, "tail"), chord_point(d, c))
@@ -337,7 +338,8 @@ def test_a_crossing_pair_whose_segments_do_not_meet_is_a_fault(
         pairs[0], pairs[1] = ((pairs[0][0], pairs[1][1]),
                               (pairs[1][0], pairs[0][1]))
     with pytest.raises(DiagramError, match="is not inside segment"):
-        ResolvedDiagram(d.front, d._ints, d._scale, pairs, d.z_shifts)
+        ResolvedDiagram(d.front, d._ints, d._scale, pairs, d.actions,
+                        d.action_den)
 
 
 # -- the basepoint test's integer distance check ------------------------------

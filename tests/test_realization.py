@@ -488,7 +488,7 @@ def test_random_front_faces_match_the_point_tracer(seed):
     check_faces(resolve(surgered_front(random.Random(seed))))
 
 
-def check_integer_route(d):
+def check_integer_route(d, action_margin=F(32)):
     """The fields that the integer route fills are Fractions and equal the
     Fraction route's: the template evaluated form by form, the components'
     Chebyshev lengths (ints over the scale, read through their view),
@@ -496,15 +496,16 @@ def check_integer_route(d):
     locations, the passage arcs assembled from those points, each face's
     shoelace area, the faces in order of their least boundary x and then
     y, and the basepoints of the search over every segment.  The faces'
-    boundaries are the point tracer's (``check_faces``)."""
+    boundaries are the point tracer's (``check_faces``).  The Fraction
+    route solves the sizing LP at d's ``action_margin`` itself."""
     fields = [v for cyc in d.components for p in cyc for v in p]
     fields += component_lengths(d)
     fields += [v for c in d.chords for v in
                chord_point(d, c) + (c.action, c.tail_loc[1], c.tip_loc[1])]
     fields += [v for f in d.faces_list for v in (f.area,) + f.basepoint]
     assert {type(v) for v in fields} == {Fraction}
-    assert d.components == fraction_components(d.front)
-    lengths, chords = fraction_measures(d)
+    assert d.components == fraction_components(d.front, action_margin)
+    lengths, chords = fraction_measures(d, action_margin)
     assert all(type(t) is int for t in d.lengths)
     assert component_lengths(d) == lengths
     assert [(chord_point(d, c), c.action, c.tail_loc, c.tip_loc)
@@ -518,13 +519,22 @@ def check_integer_route(d):
     check_basepoints(d)
 
 
+# the chord actions are the margin plus the sizing rows' slacks over twice
+# the margin's denominator: margins with denominators 1 and 2 pin both terms
+MARGINS = [F(32), F(7), F(101), F(65, 2)]
+
+
+@pytest.mark.parametrize("margin", MARGINS, ids=str)
 @pytest.mark.parametrize("name", FIXTURES)
-def test_fixture_integer_route_matches_the_fraction_route(name, request):
-    check_integer_route(request.getfixturevalue(name))
+def test_fixture_integer_route_matches_the_fraction_route(name, margin,
+                                                          request):
+    front = request.getfixturevalue(name).front
+    check_integer_route(resolve(front, margin), margin)
 
 
+@pytest.mark.parametrize("margin", MARGINS, ids=str)
 def test_benchmark_fronts_and_copies_integer_route_matches_the_fraction_route(
-        monkeypatch):
+        monkeypatch, margin):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     from fronts import random_fronts
 
@@ -532,18 +542,21 @@ def test_benchmark_fronts_and_copies_integer_route_matches_the_fraction_route(
     for front in [parse_front(text) for text in
                   random_fronts(random.Random(7), 30, 6, 14, 3)] + \
             [k_copy(trefoil, 2), k_copy(trefoil, 3)]:
-        check_integer_route(resolve(front))
+        check_integer_route(resolve(front, margin), margin)
 
 
-def test_seeded_front_integer_route_matches_the_fraction_route():
+@pytest.mark.parametrize("margin", MARGINS, ids=str)
+def test_seeded_front_integer_route_matches_the_fraction_route(margin):
     for front in seeded_fronts():
-        check_integer_route(resolve(front))
+        check_integer_route(resolve(front, margin), margin)
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
-def test_random_front_integer_route_matches_the_fraction_route(seed):
-    check_integer_route(resolve(surgered_front(random.Random(seed))))
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from(MARGINS))
+def test_random_front_integer_route_matches_the_fraction_route(seed, margin):
+    check_integer_route(resolve(surgered_front(random.Random(seed)), margin),
+                        margin)
 
 
 @pytest.mark.parametrize("shift", [0, 1])

@@ -428,6 +428,17 @@ def surgered_pair(d, a, b):
                for c in (a, b))
 
 
+def arc_piece(d, j1, j2):
+    """(start, end, crossings) of the library's push-out steps along the
+    capping arc of r_j1 r_j2 (``words._step`` per passage arc of the
+    letter): the first step's start, the last step's end and the steps'
+    summed crossings, the arc's share of ``words._letter_crossings``."""
+    comp = d.chord(j1).tip_comp
+    steps = [words._step(d, comp, k) for k in d.letter(j1, j2).arcs]
+    return steps[0][0], steps[-1][1], \
+        tuple(map(sum, zip(*(s[2] for s in steps))))
+
+
 def check_arcs_against_whole_arcs(d):
     """Every capping arc's piece of a pair of surgered chords equals the
     whole arc offset by PUSH_OFF and wound in one pass, its ends times the
@@ -441,7 +452,7 @@ def check_arcs_against_whole_arcs(d):
                 continue
             if not surgered_pair(d, a, b):
                 with pytest.raises(DiagramError, match="unsurgered"):
-                    words._arc(d, a.id, b.id)
+                    words._letter_crossings(d, a.id, b.id)
                 if d.surgery[a.tip_comp] == 0:
                     with pytest.raises(ValueError):
                         whole_arc_piece(d, a.id, b.id, "eta", PUSH_OFF)
@@ -450,10 +461,10 @@ def check_arcs_against_whole_arcs(d):
             if whole[2] is None:
                 with pytest.raises(DiagramError,
                                    match="meets a face basepoint"):
-                    words._arc(d, a.id, b.id)
+                    arc_piece(d, a.id, b.id)
                 pieces[a.id, b.id] = None
                 continue
-            pieces[a.id, b.id] = words._arc(d, a.id, b.id)
+            pieces[a.id, b.id] = arc_piece(d, a.id, b.id)
             assert pieces[a.id, b.id] == (
                 *on_grid(whole[:2], words._grid(d)[0]), whole[2])
     return pieces
@@ -559,7 +570,7 @@ def test_arc_on_an_unsurgered_component_is_a_fault():
     assert pairs
     for j1, j2 in pairs:
         with pytest.raises(DiagramError):
-            words._arc(d, j1, j2)
+            words._letter_crossings(d, j1, j2)
 
 
 @pytest.mark.parametrize("where", ["join", "inside"])

@@ -9,7 +9,9 @@ command the standard output, the standard error and the exit code under
 the two trees are compared.  Each difference is printed, and the exit code
 is 1 if there is any, else 0; it is 2 when a worker fails.  The summary
 also gives the line count of ``src/reebchords/*.py`` in each tree, as
-``wc -l`` totals it.  The tool compares outputs only; it times nothing.
+``wc -l`` totals it, then one line per module whose count differs, with
+both counts (0 where the tree has no such module).  The tool compares
+outputs only; it times nothing.
 
 The commands:
 
@@ -307,14 +309,14 @@ def differences(cmds, res_a, res_b):
 
 
 def src_lines(src):
-    """Total line count of the tree's ``src/reebchords/*.py``."""
+    """{file name: line count} of the tree's ``src/reebchords/*.py``."""
     pkg = os.path.join(src, "src", "reebchords")
-    total = 0
-    for name in sorted(os.listdir(pkg)):
+    counts = {}
+    for name in os.listdir(pkg):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name), "rb") as fh:
-                total += fh.read().count(b"\n")
-    return total
+                counts[name] = fh.read().count(b"\n")
+    return counts
 
 
 def main(argv):
@@ -331,7 +333,13 @@ def main(argv):
         print(line)
     n_diff = sum(1 for line in lines if line.startswith("== "))
     print(f"{len(cmds)} commands, {n_diff} with differences")
-    print("src lines: base {}, change {}".format(*map(src_lines, argv)))
+    base, change = map(src_lines, argv)
+    print(f"src lines: base {sum(base.values())}, "
+          f"change {sum(change.values())}")
+    for name in sorted(base.keys() | change.keys()):
+        if base.get(name) != change.get(name):
+            print(f"  {name}: base {base.get(name, 0)}, "
+                  f"change {change.get(name, 0)}")
     return 1 if n_diff else 0
 
 
