@@ -20,7 +20,7 @@ from .homology import h1_presentation, orbit_class_monomial
 from .indices import c1_class, cz_integral
 from .quiver import i_grading
 from .report import candidate_reports, generators
-from .words import enumerate_chord_words, enumerate_orbit_words
+from .words import enumerate_chord_words, enumerate_orbit_words, word_name
 
 
 def parse_frac(text: str) -> Fraction:
@@ -98,10 +98,6 @@ def emit(data, fmt: str):
         for row in flat:
             print("| " + " | ".join(str(row.get(h, "")) for h in headers)
                   + " |")
-
-
-def word_name(chords) -> str:
-    return "(" + "".join(f"r{c}" for c in chords) + ")"
 
 
 def load_diagram(args):

@@ -23,17 +23,17 @@ The layout is the one place that double points come from: it places each
 one inside its event, on two diagonals whose segments hold at every size.
 The sizing LP's rows are read off it by difference arrays over the sizes
 (each row doubled, so in ints) and the diagram is that layout at the
-LP's solution, in ints over one integer, the least common denominator of
-those sizes; the chord actions are the margin plus the slacks of the
-LP's z-gap rows there.
-``ResolvedDiagram`` computes on those ints the octants, the chord points
-from the crossing pairs, lengths, passage arcs, face rings and basepoint
-tests; its printed fields are ``Fraction``s.  Every double point crosses
-two diagonals, so the faces are the cycles of passage arcs that turn left
-at every chord; corner signs and quadrants are read off the passage
-records, rotation numbers off the front's Maslov potential, face areas
-off the chord actions (Stokes).  A face's basepoint is one unit into its
-first corner's wedge; one within 1/2 of a segment is a fault.
+LP's solution, vertices and double points alike, in ints over one
+integer, the least common denominator of those sizes; the chord actions
+are the margin plus the slacks of the LP's z-gap rows there.
+``ResolvedDiagram`` computes on that one integer grid the octants,
+lengths, passage arcs, face rings and basepoint tests; its printed fields
+are ``Fraction``s.  Every double point crosses two diagonals, so the
+faces are the cycles of passage arcs that turn left at every chord;
+corner signs and quadrants are read off the passage records, rotation
+numbers off the front's Maslov potential, face areas off the chord
+actions (Stokes).  A face's basepoint is one unit into its first
+corner's wedge; one within 1/2 of a segment is a fault.
 """
 
 import json
@@ -471,14 +471,19 @@ def _template(front: FrontCode):
                            for p, over, under in laid]
 
 
-def _evaluate(cycles, order, theta):
-    """(ints, den): the template's cycles at the sizes theta as ints over
-    den, theta's least common denominator.  With n = theta * den, a vertex
-    is (c * den + the sum of n over order[:k], y * den): one prefix sum."""
+def _evaluate(cycles, order, theta, crossings):
+    """(ints, den, crossings): the template's cycles and crossings at the
+    sizes theta, ints over den, theta's least common denominator.  With n =
+    theta * den, a vertex is (c * den + the sum of n over order[:k], y *
+    den): one prefix sum.  A crossing's point (c, y) is one too, at the k
+    of its slope -1 branch's segment start, which its diagonal's ends
+    share."""
     sizes, den = _integers([theta[v] for v in order])
     prefix = [0, *accumulate(sizes)]
     return [[(c * den + prefix[k], y * den) for c, y, k in cyc]
-            for cyc in cycles], den
+            for cyc in cycles], den, [
+        ((c * den + prefix[cycles[ci][si][2]], y * den), (ci, si), under)
+        for (c, y), (ci, si), under in crossings]
 
 
 def _on_grid(points, unit):
@@ -512,7 +517,7 @@ def _integer_boxes(polys):
 class ChordRecord(object):
     """A double point of the resolved diagram (one Reeb chord).
 
-    ``_q`` is the point as ints over twice the diagram's scale.  The action
+    ``_q`` is the point as ints over the diagram's scale.  The action
     and the locations (segment index, Chebyshev length from the component's
     vertex 0) are ``Fraction``s."""
 
@@ -534,8 +539,8 @@ class ChordRecord(object):
 class Face(object):
     """Bounded complementary region with its corner data.
 
-    ``_ring`` is its ccw boundary cycle as ints over twice the diagram's
-    scale.  The area and the basepoint are ``Fraction``s."""
+    ``_ring`` is its ccw boundary cycle as ints over the diagram's scale.
+    The area and the basepoint are ``Fraction``s."""
 
     def __init__(self, fid, corners, area, ring, basepoint=None):
         self.id = fid
@@ -579,27 +584,27 @@ class ResolvedDiagram(object):
     area is the sum of its corner signs times the chord actions, the
     z-jumps of the y dx integral (Stokes), negative on an outer boundary.
 
-    The point tables are ints, one per concept: ``_ints``, the components'
-    vertices over ``scale``, which ``resolve`` takes from the template
-    (``_evaluate``); over h = 2 * ``scale``, the chord points
-    (``ChordRecord._q``), the passages' parameters and points, the
-    passage arcs and the face rings (``Face._ring``).  ``octants[ci][si]``
-    is the travel octant of segment si of component ci.  The measures are
-    ints over one denominator each, which later layers read as they are:
-    ``lengths``, the components' Chebyshev lengths, over ``scale``; each
-    letter's h over ``arc_den``, the lcm of twice those lengths; and
-    ``actions``, the chord actions in chord order, over ``action_den``,
-    which ``resolve`` reads off the sizing LP (``_actions``), for the face
-    areas, the word enumerator and the candidate pool.  The printed fields
-    (chord actions and locations, areas, basepoints) are ``Fraction``s.
+    The point tables are ints over ``scale``, one per concept: ``_ints``,
+    the components' vertices, and the chord points (``ChordRecord._q``),
+    which ``resolve`` takes from the template (``_evaluate``); the
+    passages' parameters and points, the passage arcs and the face rings
+    (``Face._ring``).  ``octants[ci][si]`` is the travel octant of segment
+    si of component ci.  The measures are ints over one denominator each,
+    which later layers read as they are: ``lengths``, the components'
+    Chebyshev lengths, over ``scale``; each letter's h over ``arc_den``,
+    the lcm of twice those lengths; and ``actions``, the chord actions in
+    chord order, over ``action_den``, which ``resolve`` reads off the
+    sizing LP (``_actions``), for the face areas, the word enumerator and
+    the candidate pool.  The printed fields (chord actions and locations,
+    areas, basepoints) are ``Fraction``s.
     ``components``, the vertices as ``Fraction``s, is a view of ``_ints``
     built on first read and then cached; no command reads it.
 
-    ``crossings`` lists per chord, in event order, the (component, segment
-    index) of its slope -1 and its slope +1 branch.  ``resolve`` passes the
-    pairs that its template's layout placed, which hold at every size; each
-    chord point is where the two branches' lines meet, and a pair whose
-    segments do not meet there is a DiagramError."""
+    ``crossings`` lists per chord, in event order, its point and the
+    (component, segment index) of its slope -1 and its slope +1 branch.
+    ``resolve`` passes the points and pairs that its template's layout
+    placed, which hold at every size; a point that is not strictly inside
+    both segments is a DiagramError."""
 
     def __init__(self, front: FrontCode, ints: List[List[Tuple[int, int]]],
                  scale: int, crossings, actions: List[int], action_den: int):
@@ -625,11 +630,10 @@ class ResolvedDiagram(object):
         self._pick_basepoints()
 
     def _find_chords(self):
-        # the Chebyshev length from vertex 0 at each vertex, over _scale.
-        # The chord point is where the line x + y = s of the over branch
-        # meets the line y - x = t of the under branch, both through a
-        # segment start: (s - t, s + t) / 2, on the half grid.  Chord ends
-        # and passage parameters are integers over h = 2 * _scale
+        # the Chebyshev length from vertex 0 at each vertex, over _scale;
+        # a chord end's passage parameter adds the length from its segment
+        # start to the chord point
+        s = self._scale
         self.octants = list(map(_octants, self._ints))
         lengths = [[0, *accumulate(max(abs(bx - ax), abs(by - ay))
                                    for (ax, ay), (bx, by)
@@ -637,25 +641,21 @@ class ResolvedDiagram(object):
                    for ints in self._ints]
         self.lengths = [cl[-1] for cl in lengths]
         self.arc_den = lcm(*(2 * t for t in self.lengths))
-        h = 2 * self._scale
         self.chords = []
         self.passages = [[] for _ in self._ints]
-        for (over, under), act in zip(self._crossings, self.actions):
-            (ox, oy), (ux, uy) = (self._ints[ci][si] for ci, si in
-                                  (over, under))
-            q = qx, qy = ox + oy - uy + ux, ox + oy + uy - ux
+        for (q, over, under), act in zip(self._crossings, self.actions):
+            qx, qy = q
             ends = []
             for ci, si in (over, under):
                 ints = self._ints[ci]
-                ax, ay = (2 * v for v in ints[si])
-                bx, by = (2 * v for v in ints[(si + 1) % len(ints)])
+                (ax, ay), (bx, by) = ints[si], ints[(si + 1) % len(ints)]
                 # strictly inside the segment: on its line, between its ends
                 if (qx - ax) * (qy - by) != (qy - ay) * (qx - bx) or \
                         (qx - ax) * (qx - bx) + (qy - ay) * (qy - by) >= 0:
-                    raise DiagramError(f"chord point {_view([q], h)[0]} is "
+                    raise DiagramError(f"chord point {_view([q], s)[0]} is "
                                        f"not inside segment {si} of "
                                        f"component {ci}")
-                ends.append(2 * lengths[ci][si] +
+                ends.append(lengths[ci][si] +
                             max(abs(qx - ax), abs(qy - ay)))
             t_hi, t_lo = ends
             over_dir = self.octants[over[0]][over[1]]
@@ -666,8 +666,8 @@ class ResolvedDiagram(object):
             self.chords.append(ChordRecord(
                 cid, q, sign, tail_comp=under[0], tip_comp=over[0],
                 action=Fraction(act, self.action_den),
-                tail_loc=(under[1], Fraction(t_lo, h)),
-                tip_loc=(over[1], Fraction(t_hi, h))))
+                tail_loc=(under[1], Fraction(t_lo, s)),
+                tip_loc=(over[1], Fraction(t_hi, s))))
             for role, (ci, si), t in (("tail", under, t_lo),
                                       ("tip", over, t_hi)):
                 self.passages[ci].append((t, cid, role, q, si))
@@ -693,14 +693,14 @@ class ResolvedDiagram(object):
     # -- faces ---------------------------------------------------------------
 
     def _build_faces(self):
-        # split each component cycle at its chord passages into arcs, ints
-        # over h; a parameter is a length from vertex 0, so it orders the
-        # passages along the cycle
+        # split each component cycle at its chord passages into arcs; a
+        # parameter is a length from vertex 0, so it orders the passages
+        # along the cycle
         self._passage_of: Dict[Tuple[int, str], Tuple[int, int]] = {}
         self._arcs: List[List[List[Tuple[int, int]]]] = []
         for ci, plist in enumerate(self.passages):
             plist.sort()
-            cyc = [(2 * x, 2 * y) for x, y in self._ints[ci]]
+            cyc = self._ints[ci]
             n = len(cyc)
             arcs = []
             for k, (_, cid, role, p, si) in enumerate(plist):
@@ -714,23 +714,19 @@ class ResolvedDiagram(object):
         self._trace_faces()
 
     def _trace_faces(self):
-        # the left-turn rule of the class docstring; octant of each chord end
-        passages = self.passages
-        octant = {}
-        for c in self.chords:
-            for role, ci, loc in (("tail", c.tail_comp, c.tail_loc),
-                                  ("tip", c.tip_comp, c.tip_loc)):
-                octant[c.id, role] = self.octants[ci][loc[0]]
+        # the left-turn rule of the class docstring; a chord end's octant
+        # is that of its passage's segment
+        passages, octants = self.passages, self.octants
         turn = {}       # half-edge -> (next half-edge, corner at its end)
         for ci, plist in enumerate(passages):
             n = len(plist)
             for k in range(n):
                 for d in (1, -1):
-                    _, cid, role, *_ = plist[(k + 1) % n if d == 1 else k]
-                    o = (octant[cid, role] + (0 if d == 1 else 4)) % 8
+                    _, cid, role, _, si = plist[(k + 1) % n if d == 1 else k]
+                    o = (octants[ci][si] + (0 if d == 1 else 4)) % 8
                     other = "tip" if role == "tail" else "tail"
                     cj, kj = self._passage_of[cid, other]
-                    s = (octant[cid, other] - o) % 8
+                    s = (octants[cj][passages[cj][kj][4]] - o) % 8
                     if o % 2 == 0 or s not in (2, 6):
                         raise DiagramError(
                             f"face walk does not turn left at r{cid}")
@@ -786,36 +782,34 @@ class ResolvedDiagram(object):
         # clears every segment by more than 1/2: the double point crosses two
         # diagonals, and events lie on integer units with slabs 4 apart and
         # sizes stretching only horizontals, so no other segment is within a
-        # unit.  m = 2 * _scale puts the step, its half and chord points on
-        # integers
-        m = 2 * self._scale
+        # unit
+        s = self._scale
         cid, quad, _sign = face.corners[0]
         qx, qy = self.chords[cid - 1]._q
         dx, dy = QUADRANT_VECTORS[quad]
-        p = (qx + m * dx, qy + m * dy)
-        if not self._good_basepoint(p, face._ring, index, self._scale):
+        p = (qx + s * dx, qy + s * dy)
+        if not self._good_basepoint(p, face._ring, index, s):
             raise DiagramError(f"no basepoint found for face {face.id}")
-        return Fraction(p[0], m), Fraction(p[1], m)
+        return Fraction(p[0], s), Fraction(p[1], s)
 
     @staticmethod
-    def _good_basepoint(p, ring, index, clear):
-        # p and clear are over 2 * _scale, the boxes over _scale, so the box
-        # reach is p -+ clear shifted right by one bit (ceiling, floor).
-        # A segment a -> a + d comes within clear of p at a (its end a + d
-        # starts the next segment), or between its ends where
-        # |w x d|^2 <= clear^2 |d|^2 (w = p - a).  A crossing lies on a
-        # segment: clearing the segments clears it too
-        (px, py), (lefts, boxes), cc = p, index, clear * clear
-        lo_x, lo_y = (-((clear - v) >> 1) for v in p)
-        hi_x, hi_y = ((v + clear) >> 1 for v in p)
+    def _good_basepoint(p, ring, index, scale):
+        # p, the ring and the boxes are ints over scale S, so the clearance
+        # 1/2 is S/2 and a box within it of p is within S // 2 in ints.  A
+        # segment a -> a + d comes within 1/2 of p at a (its end a + d
+        # starts the next segment), where 4|w|^2 <= S^2 (w = p - a), or
+        # between its ends, where 4(w x d)^2 <= S^2 |d|^2.  A crossing
+        # lies on a segment: clearing the segments clears it too
+        (px, py), (lefts, boxes) = p, index
+        reach, ss = scale // 2, scale * scale
         for _, x_hi, y_lo, y_hi, _, _, ax, ay, dx, dy in \
-                boxes[:bisect_right(lefts, hi_x)]:
-            if x_hi < lo_x or y_lo > hi_y or y_hi < lo_y:
+                boxes[:bisect_right(lefts, px + reach)]:
+            if x_hi < px - reach or y_lo > py + reach or y_hi < py - reach:
                 continue
-            wx, wy = px - (ax << 1), py - (ay << 1)
+            wx, wy = px - ax, py - ay
             wd, dd = wx * dx + wy * dy, dx * dx + dy * dy
-            if wx * wx + wy * wy <= cc or \
-                    0 < wd < dd << 1 and (wx * dy - wy * dx) ** 2 <= cc * dd:
+            if 4 * (wx * wx + wy * wy) <= ss or \
+                    0 < wd < dd and 4 * (wx * dy - wy * dx) ** 2 <= ss * dd:
                 return False
         return winding_number(ring, p) == 1
 
@@ -857,15 +851,15 @@ class ResolvedDiagram(object):
             ch = self.chord(plist[k][1])
             vector[ch.tip_comp if plist[k][2] == "tail"
                    else ch.tail_comp] += ch.sign
-        # the arc's length L, over 2 * _scale from the passage parameters,
-        # over the component's T, over _scale: h = 1/2 - L/(2T)
+        # the arc's length L from the passage parameters over the
+        # component's length T, both over _scale: h = (T - 2L)/(2T)
         total = self.lengths[comp]
-        length = (plist[k2][0] - plist[k1][0]) % (2 * total)
+        length = (plist[k2][0] - plist[k1][0]) % total
         c = self.surgery[comp]
         assert abs(c) == 1      # words._width bounds twists by |c| <= 1
         letters[j1, j2] = Letter(rot + (c == 1), -1 if rot % 2 else 1, c,
-                                 (total - length) * (self.arc_den //
-                                                     (2 * total)),
+                                 (total - 2 * length) * (self.arc_den //
+                                                         (2 * total)),
                                  tuple(vector), arcs)
         return letters[j1, j2]
 
@@ -998,8 +992,8 @@ def resolve(front: FrontCode, action_margin: Fraction = Fraction(32)
         if theta is None:
             raise DiagramError(
                 "no template sizing realizes this front in good position")
-        return ResolvedDiagram(front, *_evaluate(cycles, order, theta),
-                               [(o, u) for _, o, u in crossings],
+        return ResolvedDiagram(front,
+                               *_evaluate(cycles, order, theta, crossings),
                                *_actions(eq, ge, theta, action_margin))
     except FrontError:
         raise

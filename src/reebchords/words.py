@@ -14,7 +14,7 @@ Words hold no diagram, so a diagram's memo tables never keep it alive.
 A push-out is wound in two memo tables, at the one offset ``PUSH_OFF`` and
 in ints on one grid per diagram that also holds the face basepoints.  The
 first holds per passage arc (a component's stretch between consecutive
-chord passages, which the diagram keeps as ints over twice its scale, a
+chord passages, which the diagram keeps as ints over its scale, a
 divisor of the grid's unit) its offset step's (start, end, crossings),
 the ends as grid ints and the crossings at every face basepoint.  The
 second holds per letter (``ResolvedDiagram.letter``) the sums over the
@@ -109,6 +109,11 @@ class Word(object):
         return self.total
 
 
+def word_name(chords: Sequence[int]) -> str:
+    """The name of the orbit word of ``chords``: ``(r1r2...)``."""
+    return "(" + "".join(f"r{c}" for c in chords) + ")"
+
+
 def canonical_rotation(chords: Sequence[int]) -> Tuple[int, ...]:
     seq = tuple(chords)
     return min((seq[k:] + seq[:k] for k in range(len(seq))), default=seq)
@@ -146,7 +151,7 @@ class CyclicWord(Word):
         return hash(("cyc",) + self.chords)
 
     def __repr__(self):
-        return "(" + "".join(f"r{c}" for c in self.chords) + ")"
+        return word_name(self.chords)
 
     def pairs(self) -> List[Tuple[int, int]]:
         """Consecutive pairs including the closing one."""
@@ -300,7 +305,7 @@ def _grid(d: ResolvedDiagram) -> Tuple[int, List[Tuple[int, int]]]:
     """(unit, basepoints): the push-outs' integer grid and the face
     basepoints as int pairs on it, built at the first push-out rather than
     in ``resolve``, so it holds basepoints moved in between.  Chord points
-    are over 2 * ``d._scale`` and PUSH_OFF / 2 is 1/16, so on the lcm of
+    are over ``d._scale`` and PUSH_OFF / 2 is 1/16, so on the lcm of
     32 * _scale and the basepoints' denominators the passage arcs, their
     offsets and corners are ints."""
     key = ("grid",)
@@ -326,13 +331,13 @@ def _crossings(d: ResolvedDiagram, points) -> Tuple[int, ...]:
 def _step(d: ResolvedDiagram, comp: int, k: int):
     """(start, end, crossings) of passage arc k of comp offset on the grid,
     memoized per arc; a repeated point of the offset crosses no ray.  The
-    arc's points are ints over 2 * ``d._scale``, which divides the grid's
+    arc's points are ints over ``d._scale``, which divides the grid's
     unit, so one int factor puts them on the grid.  The arc is the
     diagram's own, so a ValueError of the offset is a fault."""
     steps = d.memo.setdefault(("steps",), {})
     if (comp, k) not in steps:
         unit = _grid(d)[0]
-        m = unit // (2 * d._scale)
+        m = unit // d._scale
         try:
             arc = offset_polyline([(x * m, y * m) for x, y in
                                    d._arcs[comp][k]],

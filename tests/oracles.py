@@ -869,22 +869,22 @@ def component_lengths(d):
 
 
 def chord_point(d, c):
-    """A chord's double point in Fractions, from its ints over h = 2 *
-    scale."""
-    return tuple(Fraction(v, 2 * d._scale) for v in c._q)
+    """A chord's double point in Fractions, from its ints over the
+    diagram's scale."""
+    return tuple(Fraction(v, d._scale) for v in c._q)
 
 
 def face_boundary(d, f):
     """A face's ccw boundary cycle in Fractions, from its ring of ints over
-    h = 2 * scale."""
-    return [tuple(Fraction(v, 2 * d._scale) for v in p) for p in f._ring]
+    the diagram's scale."""
+    return [tuple(Fraction(v, d._scale) for v in p) for p in f._ring]
 
 
 def passage_arcs(d):
     """passage_arcs(d)[ci][k]: passage arc k of component ci in Fractions,
-    from the diagram's arcs of ints over h = 2 * scale."""
-    h = 2 * d._scale
-    return [[[tuple(Fraction(v, h) for v in p) for p in arc] for arc in arcs]
+    from the diagram's arcs of ints over its scale."""
+    s = d._scale
+    return [[[tuple(Fraction(v, s) for v in p) for p in arc] for arc in arcs]
             for arcs in d._arcs]
 
 
@@ -1845,3 +1845,12 @@ def fraction_solve_lp(n, eq, ge, minimize):
         if basis[r] < n:
             x[basis[r]] = tab[r][-1]
     return x
+
+
+def certified(row):
+    """Whether a good degree-1 ``chain`` row certifies that its generator is
+    killed: its candidate list is complete (not truncated) and is the
+    constant term alone, with exactly one witness face."""
+    return "truncated" not in row and [
+        (c["monomial"], len(c["faces"])) for c in row["candidates"]] == \
+        [("1", 1)]

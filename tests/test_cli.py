@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from oracles import front_text, k_copy, passage_arcs
+from oracles import certified, front_text, k_copy, passage_arcs
 import reebchords
 from reebchords import words
 from reebchords.cli import json_text, main
@@ -1110,15 +1110,6 @@ def test_chain_prints_no_count_for_two_witness_faces(tmp_path, capsys):
     assert const["monomial"] == "1" and const["faces"] == [1, 2]
     assert const["count"] is None and const["sign_ambiguous"]
     assert not certified(row)
-
-
-def certified(row):
-    """Whether a good degree-1 ``chain`` row certifies that its generator is
-    killed: its candidate list is complete (not truncated) and is the
-    constant term alone, with exactly one witness face."""
-    return "truncated" not in row and [
-        (c["monomial"], len(c["faces"])) for c in row["candidates"]] == \
-        [("1", 1)]
 
 
 def run_text(argv, text):

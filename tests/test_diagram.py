@@ -324,30 +324,33 @@ def test_a_template_vertex_met_twice_is_a_fault(monkeypatch):
         _template(parse_front("L1,L3,X2,X2,X2,R1,R1"))
 
 
-@pytest.mark.parametrize("swap", ["branches", "under strands"])
+@pytest.mark.parametrize("swap", ["points", "under strands"])
 def test_a_crossing_pair_whose_segments_do_not_meet_is_a_fault(
         trefoil_plus, swap):
-    # the slope +1 branch given as the over one, or the under branches of
-    # two crossings in disjoint event slabs exchanged
+    # the layout's points of two crossings in disjoint event slabs
+    # exchanged beside their pairs, or their under branches exchanged
+    # beside their points.  A pair given the other way round keeps its
+    # point inside both segments; the layout test above pins the slopes
     d = trefoil_plus
+    points = [c._q for c in d.chords]
     pairs = [((c.tip_comp, c.tip_loc[0]), (c.tail_comp, c.tail_loc[0]))
              for c in d.chords]
-    if swap == "branches":
-        pairs[0] = pairs[0][::-1]
+    if swap == "points":
+        points[0], points[1] = points[1], points[0]
     else:
         pairs[0], pairs[1] = ((pairs[0][0], pairs[1][1]),
                               (pairs[1][0], pairs[0][1]))
     with pytest.raises(DiagramError, match="is not inside segment"):
-        ResolvedDiagram(d.front, d._ints, d._scale, pairs, d.actions,
-                        d.action_den)
+        ResolvedDiagram(d.front, d._ints, d._scale,
+                        [(q, *pair) for q, pair in zip(points, pairs)],
+                        d.actions, d.action_den)
 
 
 # -- the basepoint test's integer distance check ------------------------------
-# Segments a -> a + n * (octant vector) on the integer grid of the boxes, a
-# test point and a clearance over 2 (the half grid, where the library's
-# points lie) so that distances tie with the clearance, and a square ring
-# that winds once around every test point.  The library's clearance is the
-# scale S over 2S; here it runs over every S from 1 to 6.
+# Segments a -> a + n * (octant vector), a test point and a square ring that
+# winds once around every test point, all ints over one scale S, which runs
+# over every S from 1 to 6.  The clearance is 1/2, so at even S distances
+# tie with it.
 
 SQUARE_RING = [(-64, -64), (64, -64), (64, 64), (-64, 64)]
 
@@ -358,16 +361,18 @@ SQUARE_RING = [(-64, -64), (64, -64), (64, 64), (-64, 64)]
                 min_size=1, max_size=4),
        st.integers(-16, 16), st.integers(-16, 16), st.integers(1, 6))
 # within the clearance of a segment's second half only
-@example([(0, 0, 0, 4)], 5, 1, 2)
+@example([(0, 0, 0, 4)], 3, 1, 2)
 def test_basepoint_clearance_is_the_distance_to_every_segment(
-        ends, px, py, clear):
+        ends, px, py, scale):
     # each segment a closed polyline a -> b -> a of its own
     polys = [[(x, y), (x + n * dx, y + n * dy)]
              for x, y, o, n in ends for dx, dy in [OCTANT_VECTORS[o]]]
     boxes = _integer_boxes(polys)
     clear_of_all = all(
-        point_segment_distance_sq((F(px, 2), F(py, 2)), Segment(a, b))
-        > F(clear, 2) ** 2 for a, b in polys)
+        point_segment_distance_sq((F(px, scale), F(py, scale)),
+                                  Segment(*((F(x, scale), F(y, scale))
+                                            for x, y in (a, b))))
+        > F(1, 4) for a, b in polys)
     assert ResolvedDiagram._good_basepoint(
-        (px, py), SQUARE_RING, ([box[0] for box in boxes], boxes), clear) == \
-        clear_of_all
+        (px, py), SQUARE_RING, ([box[0] for box in boxes], boxes),
+        scale) == clear_of_all

@@ -88,7 +88,18 @@ The commands:
   --max-len 3`` in both formats on the Hopf link with 0 and +1, its one
   diagram with a zero-coefficient sublink: 31 commands.  No other command
   reads ``quiver`` output or the tsv and md rows, and the corpora hold no
-  ``parse`` command.
+  ``parse`` command;
+* nine commands that exit 2, so that error messages and exit codes are
+  compared too: ``chain --max-len 2`` with no ``--epsilon`` on the
+  trefoil with +1 surgery, ``orbits`` at ``--max-len`` 0 and 65 (past
+  ``MAX_WORD_LENGTH``) on the unknot with -1, ``grading --max-len 2`` on
+  the unknot with +1 (H1 = Z), ``orbits --max-len 2`` on the unknot with
+  coefficient 0, ``chords --max-len 2`` on the unknot with +1, and
+  ``parse`` on ``L1,X1``, on a surgery block that names component 0 twice
+  and on a JSON front with a repeated ``events`` key;
+* ``invariants`` on the stabilized unknot with +1 surgery and orientation
+  -, written as a JSON object with events as [kind, position] pairs: the
+  one command that runs to the end on a JSON front.
 
 Each command runs as ``reebchords.cli.main(argv + ["--input", "-"])`` with
 the front on standard input.  A command that takes more than
@@ -231,6 +242,27 @@ def commands():
         out.append((f"hopf 0+ chords {fmt}",
                     ["chords", "--max-len", "3", "--format", fmt],
                     FIXTURES[-1][1]))
+    out += [
+        ("trefoil +1 chain without epsilon", ["chain", "--max-len", "2"],
+         TREFOIL.format("+1")),
+        ("unknot -1 orbits len0", ["orbits", "--max-len", "0"],
+         UNKNOT.format("-1")),
+        ("unknot -1 orbits len65", ["orbits", "--max-len", "65"],
+         UNKNOT.format("-1")),
+        ("unknot +1 grading", ["grading", "--max-len", "2"],
+         UNKNOT.format("+1")),
+        ("unknot 0 orbits", ["orbits", "--max-len", "2"], UNKNOT.format("0")),
+        ("unknot +1 chords", ["chords", "--max-len", "2"],
+         UNKNOT.format("+1")),
+        ("open strands parse", ["parse"], "L1,X1"),
+        ("repeated surgery parse", ["parse"],
+         "L1,R1 / surgery {0:+1, 0:-1}"),
+        ("repeated JSON key parse", ["parse"],
+         '{"events": ["L1", "R1"], "events": ["L1", "R1"]}'),
+        ("stab unknot - JSON invariants", ["invariants"],
+         '{"events": [["L", 1], ["L", 2], ["R", 1], ["R", 1]], '
+         '"surgery": {"0": 1}, "orientations": {"0": "-"}}'),
+    ]
     return out
 
 
@@ -243,32 +275,41 @@ def _expired(signum, frame):
     raise Timeout()
 
 
+def run_command(argv, front):
+    """[stdout, stderr, exit code] of ``main(argv + ["--input", "-"])`` of
+    the ``reebchords.cli`` first on ``sys.path``, with ``front`` on
+    standard input.  A command is stopped after ``DEADLINE_S`` seconds of
+    CPU time and recorded as timed out; an exception that escapes ``main``
+    is recorded with exit code 1."""
+    from reebchords.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(front)
+    handler = signal.signal(signal.SIGPROF, _expired)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        signal.setitimer(signal.ITIMER_PROF, DEADLINE_S)
+        try:
+            code = main(argv + ["--input", "-"])
+        except Timeout:
+            code = f"timed out after {DEADLINE_S} s"
+        except Exception as exc:      # an escape is a result too
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            code = 1
+        finally:
+            signal.setitimer(signal.ITIMER_PROF, 0)
+            signal.signal(signal.SIGPROF, handler)
+            sys.stdin = stdin
+    return [out.getvalue(), err.getvalue(), code]
+
+
 def worker(src):
     """Run the commands of the JSON list [[name, argv, front], ...] on
     standard input under the tree ``src``; print one JSON list of their
-    results, [stdout, stderr, exit code] each."""
+    results (``run_command``)."""
     sys.path.insert(0, os.path.join(src, "src"))
-    from reebchords.cli import main
-
     cmds = json.load(sys.stdin)
-    signal.signal(signal.SIGPROF, _expired)
-    results = []
-    for _name, argv, front in cmds:
-        sys.stdin = io.StringIO(front)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            signal.setitimer(signal.ITIMER_PROF, DEADLINE_S)
-            try:
-                code = main(argv + ["--input", "-"])
-            except Timeout:
-                code = f"timed out after {DEADLINE_S} s"
-            except Exception as exc:      # an escape is a result too
-                print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-                code = 1
-            finally:
-                signal.setitimer(signal.ITIMER_PROF, 0)
-        results.append([out.getvalue(), err.getvalue(), code])
-    json.dump(results, sys.stdout)
+    json.dump([run_command(argv, front) for _name, argv, front in cmds],
+              sys.stdout)
 
 
 def run_tree(src, cmds):
